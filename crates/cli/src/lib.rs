@@ -35,7 +35,7 @@ mod test;
 mod zoo;
 
 pub use fuzz::{run_fuzz, FuzzArgs};
-pub use serve::{serve_session, ServeArgs};
+pub use serve::{serve_session, ServeArgs, ServeSession};
 pub use solve::{run_solve, SolveArgs};
 pub use test::{run_test, TestArgs};
 pub use zoo::{run_zoo, ZooArgs};

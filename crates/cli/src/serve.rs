@@ -17,7 +17,11 @@
 //! serialized system (`print_system` output, including the `control:` line)
 //! plus the semantics-relevant options: repeated or duplicate submissions
 //! are answered from the cache with `"cache":"hit"` and a payload that is
-//! byte-identical to the original solve's.  A `batch` request fans a list
+//! byte-identical to the original solve's.  The cache stores the payload
+//! rendered once, when the game is solved, so a hit writes stored bytes
+//! after a fresh envelope; and the session remembers which game each
+//! submitted source text parsed to, so a repeated submission skips parsing
+//! and `print_system` too.  A `batch` request fans a list
 //! of models through the work queue (`tiga_parallel::run_keyed`): distinct
 //! games are solved concurrently, duplicates are deduplicated before any
 //! solving happens, and the responses are merged in submission order — the
@@ -30,9 +34,11 @@
 //! errors, the byte offset) and the session continues.
 
 use crate::{parse_num, reject_leftovers, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE};
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use tiga_solver::{solve, CacheEntry, SolveCache, SolveEngine, SolveOptions};
+use tiga_solver::{solve, CompiledController, SolveCache, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
 const USAGE: &str = "\
@@ -100,42 +106,79 @@ pub fn serve_session<R: BufRead, W: Write>(
     output: &mut W,
     args: &ServeArgs,
 ) -> std::io::Result<()> {
-    let mut cache = SolveCache::new();
-    for (index, line) in input.lines().enumerate() {
-        let line = line?;
-        let line_no = index + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        for response in handle_line(&line, line_no, args, &mut cache) {
-            writeln!(output, "{response}")?;
-        }
+    let mut session = ServeSession::new(args.clone());
+    for line in input.lines() {
+        session.respond(&line?, output)?;
         output.flush()?;
     }
     Ok(())
 }
 
+/// The state of one serve session: the solve cache and the submission memo.
+/// [`serve_session`] feeds it the lines of a reader; an embedder can feed it
+/// request lines one at a time.
+pub struct ServeSession {
+    args: ServeArgs,
+    /// Lines seen so far, blank ones included: the default request `id`
+    /// and the line number in error responses.
+    lines: usize,
+    /// Rendered payloads, keyed on the game and its semantics-relevant
+    /// options.
+    cache: SolveCache<Arc<Rendered>>,
+    /// Submitted source text (with the `purpose` override, if any) → the
+    /// game it parses to, so that an identical re-submission skips parsing,
+    /// lowering and `print_system`.  Path requests still read the file, so
+    /// an edited file is a new submission.
+    games: HashMap<(Option<String>, String), Arc<Game>>,
+}
+
+impl ServeSession {
+    /// A session with an empty cache.
+    #[must_use]
+    pub fn new(args: ServeArgs) -> Self {
+        ServeSession {
+            args,
+            lines: 0,
+            cache: SolveCache::new(),
+            games: HashMap::new(),
+        }
+    }
+
+    /// Answers one request line, writing its response lines (one for a
+    /// solve request, one per item plus a summary for a batch) to `output`.
+    /// A blank line counts towards the line numbers and gets no response.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error on `output`.
+    pub fn respond<W: Write>(&mut self, line: &str, output: &mut W) -> std::io::Result<()> {
+        self.lines += 1;
+        if line.trim().is_empty() {
+            return Ok(());
+        }
+        for response in handle_line(line, self.lines, self) {
+            response.write_to(output)?;
+        }
+        Ok(())
+    }
+}
+
 /// Handles one request line, returning the response lines it produces (one
 /// for solve requests, one per item plus a summary for batches).
-fn handle_line(
-    line: &str,
-    line_no: usize,
-    args: &ServeArgs,
-    cache: &mut SolveCache,
-) -> Vec<String> {
+fn handle_line(line: &str, line_no: usize, session: &mut ServeSession) -> Vec<Response> {
     let started = Instant::now();
     let json = match parse_json(line) {
         Ok(json) => json,
         Err(err) => {
-            return vec![format!(
+            return vec![Response::Line(format!(
                 "{{\"id\":{line_no},\"status\":\"error\",\"line\":{line_no},\
                  \"byte\":{},\"error\":\"{}\"}}",
                 err.at,
                 crate::solve::json_escape(&format!("bad request JSON: {}", err.message)),
-            )]
+            ))]
         }
     };
-    match Request::from_json(&json, line_no, args.jobs) {
+    match Request::from_json(&json, line_no, session.args.jobs) {
         Err(message) => vec![error_response(
             &format!("{line_no}"),
             "request",
@@ -143,8 +186,8 @@ fn handle_line(
             &message,
         )],
         Ok(request) => match request.kind {
-            RequestKind::Solve => vec![handle_solve(&request, line_no, cache, started)],
-            RequestKind::Batch => handle_batch(&request, line_no, args, cache, started),
+            RequestKind::Solve => vec![handle_solve(&request, line_no, session, started)],
+            RequestKind::Batch => handle_batch(&request, line_no, session, started),
         },
     }
 }
@@ -152,20 +195,21 @@ fn handle_line(
 fn handle_solve(
     request: &Request,
     line_no: usize,
-    cache: &mut SolveCache,
+    session: &mut ServeSession,
     started: Instant,
-) -> String {
+) -> Response {
     let source = &request.sources[0];
-    let prepared = match prepare(source, request, line_no, 0) {
+    let prepared = match prepare(source, request, line_no, 0, &mut session.games) {
         Ok(prepared) => prepared,
         Err(message) => return error_response(&request.id, "solve", line_no, &message),
     };
-    let (entry, cached) = match cache.lookup(&prepared.key) {
-        Some(entry) => (entry, true),
-        None => match solve_prepared(&prepared) {
-            Ok(entry) => {
-                cache.store(prepared.key.clone(), entry.clone());
-                (entry, false)
+    let cache = &mut session.cache;
+    let (rendered, cached) = match cache.lookup(&prepared.key) {
+        Some(rendered) => (rendered, true),
+        None => match solve_and_render(&prepared) {
+            Ok(rendered) => {
+                cache.store(prepared.key, Arc::clone(&rendered));
+                (rendered, false)
             }
             Err(message) => return error_response(&request.id, "solve", line_no, &message),
         },
@@ -176,8 +220,7 @@ fn handle_solve(
         None,
         cached,
         request.controller,
-        &prepared,
-        &entry,
+        rendered,
         cache,
         started,
     )
@@ -186,20 +229,20 @@ fn handle_solve(
 fn handle_batch(
     request: &Request,
     line_no: usize,
-    args: &ServeArgs,
-    cache: &mut SolveCache,
+    session: &mut ServeSession,
     started: Instant,
-) -> Vec<String> {
+) -> Vec<Response> {
     let prepared: Vec<Result<Prepared, String>> = request
         .sources
         .iter()
         .enumerate()
-        .map(|(i, source)| prepare(source, request, line_no, i))
+        .map(|(i, source)| prepare(source, request, line_no, i, &mut session.games))
         .collect();
+    let cache = &mut session.cache;
     // Plan the shard: every item whose key is not already cached goes to the
     // work queue; `run_keyed` deduplicates within the batch so each distinct
-    // game is solved once, concurrently, while the merge below stays in
-    // submission order — deterministic output for any `--jobs`.
+    // game is solved (and rendered) once, concurrently, while the merge below
+    // stays in submission order — deterministic output for any `--jobs`.
     let mut planned_to_run = vec![false; prepared.len()];
     let mut work: Vec<(String, usize)> = Vec::new();
     for (i, item) in prepared.iter().enumerate() {
@@ -210,9 +253,10 @@ fn handle_batch(
             }
         }
     }
-    let results = tiga_parallel::run_keyed(work, args.jobs, |_key, first_index| {
+    let jobs = session.args.jobs;
+    let results = tiga_parallel::run_keyed(work, jobs, |_key, first_index| {
         match &prepared[first_index] {
-            Ok(p) => solve_prepared(p),
+            Ok(p) => solve_and_render(p),
             Err(_) => unreachable!("only Ok items are planned into the work queue"),
         }
     });
@@ -237,44 +281,35 @@ fn handle_batch(
                 // first occurrence of a key is the miss, every later
                 // duplicate — whether solved speculatively by the queue or
                 // cached in an earlier request — is a hit.
-                match cache.lookup(&p.key) {
-                    Some(entry) => responses.push(ok_response(
-                        &request.id,
-                        kind,
-                        Some(i),
-                        true,
-                        request.controller,
-                        p,
-                        &entry,
-                        cache,
-                        started,
-                    )),
+                let (rendered, cached) = match cache.lookup(&p.key) {
+                    Some(rendered) => (rendered, true),
                     None => match computed.expect("uncached items were planned into the queue") {
-                        Ok(entry) => {
-                            cache.store(p.key.clone(), entry.clone());
-                            responses.push(ok_response(
-                                &request.id,
-                                kind,
-                                Some(i),
-                                false,
-                                request.controller,
-                                p,
-                                &entry,
-                                cache,
-                                started,
-                            ));
+                        Ok(rendered) => {
+                            cache.store(p.key.clone(), Arc::clone(&rendered));
+                            (rendered, false)
                         }
                         Err(message) => {
                             errors += 1;
                             responses.push(item_error_response(&request.id, kind, i, &message));
+                            continue;
                         }
                     },
-                }
+                };
+                responses.push(ok_response(
+                    &request.id,
+                    kind,
+                    Some(i),
+                    cached,
+                    request.controller,
+                    rendered,
+                    cache,
+                    started,
+                ));
             }
         }
     }
     let stats = cache.stats();
-    responses.push(format!(
+    responses.push(Response::Line(format!(
         "{{\"id\":{},\"kind\":\"batch\",\"status\":\"{}\",\"items\":{},\"errors\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\"elapsed_us\":{}}}",
         request.id,
@@ -285,7 +320,7 @@ fn handle_batch(
         stats.misses,
         cache.len(),
         started.elapsed().as_micros(),
-    ));
+    )));
     responses
 }
 
@@ -470,12 +505,18 @@ fn string_array(value: &Json, name: &str) -> Result<Vec<String>, String> {
 // Solving
 // ---------------------------------------------------------------------------
 
-/// A request item resolved down to a solvable game plus its cache key.
-struct Prepared {
-    key: String,
-    model_name: String,
+/// A submission resolved down to a solvable game: the lowered system, its
+/// objective and the canonical text the cache key is built from.
+struct Game {
+    canonical: String,
     system: tiga_model::System,
     purpose: TestPurpose,
+}
+
+/// A request item: its game plus its cache key.
+struct Prepared {
+    key: String,
+    game: Arc<Game>,
     options: SolveOptions,
 }
 
@@ -484,6 +525,7 @@ fn prepare(
     request: &Request,
     line_no: usize,
     item: usize,
+    games: &mut HashMap<(Option<String>, String), Arc<Game>>,
 ) -> Result<Prepared, String> {
     let (text, label) = match source {
         ModelSource::Inline(text) => (text.clone(), format!("request-{line_no}.{item}")),
@@ -492,46 +534,146 @@ fn prepare(
             path.clone(),
         ),
     };
-    let model = tiga_lang::parse_model(&text).map_err(|err| err.render(&text, &label))?;
-    let purpose = crate::solve::resolve_purpose(&model, request.purpose.as_deref())?;
-    // The canonical exact-inverse serialization of the lowered system (with
-    // its objective) is the content-hash identity of the game: a file and an
-    // inline copy of it, or two formattings of the same model, share a key.
-    let canonical = tiga_lang::print_system(&model.system, Some(&purpose));
-    let key = SolveCache::key(&canonical, &request.options);
+    let submission = (request.purpose.clone(), text);
+    let game = match games.get(&submission) {
+        Some(game) => Arc::clone(game),
+        None => {
+            let text = &submission.1;
+            let model = tiga_lang::parse_model(text).map_err(|err| err.render(text, &label))?;
+            let purpose = crate::solve::resolve_purpose(&model, request.purpose.as_deref())?;
+            // The canonical exact-inverse serialization of the lowered system
+            // (with its objective) is the content-hash identity of the game:
+            // a file and an inline copy of it, or two formattings of the same
+            // model, share a key.
+            let game = Arc::new(Game {
+                canonical: tiga_lang::print_system(&model.system, Some(&purpose)),
+                system: model.system,
+                purpose,
+            });
+            games.insert(submission, Arc::clone(&game));
+            game
+        }
+    };
     Ok(Prepared {
-        key,
-        model_name: model.system.name().to_string(),
-        system: model.system,
-        purpose,
+        key: SolveCache::key(&game.canonical, &request.options),
+        game,
         options: request.options.clone(),
     })
 }
 
-fn solve_prepared(prepared: &Prepared) -> Result<CacheEntry, String> {
-    let solution = solve(&prepared.system, &prepared.purpose, &prepared.options)
+/// Solves a game, compiles its strategy and renders the response payload —
+/// the one time the payload is rendered: every hit writes these bytes.
+fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
+    let game = &prepared.game;
+    let solution = solve(&game.system, &game.purpose, &prepared.options)
         .map_err(|e| format!("solver failed: {e}"))?;
     // Minimize + compile at store time: every later hit answers the
     // controller fields (and a `"controller":true` download) for free.
-    let controller = solution
-        .strategy
-        .as_ref()
-        .map(tiga_solver::CompiledController::compile);
-    Ok(CacheEntry {
-        winning: solution.winning_from_initial,
-        stats: solution.stats().clone(),
-        strategy: solution.strategy,
+    let controller = solution.strategy.as_ref().map(CompiledController::compile);
+    let model = game.system.name();
+    let winning = solution.winning_from_initial;
+    let strategy_text = tiga_solver::print_strategy(model, winning, solution.strategy.as_ref());
+    let mut payload = format!(
+        "{{\"model\":\"{model}\",\"engine\":\"{engine}\",\"verdict\":\"{verdict}\",\
+         {stats_fields},\"strategy_rules\":{strategy_rules},{controller_fields},\"strategy\":\"",
+        model = crate::solve::json_escape(model),
+        engine = prepared.options.engine.name(),
+        verdict = if winning { "winning" } else { "losing" },
+        stats_fields = crate::solve::stats_json_fields(solution.stats()),
+        strategy_rules = solution
+            .strategy
+            .as_ref()
+            .map_or("null".to_string(), |s| s.rule_count().to_string()),
+        controller_fields = crate::solve::controller_json_fields(controller.as_ref()),
+    );
+    payload.reserve(strategy_text.len() + 1);
+    crate::solve::push_json_escaped(&mut payload, &strategy_text);
+    payload.push('"');
+    Ok(Arc::new(Rendered {
+        fingerprint: SolveCache::fingerprint(&prepared.key),
+        payload,
+        model: model.to_string(),
+        winning,
         controller,
-    })
+        controller_field: OnceLock::new(),
+    }))
 }
 
 // ---------------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Renders an ok response: a volatile envelope (cache status, counters,
-/// timing) followed by the stable `payload` object.  The payload is built
-/// purely from the cache entry, so a hit is byte-identical to its miss.
+/// A cache entry in the form responses need.  The stable payload is a pure
+/// function of the key (the canonical text names the model, the options the
+/// engine), so it is rendered once, when the game is solved, and every hit
+/// writes the same bytes as the miss that stored it.
+struct Rendered {
+    /// The key's printable digest.
+    fingerprint: String,
+    /// The payload object without its closing brace, which follows the
+    /// optional controller field.
+    payload: String,
+    // What the controller download is rendered from.
+    model: String,
+    winning: bool,
+    controller: Option<CompiledController>,
+    /// `,"controller":"…"`, rendered on the first request that asks for it.
+    controller_field: OnceLock<String>,
+}
+
+impl Rendered {
+    fn controller_field(&self) -> &str {
+        self.controller_field.get_or_init(|| {
+            let text =
+                tiga_solver::print_controller(&self.model, self.winning, self.controller.as_ref());
+            let mut field = String::with_capacity(text.len() + 16);
+            field.push_str(",\"controller\":\"");
+            crate::solve::push_json_escaped(&mut field, &text);
+            field.push('"');
+            field
+        })
+    }
+}
+
+/// One response line.
+enum Response {
+    /// A line rendered in full: errors and batch summaries.
+    Line(String),
+    /// An ok response: the volatile envelope up to `"payload":`, then the
+    /// stored payload, written without copying it into the envelope.
+    Ok {
+        envelope: String,
+        rendered: Arc<Rendered>,
+        controller: bool,
+    },
+}
+
+impl Response {
+    fn write_to<W: Write>(&self, output: &mut W) -> std::io::Result<()> {
+        match self {
+            Response::Line(line) => output.write_all(line.as_bytes())?,
+            Response::Ok {
+                envelope,
+                rendered,
+                controller,
+            } => {
+                output.write_all(envelope.as_bytes())?;
+                output.write_all(rendered.payload.as_bytes())?;
+                if *controller {
+                    output.write_all(rendered.controller_field().as_bytes())?;
+                }
+                output.write_all(b"}}")?;
+            }
+        }
+        output.write_all(b"\n")
+    }
+}
+
+/// Builds an ok response: a volatile envelope (cache status, counters,
+/// timing) followed by the stored payload.  The serialized controller is
+/// included only on request; it is rendered from the cached controller, so
+/// the payload stays a pure function of (entry, request flag) — hits remain
+/// byte-identical to their miss.
 #[allow(clippy::too_many_arguments)]
 fn ok_response(
     id: &str,
@@ -539,69 +681,49 @@ fn ok_response(
     index: Option<usize>,
     cached: bool,
     include_controller: bool,
-    prepared: &Prepared,
-    entry: &CacheEntry,
-    cache: &SolveCache,
+    rendered: Arc<Rendered>,
+    cache: &SolveCache<Arc<Rendered>>,
     started: Instant,
-) -> String {
+) -> Response {
+    if include_controller {
+        // Render before taking the time, so `elapsed_us` covers it.
+        rendered.controller_field();
+    }
     let stats = cache.stats();
     let index_field = index.map_or(String::new(), |i| format!("\"index\":{i},"));
-    let strategy_text =
-        tiga_solver::print_strategy(&prepared.model_name, entry.winning, entry.strategy.as_ref());
-    let strategy_rules = entry
-        .strategy
-        .as_ref()
-        .map_or("null".to_string(), |s| s.rule_count().to_string());
-    // The serialized controller is included only on request: it is built
-    // from the cached entry, so the payload stays a pure function of
-    // (entry, request flag) — hits remain byte-identical to their miss.
-    let controller_field = if include_controller {
-        let text = tiga_solver::print_controller(
-            &prepared.model_name,
-            entry.winning,
-            entry.controller.as_ref(),
-        );
-        format!(",\"controller\":\"{}\"", crate::solve::json_escape(&text))
-    } else {
-        String::new()
-    };
-    format!(
+    let envelope = format!(
         "{{\"id\":{id},\"kind\":\"{kind}\",{index_field}\"status\":\"ok\",\
          \"cache\":\"{cache_status}\",\"key\":\"{key}\",\
          \"cache_hits\":{hits},\"cache_misses\":{misses},\"cache_entries\":{entries},\
-         \"elapsed_us\":{elapsed},\
-         \"payload\":{{\"model\":\"{model}\",\"engine\":\"{engine}\",\"verdict\":\"{verdict}\",\
-         {stats_fields},\"strategy_rules\":{strategy_rules},{controller_fields},\
-         \"strategy\":\"{strategy}\"{controller_field}}}}}",
+         \"elapsed_us\":{elapsed},\"payload\":",
         cache_status = if cached { "hit" } else { "miss" },
-        key = SolveCache::fingerprint(&prepared.key),
+        key = rendered.fingerprint,
         hits = stats.hits,
         misses = stats.misses,
         entries = cache.len(),
         elapsed = started.elapsed().as_micros(),
-        model = crate::solve::json_escape(&prepared.model_name),
-        engine = prepared.options.engine.name(),
-        verdict = if entry.winning { "winning" } else { "losing" },
-        stats_fields = crate::solve::stats_json_fields(&entry.stats),
-        controller_fields = crate::solve::controller_json_fields(entry.controller.as_ref()),
-        strategy = crate::solve::json_escape(&strategy_text),
-    )
+    );
+    Response::Ok {
+        envelope,
+        rendered,
+        controller: include_controller,
+    }
 }
 
-fn error_response(id: &str, kind: &str, line_no: usize, message: &str) -> String {
-    format!(
+fn error_response(id: &str, kind: &str, line_no: usize, message: &str) -> Response {
+    Response::Line(format!(
         "{{\"id\":{id},\"kind\":\"{kind}\",\"status\":\"error\",\"line\":{line_no},\
          \"error\":\"{}\"}}",
         crate::solve::json_escape(message)
-    )
+    ))
 }
 
-fn item_error_response(id: &str, kind: &str, index: usize, message: &str) -> String {
-    format!(
+fn item_error_response(id: &str, kind: &str, index: usize, message: &str) -> Response {
+    Response::Line(format!(
         "{{\"id\":{id},\"kind\":\"{kind}\",\"index\":{index},\"status\":\"error\",\
          \"error\":\"{}\"}}",
         crate::solve::json_escape(message)
-    )
+    ))
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ use crate::{
     load_model, parse_num, reject_leftovers, take_flag, take_value, wants_help, EXIT_FAILURE,
     EXIT_USAGE,
 };
+use std::fmt::Write as _;
 use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
@@ -366,14 +367,32 @@ pub(crate) fn stats_json_fields(stats: &tiga_solver::SolverStats) -> String {
 }
 
 pub(crate) fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+    let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as the body of a JSON string: `"` and `\` are
+/// backslash-escaped and control characters become `\u00XX`.  Unescaped
+/// stretches are copied whole; everything escaped is ASCII, so the byte
+/// offsets cut only at character boundaries.
+pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
+    let mut copied = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if byte != b'"' && byte != b'\\' && byte >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[copied..at]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        copied = at + 1;
+    }
+    out.push_str(&s[copied..]);
 }
 
 /// Entry point used by [`crate::run`].
@@ -604,5 +623,33 @@ mod tests {
         assert!(parse_args(&strings(&[])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--wat"])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--expect", "maybe"])).is_err());
+    }
+
+    #[test]
+    fn json_escape_matches_a_per_character_reference() {
+        let reference = |s: &str| -> String {
+            s.chars()
+                .map(|c| match c {
+                    '"' => "\\\"".to_string(),
+                    '\\' => "\\\\".to_string(),
+                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
+                    c => c.to_string(),
+                })
+                .collect()
+        };
+        for text in [
+            "",
+            "plain",
+            "\"quoted\" \\ back",
+            "tiga-strategy v1\nrule 0 wait\t<=3\r\n",
+            "\u{0}\u{1f}\u{7f} é 😀 \"",
+            "ends with an escape\n",
+            "\\",
+        ] {
+            assert_eq!(json_escape(text), reference(text), "{text:?}");
+        }
+        let mut out = String::from("prefix:");
+        push_json_escaped(&mut out, "a\"b");
+        assert_eq!(out, "prefix:a\\\"b");
     }
 }

@@ -5,11 +5,14 @@
 //! solve cache with a payload byte-identical to the original solve's, batch
 //! responses merge in submission order and are bit-identical for any
 //! `--jobs`, and malformed input produces spanned error responses without
-//! ending the session.
+//! ending the session.  Hits write the payload stored when the game was
+//! solved and re-submissions of the same text skip parsing, so the pins
+//! below also cover what that must not change: an edited file is a new game,
+//! and a stored payload equals what a fresh session renders.
 
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
-use tiga_cli::{serve_session, ServeArgs};
+use tiga_cli::{serve_session, ServeArgs, ServeSession};
 
 fn tg_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg")
@@ -471,4 +474,128 @@ fn blank_lines_are_skipped_and_ids_echo_strings() {
         "{}",
         lines[0]
     );
+}
+
+/// A scratch directory of this test process, removed on drop.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(name: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("tiga-serve-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir is writable");
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn key_of(line: &str) -> &str {
+    let start = line.find("\"key\":\"").expect("ok responses carry a key") + "\"key\":\"".len();
+    &line[start..start + 16]
+}
+
+#[test]
+fn an_edited_file_is_a_new_submission() {
+    let dir = ScratchDir::new("edited");
+    let model = dir.0.join("model.tg");
+    let request = format!("{{\"path\":{}}}", json_string(&model.to_string_lossy()));
+    let light = std::fs::read_to_string(tg("smart_light.tg")).unwrap();
+    let coffee = std::fs::read_to_string(tg("coffee_machine.tg")).unwrap();
+    // One session, the file rewritten between requests: the path stays, the
+    // content (and so the game) changes, and changing it back hits again.
+    let mut session = ServeSession::new(ServeArgs { jobs: 1 });
+    let mut answer = |text: &str| {
+        std::fs::write(&model, text).unwrap();
+        let mut out = Vec::new();
+        session.respond(&request, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    let first = answer(&light);
+    let edited = answer(&coffee);
+    let reverted = answer(&light);
+    assert!(first.contains("\"cache\":\"miss\""), "{first}");
+    assert!(edited.contains("\"cache\":\"miss\""), "{edited}");
+    assert!(edited.contains("\"model\":\"coffee-machine\""), "{edited}");
+    assert_ne!(key_of(&first), key_of(&edited));
+    assert!(reverted.contains("\"cache\":\"hit\""), "{reverted}");
+    assert_eq!(payload(first.trim_end()), payload(reverted.trim_end()));
+}
+
+#[test]
+fn a_repeated_submission_with_new_options_still_solves() {
+    let light = json_string(&tg("smart_light.tg"));
+    let no_strategy = format!("{{\"path\":{light},\"strategy\":false}}");
+    // The second request re-submits the same text, so it skips parsing, but
+    // under options not solved yet: a miss whose payload equals a fresh
+    // session's.
+    let lines = session(&[format!("{{\"path\":{light}}}"), no_strategy.clone()], 1);
+    let fresh = session(&[no_strategy], 1);
+    assert!(lines[1].contains("\"cache\":\"miss\""), "{}", lines[1]);
+    assert_eq!(payload(&lines[1]), payload(&fresh[0]));
+    assert_ne!(key_of(&lines[0]), key_of(&lines[1]));
+}
+
+#[test]
+fn stored_payloads_equal_a_fresh_render_for_every_objective() {
+    // Every checked-in objective small enough for a debug-build test: the
+    // controller field rendered on a later hit equals the one rendered on a
+    // miss in a fresh session, and the plain hit equals its miss.
+    let mut objectives: Vec<String> = std::fs::read_dir(tg_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| {
+            name.ends_with(".tg") && !name.ends_with(".plant.tg") && !name.starts_with("lep4")
+        })
+        .collect();
+    objectives.sort();
+    assert!(objectives.len() >= 8, "{objectives:?}");
+    for name in &objectives {
+        let path = json_string(&tg(name));
+        let plain = format!("{{\"path\":{path}}}");
+        let with_controller = format!("{{\"path\":{path},\"controller\":true}}");
+        let warm = session(&[plain.clone(), plain, with_controller.clone()], 1);
+        let cold = session(&[with_controller], 1);
+        assert!(warm[1].contains("\"cache\":\"hit\""), "{name}: {}", warm[1]);
+        assert!(warm[2].contains("\"cache\":\"hit\""), "{name}: {}", warm[2]);
+        assert!(
+            cold[0].contains("\"cache\":\"miss\""),
+            "{name}: {}",
+            cold[0]
+        );
+        assert_eq!(payload(&warm[0]), payload(&warm[1]), "{name}");
+        assert_eq!(payload(&warm[2]), payload(&cold[0]), "{name}");
+        assert!(
+            payload(&warm[2]).starts_with(&payload(&warm[0])[..payload(&warm[0]).len() - 1]),
+            "{name}: the controller field follows the stored payload"
+        );
+    }
+}
+
+#[test]
+fn a_session_fed_line_by_line_answers_like_serve_session() {
+    let requests = vec![
+        format!("{{\"path\":{}}}", json_string(&tg("coffee_machine.tg"))),
+        String::new(),
+        "not json".to_string(),
+        format!(
+            "{{\"path\":{},\"controller\":true}}",
+            json_string(&tg("coffee_machine.tg"))
+        ),
+    ];
+    let mut fed = ServeSession::new(ServeArgs { jobs: 1 });
+    let mut out = Vec::new();
+    for request in &requests {
+        fed.respond(request, &mut out).unwrap();
+    }
+    let strip = |text: &str| -> Vec<String> {
+        text.lines().map(|l| strip_field(l, "elapsed_us")).collect()
+    };
+    let fed = strip(&String::from_utf8(out).unwrap());
+    assert_eq!(fed, strip(&session(&requests, 1).join("\n")));
+    // Blank lines count towards the line numbers.
+    assert!(fed[1].contains("\"id\":3,"), "{}", fed[1]);
 }

@@ -9,6 +9,11 @@
 //! excluded: results are bit-identical for any thread count and with the
 //! zone store on or off (pinned by the solver's differential suites), so a
 //! cache hit is exact no matter which execution mode produced the entry.
+//!
+//! What a cache stores is up to its user: [`CacheEntry`] (the default) is the
+//! solve result itself, while `tiga serve` stores the response payload
+//! rendered once from it, so that a hit costs a lookup and a write of stored
+//! bytes.
 
 use crate::controller::CompiledController;
 use crate::stats::SolverStats;
@@ -42,20 +47,26 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A content-addressed store of solve results.
-#[derive(Debug, Default)]
-pub struct SolveCache {
-    entries: HashMap<String, CacheEntry>,
+/// A content-addressed store of solve results, or of what a caller derives
+/// from them (`E`).
+#[derive(Debug)]
+pub struct SolveCache<E = CacheEntry> {
+    entries: HashMap<String, E>,
     stats: CacheStats,
 }
 
-impl SolveCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        SolveCache::default()
+impl<E> Default for SolveCache<E> {
+    fn default() -> Self {
+        SolveCache {
+            entries: HashMap::new(),
+            stats: CacheStats::default(),
+        }
     }
+}
 
+// The key does not depend on what a cache stores; defining it on the default
+// instantiation lets callers write `SolveCache::key` without naming `E`.
+impl SolveCache {
     /// Builds the cache key for a canonical system text and solve options.
     ///
     /// `canonical_system` must be the exact-inverse serializer output
@@ -95,10 +106,21 @@ impl SolveCache {
         }
         format!("{hash:016x}")
     }
+}
+
+impl<E> SolveCache<E> {
+    /// Creates an empty cache.
+    #[must_use]
+    pub fn new() -> Self {
+        SolveCache::default()
+    }
 
     /// Looks up a key, counting a hit or a miss, and returns a clone of the
     /// cached entry.
-    pub fn lookup(&mut self, key: &str) -> Option<CacheEntry> {
+    pub fn lookup(&mut self, key: &str) -> Option<E>
+    where
+        E: Clone,
+    {
         match self.entries.get(key) {
             Some(entry) => {
                 self.stats.hits += 1;
@@ -118,8 +140,8 @@ impl SolveCache {
         self.entries.contains_key(key)
     }
 
-    /// Stores a solve result under a key.
-    pub fn store(&mut self, key: String, entry: CacheEntry) {
+    /// Stores an entry under a key.
+    pub fn store(&mut self, key: String, entry: E) {
         self.entries.insert(key, entry);
     }
 
@@ -212,5 +234,20 @@ mod tests {
         assert_ne!(a, SolveCache::fingerprint("b"));
         // Known FNV-1a 64 vector.
         assert_eq!(SolveCache::fingerprint(""), "cbf29ce484222325");
+    }
+
+    #[test]
+    fn any_entry_type_is_counted_the_same_way() {
+        // `tiga serve` stores rendered payloads behind an `Arc`, so a hit
+        // clones a pointer, not the payload.
+        let mut cache: SolveCache<std::sync::Arc<str>> = SolveCache::new();
+        let key = SolveCache::key("m", &SolveOptions::default());
+        assert!(cache.lookup(&key).is_none());
+        cache.store(key.clone(), std::sync::Arc::from("payload"));
+        let hit = cache.lookup(&key).expect("stored entry");
+        assert_eq!(&*hit, "payload");
+        assert_eq!(std::sync::Arc::strong_count(&hit), 2, "shared, not copied");
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(cache.len(), 1);
     }
 }
