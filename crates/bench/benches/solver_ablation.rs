@@ -1,7 +1,7 @@
 //! Solver ablations (experiment E7 in DESIGN.md):
 //!
-//! * on-the-fly (OTFUR) solving vs. the eager Jacobi and worklist engines,
-//!   with and without early termination;
+//! * on-the-fly (OTFUR) solving vs. the eager Jacobi engine, with and
+//!   without early termination;
 //! * goal pruning on vs. off during forward exploration;
 //! * strategy extraction on vs. off.
 //!
@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tiga_bench::lep_instance;
 use tiga_models::smart_light;
-use tiga_solver::{solve, solve_jacobi, solve_worklist, ExploreOptions, SolveEngine, SolveOptions};
+use tiga_solver::{solve, solve_jacobi, ExploreOptions, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
 fn options(stop_at_goal: bool, extract_strategy: bool) -> SolveOptions {
@@ -68,11 +68,6 @@ fn bench_engines(c: &mut Criterion) {
                 });
             },
         );
-        group.bench_with_input(BenchmarkId::new("worklist", name), name, |b, _| {
-            b.iter(|| {
-                black_box(solve_worklist(system, purpose, &options(true, false)).expect("solves"))
-            });
-        });
         group.bench_with_input(BenchmarkId::new("no_goal_pruning", name), name, |b, _| {
             b.iter(|| {
                 black_box(solve_jacobi(system, purpose, &options(false, true)).expect("solves"))

@@ -16,10 +16,11 @@
 //! cargo run --release -p tiga-bench --bin solver_matrix -- --smoke --out BENCH_solver.baseline.json
 //! ```
 //!
-//! The baseline file is ordinary `solver_matrix` output; timing fields are
-//! present but ignored by the comparison.  Parsing is hand-rolled (the
-//! offline build has no serde) and tolerant of whitespace, but expects the
-//! field set `matrix_rows_to_json` emits.
+//! The baseline file is ordinary `solver_matrix` output; every counter —
+//! the work, effectiveness and zone-memory counters alike — is compared
+//! exactly, while the timing fields are present but ignored.  Parsing is
+//! hand-rolled (the offline build has no serde) and tolerant of whitespace,
+//! but expects the field set `matrix_rows_to_json` emits.
 
 use crate::MatrixRow;
 use std::fmt;
@@ -54,6 +55,16 @@ pub struct BaselineRow {
     pub pruned_evaluations: u64,
     /// Whether the search stopped early.
     pub early_terminated: bool,
+    /// Distinct zones interned by the zone store.
+    pub interned_zones: u64,
+    /// Intern lookups that found the zone already present.
+    pub intern_hits: u64,
+    /// Deep DBM copies at the solver's storage sites.
+    pub dbm_clones: u64,
+    /// Peak simultaneous reach + winning zone count.
+    pub peak_live_zones: u64,
+    /// Bytes saved by minimal-constraint zone storage.
+    pub minimized_bytes_saved: u64,
 }
 
 impl BaselineRow {
@@ -84,6 +95,11 @@ impl BaselineRow {
             subsumed_zones: s.subsumed_zones as u64,
             pruned_evaluations: s.pruned_evaluations as u64,
             early_terminated: s.early_terminated,
+            interned_zones: s.interned_zones as u64,
+            intern_hits: s.intern_hits as u64,
+            dbm_clones: s.dbm_clones as u64,
+            peak_live_zones: s.peak_live_zones as u64,
+            minimized_bytes_saved: s.minimized_bytes_saved as u64,
         }
     }
 }
@@ -177,8 +193,8 @@ fn compare_row(cur: &BaselineRow, base: &BaselineRow, diffs: &mut Vec<BaselineDi
             regression: base.early_terminated,
         });
     }
-    // Work counters: higher = worse.
-    let work: [(&str, u64, u64); 6] = [
+    // Work and memory counters: higher = worse.
+    let work: [(&str, u64, u64); 9] = [
         ("discrete_states", base.discrete_states, cur.discrete_states),
         ("graph_edges", base.graph_edges, cur.graph_edges),
         ("iterations", base.iterations, cur.iterations),
@@ -189,6 +205,9 @@ fn compare_row(cur: &BaselineRow, base: &BaselineRow, diffs: &mut Vec<BaselineDi
             cur.peak_federation_size,
         ),
         ("reach_zones", base.reach_zones, cur.reach_zones),
+        ("interned_zones", base.interned_zones, cur.interned_zones),
+        ("dbm_clones", base.dbm_clones, cur.dbm_clones),
+        ("peak_live_zones", base.peak_live_zones, cur.peak_live_zones),
     ];
     for (name, was, now) in work {
         if was != now {
@@ -200,12 +219,18 @@ fn compare_row(cur: &BaselineRow, base: &BaselineRow, diffs: &mut Vec<BaselineDi
         }
     }
     // Effectiveness counters: lower = worse (the optimizations fired less).
-    let effectiveness: [(&str, u64, u64); 2] = [
+    let effectiveness: [(&str, u64, u64); 4] = [
         ("subsumed_zones", base.subsumed_zones, cur.subsumed_zones),
         (
             "pruned_evaluations",
             base.pruned_evaluations,
             cur.pruned_evaluations,
+        ),
+        ("intern_hits", base.intern_hits, cur.intern_hits),
+        (
+            "minimized_bytes_saved",
+            base.minimized_bytes_saved,
+            cur.minimized_bytes_saved,
         ),
     ];
     for (name, was, now) in effectiveness {
@@ -256,6 +281,11 @@ fn parse_object(object: &str) -> Result<BaselineRow, String> {
         subsumed_zones: field_u64(object, "subsumed_zones")?,
         pruned_evaluations: field_u64(object, "pruned_evaluations")?,
         early_terminated: field_bool(object, "early_terminated")?,
+        interned_zones: field_u64(object, "interned_zones")?,
+        intern_hits: field_u64(object, "intern_hits")?,
+        dbm_clones: field_u64(object, "dbm_clones")?,
+        peak_live_zones: field_u64(object, "peak_live_zones")?,
+        minimized_bytes_saved: field_u64(object, "minimized_bytes_saved")?,
     })
 }
 
@@ -318,11 +348,16 @@ mod tests {
             subsumed_zones: 4,
             pruned_evaluations: 3,
             early_terminated: true,
+            interned_zones: 3,
+            intern_hits: 3,
+            dbm_clones: 4,
+            peak_live_zones: 9,
+            minimized_bytes_saved: 44,
         }
     }
 
     const SAMPLE_JSON: &str = r#"[
-  {"model": "coffee_machine", "purpose": "coffee", "engine": "otfur", "winning": true, "discrete_states": 5, "graph_edges": 9, "iterations": 11, "winning_zones": 5, "peak_federation_size": 2, "reach_zones": 6, "subsumed_zones": 4, "pruned_evaluations": 3, "early_terminated": true, "exploration_us": 12, "fixpoint_us": 34, "total_us": 46}
+  {"model": "coffee_machine", "purpose": "coffee", "engine": "otfur", "winning": true, "discrete_states": 5, "graph_edges": 9, "iterations": 11, "winning_zones": 5, "peak_federation_size": 2, "reach_zones": 6, "subsumed_zones": 4, "pruned_evaluations": 3, "early_terminated": true, "interned_zones": 3, "intern_hits": 3, "dbm_clones": 4, "peak_live_zones": 9, "minimized_bytes_saved": 44, "exploration_us": 12, "fixpoint_us": 34, "total_us": 46}
 ]
 "#;
 
@@ -385,7 +420,7 @@ mod tests {
         // Field lookup is by name, so key order inside an object must not
         // matter — a hand-edited or re-serialized baseline stays valid.
         let reordered = r#"[
-  {"early_terminated": true, "engine": "otfur", "winning": true, "discrete_states": 5, "model": "coffee_machine", "graph_edges": 9, "purpose": "coffee", "iterations": 11, "peak_federation_size": 2, "winning_zones": 5, "subsumed_zones": 4, "reach_zones": 6, "pruned_evaluations": 3}
+  {"early_terminated": true, "engine": "otfur", "winning": true, "discrete_states": 5, "model": "coffee_machine", "graph_edges": 9, "purpose": "coffee", "iterations": 11, "peak_federation_size": 2, "winning_zones": 5, "subsumed_zones": 4, "reach_zones": 6, "pruned_evaluations": 3, "minimized_bytes_saved": 44, "dbm_clones": 4, "intern_hits": 3, "peak_live_zones": 9, "interned_zones": 3}
 ]
 "#;
         assert_eq!(parse_matrix_json(reordered).unwrap(), vec![sample()]);
@@ -415,6 +450,30 @@ mod tests {
         let diffs = compare_to_baseline(&[better], &[sample()]);
         assert_eq!(diffs.len(), 2, "{diffs:?}");
         assert!(diffs.iter().all(|d| !d.regression), "{diffs:?}");
+    }
+
+    #[test]
+    fn tampered_memory_counters_fail_the_gate() {
+        // A row whose memory counters drifted from the baseline fails the
+        // gate, labelled by the direction the change points.
+        let mut tampered = sample();
+        tampered.intern_hits -= 1;
+        tampered.dbm_clones += 1;
+        tampered.interned_zones += 1;
+        tampered.peak_live_zones += 1;
+        tampered.minimized_bytes_saved += 1;
+        let diffs = compare_to_baseline(&[tampered], &[sample()]);
+        assert_eq!(diffs.len(), 5, "{diffs:?}");
+        for (field, regression) in [
+            ("intern_hits", true),
+            ("dbm_clones", true),
+            ("interned_zones", true),
+            ("peak_live_zones", true),
+            ("minimized_bytes_saved", false),
+        ] {
+            let diff = diffs.iter().find(|d| d.detail.starts_with(field));
+            assert_eq!(diff.map(|d| d.regression), Some(regression), "{diffs:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Emits the engine × model ablation matrix as machine-readable JSON, and
 //! optionally gates it against a checked-in baseline.
 //!
-//! Runs every solver engine (`otfur`, `jacobi`, `worklist`) over the
+//! Runs both solver engines (`otfur`, `jacobi`) over the
 //! benchmark model zoo *and* the fixed fuzz seed set
 //! ([`tiga_bench::fuzz_matrix_instances`]) and writes one JSON object per
 //! (model, purpose, engine) combination to `BENCH_solver.json` (override
@@ -15,7 +15,8 @@
 //! included, pinning engine counters on *generated* systems too.
 //!
 //! `--check PATH` compares the run's *deterministic* counters (explored
-//! states, zone counts, verdicts — never wall time) against a previously
+//! states, zone counts, the five zone-memory counters, verdicts — never
+//! wall time) against a previously
 //! written matrix and exits non-zero on any drift; CI runs
 //!
 //! ```text

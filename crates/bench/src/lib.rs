@@ -302,7 +302,7 @@ pub struct MatrixRow {
     pub model: String,
     /// Purpose identifier.
     pub purpose: String,
-    /// Engine name (`otfur`, `jacobi`, `worklist`).
+    /// Engine name (`otfur`, `jacobi`).
     pub engine: String,
     /// The solved game (verdict, statistics and timing inside).
     pub solution: GameSolution,
@@ -315,26 +315,22 @@ pub struct MatrixRow {
 /// Panics if solving fails (all zoo instances are solvable by construction).
 #[must_use]
 pub fn engine_matrix_rows(instance: &ZooInstance) -> Vec<MatrixRow> {
-    [
-        SolveEngine::Otfur,
-        SolveEngine::Jacobi,
-        SolveEngine::Worklist,
-    ]
-    .into_iter()
-    .map(|engine| {
-        let options = SolveOptions {
-            engine,
-            ..SolveOptions::default()
-        };
-        let solution = solve(&instance.system, &instance.purpose, &options).expect("solves");
-        MatrixRow {
-            model: instance.model.clone(),
-            purpose: instance.purpose_name.clone(),
-            engine: engine.name().to_string(),
-            solution,
-        }
-    })
-    .collect()
+    SolveEngine::ALL
+        .into_iter()
+        .map(|engine| {
+            let options = SolveOptions {
+                engine,
+                ..SolveOptions::default()
+            };
+            let solution = solve(&instance.system, &instance.purpose, &options).expect("solves");
+            MatrixRow {
+                model: instance.model.clone(),
+                purpose: instance.purpose_name.clone(),
+                engine: engine.name().to_string(),
+                solution,
+            }
+        })
+        .collect()
 }
 
 /// Renders matrix rows as a machine-readable JSON array (hand-rolled: the

@@ -4,7 +4,7 @@
 //!
 //! * for a bound far beyond every clock ceiling, the bounded verdict must
 //!   equal the unbounded verdict on every zoo instance (the `#t` clip is
-//!   vacuous), across all three engines;
+//!   vacuous), across both engines;
 //! * verdicts are monotone in the bound: `Win(T1) ⊆ Win(T2)` for
 //!   `T1 <= T2` on reachability, and dually `Win(T2) ⊆ Win(T1)` on
 //!   safety — pinned on a ladder of bounds over the zoo;
@@ -21,18 +21,11 @@ use tiga_tctl::{PathQuantifier, TestPurpose};
 /// removes a reachable valuation.
 const HUGE_BOUND: i64 = 10_000;
 
-fn engines() -> [SolveOptions; 3] {
-    [
-        SolveOptions::default(),
-        SolveOptions {
-            engine: SolveEngine::Jacobi,
-            ..SolveOptions::default()
-        },
-        SolveOptions {
-            engine: SolveEngine::Worklist,
-            ..SolveOptions::default()
-        },
-    ]
+fn engines() -> [SolveOptions; 2] {
+    SolveEngine::ALL.map(|engine| SolveOptions {
+        engine,
+        ..SolveOptions::default()
+    })
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //! * the key contains exactly the semantics-relevant inputs: the canonical
 //!   serialized system (with its `control:` objective) and the options that
 //!   change the answer (engine, strategy extraction, early termination,
-//!   round/state budgets) — and *not* `jobs` or `interning`, which the
-//!   determinism contract proves irrelevant.
+//!   round/state budgets) — and *not* `jobs`, which the determinism
+//!   contract proves irrelevant.
 
 use tiga_bench::model_zoo;
 use tiga_lang::print_system;
@@ -97,20 +97,17 @@ fn cache_keys_cover_semantics_and_ignore_parallelism() {
     let defaults = SolveOptions::default();
     let base_key = SolveCache::key(&canonical_a, &defaults);
 
-    // jobs and interning are NOT part of the key...
+    // jobs is NOT part of the key...
     for jobs in [0usize, 1, 4] {
-        for interning in [true, false] {
-            let opts = SolveOptions {
-                jobs,
-                interning,
-                ..SolveOptions::default()
-            };
-            assert_eq!(
-                SolveCache::key(&canonical_a, &opts),
-                base_key,
-                "jobs={jobs} interning={interning} must share the key"
-            );
-        }
+        let opts = SolveOptions {
+            jobs,
+            ..SolveOptions::default()
+        };
+        assert_eq!(
+            SolveCache::key(&canonical_a, &opts),
+            base_key,
+            "jobs={jobs} must share the key"
+        );
     }
 
     // ...while every semantics-relevant input is.

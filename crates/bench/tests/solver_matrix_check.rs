@@ -4,8 +4,13 @@
 //! * `1` — matrix drifted (regressions/improvements listed on stderr);
 //! * `2` — the baseline itself is unusable (missing, truncated, malformed),
 //!   reported *before* the matrix is recomputed and never as a panic.
+//!
+//! The smoke matrix is also gated against the checked-in
+//! `BENCH_solver.baseline.json` here, so every counter of every row —
+//! the five zone-memory counters included — is pinned by the test suite
+//! and not only by CI.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn solver_matrix(args: &[&str]) -> Output {
@@ -70,35 +75,45 @@ fn check_flag_without_value_is_exit_2() {
 
 #[test]
 fn self_check_roundtrip_passes_and_tampering_fails() {
-    // A freshly written smoke matrix must gate cleanly against itself...
+    // The smoke matrix must match the checked-in baseline exactly...
+    let checked_in = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_solver.baseline.json");
     let base = tmp("self.baseline.json");
-    let out = solver_matrix(&["--smoke", "--out", base.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
     let out = solver_matrix(&[
         "--smoke",
         "--out",
-        tmp("self.current.json").to_str().unwrap(),
-        "--check",
         base.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-
-    // ... and a tampered counter must fail the gate with exit 1.
-    let text = std::fs::read_to_string(&base).unwrap();
-    let tampered_text = text.replacen("\"discrete_states\": ", "\"discrete_states\": 9", 1);
-    assert_ne!(text, tampered_text, "tampering had no effect");
-    let tampered = tmp("tampered.baseline.json");
-    std::fs::write(&tampered, tampered_text).unwrap();
-    let out = solver_matrix(&[
-        "--smoke",
-        "--out",
-        tmp("self.current2.json").to_str().unwrap(),
         "--check",
-        tampered.to_str().unwrap(),
+        checked_in.to_str().unwrap(),
     ]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("baseline check FAILED"),
-        "{out:?}"
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+
+    // ... and its own output, read back as a baseline, must fail the gate
+    // with exit 1 once a counter is tampered with.
+    let text = std::fs::read_to_string(&base).unwrap();
+    for (field, tampered_value) in [
+        ("\"discrete_states\": ", "\"discrete_states\": 9"),
+        ("\"intern_hits\": ", "\"intern_hits\": 9"),
+    ] {
+        let tampered_text = text.replacen(field, tampered_value, 1);
+        assert_ne!(text, tampered_text, "tampering had no effect");
+        let tampered = tmp("tampered.baseline.json");
+        std::fs::write(&tampered, tampered_text).unwrap();
+        let out = solver_matrix(&[
+            "--smoke",
+            "--out",
+            tmp("self.current.json").to_str().unwrap(),
+            "--check",
+            tampered.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{field}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("baseline check FAILED"),
+            "{out:?}"
+        );
+    }
 }

@@ -8,20 +8,19 @@
 //! * the printer is a fixpoint: `print(parse(text)) == text` byte-for-byte,
 //!   which is what lets CI regenerate `examples/strategies/` and `diff -ru`
 //!   against the checked-in files;
-//! * the serialized strategy is byte-identical for `--jobs ∈ {1, 4}` ×
-//!   interning on/off — the strategy (not just the verdict) is part of the
-//!   solver's determinism contract, so a cache populated at one parallelism
-//!   level answers requests made at another bit-identically.
+//! * the serialized strategy is byte-identical for `--jobs ∈ {1, 4}` — the
+//!   strategy (not just the verdict) is part of the solver's determinism
+//!   contract, so a cache populated at one parallelism level answers
+//!   requests made at another bit-identically.
 
 use std::path::{Path, PathBuf};
 use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
 use tiga_solver::{parse_strategy, print_strategy, solve, SolveEngine, SolveOptions};
 
-fn options(engine: SolveEngine, jobs: usize, interning: bool) -> SolveOptions {
+fn options(engine: SolveEngine, jobs: usize) -> SolveOptions {
     SolveOptions {
         engine,
         jobs,
-        interning,
         ..SolveOptions::default()
     }
 }
@@ -49,7 +48,7 @@ fn check_instance(instance: &ZooInstance, engine: SolveEngine) {
         instance.purpose_name,
         engine.name()
     );
-    let baseline = serialized(instance, &options(engine, 1, true));
+    let baseline = serialized(instance, &options(engine, 1));
 
     // Exact roundtrip and printer fixpoint.
     let parsed = parse_strategy(&baseline).unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -57,16 +56,12 @@ fn check_instance(instance: &ZooInstance, engine: SolveEngine) {
     let reprinted = print_strategy(&parsed.model, parsed.winning, parsed.strategy.as_ref());
     assert_eq!(reprinted, baseline, "{label}: printer must be a fixpoint");
 
-    // Serialization is invariant under parallelism and interning.
-    for jobs in [1usize, 4] {
-        for interning in [true, false] {
-            let text = serialized(instance, &options(engine, jobs, interning));
-            assert_eq!(
-                text, baseline,
-                "{label}: jobs={jobs} interning={interning} must serialize bit-identically"
-            );
-        }
-    }
+    // Serialization is invariant under parallelism.
+    let text = serialized(instance, &options(engine, 4));
+    assert_eq!(
+        text, baseline,
+        "{label}: jobs=4 must serialize bit-identically"
+    );
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! `tiga fuzz` — differential fuzzing of the whole stack.
 //!
 //! Generates seeded random timed games and runs the five oracles of
-//! [`tiga_gen`] over each of them: engine agreement (Otfur vs Jacobi vs
-//! Worklist, on reachability and safety objectives alike), printer/parser
+//! [`tiga_gen`] over each of them: engine agreement (Otfur vs Jacobi, on
+//! reachability and safety objectives alike), printer/parser
 //! roundtrip, the zone-algebra reference model, the `Pred_t` reference, and
 //! — for every winning game — end-to-end test execution of the synthesized
 //! strategy against conformant and mutant simulated implementations with

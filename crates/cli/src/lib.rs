@@ -51,7 +51,7 @@ const USAGE: &str = "\
 tiga — game-theoretic testing of real-time systems (DATE 2008)
 
 USAGE:
-    tiga solve <file.tg> [--engine otfur|jacobi|worklist] [--exhaustive]
+    tiga solve <file.tg> [--engine otfur|jacobi] [--exhaustive]
                [--no-strategy] [--max-rounds N] [--purpose '<control: ...>']
                [--show-strategy]
     tiga test  <file.tg> [--spec <plant.tg>] [--threads N] [--seed N]

@@ -57,7 +57,7 @@ REQUESTS:
                                                    work queue, responses
                                                    merged in order
     optional fields: \"purpose\" (control: line override), \"engine\"
-    (otfur|jacobi|worklist), \"exhaustive\" (bool), \"strategy\" (bool,
+    (otfur|jacobi), \"exhaustive\" (bool), \"strategy\" (bool,
     default true), \"controller\" (bool, default false: include the compiled
     controller in the `tiga-controller v1` text format in the payload),
     \"max_rounds\", \"max_states\", \"jobs\" (solve requests: intra-solve
@@ -402,12 +402,8 @@ impl Request {
                     );
                 }
                 "engine" => {
-                    options.engine = match value.as_str().ok_or("`engine` must be a string")? {
-                        "otfur" => SolveEngine::Otfur,
-                        "jacobi" => SolveEngine::Jacobi,
-                        "worklist" => SolveEngine::Worklist,
-                        other => return Err(format!("unknown engine `{other}`")),
-                    }
+                    options.engine =
+                        SolveEngine::from_name(value.as_str().ok_or("`engine` must be a string")?)?;
                 }
                 "exhaustive" => {
                     options.early_termination =

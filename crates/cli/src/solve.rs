@@ -13,7 +13,7 @@ USAGE:
     tiga solve <file.tg> [OPTIONS]
 
 OPTIONS:
-    --engine otfur|jacobi|worklist   fixpoint engine (default: otfur)
+    --engine otfur|jacobi            fixpoint engine (default: otfur)
     --exhaustive                     disable early termination (propagate the
                                      full winning sets even once the initial
                                      state is decided)
@@ -25,10 +25,6 @@ OPTIONS:
     --purpose '<control: ...>'       override the file's control: line
     --expect winning|losing          exit non-zero unless the verdict matches
     --show-strategy                  print the synthesized strategy listing
-    --no-intern                      disable the hash-consed zone store for the
-                                     passed lists (results are identical; the
-                                     clone counters then measure the
-                                     pre-interning behavior)
     --stats-json                     emit the full solver statistics as one
                                      JSON object instead of the text report
     --emit-strategy <path>           write the verdict and synthesized
@@ -68,15 +64,9 @@ pub struct SolveArgs {
 /// Returns a usage message on unknown or malformed flags.
 pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
     let mut args = args.to_vec();
-    let engine = match take_value(&mut args, "--engine")?.as_deref() {
-        None | Some("otfur") => SolveEngine::Otfur,
-        Some("jacobi") => SolveEngine::Jacobi,
-        Some("worklist") => SolveEngine::Worklist,
-        Some(other) => {
-            return Err(format!(
-                "error: unknown engine `{other}` (expected otfur, jacobi or worklist)"
-            ))
-        }
+    let engine = match take_value(&mut args, "--engine")? {
+        None => SolveEngine::default(),
+        Some(name) => SolveEngine::from_name(&name).map_err(|e| format!("error: {e}"))?,
     };
     let mut options = SolveOptions {
         engine,
@@ -106,9 +96,6 @@ pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
         }
     };
     let show_strategy = take_flag(&mut args, "--show-strategy");
-    if take_flag(&mut args, "--no-intern") {
-        options.interning = false;
-    }
     let stats_json = take_flag(&mut args, "--stats-json");
     let emit_strategy = take_value(&mut args, "--emit-strategy")?;
     let emit_controller = take_value(&mut args, "--emit-controller")?;
@@ -458,12 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_interning_and_json_flags() {
+    fn parses_json_flags() {
         let args = parse_args(&strings(&["model.tg"])).unwrap();
-        assert!(args.options.interning, "interning is on by default");
         assert!(!args.stats_json);
-        let args = parse_args(&strings(&["model.tg", "--no-intern", "--stats-json"])).unwrap();
-        assert!(!args.options.interning);
+        let args = parse_args(&strings(&["model.tg", "--stats-json"])).unwrap();
         assert!(args.stats_json);
     }
 
@@ -471,7 +456,7 @@ mod tests {
     fn stats_json_reports_the_full_stats_block() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../examples/tg/smart_light.tg");
-        let mut args = parse_args(&strings(&[path.to_str().unwrap(), "--stats-json"])).unwrap();
+        let args = parse_args(&strings(&[path.to_str().unwrap(), "--stats-json"])).unwrap();
         let report = run_solve(&args).unwrap();
         assert!(report.starts_with('{') && report.ends_with('}'), "{report}");
         for key in [
@@ -500,26 +485,6 @@ mod tests {
             assert!(report.contains(key), "missing {key} in {report}");
         }
         assert!(!report.contains("\"interned_zones\":0,"), "{report}");
-        // Interning off: the interning counters report zero, clone pressure
-        // is measured instead, and the verdict-bearing fields are unchanged.
-        args.options.interning = false;
-        let off = run_solve(&args).unwrap();
-        assert!(off.contains("\"interned_zones\":0,"), "{off}");
-        assert!(off.contains("\"minimized_bytes_saved\":0,"), "{off}");
-        let field = |r: &str, key: &str| {
-            let start = r.find(key).unwrap() + key.len();
-            r[start..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-        };
-        for key in [
-            "\"discrete_states\":",
-            "\"reach_zones\":",
-            "\"winning_zones\":",
-        ] {
-            assert_eq!(field(&report, key), field(&off, key), "{key} differs");
-        }
     }
 
     #[test]
@@ -620,6 +585,16 @@ mod tests {
     #[test]
     fn rejects_bad_flags() {
         assert!(parse_args(&strings(&["m.tg", "--engine", "magic"])).is_err());
+        // The engine set is otfur and jacobi; the error lists both.
+        let err = parse_args(&strings(&["m.tg", "--engine", "worklist"])).unwrap_err();
+        assert_eq!(
+            err,
+            "error: unknown engine `worklist` (expected otfur, jacobi)"
+        );
+        assert_eq!(
+            main(&strings(&["m.tg", "--engine", "worklist"])),
+            EXIT_USAGE
+        );
         assert!(parse_args(&strings(&[])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--wat"])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--expect", "maybe"])).is_err());

@@ -157,6 +157,32 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
 }
 
 #[test]
+fn unknown_engines_are_error_lines_and_the_session_survives() {
+    let requests = vec![
+        format!(
+            "{{\"id\":1,\"path\":{},\"engine\":\"worklist\"}}",
+            json_string(&tg("smart_light.tg"))
+        ),
+        format!(
+            "{{\"id\":2,\"path\":{},\"engine\":\"jacobi\"}}",
+            json_string(&tg("smart_light.tg"))
+        ),
+    ];
+    let lines = session(&requests, 1);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].contains("\"id\":1,"), "{}", lines[0]);
+    assert!(lines[0].contains("\"status\":\"error\""), "{}", lines[0]);
+    // The same message `tiga solve --engine` prints.
+    assert!(
+        lines[0].contains("unknown engine `worklist` (expected otfur, jacobi)"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains("\"id\":2,"), "{}", lines[1]);
+    assert!(lines[1].contains("\"status\":\"ok\""), "{}", lines[1]);
+}
+
+#[test]
 fn batch_responses_merge_in_order_and_deduplicate() {
     let paths = [
         tg("smart_light.tg"),

@@ -281,7 +281,8 @@ impl ZoneSet {
     }
 
     /// Materializes the members into an owned [`Federation`] with the exact
-    /// member sequence the plain (non-interned) path would hold.
+    /// member sequence [`Federation::insert_subsumed`] would have built from
+    /// the same offers.
     #[must_use]
     pub fn to_federation(&self, store: &ZoneStore) -> Federation {
         Federation::from_zones(

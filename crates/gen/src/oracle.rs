@@ -1,11 +1,11 @@
 //! The five differential oracles of the fuzzing harness.
 //!
-//! 1. **Engine agreement** — every solver engine must return the same
+//! 1. **Engine agreement** — both solver engines must return the same
 //!    verdict on a generated game — reachability (`A<>`) *and* safety
 //!    (`A[]`) — and (for small graphs) semantically identical winning
-//!    federations: the worklist engine must match the Jacobi oracle
-//!    exactly, and the exhaustive on-the-fly engine must match
-//!    `jacobi ∩ reach` per discrete state (its documented confinement).
+//!    federations: the exhaustive on-the-fly engine must match the Jacobi
+//!    oracle's `jacobi ∩ reach` per discrete state (its documented
+//!    confinement).
 //! 2. **Roundtrip** — `parse(print(sys)) ≡ sys` and the objective survives,
 //!    on *generated* systems rather than the hand-written zoo.
 //! 3. **Zone algebra** — `Federation` `up`/`down`/`free`/`reset`/
@@ -98,15 +98,11 @@ pub fn check_engine_agreement(
         Err(e) => return EngineCheck::Diverged(format!("jacobi failed to solve: {e}")),
     };
     let mut runs: Vec<(&'static str, GameSolution)> = Vec::new();
-    for (name, engine, early) in [
-        ("worklist", SolveEngine::Worklist, true),
-        ("otfur", SolveEngine::Otfur, true),
-        ("otfur-exhaustive", SolveEngine::Otfur, false),
-    ] {
+    for (name, early) in [("otfur", true), ("otfur-exhaustive", false)] {
         match solve(
             system,
             purpose,
-            &solve_options(engine, early, options.max_states),
+            &solve_options(SolveEngine::Otfur, early, options.max_states),
         ) {
             Ok(solution) => runs.push((name, solution)),
             Err(e) => {
@@ -125,8 +121,10 @@ pub fn check_engine_agreement(
             ));
         }
     }
+    // Early-terminating otfur may stop anywhere; only its verdict is
+    // comparable.  `runs[1]` is the exhaustive run.
     if jacobi.graph.len() <= options.deep_compare_limit {
-        if let Some(detail) = deep_compare(system, &jacobi, &runs) {
+        if let Some(detail) = deep_compare(system, &jacobi, &runs[1].1) {
             return EngineCheck::Diverged(detail);
         }
     }
@@ -199,61 +197,34 @@ fn verdict(winning: bool) -> &'static str {
     }
 }
 
-/// Winning-set comparison beyond the verdict (see module docs).
+/// Winning-set comparison beyond the verdict (see module docs): the
+/// exhaustive on-the-fly engine confines winning sets to the explored reach
+/// zones, so it must match `jacobi ∩ reach` per state.
 fn deep_compare(
     system: &System,
     jacobi: &GameSolution,
-    runs: &[(&'static str, GameSolution)],
+    exhaustive: &GameSolution,
 ) -> Option<String> {
-    for (name, solution) in runs {
-        match *name {
-            // The worklist engine explores the same eager graph and computes
-            // the same fixpoint.
-            "worklist" => {
-                for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let Some(other) = solution.graph.node_of(&node.discrete) else {
-                        return Some(format!(
-                            "worklist graph is missing state {}",
-                            node.discrete.display(system)
-                        ));
-                    };
-                    if !jacobi.winning[id].set_equals(&solution.winning[other]) {
-                        return Some(format!(
-                            "worklist winning set differs from jacobi in {}",
-                            node.discrete.display(system)
-                        ));
-                    }
-                }
-            }
-            // The exhaustive on-the-fly engine confines winning sets to the
-            // explored reach zones: expected = jacobi ∩ reach, per state.
-            "otfur-exhaustive" => {
-                if solution.graph.len() != jacobi.graph.len() {
-                    return Some(format!(
-                        "exhaustive otfur explored {} states, jacobi {}",
-                        solution.graph.len(),
-                        jacobi.graph.len()
-                    ));
-                }
-                for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let Some(other) = solution.graph.node_of(&node.discrete) else {
-                        return Some(format!(
-                            "exhaustive otfur graph is missing state {}",
-                            node.discrete.display(system)
-                        ));
-                    };
-                    let expected = jacobi.winning[id].intersection(&node.reach);
-                    if !expected.set_equals(&solution.winning[other]) {
-                        return Some(format!(
-                            "exhaustive otfur winning set differs from jacobi ∩ reach in {}",
-                            node.discrete.display(system)
-                        ));
-                    }
-                }
-            }
-            // Early-terminating otfur may stop anywhere; only its verdict is
-            // comparable.
-            _ => {}
+    if exhaustive.graph.len() != jacobi.graph.len() {
+        return Some(format!(
+            "exhaustive otfur explored {} states, jacobi {}",
+            exhaustive.graph.len(),
+            jacobi.graph.len()
+        ));
+    }
+    for (id, node) in jacobi.graph.nodes().iter().enumerate() {
+        let Some(other) = exhaustive.graph.node_of(&node.discrete) else {
+            return Some(format!(
+                "exhaustive otfur graph is missing state {}",
+                node.discrete.display(system)
+            ));
+        };
+        let expected = jacobi.winning[id].intersection(&node.reach);
+        if !expected.set_equals(&exhaustive.winning[other]) {
+            return Some(format!(
+                "exhaustive otfur winning set differs from jacobi ∩ reach in {}",
+                node.discrete.display(system)
+            ));
         }
     }
     None

@@ -5,10 +5,10 @@
 //! cache instead of re-solving.  The key is the *content* of the request —
 //! the canonical serialized system (the exact-inverse `print_system` text,
 //! including the `control:` objective) plus every option that can change the
-//! verdict, stats or strategy.  `jobs` and `interning` are deliberately
-//! excluded: results are bit-identical for any thread count and with the
-//! zone store on or off (pinned by the solver's differential suites), so a
-//! cache hit is exact no matter which execution mode produced the entry.
+//! verdict, stats or strategy.  `jobs` is deliberately excluded: results
+//! are bit-identical for any thread count (pinned by the solver's
+//! differential suites), so a cache hit is exact no matter how many threads
+//! produced the entry.
 //!
 //! What a cache stores is up to its user: [`CacheEntry`] (the default) is the
 //! solve result itself, while `tiga serve` stores the response payload
@@ -73,8 +73,8 @@ impl SolveCache {
     /// (`tiga_lang::print_system` with the objective's `control:` line), so
     /// that textually different but semantically identical submissions —
     /// reordered flags, an inline model vs. the same file on disk — collide
-    /// onto one entry.  Only semantics-relevant options participate;
-    /// `jobs`/`interning` change no result and are excluded by design.
+    /// onto one entry.  Only semantics-relevant options participate; `jobs`
+    /// changes no result and is excluded by design.
     #[must_use]
     pub fn key(canonical_system: &str, options: &SolveOptions) -> String {
         format!(
@@ -201,10 +201,9 @@ mod tests {
     fn key_separates_semantics_relevant_options_only() {
         let base = SolveOptions::default();
         let key = SolveCache::key("m", &base);
-        // jobs and interning do not change results — same key.
+        // jobs does not change results — same key.
         let mut same = base.clone();
         same.jobs = 8;
-        same.interning = false;
         assert_eq!(SolveCache::key("m", &same), key);
         // Engine, termination mode, strategy extraction and budgets do.
         let mut other = base.clone();

@@ -107,19 +107,17 @@ impl GameGraph {
         options: &ExploreOptions,
         jobs: usize,
     ) -> Result<Self, SolverError> {
-        Ok(Self::explore_jobs_mem(system, goal, options, jobs, true)?.0)
+        Ok(Self::explore_jobs_mem(system, goal, options, jobs)?.0)
     }
 
-    /// [`GameGraph::explore_jobs`] with explicit control over passed-list
-    /// interning, reporting the memory counters of the exploration.
+    /// [`GameGraph::explore_jobs`], also reporting the memory counters of
+    /// the exploration.
     ///
-    /// With `interning` the per-node passed lists are kept as [`ZoneSet`]s
-    /// over one shared [`ZoneStore`] — re-derived zones cost a hash probe,
-    /// subsumption verdicts are memoized, and at-rest zones live in
-    /// minimal-constraint form.  Without it the pre-interning clone behavior
-    /// is reproduced exactly (and counted in `dbm_clones`).  The explored
-    /// graph is bit-identical either way, and for any thread count: the
-    /// store is only touched in the sequential merge phase.
+    /// The per-node passed lists are kept as [`ZoneSet`]s over one shared
+    /// [`ZoneStore`] — re-derived zones cost a hash probe, subsumption
+    /// verdicts are memoized, and at-rest zones live in minimal-constraint
+    /// form.  The store is only touched in the sequential merge phase, so
+    /// the explored graph is bit-identical for any thread count.
     ///
     /// # Errors
     ///
@@ -129,7 +127,6 @@ impl GameGraph {
         goal: &StatePredicate,
         options: &ExploreOptions,
         jobs: usize,
-        interning: bool,
     ) -> Result<(Self, MemCounters), SolverError> {
         let mut explorer = Explorer::new(system);
         let mut graph = GameGraph {
@@ -138,21 +135,14 @@ impl GameGraph {
             initial: 0,
         };
         let mut mem = MemCounters::default();
-        let mut reach_total = 0usize;
-        let mut interned: Option<(ZoneStore, Vec<ZoneSet>)> =
-            interning.then(|| (ZoneStore::new(system.dim()), Vec::new()));
+        let mut store = ZoneStore::new(system.dim());
+        let mut sets: Vec<ZoneSet> = Vec::new();
         let (root_id, root_zone) = explorer.initial()?;
         graph.adopt(system, goal, &explorer, root_id)?;
         graph.initial = root_id;
-        if let Some((store, sets)) = &mut interned {
-            sets.resize_with(graph.nodes.len(), ZoneSet::default);
-            sets[root_id].insert(store, &root_zone);
-            reach_total += sets[root_id].len();
-        } else {
-            graph.nodes[root_id].reach.add_zone(root_zone.clone());
-            mem.dbm_clones += 1;
-            reach_total += 1;
-        }
+        sets.resize_with(graph.nodes.len(), ZoneSet::default);
+        sets[root_id].insert(&mut store, &root_zone);
+        let mut reach_total = sets[root_id].len();
         mem.peak_live_zones = reach_total;
 
         // Work list of (node, zone) pairs still to expand, drained batchwise.
@@ -190,21 +180,10 @@ impl GameGraph {
                         });
                     }
                     // Continue exploring only if the zone adds new valuations.
-                    let expand = if let Some((store, sets)) = &mut interned {
-                        sets.resize_with(graph.nodes.len(), ZoneSet::default);
-                        let before = sets[succ_id].len();
-                        let inserted = sets[succ_id].insert(store, &step.zone);
-                        reach_total = reach_total + sets[succ_id].len() - before;
-                        inserted
-                    } else {
-                        let before = graph.nodes[succ_id].reach.len();
-                        mem.dbm_clones += 1;
-                        let inserted = graph.nodes[succ_id]
-                            .reach
-                            .insert_subsumed(step.zone.clone());
-                        reach_total = reach_total + graph.nodes[succ_id].reach.len() - before;
-                        inserted
-                    };
+                    sets.resize_with(graph.nodes.len(), ZoneSet::default);
+                    let before = sets[succ_id].len();
+                    let expand = sets[succ_id].insert(&mut store, &step.zone);
+                    reach_total = reach_total + sets[succ_id].len() - before;
                     mem.peak_live_zones = mem.peak_live_zones.max(reach_total);
                     if expand {
                         queue.push((succ_id, step.zone));
@@ -212,18 +191,12 @@ impl GameGraph {
                 }
             }
         }
-        if let Some((store, sets)) = &interned {
-            // Materialize the interned passed lists into the per-node reach
-            // federations the fixpoint engines read.
-            for (node, set) in graph.nodes.iter_mut().zip(sets) {
-                node.reach = set.to_federation(store);
-            }
-            mem.interned_zones = store.len();
-            mem.intern_hits = store.hits();
-            // Every intern miss deep-copied the candidate into the store.
-            mem.dbm_clones += store.len();
-            mem.minimized_bytes_saved = store.bytes_saved();
+        // Materialize the interned passed lists into the per-node reach
+        // federations the fixpoint engine reads.
+        for (node, set) in graph.nodes.iter_mut().zip(&sets) {
+            node.reach = set.to_federation(&store);
         }
+        mem.record_store(&store);
         Ok((graph, mem))
     }
 

@@ -12,7 +12,7 @@
 //! players' roles swapped (see [`crate::solve`] and the `winning` module
 //! docs); the extracted controller is safe and possibly non-terminating.
 //!
-//! Three engines are provided behind the [`solve`] entry point, selected by
+//! Two engines are provided behind the [`solve`] entry point, selected by
 //! [`SolveOptions::engine`]:
 //!
 //! * [`SolveEngine::Otfur`] (default) — on-the-fly solving: forward zone
@@ -23,13 +23,12 @@
 //! * [`SolveEngine::Jacobi`] — eager exploration of the full game graph
 //!   ([`GameGraph`]) followed by a round-based fixpoint with rank-annotated
 //!   strategy extraction (the differential-testing oracle, also reachable
-//!   directly via [`solve_jacobi`]);
-//! * [`SolveEngine::Worklist`] — eager exploration followed by chaotic
-//!   iteration ([`solve_worklist`]); no strategy.
+//!   directly via [`solve_jacobi`]).
 //!
-//! All engines share the controllable-predecessor update (safe
+//! Both engines share the controllable-predecessor update (safe
 //! time-predecessors, uncontrollable escapes and invariant-forced moves)
-//! and the [`tiga_model::Explorer`] exploration core.
+//! the [`tiga_model::Explorer`] exploration core, and the hash-consed
+//! [`tiga_dbm::ZoneStore`] that holds their passed lists.
 //!
 //! # Example
 //!
@@ -99,6 +98,5 @@ pub use serialize::{
 pub use stats::{SolverStats, TimedStats};
 pub use strategy::{Decision, DisplayStrategy, Strategy, StrategyDecision, StrategyRule};
 pub use winning::{
-    bounded_system, solve, solve_jacobi, solve_worklist, GameSolution, SolveEngine, SolveOptions,
-    TICK_CLOCK,
+    bounded_system, solve, solve_jacobi, GameSolution, SolveEngine, SolveOptions, TICK_CLOCK,
 };

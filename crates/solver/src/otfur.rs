@@ -9,7 +9,7 @@
 //! * **forward**: popping a state expands its not-yet-processed reach zones,
 //!   interning newly discovered discrete states (hashing-based, via
 //!   [`tiga_model::Explorer`]) and subsuming re-reached zones against the
-//!   passed list ([`Federation::insert_subsumed`]);
+//!   passed list, a hash-consed [`ZoneSet`] ([`ZoneSet::insert`]);
 //! * **backward**: the same pop re-evaluates the state's winning federation
 //!   with the shared `π` update ([`crate::winning::pi_update`]); growth wakes
 //!   the recorded dependents, exactly like the `Depend` sets of the paper;
@@ -65,12 +65,8 @@ use tiga_model::{Explorer, System};
 use tiga_tctl::StatePredicate;
 
 /// Per-state bookkeeping of the search, indexed like the explorer's states.
+/// The state's passed list lives in [`Search::reach_sets`].
 struct NodeData {
-    /// Passed list: union of the delay-closed zones with which the state was
-    /// reached.  Stays empty when interning is on — the authoritative passed
-    /// list is then the node's [`ZoneSet`] in [`Search::reach_sets`], and
-    /// [`Search::finish`] materializes the federation from it.
-    reach: Federation,
     /// Reach zones not yet expanded forward.
     frontier: Vec<Dbm>,
     /// Outgoing joint edges discovered so far (deduplicated).
@@ -122,11 +118,12 @@ struct Search<'a> {
     pruned_evaluations: usize,
     pops: usize,
     early_terminated: bool,
-    /// Hash-consing zone store for the passed lists
-    /// (`Some` iff [`SolveOptions::interning`]).  Mutated only in the
+    /// Hash-consing zone store for the passed lists.  Mutated only in the
     /// sequential phases, so results stay bit-identical for any `jobs`.
-    store: Option<ZoneStore>,
-    /// Interned passed list per node (used only when `store` is `Some`).
+    store: ZoneStore,
+    /// Passed list per node: the union of the delay-closed zones with which
+    /// the state was reached, interned in `store`.  [`Search::finish`]
+    /// materializes the reach federations from it.
     reach_sets: Vec<ZoneSet>,
     /// Interning/clone/peak counters reported through the engine outcome.
     mem: MemCounters,
@@ -167,7 +164,7 @@ pub(crate) fn run(
         pruned_evaluations: 0,
         pops: 0,
         early_terminated: false,
-        store: options.interning.then(|| ZoneStore::new(system.dim())),
+        store: ZoneStore::new(system.dim()),
         reach_sets: Vec::new(),
         mem: MemCounters::default(),
         reach_total: 0,
@@ -199,7 +196,6 @@ impl Search<'_> {
             let is_goal = self.goal.holds(self.system, &state.discrete)?;
             let boundary = invariant_boundary(&state.invariant, state.urgent);
             self.nodes.push(NodeData {
-                reach: Federation::empty(self.system.dim()),
                 frontier: Vec::new(),
                 edges: Vec::new(),
                 depend: Vec::new(),
@@ -220,30 +216,13 @@ impl Search<'_> {
     /// zone immediately extends the winning federation (recorded as a rank-0
     /// wait region) and wakes the goal's dependents.
     fn offer_zone(&mut self, node: NodeId, zone: Dbm) -> bool {
-        let inserted = if let Some(store) = &mut self.store {
-            let set = &mut self.reach_sets[node];
-            let before = set.len();
-            let inserted = set.insert(store, &zone);
-            self.reach_total = self.reach_total + set.len() - before;
-            inserted
-        } else {
-            // Pre-interning representation: the passed list owns a deep copy
-            // of every offered zone, counted as clone pressure.
-            self.mem.dbm_clones += 1;
-            let data = &mut self.nodes[node];
-            let before = data.reach.len();
-            let inserted = data.reach.insert_subsumed(zone.clone());
-            self.reach_total = self.reach_total + data.reach.len() - before;
-            inserted
-        };
+        let set = &mut self.reach_sets[node];
+        let before = set.len();
+        let inserted = set.insert(&mut self.store, &zone);
+        self.reach_total = self.reach_total + set.len() - before;
         if !inserted {
             self.subsumed_zones += 1;
             return false;
-        }
-        if self.store.is_none() {
-            // The pre-interning frontier copy (with interning the frontier
-            // takes the offered zone by move, below).
-            self.mem.dbm_clones += 1;
         }
         if self.nodes[node].is_goal {
             // Reach zones are delay-closed within the invariant, so the zone
@@ -425,8 +404,8 @@ impl Search<'_> {
     /// retract them (the reach-confinement soundness argument requires
     /// every reach zone to be expanded before the state is evaluated).  The
     /// loop terminates because every offered zone is extrapolated (finitely
-    /// many distinct zones per state) and [`Federation::insert_subsumed`]
-    /// admits only zones that add coverage.
+    /// many distinct zones per state) and [`ZoneSet::insert`] admits only
+    /// zones that add coverage.
     fn absorb_steps(
         &mut self,
         node: NodeId,
@@ -499,11 +478,8 @@ impl Search<'_> {
         // reach zones the edge set may be incomplete, so winning valuations
         // there cannot be trusted — and are irrelevant for any reachable
         // play, because the reach set is closed under the game dynamics.
-        let mut new_win = if let Some(store) = &self.store {
-            unconfined.intersection_with_members(self.reach_sets[node].zones(store))
-        } else {
-            unconfined.intersection(&data.reach)
-        };
+        let mut new_win =
+            unconfined.intersection_with_members(self.reach_sets[node].zones(&self.store));
         new_win.reduce_exact();
         if self.win[node].includes(&new_win) {
             return Ok(EvalOutcome::Unchanged);
@@ -587,27 +563,17 @@ impl Search<'_> {
             .enumerate()
             .map(|(idx, data)| {
                 let state = explorer.state(idx);
-                let reach = match &store {
-                    Some(store) => reach_sets[idx].to_federation(store),
-                    None => data.reach,
-                };
                 GameNode {
                     discrete: state.discrete.clone(),
                     invariant: state.invariant.clone(),
-                    reach,
+                    reach: reach_sets[idx].to_federation(&store),
                     edges: data.edges,
                     is_goal: data.is_goal,
                     urgent: state.urgent,
                 }
             })
             .collect();
-        if let Some(store) = &store {
-            mem.interned_zones = store.len();
-            mem.intern_hits = store.hits();
-            // Every intern miss deep-copied the candidate into the store.
-            mem.dbm_clones += store.len();
-            mem.minimized_bytes_saved = store.bytes_saved();
-        }
+        mem.record_store(&store);
         let graph = GameGraph::from_parts(game_nodes, root);
         Ok((
             graph,

@@ -3,7 +3,7 @@
 //! `tiga serve` answers from a content-hash cache and CI pins golden
 //! strategies byte-for-byte, so strategies need a serialization format that
 //! is *stable* (the same strategy always prints to the same bytes,
-//! regardless of hash-map iteration order, `--jobs` or interning) and
+//! regardless of hash-map iteration order or `--jobs`) and
 //! *exact* (`parse(print(s)) ≡ s` on rules, ranks, zones and decisions).
 //! crates.io is unreachable, so the format is hand-rolled in the same
 //! spirit as `tiga_lang::print_system` and `crates/bench/src/baseline.rs`:

@@ -2,6 +2,7 @@
 //! Table 1 of the paper.
 
 use std::time::Duration;
+use tiga_dbm::ZoneStore;
 
 /// Statistics collected while solving a timed game.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -10,8 +11,8 @@ pub struct SolverStats {
     pub discrete_states: usize,
     /// Number of joint edges stored in the explored game graph.
     pub graph_edges: usize,
-    /// Number of fixpoint rounds (Jacobi solver) or worklist pops (on-the-fly
-    /// solver) until convergence.
+    /// Number of fixpoint rounds (Jacobi solver) or waiting-list pops
+    /// (on-the-fly solver) until convergence.
     pub iterations: usize,
     /// Total number of DBMs in the final winning federations.
     pub winning_zones: usize,
@@ -31,23 +32,19 @@ pub struct SolverStats {
     /// before the waiting list drained (on-the-fly solver).
     pub early_terminated: bool,
     /// Distinct canonical zones interned by the per-solve zone store
-    /// (0 when interning is disabled).
+    /// ([`tiga_dbm::ZoneStore`]) that holds the passed lists.
     pub interned_zones: usize,
     /// Intern lookups that found the zone already present — re-derived
-    /// zones that cost a hash probe instead of a deep copy (0 when interning
-    /// is disabled).
+    /// zones that cost a hash probe instead of a deep copy.
     pub intern_hits: usize,
-    /// Deep DBM copies made at the solver's storage sites (passed lists,
-    /// expansion frontiers, goal seeds).  With interning disabled this
-    /// reproduces and counts the pre-interning clone behavior; with it
-    /// enabled only intern misses and goal seeds still copy.
+    /// Deep DBM copies made at the solver's storage sites: intern misses
+    /// (the store keeps its own copy) and goal seeds.
     pub dbm_clones: usize,
     /// Largest number of zones simultaneously held by the reach and winning
-    /// federations (identical with interning on or off, and for any thread
-    /// count).
+    /// federations (identical for any thread count).
     pub peak_live_zones: usize,
     /// Bytes saved by keeping interned zones in minimal-constraint form
-    /// instead of full `n²` matrices (0 when interning is disabled).
+    /// instead of full `n²` matrices.
     pub minimized_bytes_saved: usize,
 }
 
@@ -65,6 +62,17 @@ pub(crate) struct MemCounters {
     pub peak_live_zones: usize,
     /// Bytes saved by minimal-constraint storage.
     pub minimized_bytes_saved: usize,
+}
+
+impl MemCounters {
+    /// Records the final interning counters of a solve's zone store.
+    pub(crate) fn record_store(&mut self, store: &ZoneStore) {
+        self.interned_zones = store.len();
+        self.intern_hits = store.hits();
+        // Every intern miss deep-copied the candidate into the store.
+        self.dbm_clones += store.len();
+        self.minimized_bytes_saved = store.bytes_saved();
+    }
 }
 
 impl SolverStats {

@@ -38,17 +38,16 @@
 //! escape into the safe set where delay — or an enabled plant move — could
 //! reach `L` (see [`extract_safety_strategy`]).
 //!
-//! Three engines compute these fixpoints (see [`SolveEngine`]): the default
+//! Two engines compute these fixpoints (see [`SolveEngine`]): the default
 //! on-the-fly engine ([`crate::otfur`]) that interleaves exploration with
-//! propagation, a Jacobi (round-based) solver that also extracts a
+//! propagation, and a Jacobi (round-based) solver that also extracts a
 //! rank-annotated [`Strategy`] and serves as the differential-testing
-//! oracle, and a worklist solver used as a decision procedure and as an
-//! ablation point in the benchmarks.  This module owns the shared machinery:
+//! oracle.  This module owns the shared machinery:
 //! the [`pi_update`] single-state transformer, option/selector types, and
 //! the parameterized entry point that assembles every [`GameSolution`].
 
 use crate::error::SolverError;
-use crate::graph::{ExploreOptions, GameGraph, GameNode, GraphEdge, NodeId};
+use crate::graph::{ExploreOptions, GameGraph, GraphEdge, NodeId};
 use crate::stats::{MemCounters, SolverStats, TimedStats};
 use crate::strategy::{Decision, Strategy, StrategyRule};
 use std::time::{Duration, Instant};
@@ -68,20 +67,36 @@ pub enum SolveEngine {
     /// Eager exploration followed by a round-based (Jacobi) fixpoint with
     /// rank-annotated strategy extraction.  The differential-testing oracle.
     Jacobi,
-    /// Eager exploration followed by chaotic worklist iteration.  A
-    /// decision procedure without strategy extraction; ablation baseline.
-    Worklist,
 }
 
 impl SolveEngine {
-    /// Stable lowercase name, used by benchmark reports.
+    /// Every engine, in the order user-facing messages list them.
+    pub const ALL: [SolveEngine; 2] = [SolveEngine::Otfur, SolveEngine::Jacobi];
+
+    /// Stable lowercase name, used by the CLI, `tiga serve` and benchmark
+    /// reports.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SolveEngine::Otfur => "otfur",
             SolveEngine::Jacobi => "jacobi",
-            SolveEngine::Worklist => "worklist",
         }
+    }
+
+    /// The engine called `name` (the inverse of [`SolveEngine::name`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown engine and listing the accepted
+    /// names, shared by `tiga solve --engine` and `tiga serve`.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        SolveEngine::ALL
+            .into_iter()
+            .find(|engine| engine.name() == name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = SolveEngine::ALL.iter().map(|e| e.name()).collect();
+                format!("unknown engine `{name}` (expected {})", names.join(", "))
+            })
     }
 }
 
@@ -92,8 +107,7 @@ pub struct SolveOptions {
     pub engine: SolveEngine,
     /// Forward-exploration options.
     pub explore: ExploreOptions,
-    /// Whether to extract a state-based strategy (Jacobi and on-the-fly
-    /// engines; the worklist engine never extracts one).
+    /// Whether to extract a state-based strategy.
     pub extract_strategy: bool,
     /// Whether the on-the-fly engine may stop as soon as the initial state
     /// is decided winning.  Disable to force exhaustive propagation (the
@@ -108,13 +122,6 @@ pub struct SolveOptions {
     /// Results are bit-identical for any value: state updates are computed
     /// against an immutable snapshot and merged in canonical state order.
     pub jobs: usize,
-    /// Whether the passed lists use the hash-consed per-solve zone store
-    /// ([`tiga_dbm::ZoneStore`]).  Interning changes no result — winning
-    /// federations, stats (modulo the interning counters) and strategies are
-    /// bit-identical either way — it only replaces deep zone copies and
-    /// subsumption closures with id lookups.  Disable to measure the
-    /// pre-interning clone pressure (`dbm_clones` then counts it).
-    pub interning: bool,
 }
 
 impl Default for SolveOptions {
@@ -126,7 +133,6 @@ impl Default for SolveOptions {
             early_termination: true,
             max_rounds: 10_000,
             jobs: 1,
-            interning: true,
         }
     }
 }
@@ -210,25 +216,6 @@ pub fn solve_jacobi(
     options: &SolveOptions,
 ) -> Result<GameSolution, SolverError> {
     solve_with_engine(system, purpose, options, SolveEngine::Jacobi)
-}
-
-/// Solves a timed game (reachability or safety) with the eager worklist
-/// (chaotic-iteration) engine.
-///
-/// This variant does not extract a strategy for reachability purposes; it is
-/// used as a decision procedure and as an ablation point in the benchmark
-/// harness.  Forces [`SolveEngine::Worklist`] regardless of
-/// [`SolveOptions::engine`].
-///
-/// # Errors
-///
-/// Same as [`solve_jacobi`].
-pub fn solve_worklist(
-    system: &System,
-    purpose: &TestPurpose,
-    options: &SolveOptions,
-) -> Result<GameSolution, SolverError> {
-    solve_with_engine(system, purpose, options, SolveEngine::Worklist)
 }
 
 /// What an engine hands back to the shared assembly code.
@@ -343,43 +330,13 @@ fn solve_with_engine(
             let (graph, outcome) = crate::otfur::run(system, &target, options, mode, clip)?;
             (graph, outcome, Duration::ZERO, start.elapsed())
         }
-        SolveEngine::Jacobi | SolveEngine::Worklist => {
+        SolveEngine::Jacobi => {
             let explore_start = Instant::now();
-            let (graph, mut mem) = GameGraph::explore_jobs_mem(
-                system,
-                &target,
-                &options.explore,
-                options.jobs,
-                options.interning,
-            )?;
+            let (graph, mem) =
+                GameGraph::explore_jobs_mem(system, &target, &options.explore, options.jobs)?;
             let exploration_time = explore_start.elapsed();
             let fixpoint_start = Instant::now();
-            let mut fixpoint = Engine::new(system, &graph, mode, clip);
-            let outcome = if engine == SolveEngine::Jacobi {
-                let jacobi = fixpoint.run_jacobi(options)?;
-                mem.peak_live_zones = mem.peak_live_zones.max(jacobi.peak_live_zones);
-                EngineOutcome {
-                    winning: jacobi.winning,
-                    strategy: Some(jacobi.strategy),
-                    iterations: jacobi.iterations,
-                    subsumed_zones: 0,
-                    pruned_evaluations: 0,
-                    early_terminated: false,
-                    mem,
-                }
-            } else {
-                let (winning, iterations, peak_live_zones) = fixpoint.run_worklist(options)?;
-                mem.peak_live_zones = mem.peak_live_zones.max(peak_live_zones);
-                EngineOutcome {
-                    winning,
-                    strategy: None,
-                    iterations,
-                    subsumed_zones: 0,
-                    pruned_evaluations: 0,
-                    early_terminated: false,
-                    mem,
-                }
-            };
+            let outcome = Engine::new(system, &graph, mode, clip).run_jacobi(options, mem)?;
             (graph, outcome, exploration_time, fixpoint_start.elapsed())
         }
     };
@@ -419,15 +376,8 @@ fn solve_with_engine(
         match &losing {
             // Reachability: the engines extracted the strategy in-search.
             None => outcome.strategy,
-            // Safety: extract the safe controller from the converged sets
-            // (the worklist engine never carries a strategy).
-            Some(losing) => {
-                if engine == SolveEngine::Worklist {
-                    None
-                } else {
-                    Some(extract_safety_strategy(system, &graph, &winning, losing)?)
-                }
-            }
+            // Safety: extract the safe controller from the converged sets.
+            Some(losing) => Some(extract_safety_strategy(system, &graph, &winning, losing)?),
         }
     };
     let stats = SolverStats {
@@ -562,7 +512,7 @@ fn initial_is_winning(system: &System, graph: &GameGraph, winning: &[Federation]
     winning[graph.initial()].contains_scaled(&origin)
 }
 
-/// Shared machinery of the two fixpoint engines.
+/// The eager (Jacobi) fixpoint engine over an explored [`GameGraph`].
 struct Engine<'a> {
     system: &'a System,
     graph: &'a GameGraph,
@@ -575,14 +525,6 @@ struct Engine<'a> {
     /// Invariant-boundary federation per node (states where time cannot
     /// progress further).
     boundary: Vec<Federation>,
-}
-
-/// Result of the Jacobi engine.
-struct JacobiOutcome {
-    winning: Vec<Federation>,
-    strategy: Strategy,
-    iterations: usize,
-    peak_live_zones: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -630,34 +572,15 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// Computes the single-node update `Goal(q) ∪ π(W)(q)` from the winning
-    /// sets in `win` (see [`pi_update`]; `None` means provably unchanged).
-    #[allow(clippy::type_complexity)]
-    fn node_update(
-        &self,
-        node_id: NodeId,
-        node: &GameNode,
-        win: &[Federation],
-    ) -> Result<Option<(Federation, Vec<(usize, Federation)>)>, SolverError> {
-        pi_update(
-            self.system,
-            node_id,
-            &node.discrete,
-            &node.invariant,
-            node.is_goal,
-            node.urgent,
-            &node.edges,
-            &self.boundary[node_id],
-            win,
-            self.mode.swap_roles(),
-            |id| &self.graph.node(id).invariant,
-        )
-    }
-
     /// Jacobi iteration: every round recomputes all nodes from the previous
     /// round's winning sets, which yields well-founded ranks for strategy
-    /// extraction.
-    fn run_jacobi(&mut self, options: &SolveOptions) -> Result<JacobiOutcome, SolverError> {
+    /// extraction.  `mem` carries the exploration's memory counters; the
+    /// fixpoint raises their peak.
+    fn run_jacobi(
+        &self,
+        options: &SolveOptions,
+        mut mem: MemCounters,
+    ) -> Result<EngineOutcome, SolverError> {
         let mut win = self.initial_winning_sets();
         let mut strategy = Strategy::new(self.system.dim());
         // In-search strategy recording only applies to reachability, where
@@ -692,7 +615,7 @@ impl<'a> Engine<'a> {
             .collect();
         let reach_total = self.graph.reach_zone_count();
         let mut win_total: usize = win.iter().map(Federation::len).sum();
-        let mut peak_live_zones = reach_total + win_total;
+        mem.peak_live_zones = mem.peak_live_zones.max(reach_total + win_total);
         let mut round: u32 = 0;
         loop {
             round += 1;
@@ -705,7 +628,20 @@ impl<'a> Engine<'a> {
             // pre-round value has been consumed, so no cross-node clone of
             // the snapshot is needed.
             let updates = tiga_parallel::run_indexed(shard.clone(), options.jobs, |_, node_id| {
-                self.node_update(node_id, self.graph.node(node_id), &win)
+                let node = self.graph.node(node_id);
+                pi_update(
+                    self.system,
+                    node_id,
+                    &node.discrete,
+                    &node.invariant,
+                    node.is_goal,
+                    node.urgent,
+                    &node.edges,
+                    &self.boundary[node_id],
+                    &win,
+                    self.mode.swap_roles(),
+                    |id| &self.graph.node(id).invariant,
+                )
             });
             for (&node_id, update) in shard.iter().zip(updates) {
                 let node = self.graph.node(node_id);
@@ -742,82 +678,27 @@ impl<'a> Engine<'a> {
                     }
                     win_total = win_total + new_win.len() - win[node_id].len();
                     win[node_id] = new_win;
-                    peak_live_zones = peak_live_zones.max(reach_total + win_total);
+                    mem.peak_live_zones = mem.peak_live_zones.max(reach_total + win_total);
                 }
             }
             if !changed {
                 break;
             }
         }
-        Ok(JacobiOutcome {
+        Ok(EngineOutcome {
             winning: win,
-            strategy,
+            strategy: Some(strategy),
             iterations: round as usize,
-            peak_live_zones,
+            subsumed_zones: 0,
+            pruned_evaluations: 0,
+            early_terminated: false,
+            mem,
         })
-    }
-
-    /// Worklist (chaotic) iteration: nodes are re-processed when one of their
-    /// successors gains winning states.
-    fn run_worklist(
-        &mut self,
-        options: &SolveOptions,
-    ) -> Result<(Vec<Federation>, usize, usize), SolverError> {
-        let n = self.graph.len();
-        let mut win = self.initial_winning_sets();
-        let reach_total = self.graph.reach_zone_count();
-        let mut win_total: usize = win.iter().map(Federation::len).sum();
-        let mut peak_live_zones = reach_total + win_total;
-        // Predecessor lists.
-        let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (id, node) in self.graph.nodes().iter().enumerate() {
-            for edge in &node.edges {
-                if !preds[edge.target].contains(&id) {
-                    preds[edge.target].push(id);
-                }
-            }
-        }
-        let mut in_queue = vec![false; n];
-        let mut queue: std::collections::VecDeque<NodeId> = std::collections::VecDeque::new();
-        // Seed: all predecessors of goal nodes, plus every node with a goal
-        // somewhere below (cheap approximation: all nodes).
-        for (id, flag) in in_queue.iter_mut().enumerate() {
-            queue.push_back(id);
-            *flag = true;
-        }
-        let mut pops = 0usize;
-        let max_pops = options.max_rounds.saturating_mul(n.max(1));
-        while let Some(node_id) = queue.pop_front() {
-            in_queue[node_id] = false;
-            pops += 1;
-            if pops > max_pops {
-                break;
-            }
-            let node = self.graph.node(node_id);
-            if node.is_goal {
-                continue;
-            }
-            let Some((new_win, _)) = self.node_update(node_id, node, &win)? else {
-                continue;
-            };
-            if !win[node_id].includes(&new_win) {
-                win_total = win_total + new_win.len() - win[node_id].len();
-                win[node_id] = new_win;
-                peak_live_zones = peak_live_zones.max(reach_total + win_total);
-                for &p in &preds[node_id] {
-                    if !in_queue[p] {
-                        in_queue[p] = true;
-                        queue.push_back(p);
-                    }
-                }
-            }
-        }
-        Ok((win, pops, peak_live_zones))
     }
 }
 
 /// One step of the controllable-predecessor fixpoint, shared verbatim by the
-/// Jacobi, worklist and on-the-fly engines: computes `Goal(q) ∪ π(W)(q)` for
+/// Jacobi and on-the-fly engines: computes `Goal(q) ∪ π(W)(q)` for
 /// a single discrete state from the winning sets in `win`, together with the
 /// controllable action regions used for strategy extraction.
 ///
@@ -1261,10 +1142,6 @@ mod tests {
                 "jacobi",
                 solve_jacobi(&sys, &tp, &SolveOptions::default()).unwrap(),
             ),
-            (
-                "worklist",
-                solve_worklist(&sys, &tp, &SolveOptions::default()).unwrap(),
-            ),
             ("otfur", solve(&sys, &tp, &otfur_options(false)).unwrap()),
         ] {
             // The game itself is winning: wait in L0 until x == 2, then step
@@ -1446,37 +1323,6 @@ mod tests {
     }
 
     #[test]
-    fn worklist_and_jacobi_agree() {
-        for sys in [
-            forced_output_system(),
-            silent_plant_system(),
-            dodging_plant_system(),
-        ] {
-            for goal in ["Plant.Done", "Plant.Busy"] {
-                let tp = TestPurpose::parse(&format!("control: A<> {goal}"), &sys).unwrap();
-                let a = solve_jacobi(&sys, &tp, &SolveOptions::default()).unwrap();
-                let b = solve_worklist(&sys, &tp, &SolveOptions::default()).unwrap();
-                assert_eq!(
-                    a.winning_from_initial,
-                    b.winning_from_initial,
-                    "system {} goal {goal}",
-                    sys.name()
-                );
-                // The computed winning sets must be semantically identical.
-                for (id, node) in a.graph.nodes().iter().enumerate() {
-                    let other = b.graph.node_of(&node.discrete).unwrap();
-                    assert!(
-                        a.winning[id].set_equals(&b.winning[other]),
-                        "winning sets differ in {} for {}",
-                        sys.name(),
-                        node.discrete.display(&sys)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn guard_lower_bound_limits_winning_region() {
         // The reply is only possible when x >= 1, and the invariant is x <= 3;
         // in Busy every x in [0, 3] is winning (wait until the window), but
@@ -1554,10 +1400,6 @@ mod tests {
                 "jacobi",
                 solve_jacobi(sys, tp, &SolveOptions::default()).unwrap(),
             ),
-            (
-                "worklist",
-                solve_worklist(sys, tp, &SolveOptions::default()).unwrap(),
-            ),
             ("otfur", solve(sys, tp, &otfur_options(false)).unwrap()),
             ("otfur-early", solve(sys, tp, &otfur_options(true)).unwrap()),
         ]
@@ -1599,25 +1441,21 @@ mod tests {
                 !solution.is_winning_state(&idle, &[5], 2),
                 "{name}: x = 2.5 must be losing"
             );
-            if name != "worklist" {
-                let strategy = solution.strategy.as_ref().expect("safety strategy");
-                // The whole safe region can drift into the losing set, so
-                // the controller plays the escape.
-                let decision = strategy.decide(&idle, &[0], 2).expect("covered");
-                assert!(
-                    matches!(decision, crate::strategy::StrategyDecision::Take(_)),
-                    "{name}: expected the save? escape, got {decision:?}"
-                );
-            } else {
-                assert!(solution.strategy.is_none(), "worklist never extracts");
-            }
+            let strategy = solution.strategy.as_ref().expect("safety strategy");
+            // The whole safe region can drift into the losing set, so the
+            // controller plays the escape.
+            let decision = strategy.decide(&idle, &[0], 2).expect("covered");
+            assert!(
+                matches!(decision, crate::strategy::StrategyDecision::Take(_)),
+                "{name}: expected the save? escape, got {decision:?}"
+            );
         }
     }
 
     #[test]
     fn safety_winning_sets_agree_semantically_across_engines() {
-        // worklist ≡ jacobi exactly; exhaustive otfur ≡ jacobi ∩ reach — the
-        // same confinement contract as for reachability.
+        // Exhaustive otfur ≡ jacobi ∩ reach — the same confinement contract
+        // as for reachability.
         for sys in [
             forced_output_system(),
             silent_plant_system(),
@@ -1641,14 +1479,7 @@ mod tests {
                     Err(_) => continue,
                 };
                 let jacobi = solve_jacobi(&sys, &tp, &SolveOptions::default()).unwrap();
-                let worklist = solve_worklist(&sys, &tp, &SolveOptions::default()).unwrap();
                 let otfur = solve(&sys, &tp, &otfur_options(false)).unwrap();
-                assert_eq!(
-                    jacobi.winning_from_initial,
-                    worklist.winning_from_initial,
-                    "{} / A[] not {loc}",
-                    sys.name()
-                );
                 assert_eq!(
                     jacobi.winning_from_initial,
                     otfur.winning_from_initial,
@@ -1656,13 +1487,6 @@ mod tests {
                     sys.name()
                 );
                 for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let w = worklist.graph.node_of(&node.discrete).unwrap();
-                    assert!(
-                        jacobi.winning[id].set_equals(&worklist.winning[w]),
-                        "worklist differs in {} of {} / A[] not {loc}",
-                        node.discrete.display(&sys),
-                        sys.name()
-                    );
                     let o = otfur.graph.node_of(&node.discrete).unwrap();
                     let expected = jacobi.winning[id].intersection(&node.reach);
                     assert!(
@@ -1724,7 +1548,7 @@ mod tests {
                     "{name}: T = {bound}"
                 );
                 assert_eq!(solution.bound, Some(bound));
-                if expected && name != "worklist" {
+                if expected {
                     assert!(solution.strategy.is_some(), "{name}: T = {bound}");
                 }
             }
@@ -1787,11 +1611,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_winning_sets_agree_across_engines_jobs_and_interning() {
+    fn bounded_winning_sets_agree_across_engines_and_jobs() {
         // The same semantic contract as the unbounded suites, on bounded
-        // purposes: worklist ≡ jacobi exactly, exhaustive otfur ≡ jacobi ∩
-        // reach — and every combination of jobs and interning is
-        // bit-identical to the sequential interned run of the same engine.
+        // purposes: exhaustive otfur ≡ jacobi ∩ reach — and every thread
+        // count is bit-identical to the sequential run of the same engine.
         for sys in [forced_output_system(), forced_violation_system()] {
             for line in [
                 "control: A<><=3 Plant.Done",
@@ -1803,14 +1626,12 @@ mod tests {
                     continue; // goal location not present in this system
                 };
                 let jacobi = solve_jacobi(&sys, &tp, &SolveOptions::default()).unwrap();
-                let worklist = solve_worklist(&sys, &tp, &SolveOptions::default()).unwrap();
                 let otfur = solve(&sys, &tp, &otfur_options(false)).unwrap();
+                assert_eq!(
+                    jacobi.winning_from_initial, otfur.winning_from_initial,
+                    "{line}"
+                );
                 for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let w = worklist.graph.node_of(&node.discrete).unwrap();
-                    assert!(
-                        jacobi.winning[id].set_equals(&worklist.winning[w]),
-                        "worklist differs in {line}"
-                    );
                     let o = otfur.graph.node_of(&node.discrete).unwrap();
                     let expected = jacobi.winning[id].intersection(&node.reach);
                     assert!(
@@ -1818,11 +1639,7 @@ mod tests {
                         "otfur differs in {line}"
                     );
                 }
-                for engine in [
-                    SolveEngine::Otfur,
-                    SolveEngine::Jacobi,
-                    SolveEngine::Worklist,
-                ] {
+                for engine in SolveEngine::ALL {
                     let base = solve(
                         &sys,
                         &tp,
@@ -1833,42 +1650,24 @@ mod tests {
                         },
                     )
                     .unwrap();
-                    for jobs in [1, 4] {
-                        for interning in [true, false] {
-                            let run = solve(
-                                &sys,
-                                &tp,
-                                &SolveOptions {
-                                    engine,
-                                    early_termination: false,
-                                    jobs,
-                                    interning,
-                                    ..SolveOptions::default()
-                                },
-                            )
-                            .unwrap();
-                            assert_eq!(
-                                run.winning_from_initial,
-                                base.winning_from_initial,
-                                "{line} {} jobs={jobs} interning={interning}",
-                                engine.name()
-                            );
-                            for (id, win) in base.winning.iter().enumerate() {
-                                assert_eq!(
-                                    win,
-                                    &run.winning[id],
-                                    "{line} {} jobs={jobs} interning={interning}",
-                                    engine.name()
-                                );
-                            }
-                            assert_eq!(
-                                base.strategy.is_some(),
-                                run.strategy.is_some(),
-                                "{line} {}",
-                                engine.name()
-                            );
-                        }
-                    }
+                    let run = solve(
+                        &sys,
+                        &tp,
+                        &SolveOptions {
+                            engine,
+                            early_termination: false,
+                            jobs: 4,
+                            ..SolveOptions::default()
+                        },
+                    )
+                    .unwrap();
+                    let label = format!("{line} {} jobs=4", engine.name());
+                    assert_eq!(
+                        base.winning_from_initial, run.winning_from_initial,
+                        "{label}"
+                    );
+                    assert_eq!(base.winning, run.winning, "{label}");
+                    assert_eq!(base.strategy, run.strategy, "{label}");
                 }
             }
         }

@@ -97,11 +97,6 @@ fn jacobi_is_bit_identical_for_any_thread_count() {
 }
 
 #[test]
-fn worklist_is_bit_identical_for_any_thread_count() {
-    sweep(SolveEngine::Worklist);
-}
-
-#[test]
 fn exhaustive_mode_is_bit_identical_too() {
     // Without early termination every node's final federation is reached,
     // so the very last fixpoint iteration still carries deltas — the merge
@@ -111,11 +106,7 @@ fn exhaustive_mode_is_bit_identical_too() {
         .iter()
         .find(|i| i.model == "lep4" && i.purpose_name == "tp2")
         .expect("zoo has lep4/tp2");
-    for engine in [
-        SolveEngine::Otfur,
-        SolveEngine::Jacobi,
-        SolveEngine::Worklist,
-    ] {
+    for engine in SolveEngine::ALL {
         let options = |jobs| SolveOptions {
             engine,
             jobs,

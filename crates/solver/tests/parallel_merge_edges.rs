@@ -16,11 +16,6 @@ use tiga_model::{AutomatonBuilder, EdgeBuilder, System, SystemBuilder};
 use tiga_solver::{solve, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
-const ENGINES: [SolveEngine; 3] = [
-    SolveEngine::Otfur,
-    SolveEngine::Jacobi,
-    SolveEngine::Worklist,
-];
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// P's `step?` edges are closed by a chaotic environment automaton offering
@@ -48,7 +43,7 @@ fn chain_system(levels: usize) -> System {
 
 fn assert_all_jobs_agree(system: &System, purpose_text: &str, expect_winning: bool) {
     let purpose = TestPurpose::parse(purpose_text, system).unwrap();
-    for engine in ENGINES {
+    for engine in SolveEngine::ALL {
         let mut reference = None;
         for jobs in JOB_COUNTS {
             let options = SolveOptions {
@@ -100,7 +95,7 @@ fn single_discrete_state_game() {
     // items than worker threads (most slots stay empty).
     let system = chain_system(1);
     let purpose = TestPurpose::parse("control: A<> P.L0", &system).unwrap();
-    for engine in ENGINES {
+    for engine in SolveEngine::ALL {
         for jobs in JOB_COUNTS {
             let options = SolveOptions {
                 engine,
@@ -137,7 +132,7 @@ fn winning_set_changes_in_the_last_sharded_iteration() {
     // The same game without early termination: the final round must report
     // "no change" identically at every thread count for the loop to stop.
     let purpose = TestPurpose::parse("control: A<> P.L5", &system).unwrap();
-    for engine in ENGINES {
+    for engine in SolveEngine::ALL {
         let mut reference = None;
         for jobs in JOB_COUNTS {
             let options = SolveOptions {

@@ -3,7 +3,7 @@
 //! benchmark harness (`crates/bench/benches/table1_lep.rs`).
 
 use tiga::models::leader_election::{plant, product, LepConfig};
-use tiga::solver::{solve_jacobi, solve_worklist, SolveOptions};
+use tiga::solver::{solve, solve_jacobi, SolveOptions};
 use tiga::tctl::TestPurpose;
 use tiga::testing::{OutputPolicy, SimulatedIut, TestConfig, TestHarness, Verdict};
 
@@ -52,13 +52,13 @@ fn tp1_is_cheaper_than_tp2_and_tp3() {
 }
 
 #[test]
-fn jacobi_and_worklist_agree_on_lep() {
+fn jacobi_and_otfur_agree_on_lep() {
     let config = LepConfig::new(3);
     let system = product(config).expect("model builds");
     for (_, text) in config.purposes() {
         let purpose = TestPurpose::parse(&text, &system).expect("parses");
         let a = solve_jacobi(&system, &purpose, &SolveOptions::default()).expect("solves");
-        let b = solve_worklist(&system, &purpose, &SolveOptions::default()).expect("solves");
+        let b = solve(&system, &purpose, &SolveOptions::default()).expect("solves");
         assert_eq!(a.winning_from_initial, b.winning_from_initial, "{text}");
     }
 }
