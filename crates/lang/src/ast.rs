@@ -3,26 +3,12 @@
 //! The AST is deliberately *unresolved*: names are plain strings with spans,
 //! and it is the lowering stage ([`crate::lower`]) that resolves them against
 //! the declarations and reports span-carrying errors for unknown or
-//! duplicated names.
+//! duplicated names.  Expressions and the `control:` objective use the
+//! syntax tree of `tiga-tctl`, which parses them.
 
-use crate::error::Span;
 use tiga_model::CmpOp;
-
-/// A value paired with the source span it was parsed from.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Spanned<T> {
-    /// The parsed value.
-    pub node: T,
-    /// Where it came from.
-    pub span: Span,
-}
-
-impl<T> Spanned<T> {
-    /// Pairs a value with its span.
-    pub fn new(node: T, span: Span) -> Self {
-        Spanned { node, span }
-    }
-}
+use tiga_tctl::Span;
+pub use tiga_tctl::{ArithOp, ControlAst, ExprAst, ExprKind, RangeAst, Spanned};
 
 /// Kind of a channel declaration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,55 +53,6 @@ pub struct ConstraintAst {
     pub bound: ExprAst,
     /// Span of the whole constraint.
     pub span: Span,
-}
-
-/// An integer/boolean expression (unresolved).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExprAst {
-    /// The node.
-    pub kind: ExprKind,
-    /// Source span.
-    pub span: Span,
-}
-
-/// Expression node kinds, mirroring [`tiga_model::Expr`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ExprKind {
-    /// Integer literal (possibly negative: the parser folds a leading `-`).
-    Num(i64),
-    /// Variable reference.
-    Name(String),
-    /// Array element `name[index]`.
-    Index(String, Box<ExprAst>),
-    /// Arithmetic negation `-(e)`.
-    Neg(Box<ExprAst>),
-    /// Logical negation `!(e)`.
-    Not(Box<ExprAst>),
-    /// Binary arithmetic.
-    Arith(ArithOp, Box<ExprAst>, Box<ExprAst>),
-    /// Comparison.
-    Cmp(CmpOp, Box<ExprAst>, Box<ExprAst>),
-    /// Conjunction `&&`.
-    And(Box<ExprAst>, Box<ExprAst>),
-    /// Disjunction `||`.
-    Or(Box<ExprAst>, Box<ExprAst>),
-    /// Conditional `(c ? t : e)`.
-    Ite(Box<ExprAst>, Box<ExprAst>, Box<ExprAst>),
-}
-
-/// Binary arithmetic operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArithOp {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `%`
-    Mod,
 }
 
 /// A location declaration inside an automaton.
@@ -196,16 +133,6 @@ pub struct AutomatonAst {
     pub edges: Vec<EdgeAst>,
 }
 
-/// The raw `control:` objective line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ControlAst {
-    /// The raw text of the whole line (starting at `control`), handed to
-    /// `tiga-tctl` verbatim after the system is built.
-    pub raw: String,
-    /// Span of the line within the `.tg` source.
-    pub span: Span,
-}
-
 /// A parsed (but not yet resolved) `.tg` file.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FileAst {
@@ -219,6 +146,6 @@ pub struct FileAst {
     pub vars: Vec<VarDeclAst>,
     /// Automata, in source order.
     pub automata: Vec<AutomatonAst>,
-    /// The objective line, if present.
+    /// The `control:` objective, if present.
     pub control: Option<ControlAst>,
 }

@@ -6,14 +6,16 @@
 //! for networks of timed I/O game automata: clocks, bounded discrete
 //! variables, channels with controllability (`input` / `output` /
 //! `internal`), locations with invariants and urgency, edges with clock
-//! guards, data guards, resets and updates, and a `control:` objective line
-//! in the `tiga-tctl` TCTL subset.
+//! guards, data guards, resets and updates, and a `control:` objective in
+//! the `tiga-tctl` TCTL subset.
 //!
 //! The implementation is the classic three-stage pipeline:
 //!
 //! 1. [`tokenize`] — a lexer producing tokens with byte [`Span`]s;
 //! 2. [`parse_file`] — a recursive-descent parser producing an unresolved
-//!    [`FileAst`];
+//!    [`FileAst`]; expressions and the objective go through the same
+//!    precedence climber ([`tiga_tctl::Parser`]), so an objective can name
+//!    anything a declaration can;
 //! 3. [`lower_file`] — name resolution and lowering onto
 //!    [`tiga_model::SystemBuilder`], yielding a ready-to-solve [`TgModel`].
 //!
@@ -68,19 +70,17 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-mod error;
-mod lexer;
 mod lower;
 mod parser;
 mod printer;
 
 pub use ast::FileAst;
-pub use error::{LangError, LangErrorKind, Span};
-pub use lexer::{tokenize, Token, TokenKind};
 pub use lower::{lower_file, TgModel, DEFAULT_SYSTEM_NAME, MAX_ARRAY_SIZE};
-pub use parser::{is_bare_name, parse_file, KEYWORDS};
-pub use printer::{
-    constraint_to_tg, control_line, control_line_for, expr_to_tg, print_system, quoted,
+pub use parser::parse_file;
+pub use printer::{constraint_to_tg, control_line, control_line_for, print_system};
+pub use tiga_tctl::{
+    expr_to_tg, is_bare_name, quoted, tokenize, LangError, LangErrorKind, Span, Token, TokenKind,
+    KEYWORDS,
 };
 
 /// Parses and lowers `.tg` source in one step.

@@ -2,21 +2,19 @@
 //!
 //! All name resolution happens here, against the declarations collected from
 //! the file, and every failure is reported with the [`Span`] of the offending
-//! name.  The `control:` line is handed to `tiga-tctl` once the system is
-//! built; tctl byte positions are re-based onto the line's span so its
-//! diagnostics point into the `.tg` source like everything else.
+//! name.  The `control:` objective is resolved by `tiga-tctl` once the
+//! system is built.
 
 use crate::ast::{
     ArithOp, AutomatonAst, ChannelKindAst, ConstraintAst, EdgeAst, ExprAst, ExprKind, FileAst,
     Spanned,
 };
-use crate::error::{LangError, Span};
 use std::collections::HashMap;
 use tiga_model::{
     AutomatonBuilder, ChannelId, ClockConstraint, ClockId, EdgeBuilder, Expr, LocationId,
     ModelError, System, SystemBuilder, VarId,
 };
-use tiga_tctl::{TctlError, TestPurpose};
+use tiga_tctl::{LangError, Span, TestPurpose};
 
 /// Default system name when the file has no `system` header.
 pub const DEFAULT_SYSTEM_NAME: &str = "system";
@@ -159,23 +157,9 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
 
     let purpose = match &file.control {
         None => None,
-        Some(control) => Some(
-            TestPurpose::parse(&control.raw, &system).map_err(|e| control_err(&e, control.span))?,
-        ),
+        Some(control) => Some(control.resolve(&system)?),
     };
     Ok(TgModel { system, purpose })
-}
-
-/// Re-bases a tctl error onto the `control:` line's span.
-fn control_err(e: &TctlError, line: Span) -> LangError {
-    let span = match e {
-        TctlError::Lex { position, .. } | TctlError::Parse { position, .. } => {
-            let at = (line.start + position).min(line.end);
-            Span::new(at, at + 1)
-        }
-        _ => line,
-    };
-    LangError::control(e.to_string(), span)
 }
 
 fn lower_automaton(
@@ -306,11 +290,18 @@ fn lower_expr(e: &ExprAst, scope: &Scope) -> Result<Expr, LangError> {
         ExprKind::Cmp(op, a, b) => lower_expr(a, scope)?.cmp(*op, lower_expr(b, scope)?),
         ExprKind::And(a, b) => lower_expr(a, scope)?.and(lower_expr(b, scope)?),
         ExprKind::Or(a, b) => lower_expr(a, scope)?.or(lower_expr(b, scope)?),
+        ExprKind::Imply(a, b) => lower_expr(a, scope)?.negated().or(lower_expr(b, scope)?),
         ExprKind::Ite(c, t, o) => Expr::ite(
             lower_expr(c, scope)?,
             lower_expr(t, scope)?,
             lower_expr(o, scope)?,
         ),
+        ExprKind::Qualified(..) | ExprKind::Forall(..) | ExprKind::Exists(..) => {
+            return Err(LangError::lower(
+                "locations and quantifiers can only appear in the `control:` objective",
+                e.span,
+            ))
+        }
     })
 }
 
@@ -414,8 +405,15 @@ control: A<> M.Busy
         let src = "automaton A { init location L }\ncontrol: A<> B.Nowhere\n";
         let err = lower(src).unwrap_err();
         assert!(err.message.contains("resolve"), "{err}");
-        // The span stays within the control line.
-        assert!(err.span.start >= src.find("control").unwrap());
+        assert_eq!(&src[err.span.start..err.span.end], "B.Nowhere");
+
+        let src = "automaton A { init location L edge L -> L { when A.L } }";
+        let err = lower(src).unwrap_err();
+        assert!(
+            err.message.contains("only appear in the `control:`"),
+            "{err}"
+        );
+        assert_eq!(&src[err.span.start..err.span.end], "A.L");
     }
 
     #[test]

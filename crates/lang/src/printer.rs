@@ -11,21 +11,18 @@
 //!
 //! * declarations are emitted in declaration order, so index-based
 //!   identifiers are reassigned identically on re-parse;
-//! * expressions are fully parenthesized, so re-parsing rebuilds the same
-//!   tree shape without consulting precedence;
-//! * negative constants print as literals (`-7`) while [`Expr::Neg`] prints
-//!   as `-(e)` — the parser folds a `-` directly before a number into a
-//!   negative literal and treats everything else as negation;
-//! * names that collide with `.tg` keywords or are not identifiers are
-//!   quoted, which the lexer maps back to the same string.
+//! * expressions, including those of a programmatic objective, go through
+//!   the one printer of `tiga-tctl` ([`expr_to_tg`]), which parenthesizes
+//!   fully and prints negative constants as literals;
+//! * names that collide with `.tg` keywords or connectives, or are not
+//!   identifiers, are quoted — on the `control:` line too — and the lexer
+//!   maps them back to the same string.
 
-use crate::parser::is_bare_name;
 use std::fmt::Write as _;
 use tiga_model::{
     Assignment, Automaton, ChannelKind, ClockConstraint, ClockReset, Edge, Expr, Sync, System,
-    VarTable,
 };
-use tiga_tctl::TestPurpose;
+use tiga_tctl::{expr_to_tg, quoted, TestPurpose};
 
 /// Renders a system (and optional objective) as `.tg` source.
 ///
@@ -233,84 +230,5 @@ pub fn constraint_to_tg(c: &ClockConstraint, system: &System) -> String {
             quoted(system.clock(minus).name()),
             c.op
         ),
-    }
-}
-
-/// Renders an expression in re-parseable `.tg` syntax (fully parenthesized).
-#[must_use]
-pub fn expr_to_tg(expr: &Expr, vars: &VarTable) -> String {
-    let mut out = String::new();
-    write_expr(&mut out, expr, vars);
-    out
-}
-
-fn write_expr(out: &mut String, expr: &Expr, vars: &VarTable) {
-    match expr {
-        Expr::Const(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Expr::Var(v) => out.push_str(&quoted(vars.decl(*v).name())),
-        Expr::Index(v, idx) => {
-            out.push_str(&quoted(vars.decl(*v).name()));
-            out.push('[');
-            write_expr(out, idx, vars);
-            out.push(']');
-        }
-        Expr::Neg(e) => {
-            out.push_str("-(");
-            write_expr(out, e, vars);
-            out.push(')');
-        }
-        Expr::Not(e) => {
-            out.push_str("!(");
-            write_expr(out, e, vars);
-            out.push(')');
-        }
-        Expr::Add(a, b) => write_bin(out, a, "+", b, vars),
-        Expr::Sub(a, b) => write_bin(out, a, "-", b, vars),
-        Expr::Mul(a, b) => write_bin(out, a, "*", b, vars),
-        Expr::Div(a, b) => write_bin(out, a, "/", b, vars),
-        Expr::Mod(a, b) => write_bin(out, a, "%", b, vars),
-        Expr::Cmp(op, a, b) => write_bin(out, a, &op.to_string(), b, vars),
-        Expr::And(a, b) => write_bin(out, a, "&&", b, vars),
-        Expr::Or(a, b) => write_bin(out, a, "||", b, vars),
-        Expr::Ite(c, t, e) => {
-            out.push('(');
-            write_expr(out, c, vars);
-            out.push_str(" ? ");
-            write_expr(out, t, vars);
-            out.push_str(" : ");
-            write_expr(out, e, vars);
-            out.push(')');
-        }
-    }
-}
-
-fn write_bin(out: &mut String, a: &Expr, op: &str, b: &Expr, vars: &VarTable) {
-    out.push('(');
-    write_expr(out, a, vars);
-    let _ = write!(out, " {op} ");
-    write_expr(out, b, vars);
-    out.push(')');
-}
-
-/// Quotes a name unless it is a bare `.tg` identifier.
-#[must_use]
-pub fn quoted(name: &str) -> String {
-    if is_bare_name(name) {
-        name.to_string()
-    } else {
-        let mut out = String::with_capacity(name.len() + 2);
-        out.push('"');
-        for c in name.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
     }
 }

@@ -49,6 +49,12 @@ fn every_corpus_file_is_rejected_with_a_span() {
             source.len()
         );
         assert!(!err.message.is_empty(), "{name}: empty message");
+        // The caret shows the position; the message does not repeat it.
+        assert!(
+            !err.message.contains("at byte"),
+            "{name}: message repeats the position: {}",
+            err.message
+        );
         let report = err.render(&source, &name);
         assert!(
             report.contains(&format!("{name}:")),
@@ -84,6 +90,11 @@ fn specific_diagnostics_name_the_problem() {
         ("clock_in_data_guard.tg", "clocks cannot appear"),
         ("no_automaton.tg", "at least one automaton"),
         ("missing_arrow.tg", "`->`"),
+        ("unresolved_objective_name.tg", "cannot resolve `x2`"),
+        (
+            "bad_objective_token.tg",
+            "expected an expression, found `]`",
+        ),
     ];
     for (file, needle) in expectations {
         let path = corpus_dir().join(file);
@@ -108,13 +119,38 @@ fn spans_single_out_the_right_source_text() {
     // The *second* declaration is the offender.
     assert!(err.span.start > source.find("clock x").unwrap());
 
-    // Bound errors re-base the tctl position onto the control line: the span
-    // lands on the offending literal, not at the start of the line.
+    // Bound errors land on the offending literal, not at the start of the
+    // line.
     let source = std::fs::read_to_string(corpus_dir().join("negative_time_bound.tg")).unwrap();
     let err = parse_model(&source).unwrap_err();
-    assert_eq!(&source[err.span.start..err.span.end], "-");
+    assert_eq!(&source[err.span.start..err.span.end], "-1");
 
     let source = std::fs::read_to_string(corpus_dir().join("huge_time_bound.tg")).unwrap();
     let err = parse_model(&source).unwrap_err();
     assert!(source[err.span.start..].starts_with("536870911"));
+}
+
+#[test]
+fn objective_diagnostics_point_at_the_offender() {
+    let source =
+        std::fs::read_to_string(corpus_dir().join("unresolved_objective_name.tg")).unwrap();
+    let err = parse_model(&source).unwrap_err();
+    assert_eq!(&source[err.span.start..err.span.end], "x2");
+    let report = err.render(&source, "unresolved_objective_name.tg");
+    assert!(
+        report.contains("test-purpose error: cannot resolve `x2`"),
+        "{report}"
+    );
+    let carets = report.lines().last().unwrap().matches('^').count();
+    assert_eq!(carets, 2, "the caret underlines `x2` only:\n{report}");
+
+    let source = std::fs::read_to_string(corpus_dir().join("bad_objective_token.tg")).unwrap();
+    let err = parse_model(&source).unwrap_err();
+    assert_eq!(&source[err.span.start..err.span.end], "]");
+    // Tokens are described by their spelling, never by a Rust `Debug` name.
+    assert!(!err.message.contains("RBracket"), "{}", err.message);
+
+    let source = std::fs::read_to_string(corpus_dir().join("bad_control_line.tg")).unwrap();
+    let err = parse_model(&source).unwrap_err();
+    assert_eq!(&source[err.span.start..err.span.end], "Ghost.Location");
 }

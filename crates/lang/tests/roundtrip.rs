@@ -6,13 +6,16 @@
 //!
 //! pinned across the whole benchmark model zoo (products *and* plants), the
 //! seeded mutant pools derived from every plant, and randomly generated
-//! expression trees.
+//! expression trees.  Objectives round-trip too: a programmatic purpose
+//! printed on the `control:` line parses back to the same predicate.
 
 use proptest::prelude::*;
+use std::path::PathBuf;
 use tiga_bench::model_zoo;
 use tiga_lang::{parse_model, print_system};
-use tiga_model::{CmpOp, Expr, System, VarTable};
+use tiga_model::{AutomatonId, CmpOp, Expr, LocationId, System, VarTable};
 use tiga_models::{coffee_machine, leader_election, smart_light};
+use tiga_tctl::{StatePredicate, TestPurpose};
 use tiga_testing::{generate_mutants, MutationConfig};
 
 /// One full round trip, asserting structural equality and re-printing
@@ -238,5 +241,153 @@ proptest! {
             tiga_lang::expr_to_tg(&expr, &table)
         ));
         prop_assert_eq!(&reparsed.system, &system);
+    }
+}
+
+// ---- objectives -----------------------------------------------------------
+
+fn corpus_valid(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/corpus_valid")
+        .join(name);
+    std::fs::read_to_string(path).expect("valid corpus file exists")
+}
+
+/// Prints `purpose` as the objective of `system`, re-parses the file and
+/// returns the re-parsed objective (after checking the system survived).
+fn reparse_objective(system: &System, purpose: &TestPurpose) -> TestPurpose {
+    let printed = print_system(system, Some(purpose));
+    let model = parse_model(&printed).unwrap_or_else(|e| {
+        panic!(
+            "printed objective does not parse:\n{}\n---\n{printed}",
+            e.render(&printed, "printed.tg")
+        )
+    });
+    assert_eq!(&model.system, system, "{printed}");
+    model.purpose.expect("control line present")
+}
+
+#[test]
+fn objectives_name_whatever_declarations_name() {
+    for (file, control_line) in [
+        ("objective_keyword_location.tg", r#"control: A<> M."not""#),
+        (
+            "objective_quoted_automaton.tg",
+            r#"control: A<> "my-aut".Busy"#,
+        ),
+    ] {
+        let source = corpus_valid(file);
+        let model = parse_model(&source).unwrap_or_else(|e| panic!("{}", e.render(&source, file)));
+        let purpose = model.purpose.expect("objective present");
+        assert!(
+            matches!(purpose.predicate, StatePredicate::Location(..)),
+            "{file}: {:?}",
+            purpose.predicate
+        );
+        let solution = tiga_solver::solve(
+            &model.system,
+            &purpose,
+            &tiga_solver::SolveOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert!(solution.winning_from_initial, "{file}: the tester wins");
+        // Rebuilt from the predicate, the line quotes names the way the
+        // declarations are quoted.
+        let programmatic = TestPurpose::reachability(purpose.predicate.clone());
+        let printed = print_system(&model.system, Some(&programmatic));
+        assert!(
+            printed.lines().any(|line| line == control_line),
+            "{file}: expected `{control_line}` in\n{printed}"
+        );
+        let reparsed = reparse_objective(&model.system, &programmatic);
+        assert_eq!(reparsed.predicate, purpose.predicate, "{file}");
+    }
+}
+
+/// A system whose names exercise quoting on the `control:` line: a scalar
+/// `n`, an array `buf[3]`, automaton `A` and automaton `"my-aut"` with a
+/// location `not`.
+fn objective_system() -> System {
+    let mut b = tiga_model::SystemBuilder::new("objective-prop");
+    b.int_var("n", -8, 8, 0).unwrap();
+    b.int_array("buf", 3, 0, 1, 0).unwrap();
+    for (name, locations) in [("A", ["L0", "L1"]), ("my-aut", ["Busy", "not"])] {
+        let mut a = tiga_model::AutomatonBuilder::new(name);
+        for location in locations {
+            a.location(location).unwrap();
+        }
+        b.add_automaton(a.build().unwrap()).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Random predicates built with the same smart constructors the resolver
+/// uses, so that the printed form has exactly one parse.  Expression leaves
+/// are comparisons and conditionals: a bare `&&`, `||`, `!` or constant at
+/// the top of an expression leaf would re-parse as the predicate connective
+/// or literal it spells.
+fn arb_pred(depth: u32) -> proptest::strategy::Union<StatePredicate> {
+    if depth == 0 {
+        return prop_oneof![
+            (0usize..2, 0usize..2).prop_map(|(a, l)| StatePredicate::Location(
+                AutomatonId::from_index(a),
+                LocationId::from_index(l)
+            )),
+            (arb_cmp(), arb_expr(1), arb_expr(1))
+                .prop_map(|(op, a, b)| StatePredicate::Expr(a.cmp(op, b))),
+            (arb_expr(1), arb_expr(1), arb_expr(1))
+                .prop_map(|(c, t, e)| StatePredicate::Expr(Expr::ite(c, t, e))),
+        ];
+    }
+    let sub = move || arb_pred(depth - 1);
+    prop_oneof![
+        sub(),
+        sub().prop_map(StatePredicate::negated),
+        (sub(), sub()).prop_map(|(a, b)| a.and(b)),
+        (sub(), sub()).prop_map(|(a, b)| a.or(b)),
+    ]
+}
+
+proptest! {
+    /// print → parse over a whole file whose `control:` line is rebuilt from
+    /// a random predicate returns that predicate exactly.
+    #[test]
+    fn random_objectives_roundtrip(predicate in arb_pred(2), safety in any::<bool>()) {
+        let system = objective_system();
+        let purpose = if safety {
+            TestPurpose::safety(predicate)
+        } else {
+            TestPurpose::reachability(predicate)
+        };
+        let reparsed = reparse_objective(&system, &purpose);
+        prop_assert_eq!(reparsed.quantifier, purpose.quantifier);
+        prop_assert_eq!(&reparsed.predicate, &purpose.predicate);
+    }
+}
+
+#[test]
+fn negative_constants_and_conditionals_roundtrip_in_objectives() {
+    let system = objective_system();
+    let n = system.vars().lookup("n").unwrap();
+    for (predicate, line) in [
+        (
+            StatePredicate::Expr(Expr::var(n).eq(Expr::constant(-3))),
+            "control: A<> (n == -3)",
+        ),
+        (
+            StatePredicate::Expr(Expr::ite(
+                Expr::var(n).gt(Expr::constant(0)),
+                Expr::constant(1),
+                Expr::constant(0),
+            )),
+            "control: A<> ((n > 0) ? 1 : 0)",
+        ),
+    ] {
+        let purpose = TestPurpose::reachability(predicate);
+        assert_eq!(purpose.display(&system).to_string(), line);
+        assert_eq!(
+            reparse_objective(&system, &purpose).predicate,
+            purpose.predicate
+        );
     }
 }

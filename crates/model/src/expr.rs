@@ -339,75 +339,6 @@ impl Expr {
             Expr::Ite(c, t, e) => c.references_vars() || t.references_vars() || e.references_vars(),
         }
     }
-
-    /// Renders the expression with variable names resolved through `table`.
-    #[must_use]
-    pub fn display<'a>(&'a self, table: &'a VarTable) -> DisplayExpr<'a> {
-        DisplayExpr { expr: self, table }
-    }
-}
-
-/// Helper returned by [`Expr::display`].
-pub struct DisplayExpr<'a> {
-    expr: &'a Expr,
-    table: &'a VarTable,
-}
-
-impl fmt::Display for DisplayExpr<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(e: &Expr, table: &VarTable, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match e {
-                Expr::Const(v) => write!(f, "{v}"),
-                Expr::Var(v) => write!(f, "{}", table.decl(*v).name()),
-                Expr::Index(v, i) => {
-                    write!(f, "{}[", table.decl(*v).name())?;
-                    go(i, table, f)?;
-                    write!(f, "]")
-                }
-                Expr::Neg(e) => {
-                    write!(f, "-(")?;
-                    go(e, table, f)?;
-                    write!(f, ")")
-                }
-                Expr::Add(a, b) => bin(a, "+", b, table, f),
-                Expr::Sub(a, b) => bin(a, "-", b, table, f),
-                Expr::Mul(a, b) => bin(a, "*", b, table, f),
-                Expr::Div(a, b) => bin(a, "/", b, table, f),
-                Expr::Mod(a, b) => bin(a, "%", b, table, f),
-                Expr::Cmp(op, a, b) => bin(a, &op.to_string(), b, table, f),
-                Expr::And(a, b) => bin(a, "&&", b, table, f),
-                Expr::Or(a, b) => bin(a, "||", b, table, f),
-                Expr::Not(e) => {
-                    write!(f, "!(")?;
-                    go(e, table, f)?;
-                    write!(f, ")")
-                }
-                Expr::Ite(c, t, e) => {
-                    write!(f, "(")?;
-                    go(c, table, f)?;
-                    write!(f, " ? ")?;
-                    go(t, table, f)?;
-                    write!(f, " : ")?;
-                    go(e, table, f)?;
-                    write!(f, ")")
-                }
-            }
-        }
-        fn bin(
-            a: &Expr,
-            op: &str,
-            b: &Expr,
-            table: &VarTable,
-            f: &mut fmt::Formatter<'_>,
-        ) -> fmt::Result {
-            write!(f, "(")?;
-            go(a, table, f)?;
-            write!(f, " {op} ")?;
-            go(b, table, f)?;
-            write!(f, ")")
-        }
-        go(self.expr, self.table, f)
-    }
 }
 
 impl std::ops::Add for Expr {
@@ -555,19 +486,6 @@ mod tests {
             Expr::constant(20),
         );
         assert_eq!(e.eval(&t, &s).unwrap(), 10);
-    }
-
-    #[test]
-    fn display_resolves_names() {
-        let (t, _) = table_with(&[("count", 1, 0), ("buf", 2, 0)]);
-        let count = t.lookup("count").unwrap();
-        let buf = t.lookup("buf").unwrap();
-        let e = Expr::var(count)
-            .ge(Expr::constant(1))
-            .and(Expr::index(buf, Expr::constant(0)).eq(Expr::constant(2)));
-        let s = format!("{}", e.display(&t));
-        assert!(s.contains("count"), "{s}");
-        assert!(s.contains("buf[0]"), "{s}");
     }
 
     #[test]

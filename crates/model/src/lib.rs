@@ -70,7 +70,7 @@ pub use builder::{AutomatonBuilder, EdgeBuilder, SystemBuilder};
 pub use decl::{Action, Channel, ChannelKind, ClockDecl, ClockRef, IoDir, VarDecl, VarTable};
 pub use error::{EvalError, ModelError};
 pub use explorer::{CandidateStep, ExploredState, Explorer, StateIndex, SuccessorStep};
-pub use expr::{CmpOp, DisplayExpr, Expr};
+pub use expr::{CmpOp, Expr};
 pub use ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
 pub use symbolic::{DiscreteState, DisplayDiscreteState, JointEdge, SymbolicState};
 pub use system::System;

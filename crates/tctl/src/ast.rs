@@ -1,6 +1,7 @@
 //! Resolved test purposes and their evaluation over discrete states.
 
 use crate::error::TctlError;
+use crate::printer::{quoted, write_expr};
 use tiga_model::{AutomatonId, ConcreteState, DiscreteState, Expr, LocationId, System};
 
 /// The path quantifier of a test purpose.
@@ -122,7 +123,10 @@ impl StatePredicate {
     /// Renders the predicate using the system's names.
     #[must_use]
     pub fn display<'a>(&'a self, system: &'a System) -> DisplayPredicate<'a> {
-        DisplayPredicate { pred: self, system }
+        DisplayPredicate {
+            pred: self,
+            system: Some(system),
+        }
     }
 }
 
@@ -132,110 +136,49 @@ impl StatePredicate {
 /// Use [`StatePredicate::display`] for the name-resolved, parseable form.
 impl std::fmt::Display for StatePredicate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fn expr(e: &Expr, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            fn bin(
-                a: &Expr,
-                op: &str,
-                b: &Expr,
-                f: &mut std::fmt::Formatter<'_>,
-            ) -> std::fmt::Result {
-                write!(f, "(")?;
-                expr(a, f)?;
-                write!(f, " {op} ")?;
-                expr(b, f)?;
-                write!(f, ")")
-            }
-            match e {
-                Expr::Const(v) => write!(f, "{v}"),
-                Expr::Var(v) => write!(f, "v{}", v.index()),
-                Expr::Index(v, i) => {
-                    write!(f, "v{}[", v.index())?;
-                    expr(i, f)?;
-                    write!(f, "]")
-                }
-                Expr::Neg(e) => {
-                    write!(f, "-(")?;
-                    expr(e, f)?;
-                    write!(f, ")")
-                }
-                Expr::Add(a, b) => bin(a, "+", b, f),
-                Expr::Sub(a, b) => bin(a, "-", b, f),
-                Expr::Mul(a, b) => bin(a, "*", b, f),
-                Expr::Div(a, b) => bin(a, "/", b, f),
-                Expr::Mod(a, b) => bin(a, "%", b, f),
-                Expr::Cmp(op, a, b) => bin(a, &op.to_string(), b, f),
-                Expr::And(a, b) => bin(a, "&&", b, f),
-                Expr::Or(a, b) => bin(a, "||", b, f),
-                Expr::Not(e) => {
-                    write!(f, "!(")?;
-                    expr(e, f)?;
-                    write!(f, ")")
-                }
-                Expr::Ite(c, t, e) => {
-                    write!(f, "(")?;
-                    expr(c, f)?;
-                    write!(f, " ? ")?;
-                    expr(t, f)?;
-                    write!(f, " : ")?;
-                    expr(e, f)?;
-                    write!(f, ")")
-                }
-            }
+        DisplayPredicate {
+            pred: self,
+            system: None,
         }
-        match self {
-            StatePredicate::True => write!(f, "true"),
-            StatePredicate::False => write!(f, "false"),
-            StatePredicate::Location(a, l) => write!(f, "@{}.{}", a.index(), l.index()),
-            StatePredicate::Expr(e) => expr(e, f),
-            StatePredicate::And(a, b) => write!(f, "({a} and {b})"),
-            StatePredicate::Or(a, b) => write!(f, "({a} or {b})"),
-            StatePredicate::Not(a) => write!(f, "not {a}"),
-        }
+        .fmt(f)
     }
 }
 
 /// Helper returned by [`StatePredicate::display`].
 pub struct DisplayPredicate<'a> {
     pred: &'a StatePredicate,
-    system: &'a System,
+    /// Names come from here; `None` renders positional names.
+    system: Option<&'a System>,
+}
+
+impl<'a> DisplayPredicate<'a> {
+    fn sub(&self, pred: &'a StatePredicate) -> DisplayPredicate<'a> {
+        DisplayPredicate {
+            pred,
+            system: self.system,
+        }
+    }
 }
 
 impl std::fmt::Display for DisplayPredicate<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fn go(
-            p: &StatePredicate,
-            system: &System,
-            f: &mut std::fmt::Formatter<'_>,
-        ) -> std::fmt::Result {
-            match p {
-                StatePredicate::True => write!(f, "true"),
-                StatePredicate::False => write!(f, "false"),
-                StatePredicate::Location(a, l) => {
-                    let aut = system.automaton(*a);
-                    write!(f, "{}.{}", aut.name(), aut.location(*l).name)
-                }
-                StatePredicate::Expr(e) => write!(f, "{}", e.display(system.vars())),
-                StatePredicate::And(a, b) => {
-                    write!(f, "(")?;
-                    go(a, system, f)?;
-                    write!(f, " and ")?;
-                    go(b, system, f)?;
-                    write!(f, ")")
-                }
-                StatePredicate::Or(a, b) => {
-                    write!(f, "(")?;
-                    go(a, system, f)?;
-                    write!(f, " or ")?;
-                    go(b, system, f)?;
-                    write!(f, ")")
-                }
-                StatePredicate::Not(a) => {
-                    write!(f, "not ")?;
-                    go(a, system, f)
-                }
+        match (self.pred, self.system) {
+            (StatePredicate::True, _) => write!(f, "true"),
+            (StatePredicate::False, _) => write!(f, "false"),
+            (StatePredicate::Location(a, l), None) => write!(f, "@{}.{}", a.index(), l.index()),
+            (StatePredicate::Location(a, l), Some(system)) => {
+                let aut = system.automaton(*a);
+                let (aut, loc) = (quoted(aut.name()), quoted(&aut.location(*l).name));
+                write!(f, "{aut}.{loc}")
             }
+            (StatePredicate::Expr(e), None) => write_expr(f, e, &|v| format!("v{}", v.index())),
+            (StatePredicate::Expr(e), Some(system)) => {
+                write_expr(f, e, &|v| quoted(system.vars().decl(v).name()))
+            }
+            (StatePredicate::And(a, b), _) => write!(f, "({} and {})", self.sub(a), self.sub(b)),
+            (StatePredicate::Or(a, b), _) => write!(f, "({} or {})", self.sub(a), self.sub(b)),
+            (StatePredicate::Not(a), _) => write!(f, "not {}", self.sub(a)),
         }
-        go(self.pred, self.system, f)
     }
 }
 
@@ -290,7 +233,10 @@ impl TestPurpose {
     /// # }
     /// ```
     pub fn parse(input: &str, system: &System) -> Result<Self, TctlError> {
-        crate::parser::parse_test_purpose(input, system)
+        let mut parser = crate::Parser::new(input)?;
+        let control = parser.control()?;
+        parser.finish()?;
+        control.resolve(system)
     }
 
     /// Convenience constructor for a reachability purpose from an already

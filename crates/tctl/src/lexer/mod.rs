@@ -1,11 +1,12 @@
-//! Tokenizer for the `.tg` modeling language.
+//! Tokenizer shared by `.tg` files and test purposes.
 //!
 //! Every token carries its byte [`Span`] so that the parser and the lowering
 //! stage can attach precise source locations to diagnostics.  `//` comments
 //! run to the end of the line; whitespace (including newlines) only separates
-//! tokens.  The `control:` objective line is *not* tokenized here — the
-//! parser captures it as raw text and hands it to `tiga-tctl` (see
-//! [`crate::parser`]).
+//! tokens, so a `control:` objective may span several lines.  Words are
+//! always [`TokenKind::Ident`]: keywords and the predicate connectives
+//! (`and`, `or`, `not`, `imply`, `forall`, `exists`) are recognised by the
+//! parser from context.
 
 use crate::error::{LangError, Span};
 
@@ -18,7 +19,7 @@ pub struct Token {
     pub span: Span,
 }
 
-/// The kinds of token recognised by the `.tg` language.
+/// The kinds of token recognised by the `.tg` and test-purpose languages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword (`clock`, `automaton`, model names, ...).
@@ -46,6 +47,10 @@ pub enum TokenKind {
     RBracket,
     /// `,`
     Comma,
+    /// `.`
+    Dot,
+    /// `..`
+    DotDot,
     /// `;`
     Semi,
     /// `:`
@@ -86,12 +91,41 @@ pub enum TokenKind {
     AndAnd,
     /// `||`
     OrOr,
-    /// A whole `control: ...` objective line, captured raw (minus trailing
-    /// comment/whitespace) because its body uses `tiga-tctl` syntax (`<>`,
-    /// qualified names with `.`) that the `.tg` lexer does not know.  Only
-    /// recognised when `control` is the first word on its line.
-    ControlLine(String),
 }
+
+/// Every punctuation token with its spelling.  A two-character symbol comes
+/// before its one-character prefix, so the first match is the longest.
+const SYMBOLS: &[(&str, TokenKind)] = &[
+    ("..", TokenKind::DotDot),
+    (":=", TokenKind::Assign),
+    ("->", TokenKind::Arrow),
+    ("==", TokenKind::EqEq),
+    ("!=", TokenKind::NotEq),
+    ("<=", TokenKind::Le),
+    (">=", TokenKind::Ge),
+    ("&&", TokenKind::AndAnd),
+    ("||", TokenKind::OrOr),
+    ("{", TokenKind::LBrace),
+    ("}", TokenKind::RBrace),
+    ("(", TokenKind::LParen),
+    (")", TokenKind::RParen),
+    ("[", TokenKind::LBracket),
+    ("]", TokenKind::RBracket),
+    (",", TokenKind::Comma),
+    (".", TokenKind::Dot),
+    (";", TokenKind::Semi),
+    (":", TokenKind::Colon),
+    ("=", TokenKind::Eq),
+    ("?", TokenKind::Question),
+    ("!", TokenKind::Bang),
+    ("+", TokenKind::Plus),
+    ("-", TokenKind::Minus),
+    ("*", TokenKind::Star),
+    ("/", TokenKind::Slash),
+    ("%", TokenKind::Percent),
+    ("<", TokenKind::Lt),
+    (">", TokenKind::Gt),
+];
 
 impl TokenKind {
     /// Short human-readable description used in parse errors.
@@ -101,39 +135,18 @@ impl TokenKind {
             TokenKind::Ident(name) => format!("`{name}`"),
             TokenKind::Str(name) => format!("\"{name}\""),
             TokenKind::Number(n) => format!("`{n}`"),
-            TokenKind::LBrace => "`{`".to_string(),
-            TokenKind::RBrace => "`}`".to_string(),
-            TokenKind::LParen => "`(`".to_string(),
-            TokenKind::RParen => "`)`".to_string(),
-            TokenKind::LBracket => "`[`".to_string(),
-            TokenKind::RBracket => "`]`".to_string(),
-            TokenKind::Comma => "`,`".to_string(),
-            TokenKind::Semi => "`;`".to_string(),
-            TokenKind::Colon => "`:`".to_string(),
-            TokenKind::Assign => "`:=`".to_string(),
-            TokenKind::Eq => "`=`".to_string(),
-            TokenKind::Arrow => "`->`".to_string(),
-            TokenKind::Question => "`?`".to_string(),
-            TokenKind::Bang => "`!`".to_string(),
-            TokenKind::Plus => "`+`".to_string(),
-            TokenKind::Minus => "`-`".to_string(),
-            TokenKind::Star => "`*`".to_string(),
-            TokenKind::Slash => "`/`".to_string(),
-            TokenKind::Percent => "`%`".to_string(),
-            TokenKind::EqEq => "`==`".to_string(),
-            TokenKind::NotEq => "`!=`".to_string(),
-            TokenKind::Lt => "`<`".to_string(),
-            TokenKind::Le => "`<=`".to_string(),
-            TokenKind::Gt => "`>`".to_string(),
-            TokenKind::Ge => "`>=`".to_string(),
-            TokenKind::AndAnd => "`&&`".to_string(),
-            TokenKind::OrOr => "`||`".to_string(),
-            TokenKind::ControlLine(_) => "`control:` line".to_string(),
+            symbol => {
+                let (text, _) = SYMBOLS
+                    .iter()
+                    .find(|(_, kind)| kind == symbol)
+                    .expect("every other kind is a symbol");
+                format!("`{text}`")
+            }
         }
     }
 }
 
-/// Splits `.tg` source into tokens.
+/// Splits `.tg` or test-purpose source into tokens.
 ///
 /// # Errors
 ///
@@ -151,172 +164,23 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LangError> {
 
     while i < chars.len() {
         let (start, c) = chars[i];
-        let push1 = |kind: TokenKind, tokens: &mut Vec<Token>| {
-            tokens.push(Token {
-                kind,
-                span: Span::new(start, after(i)),
-            });
-        };
+        let next = chars.get(i + 1).map(|&(_, c)| c);
         match c {
             c if c.is_whitespace() => {
                 i += 1;
             }
-            '/' if chars.get(i + 1).map(|&(_, c)| c) == Some('/') => {
+            '/' if next == Some('/') => {
                 while i < chars.len() && chars[i].1 != '\n' {
                     i += 1;
                 }
             }
-            '{' => {
-                push1(TokenKind::LBrace, &mut tokens);
-                i += 1;
-            }
-            '}' => {
-                push1(TokenKind::RBrace, &mut tokens);
-                i += 1;
-            }
-            '(' => {
-                push1(TokenKind::LParen, &mut tokens);
-                i += 1;
-            }
-            ')' => {
-                push1(TokenKind::RParen, &mut tokens);
-                i += 1;
-            }
-            '[' => {
-                push1(TokenKind::LBracket, &mut tokens);
-                i += 1;
-            }
-            ']' => {
-                push1(TokenKind::RBracket, &mut tokens);
-                i += 1;
-            }
-            ',' => {
-                push1(TokenKind::Comma, &mut tokens);
-                i += 1;
-            }
-            ';' => {
-                push1(TokenKind::Semi, &mut tokens);
-                i += 1;
-            }
-            '?' => {
-                push1(TokenKind::Question, &mut tokens);
-                i += 1;
-            }
-            '+' => {
-                push1(TokenKind::Plus, &mut tokens);
-                i += 1;
-            }
-            '*' => {
-                push1(TokenKind::Star, &mut tokens);
-                i += 1;
-            }
-            '/' => {
-                push1(TokenKind::Slash, &mut tokens);
-                i += 1;
-            }
-            '%' => {
-                push1(TokenKind::Percent, &mut tokens);
-                i += 1;
-            }
-            ':' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Assign,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
+            '&' | '|' if next != Some(c) => {
+                let hint = if c == '&' {
+                    "stray `&` (conjunction is `&&`)"
                 } else {
-                    push1(TokenKind::Colon, &mut tokens);
-                    i += 1;
-                }
-            }
-            '-' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('>') {
-                    tokens.push(Token {
-                        kind: TokenKind::Arrow,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
-                } else {
-                    push1(TokenKind::Minus, &mut tokens);
-                    i += 1;
-                }
-            }
-            '=' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push(Token {
-                        kind: TokenKind::EqEq,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
-                } else {
-                    push1(TokenKind::Eq, &mut tokens);
-                    i += 1;
-                }
-            }
-            '!' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push(Token {
-                        kind: TokenKind::NotEq,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
-                } else {
-                    push1(TokenKind::Bang, &mut tokens);
-                    i += 1;
-                }
-            }
-            '<' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Le,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
-                } else {
-                    push1(TokenKind::Lt, &mut tokens);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Ge,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
-                } else {
-                    push1(TokenKind::Gt, &mut tokens);
-                    i += 1;
-                }
-            }
-            '&' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('&') {
-                    tokens.push(Token {
-                        kind: TokenKind::AndAnd,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
-                } else {
-                    return Err(LangError::lex(
-                        "stray `&` (conjunction is `&&`)",
-                        Span::new(start, after(i)),
-                    ));
-                }
-            }
-            '|' => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('|') {
-                    tokens.push(Token {
-                        kind: TokenKind::OrOr,
-                        span: Span::new(start, after(i + 1)),
-                    });
-                    i += 2;
-                } else {
-                    return Err(LangError::lex(
-                        "stray `|` (disjunction is `||`)",
-                        Span::new(start, after(i)),
-                    ));
-                }
+                    "stray `|` (disjunction is `||`)"
+                };
+                return Err(LangError::lex(hint, Span::new(start, after(i))));
             }
             '"' => {
                 let mut name = String::new();
@@ -386,7 +250,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LangError> {
                         })?;
                     j += 1;
                 }
-                if chars.get(j).map(|&(_, c)| c) == Some('.') {
+                // `0..7` is a range; `1.5` is a malformed literal.
+                if chars.get(j).map(|&(_, c)| c) == Some('.')
+                    && chars.get(j + 1).map(|&(_, c)| c) != Some('.')
+                {
                     return Err(LangError::lex(
                         "non-integer numeric literal (clocks and bounds are integers)",
                         Span::new(start, after(j)),
@@ -408,38 +275,27 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LangError> {
                     name.push(d);
                     j += 1;
                 }
-                let line_start = input[..start].rfind('\n').map_or(0, |p| p + 1);
-                if name == "control" && input[line_start..start].trim().is_empty() {
-                    // Objective line: capture everything to the end of the
-                    // line raw, dropping a trailing `//` comment.
-                    let line_end = input[start..]
-                        .find('\n')
-                        .map_or(end_of_input, |p| start + p);
-                    let mut raw = &input[start..line_end];
-                    if let Some(comment) = raw.find("//") {
-                        raw = &raw[..comment];
-                    }
-                    let raw = raw.trim_end();
-                    tokens.push(Token {
-                        kind: TokenKind::ControlLine(raw.to_string()),
-                        span: Span::new(start, start + raw.len()),
-                    });
-                    while i < chars.len() && chars[i].0 < line_end {
-                        i += 1;
-                    }
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Ident(name),
-                        span: Span::new(start, chars.get(j).map_or(end_of_input, |&(o, _)| o)),
-                    });
-                    i = j;
-                }
+                tokens.push(Token {
+                    kind: TokenKind::Ident(name),
+                    span: Span::new(start, chars.get(j).map_or(end_of_input, |&(o, _)| o)),
+                });
+                i = j;
             }
             other => {
-                return Err(LangError::lex(
-                    format!("unexpected character `{other}`"),
-                    Span::new(start, after(i)),
-                ));
+                let Some((text, kind)) = SYMBOLS
+                    .iter()
+                    .find(|(text, _)| input[start..].starts_with(text))
+                else {
+                    return Err(LangError::lex(
+                        format!("unexpected character `{other}`"),
+                        Span::new(start, after(i)),
+                    ));
+                };
+                tokens.push(Token {
+                    kind: kind.clone(),
+                    span: Span::new(start, start + text.len()),
+                });
+                i += text.len();
             }
         }
     }
@@ -542,17 +398,23 @@ mod tests {
     }
 
     #[test]
-    fn control_lines_are_captured_raw() {
+    fn control_lines_tokenize_like_declarations() {
         let toks = tokenize("clock x\ncontrol: A<> IUT.Bright // goal\nclock y\n").unwrap();
         let kinds: Vec<_> = toks.iter().map(|t| &t.kind).collect();
-        assert_eq!(
-            kinds[2],
-            &TokenKind::ControlLine("control: A<> IUT.Bright".into())
-        );
-        assert_eq!(kinds[3], &TokenKind::Ident("clock".into()));
-        // `control` not at the start of a line stays an identifier.
+        assert_eq!(kinds[2], &TokenKind::Ident("control".into()));
+        assert_eq!(kinds[3], &TokenKind::Colon);
+        assert_eq!(kinds[9], &TokenKind::Ident("Bright".into()));
+        assert_eq!(kinds[10], &TokenKind::Ident("clock".into()));
         let toks = tokenize("location control").unwrap();
         assert_eq!(toks[1].kind, TokenKind::Ident("control".into()));
+    }
+
+    #[test]
+    fn every_symbol_lexes_alone_and_describes_itself() {
+        for (text, kind) in SYMBOLS {
+            assert_eq!(kinds(text), vec![kind.clone()], "{text}");
+            assert_eq!(kind.describe(), format!("`{text}`"));
+        }
     }
 
     #[test]
@@ -561,5 +423,131 @@ mod tests {
         assert_eq!(toks[0].span, Span::new(0, 2));
         assert_eq!(toks[1].span, Span::new(3, 5));
         assert_eq!(toks[2].span, Span::new(6, 8));
+    }
+
+    #[test]
+    fn tokenizes_the_paper_formulas() {
+        let ks = kinds("control: A<> IUT.Bright");
+        assert_eq!(
+            ks,
+            vec![
+                TokenKind::Ident("control".into()),
+                TokenKind::Colon,
+                TokenKind::Ident("A".into()),
+                TokenKind::Lt,
+                TokenKind::Gt,
+                TokenKind::Ident("IUT".into()),
+                TokenKind::Dot,
+                TokenKind::Ident("Bright".into()),
+            ]
+        );
+        let ks = kinds("control: A<> forall (i: BufferId) (inUse[i] == 1) and IUT.idle");
+        assert!(ks.contains(&TokenKind::Ident("forall".into())));
+        assert!(ks.contains(&TokenKind::LBracket));
+        assert!(ks.contains(&TokenKind::EqEq));
+        assert!(ks.contains(&TokenKind::Ident("and".into())));
+    }
+
+    #[test]
+    fn distinguishes_box_and_brackets() {
+        // `[]` and `<>` are two adjacent tokens; the objective header checks
+        // the adjacency (see `parser::tests::error_reporting`).
+        let toks = tokenize("A[] a[1] A<>").unwrap();
+        assert_eq!(toks[1].kind, TokenKind::LBracket);
+        assert_eq!(toks[2].kind, TokenKind::RBracket);
+        assert_eq!(toks[1].span.end, toks[2].span.start);
+        assert_eq!(toks[4].kind, TokenKind::LBracket);
+        assert_eq!(toks[5].kind, TokenKind::Number(1));
+        assert_eq!(toks[8].kind, TokenKind::Lt);
+        assert_eq!(toks[9].kind, TokenKind::Gt);
+        assert_eq!(toks[8].span.end, toks[9].span.start);
+    }
+
+    #[test]
+    fn comparison_operators() {
+        assert_eq!(
+            kinds("x <= 1 < 2 >= 3 > 4 == 5 != 6"),
+            vec![
+                TokenKind::Ident("x".into()),
+                TokenKind::Le,
+                TokenKind::Number(1),
+                TokenKind::Lt,
+                TokenKind::Number(2),
+                TokenKind::Ge,
+                TokenKind::Number(3),
+                TokenKind::Gt,
+                TokenKind::Number(4),
+                TokenKind::EqEq,
+                TokenKind::Number(5),
+                TokenKind::NotEq,
+                TokenKind::Number(6),
+            ]
+        );
+    }
+
+    #[test]
+    fn ranges_and_arithmetic() {
+        assert_eq!(
+            kinds("0..7 + 2*3 - 4/2 % 5 M.L"),
+            vec![
+                TokenKind::Number(0),
+                TokenKind::DotDot,
+                TokenKind::Number(7),
+                TokenKind::Plus,
+                TokenKind::Number(2),
+                TokenKind::Star,
+                TokenKind::Number(3),
+                TokenKind::Minus,
+                TokenKind::Number(4),
+                TokenKind::Slash,
+                TokenKind::Number(2),
+                TokenKind::Percent,
+                TokenKind::Number(5),
+                TokenKind::Ident("M".into()),
+                TokenKind::Dot,
+                TokenKind::Ident("L".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn keyword_and_symbol_connectives_agree() {
+        // Words lex as identifiers; the parser reads them as connectives
+        // where a connective can stand, and builds the same tree as for the
+        // symbols.
+        assert_eq!(kinds("a && b")[1], TokenKind::AndAnd);
+        assert_eq!(kinds("a || b")[1], TokenKind::OrOr);
+        assert_eq!(kinds("!a")[0], TokenKind::Bang);
+        assert_eq!(kinds("a and b")[1], TokenKind::Ident("and".into()));
+        // The inputs are padded so that the spans coincide too.
+        let parse = |s: &str| crate::Parser::new(s).unwrap().expr().unwrap();
+        assert_eq!(parse("a and b"), parse("a &&  b"));
+        assert_eq!(parse("a or b"), parse("a || b"));
+        assert_eq!(parse("not a"), parse("!   a"));
+    }
+
+    #[test]
+    fn rejects_stray_characters() {
+        assert!(tokenize("a & b").is_err());
+        assert!(tokenize("a | b").is_err());
+        assert!(tokenize("a # b").is_err());
+    }
+
+    #[test]
+    fn oversized_integer_literals_are_rejected() {
+        let err = tokenize("x == 99999999999999999999").unwrap_err();
+        assert!(err.message.contains("overflows"), "{err}");
+        assert_eq!(err.span.start, 5);
+        // The largest representable literal still lexes.
+        let toks = tokenize("9223372036854775807").unwrap();
+        assert_eq!(toks[0].kind, TokenKind::Number(i64::MAX.unsigned_abs()));
+    }
+
+    #[test]
+    fn positions_are_byte_offsets() {
+        let toks = tokenize("ab <= 3").unwrap();
+        assert_eq!(toks[0].span.start, 0);
+        assert_eq!(toks[1].span.start, 3);
+        assert_eq!(toks[2].span.start, 6);
     }
 }

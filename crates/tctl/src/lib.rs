@@ -1,4 +1,4 @@
-//! # tiga-tctl — test purposes for timed games
+//! # tiga-tctl — test purposes for timed games, and the shared expression front end
 //!
 //! Parser and evaluator for the test-purpose language of
 //! *"A Game-Theoretic Approach to Real-Time System Testing"* (DATE 2008):
@@ -14,6 +14,14 @@
 //! connectives (`and`, `or`, `not`, `imply`) and bounded quantifiers
 //! (`forall (i: BufferId) ...`), exactly the forms used by the paper's
 //! purposes TP1–TP3.
+//!
+//! The crate also holds the front end that `tiga-lang` builds `.tg` files
+//! on, so that objectives and model expressions are one language: the
+//! spanned lexer ([`tokenize`]), the diagnostics ([`LangError`], [`Span`]),
+//! the unresolved syntax tree ([`ExprAst`], [`ControlAst`]), the token
+//! cursor with its precedence climber ([`Parser`]) and the expression
+//! printer ([`expr_to_tg`]).  `!` binds tightest and `not` loosely, as in
+//! UPPAAL; see [`Parser`] for the grammar.
 //!
 //! # Example
 //!
@@ -47,8 +55,12 @@ mod ast;
 mod error;
 mod lexer;
 mod parser;
+mod printer;
+mod syntax;
 
 pub use ast::{DisplayPredicate, PathQuantifier, StatePredicate, TestPurpose};
-pub use error::TctlError;
+pub use error::{LangError, LangErrorKind, Span, TctlError};
 pub use lexer::{tokenize, Token, TokenKind};
-pub use parser::{parse_predicate, parse_test_purpose};
+pub use parser::{is_bare_name, parse_predicate, Parser, KEYWORDS};
+pub use printer::{expr_to_tg, quoted};
+pub use syntax::{ArithOp, ControlAst, ExprAst, ExprKind, RangeAst, Spanned};

@@ -1,321 +1,594 @@
-//! Recursive-descent parser and name resolver for the test-purpose language.
+//! Recursive-descent parser shared by `.tg` files and test purposes, and the
+//! name resolver for test purposes.
 //!
-//! Parsing proceeds in two stages: first an untyped syntax tree is built from
-//! the tokens, then names are resolved against the [`System`] while bounded
-//! quantifiers (`forall`/`exists`) are expanded into finite conjunctions /
-//! disjunctions with the bound variable substituted by constants.
+//! [`Parser`] is a cursor over the token stream; the `.tg` declaration parser
+//! drives it too.  Its expression climber reads the one expression language
+//! of `when` clauses, clock bounds, updates and `control:` objectives, from
+//! the loosest binding level to the tightest:
+//!
+//! ```text
+//! expr    := ite [ "imply" expr ]
+//! ite     := or [ "?" ite ":" ite ]
+//! or      := and { ("||" | "or") and }
+//! and     := not { ("&&" | "and") not }
+//! not     := "not" not
+//!          | ("forall" | "exists") "(" name ":" range ")" not
+//!          | cmp
+//! cmp     := add [ ("<" | "<=" | ">" | ">=" | "==" | "!=") add ]
+//! add     := mul { ("+" | "-") mul }
+//! mul     := unary { ("*" | "/" | "%") unary }
+//! unary   := ("!" | "-") unary | primary
+//! primary := int | "true" | "false" | "(" expr ")"
+//!          | name [ "." name | "[" expr "]" ]
+//! range   := name | int [ ".." int ]
+//! control := "control" ":" "A" ("<>" | "[]") [ "<=" int ] expr
+//! ```
+//!
+//! As in UPPAAL, `!` binds tightest and `not` loosely: `!x == 1` is
+//! `(!x) == 1`, while `not x == 1` is `not (x == 1)`.  The words `and`, `or`,
+//! `not`, `imply`, `forall` and `exists` are connectives only where one can
+//! stand (`forall`/`exists` only before `(`), so they stay usable as names,
+//! as in `M.not`.
+//!
+//! Resolution turns a parsed predicate into a [`StatePredicate`] against a
+//! [`System`], expanding bounded quantifiers (`forall`/`exists`) into finite
+//! conjunctions / disjunctions with the bound variable substituted by
+//! constants.
 
 use crate::ast::{PathQuantifier, StatePredicate, TestPurpose};
-use crate::error::TctlError;
+use crate::error::{LangError, Span, TctlError};
 use crate::lexer::{tokenize, Token, TokenKind};
+use crate::syntax::{ArithOp, ControlAst, ExprAst, ExprKind, RangeAst, Spanned};
 use tiga_model::{CmpOp, Expr, System};
 
-/// Untyped syntax tree produced by the parser before name resolution.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Raw {
-    Num(i64),
-    Ident(String),
-    Qualified(String, String),
-    Index(String, Box<Raw>),
-    Neg(Box<Raw>),
-    Not(Box<Raw>),
-    Bin(RawOp, Box<Raw>, Box<Raw>),
-    Forall(String, RawRange, Box<Raw>),
-    Exists(String, RawRange, Box<Raw>),
+/// Reserved words of the `.tg` language.  The pretty-printer quotes any
+/// model name that collides with one of these (or is not an identifier), so
+/// arbitrary systems still round-trip.
+pub const KEYWORDS: &[&str] = &[
+    "system",
+    "clock",
+    "input",
+    "output",
+    "internal",
+    "const",
+    "var",
+    "int",
+    "automaton",
+    "location",
+    "init",
+    "urgent",
+    "inv",
+    "edge",
+    "on",
+    "guard",
+    "when",
+    "reset",
+    "set",
+    "controllable",
+    "uncontrollable",
+    "control",
+    "true",
+    "false",
+];
+
+/// Words that are connectives where one can stand and names elsewhere.  The
+/// printer quotes them, so a printed name is never read as a connective.
+const CONNECTIVES: &[&str] = &["and", "or", "not", "imply", "forall", "exists"];
+
+/// Returns `true` if `name` can be written bare (unquoted) in `.tg` source.
+#[must_use]
+pub fn is_bare_name(name: &str) -> bool {
+    !name.is_empty()
+        && !KEYWORDS.contains(&name)
+        && !CONNECTIVES.contains(&name)
+        && name
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RawOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-    Cmp(CmpOp),
-    And,
-    Or,
-    Imply,
+/// Applies the sign to a lexed literal magnitude, enforcing the `i64` range.
+///
+/// The lexer stores magnitudes as `u64` precisely so that
+/// `-9223372036854775808` (`i64::MIN`) folds exactly — its magnitude `2⁶³`
+/// has no positive `i64` representation, so negation must happen on the
+/// unsigned value.  Both `i32` and `i64` boundary literals round-trip
+/// through print → parse this way.
+fn fold_literal(magnitude: u64, negative: bool, span: Span) -> Result<i64, LangError> {
+    if negative {
+        if magnitude > i64::MIN.unsigned_abs() {
+            return Err(LangError::parse("integer literal overflows i64", span));
+        }
+        Ok(magnitude.wrapping_neg() as i64)
+    } else {
+        i64::try_from(magnitude)
+            .map_err(|_| LangError::parse("integer literal overflows i64", span))
+    }
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum RawRange {
-    /// `forall (i : Name)` — `Name` resolves to an array (its size) or to a
-    /// named constant.
-    Named(String),
-    /// `forall (i : 4)` — indices `0..4`.
-    Size(i64),
-    /// `forall (i : 2..5)` — inclusive span.
-    Span(i64, i64),
+/// Builds the binary node `make(lhs, rhs)` spanning both operands.
+fn join(
+    lhs: ExprAst,
+    rhs: ExprAst,
+    make: impl FnOnce(Box<ExprAst>, Box<ExprAst>) -> ExprKind,
+) -> ExprAst {
+    let span = lhs.span.to(rhs.span);
+    ExprAst {
+        kind: make(Box::new(lhs), Box::new(rhs)),
+        span,
+    }
 }
 
-struct Parser<'t> {
-    tokens: &'t [Token],
+/// A cursor over the tokens of one source text.
+pub struct Parser<'s> {
+    source: &'s str,
+    tokens: Vec<Token>,
     pos: usize,
 }
 
-impl<'t> Parser<'t> {
-    fn new(tokens: &'t [Token]) -> Self {
-        Parser { tokens, pos: 0 }
+impl<'s> Parser<'s> {
+    /// Tokenizes `source`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lexer's span-carrying [`LangError`].
+    pub fn new(source: &'s str) -> Result<Self, LangError> {
+        Ok(Parser {
+            source,
+            tokens: tokenize(source)?,
+            pos: 0,
+        })
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    /// The next token, if any.
+    #[must_use]
+    pub fn peek(&self) -> Option<&Token> {
+        self.tokens.get(self.pos)
     }
 
-    fn position(&self) -> usize {
-        self.tokens.get(self.pos).map_or_else(
-            || self.tokens.last().map_or(0, |t| t.position + 1),
-            |t| t.position,
-        )
+    fn peek2(&self) -> Option<&Token> {
+        self.tokens.get(self.pos + 1)
     }
 
-    fn found(&self) -> String {
+    /// Is the next token of the given kind?
+    #[must_use]
+    pub fn at(&self, kind: &TokenKind) -> bool {
+        self.peek().is_some_and(|t| &t.kind == kind)
+    }
+
+    /// Is the next token the word `kw`?
+    #[must_use]
+    pub fn at_keyword(&self, kw: &str) -> bool {
+        matches!(self.peek(), Some(t) if matches!(&t.kind, TokenKind::Ident(name) if name == kw))
+    }
+
+    /// Consumes the next token and returns its span (the end of input when
+    /// there is none).
+    pub fn bump(&mut self) -> Span {
+        let span = self.here();
+        if self.pos < self.tokens.len() {
+            self.pos += 1;
+        }
+        span
+    }
+
+    /// The span of the next token (or the end of input).
+    #[must_use]
+    pub fn here(&self) -> Span {
+        self.peek().map_or(Span::at(self.source.len()), |t| t.span)
+    }
+
+    /// An "expected …, found …" error at the next token.
+    #[must_use]
+    pub fn unexpected(&self, expected: &str) -> LangError {
         match self.peek() {
-            None => "end of input".to_string(),
-            Some(k) => format!("{k:?}"),
+            Some(t) => LangError::parse(
+                format!("expected {expected}, found {}", t.kind.describe()),
+                t.span,
+            ),
+            None => LangError::parse(
+                format!("expected {expected}, found end of input"),
+                Span::at(self.source.len()),
+            ),
         }
     }
 
-    fn error(&self, expected: &str) -> TctlError {
-        TctlError::Parse {
-            position: self.position(),
-            expected: expected.to_string(),
-            found: self.found(),
-        }
-    }
-
-    fn bump(&mut self) -> Option<&TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| &t.kind);
-        self.pos += 1;
-        t
-    }
-
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), TctlError> {
-        if self.peek() == Some(kind) {
-            self.pos += 1;
-            Ok(())
+    /// Consumes a token of the given kind.
+    ///
+    /// # Errors
+    ///
+    /// Fails with `expected` when the next token is of another kind.
+    pub fn expect(&mut self, kind: &TokenKind, expected: &str) -> Result<Span, LangError> {
+        if self.at(kind) {
+            Ok(self.bump())
         } else {
-            Err(self.error(what))
+            Err(self.unexpected(expected))
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, TctlError> {
+    /// Consumes the keyword `kw` (an identifier with that exact text).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the next token is anything else.
+    pub fn expect_keyword(&mut self, kw: &str) -> Result<Span, LangError> {
+        if self.at_keyword(kw) {
+            Ok(self.bump())
+        } else {
+            Err(self.unexpected(&format!("`{kw}`")))
+        }
+    }
+
+    /// Fails unless every token has been consumed, naming the first that
+    /// was not.
+    pub(crate) fn finish(&self) -> Result<(), LangError> {
         match self.peek() {
-            Some(TokenKind::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.error(what)),
+            None => Ok(()),
+            Some(_) => Err(self.unexpected("end of input")),
         }
     }
 
-    /// Parses the `T` of a `<=T` time bound (the `<=` is already consumed),
-    /// rejecting negative values and values above
-    /// [`tiga_model::MAX_CONSTANT`] with a spanned error instead of letting
-    /// them panic deep inside the DBM layer.
-    fn parse_time_bound(&mut self) -> Result<i64, TctlError> {
-        let position = self.position();
-        let negative = if self.peek() == Some(&TokenKind::Minus) {
-            self.pos += 1;
-            true
+    /// A name: a non-keyword identifier or a quoted string.
+    ///
+    /// # Errors
+    ///
+    /// Fails on keywords (suggesting quotes) and on any other token.
+    pub fn name(&mut self, what: &str) -> Result<Spanned<String>, LangError> {
+        match self.peek().map(|t| &t.kind) {
+            Some(TokenKind::Ident(name)) if KEYWORDS.contains(&name.as_str()) => {
+                Err(LangError::parse(
+                    format!("keyword `{name}` cannot be used as {what} (quote it: \"{name}\")"),
+                    self.here(),
+                ))
+            }
+            Some(TokenKind::Ident(name) | TokenKind::Str(name)) => {
+                let name = name.clone();
+                let span = self.bump();
+                Ok(Spanned::new(name, span))
+            }
+            _ => Err(self.unexpected(&format!("a {what} name"))),
+        }
+    }
+
+    /// A possibly negative integer literal.
+    ///
+    /// # Errors
+    ///
+    /// Fails on anything but an integer literal in the `i64` range.
+    pub fn int(&mut self, what: &str) -> Result<Spanned<i64>, LangError> {
+        let minus_span = if self.at(&TokenKind::Minus) {
+            Some(self.bump())
         } else {
-            false
+            None
         };
-        let value = match self.peek() {
-            Some(TokenKind::Number(n)) => {
-                let n = *n;
-                self.pos += 1;
-                n
+        match self.peek().map(|t| &t.kind) {
+            Some(&TokenKind::Number(n)) => {
+                let span = self.bump();
+                let span = minus_span.map_or(span, |m| m.to(span));
+                Ok(Spanned::new(
+                    fold_literal(n, minus_span.is_some(), span)?,
+                    span,
+                ))
             }
-            _ => return Err(self.error("a time bound (non-negative integer)")),
-        };
-        let value = if negative { -value } else { value };
-        if !(0..=i64::from(tiga_model::MAX_CONSTANT)).contains(&value) {
-            return Err(TctlError::Parse {
-                position,
-                expected: format!("a time bound in 0..={}", tiga_model::MAX_CONSTANT),
-                found: value.to_string(),
-            });
+            _ => Err(self.unexpected(&format!("an integer {what}"))),
         }
-        Ok(value)
     }
 
-    /// `imply` has the lowest precedence and associates to the right.
-    fn parse_imply(&mut self) -> Result<Raw, TctlError> {
-        let lhs = self.parse_or()?;
-        if self.peek() == Some(&TokenKind::Imply) {
-            self.pos += 1;
-            let rhs = self.parse_imply()?;
-            Ok(Raw::Bin(RawOp::Imply, Box::new(lhs), Box::new(rhs)))
+    fn peek_cmp_op(&self) -> Option<CmpOp> {
+        match self.peek().map(|t| &t.kind) {
+            Some(TokenKind::Lt) => Some(CmpOp::Lt),
+            Some(TokenKind::Le) => Some(CmpOp::Le),
+            Some(TokenKind::Gt) => Some(CmpOp::Gt),
+            Some(TokenKind::Ge) => Some(CmpOp::Ge),
+            Some(TokenKind::EqEq) => Some(CmpOp::Eq),
+            Some(TokenKind::NotEq) => Some(CmpOp::Ne),
+            _ => None,
+        }
+    }
+
+    /// A comparison operator.
+    ///
+    /// # Errors
+    ///
+    /// Fails on any other token.
+    pub fn cmp_op(&mut self) -> Result<CmpOp, LangError> {
+        let op = self
+            .peek_cmp_op()
+            .ok_or_else(|| self.unexpected("a comparison operator"))?;
+        self.bump();
+        Ok(op)
+    }
+
+    /// Parses a `control: A<> φ` or `control: A[] φ` objective, with an
+    /// optional `<=T` time bound after the path quantifier.  Parsing stops
+    /// at the end of the predicate.
+    ///
+    /// # Errors
+    ///
+    /// Fails on grammar errors and on time bounds outside
+    /// `0..=tiga_model::MAX_CONSTANT`, with the span of the offender.
+    pub fn control(&mut self) -> Result<ControlAst, LangError> {
+        let start = self.expect_keyword("control")?;
+        self.expect(&TokenKind::Colon, "`:` after `control`")?;
+        let quantifier = self.path_quantifier()?;
+        let bound = if self.at(&TokenKind::Le) {
+            self.bump();
+            let t = self.int("time bound")?;
+            let max = i64::from(tiga_model::MAX_CONSTANT);
+            if !(0..=max).contains(&t.node) {
+                return Err(LangError::parse(
+                    format!("expected a time bound in 0..={max}, found `{}`", t.node),
+                    t.span,
+                ));
+            }
+            Some(t.node)
+        } else {
+            None
+        };
+        let predicate = self.expr()?;
+        let span = Span::new(start.start, self.tokens[self.pos - 1].span.end);
+        Ok(ControlAst {
+            quantifier,
+            bound,
+            predicate,
+            source: self.source[span.start..span.end].to_string(),
+            span,
+        })
+    }
+
+    /// `A<>` or `A[]`, with the two bracket characters adjacent.
+    fn path_quantifier(&mut self) -> Result<PathQuantifier, LangError> {
+        if !self.at_keyword("A") {
+            return Err(self.unexpected("`A<>` or `A[]` (the supported path quantifiers)"));
+        }
+        self.bump();
+        let (close, quantifier) = match self.peek().map(|t| &t.kind) {
+            Some(TokenKind::Lt) => (TokenKind::Gt, PathQuantifier::Reachability),
+            Some(TokenKind::LBracket) => (TokenKind::RBracket, PathQuantifier::Safety),
+            _ => return Err(self.unexpected("`<>` or `[]` after `A`")),
+        };
+        let open = self.bump();
+        match self.peek() {
+            Some(t) if t.kind == close && t.span.start == open.end => {
+                self.bump();
+                Ok(quantifier)
+            }
+            _ => Err(self.unexpected("`<>` or `[]` after `A`")),
+        }
+    }
+
+    /// Parses an expression or state predicate.
+    ///
+    /// # Errors
+    ///
+    /// Fails with the span of the first token that does not fit the grammar.
+    pub fn expr(&mut self) -> Result<ExprAst, LangError> {
+        let lhs = self.ite_expr()?;
+        if self.at_keyword("imply") {
+            self.bump();
+            let rhs = self.expr()?;
+            Ok(join(lhs, rhs, ExprKind::Imply))
         } else {
             Ok(lhs)
         }
     }
 
-    fn parse_or(&mut self) -> Result<Raw, TctlError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == Some(&TokenKind::Or) {
-            self.pos += 1;
-            let rhs = self.parse_and()?;
-            lhs = Raw::Bin(RawOp::Or, Box::new(lhs), Box::new(rhs));
+    /// Ternary conditional, right-associative.
+    fn ite_expr(&mut self) -> Result<ExprAst, LangError> {
+        let cond = self.or_expr()?;
+        if !self.at(&TokenKind::Question) {
+            return Ok(cond);
+        }
+        self.bump();
+        let then = self.ite_expr()?;
+        self.expect(&TokenKind::Colon, "`:` of the conditional")?;
+        let otherwise = self.ite_expr()?;
+        let span = cond.span.to(otherwise.span);
+        Ok(ExprAst {
+            kind: ExprKind::Ite(Box::new(cond), Box::new(then), Box::new(otherwise)),
+            span,
+        })
+    }
+
+    fn or_expr(&mut self) -> Result<ExprAst, LangError> {
+        let mut lhs = self.and_expr()?;
+        while self.at(&TokenKind::OrOr) || self.at_keyword("or") {
+            self.bump();
+            let rhs = self.and_expr()?;
+            lhs = join(lhs, rhs, ExprKind::Or);
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Raw, TctlError> {
-        let mut lhs = self.parse_quantified()?;
-        while self.peek() == Some(&TokenKind::And) {
-            self.pos += 1;
-            let rhs = self.parse_quantified()?;
-            lhs = Raw::Bin(RawOp::And, Box::new(lhs), Box::new(rhs));
+    fn and_expr(&mut self) -> Result<ExprAst, LangError> {
+        let mut lhs = self.not_expr()?;
+        while self.at(&TokenKind::AndAnd) || self.at_keyword("and") {
+            self.bump();
+            let rhs = self.not_expr()?;
+            lhs = join(lhs, rhs, ExprKind::And);
         }
         Ok(lhs)
     }
 
-    fn parse_quantified(&mut self) -> Result<Raw, TctlError> {
-        match self.peek() {
-            Some(TokenKind::Not) => {
-                self.pos += 1;
-                Ok(Raw::Not(Box::new(self.parse_quantified()?)))
-            }
-            Some(TokenKind::Ident(name)) if name == "forall" || name == "exists" => {
-                let is_forall = name == "forall";
-                self.pos += 1;
-                self.expect(&TokenKind::LParen, "`(` after quantifier")?;
-                let var = self.expect_ident("bound variable name")?;
-                self.expect(&TokenKind::Colon, "`:` in quantifier binder")?;
-                let range = self.parse_range()?;
-                self.expect(&TokenKind::RParen, "`)` closing the quantifier binder")?;
-                let body = Box::new(self.parse_quantified()?);
-                Ok(if is_forall {
-                    Raw::Forall(var, range, body)
-                } else {
-                    Raw::Exists(var, range, body)
-                })
-            }
-            _ => self.parse_cmp(),
+    /// `not` and the bounded quantifiers, whose operands extend as far as a
+    /// comparison.
+    fn not_expr(&mut self) -> Result<ExprAst, LangError> {
+        if self.at_keyword("not") {
+            let start = self.bump();
+            let inner = self.not_expr()?;
+            let span = start.to(inner.span);
+            return Ok(ExprAst {
+                kind: ExprKind::Not(Box::new(inner)),
+                span,
+            });
         }
-    }
-
-    fn parse_range(&mut self) -> Result<RawRange, TctlError> {
-        match self.peek().cloned() {
-            Some(TokenKind::Ident(name)) => {
-                self.pos += 1;
-                Ok(RawRange::Named(name))
-            }
-            Some(TokenKind::Number(n)) => {
-                self.pos += 1;
-                if self.peek() == Some(&TokenKind::DotDot) {
-                    self.pos += 1;
-                    match self.bump() {
-                        Some(TokenKind::Number(m)) => Ok(RawRange::Span(n, *m)),
-                        _ => Err(self.error("upper bound of range")),
-                    }
-                } else {
-                    Ok(RawRange::Size(n))
-                }
-            }
-            _ => Err(self.error("range (array name, size or `lo..hi`)")),
+        let forall = self.at_keyword("forall");
+        if !(forall || self.at_keyword("exists"))
+            || !self.peek2().is_some_and(|t| t.kind == TokenKind::LParen)
+        {
+            return self.cmp_expr();
         }
-    }
-
-    fn parse_cmp(&mut self) -> Result<Raw, TctlError> {
-        let lhs = self.parse_add()?;
-        let op = match self.peek() {
-            Some(TokenKind::EqEq) => Some(CmpOp::Eq),
-            Some(TokenKind::NotEq) => Some(CmpOp::Ne),
-            Some(TokenKind::Lt) => Some(CmpOp::Lt),
-            Some(TokenKind::Le) => Some(CmpOp::Le),
-            Some(TokenKind::Gt) => Some(CmpOp::Gt),
-            Some(TokenKind::Ge) => Some(CmpOp::Ge),
-            _ => None,
-        };
-        match op {
-            None => Ok(lhs),
-            Some(op) => {
-                self.pos += 1;
-                let rhs = self.parse_add()?;
-                Ok(Raw::Bin(RawOp::Cmp(op), Box::new(lhs), Box::new(rhs)))
-            }
-        }
-    }
-
-    fn parse_add(&mut self) -> Result<Raw, TctlError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Plus) => RawOp::Add,
-                Some(TokenKind::Minus) => RawOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_mul()?;
-            lhs = Raw::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_mul(&mut self) -> Result<Raw, TctlError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Star) => RawOp::Mul,
-                Some(TokenKind::Slash) => RawOp::Div,
-                Some(TokenKind::Percent) => RawOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_unary()?;
-            lhs = Raw::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Raw, TctlError> {
-        if self.peek() == Some(&TokenKind::Minus) {
-            self.pos += 1;
-            Ok(Raw::Neg(Box::new(self.parse_unary()?)))
+        let start = self.bump();
+        self.bump();
+        let var = self.name("bound variable")?;
+        self.expect(&TokenKind::Colon, "`:` in the quantifier binder")?;
+        let range = self.range()?;
+        self.expect(&TokenKind::RParen, "`)` closing the quantifier binder")?;
+        let body = Box::new(self.not_expr()?);
+        let span = start.to(body.span);
+        let kind = if forall {
+            ExprKind::Forall(var.node, range, body)
         } else {
-            self.parse_atom()
+            ExprKind::Exists(var.node, range, body)
+        };
+        Ok(ExprAst { kind, span })
+    }
+
+    fn range(&mut self) -> Result<Spanned<RangeAst>, LangError> {
+        match self.peek().map(|t| &t.kind) {
+            Some(TokenKind::Ident(_) | TokenKind::Str(_)) => {
+                let name = self.name("range")?;
+                Ok(Spanned::new(RangeAst::Named(name.node), name.span))
+            }
+            Some(TokenKind::Number(_) | TokenKind::Minus) => {
+                let lo = self.int("range size")?;
+                if !self.at(&TokenKind::DotDot) {
+                    return Ok(Spanned::new(RangeAst::Size(lo.node), lo.span));
+                }
+                self.bump();
+                let hi = self.int("upper bound of the range")?;
+                Ok(Spanned::new(
+                    RangeAst::Interval(lo.node, hi.node),
+                    lo.span.to(hi.span),
+                ))
+            }
+            _ => Err(self.unexpected("a range (array name, size or `lo..hi`)")),
         }
     }
 
-    fn parse_atom(&mut self) -> Result<Raw, TctlError> {
-        match self.peek().cloned() {
-            Some(TokenKind::Number(n)) => {
-                self.pos += 1;
-                Ok(Raw::Num(n))
+    /// A single (non-associative) comparison.
+    fn cmp_expr(&mut self) -> Result<ExprAst, LangError> {
+        let lhs = self.add_expr()?;
+        let Some(op) = self.peek_cmp_op() else {
+            return Ok(lhs);
+        };
+        self.bump();
+        let rhs = self.add_expr()?;
+        Ok(join(lhs, rhs, |a, b| ExprKind::Cmp(op, a, b)))
+    }
+
+    fn add_expr(&mut self) -> Result<ExprAst, LangError> {
+        let mut lhs = self.mul_expr()?;
+        loop {
+            let op = match self.peek().map(|t| &t.kind) {
+                Some(TokenKind::Plus) => ArithOp::Add,
+                Some(TokenKind::Minus) => ArithOp::Sub,
+                _ => break,
+            };
+            self.bump();
+            let rhs = self.mul_expr()?;
+            lhs = join(lhs, rhs, |a, b| ExprKind::Arith(op, a, b));
+        }
+        Ok(lhs)
+    }
+
+    fn mul_expr(&mut self) -> Result<ExprAst, LangError> {
+        let mut lhs = self.unary_expr()?;
+        loop {
+            let op = match self.peek().map(|t| &t.kind) {
+                Some(TokenKind::Star) => ArithOp::Mul,
+                Some(TokenKind::Slash) => ArithOp::Div,
+                Some(TokenKind::Percent) => ArithOp::Mod,
+                _ => break,
+            };
+            self.bump();
+            let rhs = self.unary_expr()?;
+            lhs = join(lhs, rhs, |a, b| ExprKind::Arith(op, a, b));
+        }
+        Ok(lhs)
+    }
+
+    fn unary_expr(&mut self) -> Result<ExprAst, LangError> {
+        let make: fn(Box<ExprAst>) -> ExprKind = match self.peek().map(|t| &t.kind) {
+            Some(TokenKind::Bang) => ExprKind::Not,
+            // `-` directly followed by a number literal folds into a
+            // negative constant; anything else (notably `-(e)`) builds an
+            // arithmetic negation node.  This distinction is what lets
+            // `Const(-7)` and `Neg(Const(7))` round-trip differently.
+            Some(TokenKind::Minus)
+                if self
+                    .peek2()
+                    .is_some_and(|t| matches!(t.kind, TokenKind::Number(_))) =>
+            {
+                let n = self.int("literal")?;
+                return Ok(ExprAst {
+                    kind: ExprKind::Num(n.node),
+                    span: n.span,
+                });
+            }
+            Some(TokenKind::Minus) => ExprKind::Neg,
+            _ => return self.primary_expr(),
+        };
+        let start = self.bump();
+        let inner = self.unary_expr()?;
+        let span = start.to(inner.span);
+        Ok(ExprAst {
+            kind: make(Box::new(inner)),
+            span,
+        })
+    }
+
+    fn primary_expr(&mut self) -> Result<ExprAst, LangError> {
+        let kind = match self.peek().map(|t| &t.kind) {
+            Some(&TokenKind::Number(n)) => {
+                let span = self.bump();
+                return Ok(ExprAst {
+                    kind: ExprKind::Num(fold_literal(n, false, span)?),
+                    span,
+                });
             }
             Some(TokenKind::LParen) => {
-                self.pos += 1;
-                let inner = self.parse_imply()?;
-                self.expect(&TokenKind::RParen, "closing `)`")?;
-                Ok(inner)
+                self.bump();
+                let inner = self.expr()?;
+                self.expect(&TokenKind::RParen, "`)`")?;
+                // Parentheses only group; they leave no AST node, so the
+                // fully parenthesized printer output re-parses to an
+                // identical tree.
+                return Ok(inner);
             }
-            Some(TokenKind::Ident(name)) => {
-                self.pos += 1;
-                match name.as_str() {
-                    "true" => return Ok(Raw::Num(1)),
-                    "false" => return Ok(Raw::Num(0)),
-                    _ => {}
-                }
-                match self.peek() {
-                    Some(TokenKind::Dot) => {
-                        self.pos += 1;
-                        let loc = self.expect_ident("location name after `.`")?;
-                        Ok(Raw::Qualified(name, loc))
-                    }
-                    Some(TokenKind::LBracket) => {
-                        self.pos += 1;
-                        let idx = self.parse_add()?;
-                        self.expect(&TokenKind::RBracket, "closing `]`")?;
-                        Ok(Raw::Index(name, Box::new(idx)))
-                    }
-                    _ => Ok(Raw::Ident(name)),
-                }
-            }
-            _ => Err(self.error("an atom (number, name, location or `(`)")),
+            Some(TokenKind::Ident(word)) if word == "true" => ExprKind::Num(1),
+            Some(TokenKind::Ident(word)) if word == "false" => ExprKind::Num(0),
+            Some(TokenKind::Ident(_) | TokenKind::Str(_)) => return self.name_expr(),
+            _ => return Err(self.unexpected("an expression")),
+        };
+        let span = self.bump();
+        Ok(ExprAst { kind, span })
+    }
+
+    /// `name`, `Aut.loc` or `name[index]`.
+    fn name_expr(&mut self) -> Result<ExprAst, LangError> {
+        let name = self.name("variable")?;
+        if self.at(&TokenKind::Dot) {
+            self.bump();
+            let loc = self.name("location")?;
+            Ok(ExprAst {
+                kind: ExprKind::Qualified(name.node, loc.node),
+                span: name.span.to(loc.span),
+            })
+        } else if self.at(&TokenKind::LBracket) {
+            self.bump();
+            let idx = self.expr()?;
+            let close = self.expect(&TokenKind::RBracket, "`]`")?;
+            Ok(ExprAst {
+                kind: ExprKind::Index(name.node, Box::new(idx)),
+                span: name.span.to(close),
+            })
+        } else {
+            Ok(ExprAst {
+                kind: ExprKind::Name(name.node),
+                span: name.span,
+            })
         }
     }
 }
@@ -329,23 +602,27 @@ fn lookup_env(env: &Env<'_>, name: &str) -> Option<i64> {
         .find_map(|(n, v)| if *n == name { Some(*v) } else { None })
 }
 
-fn range_values(range: &RawRange, system: &System) -> Result<Vec<i64>, TctlError> {
-    match range {
-        RawRange::Size(n) => {
+fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, TctlError> {
+    match &range.node {
+        RangeAst::Size(n) => {
             if *n <= 0 {
-                return Err(TctlError::Invalid(format!("empty quantifier range {n}")));
+                return Err(TctlError::Invalid(
+                    format!("empty quantifier range {n}"),
+                    range.span,
+                ));
             }
             Ok((0..*n).collect())
         }
-        RawRange::Span(lo, hi) => {
+        RangeAst::Interval(lo, hi) => {
             if lo > hi {
-                return Err(TctlError::Invalid(format!(
-                    "empty quantifier range {lo}..{hi}"
-                )));
+                return Err(TctlError::Invalid(
+                    format!("empty quantifier range {lo}..{hi}"),
+                    range.span,
+                ));
             }
             Ok((*lo..=*hi).collect())
         }
-        RawRange::Named(name) => {
+        RangeAst::Named(name) => {
             if let Some(var) = system.vars().lookup(name) {
                 let decl = system.vars().decl(var);
                 if decl.is_array() {
@@ -355,9 +632,10 @@ fn range_values(range: &RawRange, system: &System) -> Result<Vec<i64>, TctlError
                 if decl.lower() == decl.upper() {
                     let n = decl.lower();
                     if n <= 0 {
-                        return Err(TctlError::Invalid(format!(
-                            "constant `{name}` does not describe a non-empty range"
-                        )));
+                        return Err(TctlError::Invalid(
+                            format!("constant `{name}` does not describe a non-empty range"),
+                            range.span,
+                        ));
                     }
                     return Ok((0..n).collect());
                 }
@@ -371,86 +649,98 @@ fn range_values(range: &RawRange, system: &System) -> Result<Vec<i64>, TctlError
                     }
                 }
             }
-            Err(TctlError::Unresolved(format!("quantifier range `{name}`")))
+            Err(TctlError::Unresolved(
+                format!("quantifier range `{name}`"),
+                range.span,
+            ))
         }
     }
 }
 
-fn resolve_int(raw: &Raw, system: &System, env: &Env<'_>) -> Result<Expr, TctlError> {
-    match raw {
-        Raw::Num(n) => Ok(Expr::constant(*n)),
-        Raw::Ident(name) => {
+fn resolve_int(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<Expr, TctlError> {
+    let int = |e: &ExprAst| resolve_int(e, system, env);
+    Ok(match &e.kind {
+        ExprKind::Num(n) => Expr::constant(*n),
+        ExprKind::Name(name) => {
             if let Some(v) = lookup_env(env, name) {
                 return Ok(Expr::constant(v));
             }
             let var = system
                 .vars()
                 .lookup(name)
-                .ok_or_else(|| TctlError::Unresolved(name.clone()))?;
+                .ok_or_else(|| TctlError::Unresolved(name.clone(), e.span))?;
             if system.vars().decl(var).is_array() {
-                return Err(TctlError::Invalid(format!(
-                    "array `{name}` used without an index"
-                )));
+                return Err(TctlError::Invalid(
+                    format!("array `{name}` used without an index"),
+                    e.span,
+                ));
             }
-            Ok(Expr::var(var))
+            Expr::var(var)
         }
-        Raw::Index(name, idx) => {
+        ExprKind::Index(name, idx) => {
             let var = system
                 .vars()
                 .lookup(name)
-                .ok_or_else(|| TctlError::Unresolved(name.clone()))?;
-            let idx = resolve_int(idx, system, env)?;
-            Ok(Expr::index(var, idx))
+                .ok_or_else(|| TctlError::Unresolved(name.clone(), e.span))?;
+            Expr::index(var, int(idx)?)
         }
-        Raw::Neg(e) => Ok(Expr::Neg(Box::new(resolve_int(e, system, env)?))),
-        Raw::Not(e) => Ok(resolve_int(e, system, env)?.negated()),
-        Raw::Bin(op, a, b) => {
-            let a = resolve_int(a, system, env)?;
-            let b = resolve_int(b, system, env)?;
-            Ok(match op {
-                RawOp::Add => a + b,
-                RawOp::Sub => a - b,
-                RawOp::Mul => a * b,
-                RawOp::Div => Expr::Div(Box::new(a), Box::new(b)),
-                RawOp::Mod => Expr::Mod(Box::new(a), Box::new(b)),
-                RawOp::Cmp(op) => a.cmp(*op, b),
-                RawOp::And => a.and(b),
-                RawOp::Or => a.or(b),
-                RawOp::Imply => a.negated().or(b),
-            })
+        ExprKind::Neg(inner) => Expr::Neg(Box::new(int(inner)?)),
+        ExprKind::Not(inner) => int(inner)?.negated(),
+        ExprKind::Arith(op, a, b) => {
+            let (a, b) = (int(a)?, int(b)?);
+            match op {
+                ArithOp::Add => a + b,
+                ArithOp::Sub => a - b,
+                ArithOp::Mul => a * b,
+                ArithOp::Div => Expr::Div(Box::new(a), Box::new(b)),
+                ArithOp::Mod => Expr::Mod(Box::new(a), Box::new(b)),
+            }
         }
-        Raw::Qualified(a, l) => {
+        ExprKind::Cmp(op, a, b) => int(a)?.cmp(*op, int(b)?),
+        ExprKind::And(a, b) => int(a)?.and(int(b)?),
+        ExprKind::Or(a, b) => int(a)?.or(int(b)?),
+        ExprKind::Imply(a, b) => int(a)?.negated().or(int(b)?),
+        ExprKind::Ite(c, t, o) => Expr::ite(int(c)?, int(t)?, int(o)?),
+        ExprKind::Qualified(a, l) => {
             // UPPAAL-style process-qualified variable (`IUT.betterInfo`): the
             // reproduction uses global variables, so fall back to the bare
             // name.
             if let Some(var) = system.vars().lookup(l) {
                 if system.vars().decl(var).is_array() {
-                    return Err(TctlError::Invalid(format!(
-                        "array `{a}.{l}` used without an index"
-                    )));
+                    return Err(TctlError::Invalid(
+                        format!("array `{a}.{l}` used without an index"),
+                        e.span,
+                    ));
                 }
                 return Ok(Expr::var(var));
             }
-            Err(TctlError::Invalid(format!(
-                "location `{a}.{l}` cannot be used as an integer"
-            )))
+            return Err(TctlError::Invalid(
+                format!("location `{a}.{l}` cannot be used as an integer"),
+                e.span,
+            ));
         }
-        Raw::Forall(..) | Raw::Exists(..) => Err(TctlError::Invalid(
-            "quantifiers cannot appear inside arithmetic".to_string(),
-        )),
-    }
+        ExprKind::Forall(..) | ExprKind::Exists(..) => {
+            return Err(TctlError::Invalid(
+                "quantifiers cannot appear inside arithmetic".to_string(),
+                e.span,
+            ))
+        }
+    })
 }
 
-fn resolve_bool(raw: &Raw, system: &System, env: &Env<'_>) -> Result<StatePredicate, TctlError> {
-    match raw {
-        Raw::Num(n) => Ok(if *n != 0 {
+fn resolve_bool(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<StatePredicate, TctlError> {
+    let pred = |e: &ExprAst| resolve_bool(e, system, env);
+    match &e.kind {
+        ExprKind::Num(n) => Ok(if *n != 0 {
             StatePredicate::True
         } else {
             StatePredicate::False
         }),
-        Raw::Qualified(aut, loc) => {
-            if let Some((a, l)) = system.location_by_qualified_name(&format!("{aut}.{loc}")) {
-                return Ok(StatePredicate::Location(a, l));
+        ExprKind::Qualified(aut, loc) => {
+            if let Some(a) = system.automaton_by_name(aut) {
+                if let Some(l) = system.automaton(a).location_by_name(loc) {
+                    return Ok(StatePredicate::Location(a, l));
+                }
             }
             // Fall back to a process-qualified global variable used as a
             // boolean (`IUT.betterInfo` in the paper's TP1).
@@ -459,92 +749,47 @@ fn resolve_bool(raw: &Raw, system: &System, env: &Env<'_>) -> Result<StatePredic
                     return Ok(StatePredicate::Expr(Expr::var(var)));
                 }
             }
-            Err(TctlError::Unresolved(format!("{aut}.{loc}")))
+            Err(TctlError::Unresolved(format!("{aut}.{loc}"), e.span))
         }
-        Raw::Not(e) => Ok(resolve_bool(e, system, env)?.negated()),
-        Raw::Bin(RawOp::And, a, b) => {
-            Ok(resolve_bool(a, system, env)?.and(resolve_bool(b, system, env)?))
-        }
-        Raw::Bin(RawOp::Or, a, b) => {
-            Ok(resolve_bool(a, system, env)?.or(resolve_bool(b, system, env)?))
-        }
-        Raw::Bin(RawOp::Imply, a, b) => Ok(resolve_bool(a, system, env)?
-            .negated()
-            .or(resolve_bool(b, system, env)?)),
-        Raw::Forall(var, range, body) => {
-            let mut acc = StatePredicate::True;
+        ExprKind::Not(inner) => Ok(pred(inner)?.negated()),
+        ExprKind::And(a, b) => Ok(pred(a)?.and(pred(b)?)),
+        ExprKind::Or(a, b) => Ok(pred(a)?.or(pred(b)?)),
+        ExprKind::Imply(a, b) => Ok(pred(a)?.negated().or(pred(b)?)),
+        ExprKind::Forall(var, range, body) | ExprKind::Exists(var, range, body) => {
+            let forall = matches!(e.kind, ExprKind::Forall(..));
+            let mut acc = if forall {
+                StatePredicate::True
+            } else {
+                StatePredicate::False
+            };
             for v in range_values(range, system)? {
                 let mut env2 = env.clone();
                 env2.push((var.as_str(), v));
-                acc = acc.and(resolve_bool(body, system, &env2)?);
-            }
-            Ok(acc)
-        }
-        Raw::Exists(var, range, body) => {
-            let mut acc = StatePredicate::False;
-            for v in range_values(range, system)? {
-                let mut env2 = env.clone();
-                env2.push((var.as_str(), v));
-                acc = acc.or(resolve_bool(body, system, &env2)?);
+                let p = resolve_bool(body, system, &env2)?;
+                acc = if forall { acc.and(p) } else { acc.or(p) };
             }
             Ok(acc)
         }
         // Everything else is an integer expression interpreted as a boolean.
-        _ => Ok(StatePredicate::Expr(resolve_int(raw, system, env)?)),
+        _ => Ok(StatePredicate::Expr(resolve_int(e, system, env)?)),
     }
 }
 
-/// Parses and resolves a complete `control: A<>/A[] φ` test purpose.
-///
-/// # Errors
-///
-/// Returns a [`TctlError`] describing the first lexical, syntactic or
-/// resolution problem.
-pub fn parse_test_purpose(input: &str, system: &System) -> Result<TestPurpose, TctlError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser::new(&tokens);
-    // `control :`
-    let kw = p.expect_ident("the keyword `control`")?;
-    if kw != "control" {
-        return Err(TctlError::Invalid(format!(
-            "test purposes start with `control:`, found `{kw}`"
-        )));
+impl ControlAst {
+    /// Resolves the objective's names against `system`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TctlError::Unresolved`] or [`TctlError::Invalid`] with the
+    /// span of the name or subformula at fault.
+    pub fn resolve(&self, system: &System) -> Result<TestPurpose, TctlError> {
+        Ok(TestPurpose {
+            quantifier: self.quantifier,
+            predicate: resolve_bool(&self.predicate, system, &Vec::new())?,
+            bound: self.bound,
+            source: self.source.clone(),
+        })
     }
-    p.expect(&TokenKind::Colon, "`:` after `control`")?;
-    // `A<>` or `A[]`
-    let a = p.expect_ident("the path quantifier `A`")?;
-    if a != "A" {
-        return Err(TctlError::Invalid(format!(
-            "only `A<>` and `A[]` purposes are supported, found `{a}`"
-        )));
-    }
-    let quantifier = match p.bump() {
-        Some(TokenKind::Diamond) => PathQuantifier::Reachability,
-        Some(TokenKind::Box) => PathQuantifier::Safety,
-        _ => {
-            return Err(TctlError::Invalid(
-                "expected `<>` or `[]` after `A`".to_string(),
-            ))
-        }
-    };
-    // Optional time bound: `A<><=T φ` / `A[]<=T φ`.
-    let bound = if p.peek() == Some(&TokenKind::Le) {
-        p.pos += 1;
-        Some(p.parse_time_bound()?)
-    } else {
-        None
-    };
-    let raw = p.parse_imply()?;
-    if p.peek().is_some() {
-        return Err(p.error("end of input"));
-    }
-    let predicate = resolve_bool(&raw, system, &Vec::new())?;
-    Ok(TestPurpose {
-        quantifier,
-        predicate,
-        bound,
-        source: input.trim().to_string(),
-    })
 }
 
 /// Parses and resolves a bare state predicate (without the `control: A<>`
@@ -554,13 +799,10 @@ pub fn parse_test_purpose(input: &str, system: &System) -> Result<TestPurpose, T
 ///
 /// Returns a [`TctlError`] describing the first problem found.
 pub fn parse_predicate(input: &str, system: &System) -> Result<StatePredicate, TctlError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser::new(&tokens);
-    let raw = p.parse_imply()?;
-    if p.peek().is_some() {
-        return Err(p.error("end of input"));
-    }
-    resolve_bool(&raw, system, &Vec::new())
+    let mut p = Parser::new(input)?;
+    let predicate = p.expr()?;
+    p.finish()?;
+    resolve_bool(&predicate, system, &Vec::new())
 }
 
 #[cfg(test)]
@@ -752,35 +994,40 @@ mod tests {
         let sys = sample_system();
         assert!(matches!(
             TestPurpose::parse("A<> IUT.Bright", &sys),
-            Err(TctlError::Invalid(_)) | Err(TctlError::Parse { .. })
+            Err(TctlError::Syntax(_))
         ));
         assert!(matches!(
             TestPurpose::parse("control: E<> IUT.Bright", &sys),
-            Err(TctlError::Invalid(_))
+            Err(TctlError::Syntax(_))
+        ));
+        // `<>` and `[]` are single symbols.
+        assert!(matches!(
+            TestPurpose::parse("control: A< > IUT.Bright", &sys),
+            Err(TctlError::Syntax(_))
         ));
         assert!(matches!(
             TestPurpose::parse("control: A<> IUT.Missing", &sys),
-            Err(TctlError::Unresolved(_))
+            Err(TctlError::Unresolved(..))
         ));
         assert!(matches!(
             TestPurpose::parse("control: A<> nosuchvar == 1", &sys),
-            Err(TctlError::Unresolved(_))
+            Err(TctlError::Unresolved(..))
         ));
         assert!(matches!(
             TestPurpose::parse("control: A<> IUT.Bright extra", &sys),
-            Err(TctlError::Parse { .. })
+            Err(TctlError::Syntax(_))
         ));
         assert!(matches!(
             TestPurpose::parse("control: A<> forall (i: Nope) (inUse[i] == 1)", &sys),
-            Err(TctlError::Unresolved(_))
+            Err(TctlError::Unresolved(..))
         ));
         assert!(matches!(
             TestPurpose::parse("control: A<> inUse == 1", &sys),
-            Err(TctlError::Invalid(_))
+            Err(TctlError::Invalid(..))
         ));
         assert!(matches!(
             TestPurpose::parse("control: A<> IUT.Bright + 1 == 2", &sys),
-            Err(TctlError::Invalid(_))
+            Err(TctlError::Invalid(..))
         ));
     }
 
@@ -814,37 +1061,32 @@ mod tests {
         let sys = sample_system();
         let text = "control: A<><=-1 IUT.Bright";
         match TestPurpose::parse(text, &sys) {
-            Err(TctlError::Parse {
-                position,
-                expected,
-                found,
-            }) => {
-                assert_eq!(position, text.find("-1").unwrap());
-                assert!(expected.contains("time bound"), "{expected}");
-                assert_eq!(found, "-1");
+            Err(TctlError::Syntax(e)) => {
+                let at = text.find("-1").unwrap();
+                assert_eq!(e.span, Span::new(at, at + 2));
+                assert!(e.message.contains("time bound"), "{e}");
+                assert!(e.message.contains("`-1`"), "{e}");
             }
             other => panic!("expected a spanned parse error, got {other:?}"),
         }
         let too_big = i64::from(tiga_model::MAX_CONSTANT) + 1;
         let text = format!("control: A[]<={too_big} IUT.Bright");
         match TestPurpose::parse(&text, &sys) {
-            Err(TctlError::Parse {
-                position, found, ..
-            }) => {
-                assert_eq!(position, text.find(&too_big.to_string()).unwrap());
-                assert_eq!(found, too_big.to_string());
+            Err(TctlError::Syntax(e)) => {
+                assert_eq!(e.span.start, text.find(&too_big.to_string()).unwrap());
+                assert!(e.message.contains(&format!("`{too_big}`")), "{e}");
             }
             other => panic!("expected a spanned parse error, got {other:?}"),
         }
         // A bound that does not even fit in i64 is a lexer-level error.
         assert!(matches!(
             TestPurpose::parse("control: A<><=99999999999999999999 IUT.Bright", &sys),
-            Err(TctlError::Invalid(_))
+            Err(TctlError::Syntax(_))
         ));
         // `<=` with no number at all.
         assert!(matches!(
             TestPurpose::parse("control: A<><= IUT.Bright", &sys),
-            Err(TctlError::Parse { .. })
+            Err(TctlError::Syntax(_))
         ));
     }
 
@@ -931,7 +1173,7 @@ mod tests {
         // Unknown names still fail.
         assert!(matches!(
             parse_predicate("IUT.noSuchThing == 1", &sys),
-            Err(TctlError::Invalid(_)) | Err(TctlError::Unresolved(_))
+            Err(TctlError::Invalid(..)) | Err(TctlError::Unresolved(..))
         ));
     }
 
@@ -947,6 +1189,24 @@ mod tests {
         assert_eq!(
             parse_predicate("true and IUT.Off", &sys).unwrap(),
             parse_predicate("IUT.Off", &sys).unwrap()
+        );
+    }
+
+    #[test]
+    fn bang_binds_tighter_than_not() {
+        let sys = sample_system();
+        let better = Expr::var(sys.vars().lookup("betterInfo").unwrap());
+        assert_eq!(
+            parse_predicate("!betterInfo == 1", &sys).unwrap(),
+            StatePredicate::Expr(better.clone().negated().eq(Expr::constant(1)))
+        );
+        assert_eq!(
+            parse_predicate("not betterInfo == 1", &sys).unwrap(),
+            StatePredicate::Expr(better.eq(Expr::constant(1))).negated()
+        );
+        assert_eq!(
+            parse_predicate("IUT.Dim and betterInfo == 1 || IUT.Off", &sys).unwrap(),
+            parse_predicate("(IUT.Dim and betterInfo == 1) or IUT.Off", &sys).unwrap()
         );
     }
 }
