@@ -18,12 +18,11 @@
 //!
 //! The baseline file is ordinary `solver_matrix` output; every counter —
 //! the work, effectiveness and zone-memory counters alike — is compared
-//! exactly, while the timing fields are present but ignored.  Parsing is
-//! hand-rolled (the offline build has no serde) and tolerant of whitespace,
-//! but expects the field set `matrix_rows_to_json` emits.
+//! exactly, while the timing fields are present but ignored.
 
 use crate::MatrixRow;
 use std::fmt;
+use tiga_solver::json::{self, Counter, Json};
 use tiga_solver::SolverStats;
 
 /// The deterministic slice of one matrix row: everything that is compared.
@@ -37,34 +36,8 @@ pub struct BaselineRow {
     pub engine: String,
     /// Whether the initial state is winning.
     pub winning: bool,
-    /// Explored discrete states.
-    pub discrete_states: u64,
-    /// Explored game-graph edges.
-    pub graph_edges: u64,
-    /// Fixpoint iterations / reevaluations.
-    pub iterations: u64,
-    /// Zones in the winning federations.
-    pub winning_zones: u64,
-    /// Largest federation seen.
-    pub peak_federation_size: u64,
-    /// Zones in the reach federations.
-    pub reach_zones: u64,
-    /// Zones subsumed by the passed list.
-    pub subsumed_zones: u64,
-    /// Reevaluations skipped by losing-subtree pruning.
-    pub pruned_evaluations: u64,
-    /// Whether the search stopped early.
-    pub early_terminated: bool,
-    /// Distinct zones interned by the zone store.
-    pub interned_zones: u64,
-    /// Intern lookups that found the zone already present.
-    pub intern_hits: u64,
-    /// Deep DBM copies at the solver's storage sites.
-    pub dbm_clones: u64,
-    /// Peak simultaneous reach + winning zone count.
-    pub peak_live_zones: u64,
-    /// Bytes saved by minimal-constraint zone storage.
-    pub minimized_bytes_saved: u64,
+    /// The solver counters.
+    pub stats: SolverStats,
 }
 
 impl BaselineRow {
@@ -73,46 +46,17 @@ impl BaselineRow {
     pub fn key(&self) -> String {
         format!("{}/{} [{}]", self.model, self.purpose, self.engine)
     }
-
-    fn from_stats(
-        model: &str,
-        purpose: &str,
-        engine: &str,
-        winning: bool,
-        s: &SolverStats,
-    ) -> Self {
-        BaselineRow {
-            model: model.to_string(),
-            purpose: purpose.to_string(),
-            engine: engine.to_string(),
-            winning,
-            discrete_states: s.discrete_states as u64,
-            graph_edges: s.graph_edges as u64,
-            iterations: s.iterations as u64,
-            winning_zones: s.winning_zones as u64,
-            peak_federation_size: s.peak_federation_size as u64,
-            reach_zones: s.reach_zones as u64,
-            subsumed_zones: s.subsumed_zones as u64,
-            pruned_evaluations: s.pruned_evaluations as u64,
-            early_terminated: s.early_terminated,
-            interned_zones: s.interned_zones as u64,
-            intern_hits: s.intern_hits as u64,
-            dbm_clones: s.dbm_clones as u64,
-            peak_live_zones: s.peak_live_zones as u64,
-            minimized_bytes_saved: s.minimized_bytes_saved as u64,
-        }
-    }
 }
 
 impl From<&MatrixRow> for BaselineRow {
     fn from(row: &MatrixRow) -> Self {
-        BaselineRow::from_stats(
-            &row.model,
-            &row.purpose,
-            &row.engine,
-            row.solution.winning_from_initial,
-            row.solution.stats(),
-        )
+        BaselineRow {
+            model: row.model.clone(),
+            purpose: row.purpose.clone(),
+            engine: row.engine.clone(),
+            winning: row.solution.winning_from_initial,
+            stats: row.solution.stats().clone(),
+        }
     }
 }
 
@@ -169,6 +113,15 @@ pub fn compare_to_baseline(current: &[BaselineRow], baseline: &[BaselineRow]) ->
     diffs
 }
 
+/// Counters that measure how often an optimization fired: fewer is worse.
+/// Every other count measures work or memory: more is worse.
+const EFFECTIVENESS: [&str; 4] = [
+    "subsumed_zones",
+    "pruned_evaluations",
+    "intern_hits",
+    "minimized_bytes_saved",
+];
+
 fn compare_row(cur: &BaselineRow, base: &BaselineRow, diffs: &mut Vec<BaselineDiff>) {
     let key = cur.key();
     if cur.winning != base.winning {
@@ -181,152 +134,56 @@ fn compare_row(cur: &BaselineRow, base: &BaselineRow, diffs: &mut Vec<BaselineDi
             regression: true,
         });
     }
-    if cur.early_terminated != base.early_terminated {
-        diffs.push(BaselineDiff {
-            key: key.clone(),
-            detail: format!(
-                "early_terminated changed: {} -> {}",
-                base.early_terminated, cur.early_terminated
-            ),
+    for ((name, was), (_, now)) in base.stats.counters().into_iter().zip(cur.stats.counters()) {
+        let regression = match (was, now) {
+            _ if was == now => continue,
+            (Counter::Count(was), Counter::Count(now)) if EFFECTIVENESS.contains(&name) => {
+                now < was
+            }
+            (Counter::Count(was), Counter::Count(now)) => now > was,
             // Losing early termination means more work; gaining it is an
             // improvement.
-            regression: base.early_terminated,
+            (was, _) => was == Counter::Flag(true),
+        };
+        diffs.push(BaselineDiff {
+            key: key.clone(),
+            detail: format!("{name}: {was} -> {now}"),
+            regression,
         });
-    }
-    // Work and memory counters: higher = worse.
-    let work: [(&str, u64, u64); 9] = [
-        ("discrete_states", base.discrete_states, cur.discrete_states),
-        ("graph_edges", base.graph_edges, cur.graph_edges),
-        ("iterations", base.iterations, cur.iterations),
-        ("winning_zones", base.winning_zones, cur.winning_zones),
-        (
-            "peak_federation_size",
-            base.peak_federation_size,
-            cur.peak_federation_size,
-        ),
-        ("reach_zones", base.reach_zones, cur.reach_zones),
-        ("interned_zones", base.interned_zones, cur.interned_zones),
-        ("dbm_clones", base.dbm_clones, cur.dbm_clones),
-        ("peak_live_zones", base.peak_live_zones, cur.peak_live_zones),
-    ];
-    for (name, was, now) in work {
-        if was != now {
-            diffs.push(BaselineDiff {
-                key: key.clone(),
-                detail: format!("{name}: {was} -> {now}"),
-                regression: now > was,
-            });
-        }
-    }
-    // Effectiveness counters: lower = worse (the optimizations fired less).
-    let effectiveness: [(&str, u64, u64); 4] = [
-        ("subsumed_zones", base.subsumed_zones, cur.subsumed_zones),
-        (
-            "pruned_evaluations",
-            base.pruned_evaluations,
-            cur.pruned_evaluations,
-        ),
-        ("intern_hits", base.intern_hits, cur.intern_hits),
-        (
-            "minimized_bytes_saved",
-            base.minimized_bytes_saved,
-            cur.minimized_bytes_saved,
-        ),
-    ];
-    for (name, was, now) in effectiveness {
-        if was != now {
-            diffs.push(BaselineDiff {
-                key: key.clone(),
-                detail: format!("{name}: {was} -> {now}"),
-                regression: now < was,
-            });
-        }
     }
 }
 
-/// Parses `solver_matrix` JSON output back into baseline rows.
+/// Parses `solver_matrix` JSON output back into baseline rows.  A lone row
+/// object reads as a one-row matrix.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed object or missing field.
+/// Returns the JSON syntax error with its byte offset, or the first row
+/// with a missing or mistyped field.
 pub fn parse_matrix_json(input: &str) -> Result<Vec<BaselineRow>, String> {
-    let mut rows = Vec::new();
-    let mut rest = input;
-    while let Some(open) = rest.find('{') {
-        let Some(close) = rest[open..].find('}') else {
-            return Err("unbalanced `{` in baseline JSON".to_string());
-        };
-        let object = &rest[open + 1..open + close];
-        rows.push(parse_object(object).map_err(|e| format!("row {}: {e}", rows.len() + 1))?);
-        rest = &rest[open + close + 1..];
-    }
+    let rows = match json::parse(input) {
+        Ok(Json::Arr(rows)) => rows,
+        Ok(row) => vec![row],
+        Err(err) => return Err(format!("byte {}: {}", err.at, err.message)),
+    };
     if rows.is_empty() {
         return Err("baseline JSON contains no rows".to_string());
     }
-    Ok(rows)
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| parse_row(row).map_err(|e| format!("row {}: {e}", i + 1)))
+        .collect()
 }
 
-fn parse_object(object: &str) -> Result<BaselineRow, String> {
+fn parse_row(row: &Json) -> Result<BaselineRow, String> {
+    let text = |name: &str| Ok::<_, String>(row.field(name)?.str_field(name)?.to_string());
     Ok(BaselineRow {
-        model: field_str(object, "model")?,
-        purpose: field_str(object, "purpose")?,
-        engine: field_str(object, "engine")?,
-        winning: field_bool(object, "winning")?,
-        discrete_states: field_u64(object, "discrete_states")?,
-        graph_edges: field_u64(object, "graph_edges")?,
-        iterations: field_u64(object, "iterations")?,
-        winning_zones: field_u64(object, "winning_zones")?,
-        peak_federation_size: field_u64(object, "peak_federation_size")?,
-        reach_zones: field_u64(object, "reach_zones")?,
-        subsumed_zones: field_u64(object, "subsumed_zones")?,
-        pruned_evaluations: field_u64(object, "pruned_evaluations")?,
-        early_terminated: field_bool(object, "early_terminated")?,
-        interned_zones: field_u64(object, "interned_zones")?,
-        intern_hits: field_u64(object, "intern_hits")?,
-        dbm_clones: field_u64(object, "dbm_clones")?,
-        peak_live_zones: field_u64(object, "peak_live_zones")?,
-        minimized_bytes_saved: field_u64(object, "minimized_bytes_saved")?,
+        model: text("model")?,
+        purpose: text("purpose")?,
+        engine: text("engine")?,
+        winning: row.field("winning")?.bool_field("winning")?,
+        stats: SolverStats::from_json(row)?,
     })
-}
-
-/// The raw text of `"name": <value>` inside one flat JSON object.
-fn field_raw<'a>(object: &'a str, name: &str) -> Result<&'a str, String> {
-    let needle = format!("\"{name}\":");
-    let at = object
-        .find(&needle)
-        .ok_or_else(|| format!("missing field `{name}`"))?;
-    let value = object[at + needle.len()..].trim_start();
-    let end = if let Some(inner) = value.strip_prefix('"') {
-        inner
-            .find('"')
-            .map(|i| i + 2)
-            .ok_or_else(|| format!("unterminated string for `{name}`"))?
-    } else {
-        value.find([',', '\n']).unwrap_or(value.len())
-    };
-    Ok(value[..end].trim_end())
-}
-
-fn field_str(object: &str, name: &str) -> Result<String, String> {
-    let raw = field_raw(object, name)?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .map(ToString::to_string)
-        .ok_or_else(|| format!("field `{name}` is not a string: `{raw}`"))
-}
-
-fn field_u64(object: &str, name: &str) -> Result<u64, String> {
-    let raw = field_raw(object, name)?;
-    raw.parse()
-        .map_err(|_| format!("field `{name}` is not an integer: `{raw}`"))
-}
-
-fn field_bool(object: &str, name: &str) -> Result<bool, String> {
-    match field_raw(object, name)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("field `{name}` is not a bool: `{other}`")),
-    }
 }
 
 #[cfg(test)]
@@ -339,20 +196,22 @@ mod tests {
             purpose: "coffee".into(),
             engine: "otfur".into(),
             winning: true,
-            discrete_states: 5,
-            graph_edges: 9,
-            iterations: 11,
-            winning_zones: 5,
-            peak_federation_size: 2,
-            reach_zones: 6,
-            subsumed_zones: 4,
-            pruned_evaluations: 3,
-            early_terminated: true,
-            interned_zones: 3,
-            intern_hits: 3,
-            dbm_clones: 4,
-            peak_live_zones: 9,
-            minimized_bytes_saved: 44,
+            stats: SolverStats {
+                discrete_states: 5,
+                graph_edges: 9,
+                iterations: 11,
+                winning_zones: 5,
+                peak_federation_size: 2,
+                reach_zones: 6,
+                subsumed_zones: 4,
+                pruned_evaluations: 3,
+                early_terminated: true,
+                interned_zones: 3,
+                intern_hits: 3,
+                dbm_clones: 4,
+                peak_live_zones: 9,
+                minimized_bytes_saved: 44,
+            },
         }
     }
 
@@ -376,7 +235,11 @@ mod tests {
         let bad = SAMPLE_JSON.replace("\"discrete_states\": 5", "\"discrete_states\": maybe");
         assert!(parse_matrix_json(&bad)
             .unwrap_err()
-            .contains("not an integer"));
+            .contains("expected a JSON value"));
+        let bad = SAMPLE_JSON.replace("\"discrete_states\": 5", "\"discrete_states\": \"5\"");
+        assert!(parse_matrix_json(&bad)
+            .unwrap_err()
+            .contains("`discrete_states` must be a non-negative number"));
     }
 
     #[test]
@@ -403,7 +266,7 @@ mod tests {
     fn truncation_variants_error_with_messages() {
         // Mid-string cut: the object never closes.
         let err = parse_matrix_json("[\n  {\"model\": \"cof").unwrap_err();
-        assert!(err.contains("unbalanced"), "{err}");
+        assert!(err.contains("unterminated string"), "{err}");
         // Closed object with the tail fields missing.
         let err = parse_matrix_json("[{\"model\": \"m\", \"purpose\": \"p\"}]").unwrap_err();
         assert!(err.contains("missing field"), "{err}");
@@ -434,9 +297,9 @@ mod tests {
     #[test]
     fn worse_counters_are_regressions() {
         let mut worse = sample();
-        worse.discrete_states += 10;
-        worse.subsumed_zones -= 1;
-        worse.early_terminated = false;
+        worse.stats.discrete_states += 10;
+        worse.stats.subsumed_zones -= 1;
+        worse.stats.early_terminated = false;
         let diffs = compare_to_baseline(&[worse], &[sample()]);
         assert_eq!(diffs.len(), 3, "{diffs:?}");
         assert!(diffs.iter().all(|d| d.regression), "{diffs:?}");
@@ -445,8 +308,8 @@ mod tests {
     #[test]
     fn better_counters_are_flagged_as_improvements() {
         let mut better = sample();
-        better.discrete_states -= 1;
-        better.pruned_evaluations += 2;
+        better.stats.discrete_states -= 1;
+        better.stats.pruned_evaluations += 2;
         let diffs = compare_to_baseline(&[better], &[sample()]);
         assert_eq!(diffs.len(), 2, "{diffs:?}");
         assert!(diffs.iter().all(|d| !d.regression), "{diffs:?}");
@@ -457,11 +320,11 @@ mod tests {
         // A row whose memory counters drifted from the baseline fails the
         // gate, labelled by the direction the change points.
         let mut tampered = sample();
-        tampered.intern_hits -= 1;
-        tampered.dbm_clones += 1;
-        tampered.interned_zones += 1;
-        tampered.peak_live_zones += 1;
-        tampered.minimized_bytes_saved += 1;
+        tampered.stats.intern_hits -= 1;
+        tampered.stats.dbm_clones += 1;
+        tampered.stats.interned_zones += 1;
+        tampered.stats.peak_live_zones += 1;
+        tampered.stats.minimized_bytes_saved += 1;
         let diffs = compare_to_baseline(&[tampered], &[sample()]);
         assert_eq!(diffs.len(), 5, "{diffs:?}");
         for (field, regression) in [

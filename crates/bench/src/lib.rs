@@ -14,6 +14,7 @@ pub use baseline::{compare_to_baseline, parse_matrix_json, BaselineDiff, Baselin
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 use tiga_dbm::{Bound, Dbm, Federation};
 use tiga_model::System;
 use tiga_models::{coffee_machine, leader_election, smart_light};
@@ -333,47 +334,27 @@ pub fn engine_matrix_rows(instance: &ZooInstance) -> Vec<MatrixRow> {
         .collect()
 }
 
-/// Renders matrix rows as a machine-readable JSON array (hand-rolled: the
-/// offline build environment has no serde).
+/// Renders matrix rows as a machine-readable JSON array, one row per line.
 #[must_use]
 pub fn matrix_rows_to_json(rows: &[MatrixRow]) -> String {
     let mut out = String::from("[\n");
     for (i, row) in rows.iter().enumerate() {
-        let stats = row.solution.stats();
+        let _ = write!(
+            out,
+            "  {{\"model\": \"{}\", \"purpose\": \"{}\", \"engine\": \"{}\", \"winning\": {}, ",
+            row.model, row.purpose, row.engine, row.solution.winning_from_initial,
+        );
+        for (name, value) in row.solution.stats().counters() {
+            let _ = write!(out, "\"{name}\": {value}, ");
+        }
         let timed = &row.solution.timed;
-        out.push_str(&format!(
-            concat!(
-                "  {{\"model\": \"{}\", \"purpose\": \"{}\", \"engine\": \"{}\", ",
-                "\"winning\": {}, \"discrete_states\": {}, \"graph_edges\": {}, ",
-                "\"iterations\": {}, \"winning_zones\": {}, \"peak_federation_size\": {}, ",
-                "\"reach_zones\": {}, \"subsumed_zones\": {}, \"pruned_evaluations\": {}, ",
-                "\"early_terminated\": {}, \"interned_zones\": {}, \"intern_hits\": {}, ",
-                "\"dbm_clones\": {}, \"peak_live_zones\": {}, \"minimized_bytes_saved\": {}, ",
-                "\"exploration_us\": {}, \"fixpoint_us\": {}, ",
-                "\"total_us\": {}}}"
-            ),
-            row.model,
-            row.purpose,
-            row.engine,
-            row.solution.winning_from_initial,
-            stats.discrete_states,
-            stats.graph_edges,
-            stats.iterations,
-            stats.winning_zones,
-            stats.peak_federation_size,
-            stats.reach_zones,
-            stats.subsumed_zones,
-            stats.pruned_evaluations,
-            stats.early_terminated,
-            stats.interned_zones,
-            stats.intern_hits,
-            stats.dbm_clones,
-            stats.peak_live_zones,
-            stats.minimized_bytes_saved,
+        let _ = write!(
+            out,
+            "\"exploration_us\": {}, \"fixpoint_us\": {}, \"total_us\": {}}}",
             timed.exploration_time.as_micros(),
             timed.fixpoint_time.as_micros(),
             timed.total_time().as_micros(),
-        ));
+        );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");

@@ -31,13 +31,18 @@
 //! Malformed input never kills the process: a line that is not valid JSON,
 //! a request with bad fields, or a model that fails to parse each produce a
 //! `"status":"error"` response (with the line number and, for JSON syntax
-//! errors, the byte offset) and the session continues.
+//! errors, the byte offset) and the session continues.  Requests are read
+//! by [`tiga_solver::json`], which refuses nesting deeper than
+//! [`json::MAX_DEPTH`]; objectives refuse quantifier ranges longer than
+//! [`tiga_lang::MAX_ARRAY_SIZE`].
 
 use crate::{parse_num, reject_leftovers, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+use tiga_solver::json::{self, Escaped, Json};
 use tiga_solver::{solve, CompiledController, SolveCache, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
@@ -167,14 +172,14 @@ impl ServeSession {
 /// for solve requests, one per item plus a summary for batches).
 fn handle_line(line: &str, line_no: usize, session: &mut ServeSession) -> Vec<Response> {
     let started = Instant::now();
-    let json = match parse_json(line) {
+    let json = match json::parse(line) {
         Ok(json) => json,
         Err(err) => {
             return vec![Response::Line(format!(
                 "{{\"id\":{line_no},\"status\":\"error\",\"line\":{line_no},\
                  \"byte\":{},\"error\":\"{}\"}}",
                 err.at,
-                crate::solve::json_escape(&format!("bad request JSON: {}", err.message)),
+                Escaped(&format!("bad request JSON: {}", err.message)),
             ))]
         }
     };
@@ -373,52 +378,27 @@ impl Request {
                 "id" => {
                     id = match value {
                         Json::Int(n) => n.to_string(),
-                        Json::Str(s) => format!("\"{}\"", crate::solve::json_escape(s)),
+                        Json::Str(s) => format!("\"{}\"", Escaped(s)),
                         _ => return Err("`id` must be a number or a string".to_string()),
                     }
                 }
-                "kind" => match value.as_str().ok_or("`kind` must be a string")? {
+                "kind" => match value.str_field("kind")? {
                     "solve" => kind = RequestKind::Solve,
                     "batch" => kind = RequestKind::Batch,
                     other => return Err(format!("unknown request kind `{other}`")),
                 },
-                "model" => {
-                    inline = Some(
-                        value
-                            .as_str()
-                            .ok_or("`model` must be a string")?
-                            .to_string(),
-                    )
-                }
-                "path" => path = Some(value.as_str().ok_or("`path` must be a string")?.to_string()),
+                "model" => inline = Some(value.str_field("model")?.to_string()),
+                "path" => path = Some(value.str_field("path")?.to_string()),
                 "models" => inlines = Some(string_array(value, "models")?),
                 "paths" => paths = Some(string_array(value, "paths")?),
-                "purpose" => {
-                    purpose = Some(
-                        value
-                            .as_str()
-                            .ok_or("`purpose` must be a string")?
-                            .to_string(),
-                    );
-                }
-                "engine" => {
-                    options.engine =
-                        SolveEngine::from_name(value.as_str().ok_or("`engine` must be a string")?)?;
-                }
-                "exhaustive" => {
-                    options.early_termination =
-                        !value.as_bool().ok_or("`exhaustive` must be a bool")?;
-                }
-                "strategy" => {
-                    options.extract_strategy =
-                        value.as_bool().ok_or("`strategy` must be a bool")?;
-                }
-                "controller" => {
-                    controller = value.as_bool().ok_or("`controller` must be a bool")?;
-                }
-                "max_rounds" => options.max_rounds = usize_field(value, "max_rounds")?,
-                "max_states" => options.explore.max_states = usize_field(value, "max_states")?,
-                "jobs" => options.jobs = usize_field(value, "jobs")?,
+                "purpose" => purpose = Some(value.str_field("purpose")?.to_string()),
+                "engine" => options.engine = SolveEngine::from_name(value.str_field("engine")?)?,
+                "exhaustive" => options.early_termination = !value.bool_field("exhaustive")?,
+                "strategy" => options.extract_strategy = value.bool_field("strategy")?,
+                "controller" => controller = value.bool_field("controller")?,
+                "max_rounds" => options.max_rounds = value.usize_field("max_rounds")?,
+                "max_states" => options.explore.max_states = value.usize_field("max_states")?,
+                "jobs" => options.jobs = value.usize_field("jobs")?,
                 other => return Err(format!("unknown request field `{other}`")),
             }
         }
@@ -472,27 +452,17 @@ impl Request {
     }
 }
 
-/// Reads a non-negative integer request field.  A negative value names the
-/// field and the offending number (overflowing literals never get this far:
-/// the JSON reader rejects anything outside i64 with a byte offset).
-fn usize_field(value: &Json, name: &str) -> Result<usize, String> {
-    match value {
-        Json::Int(n) => usize::try_from(*n)
-            .map_err(|_| format!("`{name}` must be a non-negative number, got {n}")),
-        _ => Err(format!("`{name}` must be a non-negative number")),
-    }
-}
-
 fn string_array(value: &Json, name: &str) -> Result<Vec<String>, String> {
+    let error = || format!("`{name}` must be an array of strings");
     let Json::Arr(items) = value else {
-        return Err(format!("`{name}` must be an array of strings"));
+        return Err(error());
     };
     items
         .iter()
         .map(|item| {
-            item.as_str()
+            item.str_field(name)
                 .map(ToString::to_string)
-                .ok_or_else(|| format!("`{name}` must be an array of strings"))
+                .map_err(|_| error())
         })
         .collect()
 }
@@ -572,10 +542,10 @@ fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
     let mut payload = format!(
         "{{\"model\":\"{model}\",\"engine\":\"{engine}\",\"verdict\":\"{verdict}\",\
          {stats_fields},\"strategy_rules\":{strategy_rules},{controller_fields},\"strategy\":\"",
-        model = crate::solve::json_escape(model),
+        model = Escaped(model),
         engine = prepared.options.engine.name(),
         verdict = if winning { "winning" } else { "losing" },
-        stats_fields = crate::solve::stats_json_fields(solution.stats()),
+        stats_fields = solution.stats().json_fields(),
         strategy_rules = solution
             .strategy
             .as_ref()
@@ -583,8 +553,7 @@ fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
         controller_fields = crate::solve::controller_json_fields(controller.as_ref()),
     );
     payload.reserve(strategy_text.len() + 1);
-    crate::solve::push_json_escaped(&mut payload, &strategy_text);
-    payload.push('"');
+    let _ = write!(payload, "{}\"", Escaped(&strategy_text));
     Ok(Arc::new(Rendered {
         fingerprint: SolveCache::fingerprint(&prepared.key),
         payload,
@@ -623,9 +592,7 @@ impl Rendered {
             let text =
                 tiga_solver::print_controller(&self.model, self.winning, self.controller.as_ref());
             let mut field = String::with_capacity(text.len() + 16);
-            field.push_str(",\"controller\":\"");
-            crate::solve::push_json_escaped(&mut field, &text);
-            field.push('"');
+            let _ = write!(field, ",\"controller\":\"{}\"", Escaped(&text));
             field
         })
     }
@@ -710,7 +677,7 @@ fn error_response(id: &str, kind: &str, line_no: usize, message: &str) -> Respon
     Response::Line(format!(
         "{{\"id\":{id},\"kind\":\"{kind}\",\"status\":\"error\",\"line\":{line_no},\
          \"error\":\"{}\"}}",
-        crate::solve::json_escape(message)
+        Escaped(message)
     ))
 }
 
@@ -718,276 +685,8 @@ fn item_error_response(id: &str, kind: &str, index: usize, message: &str) -> Res
     Response::Line(format!(
         "{{\"id\":{id},\"kind\":\"{kind}\",\"index\":{index},\"status\":\"error\",\
          \"error\":\"{}\"}}",
-        crate::solve::json_escape(message)
+        Escaped(message)
     ))
-}
-
-// ---------------------------------------------------------------------------
-// A minimal JSON reader (crates.io/serde is unreachable; hand-rolled in the
-// baseline.rs spirit).  Supports objects, arrays, strings with escapes,
-// integers, booleans and null — everything the request protocol needs.
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Kept for tests: production numeric fields go through [`usize_field`]
-    /// so rejections carry the offending value.
-    #[cfg(test)]
-    fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Int(n) => usize::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON syntax error with the byte offset it occurred at.
-#[derive(Debug)]
-struct JsonError {
-    at: usize,
-    message: String,
-}
-
-fn parse_json(text: &str) -> Result<Json, JsonError> {
-    let mut parser = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing content after the JSON value"));
-    }
-    Ok(value)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn error(&self, message: &str) -> JsonError {
-        JsonError {
-            at: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", char::from(byte))))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected `{text}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.error("expected a JSON value")),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let name = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((name, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.error("only integers are supported"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Int)
-            .ok_or_else(|| self.error("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            out.push(self.unicode_escape()?);
-                            continue;
-                        }
-                        _ => return Err(self.error("bad escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(byte) if byte < 0x20 => {
-                    return Err(self.error("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so bytes
-                    // form valid sequences).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("bad UTF-8 in string"))?
-                        .chars()
-                        .next()
-                        .expect("peeked a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Decodes `XXXX` after `\u`, including surrogate pairs.
-    fn unicode_escape(&mut self) -> Result<char, JsonError> {
-        let first = self.hex4()?;
-        if (0xD800..=0xDBFF).contains(&first) {
-            // High surrogate: a `\uXXXX` low surrogate must follow.
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
-                self.pos += 2;
-                let second = self.hex4()?;
-                if !(0xDC00..=0xDFFF).contains(&second) {
-                    return Err(self.error("bad low surrogate"));
-                }
-                let code = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                return char::from_u32(code).ok_or_else(|| self.error("bad surrogate pair"));
-            }
-            return Err(self.error("lone high surrogate"));
-        }
-        char::from_u32(first).ok_or_else(|| self.error("bad unicode escape"))
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|h| std::str::from_utf8(h).ok())
-            .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape digits"))?;
-        self.pos = end;
-        Ok(code)
-    }
 }
 
 /// Entry point used by [`crate::run`].
@@ -1025,7 +724,7 @@ mod tests {
 
     #[test]
     fn json_parser_handles_the_protocol_surface() {
-        let json = parse_json(
+        let json = json::parse(
             r#"{"id":7,"kind":"batch","paths":["a.tg","b.tg"],"exhaustive":true,"jobs":0,"note":null,"neg":-3}"#,
         )
         .unwrap();
@@ -1033,7 +732,7 @@ mod tests {
             panic!("not an object")
         };
         assert_eq!(fields[0], ("id".to_string(), Json::Int(7)));
-        assert_eq!(fields[1].1.as_str(), Some("batch"));
+        assert_eq!(fields[1].1, Json::Str("batch".to_string()));
         assert_eq!(
             fields[2].1,
             Json::Arr(vec![
@@ -1041,40 +740,40 @@ mod tests {
                 Json::Str("b.tg".to_string())
             ])
         );
-        assert_eq!(fields[3].1.as_bool(), Some(true));
-        assert_eq!(fields[4].1.as_usize(), Some(0));
+        assert_eq!(fields[3].1, Json::Bool(true));
+        assert_eq!(fields[4].1.usize_field("jobs"), Ok(0));
         assert_eq!(fields[5].1, Json::Null);
         assert_eq!(fields[6].1, Json::Int(-3));
     }
 
     #[test]
     fn json_string_escapes_roundtrip() {
-        let json = parse_json(r#"{"s":"a\nb\t\"q\"\\\u0041\u00e9\ud83d\ude00"}"#).unwrap();
+        let json = json::parse(r#"{"s":"a\nb\t\"q\"\\\u0041\u00e9\ud83d\ude00"}"#).unwrap();
         let Json::Obj(fields) = &json else {
             panic!("not an object")
         };
-        assert_eq!(fields[0].1.as_str(), Some("a\nb\t\"q\"\\Aé😀"));
+        assert_eq!(fields[0].1, Json::Str("a\nb\t\"q\"\\Aé😀".to_string()));
     }
 
     #[test]
     fn json_errors_carry_byte_offsets() {
-        let err = parse_json("{\"a\" 1}").unwrap_err();
+        let err = json::parse("{\"a\" 1}").unwrap_err();
         assert_eq!(err.at, 5);
-        assert!(parse_json("not json at all").is_err());
-        assert!(parse_json("{\"a\":1} extra").is_err());
-        assert!(parse_json("{\"a\":1.5}").is_err(), "floats are rejected");
-        assert!(parse_json("\"lone \\ud800\"").is_err());
+        assert!(json::parse("not json at all").is_err());
+        assert!(json::parse("{\"a\":1} extra").is_err());
+        assert!(json::parse("{\"a\":1.5}").is_err(), "floats are rejected");
+        assert!(json::parse("\"lone \\ud800\"").is_err());
         // Truncations never panic.
         let good = r#"{"id":1,"path":"x.tg","models":["a"],"purpose":"control: A<> true"}"#;
         for cut in 0..good.len() {
-            let _ = parse_json(&good[..cut]);
+            let _ = json::parse(&good[..cut]);
         }
     }
 
     #[test]
     fn requests_reject_malformed_shapes() {
         let args_jobs = 1;
-        let parse = |text: &str| Request::from_json(&parse_json(text).unwrap(), 1, args_jobs);
+        let parse = |text: &str| Request::from_json(&json::parse(text).unwrap(), 1, args_jobs);
         assert!(parse(r#"{"path":"a.tg","model":"x"}"#).is_err());
         assert!(parse(r#"{}"#).is_err());
         assert!(parse(r#"{"kind":"batch","paths":[]}"#).is_err());

@@ -4,7 +4,7 @@ use crate::{
     load_model, parse_num, reject_leftovers, take_flag, take_value, wants_help, EXIT_FAILURE,
     EXIT_USAGE,
 };
-use std::fmt::Write as _;
+use tiga_solver::json::Escaped;
 use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
@@ -295,10 +295,10 @@ fn render_stats_json(
         "{{\"model\":\"{}\",\"engine\":\"{}\",\"winning\":{},{},\
          \"strategy_rules\":{},{},\
          \"exploration_us\":{},\"fixpoint_us\":{},\"total_us\":{}}}",
-        json_escape(system.name()),
+        Escaped(system.name()),
         args.options.engine.name(),
         solution.winning_from_initial,
-        stats_json_fields(stats),
+        stats.json_fields(),
         strategy_rules,
         controller_json_fields(controller),
         timed.exploration_time.as_micros(),
@@ -322,64 +322,6 @@ pub(crate) fn controller_json_fields(
         ),
         None => "\"minimized_rules\":null,\"controller_states\":null".to_string(),
     }
-}
-
-/// The full 14-field [`tiga_solver::SolverStats`] block as JSON fields (no
-/// braces), in the order established by `--stats-json`.  Shared with the
-/// `tiga serve` response payloads so both surfaces report the same block.
-pub(crate) fn stats_json_fields(stats: &tiga_solver::SolverStats) -> String {
-    format!(
-        concat!(
-            "\"discrete_states\":{},\"graph_edges\":{},\"iterations\":{},",
-            "\"winning_zones\":{},\"peak_federation_size\":{},\"reach_zones\":{},",
-            "\"subsumed_zones\":{},\"pruned_evaluations\":{},\"early_terminated\":{},",
-            "\"interned_zones\":{},\"intern_hits\":{},\"dbm_clones\":{},",
-            "\"peak_live_zones\":{},\"minimized_bytes_saved\":{}"
-        ),
-        stats.discrete_states,
-        stats.graph_edges,
-        stats.iterations,
-        stats.winning_zones,
-        stats.peak_federation_size,
-        stats.reach_zones,
-        stats.subsumed_zones,
-        stats.pruned_evaluations,
-        stats.early_terminated,
-        stats.interned_zones,
-        stats.intern_hits,
-        stats.dbm_clones,
-        stats.peak_live_zones,
-        stats.minimized_bytes_saved,
-    )
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_json_escaped(&mut out, s);
-    out
-}
-
-/// Appends `s` to `out` as the body of a JSON string: `"` and `\` are
-/// backslash-escaped and control characters become `\u00XX`.  Unescaped
-/// stretches are copied whole; everything escaped is ASCII, so the byte
-/// offsets cut only at character boundaries.
-pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
-    let mut copied = 0;
-    for (at, byte) in s.bytes().enumerate() {
-        if byte != b'"' && byte != b'\\' && byte >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[copied..at]);
-        match byte {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            _ => {
-                let _ = write!(out, "\\u{byte:04x}");
-            }
-        }
-        copied = at + 1;
-    }
-    out.push_str(&s[copied..]);
 }
 
 /// Entry point used by [`crate::run`].
@@ -463,20 +405,6 @@ mod tests {
             "\"model\":\"smart-light\"",
             "\"engine\":\"otfur\"",
             "\"winning\":",
-            "\"discrete_states\":",
-            "\"graph_edges\":",
-            "\"iterations\":",
-            "\"winning_zones\":",
-            "\"peak_federation_size\":",
-            "\"reach_zones\":",
-            "\"subsumed_zones\":",
-            "\"pruned_evaluations\":",
-            "\"early_terminated\":",
-            "\"interned_zones\":",
-            "\"intern_hits\":",
-            "\"dbm_clones\":",
-            "\"peak_live_zones\":",
-            "\"minimized_bytes_saved\":",
             "\"strategy_rules\":",
             "\"minimized_rules\":",
             "\"controller_states\":",
@@ -484,6 +412,13 @@ mod tests {
         ] {
             assert!(report.contains(key), "missing {key} in {report}");
         }
+        // The 14 counters read back as the solver's own.
+        let model = load_model(path.to_str().unwrap()).unwrap();
+        let purpose = model.purpose.expect("the file has a control: line");
+        let solution = solve(&model.system, &purpose, &args.options).unwrap();
+        let json = tiga_solver::json::parse(&report).unwrap();
+        let stats = tiga_solver::SolverStats::from_json(&json);
+        assert_eq!(stats.as_ref(), Ok(solution.stats()));
         assert!(!report.contains("\"interned_zones\":0,"), "{report}");
     }
 
@@ -523,18 +458,11 @@ mod tests {
             .join("../../examples/tg/smart_light.tg");
         let args = parse_args(&strings(&[path.to_str().unwrap(), "--stats-json"])).unwrap();
         let report = run_solve(&args).unwrap();
-        let field = |key: &str| {
-            let start = report.find(key).unwrap() + key.len();
-            report[start..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse::<usize>()
-                .unwrap()
-        };
-        let strategy_rules = field("\"strategy_rules\":");
-        let minimized = field("\"minimized_rules\":");
-        let states = field("\"controller_states\":");
+        let json = tiga_solver::json::parse(&report).unwrap();
+        let field = |key: &str| json.field(key).unwrap().usize_field(key).unwrap();
+        let strategy_rules = field("strategy_rules");
+        let minimized = field("minimized_rules");
+        let states = field("controller_states");
         assert!(minimized <= strategy_rules, "{report}");
         assert!(minimized >= 1 && states >= 1, "{report}");
         // Without strategy extraction both controller fields are null.
@@ -598,33 +526,5 @@ mod tests {
         assert!(parse_args(&strings(&[])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--wat"])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--expect", "maybe"])).is_err());
-    }
-
-    #[test]
-    fn json_escape_matches_a_per_character_reference() {
-        let reference = |s: &str| -> String {
-            s.chars()
-                .map(|c| match c {
-                    '"' => "\\\"".to_string(),
-                    '\\' => "\\\\".to_string(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
-                    c => c.to_string(),
-                })
-                .collect()
-        };
-        for text in [
-            "",
-            "plain",
-            "\"quoted\" \\ back",
-            "tiga-strategy v1\nrule 0 wait\t<=3\r\n",
-            "\u{0}\u{1f}\u{7f} é 😀 \"",
-            "ends with an escape\n",
-            "\\",
-        ] {
-            assert_eq!(json_escape(text), reference(text), "{text:?}");
-        }
-        let mut out = String::from("prefix:");
-        push_json_escaped(&mut out, "a\"b");
-        assert_eq!(out, "prefix:a\\\"b");
     }
 }

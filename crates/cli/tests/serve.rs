@@ -13,6 +13,7 @@
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
 use tiga_cli::{serve_session, ServeArgs, ServeSession};
+use tiga_solver::json::{self, Escaped};
 
 fn tg_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg")
@@ -44,19 +45,7 @@ fn payload(line: &str) -> &str {
 }
 
 fn json_string(text: &str) -> String {
-    let mut out = String::from("\"");
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", Escaped(text))
 }
 
 #[test]
@@ -118,6 +107,7 @@ fn inline_source_shares_the_cache_key_with_its_file() {
 
 #[test]
 fn malformed_lines_are_spanned_errors_and_the_session_survives() {
+    let light = json_string(&tg("smart_light.tg"));
     let requests = vec![
         "{\"id\":1,\"path\" \"oops\"}".to_string(),
         "{\"id\":2,\"path\":\"/nonexistent/missing.tg\"}".to_string(),
@@ -129,9 +119,14 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
             "{{\"id\":4,\"path\":{}}}",
             json_string(&tg("smart_light.tg"))
         ),
+        // Nested far past the reader's depth cap, then a quantifier range
+        // past its cap; the session answers the request after them.
+        format!("{{\"id\":5,\"x\":{}}}", "[".repeat(200_000) + &"]".repeat(200_000)),
+        format!("{{\"id\":6,\"path\":{light},\"purpose\":\"control: A<> forall (i: 0..99999999999) true\"}}"),
+        format!("{{\"id\":7,\"path\":{light}}}"),
     ];
     let lines = session(&requests, 1);
-    assert_eq!(lines.len(), 4, "{lines:?}");
+    assert_eq!(lines.len(), 7, "{lines:?}");
     // JSON syntax error: spanned with line and byte offset, id falls back to
     // the line number.
     assert!(
@@ -154,6 +149,18 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
     // The session is still alive and solves the good request.
     assert!(lines[3].contains("\"id\":4,"), "{}", lines[3]);
     assert!(lines[3].contains("\"status\":\"ok\""), "{}", lines[3]);
+    // Too deep: refused at the first bracket past the cap, the 64th `[`
+    // after the 12-byte `{"id":5,"x":` prefix.
+    assert_eq!(
+        lines[4],
+        "{\"id\":5,\"status\":\"error\",\"line\":5,\"byte\":75,\
+         \"error\":\"bad request JSON: arrays and objects nest deeper than 64 levels\"}"
+    );
+    // Too wide: the purpose's range is refused before it is expanded.
+    let wide = "quantifier range 0..99999999999 has 100000000000 values";
+    assert!(lines[5].starts_with("{\"id\":6,\"kind\":\"solve\",\"status\":\"error\""));
+    assert!(lines[5].contains(wide), "{}", lines[5]);
+    assert!(lines[6].starts_with("{\"id\":7,\"kind\":\"solve\",\"status\":\"ok\""));
 }
 
 #[test]
@@ -381,17 +388,10 @@ fn controller_fields_and_downloads_ride_the_same_cache_entry() {
     let stripped = format!("{}{}", &with_flag[..start], &with_flag[end..]);
     assert_eq!(stripped, payload(&lines[0]));
     // The minimized controller never has more rules than the strategy.
-    let field = |line: &str, key: &str| {
-        let start = line.find(key).unwrap() + key.len();
-        line[start..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse::<usize>()
-            .unwrap()
-    };
+    let payload = json::parse(payload(&lines[0])).unwrap();
+    let field = |key: &str| payload.field(key).unwrap().usize_field(key).unwrap();
     assert!(
-        field(&lines[0], "\"minimized_rules\":") <= field(&lines[0], "\"strategy_rules\":"),
+        field("minimized_rules") <= field("strategy_rules"),
         "{}",
         lines[0]
     );

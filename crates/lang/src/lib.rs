@@ -75,12 +75,12 @@ mod parser;
 mod printer;
 
 pub use ast::FileAst;
-pub use lower::{lower_file, TgModel, DEFAULT_SYSTEM_NAME, MAX_ARRAY_SIZE};
+pub use lower::{lower_file, TgModel, DEFAULT_SYSTEM_NAME};
 pub use parser::parse_file;
 pub use printer::{constraint_to_tg, control_line, control_line_for, print_system};
 pub use tiga_tctl::{
     expr_to_tg, is_bare_name, quoted, tokenize, LangError, LangErrorKind, Span, Token, TokenKind,
-    KEYWORDS,
+    KEYWORDS, MAX_ARRAY_SIZE,
 };
 
 /// Parses and lowers `.tg` source in one step.

@@ -14,15 +14,10 @@ use tiga_model::{
     AutomatonBuilder, ChannelId, ClockConstraint, ClockId, EdgeBuilder, Expr, LocationId,
     ModelError, System, SystemBuilder, VarId,
 };
-use tiga_tctl::{LangError, Span, TestPurpose};
+use tiga_tctl::{LangError, Span, TestPurpose, MAX_ARRAY_SIZE};
 
 /// Default system name when the file has no `system` header.
 pub const DEFAULT_SYSTEM_NAME: &str = "system";
-
-/// Largest accepted array size: every element is a store slot that discrete
-/// states carry around, so anything beyond this is a model bug (the zoo's
-/// largest array is the LEP buffer with one slot per node).
-pub const MAX_ARRAY_SIZE: i64 = 1 << 20;
 
 /// A fully lowered `.tg` file: the built system plus the optional objective.
 #[derive(Clone, Debug)]

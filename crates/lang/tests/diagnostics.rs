@@ -92,6 +92,10 @@ fn specific_diagnostics_name_the_problem() {
         ("missing_arrow.tg", "`->`"),
         ("unresolved_objective_name.tg", "cannot resolve `x2`"),
         (
+            "huge_quantifier_range.tg",
+            "quantifier range `Huge` has 2000000 values (the maximum is 1048576)",
+        ),
+        (
             "bad_objective_token.tg",
             "expected an expression, found `]`",
         ),
@@ -153,4 +157,8 @@ fn objective_diagnostics_point_at_the_offender() {
     let source = std::fs::read_to_string(corpus_dir().join("bad_control_line.tg")).unwrap();
     let err = parse_model(&source).unwrap_err();
     assert_eq!(&source[err.span.start..err.span.end], "Ghost.Location");
+
+    let source = std::fs::read_to_string(corpus_dir().join("huge_quantifier_range.tg")).unwrap();
+    let err = parse_model(&source).unwrap_err();
+    assert_eq!(&source[err.span.start..err.span.end], "Huge");
 }

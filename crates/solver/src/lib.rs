@@ -78,6 +78,7 @@ mod cache;
 mod controller;
 mod error;
 mod graph;
+pub mod json;
 mod minimize;
 mod otfur;
 mod serialize;

@@ -602,6 +602,12 @@ fn lookup_env(env: &Env<'_>, name: &str) -> Option<i64> {
         .find_map(|(n, v)| if *n == name { Some(*v) } else { None })
 }
 
+/// Largest accepted array size and quantifier range: every array element
+/// is a store slot that discrete states carry around, and every range value
+/// a copy of the quantified subformula, so anything beyond this is a model
+/// bug (the zoo's largest array is the LEP buffer with one slot per node).
+pub const MAX_ARRAY_SIZE: i64 = 1 << 20;
+
 fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, TctlError> {
     match &range.node {
         RangeAst::Size(n) => {
@@ -611,7 +617,7 @@ fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, 
                     range.span,
                 ));
             }
-            Ok((0..*n).collect())
+            capped_range(0, n - 1, &n.to_string(), range.span)
         }
         RangeAst::Interval(lo, hi) => {
             if lo > hi {
@@ -620,7 +626,7 @@ fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, 
                     range.span,
                 ));
             }
-            Ok((*lo..=*hi).collect())
+            capped_range(*lo, *hi, &format!("{lo}..{hi}"), range.span)
         }
         RangeAst::Named(name) => {
             if let Some(var) = system.vars().lookup(name) {
@@ -637,7 +643,7 @@ fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, 
                             range.span,
                         ));
                     }
-                    return Ok((0..n).collect());
+                    return capped_range(0, n - 1, &format!("`{name}`"), range.span);
                 }
             }
             // `BufferId`-style index types: `<array>Id` refers to the indices
@@ -655,6 +661,19 @@ fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, 
             ))
         }
     }
+}
+
+/// The values `lo..=hi` of the non-empty range written as `text`, refused
+/// before any allocation when there are more than [`MAX_ARRAY_SIZE`].
+fn capped_range(lo: i64, hi: i64, text: &str, span: Span) -> Result<Vec<i64>, TctlError> {
+    let count = i128::from(hi) - i128::from(lo) + 1;
+    if count > i128::from(MAX_ARRAY_SIZE) {
+        return Err(TctlError::Invalid(
+            format!("quantifier range {text} has {count} values (the maximum is {MAX_ARRAY_SIZE})"),
+            span,
+        ));
+    }
+    Ok((lo..=hi).collect())
 }
 
 fn resolve_int(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<Expr, TctlError> {
@@ -987,6 +1006,37 @@ mod tests {
         assert!(!p
             .holds(&sys, &state_with(&sys, "Off", [0, 1, 0], 0))
             .unwrap());
+    }
+
+    #[test]
+    fn quantifier_ranges_are_capped_before_expansion() {
+        let sys = sample_system();
+        let over = MAX_ARRAY_SIZE + 1;
+        for (range, values) in [
+            ("0..99999999999".to_string(), "100000000000".to_string()),
+            (over.to_string(), over.to_string()),
+            (
+                format!("{}..{}", i64::MIN, i64::MAX),
+                (1u128 << 64).to_string(),
+            ),
+        ] {
+            let text = format!("forall (i: {range}) true");
+            match parse_predicate(&text, &sys) {
+                Err(TctlError::Invalid(message, span)) => {
+                    let at = text.find(&range).unwrap();
+                    assert_eq!(span, Span::new(at, at + range.len()), "{text}");
+                    assert!(
+                        message.contains(&format!("has {values} values")),
+                        "{message}"
+                    );
+                    assert!(message.contains(&MAX_ARRAY_SIZE.to_string()), "{message}");
+                }
+                other => panic!("{text}: expected a spanned refusal, got {other:?}"),
+            }
+        }
+        // The largest accepted range is the cap itself.
+        let text = format!("exists (i: 1..{MAX_ARRAY_SIZE}) true");
+        assert_eq!(parse_predicate(&text, &sys), Ok(StatePredicate::True));
     }
 
     #[test]
