@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tiga_bench::{bench_rng, random_federation, random_zone};
+use tiga_bench::bench_rng;
 use tiga_dbm::ZoneStore;
+use tiga_gen::{random_federation, random_zone};
 
 fn bench_zone_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("dbm");

@@ -13,9 +13,8 @@ mod baseline;
 pub use baseline::{compare_to_baseline, parse_matrix_json, BaselineDiff, BaselineRow};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt::Write as _;
-use tiga_dbm::{Bound, Dbm, Federation};
 use tiga_model::System;
 use tiga_models::{coffee_machine, leader_election, smart_light};
 use tiga_solver::{solve, solve_jacobi, GameSolution, SolveEngine, SolveOptions};
@@ -361,40 +360,6 @@ pub fn matrix_rows_to_json(rows: &[MatrixRow]) -> String {
     out
 }
 
-/// Generates a pseudo-random non-empty zone of the given dimension with
-/// constants below `max_const`.
-#[must_use]
-pub fn random_zone(rng: &mut StdRng, dim: usize, max_const: i32) -> Dbm {
-    loop {
-        let mut zone = Dbm::universe(dim);
-        let constraints = rng.gen_range(0..2 * dim);
-        for _ in 0..constraints {
-            let i = rng.gen_range(0..dim);
-            let j = rng.gen_range(0..dim);
-            if i == j {
-                continue;
-            }
-            let m = rng.gen_range(-max_const..=max_const);
-            let bound = if rng.gen_bool(0.5) {
-                Bound::le(m)
-            } else {
-                Bound::lt(m)
-            };
-            zone.constrain(i, j, bound);
-        }
-        if !zone.is_empty() {
-            return zone;
-        }
-    }
-}
-
-/// Generates a pseudo-random federation with up to `zones` member zones.
-#[must_use]
-pub fn random_federation(rng: &mut StdRng, dim: usize, zones: usize, max_const: i32) -> Federation {
-    let count = rng.gen_range(1..=zones.max(1));
-    Federation::from_zones(dim, (0..count).map(|_| random_zone(rng, dim, max_const)))
-}
-
 /// A deterministic RNG for the benches.
 #[must_use]
 pub fn bench_rng() -> StdRng {
@@ -446,14 +411,53 @@ mod tests {
     }
 
     #[test]
-    fn random_zones_are_nonempty_and_in_range() {
-        let mut rng = bench_rng();
-        for _ in 0..50 {
-            let z = random_zone(&mut rng, 4, 10);
-            assert!(!z.is_empty());
+    fn zoo_instances_match_their_checked_in_files() {
+        // `examples/tg/<model>.tg` carries the model's primary (first
+        // listed) purpose, and `<model>.<purpose>.tg` carries each safety
+        // and time-bounded purpose.  Each such file parses to its zoo
+        // instance; the safety and bounded ones solve winning with an
+        // extracted strategy (a bounded one over the `#t`-augmented
+        // product, one extra clock column).
+        let tg_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg");
+        let (mut primaries, mut safety, mut bounded) = (Vec::new(), 0, 0);
+        for instance in model_zoo() {
+            let (system, purpose) = (&instance.system, &instance.purpose);
+            let is_safety = purpose.quantifier == tiga_tctl::PathQuantifier::Safety;
+            let is_bounded = purpose.bound.is_some();
+            let file = if is_safety || is_bounded {
+                format!("{}.{}.tg", instance.model, instance.purpose_name)
+            } else if !primaries.contains(&instance.model) {
+                primaries.push(instance.model.clone());
+                format!("{}.tg", instance.model)
+            } else {
+                continue;
+            };
+            let source = std::fs::read_to_string(tg_dir.join(&file))
+                .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
+            let parsed = tiga_lang::parse_model(&source)
+                .unwrap_or_else(|e| panic!("{}", e.render(&source, &file)));
+            assert_eq!(&parsed.system, system, "{file}: system differs");
+            assert_eq!(
+                parsed.purpose.as_ref(),
+                Some(purpose),
+                "{file}: purpose differs"
+            );
+            if is_safety || is_bounded {
+                let solution = solve(system, purpose, &SolveOptions::default()).unwrap();
+                assert!(solution.winning_from_initial, "{file} must be enforceable");
+                assert_eq!(solution.bound, purpose.bound, "{file}: bound lost");
+                assert_eq!(
+                    solution.strategy.map(|strategy| strategy.dim()),
+                    Some(system.dim() + usize::from(is_bounded)),
+                    "{file}: strategy missing or of the wrong dimension"
+                );
+                safety += usize::from(is_safety);
+                bounded += usize::from(is_bounded);
+            }
         }
-        let fed = random_federation(&mut rng, 4, 3, 10);
-        assert!(!fed.is_empty());
+        assert_eq!(primaries.len(), 4, "one primary file per model");
+        assert!(safety >= 2, "expected ≥ 2 safety files, found {safety}");
+        assert!(bounded >= 2, "expected ≥ 2 bounded files, found {bounded}");
     }
 
     #[test]

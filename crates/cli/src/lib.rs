@@ -10,9 +10,8 @@
 //! * `tiga test <file.tg>` — synthesize the winning strategy and run a
 //!   mutation campaign against simulated implementations, mapping flags onto
 //!   [`tiga_testing::CampaignOptions`];
-//! * `tiga zoo` — list the built-in benchmark model zoo, and with
-//!   `--emit-tg <dir>` export every zoo model (and its plant) as `.tg` via
-//!   the [`tiga_lang::print_system`] serializer;
+//! * `tiga zoo` — list the built-in benchmark model zoo (its models are
+//!   the `.tg` files under `examples/tg/`);
 //! * `tiga fuzz` — differential fuzzing: seeded random timed games through
 //!   the [`tiga_gen`] oracles (engine agreement on reachability *and*
 //!   safety objectives, printer/parser roundtrip, zone-algebra reference,
@@ -38,7 +37,7 @@ pub use fuzz::{run_fuzz, FuzzArgs};
 pub use serve::{serve_session, ServeArgs, ServeSession};
 pub use solve::{run_solve, SolveArgs};
 pub use test::{run_test, TestArgs};
-pub use zoo::{run_zoo, ZooArgs};
+pub use zoo::run_zoo;
 
 use tiga_lang::TgModel;
 
@@ -56,7 +55,7 @@ USAGE:
                [--show-strategy]
     tiga test  <file.tg> [--spec <plant.tg>] [--threads N] [--seed N]
                [--repetitions N] [--max-mutants N] [--purpose '<control: ...>']
-    tiga zoo   [--emit-tg <dir>]
+    tiga zoo
     tiga fuzz  [--seed N] [--count N] [--jobs N] [--shrink|--no-shrink]
                [--out-dir <dir>] [--max-states N] [--zone-rounds N]
                [--zone-samples N]

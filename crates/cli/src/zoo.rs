@@ -1,71 +1,21 @@
-//! `tiga zoo` — list and export the built-in benchmark model zoo.
+//! `tiga zoo` — list the built-in benchmark model zoo.
 
-use crate::{reject_leftovers, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE};
+use crate::{reject_leftovers, wants_help, EXIT_USAGE};
 use std::fmt::Write as _;
-use std::path::Path;
 use tiga_bench::model_zoo;
-use tiga_lang::print_system;
-use tiga_model::System;
-use tiga_models::{coffee_machine, leader_election, smart_light};
 
 const USAGE: &str = "\
 USAGE:
-    tiga zoo [--emit-tg <dir>]
+    tiga zoo
 
 Lists the benchmark model zoo (every case-study product with its test
-purposes).  With `--emit-tg`, writes each model to `<dir>/<model>.tg` (with
-its primary purpose as the `control:` line), each *safety* or *time-bounded*
-purpose to `<dir>/<model>.<purpose>.tg`, and the corresponding plant to
-`<dir>/<model>.plant.tg` — the files under `examples/tg/` in this repository
-are generated exactly this way.
+purposes).  The models themselves are the `.tg` files under `examples/tg/`
+in this repository.
 ";
 
-/// Parsed arguments of `tiga zoo`.
-#[derive(Clone, Debug)]
-pub struct ZooArgs {
-    /// Directory to export `.tg` files into.
-    pub emit_dir: Option<String>,
-}
-
-/// Parses `tiga zoo` arguments.
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags.
-pub fn parse_args(args: &[String]) -> Result<ZooArgs, String> {
-    let mut args = args.to_vec();
-    let emit_dir = take_value(&mut args, "--emit-tg")?;
-    reject_leftovers(&args, USAGE)?;
-    Ok(ZooArgs { emit_dir })
-}
-
-/// The plant (specification-only) system behind a zoo model id.
-///
-/// `lepN` ids map to the leader-election plant for `N` nodes: the abstract
-/// configuration for `lep3` (matching the historical zoo entry), the
-/// detailed one for every larger `N` (the scaling family).
-fn plant_for(model: &str) -> Option<System> {
-    match model {
-        "smart_light" => Some(smart_light::plant().expect("model builds")),
-        "coffee_machine" => Some(coffee_machine::plant().expect("model builds")),
-        other => {
-            let n: usize = other.strip_prefix("lep")?.parse().ok()?;
-            let config = if n <= 3 {
-                leader_election::LepConfig::new(n)
-            } else {
-                leader_election::LepConfig::detailed(n)
-            };
-            Some(leader_election::plant(config).expect("model builds"))
-        }
-    }
-}
-
-/// Runs `tiga zoo`, returning the rendered listing.
-///
-/// # Errors
-///
-/// Returns a diagnostic when the export directory cannot be written.
-pub fn run_zoo(args: &ZooArgs) -> Result<String, String> {
+/// Renders the `tiga zoo` listing: one line per zoo instance.
+#[must_use]
+pub fn run_zoo() -> String {
     let zoo = model_zoo();
     let mut out = String::new();
     let _ = writeln!(out, "{} zoo instances:", zoo.len());
@@ -81,50 +31,7 @@ pub fn run_zoo(args: &ZooArgs) -> Result<String, String> {
             instance.purpose.source,
         );
     }
-
-    if let Some(dir) = &args.emit_dir {
-        let dir = Path::new(dir);
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("error: cannot create `{}`: {e}", dir.display()))?;
-        let mut emitted_models = Vec::new();
-        for instance in &zoo {
-            // One file per model with its primary purpose, plus one file
-            // per *safety* or *time-bounded* purpose (those zoo instances
-            // are checked in alongside the products they constrain).
-            if instance.purpose.quantifier == tiga_tctl::PathQuantifier::Safety
-                || instance.purpose.bound.is_some()
-            {
-                let path = dir.join(format!("{}.{}.tg", instance.model, instance.purpose_name));
-                write_tg(
-                    &path,
-                    &print_system(&instance.system, Some(&instance.purpose)),
-                )?;
-                let _ = writeln!(out, "wrote {}", path.display());
-                continue;
-            }
-            if emitted_models.contains(&instance.model) {
-                continue;
-            }
-            emitted_models.push(instance.model.clone());
-            let path = dir.join(format!("{}.tg", instance.model));
-            write_tg(
-                &path,
-                &print_system(&instance.system, Some(&instance.purpose)),
-            )?;
-            let _ = writeln!(out, "wrote {}", path.display());
-            if let Some(plant) = plant_for(&instance.model) {
-                let path = dir.join(format!("{}.plant.tg", instance.model));
-                write_tg(&path, &print_system(&plant, None))?;
-                let _ = writeln!(out, "wrote {}", path.display());
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn write_tg(path: &Path, contents: &str) -> Result<(), String> {
-    std::fs::write(path, contents)
-        .map_err(|e| format!("error: cannot write `{}`: {e}", path.display()))
+    out
 }
 
 /// Entry point used by [`crate::run`].
@@ -133,22 +40,12 @@ pub(crate) fn main(args: &[String]) -> i32 {
         crate::emit(USAGE.trim_end());
         return 0;
     }
-    match parse_args(args) {
-        Err(usage) => {
-            eprintln!("{usage}");
-            EXIT_USAGE
-        }
-        Ok(parsed) => match run_zoo(&parsed) {
-            Ok(listing) => {
-                crate::emit(listing.trim_end());
-                0
-            }
-            Err(report) => {
-                eprintln!("{report}");
-                EXIT_FAILURE
-            }
-        },
+    if let Err(usage) = reject_leftovers(args, USAGE) {
+        eprintln!("{usage}");
+        return EXIT_USAGE;
     }
+    crate::emit(run_zoo().trim_end());
+    0
 }
 
 #[cfg(test)]
@@ -157,21 +54,9 @@ mod tests {
 
     #[test]
     fn listing_covers_the_zoo() {
-        let listing = run_zoo(&ZooArgs { emit_dir: None }).unwrap();
+        let listing = run_zoo();
         for model in ["coffee_machine", "smart_light", "lep3"] {
             assert!(listing.contains(model), "{listing}");
-        }
-    }
-
-    #[test]
-    fn every_zoo_model_has_a_plant() {
-        let zoo = model_zoo();
-        for instance in &zoo {
-            assert!(
-                plant_for(&instance.model).is_some(),
-                "no plant mapping for zoo model `{}` — extend plant_for",
-                instance.model
-            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Campaigns are embarrassingly parallel — every `(policy, implementation)`
 //! pair is an independent run — and are executed on a sharded work queue
-//! ([`crate::parallel`]): workers claim jobs dynamically, so a slow mutant
+//! ([`tiga_parallel::run_indexed`]): workers claim jobs dynamically, so a slow mutant
 //! does not serialize the pool.  Results are nevertheless **bit-identical
 //! for any thread count**, because
 //!
@@ -26,13 +26,13 @@ use crate::harness::TestHarness;
 use crate::iut::{DelayOutcome, Iut, OutputPolicy, SimulatedIut};
 use crate::monitor::{MonitorOutcome, SpecMonitor};
 use crate::mutation::Mutant;
-use crate::parallel::run_indexed;
 use crate::trace::TimedTrace;
 use crate::verdict::{InconclusiveReason, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use tiga_model::{ChannelKind, ModelError, System};
+use tiga_parallel::run_indexed;
 
 /// The result of running one implementation through a campaign.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -80,7 +80,6 @@ mod harness;
 mod iut;
 mod monitor;
 mod mutation;
-mod parallel;
 mod trace;
 mod verdict;
 
@@ -94,6 +93,5 @@ pub use harness::{HarnessError, TestHarness};
 pub use iut::{DelayOutcome, Iut, OutputPolicy, ScriptedIut, SimulatedIut};
 pub use monitor::{MonitorOutcome, SpecMonitor};
 pub use mutation::{generate_mutants, rebuild_system, Mutant, MutationConfig};
-pub use parallel::{effective_threads, run_indexed};
 pub use trace::{DisplayTrace, TimedTrace, TraceStep};
 pub use verdict::{FailReason, InconclusiveReason, Verdict};

@@ -7,7 +7,7 @@
 //! gets written out as a self-contained `.tg` file.
 //!
 //! With [`FuzzOptions::jobs`] above one the campaign shards the cases over
-//! the deterministic work queue of [`tiga_testing::run_indexed`]: every
+//! the deterministic work queue of [`tiga_parallel::run_indexed`]: every
 //! case is a self-contained job keyed by its pre-derived seed, results are
 //! merged in case order, and the report — counters, failure list, shrunk
 //! reproducers — is bit-identical for any job count.
@@ -23,7 +23,7 @@ use crate::spec::SysSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tiga_lang::print_system;
-use tiga_testing::{effective_threads, run_indexed};
+use tiga_parallel::{effective_threads, run_indexed};
 
 /// Options of one fuzzing campaign.
 #[derive(Clone, Debug)]

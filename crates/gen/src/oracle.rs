@@ -715,6 +715,17 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn random_zones_are_nonempty_and_in_range() {
+        let mut rng = StdRng::seed_from_u64(0x2008_D47E);
+        for _ in 0..50 {
+            let z = random_zone(&mut rng, 4, 10);
+            assert!(!z.is_empty());
+        }
+        let fed = random_federation(&mut rng, 4, 3, 10);
+        assert!(!fed.is_empty());
+    }
+
+    #[test]
     fn pred_t_oracle_is_clean_on_seeded_rounds() {
         let mut rng = StdRng::seed_from_u64(0x9ED7);
         for round in 0..100 {

@@ -7,7 +7,8 @@
 //! pinned across the whole benchmark model zoo (products *and* plants), the
 //! seeded mutant pools derived from every plant, and randomly generated
 //! expression trees.  Objectives round-trip too: a programmatic purpose
-//! printed on the `control:` line parses back to the same predicate.
+//! printed on the `control:` line parses back to the same predicate.  Every
+//! checked-in `examples/tg/*.tg` file is a printer fixpoint.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -57,6 +58,36 @@ fn zoo_products_roundtrip_with_purposes() {
             instance.model, instance.purpose_name
         );
     }
+}
+
+#[test]
+fn checked_in_tg_files_parse_and_are_printer_fixpoints() {
+    // Every `examples/tg/*.tg` parses, and printing the parsed model
+    // reproduces the file byte for byte.  Plant files carry no objective;
+    // every other file carries one.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg");
+    let mut count = 0;
+    for entry in std::fs::read_dir(&dir).expect("examples/tg exists") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|e| e != "tg") {
+            continue;
+        }
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let source = std::fs::read_to_string(&path).expect("readable");
+        let model = parse_model(&source).unwrap_or_else(|e| panic!("{}", e.render(&source, &name)));
+        assert_eq!(
+            print_system(&model.system, model.purpose.as_ref()),
+            source,
+            "{name} is not a printer fixpoint"
+        );
+        assert_eq!(
+            model.purpose.is_none(),
+            name.ends_with(".plant.tg"),
+            "{name}: only plant files lack a control: line"
+        );
+        count += 1;
+    }
+    assert!(count >= 14, "only {count} checked-in .tg files");
 }
 
 #[test]

@@ -6,23 +6,18 @@
 //! Behaviour:
 //!
 //! * after `coin?`, the machine waits for a selection; if no button is
-//!   pressed within [`SELECTION_TIMEOUT`] time units it refunds the coin
-//!   (`refund!`) within [`REACT_TIME`] further time units;
-//! * after `button?`, it brews and eventually serves `coffee!` within
-//!   `[`[`BREW_MIN`]`, `[`BREW_MAX`]`]` time units — the exact serving moment
-//!   is uncontrollable.
+//!   pressed within 10 time units it refunds the coin (`refund!`) within 2
+//!   further time units;
+//! * after `button?`, it brews and serves `coffee!` 3 to [`BREW_MAX`] time
+//!   units later — the exact serving moment is uncontrollable.
+//!
+//! The model is the checked-in `examples/tg/coffee_machine.tg` (the
+//! product) and `examples/tg/coffee_machine.plant.tg` (the machine alone);
+//! [`product`] and [`plant`] parse them.
 
-use tiga_model::{
-    AutomatonBuilder, ChannelId, ClockConstraint, CmpOp, EdgeBuilder, ModelError, System,
-    SystemBuilder,
-};
+use tiga_lang::{parse_model, LangError};
+use tiga_model::System;
 
-/// Time after which an unused coin is refunded.
-pub const SELECTION_TIMEOUT: i64 = 10;
-/// Maximum reaction time for the refund.
-pub const REACT_TIME: i64 = 2;
-/// Earliest serving time after the button is pressed.
-pub const BREW_MIN: i64 = 3;
 /// Latest serving time after the button is pressed.
 pub const BREW_MAX: i64 = 5;
 
@@ -35,89 +30,13 @@ pub const PURPOSE_REFUND: &str = "control: A<> Machine.Refunded";
 /// coin is in (a safety game: the dual greatest fixpoint).
 pub const PURPOSE_NO_REFUND: &str = "control: A[] not Machine.Refunded";
 
-/// Channels of the machine, for callers that add custom environments.
-#[derive(Clone, Copy, Debug)]
-pub struct MachineChannels {
-    /// Controllable coin insertion.
-    pub coin: ChannelId,
-    /// Controllable button press.
-    pub button: ChannelId,
-    /// Uncontrollable serving of the coffee.
-    pub coffee: ChannelId,
-    /// Uncontrollable refund.
-    pub refund: ChannelId,
-}
-
-/// Adds the machine automaton (the plant) to a builder.
-///
-/// # Errors
-///
-/// Propagates builder validation errors.
-pub fn build_machine_into(builder: &mut SystemBuilder) -> Result<MachineChannels, ModelError> {
-    let x = builder.clock("x")?;
-    let coin = builder.input_channel("coin")?;
-    let button = builder.input_channel("button")?;
-    let coffee = builder.output_channel("coffee")?;
-    let refund = builder.output_channel("refund")?;
-
-    let mut machine = AutomatonBuilder::new("Machine");
-    let idle = machine.location("Idle")?;
-    let selecting = machine.location("Selecting")?;
-    let brewing = machine.location("Brewing")?;
-    let served = machine.location("Served")?;
-    let refunded = machine.location("Refunded")?;
-    machine.set_initial(idle);
-    machine.set_invariant(
-        selecting,
-        vec![ClockConstraint::new(
-            x,
-            CmpOp::Le,
-            SELECTION_TIMEOUT + REACT_TIME,
-        )],
-    );
-    machine.set_invariant(brewing, vec![ClockConstraint::new(x, CmpOp::Le, BREW_MAX)]);
-
-    machine.add_edge(EdgeBuilder::new(idle, selecting).input(coin).reset(x));
-    machine.add_edge(
-        EdgeBuilder::new(selecting, brewing)
-            .input(button)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Lt, SELECTION_TIMEOUT))
-            .reset(x),
-    );
-    machine.add_edge(
-        EdgeBuilder::new(selecting, refunded)
-            .output(refund)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, SELECTION_TIMEOUT))
-            .reset(x),
-    );
-    machine.add_edge(
-        EdgeBuilder::new(brewing, served)
-            .output(coffee)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, BREW_MIN))
-            .reset(x),
-    );
-    // Served / Refunded accept a new coin (the machine is reusable).
-    machine.add_edge(EdgeBuilder::new(served, selecting).input(coin).reset(x));
-    machine.add_edge(EdgeBuilder::new(refunded, selecting).input(coin).reset(x));
-
-    builder.add_automaton(machine.build()?)?;
-    Ok(MachineChannels {
-        coin,
-        button,
-        coffee,
-        refund,
-    })
-}
-
 /// The plant model alone.
 ///
 /// # Errors
 ///
-/// Propagates builder validation errors.
-pub fn plant() -> Result<System, ModelError> {
-    let mut builder = SystemBuilder::new("coffee-machine-plant");
-    build_machine_into(&mut builder)?;
-    builder.build()
+/// Never fails in practice: the checked-in file parses (pinned by the tests).
+pub fn plant() -> Result<System, LangError> {
+    parse_model(include_str!("../../../examples/tg/coffee_machine.plant.tg")).map(|m| m.system)
 }
 
 /// The closed game product: machine composed with a customer model that may
@@ -125,35 +44,15 @@ pub fn plant() -> Result<System, ModelError> {
 ///
 /// # Errors
 ///
-/// Propagates builder validation errors.
-pub fn product() -> Result<System, ModelError> {
-    let mut builder = SystemBuilder::new("coffee-machine");
-    let channels = build_machine_into(&mut builder)?;
-    let z = builder.clock("z")?;
-    let mut customer = AutomatonBuilder::new("Customer");
-    let c = customer.location("C")?;
-    customer.set_initial(c);
-    customer.add_edge(
-        EdgeBuilder::new(c, c)
-            .output(channels.coin)
-            .guard_clock(ClockConstraint::new(z, CmpOp::Ge, 1))
-            .reset(z),
-    );
-    customer.add_edge(
-        EdgeBuilder::new(c, c)
-            .output(channels.button)
-            .guard_clock(ClockConstraint::new(z, CmpOp::Ge, 1))
-            .reset(z),
-    );
-    customer.add_edge(EdgeBuilder::new(c, c).input(channels.coffee).reset(z));
-    customer.add_edge(EdgeBuilder::new(c, c).input(channels.refund).reset(z));
-    builder.add_automaton(customer.build()?)?;
-    builder.build()
+/// Never fails in practice: the checked-in file parses (pinned by the tests).
+pub fn product() -> Result<System, LangError> {
+    parse_model(include_str!("../../../examples/tg/coffee_machine.tg")).map(|m| m.system)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiga_lang::print_system;
     use tiga_solver::{solve_jacobi, SolveOptions};
     use tiga_tctl::TestPurpose;
 
@@ -165,6 +64,13 @@ mod tests {
         let product = product().unwrap();
         assert_eq!(product.automata().len(), 2);
         assert_eq!(product.clocks().len(), 2);
+    }
+
+    #[test]
+    fn brew_max_matches_the_model() {
+        let printed = print_system(&product().unwrap(), None);
+        let line = format!("location Brewing {{ inv x <= {BREW_MAX} }}");
+        assert!(printed.lines().any(|l| l.trim() == line), "no `{line}`");
     }
 
     #[test]

@@ -398,6 +398,7 @@ pub fn plant(config: LepConfig) -> Result<System, ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiga_lang::{parse_model, print_system};
     use tiga_solver::{solve_jacobi, SolveOptions};
     use tiga_tctl::TestPurpose;
 
@@ -412,6 +413,41 @@ mod tests {
             assert_eq!(sys.channels().len(), n + 3);
             let plant = plant(config).unwrap();
             assert_eq!(plant.automata().len(), 1);
+        }
+    }
+
+    #[test]
+    fn checked_in_lep_files_are_the_generator_output() {
+        // `examples/tg/lep{3,4}*.tg` are this generator's output, printed
+        // with their purpose: byte for byte, and parsing back to the same
+        // system and purpose.
+        let lep3 = LepConfig::new(3);
+        let lep4 = LepConfig::detailed(4);
+        let files = [
+            ("lep3.tg", lep3, Some(lep3.tp1())),
+            ("lep3.tp4.tg", lep3, Some(lep3.tp4())),
+            ("lep3.plant.tg", lep3, None),
+            ("lep4.tg", lep4, Some(lep4.tp2())),
+            ("lep4.tp4.tg", lep4, Some(lep4.tp4())),
+            ("lep4.plant.tg", lep4, None),
+        ];
+        for (file, config, purpose) in files {
+            let path = format!("{}/../../examples/tg/{file}", env!("CARGO_MANIFEST_DIR"));
+            let on_disk = std::fs::read_to_string(&path).unwrap();
+            let system = match purpose {
+                Some(_) => product(config),
+                None => plant(config),
+            }
+            .unwrap();
+            let purpose = purpose.map(|text| TestPurpose::parse(&text, &system).unwrap());
+            assert_eq!(
+                print_system(&system, purpose.as_ref()),
+                on_disk,
+                "{file} differs from the generator's output"
+            );
+            let parsed = parse_model(&on_disk).unwrap();
+            assert_eq!(parsed.system, system, "{file} parses to another system");
+            assert_eq!(parsed.purpose, purpose, "{file} parses to another purpose");
         }
     }
 

@@ -11,6 +11,15 @@
 //! * [`coffee_machine`] — an extra self-contained example used by the
 //!   quickstart and documentation.
 //!
+//! The smart light and the coffee machine *are* their checked-in `.tg`
+//! files under `examples/tg/` (`<model>.tg` for the product,
+//! `<model>.plant.tg` for the plant): `product()` and `plant()` parse them
+//! with [`tiga_lang::parse_model`] and drop a product file's `control:`
+//! line, because callers pick their own purpose.  [`leader_election`] is a
+//! generator: it builds the LEP product and plant for any node count (the
+//! lepN scaling family), and its tests pin the checked-in `lep3`/`lep4`
+//! files to its output byte for byte.
+//!
 //! Each module exposes a `plant()` (the specification / implementation basis)
 //! and a `product()` (the closed plant∥environment game) together with the
 //! relevant test-purpose strings.

@@ -10,11 +10,13 @@
 //! "output pending" locations `L1`–`L6` with invariant `Tp <= 2`, a
 //! reactivation threshold [`T_IDLE`] and a switching threshold [`T_SW`], and
 //! a user automaton (Fig. 3) with reaction time [`T_REACT`].
+//!
+//! The model is the checked-in `examples/tg/smart_light.tg` (the product)
+//! and `examples/tg/smart_light.plant.tg` (the light alone); [`product`]
+//! and [`plant`] parse them.
 
-use tiga_model::{
-    AutomatonBuilder, ChannelId, ClockConstraint, CmpOp, EdgeBuilder, ModelError, System,
-    SystemBuilder,
-};
+use tiga_lang::{parse_model, LangError};
+use tiga_model::System;
 
 /// Idle-time threshold after which a touch reactivates the light (Fig. 2).
 pub const T_IDLE: i64 = 20;
@@ -39,179 +41,14 @@ pub const PURPOSE_BRIGHT_AND_USER_READY: &str = "control: A<> IUT.Bright and Use
 /// and must never double-touch into `L6` (where `bright!` is forced).
 pub const PURPOSE_NEVER_BRIGHT: &str = "control: A[] not IUT.Bright";
 
-/// Channel identifiers of the light, returned by [`build_light_into`] so that
-/// additional automata (the user model, custom environments) can synchronize
-/// with it.
-#[derive(Clone, Copy, Debug)]
-pub struct LightChannels {
-    /// The controllable `touch` input.
-    pub touch: ChannelId,
-    /// The uncontrollable `off!` output.
-    pub off: ChannelId,
-    /// The uncontrollable `dim!` output.
-    pub dim: ChannelId,
-    /// The uncontrollable `bright!` output.
-    pub bright: ChannelId,
-}
-
-/// Declares the light's clocks and channels and adds the Fig. 2 automaton to
-/// the builder.
-///
-/// # Errors
-///
-/// Propagates builder validation errors (duplicate names if called twice on
-/// the same builder).
-pub fn build_light_into(builder: &mut SystemBuilder) -> Result<LightChannels, ModelError> {
-    let x = builder.clock("x")?;
-    let tp = builder.clock("Tp")?;
-    let touch = builder.input_channel("touch")?;
-    let off_ch = builder.output_channel("off")?;
-    let dim_ch = builder.output_channel("dim")?;
-    let bright_ch = builder.output_channel("bright")?;
-
-    let mut light = AutomatonBuilder::new("IUT");
-    let off = light.location("Off")?;
-    let dim = light.location("Dim")?;
-    let bright = light.location("Bright")?;
-    let l1 = light.location("L1")?;
-    let l2 = light.location("L2")?;
-    let l3 = light.location("L3")?;
-    let l4 = light.location("L4")?;
-    let l5 = light.location("L5")?;
-    let l6 = light.location("L6")?;
-    light.set_initial(off);
-
-    // Output-pending locations must resolve within OUTPUT_JITTER time units.
-    for pending in [l1, l2, l3, l4, l5, l6] {
-        light.set_invariant(
-            pending,
-            vec![ClockConstraint::new(tp, CmpOp::Le, OUTPUT_JITTER)],
-        );
-    }
-
-    // Off: a quick touch starts a dim cycle; a touch after a long idle period
-    // reactivates with an uncontrollable choice between dim and bright.
-    light.add_edge(
-        EdgeBuilder::new(off, l1)
-            .input(touch)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Lt, T_IDLE))
-            .reset(x)
-            .reset(tp),
-    );
-    light.add_edge(
-        EdgeBuilder::new(off, l5)
-            .input(touch)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, T_IDLE))
-            .reset(x)
-            .reset(tp),
-    );
-    // L1: dim is the only possible reaction; touching again escalates to a
-    // bright cycle (L6).
-    light.add_edge(EdgeBuilder::new(l1, dim).output(dim_ch).reset(x));
-    light.add_edge(EdgeBuilder::new(l1, l6).input(touch).reset(x));
-    // L5: uncontrollable choice between bright and dim (the paper's "output
-    // uncontrollability"); another touch escalates to L6.
-    light.add_edge(EdgeBuilder::new(l5, bright).output(bright_ch).reset(x));
-    light.add_edge(EdgeBuilder::new(l5, dim).output(dim_ch).reset(x));
-    light.add_edge(EdgeBuilder::new(l5, l6).input(touch).reset(x));
-    // L6: bright is forced (within the jitter window).
-    light.add_edge(EdgeBuilder::new(l6, bright).output(bright_ch).reset(x));
-    light.add_edge(EdgeBuilder::new(l6, l6).input(touch).reset(x));
-    // Dim: a quick second touch brightens (via L6), a slow one switches off
-    // (via L4).
-    light.add_edge(
-        EdgeBuilder::new(dim, l6)
-            .input(touch)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Lt, T_SW))
-            .reset(x)
-            .reset(tp),
-    );
-    light.add_edge(
-        EdgeBuilder::new(dim, l4)
-            .input(touch)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, T_SW))
-            .reset(x)
-            .reset(tp),
-    );
-    light.add_edge(EdgeBuilder::new(l4, off).output(off_ch).reset(x));
-    light.add_edge(EdgeBuilder::new(l4, l4).input(touch).reset(x));
-    // Bright: a quick touch dims (via L2), a slow one switches off (via L3).
-    light.add_edge(
-        EdgeBuilder::new(bright, l2)
-            .input(touch)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Lt, T_SW))
-            .reset(x)
-            .reset(tp),
-    );
-    light.add_edge(
-        EdgeBuilder::new(bright, l3)
-            .input(touch)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, T_SW))
-            .reset(x)
-            .reset(tp),
-    );
-    light.add_edge(EdgeBuilder::new(l2, dim).output(dim_ch).reset(x));
-    light.add_edge(EdgeBuilder::new(l2, l2).input(touch).reset(x));
-    light.add_edge(EdgeBuilder::new(l3, off).output(off_ch).reset(x));
-    light.add_edge(EdgeBuilder::new(l3, l3).input(touch).reset(x));
-
-    builder.add_automaton(light.build()?)?;
-    Ok(LightChannels {
-        touch,
-        off: off_ch,
-        dim: dim_ch,
-        bright: bright_ch,
-    })
-}
-
-/// Adds the Fig. 3 user automaton to a builder that already contains the
-/// light (see [`build_light_into`]).
-///
-/// # Errors
-///
-/// Propagates builder validation errors.
-pub fn build_user_into(
-    builder: &mut SystemBuilder,
-    channels: LightChannels,
-) -> Result<(), ModelError> {
-    let z = builder.clock("z")?;
-    let mut user = AutomatonBuilder::new("User");
-    let init = user.location("Init")?;
-    let work = user.location("Work")?;
-    user.set_initial(init);
-    // The user may touch whenever at least T_REACT has elapsed since its last
-    // interaction.
-    user.add_edge(
-        EdgeBuilder::new(init, work)
-            .output(channels.touch)
-            .guard_clock(ClockConstraint::new(z, CmpOp::Ge, T_REACT))
-            .reset(z),
-    );
-    user.add_edge(
-        EdgeBuilder::new(work, work)
-            .output(channels.touch)
-            .guard_clock(ClockConstraint::new(z, CmpOp::Ge, T_REACT))
-            .reset(z),
-    );
-    // The user observes every light output (input-enabled environment).
-    for ch in [channels.off, channels.dim, channels.bright] {
-        user.add_edge(EdgeBuilder::new(work, init).input(ch).reset(z));
-        user.add_edge(EdgeBuilder::new(init, init).input(ch).reset(z));
-    }
-    builder.add_automaton(user.build()?)?;
-    Ok(())
-}
-
 /// The plant model alone (the light of Fig. 2), used as the tioco
 /// specification and as the basis for simulated implementations.
 ///
 /// # Errors
 ///
-/// Never fails in practice; the `Result` propagates builder validation.
-pub fn plant() -> Result<System, ModelError> {
-    let mut builder = SystemBuilder::new("smart-light-plant");
-    build_light_into(&mut builder)?;
-    builder.build()
+/// Never fails in practice: the checked-in file parses (pinned by the tests).
+pub fn plant() -> Result<System, LangError> {
+    parse_model(include_str!("../../../examples/tg/smart_light.plant.tg")).map(|m| m.system)
 }
 
 /// The closed game product: light (Fig. 2) composed with the user model
@@ -219,17 +56,15 @@ pub fn plant() -> Result<System, ModelError> {
 ///
 /// # Errors
 ///
-/// Never fails in practice; the `Result` propagates builder validation.
-pub fn product() -> Result<System, ModelError> {
-    let mut builder = SystemBuilder::new("smart-light");
-    let channels = build_light_into(&mut builder)?;
-    build_user_into(&mut builder, channels)?;
-    builder.build()
+/// Never fails in practice: the checked-in file parses (pinned by the tests).
+pub fn product() -> Result<System, LangError> {
+    parse_model(include_str!("../../../examples/tg/smart_light.tg")).map(|m| m.system)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiga_lang::print_system;
     use tiga_solver::{solve_jacobi, SolveOptions};
     use tiga_tctl::TestPurpose;
 
@@ -246,6 +81,27 @@ mod tests {
         assert_eq!(product.clocks().len(), 3);
         assert!(product.location_by_qualified_name("IUT.Bright").is_some());
         assert!(product.location_by_qualified_name("User.Work").is_some());
+    }
+
+    #[test]
+    fn timing_constants_match_the_model() {
+        let printed = print_system(&product().unwrap(), None);
+        let mut expected = vec![
+            format!("edge Off -> L1 on touch? {{ guard x < {T_IDLE}; reset x; reset Tp }}"),
+            format!("edge Off -> L5 on touch? {{ guard x >= {T_IDLE}; reset x; reset Tp }}"),
+            format!("edge Dim -> L6 on touch? {{ guard x < {T_SW}; reset x; reset Tp }}"),
+            format!("edge Dim -> L4 on touch? {{ guard x >= {T_SW}; reset x; reset Tp }}"),
+            format!("edge Bright -> L2 on touch? {{ guard x < {T_SW}; reset x; reset Tp }}"),
+            format!("edge Bright -> L3 on touch? {{ guard x >= {T_SW}; reset x; reset Tp }}"),
+            format!("edge Init -> Work on touch! {{ guard z >= {T_REACT}; reset z }}"),
+            format!("edge Work -> Work on touch! {{ guard z >= {T_REACT}; reset z }}"),
+        ];
+        for i in 1..=6 {
+            expected.push(format!("location L{i} {{ inv Tp <= {OUTPUT_JITTER} }}"));
+        }
+        for line in expected {
+            assert!(printed.lines().any(|l| l.trim() == line), "no `{line}`");
+        }
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   synthesis (the UPPAAL-TIGA stand-in);
 //! * [`testing`] ([`tiga_testing`]) — tioco conformance testing with winning
 //!   strategies as test cases (the paper's contribution);
-//! * [`models`] ([`tiga_models`]) — the Smart Light and Leader Election
-//!   Protocol case studies;
+//! * [`models`] ([`tiga_models`]) — the Smart Light, Leader Election
+//!   Protocol and coffee-machine case studies: the smart light and the
+//!   coffee machine are the checked-in `examples/tg/` files, parsed, and
+//!   `leader_election` generates the lepN family for any node count;
 //! * [`lang`] ([`tiga_lang`]) — the `.tg` textual modeling language (lexer →
 //!   parser → lowering, plus the `print_system` serializer); the `tiga`
 //!   command line in `crates/cli` drives solve/test/zoo workflows from `.tg`
