@@ -411,56 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn zoo_instances_match_their_checked_in_files() {
-        // `examples/tg/<model>.tg` carries the model's primary (first
-        // listed) purpose, and `<model>.<purpose>.tg` carries each safety
-        // and time-bounded purpose.  Each such file parses to its zoo
-        // instance; the safety and bounded ones solve winning with an
-        // extracted strategy (a bounded one over the `#t`-augmented
-        // product, one extra clock column).
-        let tg_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg");
-        let (mut primaries, mut safety, mut bounded) = (Vec::new(), 0, 0);
-        for instance in model_zoo() {
-            let (system, purpose) = (&instance.system, &instance.purpose);
-            let is_safety = purpose.quantifier == tiga_tctl::PathQuantifier::Safety;
-            let is_bounded = purpose.bound.is_some();
-            let file = if is_safety || is_bounded {
-                format!("{}.{}.tg", instance.model, instance.purpose_name)
-            } else if !primaries.contains(&instance.model) {
-                primaries.push(instance.model.clone());
-                format!("{}.tg", instance.model)
-            } else {
-                continue;
-            };
-            let source = std::fs::read_to_string(tg_dir.join(&file))
-                .unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
-            let parsed = tiga_lang::parse_model(&source)
-                .unwrap_or_else(|e| panic!("{}", e.render(&source, &file)));
-            assert_eq!(&parsed.system, system, "{file}: system differs");
-            assert_eq!(
-                parsed.purpose.as_ref(),
-                Some(purpose),
-                "{file}: purpose differs"
-            );
-            if is_safety || is_bounded {
-                let solution = solve(system, purpose, &SolveOptions::default()).unwrap();
-                assert!(solution.winning_from_initial, "{file} must be enforceable");
-                assert_eq!(solution.bound, purpose.bound, "{file}: bound lost");
-                assert_eq!(
-                    solution.strategy.map(|strategy| strategy.dim()),
-                    Some(system.dim() + usize::from(is_bounded)),
-                    "{file}: strategy missing or of the wrong dimension"
-                );
-                safety += usize::from(is_safety);
-                bounded += usize::from(is_bounded);
-            }
-        }
-        assert_eq!(primaries.len(), 4, "one primary file per model");
-        assert!(safety >= 2, "expected ≥ 2 safety files, found {safety}");
-        assert!(bounded >= 2, "expected ≥ 2 bounded files, found {bounded}");
-    }
-
-    #[test]
     fn smart_light_harness_synthesizes() {
         let harness = smart_light_harness();
         assert!(harness.strategy().rule_count() > 0);
