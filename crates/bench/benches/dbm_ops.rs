@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tiga_bench::bench_rng;
-use tiga_dbm::ZoneStore;
+use tiga_dbm::{Bound, Coverage, Dbm, ZoneStore};
 use tiga_gen::{random_federation, random_zone};
 
 fn bench_zone_ops(c: &mut Criterion) {
@@ -41,6 +41,80 @@ fn bench_zone_ops(c: &mut Criterion) {
                 black_box(a.relation(bz));
             });
         });
+    }
+    group.finish();
+}
+
+/// Whether no pair of opposite bounds already refutes `a ∩ b`, so
+/// `intersects` has to take its exact closure.
+fn passes_pairwise_refutation(a: &Dbm, b: &Dbm) -> bool {
+    let n = a.dim();
+    (0..n).all(|i| (0..n).all(|j| a.at(i, j) + b.at(j, i) >= Bound::ZERO_LE))
+}
+
+/// The box `lo <= x_k <= hi` on every real clock.
+fn boxed(dim: usize, lo: i32, hi: i32) -> Dbm {
+    let mut z = Dbm::universe(dim);
+    for k in 1..dim {
+        z.constrain(0, k, Bound::le(-lo));
+        z.constrain(k, 0, Bound::le(hi));
+    }
+    z
+}
+
+/// The kernels of the solver's inner loops: incremental `constrain`, the
+/// exact `intersects` path and the coverage check.
+fn bench_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel");
+    for dim in [4usize, 8, 12] {
+        let mut rng = bench_rng();
+        let zones: Vec<_> = (0..64).map(|_| random_zone(&mut rng, dim, 20)).collect();
+        group.bench_with_input(BenchmarkId::new("constrain", dim), &dim, |b, _| {
+            let mut scratch = zones[0].clone();
+            let mut idx = 0;
+            b.iter(|| {
+                scratch.clone_from(&zones[idx % zones.len()]);
+                idx += 1;
+                let k = 1 + idx % (dim - 1);
+                black_box(
+                    scratch.constrain(k, 0, Bound::lt(10))
+                        && scratch.constrain(0, k, Bound::le(-3)),
+                );
+            });
+        });
+        let pairs: Vec<(usize, usize)> = (0..zones.len())
+            .flat_map(|i| (0..zones.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| i != j && passes_pairwise_refutation(&zones[i], &zones[j]))
+            .take(64)
+            .collect();
+        group.bench_with_input(BenchmarkId::new("intersects_exact", dim), &dim, |b, _| {
+            let mut idx = 0;
+            b.iter(|| {
+                let (i, j) = pairs[idx % pairs.len()];
+                idx += 1;
+                black_box(zones[i].intersects(&zones[j]));
+            });
+        });
+        // Coverage of the box [2, 6]: by one enclosing cover among misses,
+        // by covers that all miss it, and by two halves that split it.
+        let zone = boxed(dim, 2, 6);
+        let single = [boxed(dim, 8, 9), boxed(dim, 0, 7), boxed(dim, 10, 12)];
+        let disjoint = [boxed(dim, 7, 9), boxed(dim, 10, 12), boxed(dim, 13, 15)];
+        let mut low = boxed(dim, 0, 9);
+        low.constrain(1, 0, Bound::le(4));
+        let mut high = boxed(dim, 0, 9);
+        high.constrain(0, 1, Bound::le(-4));
+        let split = [low, high];
+        for (name, covers) in [
+            ("covers_single_hit", &single[..]),
+            ("covers_disjoint_miss", &disjoint[..]),
+            ("covers_split", &split[..]),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, dim), &dim, |b, _| {
+                let mut coverage = Coverage::default();
+                b.iter(|| black_box(coverage.covers(&zone, covers)));
+            });
+        }
     }
     group.finish();
 }
@@ -126,6 +200,7 @@ fn bench_interning_ops(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_zone_ops,
+    bench_kernels,
     bench_federation_ops,
     bench_interning_ops
 );

@@ -31,11 +31,33 @@ use std::fmt;
 /// assert!(z.contains_scaled(&[0, 4, 2])); // x = 2, y = 1
 /// assert!(!z.contains_scaled(&[0, 12, 2])); // x = 6 violates x <= 5
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dbm {
     dim: usize,
     data: Vec<Bound>,
+}
+
+/// Largest dimension whose scratch matrices [`Dbm::intersects`] keeps on the
+/// stack.
+const STACK_DIM: usize = 8;
+
+impl Clone for Dbm {
+    #[inline]
+    fn clone(&self) -> Self {
+        Dbm {
+            dim: self.dim,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into this matrix, reusing its storage when the
+    /// dimensions agree, so reused piece buffers do not allocate.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.dim = source.dim;
+        self.data.clone_from(&source.data);
+    }
 }
 
 /// Result of comparing two zones of the same dimension.
@@ -147,26 +169,12 @@ impl Dbm {
     /// manual bound surgery (e.g. by extrapolation).  Returns `false` and
     /// marks the zone empty if a negative cycle is detected.
     pub fn close(&mut self) -> bool {
-        let n = self.dim;
-        for k in 0..n {
-            for i in 0..n {
-                let dik = self.at(i, k);
-                if dik.is_inf() {
-                    continue;
-                }
-                for j in 0..n {
-                    let cand = dik + self.at(k, j);
-                    if cand < self.at(i, j) {
-                        self.set(i, j, cand);
-                    }
-                }
-            }
-            if self.at(k, k) < Bound::ZERO_LE {
-                self.set_empty();
-                return false;
-            }
+        if close_matrix(&mut self.data, self.dim) {
+            true
+        } else {
+            self.set_empty();
+            false
         }
-        !self.is_empty()
     }
 
     /// Adds the constraint `x_i − x_j ≺ m` and restores canonical form
@@ -193,19 +201,23 @@ impl Dbm {
         }
         self.set(i, j, b);
         let n = self.dim;
-        // Snapshot column i and row j so the O(n²) re-closure uses the
-        // pre-update values as required by the incremental closure lemma.
-        let col_i: Vec<Bound> = (0..n).map(|a| self.at(a, i)).collect();
-        let row_j: Vec<Bound> = (0..n).map(|c| self.at(j, c)).collect();
-        for (a, &col) in col_i.iter().enumerate() {
+        // Incremental closure: every path through the new edge is
+        // `a -> i -> j -> c`.  The lemma wants the pre-update column i and
+        // row j, and the live entries are exactly those: since
+        // `D[j][i] + b >= 0` was checked above, a path `a -> i -> j -> i`
+        // is never shorter than `D[a][i]`, nor `j -> i -> j -> c` than
+        // `D[j][c]`, so neither line is written during the loop.
+        for a in 0..n {
+            let col = self.data[a * n + i];
             if col.is_inf() {
                 continue;
             }
             let via_i = col + b;
-            for (c, &row) in row_j.iter().enumerate() {
-                let cand = via_i + row;
-                if cand < self.at(a, c) {
-                    self.set(a, c, cand);
+            for c in 0..n {
+                let cand = via_i + self.data[j * n + c];
+                let entry = &mut self.data[a * n + c];
+                if cand < *entry {
+                    *entry = cand;
                 }
             }
         }
@@ -274,7 +286,47 @@ impl Dbm {
         }
         // Otherwise fall back to the exact check (closure of the pointwise
         // minimum), since longer alternating negative cycles are possible.
-        self.intersection(other).is_some()
+        // Small matrices are closed in a stack buffer.
+        let n = self.dim;
+        if n > STACK_DIM {
+            return self.intersection(other).is_some();
+        }
+        let mut min = [Bound::INF; STACK_DIM * STACK_DIM];
+        let min = &mut min[..n * n];
+        for ((m, &a), &b) in min.iter_mut().zip(&self.data).zip(&other.data) {
+            *m = a.min(b);
+        }
+        close_matrix(min, n)
+    }
+
+    /// The convex hull of two zones: the smallest zone containing both.
+    ///
+    /// For canonical operands this is the pointwise maximum of the bound
+    /// matrices, which is canonical again: `max(a_ik, b_ik) + max(a_kj,
+    /// b_kj)` is at least `a_ik + a_kj >= a_ij` and `b_ik + b_kj >= b_ij`.
+    /// An empty operand contributes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    #[must_use]
+    pub fn hull(&self, other: &Dbm) -> Dbm {
+        assert_eq!(self.dim, other.dim, "dimension mismatch");
+        if self.is_empty() {
+            return other.clone();
+        }
+        if other.is_empty() {
+            return self.clone();
+        }
+        Dbm {
+            dim: self.dim,
+            data: self
+                .data
+                .iter()
+                .zip(&other.data)
+                .map(|(&a, &b)| a.max(b))
+                .collect(),
+        }
     }
 
     /// Delay (future) operator `Z↑`: removes all upper bounds on clocks,
@@ -411,7 +463,11 @@ impl Dbm {
     /// Returns `true` if every valuation of this zone belongs to `other`.
     #[must_use]
     pub fn is_subset_of(&self, other: &Dbm) -> bool {
-        matches!(self.relation(other), Relation::Equal | Relation::Subset)
+        assert_eq!(self.dim, other.dim, "dimension mismatch");
+        if self.is_empty() {
+            return true;
+        }
+        !other.is_empty() && self.data.iter().zip(&other.data).all(|(a, b)| a <= b)
     }
 
     /// Classical maximal-constant extrapolation (`k`-normalisation).
@@ -591,6 +647,32 @@ impl Dbm {
     pub fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayZone<'a> {
         DisplayZone { dbm: self, names }
     }
+}
+
+/// Floyd–Warshall closure of an `n × n` row-major bound matrix.
+///
+/// Returns `false` as soon as a negative cycle shows on the diagonal; the
+/// matrix is then only partially closed and must be treated as empty.
+fn close_matrix(data: &mut [Bound], n: usize) -> bool {
+    for k in 0..n {
+        for i in 0..n {
+            let dik = data[i * n + k];
+            if dik.is_inf() {
+                continue;
+            }
+            for j in 0..n {
+                let cand = dik + data[k * n + j];
+                let entry = &mut data[i * n + j];
+                if cand < *entry {
+                    *entry = cand;
+                }
+            }
+        }
+        if data[k * n + k] < Bound::ZERO_LE {
+            return false;
+        }
+    }
+    data[0] >= Bound::ZERO_LE
 }
 
 /// The set of delays leading a concrete valuation into a zone.

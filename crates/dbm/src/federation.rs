@@ -388,20 +388,16 @@ impl Federation {
     /// zones (exact but potentially expensive reduction).
     pub fn reduce_exact(&mut self) {
         self.reduce();
+        let mut coverage = Coverage::default();
         let mut idx = 0;
         while idx < self.zones.len() {
-            let candidate = self.zones[idx].clone();
-            let rest = Federation {
-                dim: self.dim,
-                zones: self
-                    .zones
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != idx)
-                    .map(|(_, z)| z.clone())
-                    .collect(),
-            };
-            if rest.includes_zone(&candidate) {
+            let rest = self
+                .zones
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != idx)
+                .map(|(_, z)| z);
+            if coverage.covers(&self.zones[idx], rest) {
                 self.zones.remove(idx);
             } else {
                 idx += 1;
@@ -429,28 +425,15 @@ impl Federation {
     #[must_use]
     pub fn includes_zone(&self, zone: &Dbm) -> bool {
         assert_eq!(zone.dim(), self.dim, "dimension mismatch");
-        if zone.is_empty() {
-            return true;
-        }
-        let mut remainder = vec![zone.clone()];
-        for covering in &self.zones {
-            let mut next = Vec::new();
-            for piece in remainder {
-                next.extend(zone_subtract(&piece, covering));
-            }
-            remainder = next;
-            if remainder.is_empty() {
-                return true;
-            }
-        }
-        false
+        Coverage::default().covers(zone, &self.zones)
     }
 
     /// Returns `true` if every valuation of `other` belongs to this
     /// federation.
     #[must_use]
     pub fn includes(&self, other: &Federation) -> bool {
-        other.zones.iter().all(|z| self.includes_zone(z))
+        let mut coverage = Coverage::default();
+        other.zones.iter().all(|z| coverage.covers(z, &self.zones))
     }
 
     /// Semantic equality: mutual inclusion of the denoted sets (member zone
@@ -572,27 +555,165 @@ pub fn zone_subtract(a: &Dbm, b: &Dbm) -> Vec<Dbm> {
     if b.is_empty() || !a.intersects(b) {
         return vec![a.clone()];
     }
-    let constraints: Vec<(usize, usize, Bound)> = b.iter_constraints().collect();
-    let mut rest = a.clone();
     let mut out = Vec::new();
-    for (i, j, bound) in constraints {
-        // Piece satisfying the *negation* of constraint (i, j).  The piece
-        // is non-empty iff tightening (j, i) by the negated bound keeps the
-        // opposite entry consistent — test on the bounds of `rest` before
-        // paying for the matrix clone.
+    split_along(&mut a.clone(), b, |rest, (row, col, neg)| {
+        let mut piece = rest.clone();
+        if piece.constrain(row, col, neg) {
+            out.push(piece);
+        }
+    });
+    out
+}
+
+/// The splitting loop of [`zone_subtract`]: `rest` starts as the minuend
+/// (which meets `b`), and `piece(rest, (j, i, neg))` is called for every
+/// constraint `(i, j, bound)` of `b` whose negation `x_j − x_i ≺ neg` keeps
+/// `rest` non-empty; the piece is `rest` tightened by that negation.  `rest`
+/// then continues inside the constraint, so the pieces stay disjoint.
+fn split_along(rest: &mut Dbm, b: &Dbm, mut piece: impl FnMut(&Dbm, (usize, usize, Bound))) {
+    for (i, j, bound) in b.iter_constraints() {
+        // The piece is non-empty iff tightening (j, i) by the negated bound
+        // keeps the opposite entry consistent — test on the bounds of
+        // `rest` before paying for the matrix copy.
         let neg = bound.negated_complement();
         if rest.at(i, j) + neg >= Bound::ZERO_LE {
-            let mut piece = rest.clone();
-            if piece.constrain(j, i, neg) {
-                out.push(piece);
-            }
+            piece(rest, (j, i, neg));
         }
-        // Continue inside the constraint so pieces stay disjoint.
         if !rest.constrain(i, j, bound) {
             break;
         }
     }
-    out
+}
+
+/// A list of zones that keeps the matrices it drops, so refilling it copies
+/// into existing storage instead of allocating.
+#[derive(Clone, Debug, Default)]
+struct Pieces {
+    zones: Vec<Dbm>,
+    len: usize,
+}
+
+impl Pieces {
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    fn as_slice(&self) -> &[Dbm] {
+        &self.zones[..self.len]
+    }
+
+    /// Appends a copy of `zone` and returns it.
+    fn push_copy(&mut self, zone: &Dbm) -> &mut Dbm {
+        if self.len < self.zones.len() {
+            self.zones[self.len].clone_from(zone);
+        } else {
+            self.zones.push(zone.clone());
+        }
+        self.len += 1;
+        &mut self.zones[self.len - 1]
+    }
+
+    /// Drops the last piece, keeping its storage.
+    fn pop(&mut self) {
+        self.len -= 1;
+    }
+}
+
+/// The exact coverage check `zone ⊆ ∪ covers`, with reusable buffers.
+///
+/// This is the one remainder sweep behind [`Federation::includes_zone`], the
+/// passed-list check of [`crate::ZoneSet::insert`] and the rule coverage
+/// checks of strategy minimization.  It answers exactly what
+/// `Federation::from_zone(zone).difference(covers).is_empty()` answers:
+///
+/// * a single cover including the zone settles it at once, with no
+///   subtraction and no copy;
+/// * covers that do not meet the zone are skipped;
+/// * otherwise the zone is cut into the pieces [`zone_subtract`] would
+///   produce, held in buffers that keep their matrices between calls, so a
+///   warm `Coverage` does not allocate.
+///
+/// # Examples
+///
+/// ```
+/// use tiga_dbm::{Bound, Coverage, Dbm};
+///
+/// let interval = |lo: i32, hi: i32| {
+///     let mut z = Dbm::universe(2);
+///     z.constrain(0, 1, Bound::le(-lo));
+///     z.constrain(1, 0, Bound::le(hi));
+///     z
+/// };
+/// let mut coverage = Coverage::default();
+/// let covers = [interval(0, 6), interval(4, 10)];
+/// assert!(coverage.covers(&interval(2, 8), &covers)); // only jointly
+/// assert!(!coverage.covers(&interval(2, 12), &covers));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Coverage {
+    remainder: Pieces,
+    next: Pieces,
+    /// The part of the current piece still being split.
+    rest: Option<Dbm>,
+}
+
+impl Coverage {
+    /// Returns `true` if every valuation of `zone` lies in some zone of
+    /// `covers`.  An empty zone is always covered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cover's dimension differs from the zone's.
+    pub fn covers<'a, I>(&mut self, zone: &Dbm, covers: I) -> bool
+    where
+        I: IntoIterator<Item = &'a Dbm>,
+        I::IntoIter: Clone,
+    {
+        if zone.is_empty() {
+            return true;
+        }
+        let covers = covers.into_iter();
+        if covers.clone().any(|cover| zone.is_subset_of(cover)) {
+            return true;
+        }
+        let rest = self.rest.get_or_insert_with(|| zone.clone());
+        let mut remainder = &mut self.remainder;
+        let mut next = &mut self.next;
+        remainder.clear();
+        remainder.push_copy(zone);
+        for cover in covers {
+            if !zone.intersects(cover) {
+                continue;
+            }
+            next.clear();
+            for piece in remainder.as_slice() {
+                subtract_into(piece, cover, rest, next);
+            }
+            std::mem::swap(&mut remainder, &mut next);
+            if remainder.len == 0 {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Appends the pieces of `a \ b` to `out`, in [`zone_subtract`]'s order;
+/// `rest` is scratch storage.
+fn subtract_into(a: &Dbm, b: &Dbm, rest: &mut Dbm, out: &mut Pieces) {
+    if a.is_empty() {
+        return;
+    }
+    if b.is_empty() || !a.intersects(b) {
+        out.push_copy(a);
+        return;
+    }
+    rest.clone_from(a);
+    split_along(rest, b, |rest, (row, col, neg)| {
+        if !out.push_copy(rest).constrain(row, col, neg) {
+            out.pop();
+        }
+    });
 }
 
 #[cfg(test)]

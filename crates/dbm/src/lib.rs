@@ -12,7 +12,10 @@
 //!   game solving (`down`, subtraction);
 //! * [`Federation`] — finite unions of zones, including the safe
 //!   time-predecessor operator [`Federation::pred_t`] at the heart of the
-//!   timed-game controllable-predecessor computation.
+//!   timed-game controllable-predecessor computation;
+//! * [`Coverage`] — the exact check `zone ⊆ ∪ covers` behind federation
+//!   inclusion, the solvers' passed lists and strategy minimization, with
+//!   reusable buffers so the inner loops do not allocate.
 //!
 //! # Example
 //!
@@ -40,11 +43,13 @@
 mod bound;
 mod dbm;
 mod federation;
+mod hash;
 mod minimal;
 mod store;
 
 pub use bound::{Bound, MAX_CONSTANT};
 pub use dbm::{Dbm, DelayWindow, DisplayZone, Relation};
-pub use federation::{zone_subtract, Federation, REDUCE_THRESHOLD};
+pub use federation::{zone_subtract, Coverage, Federation, REDUCE_THRESHOLD};
+pub use hash::StateHasher;
 pub use minimal::{MinimalConstraint, MinimalZone};
 pub use store::{ZoneId, ZoneSet, ZoneStore};

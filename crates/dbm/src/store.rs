@@ -16,13 +16,17 @@
 //! only in their sequential phases (offer/merge), so determinism across
 //! `--jobs N` is preserved by construction.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 use crate::dbm::{Dbm, Relation};
-use crate::federation::Federation;
+use crate::federation::{Coverage, Federation};
+use crate::hash::StateHasher;
 use crate::minimal::MinimalZone;
+
+/// Maps keyed by dense ids and by the already-keyed zone hashes.
+type IdHasher = BuildHasherDefault<StateHasher>;
 
 /// Cheap `Copy` handle to a zone interned in a [`ZoneStore`].
 ///
@@ -43,24 +47,36 @@ impl ZoneId {
 struct Entry {
     minimal: MinimalZone,
     canonical: Option<Dbm>,
+    /// The previously interned entry with the same zone hash, if any.
+    next_same_hash: Option<u32>,
+}
+
+impl Entry {
+    /// The canonical matrix, rehydrated first if the cache was dropped.
+    fn canonical(&mut self) -> &Dbm {
+        self.canonical
+            .get_or_insert_with(|| self.minimal.rehydrate())
+    }
 }
 
 /// Per-solve interning arena for canonical DBMs.
 pub struct ZoneStore {
     dim: usize,
     entries: Vec<Entry>,
-    /// Dbm-hash -> candidate entry indices (collisions resolved by equality).
-    index: HashMap<u64, Vec<u32>>,
+    /// Zone hash -> the latest entry with that hash; earlier ones follow
+    /// through [`Entry::next_same_hash`] (collisions resolved by equality).
+    index: HashMap<u64, u32, IdHasher>,
+    /// The randomly keyed `SipHash` behind the zone hashes of `index`.
+    /// Zones grow from the models `tiga serve` accepts, so an unkeyed hash
+    /// would let a crafted model collide zones and lengthen the chains
+    /// [`ZoneStore::intern`] walks.
+    zone_hasher: RandomState,
     /// Memoized `zone(a).relation(zone(b))` results.
-    relations: HashMap<(u32, u32), Relation>,
+    relations: HashMap<(u32, u32), Relation, IdHasher>,
+    /// Buffers of the passed-list coverage check in [`ZoneSet::insert`].
+    coverage: Coverage,
     hits: usize,
     bytes_saved: usize,
-}
-
-fn dbm_hash(zone: &Dbm) -> u64 {
-    let mut h = DefaultHasher::new();
-    zone.hash(&mut h);
-    h.finish()
 }
 
 impl ZoneStore {
@@ -70,8 +86,10 @@ impl ZoneStore {
         ZoneStore {
             dim,
             entries: Vec::new(),
-            index: HashMap::new(),
-            relations: HashMap::new(),
+            index: HashMap::default(),
+            zone_hasher: RandomState::new(),
+            relations: HashMap::default(),
+            coverage: Coverage::default(),
             hits: 0,
             bytes_saved: 0,
         }
@@ -117,16 +135,16 @@ impl ZoneStore {
     /// (i.e. the store took a deep copy).
     pub fn intern(&mut self, zone: &Dbm) -> (ZoneId, bool) {
         debug_assert_eq!(zone.dim(), self.dim, "dimension mismatch");
-        let key = dbm_hash(zone);
-        if let Some(candidates) = self.index.get(&key) {
-            let candidates = candidates.clone();
-            for c in candidates {
-                self.ensure_cached(ZoneId(c));
-                if self.entries[c as usize].canonical.as_ref() == Some(zone) {
-                    self.hits += 1;
-                    return (ZoneId(c), false);
-                }
+        let key = self.zone_hasher.hash_one(zone);
+        let head = self.index.get(&key).copied();
+        let mut candidate = head;
+        while let Some(c) = candidate {
+            let entry = &mut self.entries[c as usize];
+            if entry.canonical() == zone {
+                self.hits += 1;
+                return (ZoneId(c), false);
             }
+            candidate = entry.next_same_hash;
         }
         let minimal = zone.minimize();
         let full = self.dim * self.dim * std::mem::size_of::<crate::Bound>();
@@ -135,8 +153,9 @@ impl ZoneStore {
         self.entries.push(Entry {
             minimal,
             canonical: Some(zone.clone()),
+            next_same_hash: head,
         });
-        self.index.entry(key).or_default().push(id);
+        self.index.insert(key, id);
         (ZoneId(id), true)
     }
 
@@ -160,10 +179,7 @@ impl ZoneStore {
 
     /// Rebuilds the canonical cache for an id if it was dropped.
     pub fn ensure_cached(&mut self, id: ZoneId) {
-        let entry = &mut self.entries[id.index()];
-        if entry.canonical.is_none() {
-            entry.canonical = Some(entry.minimal.rehydrate());
-        }
+        self.entries[id.index()].canonical();
     }
 
     /// Drops every canonical cache, keeping only the minimal forms.
@@ -195,6 +211,22 @@ impl ZoneStore {
         self.relations.insert((b.0, a.0), mirror);
         r
     }
+
+    /// Whether `zone` is covered by the union of the interned `members`.
+    fn covered_by(&mut self, zone: &Dbm, members: &[ZoneId]) -> bool {
+        let ZoneStore {
+            entries, coverage, ..
+        } = self;
+        coverage.covers(
+            zone,
+            members.iter().map(|&m| {
+                entries[m.index()]
+                    .canonical
+                    .as_ref()
+                    .expect("canonical cache dropped; call ensure_cached")
+            }),
+        )
+    }
 }
 
 /// A passed list held as interned ids, mirroring
@@ -206,7 +238,7 @@ impl ZoneStore {
 #[derive(Default)]
 pub struct ZoneSet {
     ids: Vec<ZoneId>,
-    ever: HashSet<ZoneId>,
+    ever: HashSet<ZoneId, IdHasher>,
 }
 
 impl ZoneSet {
@@ -256,24 +288,13 @@ impl ZoneSet {
             return false;
         }
         self.ever.insert(id);
-        // includes_zone sweep, verbatim against the interned members.
-        let mut remainder = vec![zone.clone()];
-        for &m in &self.ids {
-            let covering = store.zone(m);
-            if remainder.iter().all(|piece| !piece.intersects(covering)) {
-                continue;
-            }
-            remainder = remainder
-                .iter()
-                .flat_map(|piece| crate::federation::zone_subtract(piece, covering))
-                .collect();
-            if remainder.is_empty() {
-                return false;
-            }
+        // The includes_zone check, against the interned members.
+        if store.covered_by(zone, &self.ids) {
+            return false;
         }
         // add_zone: the early subset return cannot fire (a single member
-        // covering `zone` would have emptied the remainder above); drop
-        // members the new zone subsumes, then append.
+        // covering `zone` would have been found above); drop members the new
+        // zone subsumes, then append.
         self.ids
             .retain(|&m| !matches!(store.relation(m, id), Relation::Subset | Relation::Equal));
         self.ids.push(id);

@@ -4,9 +4,14 @@
 //! integer-valued clock valuations together with half-integer delays gives an
 //! *exact* oracle for the delay-quantified operators (`up`, `down`,
 //! `pred_t`): every relevant interval endpoint falls on the grid.
+//!
+//! The rewritten zone kernels (`constrain`, `intersects`, the coverage check
+//! and `hull`) are also pinned to the implementations they replaced, kept
+//! here as oracles, at every dimension from 1 to 9 where the kernel has a
+//! dimension-dependent path.
 
 use proptest::prelude::*;
-use tiga_dbm::{zone_subtract, Bound, Dbm, Federation, Relation};
+use tiga_dbm::{zone_subtract, Bound, Coverage, Dbm, Federation, Relation};
 
 /// Number of real clocks used by the random zones (dimension is CLOCKS + 1).
 const CLOCKS: usize = 2;
@@ -56,6 +61,102 @@ fn grid_points() -> Vec<Vec<i64>> {
         }
     }
     points
+}
+
+/// Dimensions the kernel oracles run at: 1..=8 keep `intersects`' scratch
+/// matrix on the stack, 9 takes the heap fallback.
+const ORACLE_DIMS: std::ops::RangeInclusive<usize> = 1..=9;
+
+/// A dimension-free constraint recipe: clock indices are reduced modulo the
+/// dimension, and diagonal results are dropped.
+type RawConstraint = (usize, usize, i32, bool);
+
+fn arb_raw_constraints(max: usize) -> impl Strategy<Value = Vec<RawConstraint>> {
+    proptest::collection::vec(
+        (0..9usize, 0..9usize, -MAX_CONST..=MAX_CONST, any::<bool>()),
+        0..max,
+    )
+}
+
+fn constraint_at(dim: usize, &(i, j, m, strict): &RawConstraint) -> Option<(usize, usize, Bound)> {
+    let (i, j) = (i % dim, j % dim);
+    (i != j).then(|| (i, j, Bound::new(m, strict)))
+}
+
+fn zone_at(dim: usize, raw: &[RawConstraint]) -> Dbm {
+    let cs: Vec<_> = raw.iter().filter_map(|c| constraint_at(dim, c)).collect();
+    Dbm::from_constraints(dim, &cs)
+}
+
+/// The bound matrix of a zone, row-major.
+fn matrix(z: &Dbm) -> Vec<Bound> {
+    let n = z.dim();
+    (0..n * n).map(|k| z.at(k / n, k % n)).collect()
+}
+
+/// The `constrain` this crate shipped before its closure read the live
+/// matrix: column `i` and row `j` are snapshotted before the update.
+fn snapshot_constrain(m: &mut [Bound], n: usize, i: usize, j: usize, b: Bound) -> bool {
+    if m[0] < Bound::ZERO_LE {
+        return false;
+    }
+    if b >= m[i * n + j] {
+        return true;
+    }
+    if m[j * n + i] + b < Bound::ZERO_LE {
+        m[0] = Bound::ZERO_LT;
+        return false;
+    }
+    m[i * n + j] = b;
+    let col_i: Vec<Bound> = (0..n).map(|a| m[a * n + i]).collect();
+    let row_j: Vec<Bound> = (0..n).map(|c| m[j * n + c]).collect();
+    for (a, &col) in col_i.iter().enumerate() {
+        if col.is_inf() {
+            continue;
+        }
+        let via_i = col + b;
+        for (c, &row) in row_j.iter().enumerate() {
+            let cand = via_i + row;
+            if cand < m[a * n + c] {
+                m[a * n + c] = cand;
+            }
+        }
+    }
+    true
+}
+
+/// Full Floyd–Warshall closure; `false` on a negative cycle.
+fn full_close(m: &mut [Bound], n: usize) -> bool {
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                let cand = m[i * n + k] + m[k * n + j];
+                if cand < m[i * n + j] {
+                    m[i * n + j] = cand;
+                }
+            }
+        }
+    }
+    (0..n).all(|k| m[k * n + k] >= Bound::ZERO_LE)
+}
+
+/// The convex hull minimization built before `Dbm::hull`: the pointwise
+/// maximum's finite bounds, re-added to the universe one by one.
+fn constraints_hull(a: &Dbm, b: &Dbm) -> Dbm {
+    let dim = a.dim();
+    let mut constraints = Vec::new();
+    for i in 0..dim {
+        for j in 0..dim {
+            if i == j {
+                continue;
+            }
+            let bound = a.at(i, j).max(b.at(i, j));
+            if !bound.is_inf() {
+                constraints.push((i, j, bound));
+            }
+        }
+    }
+    Dbm::from_constraints(dim, &constraints)
 }
 
 /// Adds a scaled delay to every real clock of a scaled valuation.
@@ -285,6 +386,81 @@ proptest! {
             let inside = z.contains_scaled(&shifted(&p, d2));
             let admitted = window.as_ref().is_some_and(|w| w.admits(d2));
             prop_assert_eq!(inside, admitted, "delay {} from {:?}", d2, p);
+        }
+    }
+
+    /// `constrain` agrees with the snapshot implementation it replaced,
+    /// entry for entry, and with a full re-closure of the tightened matrix.
+    #[test]
+    fn constrain_matches_snapshot_and_full_closure(
+        base in arb_raw_constraints(8),
+        extra in arb_raw_constraints(4),
+    ) {
+        for dim in ORACLE_DIMS {
+            let zone = zone_at(dim, &base);
+            for c in &extra {
+                let Some((i, j, b)) = constraint_at(dim, c) else { continue };
+                let mut new = zone.clone();
+                let kept = new.constrain(i, j, b);
+                let mut old = matrix(&zone);
+                prop_assert_eq!(kept, snapshot_constrain(&mut old, dim, i, j, b), "dim {}", dim);
+                prop_assert_eq!(kept, !new.is_empty());
+                if kept {
+                    prop_assert_eq!(&matrix(&new), &old, "dim {}", dim);
+                }
+                if !zone.is_empty() {
+                    let mut closed = matrix(&zone);
+                    closed[i * dim + j] = closed[i * dim + j].min(b);
+                    prop_assert_eq!(kept, full_close(&mut closed, dim), "dim {}", dim);
+                    if kept {
+                        prop_assert_eq!(&matrix(&new), &closed, "dim {}", dim);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `intersects` (stack scratch up to dimension 8, heap above) agrees with
+    /// the materialized intersection at every dimension.
+    #[test]
+    fn intersects_matches_intersection_at_every_dim(
+        a in arb_raw_constraints(8),
+        b in arb_raw_constraints(8),
+    ) {
+        for dim in ORACLE_DIMS {
+            let (za, zb) = (zone_at(dim, &a), zone_at(dim, &b));
+            prop_assert_eq!(za.intersects(&zb), za.intersection(&zb).is_some(), "dim {}", dim);
+            prop_assert_eq!(zb.intersects(&za), za.intersects(&zb), "dim {}", dim);
+        }
+    }
+
+    /// `hull` equals the constraint-rebuilt hull it replaced, and contains
+    /// both operands.
+    #[test]
+    fn hull_matches_constraint_rebuild(a in arb_raw_constraints(8), b in arb_raw_constraints(8)) {
+        for dim in ORACLE_DIMS {
+            let (za, zb) = (zone_at(dim, &a), zone_at(dim, &b));
+            if za.is_empty() || zb.is_empty() {
+                continue;
+            }
+            let hull = za.hull(&zb);
+            prop_assert_eq!(&hull, &constraints_hull(&za, &zb), "dim {}", dim);
+            prop_assert!(za.is_subset_of(&hull) && zb.is_subset_of(&hull));
+        }
+    }
+
+    /// The coverage kernel answers exactly what federation difference does,
+    /// with one `Coverage` reused across all checks so stale buffer contents
+    /// are exercised.
+    #[test]
+    fn coverage_matches_federation_difference(
+        cases in proptest::collection::vec((arb_nonempty_zone(), arb_federation()), 1..6),
+    ) {
+        let mut coverage = Coverage::default();
+        for (zone, fed) in &cases {
+            let expected = Federation::from_zone(zone.clone()).difference(fed).is_empty();
+            prop_assert_eq!(coverage.covers(zone, fed.iter()), expected);
+            prop_assert_eq!(fed.includes_zone(zone), expected);
         }
     }
 }

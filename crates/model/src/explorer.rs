@@ -208,18 +208,32 @@ impl<'a> Explorer<'a> {
         let joint_edges = self.system.enabled_joint_edges(discrete)?;
         let mut steps = Vec::with_capacity(joint_edges.len());
         for joint in joint_edges {
-            let Some(mut succ) = self.system.joint_successor_from(discrete, zone, &joint)? else {
+            // `System::joint_successor_from` followed by
+            // `System::delay_close`, with the target invariant evaluated
+            // once — or not at all when the target is already interned.
+            let Some(target) = self.system.apply_joint_discrete(discrete, &joint)? else {
                 continue;
             };
-            self.system.delay_close(&mut succ, &self.max_bounds)?;
-            if succ.zone.is_empty() {
+            let mut succ = self.system.apply_joint_clocks(zone, discrete, &joint)?;
+            if succ.is_empty() {
+                continue;
+            }
+            let computed;
+            let (invariant, urgent) = match self.index.get(&target) {
+                Some(&idx) => (&self.states[idx].invariant, self.states[idx].urgent),
+                None => {
+                    computed = self.system.invariant_zone(&target)?;
+                    (&computed, self.system.is_urgent(&target))
+                }
+            };
+            if !System::close_within(&mut succ, invariant, urgent, &self.max_bounds) {
                 continue;
             }
             let controllable = self.system.is_controllable(&joint);
             steps.push(CandidateStep {
                 joint,
-                discrete: succ.discrete,
-                zone: succ.zone,
+                discrete: target,
+                zone: succ,
                 controllable,
             });
         }

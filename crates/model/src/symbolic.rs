@@ -290,16 +290,20 @@ impl System {
         }
     }
 
-    fn joint_components<'a>(&'a self, je: &JointEdge) -> Vec<(usize, &'a crate::automaton::Edge)> {
-        match je {
-            JointEdge::Internal { automaton, edge } => {
-                vec![(automaton.index(), self.automaton(*automaton).edge(*edge))]
-            }
-            JointEdge::Sync { output, input, .. } => vec![
-                (output.0.index(), self.automaton(output.0).edge(output.1)),
-                (input.0.index(), self.automaton(input.0).edge(input.1)),
-            ],
-        }
+    /// The `(automaton index, edge)` pairs a joint edge moves: one for a
+    /// `tau` step, the emitter then the receiver for a synchronization.
+    fn joint_components<'a>(
+        &'a self,
+        je: &JointEdge,
+    ) -> impl Iterator<Item = (usize, &'a crate::automaton::Edge)> + Clone {
+        let component = |(automaton, edge): (AutomatonId, EdgeId)| {
+            (automaton.index(), self.automaton(automaton).edge(edge))
+        };
+        let (first, second) = match *je {
+            JointEdge::Internal { automaton, edge } => ((automaton, edge), None),
+            JointEdge::Sync { output, input, .. } => (output, Some(input)),
+        };
+        std::iter::once(component(first)).chain(second.map(component))
     }
 
     /// The conjunction of the clock guards of a joint edge, as a zone.
@@ -382,9 +386,25 @@ impl System {
         target: &DiscreteState,
         je: &JointEdge,
     ) -> Result<Dbm, ModelError> {
+        let mut z = self.apply_joint_clocks(zone, source, je)?;
+        if !z.is_empty() {
+            let inv = self.invariant_zone(target)?;
+            z.intersect(&inv);
+        }
+        Ok(z)
+    }
+
+    /// The guard and reset half of [`System::apply_joint_zone`]: everything
+    /// but the target invariant.  The result is empty exactly when a guard
+    /// disables the edge; resets keep a non-empty zone non-empty.
+    pub(crate) fn apply_joint_clocks(
+        &self,
+        zone: &Dbm,
+        source: &DiscreteState,
+        je: &JointEdge,
+    ) -> Result<Dbm, ModelError> {
         let mut z = zone.clone();
-        let components = self.joint_components(je);
-        for (_, edge) in &components {
+        for (_, edge) in self.joint_components(je) {
             for c in &edge.guard.clocks {
                 if !c.apply_to(&mut z, &self.vars, &source.vars)? {
                     return Ok(z);
@@ -394,7 +414,7 @@ impl System {
         if z.is_empty() {
             return Ok(z);
         }
-        for (_, edge) in &components {
+        for (_, edge) in self.joint_components(je) {
             for r in &edge.resets {
                 let v = r.value.eval(&self.vars, &source.vars)?;
                 if v < 0 {
@@ -407,8 +427,6 @@ impl System {
                 z.reset(r.clock.dbm_index(), v);
             }
         }
-        let inv = self.invariant_zone(target)?;
-        z.intersect(&inv);
         Ok(z)
     }
 
@@ -474,8 +492,7 @@ impl System {
         let mut z = target_zone.clone();
         let components = self.joint_components(je);
         // Constrain the reset clocks to their reset values, then free them.
-        let mut reset_clocks = Vec::new();
-        for (_, edge) in &components {
+        for (_, edge) in components.clone() {
             for r in &edge.resets {
                 let v = r.value.eval(&self.vars, &source.vars)?;
                 if v < 0 {
@@ -489,14 +506,15 @@ impl System {
                 if !(z.constrain(idx, 0, Bound::le(v)) && z.constrain(0, idx, Bound::le(-v))) {
                     return Ok(z); // empty: the reset can never land in the target zone
                 }
-                reset_clocks.push(idx);
             }
         }
-        for idx in reset_clocks {
-            z.free(idx);
+        for (_, edge) in components.clone() {
+            for r in &edge.resets {
+                z.free(r.clock.dbm_index());
+            }
         }
         // Guards and the source invariant.
-        for (_, edge) in &components {
+        for (_, edge) in components {
             for c in &edge.guard.clocks {
                 if !c.apply_to(&mut z, &self.vars, &source.vars)? {
                     return Ok(z);
@@ -511,7 +529,9 @@ impl System {
     /// Delay-closes a symbolic state within its invariant and applies
     /// maximal-constant extrapolation.
     ///
-    /// Urgent discrete states are not delayed.
+    /// Urgent discrete states are not delayed.  The zone is first restricted
+    /// to the invariant, which changes nothing for the states forward
+    /// exploration produces: they already lie inside it.
     ///
     /// # Errors
     ///
@@ -521,13 +541,31 @@ impl System {
         state: &mut SymbolicState,
         max_bounds: &[i32],
     ) -> Result<(), ModelError> {
-        if !self.is_urgent(&state.discrete) {
-            state.zone.up();
-            let inv = self.invariant_zone(&state.discrete)?;
-            state.zone.intersect(&inv);
-        }
-        state.zone.extrapolate_max_bounds(max_bounds);
+        let inv = self.invariant_zone(&state.discrete)?;
+        let urgent = self.is_urgent(&state.discrete);
+        Self::close_within(&mut state.zone, &inv, urgent, max_bounds);
         Ok(())
+    }
+
+    /// The body of [`System::delay_close`], given the state's invariant and
+    /// urgency: restrict `zone` to `invariant`, let time pass within it
+    /// unless `urgent`, and extrapolate.  Returns `false` when the result is
+    /// empty.  The explorer calls it with its cached invariants.
+    pub(crate) fn close_within(
+        zone: &mut Dbm,
+        invariant: &Dbm,
+        urgent: bool,
+        max_bounds: &[i32],
+    ) -> bool {
+        if !zone.intersect(invariant) {
+            return false;
+        }
+        if !urgent {
+            zone.up();
+            zone.intersect(invariant);
+        }
+        zone.extrapolate_max_bounds(max_bounds);
+        !zone.is_empty()
     }
 
     /// Convenience: the delay-closed, extrapolated initial symbolic state used

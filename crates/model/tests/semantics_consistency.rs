@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tiga_model::{
-    AutomatonBuilder, ClockConstraint, CmpOp, ConcreteState, DiscreteState, EdgeBuilder,
+    AutomatonBuilder, ClockConstraint, CmpOp, ConcreteState, DiscreteState, EdgeBuilder, Explorer,
     Interpreter, SymbolicState, System, SystemBuilder,
 };
 
@@ -104,8 +104,13 @@ fn build(plant: &RandomPlant) -> System {
 
 /// Forward-explores the symbolic state space and checks that a concrete state
 /// is covered by some reachable symbolic state.
+///
+/// Every expanded state's successors are computed twice, by
+/// `System::joint_successor` + `System::delay_close` and by the solvers'
+/// `Explorer::successor_candidates`, and the two must agree.
 fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) -> bool {
     let max = system.max_bounds();
+    let mut explorer = Explorer::new(system);
     let mut seen: Vec<SymbolicState> = Vec::new();
     let mut queue = vec![system.initial_exploration_state().unwrap()];
     while let Some(s) = queue.pop() {
@@ -116,14 +121,35 @@ fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) ->
             continue;
         }
         seen.push(s.clone());
+        let mut successors = Vec::new();
         for je in system.enabled_joint_edges(&s.discrete).unwrap() {
             if let Some(mut succ) = system.joint_successor(&s, &je).unwrap() {
                 system.delay_close(&mut succ, &max).unwrap();
                 if !succ.zone.is_empty() {
-                    queue.push(succ);
+                    successors.push((je, succ));
                 }
             }
         }
+        let source = explorer.intern(s.discrete.clone()).unwrap();
+        let candidates: Vec<_> = explorer
+            .successor_candidates(source, &s.zone)
+            .unwrap()
+            .into_iter()
+            .map(|c| {
+                let succ = SymbolicState {
+                    discrete: c.discrete,
+                    zone: c.zone,
+                };
+                (c.joint, succ)
+            })
+            .collect();
+        assert_eq!(candidates, successors, "explorer successors differ");
+        for (_, succ) in &successors {
+            // Intern the targets, so later expansions also take the
+            // explorer's cached-invariant path.
+            explorer.intern(succ.discrete.clone()).unwrap();
+        }
+        queue.extend(successors.into_iter().map(|(_, succ)| succ));
     }
     let discrete = DiscreteState {
         locations: state.locations.clone(),

@@ -37,82 +37,15 @@ use crate::serialize::{
 };
 use crate::strategy::{Decision, Strategy, StrategyDecision};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use tiga_dbm::{DelayWindow, MinimalConstraint};
+use std::hash::BuildHasherDefault;
+use tiga_dbm::{DelayWindow, MinimalConstraint, StateHasher};
 use tiga_model::{DiscreteState, JointEdge};
 
-/// A fast word-at-a-time hasher for the state intern map.
-///
 /// The per-query discrete-state lookup is the fixed cost of *every*
 /// compiled-controller query; with the rule walk reduced to a handful of
-/// minimal-constraint checks, `SipHash`'s per-call setup and finalization
-/// would dominate the whole query.  `DiscreteState` hashes as a short run
-/// of machine words (location ids and variable values), so a multiply-mix
-/// per word is sufficient and several times cheaper.  HashDoS resistance is
-/// irrelevant here: the map is built once from solver output and only ever
-/// probed, never grown from untrusted input.
-#[derive(Default)]
-struct StateHasher(u64);
-
-impl StateHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        // Rotate-xor-multiply, word-at-a-time (the fxhash construction).
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for StateHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.mix(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, i: i64) {
-        self.mix(i as u64);
-    }
-}
-
+/// minimal-constraint checks, `SipHash` would dominate the whole query.  The
+/// map is built once from solver output and only ever probed, never grown
+/// from untrusted input, so the word-at-a-time [`StateHasher`] is safe here.
 type StateMap = HashMap<DiscreteState, u32, BuildHasherDefault<StateHasher>>;
 
 /// The online interface of a synthesized strategy: everything the test

@@ -34,7 +34,7 @@
 //!    minimum over delay windows is also preserved (any delay admitted by
 //!    the hull lands in `a`, `b`, or a covering zone, whose own window
 //!    admits it).  The hull of two canonical DBMs is the pointwise maximum
-//!    of their bound matrices (canonical by the triangle inequality).
+//!    of their bound matrices ([`Dbm::hull`]).
 //!    `Take` merges are skipped at any rank where a different-edge `Take`
 //!    zone overlaps the hull: the first-in-order tie-break among equal-rank
 //!    rules could otherwise flip.
@@ -45,7 +45,7 @@
 //! zone to a fixed hull, so the fixpoint loop terminates.
 
 use crate::strategy::{Decision, Strategy, StrategyRule};
-use tiga_dbm::{zone_subtract, Bound, Dbm};
+use tiga_dbm::{Coverage, Dbm};
 
 /// Before/after rule counts of a minimization run, for stats reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,8 +71,9 @@ pub fn minimize_strategy_with_report(strategy: &Strategy) -> (Strategy, Minimize
         rules_before: strategy.rule_count(),
         rules_after: 0,
     };
+    let mut coverage = Coverage::default();
     for (discrete, rules) in strategy.iter() {
-        let minimized = minimize_state(rules);
+        let minimized = minimize_state(rules, &mut coverage);
         report.rules_after += minimized.len();
         for rule in minimized {
             out.add_rule(discrete.clone(), rule);
@@ -82,13 +83,13 @@ pub fn minimize_strategy_with_report(strategy: &Strategy) -> (Strategy, Minimize
 }
 
 /// Runs the three rewrites over one state's rules until nothing changes.
-fn minimize_state(rules: &[StrategyRule]) -> Vec<StrategyRule> {
+fn minimize_state(rules: &[StrategyRule], coverage: &mut Coverage) -> Vec<StrategyRule> {
     let mut rules: Vec<StrategyRule> = rules.to_vec();
     loop {
         let before = rules.len();
-        drop_subsumed(&mut rules, Class::Wait);
-        drop_subsumed(&mut rules, Class::Take);
-        let merged = merge_exact_unions(&mut rules);
+        drop_subsumed(&mut rules, Class::Wait, coverage);
+        drop_subsumed(&mut rules, Class::Take, coverage);
+        let merged = merge_exact_unions(&mut rules, coverage);
         if rules.len() == before && !merged {
             return rules;
         }
@@ -114,7 +115,7 @@ fn class_of(rule: &StrategyRule) -> Class {
 /// rules, any other wait of rank `<= r` (the rank minimum is
 /// order-insensitive); for `Take` rules, takes that beat it in the
 /// selection order (strictly lower rank, or equal rank and earlier).
-fn drop_subsumed(rules: &mut Vec<StrategyRule>, class: Class) {
+fn drop_subsumed(rules: &mut Vec<StrategyRule>, class: Class, coverage: &mut Coverage) {
     let mut index = 0;
     while index < rules.len() {
         if class_of(&rules[index]) != class {
@@ -122,20 +123,19 @@ fn drop_subsumed(rules: &mut Vec<StrategyRule>, class: Class) {
             continue;
         }
         let rank = rules[index].rank;
-        let covers: Vec<&Dbm> = rules
+        let covers = rules
             .iter()
             .enumerate()
-            .filter(|(other, r)| {
-                *other != index
+            .filter(|&(other, r)| {
+                other != index
                     && class_of(r) == class
                     && match class {
                         Class::Wait => r.rank <= rank,
-                        Class::Take => r.rank < rank || (r.rank == rank && *other < index),
+                        Class::Take => r.rank < rank || (r.rank == rank && other < index),
                     }
             })
-            .map(|(_, r)| &r.zone)
-            .collect();
-        if covered_by(&rules[index].zone, &covers) {
+            .map(|(_, r)| &r.zone);
+        if coverage.covers(&rules[index].zone, covers) {
             rules.remove(index);
         } else {
             index += 1;
@@ -143,76 +143,65 @@ fn drop_subsumed(rules: &mut Vec<StrategyRule>, class: Class) {
     }
 }
 
-/// Whether `zone` is included in the union of `covers`.
-fn covered_by(zone: &Dbm, covers: &[&Dbm]) -> bool {
-    let mut remainder = vec![zone.clone()];
-    for cover in covers {
-        if remainder.is_empty() {
-            return true;
-        }
-        remainder = remainder
-            .iter()
-            .flat_map(|piece| zone_subtract(piece, cover))
-            .collect();
-    }
-    remainder.is_empty()
-}
-
 /// Greedily merges same-rank same-decision rule pairs whose convex hull
 /// adds no point that is not already answered identically by another rule.
 /// Returns whether any merge happened.
-fn merge_exact_unions(rules: &mut Vec<StrategyRule>) -> bool {
+fn merge_exact_unions(rules: &mut Vec<StrategyRule>, coverage: &mut Coverage) -> bool {
     let mut changed = false;
     let mut a = 0;
     while a < rules.len() {
         let mut b = a + 1;
         while b < rules.len() {
-            if rules[a].rank == rules[b].rank
-                && rules[a].decision == rules[b].decision
-                && mergeable(rules, a, b)
-            {
-                let hull = convex_hull(&rules[a].zone, &rules[b].zone);
-                rules[a].zone = hull;
-                rules.remove(b);
-                changed = true;
-                // Re-scan partners for the grown zone from scratch.
-                b = a + 1;
-            } else {
-                b += 1;
+            if rules[a].rank == rules[b].rank && rules[a].decision == rules[b].decision {
+                let hull = rules[a].zone.hull(&rules[b].zone);
+                if mergeable(rules, a, b, &hull, coverage) {
+                    rules[a].zone = hull;
+                    rules.remove(b);
+                    changed = true;
+                    // Re-scan partners for the grown zone from scratch.
+                    b = a + 1;
+                    continue;
+                }
             }
+            b += 1;
         }
         a += 1;
     }
     changed
 }
 
-/// Whether rules `a` and `b` (same rank, same decision) may merge: every
-/// hull point outside `a ∪ b` must already be answered by a winning rule —
-/// another wait of rank `<= r` for `Wait` merges, a strictly-lower-rank
-/// take for `Take` merges — and for `Take` rules no different-edge `Take`
-/// of the same rank may overlap the hull (the first-in-order tie-break
-/// among equal ranks would otherwise be disturbed).
-fn mergeable(rules: &[StrategyRule], a: usize, b: usize) -> bool {
-    let hull = convex_hull(&rules[a].zone, &rules[b].zone);
+/// Whether rules `a` and `b` (same rank, same decision) may merge into
+/// `hull`: every hull point outside `a ∪ b` must already be answered by a
+/// winning rule — another wait of rank `<= r` for `Wait` merges, a
+/// strictly-lower-rank take for `Take` merges — and for `Take` rules no
+/// different-edge `Take` of the same rank may overlap the hull (the
+/// first-in-order tie-break among equal ranks would otherwise be disturbed).
+fn mergeable(
+    rules: &[StrategyRule],
+    a: usize,
+    b: usize,
+    hull: &Dbm,
+    coverage: &mut Coverage,
+) -> bool {
     let class = class_of(&rules[a]);
     let rank = rules[a].rank;
-    let mut covers = vec![&rules[a].zone, &rules[b].zone];
-    covers.extend(
-        rules
-            .iter()
-            .enumerate()
-            .filter(|(other, r)| {
-                *other != a
-                    && *other != b
-                    && class_of(r) == class
-                    && match class {
-                        Class::Wait => r.rank <= rank,
-                        Class::Take => r.rank < rank,
-                    }
-            })
-            .map(|(_, r)| &r.zone),
-    );
-    if !covered_by(&hull, &covers) {
+    let others = rules
+        .iter()
+        .enumerate()
+        .filter(|&(other, r)| {
+            other != a
+                && other != b
+                && class_of(r) == class
+                && match class {
+                    Class::Wait => r.rank <= rank,
+                    Class::Take => r.rank < rank,
+                }
+        })
+        .map(|(_, r)| &r.zone);
+    if !coverage.covers(
+        hull,
+        [&rules[a].zone, &rules[b].zone].into_iter().chain(others),
+    ) {
         return false;
     }
     if matches!(rules[a].decision, Decision::Take(_)) {
@@ -222,34 +211,13 @@ fn mergeable(rules: &[StrategyRule], a: usize, b: usize) -> bool {
                 && rule.rank == rank
                 && matches!(rule.decision, Decision::Take(_))
                 && rule.decision != rules[a].decision
-                && rule.zone.intersects(&hull)
+                && rule.zone.intersects(hull)
             {
                 return false;
             }
         }
     }
     true
-}
-
-/// The convex hull of two canonical zones: the pointwise maximum of their
-/// bound matrices.  The maximum of two canonical matrices is canonical
-/// (each side satisfies the triangle inequality against the maxima), so no
-/// re-closing is needed.
-fn convex_hull(a: &Dbm, b: &Dbm) -> Dbm {
-    let dim = a.dim();
-    let mut constraints: Vec<(usize, usize, Bound)> = Vec::new();
-    for i in 0..dim {
-        for j in 0..dim {
-            if i == j {
-                continue;
-            }
-            let bound = a.at(i, j).max(b.at(i, j));
-            if !bound.is_inf() {
-                constraints.push((i, j, bound));
-            }
-        }
-    }
-    Dbm::from_constraints(dim, &constraints)
 }
 
 #[cfg(test)]

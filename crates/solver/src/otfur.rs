@@ -60,6 +60,7 @@ use crate::stats::MemCounters;
 use crate::strategy::{Decision, Strategy, StrategyRule};
 use crate::winning::{invariant_boundary, pi_update, EngineOutcome, GameMode, SolveOptions};
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 use tiga_dbm::{Dbm, Federation, ZoneSet, ZoneStore};
 use tiga_model::{Explorer, System};
 use tiga_tctl::StatePredicate;
@@ -131,10 +132,13 @@ struct Search<'a> {
     reach_total: usize,
     /// Current total zone count across all winning federations.
     win_total: usize,
+    /// Time spent in the expansion phase of [`Search::run`].
+    exploration_time: Duration,
 }
 
 /// Runs the on-the-fly search and returns the partial game graph together
-/// with the engine outcome.
+/// with the engine outcome and the time spent expanding reach zones (phase 1
+/// of every batch; the evaluate and merge phases are the fixpoint).
 ///
 /// `goal` is the attractor seed: the purpose predicate for reachability,
 /// its negation (the bad states) for safety.  In safety mode the returned
@@ -146,7 +150,7 @@ pub(crate) fn run(
     options: &SolveOptions,
     mode: GameMode,
     clip: Option<&Dbm>,
-) -> Result<(GameGraph, EngineOutcome), SolverError> {
+) -> Result<(GameGraph, EngineOutcome, Duration), SolverError> {
     let mut search = Search {
         system,
         goal,
@@ -169,10 +173,13 @@ pub(crate) fn run(
         mem: MemCounters::default(),
         reach_total: 0,
         win_total: 0,
+        exploration_time: Duration::ZERO,
     };
     let root = search.seed()?;
     search.run(root)?;
-    search.finish(root)
+    let exploration_time = search.exploration_time;
+    let (graph, outcome) = search.finish(root)?;
+    Ok((graph, outcome, exploration_time))
 }
 
 impl Search<'_> {
@@ -325,6 +332,7 @@ impl Search<'_> {
             // expanded early may be offered a new zone by a later member
             // (self-loops included), and every reach zone of an evaluated
             // state must be expanded first.
+            let expansion_start = Instant::now();
             loop {
                 let mut pending: Vec<(NodeId, Dbm)> = Vec::new();
                 for &node in &batch {
@@ -352,6 +360,7 @@ impl Search<'_> {
                     self.absorb_steps(node, steps)?;
                 }
             }
+            self.exploration_time += expansion_start.elapsed();
             // Phase 2: parallel snapshot evaluation (read-only on `self`).
             let outcomes =
                 tiga_parallel::run_indexed(batch.clone(), self.options.jobs, |_, node| {

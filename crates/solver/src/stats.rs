@@ -93,9 +93,11 @@ impl SolverStats {
 pub struct TimedStats {
     /// Symbolic statistics.
     pub stats: SolverStats,
-    /// Wall-clock time spent building the graph.
+    /// Wall-clock time spent exploring forward: building the graph
+    /// (Jacobi), or the expansion phases of the interleaved search (OTFUR).
     pub exploration_time: Duration,
-    /// Wall-clock time spent in the backward fixpoint.
+    /// Wall-clock time spent in the backward fixpoint: the rest of the
+    /// solve.
     pub fixpoint_time: Duration,
 }
 

@@ -50,7 +50,7 @@ use crate::error::SolverError;
 use crate::graph::{ExploreOptions, GameGraph, GraphEdge, NodeId};
 use crate::stats::{MemCounters, SolverStats, TimedStats};
 use crate::strategy::{Decision, Strategy, StrategyRule};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tiga_dbm::{Bound, Dbm, Federation};
 use tiga_model::{DiscreteState, System};
 use tiga_tctl::{PathQuantifier, TestPurpose};
@@ -324,11 +324,18 @@ fn solve_with_engine(
     };
     let (graph, outcome, exploration_time, fixpoint_time) = match engine {
         SolveEngine::Otfur => {
-            // Exploration and propagation are interleaved: the whole search
-            // is accounted to the fixpoint phase.
+            // Exploration and propagation are interleaved: the search times
+            // its expansion phases, and the rest of it is the fixpoint.
             let start = Instant::now();
-            let (graph, outcome) = crate::otfur::run(system, &target, options, mode, clip)?;
-            (graph, outcome, Duration::ZERO, start.elapsed())
+            let (graph, outcome, exploration_time) =
+                crate::otfur::run(system, &target, options, mode, clip)?;
+            let total = start.elapsed();
+            (
+                graph,
+                outcome,
+                exploration_time,
+                total.saturating_sub(exploration_time),
+            )
         }
         SolveEngine::Jacobi => {
             let explore_start = Instant::now();
