@@ -18,7 +18,9 @@
 //!
 //! The baseline file is ordinary `solver_matrix` output; every counter —
 //! the work, effectiveness and zone-memory counters alike — is compared
-//! exactly, while the timing fields are present but ignored.
+//! exactly, while the `*_us` timing fields are present but ignored.  Any
+//! other field is an error, so a counter removed from [`SolverStats`]
+//! cannot linger in the file unchecked.
 
 use crate::MatrixRow;
 use std::fmt;
@@ -115,12 +117,7 @@ pub fn compare_to_baseline(current: &[BaselineRow], baseline: &[BaselineRow]) ->
 
 /// Counters that measure how often an optimization fired: fewer is worse.
 /// Every other count measures work or memory: more is worse.
-const EFFECTIVENESS: [&str; 4] = [
-    "subsumed_zones",
-    "pruned_evaluations",
-    "intern_hits",
-    "minimized_bytes_saved",
-];
+const EFFECTIVENESS: [&str; 3] = ["subsumed_zones", "pruned_evaluations", "intern_hits"];
 
 fn compare_row(cur: &BaselineRow, base: &BaselineRow, diffs: &mut Vec<BaselineDiff>) {
     let key = cur.key();
@@ -159,7 +156,7 @@ fn compare_row(cur: &BaselineRow, base: &BaselineRow, diffs: &mut Vec<BaselineDi
 /// # Errors
 ///
 /// Returns the JSON syntax error with its byte offset, or the first row
-/// with a missing or mistyped field.
+/// with a missing, mistyped or unknown field.
 pub fn parse_matrix_json(input: &str) -> Result<Vec<BaselineRow>, String> {
     let rows = match json::parse(input) {
         Ok(Json::Arr(rows)) => rows,
@@ -175,7 +172,22 @@ pub fn parse_matrix_json(input: &str) -> Result<Vec<BaselineRow>, String> {
         .collect()
 }
 
+/// The fields that identify a row; the others are `*_us` timing fields and
+/// the [`SolverStats::counters`].
+const IDENTITY: [&str; 4] = ["model", "purpose", "engine", "winning"];
+
 fn parse_row(row: &Json) -> Result<BaselineRow, String> {
+    if let Json::Obj(fields) = row {
+        let counters = SolverStats::default().counters();
+        let known = |key: &str| {
+            IDENTITY.contains(&key)
+                || key.ends_with("_us")
+                || counters.iter().any(|(name, _)| *name == key)
+        };
+        if let Some((key, _)) = fields.iter().find(|(key, _)| !known(key)) {
+            return Err(format!("unknown field `{key}`"));
+        }
+    }
     let text = |name: &str| Ok::<_, String>(row.field(name)?.str_field(name)?.to_string());
     Ok(BaselineRow {
         model: text("model")?,
@@ -210,13 +222,12 @@ mod tests {
                 intern_hits: 3,
                 dbm_clones: 4,
                 peak_live_zones: 9,
-                minimized_bytes_saved: 44,
             },
         }
     }
 
     const SAMPLE_JSON: &str = r#"[
-  {"model": "coffee_machine", "purpose": "coffee", "engine": "otfur", "winning": true, "discrete_states": 5, "graph_edges": 9, "iterations": 11, "winning_zones": 5, "peak_federation_size": 2, "reach_zones": 6, "subsumed_zones": 4, "pruned_evaluations": 3, "early_terminated": true, "interned_zones": 3, "intern_hits": 3, "dbm_clones": 4, "peak_live_zones": 9, "minimized_bytes_saved": 44, "exploration_us": 12, "fixpoint_us": 34, "total_us": 46}
+  {"model": "coffee_machine", "purpose": "coffee", "engine": "otfur", "winning": true, "discrete_states": 5, "graph_edges": 9, "iterations": 11, "winning_zones": 5, "peak_federation_size": 2, "reach_zones": 6, "subsumed_zones": 4, "pruned_evaluations": 3, "early_terminated": true, "interned_zones": 3, "intern_hits": 3, "dbm_clones": 4, "peak_live_zones": 9, "exploration_us": 12, "fixpoint_us": 34, "total_us": 46}
 ]
 "#;
 
@@ -240,6 +251,20 @@ mod tests {
         assert!(parse_matrix_json(&bad)
             .unwrap_err()
             .contains("`discrete_states` must be a non-negative number"));
+    }
+
+    #[test]
+    fn unknown_fields_are_rejected_by_name() {
+        // A counter that no longer exists, or any other stray key, must not
+        // pass the gate unchecked.
+        for key in ["stale_counter", "fixpoint_ms"] {
+            let bad = SAMPLE_JSON.replace(
+                "\"peak_live_zones\": 9,",
+                &format!("\"peak_live_zones\": 9, \"{key}\": 44,"),
+            );
+            let err = parse_matrix_json(&bad).unwrap_err();
+            assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
+        }
     }
 
     #[test]
@@ -283,7 +308,7 @@ mod tests {
         // Field lookup is by name, so key order inside an object must not
         // matter — a hand-edited or re-serialized baseline stays valid.
         let reordered = r#"[
-  {"early_terminated": true, "engine": "otfur", "winning": true, "discrete_states": 5, "model": "coffee_machine", "graph_edges": 9, "purpose": "coffee", "iterations": 11, "peak_federation_size": 2, "winning_zones": 5, "subsumed_zones": 4, "reach_zones": 6, "pruned_evaluations": 3, "minimized_bytes_saved": 44, "dbm_clones": 4, "intern_hits": 3, "peak_live_zones": 9, "interned_zones": 3}
+  {"early_terminated": true, "engine": "otfur", "winning": true, "discrete_states": 5, "model": "coffee_machine", "graph_edges": 9, "purpose": "coffee", "iterations": 11, "peak_federation_size": 2, "winning_zones": 5, "subsumed_zones": 4, "reach_zones": 6, "pruned_evaluations": 3, "dbm_clones": 4, "intern_hits": 3, "peak_live_zones": 9, "interned_zones": 3}
 ]
 "#;
         assert_eq!(parse_matrix_json(reordered).unwrap(), vec![sample()]);
@@ -321,18 +346,16 @@ mod tests {
         // gate, labelled by the direction the change points.
         let mut tampered = sample();
         tampered.stats.intern_hits -= 1;
-        tampered.stats.dbm_clones += 1;
+        tampered.stats.dbm_clones -= 1;
         tampered.stats.interned_zones += 1;
         tampered.stats.peak_live_zones += 1;
-        tampered.stats.minimized_bytes_saved += 1;
         let diffs = compare_to_baseline(&[tampered], &[sample()]);
-        assert_eq!(diffs.len(), 5, "{diffs:?}");
+        assert_eq!(diffs.len(), 4, "{diffs:?}");
         for (field, regression) in [
             ("intern_hits", true),
-            ("dbm_clones", true),
+            ("dbm_clones", false),
             ("interned_zones", true),
             ("peak_live_zones", true),
-            ("minimized_bytes_saved", false),
         ] {
             let diff = diffs.iter().find(|d| d.detail.starts_with(field));
             assert_eq!(diff.map(|d| d.regression), Some(regression), "{diffs:?}");

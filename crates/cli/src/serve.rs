@@ -4,7 +4,7 @@
 //! writes one JSON response per line on stdout (jsonl in, jsonl out).  Each
 //! request carries a `.tg` model (inline source or a file path), an optional
 //! `control:` objective override and solver knobs; the response carries the
-//! verdict, the full 14-field `SolverStats` block (as in
+//! verdict, the full 13-field `SolverStats` block (as in
 //! `tiga solve --stats-json`), timing, the strategy in the versioned
 //! `tiga-strategy v1` text format, and the minimized/compiled controller
 //! summary (`minimized_rules`/`controller_states`).  A request with

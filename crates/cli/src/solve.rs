@@ -4,6 +4,7 @@ use crate::{
     load_model, parse_num, reject_leftovers, take_flag, take_value, wants_help, EXIT_FAILURE,
     EXIT_USAGE,
 };
+use std::fmt::Write as _;
 use tiga_solver::json::Escaped;
 use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
@@ -232,49 +233,28 @@ fn render_report(
         .strategy
         .as_ref()
         .map_or("-".to_string(), |s| s.rule_count().to_string());
-    format!(
+    let mut report = format!(
         "model: {} ({path})\n\
          purpose: {}\n\
          engine: {}\n\
-         verdict: {}\n\
-         discrete_states: {}\n\
-         graph_edges: {}\n\
-         iterations: {}\n\
-         winning_zones: {}\n\
-         reach_zones: {}\n\
-         subsumed_zones: {}\n\
-         pruned_evaluations: {}\n\
-         peak_federation_size: {}\n\
-         early_terminated: {}\n\
-         interned_zones: {}\n\
-         intern_hits: {}\n\
-         dbm_clones: {}\n\
-         peak_live_zones: {}\n\
-         minimized_bytes_saved: {}\n\
-         strategy_rules: {strategy_rules}\n\
-         time: exploration {}us + fixpoint {}us = {}us",
+         verdict: {}\n",
         system.name(),
         tiga_lang::control_line(purpose),
         args.options.engine.name(),
         verdict_name(solution.winning_from_initial),
-        stats.discrete_states,
-        stats.graph_edges,
-        stats.iterations,
-        stats.winning_zones,
-        stats.reach_zones,
-        stats.subsumed_zones,
-        stats.pruned_evaluations,
-        stats.peak_federation_size,
-        stats.early_terminated,
-        stats.interned_zones,
-        stats.intern_hits,
-        stats.dbm_clones,
-        stats.peak_live_zones,
-        stats.minimized_bytes_saved,
+    );
+    for (name, value) in stats.counters() {
+        let _ = writeln!(report, "{name}: {value}");
+    }
+    let _ = write!(
+        report,
+        "strategy_rules: {strategy_rules}\n\
+         time: exploration {}us + fixpoint {}us = {}us",
         timed.exploration_time.as_micros(),
         timed.fixpoint_time.as_micros(),
         timed.total_time().as_micros(),
-    )
+    );
+    report
 }
 
 /// Renders the full [`tiga_solver::SolverStats`] (plus verdict, engine and
@@ -412,7 +392,7 @@ mod tests {
         ] {
             assert!(report.contains(key), "missing {key} in {report}");
         }
-        // The 14 counters read back as the solver's own.
+        // The 13 counters read back as the solver's own.
         let model = load_model(path.to_str().unwrap()).unwrap();
         let purpose = model.purpose.expect("the file has a control: line");
         let solution = solve(&model.system, &purpose, &args.options).unwrap();

@@ -126,12 +126,6 @@ impl Federation {
         self.zones.iter()
     }
 
-    /// Consumes the federation and returns its member zones.
-    #[must_use]
-    pub fn into_zones(self) -> Vec<Dbm> {
-        self.zones
-    }
-
     /// Adds a zone, skipping it if it is empty or already subsumed by a
     /// member zone, and dropping member zones it subsumes.
     ///

@@ -7,12 +7,12 @@
 //! constraints, plus the non-redundant bounds between class representatives.
 //! [`Dbm::minimize`] extracts that core and [`MinimalZone::rehydrate`]
 //! reproduces the *bit-identical* canonical matrix (closure of a constraint
-//! set is unique), which is what lets the zone store drop canonical caches
-//! and rebuild them on demand.
+//! set is unique).
 //!
-//! At-rest zones (the interned passed list, see [`crate::ZoneStore`]) keep
-//! only this form authoritatively: memory per zone drops from `O(n²)` to the
-//! constraint count, which the solver reports as `minimized_bytes_saved`.
+//! The compiled controller is built from this form: each rule keeps only
+//! its minimal constraints, so a point-containment check tests a handful of
+//! bounds instead of the whole matrix.  The zone store keeps canonical
+//! matrices only ([`crate::ZoneStore`]).
 
 use crate::bound::Bound;
 use crate::dbm::Dbm;
@@ -85,8 +85,7 @@ impl MinimalZone {
         &self.constraints
     }
 
-    /// Heap bytes of this form's constraint list (what an at-rest zone
-    /// costs once its canonical cache is dropped).
+    /// Heap bytes of this form's constraint list.
     #[must_use]
     pub fn byte_size(&self) -> usize {
         self.constraints.len() * std::mem::size_of::<MinimalConstraint>()

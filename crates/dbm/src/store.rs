@@ -7,10 +7,9 @@
 //! ([`ZoneSet`]), zone equality becomes id equality, and pairwise
 //! subsumption checks ([`ZoneStore::relation`]) are memoized per id pair.
 //!
-//! Interned zones are stored authoritatively in minimal-constraint form
-//! ([`crate::MinimalZone`]) with a canonical-matrix cache that
-//! [`ZoneStore::compact`] can drop and [`ZoneStore::ensure_cached`] rebuilds
-//! bit-identically on demand.
+//! Each entry holds one copy of its canonical matrix: the passed-list
+//! coverage checks and the subsumption memo read that form, so nothing else
+//! is kept beside it.
 //!
 //! The store is deliberately *not* shared across threads: engines intern
 //! only in their sequential phases (offer/merge), so determinism across
@@ -23,7 +22,6 @@ use std::hash::{BuildHasher, BuildHasherDefault};
 use crate::dbm::{Dbm, Relation};
 use crate::federation::{Coverage, Federation};
 use crate::hash::StateHasher;
-use crate::minimal::MinimalZone;
 
 /// Maps keyed by dense ids and by the already-keyed zone hashes.
 type IdHasher = BuildHasherDefault<StateHasher>;
@@ -45,18 +43,9 @@ impl ZoneId {
 }
 
 struct Entry {
-    minimal: MinimalZone,
-    canonical: Option<Dbm>,
+    zone: Dbm,
     /// The previously interned entry with the same zone hash, if any.
     next_same_hash: Option<u32>,
-}
-
-impl Entry {
-    /// The canonical matrix, rehydrated first if the cache was dropped.
-    fn canonical(&mut self) -> &Dbm {
-        self.canonical
-            .get_or_insert_with(|| self.minimal.rehydrate())
-    }
 }
 
 /// Per-solve interning arena for canonical DBMs.
@@ -76,7 +65,6 @@ pub struct ZoneStore {
     /// Buffers of the passed-list coverage check in [`ZoneSet::insert`].
     coverage: Coverage,
     hits: usize,
-    bytes_saved: usize,
 }
 
 impl ZoneStore {
@@ -91,7 +79,6 @@ impl ZoneStore {
             relations: HashMap::default(),
             coverage: Coverage::default(),
             hits: 0,
-            bytes_saved: 0,
         }
     }
 
@@ -123,14 +110,6 @@ impl ZoneStore {
         self.hits
     }
 
-    /// Bytes saved by keeping interned zones in minimal-constraint form
-    /// instead of full `n²` matrices (counted once per distinct zone).
-    #[inline]
-    #[must_use]
-    pub fn bytes_saved(&self) -> usize {
-        self.bytes_saved
-    }
-
     /// Interns a canonical zone; returns its id and whether it was new
     /// (i.e. the store took a deep copy).
     pub fn intern(&mut self, zone: &Dbm) -> (ZoneId, bool) {
@@ -139,55 +118,27 @@ impl ZoneStore {
         let head = self.index.get(&key).copied();
         let mut candidate = head;
         while let Some(c) = candidate {
-            let entry = &mut self.entries[c as usize];
-            if entry.canonical() == zone {
+            let entry = &self.entries[c as usize];
+            if entry.zone == *zone {
                 self.hits += 1;
                 return (ZoneId(c), false);
             }
             candidate = entry.next_same_hash;
         }
-        let minimal = zone.minimize();
-        let full = self.dim * self.dim * std::mem::size_of::<crate::Bound>();
-        self.bytes_saved += full.saturating_sub(minimal.byte_size());
         let id = self.entries.len() as u32;
         self.entries.push(Entry {
-            minimal,
-            canonical: Some(zone.clone()),
+            zone: zone.clone(),
             next_same_hash: head,
         });
         self.index.insert(key, id);
         (ZoneId(id), true)
     }
 
-    /// The canonical matrix for an id. Panics if the cache was dropped —
-    /// call [`ZoneStore::ensure_cached`] first after a `compact`.
+    /// The canonical matrix for an id.
     #[inline]
     #[must_use]
     pub fn zone(&self, id: ZoneId) -> &Dbm {
-        self.entries[id.index()]
-            .canonical
-            .as_ref()
-            .expect("canonical cache dropped; call ensure_cached")
-    }
-
-    /// The minimal-constraint form for an id.
-    #[inline]
-    #[must_use]
-    pub fn minimal(&self, id: ZoneId) -> &MinimalZone {
-        &self.entries[id.index()].minimal
-    }
-
-    /// Rebuilds the canonical cache for an id if it was dropped.
-    pub fn ensure_cached(&mut self, id: ZoneId) {
-        self.entries[id.index()].canonical();
-    }
-
-    /// Drops every canonical cache, keeping only the minimal forms.
-    /// Subsequent reads rehydrate (bit-identically) on demand.
-    pub fn compact(&mut self) {
-        for entry in &mut self.entries {
-            entry.canonical = None;
-        }
+        &self.entries[id.index()].zone
     }
 
     /// Memoized `zone(a).relation(zone(b))`.
@@ -199,8 +150,6 @@ impl ZoneStore {
         if let Some(&r) = self.relations.get(&key) {
             return r;
         }
-        self.ensure_cached(a);
-        self.ensure_cached(b);
         let r = self.zone(a).relation(self.zone(b));
         let mirror = match r {
             Relation::Subset => Relation::Superset,
@@ -217,15 +166,7 @@ impl ZoneStore {
         let ZoneStore {
             entries, coverage, ..
         } = self;
-        coverage.covers(
-            zone,
-            members.iter().map(|&m| {
-                entries[m.index()]
-                    .canonical
-                    .as_ref()
-                    .expect("canonical cache dropped; call ensure_cached")
-            }),
-        )
+        coverage.covers(zone, members.iter().map(|&m| &entries[m.index()].zone))
     }
 }
 
@@ -352,22 +293,6 @@ mod tests {
         assert_ne!(ia, ib);
         assert_eq!(store.len(), 2);
         assert_eq!(store.hits(), 1);
-        assert!(store.bytes_saved() > 0);
-    }
-
-    #[test]
-    fn compact_then_read_rehydrates_bit_identically() {
-        let mut store = ZoneStore::new(4);
-        let mut z = interval(4, 1, 1, 9);
-        z.constrain(2, 1, Bound::lt(3));
-        let (id, _) = store.intern(&z);
-        store.compact();
-        store.ensure_cached(id);
-        assert_eq!(store.zone(id), &z);
-        // Interning after a compact still finds the existing entry.
-        let (id2, fresh) = store.intern(&z);
-        assert_eq!(id, id2);
-        assert!(!fresh);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for the minimal-constraint zone form
 //! ([`tiga_dbm::MinimalZone`]) and the hash-consed passed list
 //! ([`tiga_dbm::ZoneSet`]), driven by the generator's random zones so that
-//! failures of the solver's interned representation localize to the DBM
-//! layer:
+//! failures of the compiled controller's zone form and of the solver's
+//! passed lists localize to the DBM layer:
 //!
 //! * **roundtrip**: `minimize()` → `rehydrate()` reproduces the canonical
 //!   matrix bit-identically, for generator zones and for every zone the

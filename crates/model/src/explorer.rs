@@ -1,16 +1,19 @@
 //! Shared symbolic-exploration engine.
 //!
-//! Both the eager game-graph construction and the on-the-fly (OTFUR-style)
-//! solver need the same primitives: hashing-based interning of discrete
-//! states, enumeration of delay-closed symbolic successors, and predecessor
-//! federations through joint edges.  [`Explorer`] packages them behind one
-//! implementation so the two exploration strategies cannot drift apart.
+//! Both solver engines explore the game forward through the same
+//! primitives: hashing-based interning of discrete states and enumeration
+//! of delay-closed symbolic successors.  [`Explorer`] packages them behind
+//! one implementation so the two cannot drift apart.
 //!
 //! The explorer caches, per interned discrete state, the derived data every
 //! client recomputed before this module existed: the invariant zone and the
 //! urgency flag.  Successor zones are delay-closed within the target
 //! invariant and extrapolated with the system's maximal constants, exactly as
-//! [`System::delay_close`] prescribes.
+//! [`System::delay_close`] prescribes.  Successors come back un-interned
+//! ([`Explorer::successor_candidates`]), so callers can compute them on
+//! worker threads and intern the targets afterwards in a fixed order;
+//! [`Explorer::into_parts`] hands the interned states and their index to
+//! the explored graph without copying them.
 
 use crate::error::ModelError;
 use crate::symbolic::{DiscreteState, JointEdge};
@@ -30,19 +33,6 @@ pub struct ExploredState {
     pub invariant: Dbm,
     /// Whether some current location is urgent (no delay allowed).
     pub urgent: bool,
-}
-
-/// One symbolic successor step returned by [`Explorer::successors`].
-#[derive(Clone, Debug)]
-pub struct SuccessorStep {
-    /// The joint (composed) model edge taken.
-    pub joint: JointEdge,
-    /// Interned index of the target discrete state.
-    pub target: StateIndex,
-    /// Delay-closed, extrapolated successor zone (never empty).
-    pub zone: Dbm,
-    /// Whether the step is a controllable (tester) move.
-    pub controllable: bool,
 }
 
 /// One symbolic successor step whose target has *not* been interned yet,
@@ -91,12 +81,6 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// The system being explored.
-    #[must_use]
-    pub fn system(&self) -> &'a System {
-        self.system
-    }
-
     /// Number of interned discrete states.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -109,12 +93,6 @@ impl<'a> Explorer<'a> {
         self.states.is_empty()
     }
 
-    /// The interned states, indexed by [`StateIndex`].
-    #[must_use]
-    pub fn states(&self) -> &[ExploredState] {
-        &self.states
-    }
-
     /// An interned state by index.
     ///
     /// # Panics
@@ -123,12 +101,6 @@ impl<'a> Explorer<'a> {
     #[must_use]
     pub fn state(&self, idx: StateIndex) -> &ExploredState {
         &self.states[idx]
-    }
-
-    /// Looks up the index of a discrete state, if it was interned.
-    #[must_use]
-    pub fn index_of(&self, discrete: &DiscreteState) -> Option<StateIndex> {
-        self.index.get(discrete).copied()
     }
 
     /// Interns a discrete state, computing its invariant and urgency on first
@@ -167,34 +139,9 @@ impl<'a> Explorer<'a> {
     }
 
     /// Enumerates the symbolic successors of `(source, zone)`: one
-    /// [`SuccessorStep`] per enabled joint edge whose delay-closed successor
-    /// zone is non-empty.  Target states are interned on the fly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guard/update/invariant evaluation errors.
-    pub fn successors(
-        &mut self,
-        source: StateIndex,
-        zone: &Dbm,
-    ) -> Result<Vec<SuccessorStep>, ModelError> {
-        let candidates = self.successor_candidates(source, zone)?;
-        let mut steps = Vec::with_capacity(candidates.len());
-        for candidate in candidates {
-            let target = self.intern(candidate.discrete)?;
-            steps.push(SuccessorStep {
-                joint: candidate.joint,
-                target,
-                zone: candidate.zone,
-                controllable: candidate.controllable,
-            });
-        }
-        Ok(steps)
-    }
-
-    /// The read-only half of [`Explorer::successors`]: enumerates the
-    /// symbolic successors of `(source, zone)` without interning the target
-    /// states, so it can run on worker threads against a shared `&Explorer`.
+    /// [`CandidateStep`] per enabled joint edge whose delay-closed successor
+    /// zone is non-empty.  Target states are not interned, so this can run
+    /// on worker threads against a shared `&Explorer`.
     ///
     /// # Errors
     ///
@@ -240,21 +187,12 @@ impl<'a> Explorer<'a> {
         Ok(steps)
     }
 
-    /// Predecessor federation of `target` through `joint` from the interned
-    /// source state: the union of [`System::joint_pred_zone`] over the member
-    /// zones.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guard/reset/invariant evaluation errors.
-    pub fn pred_federation(
-        &self,
-        source: StateIndex,
-        joint: &JointEdge,
-        target: &Federation,
-    ) -> Result<Federation, ModelError> {
-        self.system
-            .joint_pred_federation(&self.states[source].discrete, joint, target)
+    /// Consumes the explorer and returns the interned states, indexed by
+    /// [`StateIndex`], together with the map from each discrete state to
+    /// its index.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<ExploredState>, HashMap<DiscreteState, StateIndex>) {
+        (self.states, self.index)
     }
 }
 
@@ -325,9 +263,11 @@ mod tests {
         let again = ex.intern(sys.initial_discrete()).unwrap();
         assert_eq!(root, again);
         assert_eq!(ex.len(), 1);
-        assert_eq!(ex.index_of(&sys.initial_discrete()), Some(root));
         assert!(!ex.state(root).urgent);
         assert_eq!(ex.state(root).discrete, sys.initial_discrete());
+        let (states, index) = ex.into_parts();
+        assert_eq!(states.len(), 1);
+        assert_eq!(index.get(&sys.initial_discrete()), Some(&root));
     }
 
     #[test]
@@ -335,17 +275,18 @@ mod tests {
         let sys = sample_system();
         let mut ex = Explorer::new(&sys);
         let (root, zone) = ex.initial().unwrap();
-        let steps = ex.successors(root, &zone).unwrap();
+        let mut steps = ex.successor_candidates(root, &zone).unwrap();
         assert_eq!(steps.len(), 1);
-        let step = &steps[0];
+        let step = steps.remove(0);
         assert!(step.controllable, "go? is a tester input");
-        assert_ne!(step.target, root);
+        let target = ex.intern(step.discrete).unwrap();
+        assert_ne!(target, root);
         assert_eq!(ex.len(), 2);
         // Delay-closed within the Work invariant x <= 5.
         assert!(step.zone.contains_scaled(&[0, 10]));
         assert!(!step.zone.contains_scaled(&[0, 11]));
         // The Work state's cached invariant agrees.
-        let work = ex.state(step.target);
+        let work = ex.state(target);
         assert!(work.invariant.contains_scaled(&[0, 10]));
         assert!(!work.invariant.contains_scaled(&[0, 11]));
     }
@@ -355,9 +296,11 @@ mod tests {
         let sys = sample_system();
         let mut ex = Explorer::new(&sys);
         let (root, zone) = ex.initial().unwrap();
-        let step = ex.successors(root, &zone).unwrap().remove(0);
+        let step = ex.successor_candidates(root, &zone).unwrap().remove(0);
         let target_fed = Federation::from_zone(step.zone.clone());
-        let pred = ex.pred_federation(root, &step.joint, &target_fed).unwrap();
+        let pred = sys
+            .joint_pred_federation(&ex.state(root).discrete, &step.joint, &target_fed)
+            .unwrap();
         // Every valuation of the root zone can take go? into the successor.
         for z in &Federation::from_zone(zone) {
             assert!(pred.includes_zone(z));

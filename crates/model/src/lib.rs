@@ -69,7 +69,7 @@ pub use automaton::{
 pub use builder::{AutomatonBuilder, EdgeBuilder, SystemBuilder};
 pub use decl::{Action, Channel, ChannelKind, ClockDecl, ClockRef, IoDir, VarDecl, VarTable};
 pub use error::{EvalError, ModelError};
-pub use explorer::{CandidateStep, ExploredState, Explorer, StateIndex, SuccessorStep};
+pub use explorer::{CandidateStep, ExploredState, Explorer, StateIndex};
 pub use expr::{CmpOp, Expr};
 pub use ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
 pub use symbolic::{DiscreteState, DisplayDiscreteState, JointEdge, SymbolicState};

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 pub struct CacheEntry {
     /// Whether the initial state is winning.
     pub winning: bool,
-    /// The full 14-field statistics block of the original solve.
+    /// The full 13-field statistics block of the original solve.
     pub stats: SolverStats,
     /// The extracted strategy, when one was requested and the game is won.
     pub strategy: Option<Strategy>,

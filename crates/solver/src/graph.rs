@@ -4,12 +4,19 @@
 //! variable valuation); each node records its invariant zone, the union of
 //! zones with which it was reached (for statistics and on-the-fly pruning),
 //! whether it satisfies the goal predicate, and its outgoing joint edges.
+//!
+//! Both engines build the graph through one [`GraphBuilder`]:
+//! [`GameGraph::explore`] drains a work list with it before the Jacobi
+//! fixpoint runs, and the on-the-fly search ([`crate::otfur`]) interleaves
+//! the same discovery and offer steps with its backward propagation.
 
 use crate::error::SolverError;
 use crate::stats::MemCounters;
 use std::collections::HashMap;
 use tiga_dbm::{Dbm, Federation, ZoneSet, ZoneStore};
-use tiga_model::{DiscreteState, Explorer, JointEdge, System};
+use tiga_model::{
+    CandidateStep, DiscreteState, ExploredState, Explorer, JointEdge, ModelError, System,
+};
 use tiga_tctl::StatePredicate;
 
 /// Index of a node in a [`GameGraph`].
@@ -71,6 +78,197 @@ impl Default for ExploreOptions {
     }
 }
 
+/// Per-node data of a [`GraphBuilder`], indexed like the explorer's states.
+struct BuilderNode {
+    /// Passed list: the zones the node was reached with, interned in the
+    /// builder's store.
+    reach: ZoneSet,
+    /// Outgoing joint edges discovered so far (deduplicated).
+    edges: Vec<GraphEdge>,
+    /// Whether the goal predicate holds here.
+    is_goal: bool,
+}
+
+/// The forward-exploration core under both engines.
+///
+/// It owns the [`Explorer`], the [`ZoneStore`] and, per node, the passed
+/// list, the goal flag and the edge list.  Exploration advances through two
+/// steps: [`GraphBuilder::discover`] records one candidate successor as a
+/// node and an edge, and [`GraphBuilder::offer`] adds its zone to the
+/// node's passed list.  Candidates are computed in parallel
+/// ([`GraphBuilder::candidates`]) but discovered and offered one by one in
+/// batch order, so the explored graph is bit-identical for any thread
+/// count.
+pub(crate) struct GraphBuilder<'a> {
+    system: &'a System,
+    goal: &'a StatePredicate,
+    options: &'a ExploreOptions,
+    explorer: Explorer<'a>,
+    store: ZoneStore,
+    nodes: Vec<BuilderNode>,
+    initial: NodeId,
+    /// Current total zone count across all passed lists.
+    reach_total: usize,
+}
+
+impl<'a> GraphBuilder<'a> {
+    /// Interns the initial state and returns the builder together with the
+    /// root node and its zone, which is not offered yet.
+    pub(crate) fn new(
+        system: &'a System,
+        goal: &'a StatePredicate,
+        options: &'a ExploreOptions,
+    ) -> Result<(Self, NodeId, Dbm), SolverError> {
+        let mut explorer = Explorer::new(system);
+        let (root, zone) = explorer.initial()?;
+        let mut builder = GraphBuilder {
+            system,
+            goal,
+            options,
+            explorer,
+            store: ZoneStore::new(system.dim()),
+            nodes: Vec::new(),
+            initial: root,
+            reach_total: 0,
+        };
+        builder.adopt()?;
+        Ok((builder, root, zone))
+    }
+
+    /// Creates the node data of every state the explorer interned since the
+    /// last call, evaluating the goal predicate once per state.
+    fn adopt(&mut self) -> Result<(), SolverError> {
+        while self.nodes.len() < self.explorer.len() {
+            let state = self.explorer.state(self.nodes.len());
+            let is_goal = self.goal.holds(self.system, &state.discrete)?;
+            self.nodes.push(BuilderNode {
+                reach: ZoneSet::default(),
+                edges: Vec::new(),
+                is_goal,
+            });
+        }
+        Ok(())
+    }
+
+    /// Number of nodes discovered so far.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The interned state of a node.
+    pub(crate) fn state(&self, node: NodeId) -> &ExploredState {
+        self.explorer.state(node)
+    }
+
+    /// Whether the goal predicate holds at a node.
+    pub(crate) fn is_goal(&self, node: NodeId) -> bool {
+        self.nodes[node].is_goal
+    }
+
+    /// Whether a node's zones are expanded: goal nodes are not when
+    /// [`ExploreOptions::stop_at_goal`] is set.
+    pub(crate) fn expands(&self, node: NodeId) -> bool {
+        !(self.options.stop_at_goal && self.nodes[node].is_goal)
+    }
+
+    /// The outgoing edges of a node discovered so far.
+    pub(crate) fn edges(&self, node: NodeId) -> &[GraphEdge] {
+        &self.nodes[node].edges
+    }
+
+    /// The members of a node's passed list.
+    pub(crate) fn reach_zones(&self, node: NodeId) -> impl Iterator<Item = &Dbm> + Clone {
+        self.nodes[node].reach.zones(&self.store)
+    }
+
+    /// Current total zone count across all passed lists.
+    pub(crate) fn reach_total(&self) -> usize {
+        self.reach_total
+    }
+
+    /// The candidate successors of every pending `(node, zone)` pair, in
+    /// `pending` order, computed read-only on `jobs` worker threads.
+    pub(crate) fn candidates(
+        &self,
+        pending: Vec<(NodeId, Dbm)>,
+        jobs: usize,
+    ) -> Vec<Result<(NodeId, Vec<CandidateStep>), ModelError>> {
+        tiga_parallel::run_indexed(pending, jobs, |_, (node, zone)| {
+            self.explorer
+                .successor_candidates(node, &zone)
+                .map(|steps| (node, steps))
+        })
+    }
+
+    /// The discovery step: interns the target of a candidate successor of
+    /// `source`, adopts it with its goal flag, enforces
+    /// [`ExploreOptions::max_states`] and records the edge once per
+    /// `(joint, target)`.  Returns the target and the successor zone.
+    pub(crate) fn discover(
+        &mut self,
+        source: NodeId,
+        step: CandidateStep,
+    ) -> Result<(NodeId, Dbm), SolverError> {
+        let target = self.explorer.intern(step.discrete)?;
+        self.adopt()?;
+        if self.nodes.len() > self.options.max_states {
+            return Err(SolverError::StateLimitExceeded {
+                limit: self.options.max_states,
+            });
+        }
+        let edges = &mut self.nodes[source].edges;
+        if !edges
+            .iter()
+            .any(|e| e.joint == step.joint && e.target == target)
+        {
+            edges.push(GraphEdge {
+                joint: step.joint,
+                target,
+                controllable: step.controllable,
+            });
+        }
+        Ok((target, step.zone))
+    }
+
+    /// The offer step: adds `zone` to the passed list of `node`.  Returns
+    /// whether it added valuations, i.e. whether the zone is to be expanded.
+    pub(crate) fn offer(&mut self, node: NodeId, zone: &Dbm) -> bool {
+        let reach = &mut self.nodes[node].reach;
+        let before = reach.len();
+        let inserted = reach.insert(&mut self.store, zone);
+        self.reach_total = self.reach_total + reach.len() - before;
+        inserted
+    }
+
+    /// Moves the explored states and their index into a [`GameGraph`],
+    /// materializing the passed lists into reach federations, and records
+    /// the zone store's counters in `mem`.
+    pub(crate) fn finish(self, mem: &mut MemCounters) -> GameGraph {
+        let (states, index) = self.explorer.into_parts();
+        let nodes = states
+            .into_iter()
+            .zip(self.nodes)
+            .map(|(state, node)| GameNode {
+                discrete: state.discrete,
+                invariant: state.invariant,
+                reach: node.reach.to_federation(&self.store),
+                edges: node.edges,
+                is_goal: node.is_goal,
+                urgent: state.urgent,
+            })
+            .collect();
+        mem.interned_zones = self.store.len();
+        mem.intern_hits = self.store.hits();
+        // Every intern miss deep-copied the candidate into the store.
+        mem.dbm_clones += self.store.len();
+        GameGraph {
+            nodes,
+            index,
+            initial: self.initial,
+        }
+    }
+}
+
 impl GameGraph {
     /// Explores the game graph of `system` forward from the initial state,
     /// marking states that satisfy `goal`.
@@ -85,39 +283,17 @@ impl GameGraph {
         goal: &StatePredicate,
         options: &ExploreOptions,
     ) -> Result<Self, SolverError> {
-        Self::explore_jobs(system, goal, options, 1)
+        Ok(Self::explore_jobs_mem(system, goal, options, 1)?.0)
     }
 
-    /// Like [`GameGraph::explore`], with the symbolic successor computation
-    /// of each frontier batch sharded over `jobs` worker threads (`0` = all
-    /// cores).
+    /// [`GameGraph::explore`], with the successor computation of each
+    /// frontier batch sharded over `jobs` worker threads (`0` = all cores),
+    /// also reporting the memory counters of the exploration.
     ///
-    /// The frontier is drained in deterministic batches: candidate
-    /// successors of every `(node, zone)` pair are computed read-only in
-    /// parallel ([`Explorer::successor_candidates`]), then interned, edge-
-    /// deduplicated and subsumption-checked sequentially in batch order —
-    /// the explored graph is bit-identical for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GameGraph::explore`].
-    pub fn explore_jobs(
-        system: &System,
-        goal: &StatePredicate,
-        options: &ExploreOptions,
-        jobs: usize,
-    ) -> Result<Self, SolverError> {
-        Ok(Self::explore_jobs_mem(system, goal, options, jobs)?.0)
-    }
-
-    /// [`GameGraph::explore_jobs`], also reporting the memory counters of
-    /// the exploration.
-    ///
-    /// The per-node passed lists are kept as [`ZoneSet`]s over one shared
-    /// [`ZoneStore`] — re-derived zones cost a hash probe, subsumption
-    /// verdicts are memoized, and at-rest zones live in minimal-constraint
-    /// form.  The store is only touched in the sequential merge phase, so
-    /// the explored graph is bit-identical for any thread count.
+    /// The frontier is drained in batches: the successors of every
+    /// `(node, zone)` pair are computed in parallel, then discovered and
+    /// offered sequentially in batch order, so the explored graph is
+    /// bit-identical for any thread count.
     ///
     /// # Errors
     ///
@@ -128,126 +304,33 @@ impl GameGraph {
         options: &ExploreOptions,
         jobs: usize,
     ) -> Result<(Self, MemCounters), SolverError> {
-        let mut explorer = Explorer::new(system);
-        let mut graph = GameGraph {
-            nodes: Vec::new(),
-            index: HashMap::new(),
-            initial: 0,
+        let (mut builder, root, root_zone) = GraphBuilder::new(system, goal, options)?;
+        builder.offer(root, &root_zone);
+        let mut mem = MemCounters {
+            peak_live_zones: builder.reach_total(),
+            ..MemCounters::default()
         };
-        let mut mem = MemCounters::default();
-        let mut store = ZoneStore::new(system.dim());
-        let mut sets: Vec<ZoneSet> = Vec::new();
-        let (root_id, root_zone) = explorer.initial()?;
-        graph.adopt(system, goal, &explorer, root_id)?;
-        graph.initial = root_id;
-        sets.resize_with(graph.nodes.len(), ZoneSet::default);
-        sets[root_id].insert(&mut store, &root_zone);
-        let mut reach_total = sets[root_id].len();
-        mem.peak_live_zones = reach_total;
-
         // Work list of (node, zone) pairs still to expand, drained batchwise.
-        let mut queue: Vec<(NodeId, Dbm)> = vec![(root_id, root_zone)];
+        let mut queue: Vec<(NodeId, Dbm)> = vec![(root, root_zone)];
         while !queue.is_empty() {
             let batch: Vec<(NodeId, Dbm)> = std::mem::take(&mut queue)
                 .into_iter()
-                .filter(|(node_id, _)| !(options.stop_at_goal && graph.nodes[*node_id].is_goal))
+                .filter(|(node, _)| builder.expands(*node))
                 .collect();
-            let results = tiga_parallel::run_indexed(batch, jobs, |_, (node_id, zone)| {
-                explorer
-                    .successor_candidates(node_id, &zone)
-                    .map(|steps| (node_id, steps))
-            });
-            for result in results {
-                let (node_id, steps) = result?;
+            for result in builder.candidates(batch, jobs) {
+                let (node, steps) = result?;
                 for step in steps {
-                    let target = explorer.intern(step.discrete)?;
-                    let succ_id = graph.adopt(system, goal, &explorer, target)?;
-                    if graph.nodes.len() > options.max_states {
-                        return Err(SolverError::StateLimitExceeded {
-                            limit: options.max_states,
-                        });
-                    }
-                    // Record the edge once per (joint, target).
-                    let exists = graph.nodes[node_id]
-                        .edges
-                        .iter()
-                        .any(|e| e.joint == step.joint && e.target == succ_id);
-                    if !exists {
-                        graph.nodes[node_id].edges.push(GraphEdge {
-                            joint: step.joint,
-                            target: succ_id,
-                            controllable: step.controllable,
-                        });
-                    }
+                    let (target, zone) = builder.discover(node, step)?;
                     // Continue exploring only if the zone adds new valuations.
-                    sets.resize_with(graph.nodes.len(), ZoneSet::default);
-                    let before = sets[succ_id].len();
-                    let expand = sets[succ_id].insert(&mut store, &step.zone);
-                    reach_total = reach_total + sets[succ_id].len() - before;
-                    mem.peak_live_zones = mem.peak_live_zones.max(reach_total);
-                    if expand {
-                        queue.push((succ_id, step.zone));
+                    if builder.offer(target, &zone) {
+                        mem.peak_live_zones = mem.peak_live_zones.max(builder.reach_total());
+                        queue.push((target, zone));
                     }
                 }
             }
         }
-        // Materialize the interned passed lists into the per-node reach
-        // federations the fixpoint engine reads.
-        for (node, set) in graph.nodes.iter_mut().zip(&sets) {
-            node.reach = set.to_federation(&store);
-        }
-        mem.record_store(&store);
+        let graph = builder.finish(&mut mem);
         Ok((graph, mem))
-    }
-
-    /// Mirrors an explorer state into the graph, creating the [`GameNode`]
-    /// (with its goal flag) on first sight.
-    ///
-    /// Explorer indices and node identifiers stay aligned because the graph
-    /// adopts every state the explorer interns, in interning order.
-    fn adopt(
-        &mut self,
-        system: &System,
-        goal: &StatePredicate,
-        explorer: &Explorer<'_>,
-        idx: NodeId,
-    ) -> Result<NodeId, SolverError> {
-        while self.nodes.len() <= idx {
-            let state = explorer.state(self.nodes.len());
-            let is_goal = goal.holds(system, &state.discrete)?;
-            self.nodes.push(GameNode {
-                discrete: state.discrete.clone(),
-                invariant: state.invariant.clone(),
-                reach: Federation::empty(system.dim()),
-                edges: Vec::new(),
-                is_goal,
-                urgent: state.urgent,
-            });
-            self.index
-                .insert(state.discrete.clone(), self.nodes.len() - 1);
-        }
-        Ok(idx)
-    }
-
-    /// Assembles a graph from nodes built elsewhere (the on-the-fly solver
-    /// constructs its partial graph this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is out of range.
-    #[must_use]
-    pub(crate) fn from_parts(nodes: Vec<GameNode>, initial: NodeId) -> Self {
-        assert!(initial < nodes.len(), "initial node out of range");
-        let index = nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| (n.discrete.clone(), id))
-            .collect();
-        GameGraph {
-            nodes,
-            index,
-            initial,
-        }
     }
 
     /// The explored nodes.
@@ -395,6 +478,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SolverError::StateLimitExceeded { limit: 2 }));
+    }
+
+    #[test]
+    fn every_node_is_indexed_under_its_discrete_state() {
+        // The index moves over from the explorer; it must still map each
+        // node's discrete state to that node, for the eager graph and for
+        // the partial graph of an on-the-fly solve.
+        let sys = ping_system(3);
+        let tp = TestPurpose::parse("control: A<> count == 3", &sys).unwrap();
+        let explored = GameGraph::explore(&sys, &tp.predicate, &ExploreOptions::default()).unwrap();
+        let (lep3, tp4) = tiga_bench::lep_instance(3, 3);
+        let solved = crate::solve(&lep3, &tp4, &crate::SolveOptions::default()).unwrap();
+        for graph in [&explored, &solved.graph] {
+            assert!(graph.len() > 1);
+            assert_eq!(graph.index.len(), graph.len());
+            for (id, node) in graph.nodes().iter().enumerate() {
+                assert_eq!(graph.node_of(&node.discrete), Some(id));
+            }
+        }
     }
 
     #[test]

@@ -385,7 +385,7 @@ macro_rules! stats_json {
             /// The counters under their JSON names, in the order
             /// `tiga solve --stats-json` and `tiga serve` payloads carry them.
             #[must_use]
-            pub fn counters(&self) -> [(&'static str, Counter); 14] {
+            pub fn counters(&self) -> [(&'static str, Counter); 13] {
                 [$((stringify!($field), Counter::from(self.$field))),*]
             }
 
@@ -419,7 +419,6 @@ stats_json!(
     intern_hits: usize_field,
     dbm_clones: usize_field,
     peak_live_zones: usize_field,
-    minimized_bytes_saved: usize_field,
 );
 
 impl SolverStats {

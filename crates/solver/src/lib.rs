@@ -26,9 +26,10 @@
 //!   directly via [`solve_jacobi`]).
 //!
 //! Both engines share the controllable-predecessor update (safe
-//! time-predecessors, uncontrollable escapes and invariant-forced moves)
-//! the [`tiga_model::Explorer`] exploration core, and the hash-consed
-//! [`tiga_dbm::ZoneStore`] that holds their passed lists.
+//! time-predecessors, uncontrollable escapes and invariant-forced moves),
+//! the strategy recorder, and one forward-exploration core: the
+//! [`tiga_model::Explorer`] plus the hash-consed [`tiga_dbm::ZoneStore`]
+//! that holds their passed lists.
 //!
 //! # Example
 //!

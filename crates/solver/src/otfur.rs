@@ -6,10 +6,10 @@
 //! search, after the on-the-fly algorithm of Cassez, David, Fleury, Larsen
 //! and Lime (CONCUR 2005) that UPPAAL-TIGA builds on:
 //!
-//! * **forward**: popping a state expands its not-yet-processed reach zones,
-//!   interning newly discovered discrete states (hashing-based, via
-//!   [`tiga_model::Explorer`]) and subsuming re-reached zones against the
-//!   passed list, a hash-consed [`ZoneSet`] ([`ZoneSet::insert`]);
+//! * **forward**: popping a state expands its not-yet-processed reach zones
+//!   through the same [`GraphBuilder`] steps as the eager exploration:
+//!   newly discovered discrete states are interned and re-reached zones are
+//!   subsumed against the state's passed list;
 //! * **backward**: the same pop re-evaluates the state's winning federation
 //!   with the shared `π` update ([`crate::winning::pi_update`]); growth wakes
 //!   the recorded dependents, exactly like the `Depend` sets of the paper;
@@ -28,8 +28,9 @@
 //! *losing*.  The caller complements the confined losing sets within the
 //! reach federations to obtain the safe (winning) sets.
 //!
-//! A winning [`Strategy`] is extracted *during* the search: every growth of a
-//! winning federation records its wait/action regions at the current
+//! A winning [`crate::Strategy`] is extracted *during* the search, through
+//! the [`RuleRecorder`] the Jacobi engine writes through too: every growth
+//! of a winning federation records its wait/action regions at the current
 //! revision counter, which plays the role of the Jacobi round number (every
 //! action region recorded at revision `r` leads into regions recorded at
 //! revisions `< r`, so the rank order is well-founded and the executor's
@@ -55,29 +56,26 @@
 //! `lfp ∩ reach` per state.
 
 use crate::error::SolverError;
-use crate::graph::{GameGraph, GameNode, GraphEdge, NodeId};
+use crate::graph::{GameGraph, GraphBuilder, NodeId};
 use crate::stats::MemCounters;
-use crate::strategy::{Decision, Strategy, StrategyRule};
-use crate::winning::{invariant_boundary, pi_update, EngineOutcome, GameMode, SolveOptions};
+use crate::winning::{
+    invariant_boundary, pi_update, EngineOutcome, GameMode, RuleRecorder, SolveOptions,
+};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use tiga_dbm::{Dbm, Federation, ZoneSet, ZoneStore};
-use tiga_model::{Explorer, System};
+use tiga_dbm::{Dbm, Federation};
+use tiga_model::System;
 use tiga_tctl::StatePredicate;
 
-/// Per-state bookkeeping of the search, indexed like the explorer's states.
-/// The state's passed list lives in [`Search::reach_sets`].
+/// Per-state bookkeeping of the search, indexed like the builder's nodes.
+/// The state's passed list, goal flag and edges live in [`Search::graph`].
 struct NodeData {
     /// Reach zones not yet expanded forward.
     frontier: Vec<Dbm>,
-    /// Outgoing joint edges discovered so far (deduplicated).
-    edges: Vec<GraphEdge>,
     /// States to re-evaluate when this state's winning federation grows.
     depend: Vec<NodeId>,
     /// Invariant upper boundary (for the forced-move term).
     boundary: Federation,
-    /// Whether the goal predicate holds here.
-    is_goal: bool,
 }
 
 /// What the read-only snapshot evaluation of one batch member found.
@@ -98,7 +96,6 @@ enum EvalOutcome {
 
 struct Search<'a> {
     system: &'a System,
-    goal: &'a StatePredicate,
     options: &'a SolveOptions,
     /// Reachability (propagate winning federations backward from the goal)
     /// or safety (the dual rule: propagate *losing* federations backward
@@ -107,10 +104,13 @@ struct Search<'a> {
     /// Bounded purposes: the `#t <= T` zone intersected into every attractor
     /// seed as it is reached.  `None` for unbounded purposes.
     clip: Option<&'a Dbm>,
-    explorer: Explorer<'a>,
+    /// The explored part of the game: states, passed lists, goal flags and
+    /// edges.  Mutated only in the sequential phases, so results stay
+    /// bit-identical for any `jobs`.
+    graph: GraphBuilder<'a>,
     nodes: Vec<NodeData>,
     win: Vec<Federation>,
-    strategy: Strategy,
+    recorder: RuleRecorder,
     queue: VecDeque<NodeId>,
     in_queue: Vec<bool>,
     /// Monotone revision counter used as the strategy rank.
@@ -119,17 +119,8 @@ struct Search<'a> {
     pruned_evaluations: usize,
     pops: usize,
     early_terminated: bool,
-    /// Hash-consing zone store for the passed lists.  Mutated only in the
-    /// sequential phases, so results stay bit-identical for any `jobs`.
-    store: ZoneStore,
-    /// Passed list per node: the union of the delay-closed zones with which
-    /// the state was reached, interned in `store`.  [`Search::finish`]
-    /// materializes the reach federations from it.
-    reach_sets: Vec<ZoneSet>,
     /// Interning/clone/peak counters reported through the engine outcome.
     mem: MemCounters,
-    /// Current total zone count across all passed lists.
-    reach_total: usize,
     /// Current total zone count across all winning federations.
     win_total: usize,
     /// Time spent in the expansion phase of [`Search::run`].
@@ -151,16 +142,16 @@ pub(crate) fn run(
     mode: GameMode,
     clip: Option<&Dbm>,
 ) -> Result<(GameGraph, EngineOutcome, Duration), SolverError> {
+    let (graph, root, root_zone) = GraphBuilder::new(system, goal, &options.explore)?;
     let mut search = Search {
         system,
-        goal,
         options,
         mode,
         clip,
-        explorer: Explorer::new(system),
+        graph,
         nodes: Vec::new(),
         win: Vec::new(),
-        strategy: Strategy::new(system.dim()),
+        recorder: RuleRecorder::new(system.dim(), options, mode),
         queue: VecDeque::new(),
         in_queue: Vec::new(),
         revision: 0,
@@ -168,52 +159,36 @@ pub(crate) fn run(
         pruned_evaluations: 0,
         pops: 0,
         early_terminated: false,
-        store: ZoneStore::new(system.dim()),
-        reach_sets: Vec::new(),
         mem: MemCounters::default(),
-        reach_total: 0,
         win_total: 0,
         exploration_time: Duration::ZERO,
     };
-    let root = search.seed()?;
+    // The root zone is pending: it is offered and expanded like any other.
+    search.sync_nodes();
+    search.offer_zone(root, root_zone);
+    search.enqueue(root);
     search.run(root)?;
-    let exploration_time = search.exploration_time;
-    let (graph, outcome) = search.finish(root)?;
-    Ok((graph, outcome, exploration_time))
+    Ok(search.finish())
 }
 
 impl Search<'_> {
-    /// Interns the initial state and queues it with the root zone pending.
-    fn seed(&mut self) -> Result<NodeId, SolverError> {
-        let (root, root_zone) = self.explorer.initial()?;
-        self.sync_nodes()?;
-        self.offer_zone(root, root_zone);
-        self.enqueue(root);
-        Ok(root)
-    }
-
-    /// Grows the per-node vectors to cover every state the explorer has
-    /// interned.  Goal states start with an empty winning federation: their
-    /// wins are the *reached* goal zones, added by [`Search::offer_zone`] as
-    /// they arrive (the reach-confinement invariant).
-    fn sync_nodes(&mut self) -> Result<(), SolverError> {
-        while self.nodes.len() < self.explorer.len() {
-            let idx = self.nodes.len();
-            let state = self.explorer.state(idx);
-            let is_goal = self.goal.holds(self.system, &state.discrete)?;
+    /// Grows the per-node vectors to cover every node the builder has
+    /// discovered.  Goal states start with an empty winning federation:
+    /// their wins are the *reached* goal zones, added by
+    /// [`Search::offer_zone`] as they arrive (the reach-confinement
+    /// invariant).
+    fn sync_nodes(&mut self) {
+        while self.nodes.len() < self.graph.len() {
+            let state = self.graph.state(self.nodes.len());
             let boundary = invariant_boundary(&state.invariant, state.urgent);
             self.nodes.push(NodeData {
                 frontier: Vec::new(),
-                edges: Vec::new(),
                 depend: Vec::new(),
                 boundary,
-                is_goal,
             });
             self.win.push(Federation::empty(self.system.dim()));
             self.in_queue.push(false);
-            self.reach_sets.push(ZoneSet::default());
         }
-        Ok(())
     }
 
     /// Offers a reach zone to a state's passed list; newly covering zones
@@ -223,15 +198,11 @@ impl Search<'_> {
     /// zone immediately extends the winning federation (recorded as a rank-0
     /// wait region) and wakes the goal's dependents.
     fn offer_zone(&mut self, node: NodeId, zone: Dbm) -> bool {
-        let set = &mut self.reach_sets[node];
-        let before = set.len();
-        let inserted = set.insert(&mut self.store, &zone);
-        self.reach_total = self.reach_total + set.len() - before;
-        if !inserted {
+        if !self.graph.offer(node, &zone) {
             self.subsumed_zones += 1;
             return false;
         }
-        if self.nodes[node].is_goal {
+        if self.graph.is_goal(node) {
             // Reach zones are delay-closed within the invariant, so the zone
             // is already a valid attractor seed (goal-winning region for
             // reachability, losing region of a bad state for safety).  For
@@ -249,31 +220,26 @@ impl Search<'_> {
             if !seed.is_empty() {
                 let before = self.win[node].len();
                 self.mem.dbm_clones += 1;
-                self.win[node].add_zone(seed.clone());
+                self.recorder
+                    .goal_wait(&self.graph.state(node).discrete, &seed);
+                self.win[node].add_zone(seed);
                 self.win_total = self.win_total + self.win[node].len() - before;
-                if self.options.extract_strategy && self.mode == GameMode::Reachability {
-                    self.strategy.add_rule(
-                        self.explorer.state(node).discrete.clone(),
-                        StrategyRule {
-                            rank: 0,
-                            zone: seed,
-                            decision: Decision::Wait,
-                        },
-                    );
-                }
-                let dependents = std::mem::take(&mut self.nodes[node].depend);
-                for d in &dependents {
-                    self.enqueue(*d);
-                }
-                self.nodes[node].depend = dependents;
+                self.wake_dependents(node);
             }
         }
         self.mem.peak_live_zones = self
             .mem
             .peak_live_zones
-            .max(self.reach_total + self.win_total);
+            .max(self.graph.reach_total() + self.win_total);
         self.nodes[node].frontier.push(zone);
         true
+    }
+
+    /// Queues every state whose evaluation read `node`'s winning federation.
+    fn wake_dependents(&mut self, node: NodeId) {
+        for i in 0..self.nodes[node].depend.len() {
+            self.enqueue(self.nodes[node].depend[i]);
+        }
     }
 
     fn enqueue(&mut self, node: NodeId) {
@@ -331,12 +297,18 @@ impl Search<'_> {
             // Phase 1: expansion, to a cross-batch fixpoint — a member
             // expanded early may be offered a new zone by a later member
             // (self-loops included), and every reach zone of an evaluated
-            // state must be expanded first.
+            // state must be expanded first: evaluated against a reach zone
+            // whose edges are still undiscovered, a state could claim wins
+            // where an unknown uncontrollable escape is enabled, and
+            // monotone growth would never retract them.  The loop
+            // terminates because offered zones are extrapolated (finitely
+            // many per state) and passed lists admit only zones that add
+            // coverage.
             let expansion_start = Instant::now();
             loop {
                 let mut pending: Vec<(NodeId, Dbm)> = Vec::new();
                 for &node in &batch {
-                    if self.options.explore.stop_at_goal && self.nodes[node].is_goal {
+                    if !self.graph.expands(node) {
                         self.nodes[node].frontier.clear();
                         continue;
                     }
@@ -346,18 +318,23 @@ impl Search<'_> {
                 if pending.is_empty() {
                     break;
                 }
-                // Candidate successors are computed read-only in parallel;
-                // interning, edge discovery and zone offers merge in batch
-                // order below.
-                let results =
-                    tiga_parallel::run_indexed(pending, self.options.jobs, |_, (node, zone)| {
-                        self.explorer
-                            .successor_candidates(node, &zone)
-                            .map(|steps| (node, steps))
-                    });
-                for result in results {
+                // Candidates are computed read-only in parallel; discovery
+                // and zone offers merge one by one in batch order.
+                for result in self.graph.candidates(pending, self.options.jobs) {
                     let (node, steps) = result?;
-                    self.absorb_steps(node, steps)?;
+                    for step in steps {
+                        let (target, zone) = self.graph.discover(node, step)?;
+                        self.sync_nodes();
+                        // This state must be re-evaluated whenever the
+                        // target's winning federation grows (the `Depend`
+                        // set of OTFUR).
+                        if !self.nodes[target].depend.contains(&node) {
+                            self.nodes[target].depend.push(node);
+                        }
+                        if self.offer_zone(target, zone) {
+                            self.enqueue(target);
+                        }
+                    }
                 }
             }
             self.exploration_time += expansion_start.elapsed();
@@ -387,65 +364,9 @@ impl Search<'_> {
                             self.early_terminated = true;
                             return Ok(());
                         }
-                        let dependents = std::mem::take(&mut self.nodes[node].depend);
-                        for d in &dependents {
-                            self.enqueue(*d);
-                        }
-                        self.nodes[node].depend = dependents;
+                        self.wake_dependents(node);
                     }
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Merge half of the forward step: interns the candidate successors of
-    /// one expanded `(node, zone)` pair, discovering edges, registering
-    /// dependencies and offering the successor zones.
-    ///
-    /// A *self-loop* candidate offers its successor zone back into this
-    /// node's own frontier, so the phase-1 loop in [`Search::run`] drains
-    /// until every batch frontier is genuinely empty.  Stopping early would
-    /// let [`Search::evaluate_one`] run against a reach federation
-    /// containing a zone whose edges are still undiscovered — the
-    /// evaluation could then claim winning valuations where an unknown
-    /// uncontrollable escape is enabled, and monotone growth would never
-    /// retract them (the reach-confinement soundness argument requires
-    /// every reach zone to be expanded before the state is evaluated).  The
-    /// loop terminates because every offered zone is extrapolated (finitely
-    /// many distinct zones per state) and [`ZoneSet::insert`] admits only
-    /// zones that add coverage.
-    fn absorb_steps(
-        &mut self,
-        node: NodeId,
-        steps: Vec<tiga_model::CandidateStep>,
-    ) -> Result<(), SolverError> {
-        for step in steps {
-            let target = self.explorer.intern(step.discrete)?;
-            self.sync_nodes()?;
-            if self.explorer.len() > self.options.explore.max_states {
-                return Err(SolverError::StateLimitExceeded {
-                    limit: self.options.explore.max_states,
-                });
-            }
-            let exists = self.nodes[node]
-                .edges
-                .iter()
-                .any(|e| e.joint == step.joint && e.target == target);
-            if !exists {
-                self.nodes[node].edges.push(GraphEdge {
-                    joint: step.joint,
-                    target,
-                    controllable: step.controllable,
-                });
-            }
-            // This state must be re-evaluated whenever the target's
-            // winning federation grows (the `Depend` set of OTFUR).
-            if !self.nodes[target].depend.contains(&node) {
-                self.nodes[target].depend.push(node);
-            }
-            if self.offer_zone(target, step.zone) {
-                self.enqueue(target);
             }
         }
         Ok(())
@@ -456,29 +377,29 @@ impl Search<'_> {
     /// worker threads of the batch evaluation — it must not (and cannot:
     /// `&self`) touch any search state.
     fn evaluate_one(&self, node: NodeId) -> Result<EvalOutcome, SolverError> {
-        let data = &self.nodes[node];
-        if data.is_goal {
+        if self.graph.is_goal(node) {
             return Ok(EvalOutcome::Unchanged);
         }
+        let edges = self.graph.edges(node);
         // Losing-subtree pruning: with an empty own set and empty successor
         // sets the update is provably the identity, so skip it.  The state
         // is re-queued through `depend` if a successor ever gains wins.
-        if self.win[node].is_empty() && data.edges.iter().all(|e| self.win[e.target].is_empty()) {
+        if self.win[node].is_empty() && edges.iter().all(|e| self.win[e.target].is_empty()) {
             return Ok(EvalOutcome::Pruned);
         }
-        let state = self.explorer.state(node);
+        let state = self.graph.state(node);
         let Some((unconfined, action_regions)) = pi_update(
             self.system,
             node,
             &state.discrete,
             &state.invariant,
-            data.is_goal,
+            self.graph.is_goal(node),
             state.urgent,
-            &data.edges,
-            &data.boundary,
+            edges,
+            &self.nodes[node].boundary,
             &self.win,
             self.mode.swap_roles(),
-            |id| &self.explorer.state(id).invariant,
+            |id| &self.graph.state(id).invariant,
         )?
         else {
             return Ok(EvalOutcome::Unchanged);
@@ -487,8 +408,7 @@ impl Search<'_> {
         // reach zones the edge set may be incomplete, so winning valuations
         // there cannot be trusted — and are irrelevant for any reachable
         // play, because the reach set is closed under the game dynamics.
-        let mut new_win =
-            unconfined.intersection_with_members(self.reach_sets[node].zones(&self.store));
+        let mut new_win = unconfined.intersection_with_members(self.graph.reach_zones(node));
         new_win.reduce_exact();
         if self.win[node].includes(&new_win) {
             return Ok(EvalOutcome::Unchanged);
@@ -513,91 +433,48 @@ impl Search<'_> {
         action_regions: &[(usize, Federation)],
     ) {
         self.revision = self.revision.saturating_add(1);
-        if self.options.extract_strategy && self.mode == GameMode::Reachability {
-            let delta = new_win.difference(&self.win[node]);
-            let discrete = self.explorer.state(node).discrete.clone();
-            for zone in &delta {
-                self.strategy.add_rule(
-                    discrete.clone(),
-                    StrategyRule {
-                        rank: self.revision,
-                        zone: zone.clone(),
-                        decision: Decision::Wait,
-                    },
-                );
-            }
-            for (edge_idx, region) in action_regions {
-                let joint = self.nodes[node].edges[*edge_idx].joint.clone();
-                for zone in region {
-                    self.strategy.add_rule(
-                        discrete.clone(),
-                        StrategyRule {
-                            rank: self.revision,
-                            zone: zone.clone(),
-                            decision: Decision::Take(joint.clone()),
-                        },
-                    );
-                }
-            }
-        }
+        self.recorder.growth(
+            &self.graph.state(node).discrete,
+            self.revision,
+            &self.win[node],
+            &new_win,
+            self.graph.edges(node),
+            action_regions,
+        );
         let before = self.win[node].len();
         self.win[node] = new_win;
         self.win_total = self.win_total + self.win[node].len() - before;
         self.mem.peak_live_zones = self
             .mem
             .peak_live_zones
-            .max(self.reach_total + self.win_total);
+            .max(self.graph.reach_total() + self.win_total);
     }
 
-    /// Assembles the partial game graph and the engine outcome,
-    /// materializing the interned passed lists into reach federations.
-    fn finish(self, root: NodeId) -> Result<(GameGraph, EngineOutcome), SolverError> {
+    /// Assembles the partial game graph, the engine outcome and the time
+    /// spent expanding.
+    fn finish(self) -> (GameGraph, EngineOutcome, Duration) {
         let Search {
-            explorer,
-            nodes,
+            graph,
             win,
-            strategy,
-            mode,
+            recorder,
             pops,
             subsumed_zones,
             pruned_evaluations,
             early_terminated,
-            store,
-            reach_sets,
             mut mem,
+            exploration_time,
             ..
         } = self;
-        let game_nodes: Vec<GameNode> = nodes
-            .into_iter()
-            .enumerate()
-            .map(|(idx, data)| {
-                let state = explorer.state(idx);
-                GameNode {
-                    discrete: state.discrete.clone(),
-                    invariant: state.invariant.clone(),
-                    reach: reach_sets[idx].to_federation(&store),
-                    edges: data.edges,
-                    is_goal: data.is_goal,
-                    urgent: state.urgent,
-                }
-            })
-            .collect();
-        mem.record_store(&store);
-        let graph = GameGraph::from_parts(game_nodes, root);
-        Ok((
-            graph,
-            EngineOutcome {
-                winning: win,
-                // Safety strategies are extracted from the converged sets by
-                // the caller; the in-search strategy only exists for
-                // reachability.
-                strategy: (mode == GameMode::Reachability).then_some(strategy),
-                iterations: pops,
-                subsumed_zones,
-                pruned_evaluations,
-                early_terminated,
-                mem,
-            },
-        ))
+        let graph = graph.finish(&mut mem);
+        let outcome = EngineOutcome {
+            winning: win,
+            strategy: recorder.into_strategy(),
+            iterations: pops,
+            subsumed_zones,
+            pruned_evaluations,
+            early_terminated,
+            mem,
+        };
+        (graph, outcome, exploration_time)
     }
 }

@@ -2,7 +2,6 @@
 //! Table 1 of the paper.
 
 use std::time::Duration;
-use tiga_dbm::ZoneStore;
 
 /// Statistics collected while solving a timed game.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -43,9 +42,6 @@ pub struct SolverStats {
     /// Largest number of zones simultaneously held by the reach and winning
     /// federations (identical for any thread count).
     pub peak_live_zones: usize,
-    /// Bytes saved by keeping interned zones in minimal-constraint form
-    /// instead of full `n²` matrices.
-    pub minimized_bytes_saved: usize,
 }
 
 /// The interning/memory counter block threaded from the engines into
@@ -60,19 +56,6 @@ pub(crate) struct MemCounters {
     pub dbm_clones: usize,
     /// Peak simultaneous reach + winning zone count.
     pub peak_live_zones: usize,
-    /// Bytes saved by minimal-constraint storage.
-    pub minimized_bytes_saved: usize,
-}
-
-impl MemCounters {
-    /// Records the final interning counters of a solve's zone store.
-    pub(crate) fn record_store(&mut self, store: &ZoneStore) {
-        self.interned_zones = store.len();
-        self.intern_hits = store.hits();
-        // Every intern miss deep-copied the candidate into the store.
-        self.dbm_clones += store.len();
-        self.minimized_bytes_saved = store.bytes_saved();
-    }
 }
 
 impl SolverStats {

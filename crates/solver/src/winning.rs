@@ -43,8 +43,9 @@
 //! propagation, and a Jacobi (round-based) solver that also extracts a
 //! rank-annotated [`Strategy`] and serves as the differential-testing
 //! oracle.  This module owns the shared machinery:
-//! the [`pi_update`] single-state transformer, option/selector types, and
-//! the parameterized entry point that assembles every [`GameSolution`].
+//! the [`pi_update`] single-state transformer, the [`RuleRecorder`] both
+//! engines write reachability strategies through, option/selector types,
+//! and the parameterized entry point that assembles every [`GameSolution`].
 
 use crate::error::SolverError;
 use crate::graph::{ExploreOptions, GameGraph, GraphEdge, NodeId};
@@ -171,12 +172,6 @@ impl GameSolution {
         vals.push(0);
         vals.extend_from_slice(ticks);
         self.winning[node].contains_at(&vals, scale)
-    }
-
-    /// The winning federation of a discrete state, if it was explored.
-    #[must_use]
-    pub fn winning_federation(&self, discrete: &DiscreteState) -> Option<&Federation> {
-        self.graph.node_of(discrete).map(|id| &self.winning[id])
     }
 
     /// Statistics convenience accessor.
@@ -401,7 +396,6 @@ fn solve_with_engine(
         intern_hits: outcome.mem.intern_hits,
         dbm_clones: outcome.mem.dbm_clones,
         peak_live_zones: outcome.mem.peak_live_zones,
-        minimized_bytes_saved: outcome.mem.minimized_bytes_saved,
     };
     Ok(GameSolution {
         winning_from_initial,
@@ -555,30 +549,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn initial_winning_sets(&self) -> Vec<Federation> {
-        self.graph
-            .nodes()
-            .iter()
-            .map(|n| {
-                if n.is_goal {
-                    // Bounded purposes: only the pre-deadline part of a goal
-                    // (or bad) region seeds the attractor.
-                    let mut seed = n.invariant.clone();
-                    if let Some(clip) = self.clip {
-                        seed.intersect(clip);
-                    }
-                    if seed.is_empty() {
-                        Federation::empty(self.system.dim())
-                    } else {
-                        Federation::from_zone(seed)
-                    }
-                } else {
-                    Federation::empty(self.system.dim())
-                }
-            })
-            .collect()
-    }
-
     /// Jacobi iteration: every round recomputes all nodes from the previous
     /// round's winning sets, which yields well-founded ranks for strategy
     /// extraction.  `mem` carries the exploration's memory counters; the
@@ -588,30 +558,27 @@ impl<'a> Engine<'a> {
         options: &SolveOptions,
         mut mem: MemCounters,
     ) -> Result<EngineOutcome, SolverError> {
-        let mut win = self.initial_winning_sets();
-        let mut strategy = Strategy::new(self.system.dim());
-        // In-search strategy recording only applies to reachability, where
-        // the round number is a well-founded rank; safety strategies are
-        // extracted from the converged sets by `extract_safety_strategy`.
-        let record = options.extract_strategy && self.mode == GameMode::Reachability;
-        // Goal regions are rank-0 wait regions (the executor detects the goal
-        // via the purpose; these rules make `rank_of` total on winning states).
-        if record {
-            for (id, node) in self.graph.nodes().iter().enumerate() {
-                if node.is_goal {
-                    for zone in &win[id] {
-                        strategy.add_rule(
-                            node.discrete.clone(),
-                            StrategyRule {
-                                rank: 0,
-                                zone: zone.clone(),
-                                decision: Decision::Wait,
-                            },
-                        );
-                    }
+        let mut recorder = RuleRecorder::new(self.system.dim(), options, self.mode);
+        // Goal invariants seed the attractor, and are rank-0 wait regions
+        // (the executor detects the goal via the purpose; these rules make
+        // `rank_of` total on winning states).  Bounded purposes: only the
+        // pre-deadline part of a goal (or bad) region seeds it.
+        let mut win: Vec<Federation> = self
+            .graph
+            .nodes()
+            .iter()
+            .map(|node| {
+                if !node.is_goal {
+                    return Federation::empty(self.system.dim());
                 }
-            }
-        }
+                let mut seed = node.invariant.clone();
+                if let Some(clip) = self.clip {
+                    seed.intersect(clip);
+                }
+                recorder.goal_wait(&node.discrete, &seed);
+                Federation::from_zone(seed)
+            })
+            .collect();
         // Non-goal nodes, the shard units of one Jacobi round.  Every round
         // recomputes each of them from the previous round's snapshot, so the
         // per-node updates are independent and can run on any number of
@@ -657,32 +624,14 @@ impl<'a> Engine<'a> {
                 };
                 if !win[node_id].includes(&new_win) {
                     changed = true;
-                    if record {
-                        let delta = new_win.difference(&win[node_id]);
-                        for zone in &delta {
-                            strategy.add_rule(
-                                node.discrete.clone(),
-                                StrategyRule {
-                                    rank: round,
-                                    zone: zone.clone(),
-                                    decision: Decision::Wait,
-                                },
-                            );
-                        }
-                        for (edge_idx, region) in &action_regions {
-                            let joint = node.edges[*edge_idx].joint.clone();
-                            for zone in region {
-                                strategy.add_rule(
-                                    node.discrete.clone(),
-                                    StrategyRule {
-                                        rank: round,
-                                        zone: zone.clone(),
-                                        decision: Decision::Take(joint.clone()),
-                                    },
-                                );
-                            }
-                        }
-                    }
+                    recorder.growth(
+                        &node.discrete,
+                        round,
+                        &win[node_id],
+                        &new_win,
+                        &node.edges,
+                        &action_regions,
+                    );
                     win_total = win_total + new_win.len() - win[node_id].len();
                     win[node_id] = new_win;
                     mem.peak_live_zones = mem.peak_live_zones.max(reach_total + win_total);
@@ -694,13 +643,86 @@ impl<'a> Engine<'a> {
         }
         Ok(EngineOutcome {
             winning: win,
-            strategy: Some(strategy),
+            strategy: recorder.into_strategy(),
             iterations: round as usize,
             subsumed_zones: 0,
             pruned_evaluations: 0,
             early_terminated: false,
             mem,
         })
+    }
+}
+
+/// The reachability strategy both engines record while their fixpoint runs.
+///
+/// Rules are written in this order: rank-0 waits on the goal zones as they
+/// are seeded ([`RuleRecorder::goal_wait`]), then, per growth of a state's
+/// winning federation ([`RuleRecorder::growth`]), the wait delta
+/// `new \ old` at the growth's rank followed by each action region's takes
+/// in edge order.  The rank is the Jacobi round or the on-the-fly revision:
+/// every region recorded at rank `r` leads into regions recorded at ranks
+/// `< r`, which is what the executor's progress argument needs.
+///
+/// Only reachability games with extraction requested record anything;
+/// safety strategies are extracted from the converged sets by
+/// [`extract_safety_strategy`].
+pub(crate) struct RuleRecorder(Option<Strategy>);
+
+impl RuleRecorder {
+    pub(crate) fn new(dim: usize, options: &SolveOptions, mode: GameMode) -> Self {
+        RuleRecorder(
+            (options.extract_strategy && mode == GameMode::Reachability)
+                .then(|| Strategy::new(dim)),
+        )
+    }
+
+    /// Records a seeded goal zone as a rank-0 wait region.
+    pub(crate) fn goal_wait(&mut self, discrete: &DiscreteState, zone: &Dbm) {
+        self.rule(discrete, 0, zone, Decision::Wait);
+    }
+
+    /// Records the growth of a state's winning federation from `old` to
+    /// `new` at `rank`: the new valuations as wait regions, then the action
+    /// regions (keyed by index into `edges`) as takes.
+    pub(crate) fn growth(
+        &mut self,
+        discrete: &DiscreteState,
+        rank: u32,
+        old: &Federation,
+        new: &Federation,
+        edges: &[GraphEdge],
+        action_regions: &[(usize, Federation)],
+    ) {
+        if self.0.is_none() {
+            return;
+        }
+        for zone in &new.difference(old) {
+            self.rule(discrete, rank, zone, Decision::Wait);
+        }
+        for (edge_idx, region) in action_regions {
+            for zone in region {
+                let take = Decision::Take(edges[*edge_idx].joint.clone());
+                self.rule(discrete, rank, zone, take);
+            }
+        }
+    }
+
+    fn rule(&mut self, discrete: &DiscreteState, rank: u32, zone: &Dbm, decision: Decision) {
+        if let Some(strategy) = &mut self.0 {
+            let zone = zone.clone();
+            strategy.add_rule(
+                discrete.clone(),
+                StrategyRule {
+                    rank,
+                    zone,
+                    decision,
+                },
+            );
+        }
+    }
+
+    pub(crate) fn into_strategy(self) -> Option<Strategy> {
+        self.0
     }
 }
 
