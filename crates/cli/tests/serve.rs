@@ -164,6 +164,42 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
 }
 
 #[test]
+fn deep_and_long_objectives_are_answered_and_the_session_survives() {
+    let light = json_string(&tg("smart_light.tg"));
+    let purpose = |id: usize, objective: String| {
+        format!("{{\"id\":{id},\"path\":{light},\"purpose\":\"control: A<> {objective}\"}}")
+    };
+    let requests = vec![
+        // Nested far past the expression depth cap, then chained as far.
+        purpose(1, "(".repeat(100_000) + "IUT.Bright" + &")".repeat(100_000)),
+        purpose(2, vec!["IUT.Bright"; 100_000].join(" or ")),
+        // A wide quantifier expands into a shallow balanced conjunction.
+        purpose(3, "forall (i: 131072) (i >= 0)".to_string()),
+        format!("{{\"id\":4,\"path\":{light}}}"),
+    ];
+    let lines = session(&requests, 1);
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    let deep = format!(
+        "expression nests deeper than {} levels",
+        tiga_tctl::MAX_EXPR_DEPTH
+    );
+    for (id, line) in lines[..2].iter().enumerate() {
+        let id = id + 1;
+        assert!(line.starts_with(&format!(
+            "{{\"id\":{id},\"kind\":\"solve\",\"status\":\"error\""
+        )));
+        assert!(line.contains(&deep), "{line}");
+    }
+    for (id, line) in lines[2..].iter().enumerate() {
+        let id = id + 3;
+        assert!(line.starts_with(&format!(
+            "{{\"id\":{id},\"kind\":\"solve\",\"status\":\"ok\""
+        )));
+        assert!(line.contains("\"verdict\":\"winning\""), "{line}");
+    }
+}
+
+#[test]
 fn unknown_engines_are_error_lines_and_the_session_survives() {
     let requests = vec![
         format!(

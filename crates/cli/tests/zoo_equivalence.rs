@@ -8,7 +8,10 @@
 //! * the checked-in products are structurally equal to the zoo's systems
 //!   (for lep3/lep4 these come from the leader-election generator), and
 //!   each safety and time-bounded purpose file parses to its zoo instance
-//!   and solves winning.
+//!   and solves winning;
+//! * `tiga test` on the benchmark's four campaigns reports the run, mutant
+//!   and detection counts recorded in `perfbench/expected_campaigns.json`,
+//!   with no false alarm.
 
 use std::path::{Path, PathBuf};
 use tiga_bench::model_zoo;
@@ -214,5 +217,62 @@ fn zoo_primary(model: &str) -> &'static str {
         "lep3" => "tp1",
         "lep4" => "tp2",
         other => panic!("unknown zoo model {other}"),
+    }
+}
+
+/// The campaigns `perfbench/run.py` measures, with the plant-only `--spec`
+/// it passes (its `CAMPAIGNS` table).
+const CAMPAIGNS: [(&str, Option<&str>); 4] = [
+    ("smart_light.never_bright.tg", None),
+    ("coffee_machine.no_refund.tg", None),
+    ("lep3.tg", None),
+    ("smart_light.bounded.tg", Some("smart_light.plant.tg")),
+];
+
+#[test]
+fn benchmark_campaigns_report_their_recorded_counts() {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perfbench/expected_campaigns.json");
+    let text = std::fs::read_to_string(&path).expect("perfbench/expected_campaigns.json");
+    let expected = tiga_solver::json::parse(&text).expect("valid JSON");
+    let tg = |name: &str| tg_dir().join(name).to_string_lossy().into_owned();
+    for (file, spec) in CAMPAIGNS {
+        let args = tiga_cli::TestArgs {
+            path: tg(file),
+            spec: spec.map(tg),
+            campaign: tiga_testing::CampaignOptions::default(),
+            max_mutants: 0,
+            purpose: None,
+        };
+        let (report, sound) = tiga_cli::run_test(&args).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let summary = report
+            .lines()
+            .find_map(|l| l.strip_prefix("campaign: "))
+            .unwrap_or_else(|| panic!("{file}: no campaign line in\n{report}"));
+        // `N runs, N mutants, N detected (score S), N false alarms`
+        let counts: Vec<(&str, usize)> = summary
+            .split(", ")
+            .map(|part| {
+                let (n, what) = part.split_once(' ').expect("`<count> <what>`");
+                let what = what.split(" (").next().unwrap_or(what);
+                (what, n.parse().expect("a count"))
+            })
+            .collect();
+        let count = |what: &str| {
+            let found = counts.iter().find(|(w, _)| *w == what);
+            found
+                .unwrap_or_else(|| panic!("{file}: no `{what}` in {summary:?}"))
+                .1
+        };
+        let recorded = expected.field(file).expect("recorded campaign");
+        for what in ["runs", "mutants", "detected"] {
+            let want = recorded
+                .field(what)
+                .and_then(|n| n.usize_field(what))
+                .unwrap();
+            assert_eq!(count(what), want, "{file}: {what} in {summary:?}");
+        }
+        assert_eq!(count("false alarms"), 0, "{file}: {summary:?}");
+        assert!(sound, "{file}: {report}");
     }
 }

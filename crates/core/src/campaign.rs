@@ -13,9 +13,9 @@
 //! 1. every job carries a stable index, and aggregation merges per-job
 //!    summaries in index order ([`CampaignSummary::merge`]);
 //! 2. all randomness is derived ahead of scheduling: job `i` runs with
-//!    `run_seed = mix64(master_seed, i)` (a SplitMix64 finalizer), which
-//!    reseeds jittery output policies and the random tester — never a
-//!    shared, order-dependent RNG.
+//!    `run_seed = mix64(master_seed ^ mix64(i))` (the SplitMix64 output
+//!    function, [`tiga_parallel::mix64`]), which reseeds jittery output
+//!    policies and the random tester — never a shared, order-dependent RNG.
 //!
 //! The master seed lives in [`CampaignOptions::master_seed`]; two campaigns
 //! with the same master seed, pool and policies produce the same summary
@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use tiga_model::{ChannelKind, ModelError, System};
-use tiga_parallel::run_indexed;
+use tiga_parallel::{mix64, run_indexed};
 
 /// The result of running one implementation through a campaign.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -166,14 +166,6 @@ impl CampaignOptions {
         self.master_seed = master_seed;
         self
     }
-}
-
-/// SplitMix64 finalizer: a bijective mixer with good avalanche behaviour.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The RNG seed of job `index` under `master_seed` — a pure function of the

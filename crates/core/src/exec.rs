@@ -26,7 +26,7 @@ use crate::iut::{DelayOutcome, Iut};
 use crate::monitor::{MonitorOutcome, SpecMonitor};
 use crate::trace::TimedTrace;
 use crate::verdict::{FailReason, InconclusiveReason, Verdict};
-use tiga_model::{ConcreteState, DiscreteState, Interpreter, JointEdge, ModelError, System};
+use tiga_model::{ConcreteState, Interpreter, JointEdge, ModelError, System};
 use tiga_solver::{Controller, StrategyDecision};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
@@ -141,13 +141,6 @@ impl<'a> TestExecutor<'a> {
         })
     }
 
-    fn discrete_of(state: &ConcreteState) -> DiscreteState {
-        DiscreteState {
-            locations: state.locations.clone(),
-            vars: state.vars.clone(),
-        }
-    }
-
     /// Runs the test against an implementation and produces a report.
     ///
     /// # Errors
@@ -195,15 +188,12 @@ impl<'a> TestExecutor<'a> {
                 let predicate_holds = self
                     .purpose
                     .predicate
-                    .holds_concrete(self.product, &product_state)
+                    .holds(self.product, &product_state.discrete)
                     .map_err(|e| ModelError::Invalid(e.to_string()))?;
                 if !predicate_holds {
                     return Ok(finish(
                         Verdict::Fail(FailReason::SafetyViolation {
-                            state: format!(
-                                "{}",
-                                Self::discrete_of(&product_state).display(self.product)
-                            ),
+                            state: format!("{}", product_state.discrete.display(self.product)),
                             at_ticks: now,
                         }),
                         trace,
@@ -229,7 +219,7 @@ impl<'a> TestExecutor<'a> {
                 if self
                     .purpose
                     .predicate
-                    .holds_concrete(self.product, &product_state)
+                    .holds(self.product, &product_state.discrete)
                     .map_err(|e| ModelError::Invalid(e.to_string()))?
                 {
                     return Ok(finish(Verdict::Pass, trace, steps));
@@ -247,7 +237,7 @@ impl<'a> TestExecutor<'a> {
                 }
             }
 
-            let discrete = Self::discrete_of(&product_state);
+            let discrete = &product_state.discrete;
             // One fused query answers both the decision and — on a wait —
             // the wake-up hint; the compiled controller serves both from a
             // single state lookup.  Bounded controllers play on the
@@ -256,11 +246,10 @@ impl<'a> TestExecutor<'a> {
             let decision = if self.purpose.bound.is_some() {
                 let mut clocks = product_state.clocks.clone();
                 clocks.push(now);
-                self.controller
-                    .decide_with_wakeup(&discrete, &clocks, scale)
+                self.controller.decide_with_wakeup(discrete, &clocks, scale)
             } else {
                 self.controller
-                    .decide_with_wakeup(&discrete, &product_state.clocks, scale)
+                    .decide_with_wakeup(discrete, &product_state.clocks, scale)
             };
             match decision {
                 None => {

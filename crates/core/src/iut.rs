@@ -13,7 +13,10 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use tiga_model::{ChannelId, ChannelKind, CmpOp, ConcreteState, EdgeRef, Interpreter, System};
+use tiga_model::{
+    AutomatonId, ChannelId, ChannelKind, CmpOp, ConcreteState, EdgeId, EdgeRef, Interpreter,
+    JointEdge, Sync, System,
+};
 
 /// Result of letting time pass on an implementation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -178,25 +181,22 @@ impl SimulatedIut {
     /// guard can never hold along a pure delay from the current state.
     fn narrow_window(
         &self,
-        automaton: usize,
-        edge: tiga_model::EdgeId,
+        (automaton, edge): (AutomatonId, EdgeId),
         mut lo: i64,
         mut hi: Option<i64>,
     ) -> Option<(i64, Option<i64>)> {
-        let guard = &self.system.automata()[automaton].edge(edge).guard;
-        if !guard
-            .data_holds(self.system.vars(), &self.state.vars)
-            .unwrap_or(false)
-        {
+        let guard = &self.system.automaton(automaton).edge(edge).guard;
+        let (vars, clocks) = (&self.state.discrete.vars, &self.state.clocks);
+        if !guard.data_holds(self.system.vars(), vars).unwrap_or(false) {
             return None;
         }
         for c in &guard.clocks {
-            let m = c.bound.eval(self.system.vars(), &self.state.vars).ok()?;
+            let m = c.bound.eval(self.system.vars(), vars).ok()?;
             let m = m * self.scale;
-            let left = self.state.clocks[c.left.index()];
+            let left = clocks[c.left.index()];
             if let Some(right_clock) = c.minus {
                 // Diagonal constraints are delay-invariant.
-                let diff = left - self.state.clocks[right_clock.index()];
+                let diff = left - clocks[right_clock.index()];
                 if !c.op.apply(diff, m) {
                     return None;
                 }
@@ -226,47 +226,45 @@ impl SimulatedIut {
     /// the current state: its earliest and latest firing time in ticks.
     ///
     /// Open view: one entry per enabled `ch!` edge.  Closed view: one entry
-    /// per enabled (`ch!`, `ch?`) pair of distinct automata, with the window
-    /// narrowed by both guards.
+    /// per synchronization of [`System::enabled_joint_edges`] on an output
+    /// channel, with the window narrowed by both guards.
     fn output_windows(&self) -> Vec<(EdgeRef, ChannelId, i64, Option<i64>)> {
-        let interp = self.interpreter();
-        let deadline = interp.max_delay(&self.state).unwrap_or(None);
+        let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
+        // Each output action: its channel, its emitting edge and, in the
+        // closed view, the receiving edge that fires with it.
+        let mut actions = Vec::new();
+        if self.closed {
+            let joint = self.system.enabled_joint_edges(&self.state.discrete);
+            for je in joint.unwrap_or_default() {
+                if let JointEdge::Sync {
+                    channel,
+                    output,
+                    input,
+                } = je
+                {
+                    actions.push((channel, output, Some(input)));
+                }
+            }
+        } else {
+            for (ai, aut) in self.system.automata().iter().enumerate() {
+                for ei in aut.edges_from(self.state.discrete.locations[ai]) {
+                    if let Sync::Output(ch) = aut.edge(ei).sync {
+                        actions.push((ch, (AutomatonId::from_index(ai), ei), None));
+                    }
+                }
+            }
+        }
         let mut windows = Vec::new();
-        for (ai, aut) in self.system.automata().iter().enumerate() {
-            for ei in aut.edges_from(self.state.locations[ai]) {
-                let tiga_model::Sync::Output(ch) = aut.edge(ei).sync else {
-                    continue;
-                };
-                if self.system.channel(ch).kind() != ChannelKind::Output {
-                    continue;
-                }
-                let Some((lo, hi)) = self.narrow_window(ai, ei, 0, deadline) else {
-                    continue;
-                };
-                let sender = EdgeRef {
-                    automaton: tiga_model::AutomatonId::from_index(ai),
-                    edge: ei,
-                };
-                if !self.closed {
-                    windows.push((sender, ch, lo, hi));
-                    continue;
-                }
-                // Closed network: the output only happens as a binary sync,
-                // so some distinct automaton must take a `ch?` edge whose
-                // guard holds over a (sub)window.
-                for (bi, receiver) in self.system.automata().iter().enumerate() {
-                    if bi == ai {
-                        continue;
-                    }
-                    for ri in receiver.edges_from(self.state.locations[bi]) {
-                        if receiver.edge(ri).sync != tiga_model::Sync::Input(ch) {
-                            continue;
-                        }
-                        if let Some((lo, hi)) = self.narrow_window(bi, ri, lo, hi) {
-                            windows.push((sender, ch, lo, hi));
-                        }
-                    }
-                }
+        for (ch, (automaton, edge), input) in actions {
+            if self.system.channel(ch).kind() != ChannelKind::Output {
+                continue;
+            }
+            let mut window = self.narrow_window((automaton, edge), 0, deadline);
+            if let Some(input) = input {
+                window = window.and_then(|(lo, hi)| self.narrow_window(input, lo, hi));
+            }
+            if let Some((lo, hi)) = window {
+                windows.push((EdgeRef { automaton, edge }, ch, lo, hi));
             }
         }
         windows
@@ -318,8 +316,8 @@ impl SimulatedIut {
             OutputPolicy::Jittery { seed } => {
                 let mut hasher = DefaultHasher::new();
                 seed.hash(&mut hasher);
-                self.state.locations.hash(&mut hasher);
-                self.state.vars.hash(&mut hasher);
+                self.state.discrete.locations.hash(&mut hasher);
+                self.state.discrete.vars.hash(&mut hasher);
                 self.state.clocks.hash(&mut hasher);
                 let h = hasher.finish();
                 windows
@@ -678,7 +676,7 @@ mod tests {
         }
         // Both automata moved: the sync consumed the sender and receiver edge.
         let moved: Vec<_> = [1, 1].map(tiga_model::LocationId::from_index).into();
-        assert_eq!(iut.state().locations, moved);
+        assert_eq!(iut.state().discrete.locations, moved);
     }
 
     #[test]

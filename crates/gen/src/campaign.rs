@@ -23,7 +23,7 @@ use crate::spec::SysSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tiga_lang::print_system;
-use tiga_parallel::{effective_threads, run_indexed};
+use tiga_parallel::{effective_threads, mix64, run_indexed, GOLDEN_GAMMA};
 
 /// Options of one fuzzing campaign.
 #[derive(Clone, Debug)]
@@ -124,21 +124,14 @@ impl FuzzReport {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The per-case seeds of a campaign: the first `count` SplitMix64 values
 /// derived from the master seed.  Shared with the bench harness, which pins
 /// engine counters on a fixed fuzz seed set.
 #[must_use]
 pub fn derive_case_seeds(master: u64, count: usize) -> Vec<u64> {
-    let mut stream = master;
-    (0..count).map(|_| splitmix64(&mut stream)).collect()
+    (0..count as u64)
+        .map(|k| mix64(master.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA))))
+        .collect()
 }
 
 /// Renders a spec as a self-contained `.tg` reproducer with a header

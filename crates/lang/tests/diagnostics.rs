@@ -6,6 +6,7 @@
 
 use std::path::PathBuf;
 use tiga_lang::parse_model;
+use tiga_tctl::MAX_EXPR_DEPTH;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
@@ -161,4 +162,28 @@ fn objective_diagnostics_point_at_the_offender() {
     let source = std::fs::read_to_string(corpus_dir().join("huge_quantifier_range.tg")).unwrap();
     let err = parse_model(&source).unwrap_err();
     assert_eq!(&source[err.span.start..err.span.end], "Huge");
+}
+
+#[test]
+fn guards_and_objectives_are_capped_in_depth() {
+    let model = |guard: &str, objective: &str| {
+        format!(
+            "clock x\nvar v: int[0, 3] = 0\nautomaton A {{\n    init location L\n    \
+             edge L -> L {{ guard x >= {guard} }}\n}}\ncontrol: A<> {objective}\n"
+        )
+    };
+    let deep = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+    let chain = |n: usize| vec!["v == 0"; n].join(" or ");
+    let message = format!("expression nests deeper than {MAX_EXPR_DEPTH} levels");
+    assert!(parse_model(&model(&deep(MAX_EXPR_DEPTH), "A.L")).is_ok());
+    for source in [
+        model(&deep(100_000), "A.L"),
+        model("1", &deep(100_000)),
+        model("1", &chain(100_000)),
+    ] {
+        let err = parse_model(&source).expect_err("too deep");
+        assert_eq!(err.message, message);
+        let at = &source[err.span.start..err.span.end];
+        assert!(at == "(" || at == "v == 0", "{at:?}");
+    }
 }

@@ -18,8 +18,10 @@
 //! * symbolic (zone-based) semantics used by the timed-game solver
 //!   ([`DiscreteState`], [`SymbolicState`], [`JointEdge`]),
 //! * concrete tick-based semantics — the underlying TIOTS — used by the
-//!   conformance monitor and simulated implementations ([`Interpreter`],
-//!   [`ConcreteState`]).
+//!   test executor, the conformance monitor and simulated implementations
+//!   ([`Interpreter`], [`ConcreteState`]): a thin layer over the symbolic
+//!   one, whose states carry a [`DiscreteState`] and whose steps share the
+//!   symbolic layer's edge effect and joint-edge pairing.
 //!
 //! # Example
 //!
@@ -75,4 +77,4 @@ pub use ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
 pub use symbolic::{DiscreteState, DisplayDiscreteState, JointEdge, SymbolicState};
 pub use system::System;
 pub use tiga_dbm::MAX_CONSTANT;
-pub use tiots::{ConcreteState, DisplayConcreteState, EdgeRef, Interpreter};
+pub use tiots::{ConcreteState, EdgeRef, Interpreter};

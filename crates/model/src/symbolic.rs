@@ -4,7 +4,7 @@
 //! enumeration of joint edges in a discrete state, forward successor zones,
 //! backward (predecessor) zones, invariants and extrapolation bounds.
 
-use crate::automaton::Sync;
+use crate::automaton::{ClockReset, Edge, Sync};
 use crate::decl::{Action, ChannelKind};
 use crate::error::ModelError;
 use crate::ids::{AutomatonId, ChannelId, EdgeId, LocationId};
@@ -292,10 +292,10 @@ impl System {
 
     /// The `(automaton index, edge)` pairs a joint edge moves: one for a
     /// `tau` step, the emitter then the receiver for a synchronization.
-    fn joint_components<'a>(
+    pub(crate) fn joint_components<'a>(
         &'a self,
         je: &JointEdge,
-    ) -> impl Iterator<Item = (usize, &'a crate::automaton::Edge)> + Clone {
+    ) -> impl Iterator<Item = (usize, &'a Edge)> + Clone {
         let component = |(automaton, edge): (AutomatonId, EdgeId)| {
             (automaton.index(), self.automaton(automaton).edge(edge))
         };
@@ -313,14 +313,26 @@ impl System {
     /// Returns an error if a guard bound cannot be evaluated or is non-convex.
     pub fn joint_guard_zone(&self, d: &DiscreteState, je: &JointEdge) -> Result<Dbm, ModelError> {
         let mut zone = Dbm::universe(self.dim());
+        self.constrain_joint_guards(&mut zone, d, je)?;
+        Ok(zone)
+    }
+
+    /// Conjoins the clock guards of the edges a joint edge moves onto
+    /// `zone`, stopping with `false` once it is empty.
+    fn constrain_joint_guards(
+        &self,
+        zone: &mut Dbm,
+        d: &DiscreteState,
+        je: &JointEdge,
+    ) -> Result<bool, ModelError> {
         for (_, edge) in self.joint_components(je) {
             for c in &edge.guard.clocks {
-                if !c.apply_to(&mut zone, &self.vars, &d.vars)? {
-                    return Ok(zone);
+                if !c.apply_to(zone, &self.vars, &d.vars)? {
+                    return Ok(false);
                 }
             }
         }
-        Ok(zone)
+        Ok(true)
     }
 
     /// Applies the discrete effect (location changes and variable updates) of
@@ -339,33 +351,63 @@ impl System {
     ) -> Result<Option<DiscreteState>, ModelError> {
         let mut next = d.clone();
         for (ai, edge) in self.joint_components(je) {
-            next.locations[ai] = edge.target;
-            for u in &edge.updates {
-                let value = u.value.eval(&self.vars, &next.vars)?;
-                if self.vars.check_range(u.target, value).is_err() {
-                    return Ok(None);
-                }
-                let offset = match &u.index {
-                    None => self.vars.offset(u.target),
-                    Some(idx) => {
-                        let i = idx.eval(&self.vars, &next.vars)?;
-                        let decl = self.vars.decl(u.target);
-                        if i < 0 || i as usize >= decl.size() {
-                            return Err(ModelError::Eval(
-                                crate::error::EvalError::IndexOutOfBounds {
-                                    name: decl.name().to_string(),
-                                    index: i,
-                                    size: decl.size(),
-                                },
-                            ));
-                        }
-                        self.vars.offset(u.target) + i as usize
-                    }
-                };
-                next.vars[offset] = value;
+            if !self.apply_edge_discrete(&mut next, ai, edge)? {
+                return Ok(None);
             }
         }
         Ok(Some(next))
+    }
+
+    /// Applies one edge's discrete effect to `d`: the automaton moves to the
+    /// edge's target and the updates run in order, each reading the store
+    /// as the previous ones left it.  Returns `Ok(false)` if an update
+    /// drives a bounded variable outside its declared range.  The symbolic
+    /// step and the tick interpreter both move through here.
+    pub(crate) fn apply_edge_discrete(
+        &self,
+        d: &mut DiscreteState,
+        automaton: usize,
+        edge: &Edge,
+    ) -> Result<bool, ModelError> {
+        d.locations[automaton] = edge.target;
+        for u in &edge.updates {
+            let value = u.value.eval(&self.vars, &d.vars)?;
+            if self.vars.check_range(u.target, value).is_err() {
+                return Ok(false);
+            }
+            let offset = match &u.index {
+                None => self.vars.offset(u.target),
+                Some(idx) => {
+                    let i = idx.eval(&self.vars, &d.vars)?;
+                    let decl = self.vars.decl(u.target);
+                    if i < 0 || i as usize >= decl.size() {
+                        return Err(ModelError::Eval(
+                            crate::error::EvalError::IndexOutOfBounds {
+                                name: decl.name().to_string(),
+                                index: i,
+                                size: decl.size(),
+                            },
+                        ));
+                    }
+                    self.vars.offset(u.target) + i as usize
+                }
+            };
+            d.vars[offset] = value;
+        }
+        Ok(true)
+    }
+
+    /// The value a clock reset assigns, evaluated in the source store
+    /// `vars`.  A negative value is an error in both semantics.
+    pub(crate) fn reset_value(&self, r: &ClockReset, vars: &[i64]) -> Result<i64, ModelError> {
+        let v = r.value.eval(&self.vars, vars)?;
+        if v < 0 {
+            return Err(ModelError::NegativeClockReset(format!(
+                "clock {} := {v}",
+                self.clock(r.clock).name()
+            )));
+        }
+        Ok(v)
     }
 
     /// Applies the clock effect of a joint edge to a zone: intersect with the
@@ -404,26 +446,12 @@ impl System {
         je: &JointEdge,
     ) -> Result<Dbm, ModelError> {
         let mut z = zone.clone();
-        for (_, edge) in self.joint_components(je) {
-            for c in &edge.guard.clocks {
-                if !c.apply_to(&mut z, &self.vars, &source.vars)? {
-                    return Ok(z);
-                }
-            }
-        }
-        if z.is_empty() {
+        if !self.constrain_joint_guards(&mut z, source, je)? || z.is_empty() {
             return Ok(z);
         }
         for (_, edge) in self.joint_components(je) {
             for r in &edge.resets {
-                let v = r.value.eval(&self.vars, &source.vars)?;
-                if v < 0 {
-                    return Err(ModelError::NegativeClockReset(format!(
-                        "clock {} := {v}",
-                        self.clock(r.clock).name()
-                    )));
-                }
-                let v = checked_reset_value(v)?;
+                let v = checked_reset_value(self.reset_value(r, &source.vars)?)?;
                 z.reset(r.clock.dbm_index(), v);
             }
         }
@@ -494,32 +522,21 @@ impl System {
         // Constrain the reset clocks to their reset values, then free them.
         for (_, edge) in components.clone() {
             for r in &edge.resets {
-                let v = r.value.eval(&self.vars, &source.vars)?;
-                if v < 0 {
-                    return Err(ModelError::NegativeClockReset(format!(
-                        "clock {} := {v}",
-                        self.clock(r.clock).name()
-                    )));
-                }
-                let v = checked_reset_value(v)?;
+                let v = checked_reset_value(self.reset_value(r, &source.vars)?)?;
                 let idx = r.clock.dbm_index();
                 if !(z.constrain(idx, 0, Bound::le(v)) && z.constrain(0, idx, Bound::le(-v))) {
                     return Ok(z); // empty: the reset can never land in the target zone
                 }
             }
         }
-        for (_, edge) in components.clone() {
+        for (_, edge) in components {
             for r in &edge.resets {
                 z.free(r.clock.dbm_index());
             }
         }
         // Guards and the source invariant.
-        for (_, edge) in components {
-            for c in &edge.guard.clocks {
-                if !c.apply_to(&mut z, &self.vars, &source.vars)? {
-                    return Ok(z);
-                }
-            }
+        if !self.constrain_joint_guards(&mut z, source, je)? {
+            return Ok(z);
         }
         let inv = self.invariant_zone(source)?;
         z.intersect(&inv);

@@ -3,87 +3,35 @@
 //!
 //! Time is represented as integer *ticks* with a configurable number of ticks
 //! per model time unit, which keeps all guard and invariant comparisons exact.
-//! Two views are provided:
+//! The interpreter is a thin concrete layer over the symbolic one: a
+//! [`ConcreteState`] is a [`DiscreteState`] plus clock values, and every
+//! discrete step moves the locations and variables through the same edge
+//! effect as [`System::apply_joint_discrete`].  Two views are provided:
 //!
 //! * the **open** view treats input/output channels as observable actions of
 //!   the system seen as a plant (used by the conformance monitor and by the
 //!   simulated implementations under test), and
-//! * the **closed** view synchronizes output and input edges of different
-//!   automata in the network (used by the test-execution engine to track the
-//!   state of the plant∥environment game product).
+//! * the **closed** view is the symbolic layer's joint edges
+//!   ([`System::enabled_joint_edges`]) evaluated at a point: the binary
+//!   synchronizations whose data guards hold in the discrete state and whose
+//!   clock guards hold at the current valuation (used by the test-execution
+//!   engine to track the state of the plant∥environment game product).
 
-use crate::automaton::Sync;
+use crate::automaton::{ClockConstraint, Edge, Sync};
 use crate::decl::ChannelKind;
 use crate::error::ModelError;
-use crate::ids::{AutomatonId, ChannelId, EdgeId, LocationId};
+use crate::ids::{AutomatonId, ChannelId, EdgeId};
+use crate::symbolic::{DiscreteState, JointEdge};
 use crate::system::System;
-use std::fmt;
 
-/// A concrete state: locations, variable values and clock values in ticks.
+/// A concrete state: the discrete state plus clock values in ticks.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConcreteState {
-    /// Current location of each automaton.
-    pub locations: Vec<LocationId>,
-    /// Flattened discrete-variable values.
-    pub vars: Vec<i64>,
+    /// Locations and variable values.
+    pub discrete: DiscreteState,
     /// Clock values in ticks (one per declared clock).
     pub clocks: Vec<i64>,
-}
-
-impl ConcreteState {
-    /// Renders the state with names resolved through the system.
-    #[must_use]
-    pub fn display<'a>(&'a self, interpreter: &'a Interpreter<'a>) -> DisplayConcreteState<'a> {
-        DisplayConcreteState {
-            state: self,
-            interpreter,
-        }
-    }
-}
-
-/// Helper returned by [`ConcreteState::display`].
-pub struct DisplayConcreteState<'a> {
-    state: &'a ConcreteState,
-    interpreter: &'a Interpreter<'a>,
-}
-
-impl fmt::Display for DisplayConcreteState<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sys = self.interpreter.system;
-        for (i, loc) in self.state.locations.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            let aut = &sys.automata()[i];
-            write!(f, "{}.{}", aut.name(), aut.location(*loc).name)?;
-        }
-        write!(f, " |")?;
-        for (i, c) in sys.clocks().iter().enumerate() {
-            let ticks = self.state.clocks[i];
-            let scale = self.interpreter.scale;
-            write!(f, " {}={}", c.name(), ticks as f64 / scale as f64)?;
-        }
-        if !self.state.vars.is_empty() {
-            write!(f, " |")?;
-            for d in sys.vars().iter() {
-                for k in 0..d.size() {
-                    if d.is_array() {
-                        write!(
-                            f,
-                            " {}[{}]={}",
-                            d.name(),
-                            k,
-                            self.state.vars[d.offset() + k]
-                        )?;
-                    } else {
-                        write!(f, " {}={}", d.name(), self.state.vars[d.offset()])?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A single-automaton edge reference, used when firing open transitions.
@@ -169,8 +117,7 @@ impl<'a> Interpreter<'a> {
     /// invariant, or propagates evaluation errors.
     pub fn initial_state(&self) -> Result<ConcreteState, ModelError> {
         let state = ConcreteState {
-            locations: self.system.automata().iter().map(|a| a.initial()).collect(),
-            vars: self.system.vars().initial_store(),
+            discrete: self.system.initial_discrete(),
             clocks: vec![0; self.system.clocks().len()],
         };
         if !self.invariants_hold(&state)? {
@@ -182,17 +129,26 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Checks every location invariant in the state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from invariant bounds.
-    pub fn invariants_hold(&self, state: &ConcreteState) -> Result<bool, ModelError> {
+    fn invariants_hold(&self, state: &ConcreteState) -> Result<bool, ModelError> {
         for (i, aut) in self.system.automata().iter().enumerate() {
-            let loc = aut.location(state.locations[i]);
-            for c in &loc.invariant {
-                if !c.holds_concrete(&state.clocks, self.scale, self.system.vars(), &state.vars)? {
-                    return Ok(false);
-                }
+            let loc = aut.location(state.discrete.locations[i]);
+            if !self.constraints_hold(state, &loc.invariant)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// `true` if every clock constraint holds at the current valuation.
+    fn constraints_hold(
+        &self,
+        state: &ConcreteState,
+        constraints: &[ClockConstraint],
+    ) -> Result<bool, ModelError> {
+        let (vars, store) = (self.system.vars(), &state.discrete.vars);
+        for c in constraints {
+            if !c.holds_concrete(&state.clocks, self.scale, vars, store)? {
+                return Ok(false);
             }
         }
         Ok(true)
@@ -205,7 +161,7 @@ impl<'a> Interpreter<'a> {
     ///
     /// Propagates evaluation errors from invariant bounds.
     pub fn max_delay(&self, state: &ConcreteState) -> Result<Option<i64>, ModelError> {
-        if self.system.is_urgent_concrete(state) {
+        if self.system.is_urgent(&state.discrete) {
             return Ok(Some(0));
         }
         let mut max: Option<i64> = None;
@@ -217,13 +173,13 @@ impl<'a> Interpreter<'a> {
             });
         };
         for (i, aut) in self.system.automata().iter().enumerate() {
-            let loc = aut.location(state.locations[i]);
+            let loc = aut.location(state.discrete.locations[i]);
             for c in &loc.invariant {
                 // Diagonal constraints are delay-invariant.
                 if c.minus.is_some() {
                     continue;
                 }
-                let m = c.bound.eval(self.system.vars(), &state.vars)? * self.scale;
+                let m = c.bound.eval(self.system.vars(), &state.discrete.vars)? * self.scale;
                 let v = state.clocks[c.left.index()];
                 match c.op {
                     crate::expr::CmpOp::Le | crate::expr::CmpOp::Eq => tighten(m - v),
@@ -249,7 +205,7 @@ impl<'a> Interpreter<'a> {
         if ticks < 0 {
             return Err(ModelError::Invalid("negative delay".to_string()));
         }
-        if ticks > 0 && self.system.is_urgent_concrete(state) {
+        if ticks > 0 && self.system.is_urgent(&state.discrete) {
             return Ok(None);
         }
         let mut next = state.clone();
@@ -271,65 +227,34 @@ impl<'a> Interpreter<'a> {
         aut_idx: usize,
         edge_id: EdgeId,
     ) -> Result<bool, ModelError> {
-        let aut = &self.system.automata()[aut_idx];
-        let edge = aut.edge(edge_id);
-        if edge.source != state.locations[aut_idx] {
-            return Ok(false);
-        }
-        if !edge.guard.data_holds(self.system.vars(), &state.vars)? {
-            return Ok(false);
-        }
-        for c in &edge.guard.clocks {
-            if !c.holds_concrete(&state.clocks, self.scale, self.system.vars(), &state.vars)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let edge = self.system.automata()[aut_idx].edge(edge_id);
+        Ok(edge.source == state.discrete.locations[aut_idx]
+            && edge
+                .guard
+                .data_holds(self.system.vars(), &state.discrete.vars)?
+            && self.constraints_hold(state, &edge.guard.clocks)?)
     }
 
-    fn apply_edges(
+    /// Takes the edges `components` together from `state`: per edge, its
+    /// clock resets (evaluated in the source store), then its discrete
+    /// effect.  `None` if an update leaves its range or the target violates
+    /// an invariant.
+    fn step<'e>(
         &self,
         state: &ConcreteState,
-        edges: &[(usize, EdgeId)],
+        components: impl Iterator<Item = (usize, &'e Edge)>,
     ) -> Result<Option<ConcreteState>, ModelError> {
         let mut next = state.clone();
-        for &(aut_idx, edge_id) in edges {
-            let aut = &self.system.automata()[aut_idx];
-            let edge = aut.edge(edge_id);
-            next.locations[aut_idx] = edge.target;
+        for (aut_idx, edge) in components {
             for r in &edge.resets {
-                let v = r.value.eval(self.system.vars(), &state.vars)?;
-                if v < 0 {
-                    return Err(ModelError::NegativeClockReset(format!(
-                        "clock {} := {v}",
-                        self.system.clock(r.clock).name()
-                    )));
-                }
-                next.clocks[r.clock.index()] = v * self.scale;
+                next.clocks[r.clock.index()] =
+                    self.system.reset_value(r, &state.discrete.vars)? * self.scale;
             }
-            for u in &edge.updates {
-                let value = u.value.eval(self.system.vars(), &next.vars)?;
-                if self.system.vars().check_range(u.target, value).is_err() {
-                    return Ok(None);
-                }
-                let offset = match &u.index {
-                    None => self.system.vars().offset(u.target),
-                    Some(idx) => {
-                        let i = idx.eval(self.system.vars(), &next.vars)?;
-                        let decl = self.system.vars().decl(u.target);
-                        if i < 0 || i as usize >= decl.size() {
-                            return Err(ModelError::Eval(
-                                crate::error::EvalError::IndexOutOfBounds {
-                                    name: decl.name().to_string(),
-                                    index: i,
-                                    size: decl.size(),
-                                },
-                            ));
-                        }
-                        self.system.vars().offset(u.target) + i as usize
-                    }
-                };
-                next.vars[offset] = value;
+            if !self
+                .system
+                .apply_edge_discrete(&mut next.discrete, aut_idx, edge)?
+            {
+                return Ok(None);
             }
         }
         if self.invariants_hold(&next)? {
@@ -337,6 +262,17 @@ impl<'a> Interpreter<'a> {
         } else {
             Ok(None)
         }
+    }
+
+    /// Takes one (open-view) edge, without checking its guard.
+    fn step_edge(
+        &self,
+        state: &ConcreteState,
+        edge: EdgeRef,
+    ) -> Result<Option<ConcreteState>, ModelError> {
+        let aut_idx = edge.automaton.index();
+        let edge = self.system.automata()[aut_idx].edge(edge.edge);
+        self.step(state, std::iter::once((aut_idx, edge)))
     }
 
     /// Enumerates the edges of the *open* view enabled for a given sync label
@@ -348,7 +284,7 @@ impl<'a> Interpreter<'a> {
     ) -> Result<Vec<EdgeRef>, ModelError> {
         let mut out = Vec::new();
         for (ai, aut) in self.system.automata().iter().enumerate() {
-            for ei in aut.edges_from(state.locations[ai]) {
+            for ei in aut.edges_from(state.discrete.locations[ai]) {
                 if pred(&aut.edge(ei).sync) && self.edge_enabled(state, ai, ei)? {
                     out.push(EdgeRef {
                         automaton: AutomatonId::from_index(ai),
@@ -373,14 +309,13 @@ impl<'a> Interpreter<'a> {
         if !self.edge_enabled(state, edge.automaton.index(), edge.edge)? {
             return Ok(None);
         }
-        self.apply_edges(state, &[(edge.automaton.index(), edge.edge)])
+        self.step_edge(state, edge)
     }
 
     /// Open view: the state after the plant receives input `channel?`, or
     /// `None` if no such edge is enabled (the input is refused).
     ///
-    /// If several edges are enabled the first declared one is taken; use
-    /// [`Interpreter::edges_for_input`] to detect nondeterminism explicitly.
+    /// If several edges are enabled the first declared one is taken.
     ///
     /// # Errors
     ///
@@ -392,7 +327,7 @@ impl<'a> Interpreter<'a> {
     ) -> Result<Option<ConcreteState>, ModelError> {
         match self.edges_for_input(state, channel)?.first() {
             None => Ok(None),
-            Some(e) => self.apply_edges(state, &[(e.automaton.index(), e.edge)]),
+            Some(&e) => self.step_edge(state, e),
         }
     }
 
@@ -409,7 +344,7 @@ impl<'a> Interpreter<'a> {
     ) -> Result<Option<ConcreteState>, ModelError> {
         match self.edges_for_output(state, channel)?.first() {
             None => Ok(None),
-            Some(e) => self.apply_edges(state, &[(e.automaton.index(), e.edge)]),
+            Some(&e) => self.step_edge(state, e),
         }
     }
 
@@ -439,11 +374,7 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Open view: enabled edges receiving `channel?`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn edges_for_input(
+    fn edges_for_input(
         &self,
         state: &ConcreteState,
         channel: ChannelId,
@@ -452,11 +383,7 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Open view: enabled edges emitting `channel!`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn edges_for_output(
+    fn edges_for_output(
         &self,
         state: &ConcreteState,
         channel: ChannelId,
@@ -482,36 +409,23 @@ impl<'a> Interpreter<'a> {
         Ok(out)
     }
 
-    /// Open view: the set of input channels the plant would accept right now
-    /// (with a satisfied guard).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn enabled_inputs(&self, state: &ConcreteState) -> Result<Vec<ChannelId>, ModelError> {
-        let mut out = Vec::new();
-        for (idx, ch) in self.system.channels().iter().enumerate() {
-            if ch.kind() == ChannelKind::Input {
-                let id = ChannelId::from_index(idx);
-                if !self.edges_for_input(state, id)?.is_empty() {
-                    out.push(id);
-                }
+    /// `true` if the clock guards of every edge `je` moves hold at the
+    /// current valuation (its data guards were checked by
+    /// [`System::enabled_joint_edges`]).
+    fn joint_guards_hold(&self, state: &ConcreteState, je: &JointEdge) -> Result<bool, ModelError> {
+        for (_, edge) in self.system.joint_components(je) {
+            if !self.constraints_hold(state, &edge.guard.clocks)? {
+                return Ok(false);
             }
         }
-        Ok(out)
+        Ok(true)
     }
 
-    /// Enabled internal (`tau`) edges.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn enabled_internal(&self, state: &ConcreteState) -> Result<Vec<EdgeRef>, ModelError> {
-        self.enabled_matching(state, |s| *s == Sync::Tau)
-    }
-
-    /// Closed view: fires a binary synchronization on `channel` between an
-    /// enabled output edge and an enabled input edge of two distinct automata.
+    /// Closed view: fires a binary synchronization on `channel` — the first
+    /// pair of [`System::enabled_joint_edges`] on `channel` whose clock
+    /// guards hold and whose step applies (no update leaves its range, the
+    /// target invariants hold).  Pairs come in emitter-major declaration
+    /// order, so among several receivers the first declared one fires.
     ///
     /// Returns `None` if no such pair is enabled.
     ///
@@ -523,65 +437,42 @@ impl<'a> Interpreter<'a> {
         state: &ConcreteState,
         channel: ChannelId,
     ) -> Result<Option<ConcreteState>, ModelError> {
-        let outputs = self.edges_for_output(state, channel)?;
-        let inputs = self.edges_for_input(state, channel)?;
-        for o in &outputs {
-            for i in &inputs {
-                if o.automaton == i.automaton {
-                    continue;
-                }
-                if let Some(next) = self.apply_edges(
-                    state,
-                    &[(o.automaton.index(), o.edge), (i.automaton.index(), i.edge)],
-                )? {
-                    return Ok(Some(next));
-                }
+        for je in self.system.enabled_joint_edges(&state.discrete)? {
+            if !matches!(je, JointEdge::Sync { channel: c, .. } if c == channel)
+                || !self.joint_guards_hold(state, &je)?
+            {
+                continue;
+            }
+            if let Some(next) = self.step(state, self.system.joint_components(&je))? {
+                return Ok(Some(next));
             }
         }
         Ok(None)
     }
 
-    /// Closed view: the channels on which a binary synchronization is
-    /// currently possible.
+    /// Closed view: the channels, in index order, of the synchronizations
+    /// of [`System::enabled_joint_edges`] whose clock guards hold now.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn enabled_syncs(&self, state: &ConcreteState) -> Result<Vec<ChannelId>, ModelError> {
         let mut out = Vec::new();
-        for idx in 0..self.system.channels().len() {
-            let id = ChannelId::from_index(idx);
-            let outputs = self.edges_for_output(state, id)?;
-            if outputs.is_empty() {
-                continue;
-            }
-            let inputs = self.edges_for_input(state, id)?;
-            if inputs
-                .iter()
-                .any(|i| outputs.iter().any(|o| o.automaton != i.automaton))
-            {
-                out.push(id);
+        for je in self.system.enabled_joint_edges(&state.discrete)? {
+            if let JointEdge::Sync { channel, .. } = je {
+                if !out.contains(&channel) && self.joint_guards_hold(state, &je)? {
+                    out.push(channel);
+                }
             }
         }
+        out.sort_unstable();
         Ok(out)
-    }
-}
-
-impl System {
-    /// Concrete-state counterpart of [`System::is_urgent`].
-    #[must_use]
-    pub fn is_urgent_concrete(&self, state: &ConcreteState) -> bool {
-        self.automata()
-            .iter()
-            .enumerate()
-            .any(|(i, aut)| aut.location(state.locations[i]).urgent)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::automaton::ClockConstraint;
     use crate::builder::{AutomatonBuilder, EdgeBuilder, SystemBuilder};
     use crate::expr::{CmpOp, Expr};
 
@@ -638,10 +529,10 @@ mod tests {
         let s2 = interp.delayed(&s1, 4).unwrap().unwrap();
         assert_eq!(interp.enabled_outputs(&s2).unwrap(), vec![resp]);
         let s3 = interp.after_output(&s2, resp).unwrap().unwrap();
-        assert_eq!(s3.vars, vec![1]);
+        assert_eq!(s3.discrete.vars, vec![1]);
         // Input refused while busy.
         assert!(interp.after_input(&s2, req).unwrap().is_none());
-        assert_eq!(interp.enabled_inputs(&s3).unwrap(), vec![req]);
+        assert_eq!(interp.edges_for_input(&s3, req).unwrap().len(), 1);
     }
 
     #[test]
@@ -682,7 +573,52 @@ mod tests {
         assert_eq!(interp.enabled_syncs(&s1).unwrap(), vec![resp]);
         assert!(interp.fire_sync(&s1, req).unwrap().is_none());
         let s2 = interp.fire_sync(&s1, resp).unwrap().unwrap();
-        assert_eq!(s2.locations, s0.locations);
+        assert_eq!(s2.discrete.locations, s0.discrete.locations);
+    }
+
+    #[test]
+    fn closed_view_fires_the_first_receiver_that_applies() {
+        // One sender and four receivers of `go`, declared in this order:
+        // Late needs x >= 2, Full's update overflows `full`, and First and
+        // Second are both enabled.
+        let mut b = SystemBuilder::new("receivers");
+        let x = b.clock("x").unwrap();
+        let go = b.output_channel("go").unwrap();
+        let full = b.int_var("full", 0, 0, 0).unwrap();
+        let mut sender = AutomatonBuilder::new("Sender");
+        let s0 = sender.location("S0").unwrap();
+        let s1 = sender.location("S1").unwrap();
+        sender.add_edge(EdgeBuilder::new(s0, s1).output(go));
+        b.add_automaton(sender.build().unwrap()).unwrap();
+        let receiver = |name: &str, edge: &dyn Fn(EdgeBuilder) -> EdgeBuilder| {
+            let mut a = AutomatonBuilder::new(name);
+            let r0 = a.location("R0").unwrap();
+            let r1 = a.location("R1").unwrap();
+            a.add_edge(edge(EdgeBuilder::new(r0, r1).input(go)));
+            a.build().unwrap()
+        };
+        let late = |e: EdgeBuilder| e.guard_clock(ClockConstraint::new(x, CmpOp::Ge, 2));
+        b.add_automaton(receiver("Late", &late)).unwrap();
+        let overflow = |e: EdgeBuilder| e.set(full, Expr::var(full) + Expr::constant(1));
+        b.add_automaton(receiver("Full", &overflow)).unwrap();
+        b.add_automaton(receiver("First", &|e| e)).unwrap();
+        b.add_automaton(receiver("Second", &|e| e)).unwrap();
+        let sys = b.build().unwrap();
+        let moved = |state: &ConcreteState| -> Vec<usize> {
+            (0..5)
+                .filter(|&i| state.discrete.locations[i].index() == 1)
+                .collect()
+        };
+
+        let interp = Interpreter::new(&sys, 2).unwrap();
+        let s0 = interp.initial_state().unwrap();
+        assert_eq!(interp.enabled_syncs(&s0).unwrap(), vec![go]);
+        let fired = interp.fire_sync(&s0, go).unwrap().unwrap();
+        assert_eq!(moved(&fired), vec![0, 3], "Late and Full are skipped");
+        // Once x >= 2, the first declared receiver's pair applies.
+        let later = interp.delayed(&s0, 4).unwrap().unwrap();
+        let fired = interp.fire_sync(&later, go).unwrap().unwrap();
+        assert_eq!(moved(&fired), vec![0, 1]);
     }
 
     #[test]
@@ -699,17 +635,6 @@ mod tests {
         assert_eq!(interp.max_delay(&s0).unwrap(), Some(0));
         assert!(interp.delayed(&s0, 1).unwrap().is_none());
         assert!(interp.delayed(&s0, 0).unwrap().is_some());
-    }
-
-    #[test]
-    fn display_shows_locations_clocks_and_vars() {
-        let sys = responder();
-        let interp = Interpreter::new(&sys, 4).unwrap();
-        let s0 = interp.initial_state().unwrap();
-        let text = format!("{}", s0.display(&interp));
-        assert!(text.contains("Plant.Idle"), "{text}");
-        assert!(text.contains("x=0"), "{text}");
-        assert!(text.contains("count=0"), "{text}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use tiga_model::{
-    AutomatonBuilder, ClockConstraint, CmpOp, ConcreteState, DiscreteState, EdgeBuilder, Explorer,
-    Interpreter, SymbolicState, System, SystemBuilder,
+    AutomatonBuilder, ClockConstraint, CmpOp, ConcreteState, EdgeBuilder, Explorer, Interpreter,
+    SymbolicState, System, SystemBuilder,
 };
 
 /// Description of one random edge of the generated plant.
@@ -151,15 +151,11 @@ fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) ->
         }
         queue.extend(successors.into_iter().map(|(_, succ)| succ));
     }
-    let discrete = DiscreteState {
-        locations: state.locations.clone(),
-        vars: state.vars.clone(),
-    };
     let mut point = Vec::with_capacity(state.clocks.len() + 1);
     point.push(0);
     point.extend_from_slice(&state.clocks);
     seen.iter()
-        .any(|s| s.discrete == discrete && s.zone.contains_at(&point, scale))
+        .any(|s| s.discrete == state.discrete && s.zone.contains_at(&point, scale))
 }
 
 proptest! {

@@ -22,6 +22,23 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The SplitMix64 increment: each output of a SplitMix64 generator advances
+/// its state by this odd constant (2^64 / φ).
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output at state `z`: a bijective mixer with good
+/// avalanche behaviour.  The `k`-th output of a generator seeded with `s`
+/// is `mix64(s + k·GOLDEN_GAMMA)`.  Every seed the workspace derives (test
+/// campaigns, fuzz cases) goes through here, so a fixed master seed gives
+/// the same jobs on any thread count.
+#[must_use]
+pub fn mix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Resolves a requested thread count: `0` means "all available parallelism",
 /// and the result never exceeds the number of jobs.
 #[must_use]
@@ -195,6 +212,13 @@ mod tests {
         assert!(run_keyed(none, 4, |_, x| x).is_empty());
         let out = run_keyed(vec![(1u8, 10u8), (2, 20)], 4, |_, x| x);
         assert_eq!(out, vec![(10, true), (20, true)]);
+    }
+
+    #[test]
+    fn mix64_is_the_splitmix64_output_function() {
+        // The first two outputs of SplitMix64 seeded with 0.
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix64(GOLDEN_GAMMA), 0x6E78_9E6A_A1B9_65F4);
     }
 
     #[test]

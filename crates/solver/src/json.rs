@@ -272,16 +272,17 @@ impl Parser<'_> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so bytes
-                    // form valid sequences).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("bad UTF-8 in string"))?
-                        .chars()
-                        .next()
-                        .expect("peeked a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte.  Those are ASCII, so the run
+                    // ends on a character boundary of the (UTF-8) input, and
+                    // each byte is validated once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("bad UTF-8 in string"))?;
+                    out.push_str(run);
                 }
             }
         }

@@ -2,7 +2,7 @@
 
 use crate::error::TctlError;
 use crate::printer::{quoted, write_expr};
-use tiga_model::{AutomatonId, ConcreteState, DiscreteState, Expr, LocationId, System};
+use tiga_model::{AutomatonId, DiscreteState, Expr, LocationId, System};
 
 /// The path quantifier of a test purpose.
 ///
@@ -72,52 +72,24 @@ impl StatePredicate {
         }
     }
 
-    fn eval(
-        &self,
-        system: &System,
-        locations: &[LocationId],
-        vars: &[i64],
-    ) -> Result<bool, TctlError> {
-        match self {
-            StatePredicate::True => Ok(true),
-            StatePredicate::False => Ok(false),
-            StatePredicate::Location(aut, loc) => Ok(locations[aut.index()] == *loc),
-            StatePredicate::Expr(e) => e
-                .eval_bool(system.vars(), vars)
-                .map_err(|e| TctlError::Eval(e.to_string())),
-            StatePredicate::And(a, b) => {
-                Ok(a.eval(system, locations, vars)? && b.eval(system, locations, vars)?)
-            }
-            StatePredicate::Or(a, b) => {
-                Ok(a.eval(system, locations, vars)? || b.eval(system, locations, vars)?)
-            }
-            StatePredicate::Not(a) => Ok(!a.eval(system, locations, vars)?),
-        }
-    }
-
-    /// Evaluates the predicate in a symbolic (discrete) state.
+    /// Evaluates the predicate in a discrete state.
     ///
     /// # Errors
     ///
     /// Returns [`TctlError::Eval`] if a contained expression cannot be
     /// evaluated (e.g. array index out of bounds).
     pub fn holds(&self, system: &System, state: &DiscreteState) -> Result<bool, TctlError> {
-        self.eval(system, &state.locations, &state.vars)
-    }
-
-    /// Evaluates the predicate in a concrete state (clock values are ignored,
-    /// only locations and variables matter).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TctlError::Eval`] if a contained expression cannot be
-    /// evaluated.
-    pub fn holds_concrete(
-        &self,
-        system: &System,
-        state: &ConcreteState,
-    ) -> Result<bool, TctlError> {
-        self.eval(system, &state.locations, &state.vars)
+        match self {
+            StatePredicate::True => Ok(true),
+            StatePredicate::False => Ok(false),
+            StatePredicate::Location(aut, loc) => Ok(state.locations[aut.index()] == *loc),
+            StatePredicate::Expr(e) => e
+                .eval_bool(system.vars(), &state.vars)
+                .map_err(|e| TctlError::Eval(e.to_string())),
+            StatePredicate::And(a, b) => Ok(a.holds(system, state)? && b.holds(system, state)?),
+            StatePredicate::Or(a, b) => Ok(a.holds(system, state)? || b.holds(system, state)?),
+            StatePredicate::Not(a) => Ok(!a.holds(system, state)?),
+        }
     }
 
     /// Renders the predicate using the system's names.

@@ -61,6 +61,6 @@ mod syntax;
 pub use ast::{DisplayPredicate, PathQuantifier, StatePredicate, TestPurpose};
 pub use error::{LangError, LangErrorKind, Span, TctlError};
 pub use lexer::{tokenize, Token, TokenKind};
-pub use parser::{is_bare_name, parse_predicate, Parser, KEYWORDS, MAX_ARRAY_SIZE};
+pub use parser::{is_bare_name, parse_predicate, Parser, KEYWORDS, MAX_ARRAY_SIZE, MAX_EXPR_DEPTH};
 pub use printer::{expr_to_tg, quoted};
 pub use syntax::{ArithOp, ControlAst, ExprAst, ExprKind, RangeAst, Spanned};

@@ -107,17 +107,50 @@ fn fold_literal(magnitude: u64, negative: bool, span: Span) -> Result<i64, LangE
     }
 }
 
-/// Builds the binary node `make(lhs, rhs)` spanning both operands.
+/// Deepest expression the parser accepts: no expression tree is higher than
+/// this (a chain `a or b or …` adds one level per operator, just as a
+/// nested `not` does), and no expression nests its parentheses and other
+/// operands deeper.  The parser and every later pass walk the tree
+/// recursively, so this keeps an untrusted `.tg` file, objective or request
+/// line from overflowing the stack.  The checked-in models nest a few
+/// levels deep; 64 is also the JSON reader's nesting cap.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+fn too_deep(span: Span) -> LangError {
+    LangError::parse(
+        format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+        span,
+    )
+}
+
+/// A node above `children`, or the too-deep error at `at` when it would
+/// exceed [`MAX_EXPR_DEPTH`].
+fn node(kind: ExprKind, span: Span, children: &[usize], at: Span) -> Result<ExprAst, LangError> {
+    let depth = 1 + children.iter().copied().max().unwrap_or(0);
+    if depth > MAX_EXPR_DEPTH {
+        return Err(too_deep(at));
+    }
+    Ok(ExprAst { kind, span, depth })
+}
+
+/// A leaf node.
+fn leaf(kind: ExprKind, span: Span) -> ExprAst {
+    ExprAst {
+        kind,
+        span,
+        depth: 1,
+    }
+}
+
+/// Builds the binary node `make(lhs, rhs)` spanning both operands; the
+/// too-deep error points at `rhs`.
 fn join(
     lhs: ExprAst,
     rhs: ExprAst,
     make: impl FnOnce(Box<ExprAst>, Box<ExprAst>) -> ExprKind,
-) -> ExprAst {
-    let span = lhs.span.to(rhs.span);
-    ExprAst {
-        kind: make(Box::new(lhs), Box::new(rhs)),
-        span,
-    }
+) -> Result<ExprAst, LangError> {
+    let (span, depths, at) = (lhs.span.to(rhs.span), [lhs.depth, rhs.depth], rhs.span);
+    node(make(Box::new(lhs), Box::new(rhs)), span, &depths, at)
 }
 
 /// A cursor over the tokens of one source text.
@@ -125,6 +158,9 @@ pub struct Parser<'s> {
     source: &'s str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Operands open around the current token (parentheses, `not`, `!`,
+    /// quantifier bodies, …), at most [`MAX_EXPR_DEPTH`].
+    nesting: usize,
 }
 
 impl<'s> Parser<'s> {
@@ -138,6 +174,7 @@ impl<'s> Parser<'s> {
             source,
             tokens: tokenize(source)?,
             pos: 0,
+            nesting: 0,
         })
     }
 
@@ -366,12 +403,28 @@ impl<'s> Parser<'s> {
     pub fn expr(&mut self) -> Result<ExprAst, LangError> {
         let lhs = self.ite_expr()?;
         if self.at_keyword("imply") {
-            self.bump();
-            let rhs = self.expr()?;
-            Ok(join(lhs, rhs, ExprKind::Imply))
+            let op = self.bump();
+            let rhs = self.nested(op, Self::expr)?;
+            join(lhs, rhs, ExprKind::Imply)
         } else {
             Ok(lhs)
         }
+    }
+
+    /// Parses an operand one level deeper than the token at `at`, or fails
+    /// there when that would nest deeper than [`MAX_EXPR_DEPTH`].
+    fn nested(
+        &mut self,
+        at: Span,
+        parse: fn(&mut Self) -> Result<ExprAst, LangError>,
+    ) -> Result<ExprAst, LangError> {
+        if self.nesting == MAX_EXPR_DEPTH {
+            return Err(too_deep(at));
+        }
+        self.nesting += 1;
+        let operand = parse(self);
+        self.nesting -= 1;
+        operand
     }
 
     /// Ternary conditional, right-associative.
@@ -380,15 +433,14 @@ impl<'s> Parser<'s> {
         if !self.at(&TokenKind::Question) {
             return Ok(cond);
         }
-        self.bump();
-        let then = self.ite_expr()?;
-        self.expect(&TokenKind::Colon, "`:` of the conditional")?;
-        let otherwise = self.ite_expr()?;
+        let question = self.bump();
+        let then = self.nested(question, Self::ite_expr)?;
+        let colon = self.expect(&TokenKind::Colon, "`:` of the conditional")?;
+        let otherwise = self.nested(colon, Self::ite_expr)?;
         let span = cond.span.to(otherwise.span);
-        Ok(ExprAst {
-            kind: ExprKind::Ite(Box::new(cond), Box::new(then), Box::new(otherwise)),
-            span,
-        })
+        let depths = [cond.depth, then.depth, otherwise.depth];
+        let kind = ExprKind::Ite(Box::new(cond), Box::new(then), Box::new(otherwise));
+        node(kind, span, &depths, question)
     }
 
     fn or_expr(&mut self) -> Result<ExprAst, LangError> {
@@ -396,7 +448,7 @@ impl<'s> Parser<'s> {
         while self.at(&TokenKind::OrOr) || self.at_keyword("or") {
             self.bump();
             let rhs = self.and_expr()?;
-            lhs = join(lhs, rhs, ExprKind::Or);
+            lhs = join(lhs, rhs, ExprKind::Or)?;
         }
         Ok(lhs)
     }
@@ -406,7 +458,7 @@ impl<'s> Parser<'s> {
         while self.at(&TokenKind::AndAnd) || self.at_keyword("and") {
             self.bump();
             let rhs = self.not_expr()?;
-            lhs = join(lhs, rhs, ExprKind::And);
+            lhs = join(lhs, rhs, ExprKind::And)?;
         }
         Ok(lhs)
     }
@@ -416,12 +468,9 @@ impl<'s> Parser<'s> {
     fn not_expr(&mut self) -> Result<ExprAst, LangError> {
         if self.at_keyword("not") {
             let start = self.bump();
-            let inner = self.not_expr()?;
-            let span = start.to(inner.span);
-            return Ok(ExprAst {
-                kind: ExprKind::Not(Box::new(inner)),
-                span,
-            });
+            let inner = self.nested(start, Self::not_expr)?;
+            let (span, depth) = (start.to(inner.span), inner.depth);
+            return node(ExprKind::Not(Box::new(inner)), span, &[depth], start);
         }
         let forall = self.at_keyword("forall");
         if !(forall || self.at_keyword("exists"))
@@ -435,14 +484,14 @@ impl<'s> Parser<'s> {
         self.expect(&TokenKind::Colon, "`:` in the quantifier binder")?;
         let range = self.range()?;
         self.expect(&TokenKind::RParen, "`)` closing the quantifier binder")?;
-        let body = Box::new(self.not_expr()?);
-        let span = start.to(body.span);
+        let body = Box::new(self.nested(start, Self::not_expr)?);
+        let (span, depth) = (start.to(body.span), body.depth);
         let kind = if forall {
             ExprKind::Forall(var.node, range, body)
         } else {
             ExprKind::Exists(var.node, range, body)
         };
-        Ok(ExprAst { kind, span })
+        node(kind, span, &[depth], start)
     }
 
     fn range(&mut self) -> Result<Spanned<RangeAst>, LangError> {
@@ -475,7 +524,7 @@ impl<'s> Parser<'s> {
         };
         self.bump();
         let rhs = self.add_expr()?;
-        Ok(join(lhs, rhs, |a, b| ExprKind::Cmp(op, a, b)))
+        join(lhs, rhs, |a, b| ExprKind::Cmp(op, a, b))
     }
 
     fn add_expr(&mut self) -> Result<ExprAst, LangError> {
@@ -488,7 +537,7 @@ impl<'s> Parser<'s> {
             };
             self.bump();
             let rhs = self.mul_expr()?;
-            lhs = join(lhs, rhs, |a, b| ExprKind::Arith(op, a, b));
+            lhs = join(lhs, rhs, |a, b| ExprKind::Arith(op, a, b))?;
         }
         Ok(lhs)
     }
@@ -504,7 +553,7 @@ impl<'s> Parser<'s> {
             };
             self.bump();
             let rhs = self.unary_expr()?;
-            lhs = join(lhs, rhs, |a, b| ExprKind::Arith(op, a, b));
+            lhs = join(lhs, rhs, |a, b| ExprKind::Arith(op, a, b))?;
         }
         Ok(lhs)
     }
@@ -522,35 +571,26 @@ impl<'s> Parser<'s> {
                     .is_some_and(|t| matches!(t.kind, TokenKind::Number(_))) =>
             {
                 let n = self.int("literal")?;
-                return Ok(ExprAst {
-                    kind: ExprKind::Num(n.node),
-                    span: n.span,
-                });
+                return Ok(leaf(ExprKind::Num(n.node), n.span));
             }
             Some(TokenKind::Minus) => ExprKind::Neg,
             _ => return self.primary_expr(),
         };
         let start = self.bump();
-        let inner = self.unary_expr()?;
-        let span = start.to(inner.span);
-        Ok(ExprAst {
-            kind: make(Box::new(inner)),
-            span,
-        })
+        let inner = self.nested(start, Self::unary_expr)?;
+        let (span, depth) = (start.to(inner.span), inner.depth);
+        node(make(Box::new(inner)), span, &[depth], start)
     }
 
     fn primary_expr(&mut self) -> Result<ExprAst, LangError> {
         let kind = match self.peek().map(|t| &t.kind) {
             Some(&TokenKind::Number(n)) => {
                 let span = self.bump();
-                return Ok(ExprAst {
-                    kind: ExprKind::Num(fold_literal(n, false, span)?),
-                    span,
-                });
+                return Ok(leaf(ExprKind::Num(fold_literal(n, false, span)?), span));
             }
             Some(TokenKind::LParen) => {
-                self.bump();
-                let inner = self.expr()?;
+                let open = self.bump();
+                let inner = self.nested(open, Self::expr)?;
                 self.expect(&TokenKind::RParen, "`)`")?;
                 // Parentheses only group; they leave no AST node, so the
                 // fully parenthesized printer output re-parses to an
@@ -563,7 +603,7 @@ impl<'s> Parser<'s> {
             _ => return Err(self.unexpected("an expression")),
         };
         let span = self.bump();
-        Ok(ExprAst { kind, span })
+        Ok(leaf(kind, span))
     }
 
     /// `name`, `Aut.loc` or `name[index]`.
@@ -572,23 +612,17 @@ impl<'s> Parser<'s> {
         if self.at(&TokenKind::Dot) {
             self.bump();
             let loc = self.name("location")?;
-            Ok(ExprAst {
-                kind: ExprKind::Qualified(name.node, loc.node),
-                span: name.span.to(loc.span),
-            })
+            let span = name.span.to(loc.span);
+            Ok(leaf(ExprKind::Qualified(name.node, loc.node), span))
         } else if self.at(&TokenKind::LBracket) {
-            self.bump();
-            let idx = self.expr()?;
+            let open = self.bump();
+            let idx = self.nested(open, Self::expr)?;
             let close = self.expect(&TokenKind::RBracket, "`]`")?;
-            Ok(ExprAst {
-                kind: ExprKind::Index(name.node, Box::new(idx)),
-                span: name.span.to(close),
-            })
+            let depth = idx.depth;
+            let kind = ExprKind::Index(name.node, Box::new(idx));
+            node(kind, name.span.to(close), &[depth], open)
         } else {
-            Ok(ExprAst {
-                kind: ExprKind::Name(name.node),
-                span: name.span,
-            })
+            Ok(leaf(ExprKind::Name(name.node), name.span))
         }
     }
 }
@@ -775,23 +809,42 @@ fn resolve_bool(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<StatePred
         ExprKind::Or(a, b) => Ok(pred(a)?.or(pred(b)?)),
         ExprKind::Imply(a, b) => Ok(pred(a)?.negated().or(pred(b)?)),
         ExprKind::Forall(var, range, body) | ExprKind::Exists(var, range, body) => {
-            let forall = matches!(e.kind, ExprKind::Forall(..));
-            let mut acc = if forall {
-                StatePredicate::True
-            } else {
-                StatePredicate::False
-            };
-            for v in range_values(range, system)? {
+            let instance = |v: i64| {
                 let mut env2 = env.clone();
                 env2.push((var.as_str(), v));
-                let p = resolve_bool(body, system, &env2)?;
-                acc = if forall { acc.and(p) } else { acc.or(p) };
-            }
-            Ok(acc)
+                resolve_bool(body, system, &env2)
+            };
+            let forall = matches!(e.kind, ExprKind::Forall(..));
+            balanced(&range_values(range, system)?, forall, &instance)
         }
         // Everything else is an integer expression interpreted as a boolean.
         _ => Ok(StatePredicate::Expr(resolve_int(e, system, env)?)),
     }
+}
+
+/// The conjunction (`forall`) or disjunction of `instance(v)` over
+/// `values`, as a balanced tree of depth ⌈log2 n⌉: a range at the
+/// `MAX_ARRAY_SIZE` cap nests 20 levels, not a million, so walking and
+/// dropping the predicate stays shallow.  The instances keep their order.
+fn balanced(
+    values: &[i64],
+    forall: bool,
+    instance: &dyn Fn(i64) -> Result<StatePredicate, TctlError>,
+) -> Result<StatePredicate, TctlError> {
+    match values {
+        [] if forall => return Ok(StatePredicate::True),
+        [] => return Ok(StatePredicate::False),
+        [v] => return instance(*v),
+        _ => {}
+    }
+    let (left, right) = values.split_at(values.len().div_ceil(2));
+    let left = balanced(left, forall, instance)?;
+    let right = balanced(right, forall, instance)?;
+    Ok(if forall {
+        left.and(right)
+    } else {
+        left.or(right)
+    })
 }
 
 impl ControlAst {
@@ -1239,6 +1292,93 @@ mod tests {
         assert_eq!(
             parse_predicate("true and IUT.Off", &sys).unwrap(),
             parse_predicate("IUT.Off", &sys).unwrap()
+        );
+    }
+
+    /// The span of a too-deep refusal of `text`.
+    fn too_deep_at(text: &str) -> Span {
+        match Parser::new(text).and_then(|mut p| p.expr()) {
+            Err(e)
+                if e.message
+                    .contains(&format!("deeper than {MAX_EXPR_DEPTH} levels")) =>
+            {
+                e.span
+            }
+            other => panic!("expected a too-deep error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn expressions_are_capped_in_depth_and_chain_length() {
+        let parse = |text: &str| Parser::new(text).unwrap().expr();
+        // Parentheses: the cap itself parses, one more is refused at the
+        // first `(` past it, however deep the input goes.
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse(&parens(MAX_EXPR_DEPTH)).unwrap().depth, 1);
+        for n in [MAX_EXPR_DEPTH + 1, 100_000] {
+            assert_eq!(
+                too_deep_at(&parens(n)),
+                Span::new(MAX_EXPR_DEPTH, MAX_EXPR_DEPTH + 1)
+            );
+        }
+        // Prefix operators and `imply` nest like parentheses.
+        for op in ["!", "-", "not "] {
+            let text = format!("{}x", op.repeat(100_000));
+            let at = op.len() * MAX_EXPR_DEPTH;
+            assert_eq!(too_deep_at(&text), Span::new(at, at + op.trim().len()));
+        }
+        too_deep_at(&"x imply ".repeat(100_000));
+        // Chains: `n` operands make a tree `n` high.
+        let chain = |n: usize, op: &str| vec!["x"; n].join(op);
+        for op in [" or ", " and ", " + ", " * "] {
+            assert_eq!(
+                parse(&chain(MAX_EXPR_DEPTH, op)).unwrap().depth,
+                MAX_EXPR_DEPTH
+            );
+            let at = (MAX_EXPR_DEPTH) * (1 + op.len());
+            assert_eq!(too_deep_at(&chain(100_000, op)), Span::new(at, at + 1));
+        }
+        // Nesting and chains add up in the tree.
+        let mixed = format!("({}) or x", chain(MAX_EXPR_DEPTH, " or "));
+        too_deep_at(&mixed);
+    }
+
+    /// Height of a resolved predicate.
+    fn height(p: &StatePredicate) -> usize {
+        match p {
+            StatePredicate::And(a, b) | StatePredicate::Or(a, b) => 1 + height(a).max(height(b)),
+            StatePredicate::Not(a) => 1 + height(a),
+            _ => 1,
+        }
+    }
+
+    #[test]
+    fn quantifiers_expand_into_balanced_trees() {
+        let sys = sample_system();
+        for (n, levels) in [
+            (1, 0),
+            (2, 1),
+            (3, 2),
+            (4, 2),
+            (5, 3),
+            (4096, 12),
+            (4097, 13),
+        ] {
+            for q in ["forall", "exists"] {
+                let p = parse_predicate(&format!("{q} (i: {n}) (i >= 0)"), &sys).unwrap();
+                assert_eq!(height(&p), levels + 1, "{q} over {n}");
+            }
+        }
+        // The instances keep their order: a three-value range is the
+        // left-nested chain it always was.
+        let i_is = |v: i64| StatePredicate::Expr(Expr::constant(v).eq(Expr::constant(1)));
+        assert_eq!(
+            parse_predicate("exists (i: 3) i == 1", &sys).unwrap(),
+            i_is(0).or(i_is(1)).or(i_is(2))
+        );
+        assert_eq!(
+            parse_predicate("exists (i: 4) i == 1", &sys).unwrap(),
+            i_is(0).or(i_is(1)).or(i_is(2).or(i_is(3)))
         );
     }
 

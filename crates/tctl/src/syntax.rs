@@ -32,6 +32,10 @@ pub struct ExprAst {
     pub kind: ExprKind,
     /// Source span.
     pub span: Span,
+    /// Height of the tree rooted here (a leaf is 1).  Only the parser
+    /// builds nodes, and it keeps this at most [`crate::MAX_EXPR_DEPTH`], so
+    /// walking the tree recursively is safe.
+    pub(crate) depth: usize,
 }
 
 /// Expression node kinds: those of [`tiga_model::Expr`], plus the
