@@ -200,6 +200,35 @@ fn deep_and_long_objectives_are_answered_and_the_session_survives() {
 }
 
 #[test]
+fn nested_quantifiers_past_the_budget_are_refused_and_the_session_survives() {
+    let light = json_string(&tg("smart_light.tg"));
+    let nested = "forall (i: 1024) forall (j: 1024) forall (k: 1024) (i >= 0)";
+    let requests = vec![
+        // 2^30 instances: each range passes the per-range cap, their
+        // product is refused before anything is expanded.
+        format!("{{\"id\":1,\"path\":{light},\"purpose\":\"control: A<> {nested}\"}}"),
+        format!("{{\"id\":2,\"path\":{light}}}"),
+    ];
+    let lines = session(&requests, 1);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(
+        lines[0].starts_with("{\"id\":1,\"kind\":\"solve\",\"status\":\"error\""),
+        "{}",
+        lines[0]
+    );
+    let budget = format!(
+        "quantifiers expand into 1073741824 instances (the budget is {} per objective)",
+        tiga_tctl::MAX_ARRAY_SIZE
+    );
+    assert!(lines[0].contains(&budget), "{}", lines[0]);
+    assert!(
+        lines[1].starts_with("{\"id\":2,\"kind\":\"solve\",\"status\":\"ok\""),
+        "{}",
+        lines[1]
+    );
+}
+
+#[test]
 fn unknown_engines_are_error_lines_and_the_session_survives() {
     let requests = vec![
         format!(

@@ -215,23 +215,30 @@ impl ZoneSet {
         self.ids.iter().map(move |&id| store.zone(id))
     }
 
+    /// Whether `id` is a current member: offered, added, and not since
+    /// dropped by a later zone that subsumes it.
+    #[inline]
+    #[must_use]
+    pub fn contains(&self, id: ZoneId) -> bool {
+        self.ids.contains(&id)
+    }
+
     /// Offers a zone, mirroring [`Federation::insert_subsumed`] exactly:
-    /// returns `false` for empty or already-covered zones, otherwise adds
-    /// the zone, drops members it subsumes, and returns `true`.
-    pub fn insert(&mut self, store: &mut ZoneStore, zone: &Dbm) -> bool {
+    /// returns `None` for empty or already-covered zones, otherwise adds
+    /// the zone, drops members it subsumes, and returns the new member's id.
+    pub fn insert(&mut self, store: &mut ZoneStore, zone: &Dbm) -> Option<ZoneId> {
         if zone.is_empty() {
-            return false;
+            return None;
         }
         let (id, _) = store.intern(zone);
-        if self.ever.contains(&id) {
+        if !self.ever.insert(id) {
             // Monotone coverage: this exact zone was offered before, so the
             // union already covers it — same verdict the full sweep gives.
-            return false;
+            return None;
         }
-        self.ever.insert(id);
         // The includes_zone check, against the interned members.
         if store.covered_by(zone, &self.ids) {
-            return false;
+            return None;
         }
         // add_zone: the early subset return cannot fire (a single member
         // covering `zone` would have been found above); drop members the new
@@ -239,7 +246,7 @@ impl ZoneSet {
         self.ids
             .retain(|&m| !matches!(store.relation(m, id), Relation::Subset | Relation::Equal));
         self.ids.push(id);
-        true
+        Some(id)
     }
 
     /// Materializes the members into an owned [`Federation`] with the exact
@@ -326,10 +333,36 @@ mod tests {
         for zone in &offers {
             let expect = fed.insert_subsumed(zone.clone());
             let got = set.insert(&mut store, zone);
-            assert_eq!(got, expect, "verdict diverged on {zone:?}");
+            assert_eq!(got.is_some(), expect, "verdict diverged on {zone:?}");
             assert_eq!(set.to_federation(&store), fed, "members diverged");
         }
         assert_eq!(set.len(), fed.len());
+    }
+
+    #[test]
+    fn insert_returns_the_member_id_until_a_superset_drops_it() {
+        let mut store = ZoneStore::new(2);
+        let mut set = ZoneSet::new();
+        let small = interval(2, 1, 2, 3);
+        let id = set.insert(&mut store, &small).expect("a new zone is added");
+        assert_eq!(id, store.intern(&small).0);
+        assert_eq!(set.ids(), &[id]);
+        assert!(set.contains(id));
+        // Re-offering it, or offering a subset, adds nothing.
+        assert_eq!(set.insert(&mut store, &small), None);
+        assert_eq!(set.insert(&mut store, &interval(2, 1, 2, 2)), None);
+        assert!(set.contains(id));
+        // A later superset replaces it: the old id is no longer a member.
+        let big = set
+            .insert(&mut store, &interval(2, 1, 0, 5))
+            .expect("a superset is added");
+        assert_ne!(big, id);
+        assert_eq!(set.ids(), &[big]);
+        assert!(set.contains(big));
+        assert!(!set.contains(id));
+        // Offering the dropped zone again does not bring it back.
+        assert_eq!(set.insert(&mut store, &small), None);
+        assert!(!set.contains(id));
     }
 
     #[test]
@@ -338,7 +371,7 @@ mod tests {
         let mut set = ZoneSet::new();
         let mut empty = Dbm::universe(2);
         assert!(!empty.constrain(1, 0, Bound::lt(0)));
-        assert!(!set.insert(&mut store, &empty));
+        assert_eq!(set.insert(&mut store, &empty), None);
         assert_eq!(store.len(), 0);
     }
 

@@ -9,11 +9,15 @@
 //! [`GameGraph::explore`] drains a work list with it before the Jacobi
 //! fixpoint runs, and the on-the-fly search ([`crate::otfur`]) interleaves
 //! the same discovery and offer steps with its backward propagation.
+//! Pending zones are passed-list ids, and only those still in their
+//! node's passed list are expanded: a zone that a later, larger offer
+//! dropped finds no edge or target that the larger zone misses, and its
+//! successor zones lie inside the larger zone's.
 
 use crate::error::SolverError;
 use crate::stats::MemCounters;
 use std::collections::HashMap;
-use tiga_dbm::{Dbm, Federation, ZoneSet, ZoneStore};
+use tiga_dbm::{Dbm, Federation, ZoneId, ZoneSet, ZoneStore};
 use tiga_model::{
     CandidateStep, DiscreteState, ExploredState, Explorer, JointEdge, ModelError, System,
 };
@@ -186,16 +190,26 @@ impl<'a> GraphBuilder<'a> {
         self.reach_total
     }
 
-    /// The candidate successors of every pending `(node, zone)` pair, in
-    /// `pending` order, computed read-only on `jobs` worker threads.
+    /// The candidate successors of the pending `(node, zone)` pairs that
+    /// are still to be expanded, in `pending` order, computed read-only on
+    /// `jobs` worker threads.
+    ///
+    /// A pair is expanded only if its node [expands](GraphBuilder::expands)
+    /// and its zone is still a member of the node's passed list.  A zone
+    /// that a later, larger offer dropped is skipped: the zone that dropped
+    /// it is pending too, and the successor, guard and extrapolation
+    /// operators are monotone, so it finds every edge and target the
+    /// dropped zone would.  The filter runs here, before the fan-out, so
+    /// the expanded pairs are the same for any `jobs`.
     pub(crate) fn candidates(
         &self,
-        pending: Vec<(NodeId, Dbm)>,
+        mut pending: Vec<(NodeId, ZoneId)>,
         jobs: usize,
     ) -> Vec<Result<(NodeId, Vec<CandidateStep>), ModelError>> {
+        pending.retain(|&(node, zone)| self.expands(node) && self.nodes[node].reach.contains(zone));
         tiga_parallel::run_indexed(pending, jobs, |_, (node, zone)| {
             self.explorer
-                .successor_candidates(node, &zone)
+                .successor_candidates(node, self.store.zone(zone))
                 .map(|steps| (node, steps))
         })
     }
@@ -231,8 +245,9 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// The offer step: adds `zone` to the passed list of `node`.  Returns
-    /// whether it added valuations, i.e. whether the zone is to be expanded.
-    pub(crate) fn offer(&mut self, node: NodeId, zone: &Dbm) -> bool {
+    /// the zone's id if it added valuations, i.e. if it is to be expanded;
+    /// [`GraphBuilder::candidates`] skips it once a larger offer drops it.
+    pub(crate) fn offer(&mut self, node: NodeId, zone: &Dbm) -> Option<ZoneId> {
         let reach = &mut self.nodes[node].reach;
         let before = reach.len();
         let inserted = reach.insert(&mut self.store, zone);
@@ -291,9 +306,10 @@ impl GameGraph {
     /// also reporting the memory counters of the exploration.
     ///
     /// The frontier is drained in batches: the successors of every
-    /// `(node, zone)` pair are computed in parallel, then discovered and
-    /// offered sequentially in batch order, so the explored graph is
-    /// bit-identical for any thread count.
+    /// `(node, zone)` pair whose zone is still in the node's passed list
+    /// are computed in parallel, then discovered and offered sequentially
+    /// in batch order, so the explored graph is bit-identical for any
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -305,24 +321,20 @@ impl GameGraph {
         jobs: usize,
     ) -> Result<(Self, MemCounters), SolverError> {
         let (mut builder, root, root_zone) = GraphBuilder::new(system, goal, options)?;
-        builder.offer(root, &root_zone);
+        // Work list of (node, zone) pairs still to expand, drained batchwise.
+        let mut queue: Vec<(NodeId, ZoneId)> = Vec::new();
+        queue.extend(builder.offer(root, &root_zone).map(|zone| (root, zone)));
         let mut mem = MemCounters {
             peak_live_zones: builder.reach_total(),
             ..MemCounters::default()
         };
-        // Work list of (node, zone) pairs still to expand, drained batchwise.
-        let mut queue: Vec<(NodeId, Dbm)> = vec![(root, root_zone)];
         while !queue.is_empty() {
-            let batch: Vec<(NodeId, Dbm)> = std::mem::take(&mut queue)
-                .into_iter()
-                .filter(|(node, _)| builder.expands(*node))
-                .collect();
-            for result in builder.candidates(batch, jobs) {
+            for result in builder.candidates(std::mem::take(&mut queue), jobs) {
                 let (node, steps) = result?;
                 for step in steps {
                     let (target, zone) = builder.discover(node, step)?;
                     // Continue exploring only if the zone adds new valuations.
-                    if builder.offer(target, &zone) {
+                    if let Some(zone) = builder.offer(target, &zone) {
                         mem.peak_live_zones = mem.peak_live_zones.max(builder.reach_total());
                         queue.push((target, zone));
                     }
@@ -421,6 +433,60 @@ mod tests {
         user.add_edge(EdgeBuilder::new(u, u).input(tick));
         b.add_automaton(user.build().unwrap()).unwrap();
         b.build().unwrap()
+    }
+
+    /// One automaton, one clock, internal (uncontrollable) edges only:
+    /// R --x>=2--> T, R --x>=1--> T, R --> U, T --> U.  Expanding R offers
+    /// T the zone x >= 2 and then x >= 1, which drops the first before it
+    /// is expanded.  G has no incoming edge, so the goal is unreachable and
+    /// both engines explore everything.
+    fn widening_system() -> System {
+        let mut b = SystemBuilder::new("widening");
+        let x = b.clock("x").unwrap();
+        let mut plant = AutomatonBuilder::new("P");
+        let r = plant.location("R").unwrap();
+        let t = plant.location("T").unwrap();
+        let u = plant.location("U").unwrap();
+        plant.location("G").unwrap();
+        plant.add_edge(EdgeBuilder::new(r, t).guard_clock(ClockConstraint::new(x, CmpOp::Ge, 2)));
+        plant.add_edge(EdgeBuilder::new(r, t).guard_clock(ClockConstraint::new(x, CmpOp::Ge, 1)));
+        plant.add_edge(EdgeBuilder::new(r, u));
+        plant.add_edge(EdgeBuilder::new(t, u));
+        b.add_automaton(plant.build().unwrap()).unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_zone_dropped_before_its_expansion_is_not_expanded() {
+        let sys = widening_system();
+        let tp = TestPurpose::parse("control: A<> P.G", &sys).unwrap();
+        // Offers, in order, with the zone store's verdict:
+        //   R x>=0 (miss, added);
+        //   T x>=2 (miss, added), T x>=1 (miss, added, drops T x>=2);
+        //   U x>=0 (hit: the root's zone, added);
+        //   T x>=1 expanded: U x>=1 (hit, covered by U x>=0, subsumed).
+        // Expanding the dropped T x>=2 as well would add one more offer,
+        // U x>=2 (hit, subsumed): 3 hits and 2 subsumed offers for OTFUR.
+        // Jacobi does not count subsumed offers.
+        for (engine, subsumed) in [
+            (crate::SolveEngine::Otfur, 1),
+            (crate::SolveEngine::Jacobi, 0),
+        ] {
+            let options = crate::SolveOptions {
+                engine,
+                ..crate::SolveOptions::default()
+            };
+            let solution = crate::solve(&sys, &tp, &options).unwrap();
+            let stats = solution.stats();
+            let name = engine.name();
+            assert!(!solution.winning_from_initial, "{name}");
+            assert_eq!(stats.discrete_states, 3, "{name}");
+            assert_eq!(stats.graph_edges, 4, "{name}");
+            assert_eq!(stats.interned_zones, 3, "{name}");
+            assert_eq!(stats.intern_hits, 2, "{name}");
+            assert_eq!(stats.subsumed_zones, subsumed, "{name}");
+            assert_eq!(stats.reach_zones, 3, "{name}");
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! * **forward**: popping a state expands its not-yet-processed reach zones
 //!   through the same [`GraphBuilder`] steps as the eager exploration:
 //!   newly discovered discrete states are interned and re-reached zones are
-//!   subsumed against the state's passed list;
+//!   subsumed against the state's passed list.  As in OTFUR, a pending zone
+//!   that a later, larger offer dropped from the passed list is never
+//!   expanded: the zone that dropped it is pending too, and finds every
+//!   edge and target it would;
 //! * **backward**: the same pop re-evaluates the state's winning federation
 //!   with the shared `π` update ([`crate::winning::pi_update`]); growth wakes
 //!   the recorded dependents, exactly like the `Depend` sets of the paper;
@@ -46,13 +49,13 @@
 //! an undiscovered uncontrollable escape is enabled, and monotone growth
 //! would never retract them.  The search therefore **confines every winning
 //! federation to the state's reach federation** (goal states: their reach,
-//! which is what the offered zones cover).  Expansion of all pending zones
-//! happens immediately before each evaluation, so within the reach every
-//! enabled edge is known; and because the reach set is closed under the game
-//! dynamics (successor zones of reach zones are offered to the target,
-//! delay-closed zones absorb delays), the confined fixpoint agrees with the
-//! eager engines' fixpoint on every reachable valuation — in particular at
-//! the initial state.  An exhaustive run computes exactly
+//! which is what the offered zones cover).  Expansion of every pending
+//! member of the passed list happens immediately before each evaluation,
+//! so within the reach every enabled edge is known; and because the reach
+//! set is closed under the game dynamics (successor zones of reach zones
+//! are offered to the target, delay-closed zones absorb delays), the
+//! confined fixpoint agrees with the eager engines' fixpoint on every
+//! reachable valuation — in particular at the initial state.  An exhaustive run computes exactly
 //! `lfp ∩ reach` per state.
 
 use crate::error::SolverError;
@@ -63,15 +66,16 @@ use crate::winning::{
 };
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use tiga_dbm::{Dbm, Federation};
+use tiga_dbm::{Dbm, Federation, ZoneId};
 use tiga_model::System;
 use tiga_tctl::StatePredicate;
 
 /// Per-state bookkeeping of the search, indexed like the builder's nodes.
 /// The state's passed list, goal flag and edges live in [`Search::graph`].
 struct NodeData {
-    /// Reach zones not yet expanded forward.
-    frontier: Vec<Dbm>,
+    /// Passed-list members not yet expanded forward; those a later, larger
+    /// offer has dropped since are skipped ([`GraphBuilder::candidates`]).
+    frontier: Vec<ZoneId>,
     /// States to re-evaluate when this state's winning federation grows.
     depend: Vec<NodeId>,
     /// Invariant upper boundary (for the forced-move term).
@@ -198,10 +202,10 @@ impl Search<'_> {
     /// zone immediately extends the winning federation (recorded as a rank-0
     /// wait region) and wakes the goal's dependents.
     fn offer_zone(&mut self, node: NodeId, zone: Dbm) -> bool {
-        if !self.graph.offer(node, &zone) {
+        let Some(id) = self.graph.offer(node, &zone) else {
             self.subsumed_zones += 1;
             return false;
-        }
+        };
         if self.graph.is_goal(node) {
             // Reach zones are delay-closed within the invariant, so the zone
             // is already a valid attractor seed (goal-winning region for
@@ -209,14 +213,10 @@ impl Search<'_> {
             // bounded purposes only the pre-deadline part `#t <= T` seeds —
             // the zone still joins the frontier in full, because forward
             // exploration is unaffected by the bound.
-            let seed = match self.clip {
-                Some(clip) => {
-                    let mut s = zone.clone();
-                    s.intersect(clip);
-                    s
-                }
-                None => zone.clone(),
-            };
+            let mut seed = zone;
+            if let Some(clip) = self.clip {
+                seed.intersect(clip);
+            }
             if !seed.is_empty() {
                 let before = self.win[node].len();
                 self.mem.dbm_clones += 1;
@@ -231,7 +231,7 @@ impl Search<'_> {
             .mem
             .peak_live_zones
             .max(self.graph.reach_total() + self.win_total);
-        self.nodes[node].frontier.push(zone);
+        self.nodes[node].frontier.push(id);
         true
     }
 
@@ -306,20 +306,17 @@ impl Search<'_> {
             // coverage.
             let expansion_start = Instant::now();
             loop {
-                let mut pending: Vec<(NodeId, Dbm)> = Vec::new();
+                let mut pending: Vec<(NodeId, ZoneId)> = Vec::new();
                 for &node in &batch {
-                    if !self.graph.expands(node) {
-                        self.nodes[node].frontier.clear();
-                        continue;
-                    }
-                    let zones = std::mem::take(&mut self.nodes[node].frontier);
-                    pending.extend(zones.into_iter().map(|zone| (node, zone)));
+                    let frontier = self.nodes[node].frontier.drain(..);
+                    pending.extend(frontier.map(|zone| (node, zone)));
                 }
                 if pending.is_empty() {
                     break;
                 }
-                // Candidates are computed read-only in parallel; discovery
-                // and zone offers merge one by one in batch order.
+                // Candidates of the zones still to expand are computed
+                // read-only in parallel; discovery and zone offers merge one
+                // by one in batch order.
                 for result in self.graph.candidates(pending, self.options.jobs) {
                     let (node, steps) = result?;
                     for step in steps {

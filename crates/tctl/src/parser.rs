@@ -33,7 +33,8 @@
 //! Resolution turns a parsed predicate into a [`StatePredicate`] against a
 //! [`System`], expanding bounded quantifiers (`forall`/`exists`) into finite
 //! conjunctions / disjunctions with the bound variable substituted by
-//! constants.
+//! constants.  One objective expands at most [`MAX_ARRAY_SIZE`] quantifier
+//! instances in all, so nested ranges share one budget.
 
 use crate::ast::{PathQuantifier, StatePredicate, TestPurpose};
 use crate::error::{LangError, Span, TctlError};
@@ -636,13 +637,16 @@ fn lookup_env(env: &Env<'_>, name: &str) -> Option<i64> {
         .find_map(|(n, v)| if *n == name { Some(*v) } else { None })
 }
 
-/// Largest accepted array size and quantifier range: every array element
-/// is a store slot that discrete states carry around, and every range value
-/// a copy of the quantified subformula, so anything beyond this is a model
-/// bug (the zoo's largest array is the LEP buffer with one slot per node).
+/// Largest accepted array size and quantifier range, and the budget of
+/// quantifier instances one objective may expand: every array element is a
+/// store slot that discrete states carry around, and every instance a copy
+/// of the quantified subformula, so anything beyond this is a model bug
+/// (the zoo's largest array is the LEP buffer with one slot per node).
 pub const MAX_ARRAY_SIZE: i64 = 1 << 20;
 
-fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, TctlError> {
+/// The bounds `(lo, hi)` of a quantifier range, refused when it is empty or
+/// has more than [`MAX_ARRAY_SIZE`] values.
+fn range_bounds(range: &Spanned<RangeAst>, system: &System) -> Result<(i64, i64), TctlError> {
     match &range.node {
         RangeAst::Size(n) => {
             if *n <= 0 {
@@ -666,7 +670,7 @@ fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, 
             if let Some(var) = system.vars().lookup(name) {
                 let decl = system.vars().decl(var);
                 if decl.is_array() {
-                    return Ok((0..decl.size() as i64).collect());
+                    return Ok((0, decl.size() as i64 - 1));
                 }
                 // A named constant denotes the size of the range.
                 if decl.lower() == decl.upper() {
@@ -685,7 +689,7 @@ fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, 
             if let Some(stripped) = name.strip_suffix("Id") {
                 for decl in system.vars().iter() {
                     if decl.is_array() && decl.name().eq_ignore_ascii_case(stripped) {
-                        return Ok((0..decl.size() as i64).collect());
+                        return Ok((0, decl.size() as i64 - 1));
                     }
                 }
             }
@@ -697,9 +701,9 @@ fn range_values(range: &Spanned<RangeAst>, system: &System) -> Result<Vec<i64>, 
     }
 }
 
-/// The values `lo..=hi` of the non-empty range written as `text`, refused
-/// before any allocation when there are more than [`MAX_ARRAY_SIZE`].
-fn capped_range(lo: i64, hi: i64, text: &str, span: Span) -> Result<Vec<i64>, TctlError> {
+/// The non-empty range `lo..=hi` written as `text`, refused when it has
+/// more than [`MAX_ARRAY_SIZE`] values.
+fn capped_range(lo: i64, hi: i64, text: &str, span: Span) -> Result<(i64, i64), TctlError> {
     let count = i128::from(hi) - i128::from(lo) + 1;
     if count > i128::from(MAX_ARRAY_SIZE) {
         return Err(TctlError::Invalid(
@@ -707,7 +711,39 @@ fn capped_range(lo: i64, hi: i64, text: &str, span: Span) -> Result<Vec<i64>, Tc
             span,
         ));
     }
-    Ok((lo..=hi).collect())
+    Ok((lo, hi))
+}
+
+/// How many quantifier instances resolving `e` expands: a quantifier
+/// charges one instance per range value, times the instances its body
+/// charges, and the operands of a connective charge their sum.  One
+/// objective may expand at most [`MAX_ARRAY_SIZE`] in all, so nested
+/// ranges whose product is past the budget are refused here, under the
+/// smallest subformula that crosses it, before anything proportional to
+/// the product is allocated.
+fn instances(e: &ExprAst, system: &System) -> Result<i64, TctlError> {
+    let count = match &e.kind {
+        ExprKind::Forall(_, range, body) | ExprKind::Exists(_, range, body) => {
+            let (lo, hi) = range_bounds(range, system)?;
+            // Both factors are at most the budget, so the product fits.
+            (hi - lo + 1) * instances(body, system)?.max(1)
+        }
+        ExprKind::Not(inner) => instances(inner, system)?,
+        ExprKind::And(a, b) | ExprKind::Or(a, b) | ExprKind::Imply(a, b) => {
+            instances(a, system)? + instances(b, system)?
+        }
+        // Quantifiers cannot appear inside arithmetic.
+        _ => 0,
+    };
+    if count > MAX_ARRAY_SIZE {
+        return Err(TctlError::Invalid(
+            format!(
+                "quantifiers expand into {count} instances (the budget is {MAX_ARRAY_SIZE} per objective)"
+            ),
+            e.span,
+        ));
+    }
+    Ok(count)
 }
 
 fn resolve_int(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<Expr, TctlError> {
@@ -781,6 +817,13 @@ fn resolve_int(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<Expr, Tctl
     })
 }
 
+/// Resolves a whole objective's predicate, after charging its quantifier
+/// instances against the per-objective budget ([`instances`]).
+fn resolve_top(e: &ExprAst, system: &System) -> Result<StatePredicate, TctlError> {
+    instances(e, system)?;
+    resolve_bool(e, system, &Vec::new())
+}
+
 fn resolve_bool(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<StatePredicate, TctlError> {
     let pred = |e: &ExprAst| resolve_bool(e, system, env);
     match &e.kind {
@@ -815,31 +858,38 @@ fn resolve_bool(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<StatePred
                 resolve_bool(body, system, &env2)
             };
             let forall = matches!(e.kind, ExprKind::Forall(..));
-            balanced(&range_values(range, system)?, forall, &instance)
+            let (lo, hi) = range_bounds(range, system)?;
+            balanced(lo, hi, forall, &instance)
         }
         // Everything else is an integer expression interpreted as a boolean.
         _ => Ok(StatePredicate::Expr(resolve_int(e, system, env)?)),
     }
 }
 
-/// The conjunction (`forall`) or disjunction of `instance(v)` over
-/// `values`, as a balanced tree of depth ⌈log2 n⌉: a range at the
+/// The conjunction (`forall`) or disjunction of `instance(v)` over the
+/// range `lo..=hi`, as a balanced tree of depth ⌈log2 n⌉: a range at the
 /// `MAX_ARRAY_SIZE` cap nests 20 levels, not a million, so walking and
 /// dropping the predicate stays shallow.  The instances keep their order.
 fn balanced(
-    values: &[i64],
+    lo: i64,
+    hi: i64,
     forall: bool,
     instance: &dyn Fn(i64) -> Result<StatePredicate, TctlError>,
 ) -> Result<StatePredicate, TctlError> {
-    match values {
-        [] if forall => return Ok(StatePredicate::True),
-        [] => return Ok(StatePredicate::False),
-        [v] => return instance(*v),
-        _ => {}
+    if lo > hi {
+        return Ok(if forall {
+            StatePredicate::True
+        } else {
+            StatePredicate::False
+        });
     }
-    let (left, right) = values.split_at(values.len().div_ceil(2));
-    let left = balanced(left, forall, instance)?;
-    let right = balanced(right, forall, instance)?;
+    if lo == hi {
+        return instance(lo);
+    }
+    // The left half takes the middle value of an odd count.
+    let mid = lo + (hi - lo) / 2;
+    let left = balanced(lo, mid, forall, instance)?;
+    let right = balanced(mid + 1, hi, forall, instance)?;
     Ok(if forall {
         left.and(right)
     } else {
@@ -857,7 +907,7 @@ impl ControlAst {
     pub fn resolve(&self, system: &System) -> Result<TestPurpose, TctlError> {
         Ok(TestPurpose {
             quantifier: self.quantifier,
-            predicate: resolve_bool(&self.predicate, system, &Vec::new())?,
+            predicate: resolve_top(&self.predicate, system)?,
             bound: self.bound,
             source: self.source.clone(),
         })
@@ -874,7 +924,7 @@ pub fn parse_predicate(input: &str, system: &System) -> Result<StatePredicate, T
     let mut p = Parser::new(input)?;
     let predicate = p.expr()?;
     p.finish()?;
-    resolve_bool(&predicate, system, &Vec::new())
+    resolve_top(&predicate, system)
 }
 
 #[cfg(test)]
@@ -1090,6 +1140,48 @@ mod tests {
         // The largest accepted range is the cap itself.
         let text = format!("exists (i: 1..{MAX_ARRAY_SIZE}) true");
         assert_eq!(parse_predicate(&text, &sys), Ok(StatePredicate::True));
+    }
+
+    #[test]
+    fn nested_quantifiers_share_one_budget() {
+        let sys = sample_system();
+        // 1024 × 1024 instances is exactly the budget.
+        let at = "forall (i: 1024) forall (j: 1024) true";
+        assert_eq!(parse_predicate(at, &sys), Ok(StatePredicate::True));
+        // 1024 × 1025 is one row past it: refused under the outer quantifier.
+        let past = "forall (i: 1024) forall (j: 1025) i >= 0";
+        match parse_predicate(past, &sys) {
+            Err(TctlError::Invalid(message, span)) => {
+                assert_eq!(span, Span::new(0, past.len()), "{message}");
+                assert!(message.contains("1049600 instances"), "{message}");
+                assert!(
+                    message.contains(&format!("budget is {MAX_ARRAY_SIZE} per objective")),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a spanned refusal, got {other:?}"),
+        }
+        // Sibling quantifiers draw on the same budget, and a range past the
+        // cap on its own still gets the per-range message.
+        let siblings = "exists (i: 1048576) i >= 0 or exists (j: 1) j >= 0";
+        match parse_predicate(siblings, &sys) {
+            Err(TctlError::Invalid(message, span)) => {
+                assert_eq!(span, Span::new(0, siblings.len()), "{message}");
+                assert!(message.contains("1048577 instances"), "{message}");
+            }
+            other => panic!("expected a spanned refusal, got {other:?}"),
+        }
+        let wide = "forall (i: 2) forall (j: 1048577) true";
+        assert!(matches!(
+            parse_predicate(wide, &sys),
+            Err(TctlError::Invalid(message, _)) if message.contains("has 1048577 values")
+        ));
+        // Whole objectives are charged the same way.
+        let objective = format!("control: A<> {past}");
+        assert!(matches!(
+            TestPurpose::parse(&objective, &sys),
+            Err(TctlError::Invalid(message, _)) if message.contains("per objective")
+        ));
     }
 
     #[test]
