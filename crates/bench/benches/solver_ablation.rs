@@ -2,7 +2,6 @@
 //!
 //! * on-the-fly (OTFUR) solving vs. the eager Jacobi engine, with and
 //!   without early termination;
-//! * goal pruning on vs. off during forward exploration;
 //! * strategy extraction on vs. off.
 //!
 //! The machine-readable engine × model matrix (states, subsumption, pruning
@@ -13,15 +12,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tiga_bench::lep_instance;
 use tiga_models::smart_light;
-use tiga_solver::{solve, solve_jacobi, ExploreOptions, SolveEngine, SolveOptions};
+use tiga_solver::{solve, solve_jacobi, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
-fn options(stop_at_goal: bool, extract_strategy: bool) -> SolveOptions {
+fn options(extract_strategy: bool) -> SolveOptions {
     SolveOptions {
-        explore: ExploreOptions {
-            stop_at_goal,
-            ..ExploreOptions::default()
-        },
         extract_strategy,
         ..SolveOptions::default()
     }
@@ -55,24 +50,17 @@ fn bench_engines(c: &mut Criterion) {
             b.iter(|| black_box(solve(system, purpose, &otfur_options(false)).expect("solves")));
         });
         group.bench_with_input(BenchmarkId::new("jacobi", name), name, |b, _| {
-            b.iter(|| {
-                black_box(solve_jacobi(system, purpose, &options(true, true)).expect("solves"))
-            });
+            b.iter(|| black_box(solve_jacobi(system, purpose, &options(true)).expect("solves")));
         });
         group.bench_with_input(
             BenchmarkId::new("jacobi_no_strategy", name),
             name,
             |b, _| {
                 b.iter(|| {
-                    black_box(solve_jacobi(system, purpose, &options(true, false)).expect("solves"))
+                    black_box(solve_jacobi(system, purpose, &options(false)).expect("solves"))
                 });
             },
         );
-        group.bench_with_input(BenchmarkId::new("no_goal_pruning", name), name, |b, _| {
-            b.iter(|| {
-                black_box(solve_jacobi(system, purpose, &options(false, true)).expect("solves"))
-            });
-        });
     }
     group.finish();
 }

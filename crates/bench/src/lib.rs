@@ -249,10 +249,7 @@ pub fn fuzz_matrix_instances() -> Vec<ZooInstance> {
     let config = tiga_gen::GenConfig::default();
     let budget = SolveOptions {
         engine: SolveEngine::Jacobi,
-        explore: tiga_solver::ExploreOptions {
-            max_states: 4_000,
-            ..tiga_solver::ExploreOptions::default()
-        },
+        explore: tiga_solver::ExploreOptions { max_states: 4_000 },
         ..SolveOptions::default()
     };
     let safety_slots = 1;

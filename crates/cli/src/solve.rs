@@ -491,6 +491,41 @@ mod tests {
     }
 
     #[test]
+    fn purpose_errors_carry_byte_spans() {
+        let model = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/tg/smart_light.tg");
+        let model = model.to_str().unwrap();
+        let wide = "control: A<> forall (i: 0..99999999999) true";
+        let nested = "control: A<> forall (i: 1024) forall (j: 1025) (i >= 0)";
+        let at = wide.find("0..").unwrap();
+        for (purpose, message, span) in [
+            (
+                wide,
+                "quantifier range 0..99999999999 has 100000000000 values",
+                (at, at + "0..99999999999".len()),
+            ),
+            (
+                nested,
+                "quantifiers expand into 1049600 instances",
+                ("control: A<> ".len(), nested.len()),
+            ),
+        ] {
+            let args = parse_args(&strings(&[model, "--purpose", purpose])).unwrap();
+            let err = run_solve(&args).unwrap_err();
+            assert!(
+                err.starts_with(&format!(
+                    "error: bad --purpose: test-purpose error: {message}"
+                )),
+                "{err}"
+            );
+            assert!(
+                err.ends_with(&format!("(bytes {}..{})", span.0, span.1)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn rejects_bad_flags() {
         assert!(parse_args(&strings(&["m.tg", "--engine", "magic"])).is_err());
         // The engine set is otfur and jacobi; the error lists both.

@@ -160,6 +160,10 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
     let wide = "quantifier range 0..99999999999 has 100000000000 values";
     assert!(lines[5].starts_with("{\"id\":6,\"kind\":\"solve\",\"status\":\"error\""));
     assert!(lines[5].contains(wide), "{}", lines[5]);
+    // The error carries the span of the range within the purpose.
+    let at = "control: A<> forall (i: ".len();
+    let span = format!("(bytes {at}..{})", at + "0..99999999999".len());
+    assert!(lines[5].contains(&span), "{}", lines[5]);
     assert!(lines[6].starts_with("{\"id\":7,\"kind\":\"solve\",\"status\":\"ok\""));
 }
 
@@ -221,6 +225,10 @@ fn nested_quantifiers_past_the_budget_are_refused_and_the_session_survives() {
         tiga_tctl::MAX_ARRAY_SIZE
     );
     assert!(lines[0].contains(&budget), "{}", lines[0]);
+    // The span covers the outer quantifier, its body's closing `)` included.
+    let at = "control: A<> ".len();
+    let span = format!("(bytes {at}..{})", at + nested.len());
+    assert!(lines[0].contains(&span), "{}", lines[0]);
     assert!(
         lines[1].starts_with("{\"id\":2,\"kind\":\"solve\",\"status\":\"ok\""),
         "{}",

@@ -70,14 +70,6 @@ pub struct TestReport {
     pub iut_name: String,
 }
 
-impl TestReport {
-    /// Total virtual duration of the run in time units.
-    #[must_use]
-    pub fn duration_units(&self) -> f64 {
-        self.trace.total_ticks() as f64 / self.scale as f64
-    }
-}
-
 /// Strategy-driven test executor (the paper's `TestExec`).
 ///
 /// Generic over the controller representation: any [`Controller`] — the
@@ -188,8 +180,7 @@ impl<'a> TestExecutor<'a> {
                 let predicate_holds = self
                     .purpose
                     .predicate
-                    .holds(self.product, &product_state.discrete)
-                    .map_err(|e| ModelError::Invalid(e.to_string()))?;
+                    .holds(self.product, &product_state.discrete)?;
                 if !predicate_holds {
                     return Ok(finish(
                         Verdict::Fail(FailReason::SafetyViolation {
@@ -219,8 +210,7 @@ impl<'a> TestExecutor<'a> {
                 if self
                     .purpose
                     .predicate
-                    .holds(self.product, &product_state.discrete)
-                    .map_err(|e| ModelError::Invalid(e.to_string()))?
+                    .holds(self.product, &product_state.discrete)?
                 {
                     return Ok(finish(Verdict::Pass, trace, steps));
                 }

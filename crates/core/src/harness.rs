@@ -13,14 +13,14 @@ use tiga_model::{ModelError, System};
 use tiga_solver::{
     solve, CompiledController, Controller, GameSolution, SolveOptions, SolverError, Strategy,
 };
-use tiga_tctl::{TctlError, TestPurpose};
+use tiga_tctl::{LangError, TestPurpose};
 
 /// Errors raised while assembling a test harness.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum HarnessError {
     /// The test purpose could not be parsed or resolved.
-    Purpose(TctlError),
+    Purpose(LangError),
     /// The game could not be solved.
     Solver(SolverError),
     /// The models could not be evaluated.
@@ -36,7 +36,7 @@ pub enum HarnessError {
 impl fmt::Display for HarnessError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HarnessError::Purpose(e) => write!(f, "test purpose error: {e}"),
+            HarnessError::Purpose(e) => write!(f, "{e}"),
             HarnessError::Solver(e) => write!(f, "solver error: {e}"),
             HarnessError::Model(e) => write!(f, "model error: {e}"),
             HarnessError::NotEnforceable { purpose } => {
@@ -48,8 +48,8 @@ impl fmt::Display for HarnessError {
 
 impl std::error::Error for HarnessError {}
 
-impl From<TctlError> for HarnessError {
-    fn from(e: TctlError) -> Self {
+impl From<LangError> for HarnessError {
+    fn from(e: LangError) -> Self {
         HarnessError::Purpose(e)
     }
 }

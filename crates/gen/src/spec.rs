@@ -17,7 +17,7 @@
 use tiga_model::{
     AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, Expr, ModelError, System, SystemBuilder,
 };
-use tiga_tctl::{TctlError, TestPurpose};
+use tiga_tctl::{LangError, TestPurpose};
 
 /// Channel controllability kind in a spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -647,8 +647,8 @@ impl From<ModelError> for SpecError {
     }
 }
 
-impl From<TctlError> for SpecError {
-    fn from(e: TctlError) -> Self {
+impl From<LangError> for SpecError {
+    fn from(e: LangError) -> Self {
         SpecError::Objective(e.to_string())
     }
 }

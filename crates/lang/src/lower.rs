@@ -2,19 +2,16 @@
 //!
 //! All name resolution happens here, against the declarations collected from
 //! the file, and every failure is reported with the [`Span`] of the offending
-//! name.  The `control:` objective is resolved by `tiga-tctl` once the
-//! system is built.
+//! name.  Expressions resolve through [`tiga_tctl::Resolver`], the resolver
+//! the `control:` objective goes through too once the system is built.
 
-use crate::ast::{
-    ArithOp, AutomatonAst, ChannelKindAst, ConstraintAst, EdgeAst, ExprAst, ExprKind, FileAst,
-    Spanned,
-};
+use crate::ast::{AutomatonAst, ChannelKindAst, ConstraintAst, EdgeAst, FileAst, Spanned};
 use std::collections::HashMap;
 use tiga_model::{
-    AutomatonBuilder, ChannelId, ClockConstraint, ClockId, EdgeBuilder, Expr, LocationId,
-    ModelError, System, SystemBuilder, VarId,
+    AutomatonBuilder, ChannelId, ClockConstraint, ClockId, EdgeBuilder, LocationId, ModelError,
+    System, SystemBuilder,
 };
-use tiga_tctl::{LangError, Span, TestPurpose, MAX_ARRAY_SIZE};
+use tiga_tctl::{LangError, Resolver, Span, TestPurpose, MAX_ARRAY_SIZE};
 
 /// Default system name when the file has no `system` header.
 pub const DEFAULT_SYSTEM_NAME: &str = "system";
@@ -28,11 +25,11 @@ pub struct TgModel {
     pub purpose: Option<TestPurpose>,
 }
 
-/// Resolution scope shared by all automata of a file.
+/// Clocks and channels by name, shared by all automata of a file; the
+/// variables are the builder's.
 struct Scope {
     clocks: HashMap<String, ClockId>,
     channels: HashMap<String, ChannelId>,
-    vars: HashMap<String, VarId>,
 }
 
 impl Scope {
@@ -50,15 +47,15 @@ impl Scope {
             .ok_or_else(|| LangError::lower(format!("unknown channel `{}`", name.node), name.span))
     }
 
-    fn var(&self, name: &str, span: Span) -> Result<VarId, LangError> {
-        self.vars.get(name).copied().ok_or_else(|| {
-            let hint = if self.clocks.contains_key(name) {
-                " (clocks cannot appear in data expressions; use `guard`/`inv` constraints)"
-            } else {
-                ""
-            };
-            LangError::lower(format!("unknown variable `{name}`{hint}"), span)
-        })
+    /// The error for a data-expression name that no `var` or `const`
+    /// declares.
+    fn unknown_var(&self, name: &str, span: Span) -> LangError {
+        let hint = if self.clocks.contains_key(name) {
+            " (clocks cannot appear in data expressions; use `guard`/`inv` constraints)"
+        } else {
+            ""
+        };
+        LangError::lower(format!("unknown variable `{name}`{hint}"), span)
     }
 }
 
@@ -82,7 +79,6 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
     let mut scope = Scope {
         clocks: HashMap::new(),
         channels: HashMap::new(),
-        vars: HashMap::new(),
     };
 
     for clock in &file.clocks {
@@ -101,7 +97,7 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
         scope.channels.insert(channel.node.clone(), id);
     }
     for var in &file.vars {
-        let id = match &var.size {
+        match &var.size {
             None => builder.int_var(&var.name.node, var.lower, var.upper, var.initial),
             Some(size) => {
                 if size.node <= 0 {
@@ -132,7 +128,6 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
             }
         }
         .map_err(|e| model_err(&e, var.span))?;
-        scope.vars.insert(var.name.node.clone(), id);
     }
 
     if file.automata.is_empty() {
@@ -143,7 +138,9 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
         ));
     }
     for automaton in &file.automata {
-        let lowered = lower_automaton(automaton, &scope)?;
+        let unknown = |name: &str, span| scope.unknown_var(name, span);
+        let resolver = Resolver::clause(builder.vars(), &unknown);
+        let lowered = lower_automaton(automaton, &scope, &resolver)?;
         builder
             .add_automaton(lowered)
             .map_err(|e| model_err(&e, automaton.name.span))?;
@@ -160,6 +157,7 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
 fn lower_automaton(
     automaton: &AutomatonAst,
     scope: &Scope,
+    resolver: &Resolver<'_>,
 ) -> Result<tiga_model::Automaton, LangError> {
     let mut builder = AutomatonBuilder::new(&automaton.name.node);
     let mut locations: HashMap<&str, LocationId> = HashMap::new();
@@ -188,12 +186,13 @@ fn lower_automaton(
         let invariant = loc
             .invariant
             .iter()
-            .map(|c| lower_constraint(c, scope))
+            .map(|c| lower_constraint(c, scope, resolver))
             .collect::<Result<Vec<_>, _>>()?;
         builder.set_invariant(id, invariant);
     }
     for edge in &automaton.edges {
-        builder.add_edge(lower_edge(edge, &locations, scope, &automaton.name.node)?);
+        let edge = lower_edge(edge, &locations, scope, resolver, &automaton.name.node)?;
+        builder.add_edge(edge);
     }
     builder
         .build()
@@ -204,6 +203,7 @@ fn lower_edge(
     edge: &EdgeAst,
     locations: &HashMap<&str, LocationId>,
     scope: &Scope,
+    resolver: &Resolver<'_>,
     automaton: &str,
 ) -> Result<tiga_model::Edge, LangError> {
     let resolve = |name: &Spanned<String>| -> Result<LocationId, LangError> {
@@ -227,24 +227,24 @@ fn lower_edge(
         };
     }
     for constraint in &edge.guard {
-        b = b.guard_clock(lower_constraint(constraint, scope)?);
+        b = b.guard_clock(lower_constraint(constraint, scope, resolver)?);
     }
     for when in &edge.when {
-        b = b.when(lower_expr(when, scope)?);
+        b = b.when(resolver.expr(when)?);
     }
     for reset in &edge.resets {
         let clock = scope.clock(&reset.clock)?;
         b = match &reset.value {
             None => b.reset(clock),
-            Some(value) => b.reset_to(clock, lower_expr(value, scope)?),
+            Some(value) => b.reset_to(clock, resolver.expr(value)?),
         };
     }
     for update in &edge.updates {
-        let target = scope.var(&update.target.node, update.target.span)?;
-        let value = lower_expr(&update.value, scope)?;
-        b = match &update.index {
+        let (target, index) = resolver.target(&update.target, update.index.as_ref())?;
+        let value = resolver.expr(&update.value)?;
+        b = match index {
             None => b.set(target, value),
-            Some(index) => b.set_element(target, lower_expr(index, scope)?, value),
+            Some(index) => b.set_element(target, index, value),
         };
     }
     if let Some(controllable) = edge.controllable {
@@ -253,50 +253,16 @@ fn lower_edge(
     Ok(b.build())
 }
 
-fn lower_constraint(c: &ConstraintAst, scope: &Scope) -> Result<ClockConstraint, LangError> {
+fn lower_constraint(
+    c: &ConstraintAst,
+    scope: &Scope,
+    resolver: &Resolver<'_>,
+) -> Result<ClockConstraint, LangError> {
     let left = scope.clock(&c.left)?;
-    let bound = lower_expr(&c.bound, scope)?;
+    let bound = resolver.expr(&c.bound)?;
     Ok(match &c.minus {
         None => ClockConstraint::new(left, c.op, bound),
         Some(minus) => ClockConstraint::diff(left, scope.clock(minus)?, c.op, bound),
-    })
-}
-
-fn lower_expr(e: &ExprAst, scope: &Scope) -> Result<Expr, LangError> {
-    Ok(match &e.kind {
-        ExprKind::Num(n) => Expr::constant(*n),
-        ExprKind::Name(name) => Expr::var(scope.var(name, e.span)?),
-        ExprKind::Index(name, idx) => {
-            Expr::index(scope.var(name, e.span)?, lower_expr(idx, scope)?)
-        }
-        ExprKind::Neg(inner) => Expr::Neg(Box::new(lower_expr(inner, scope)?)),
-        ExprKind::Not(inner) => lower_expr(inner, scope)?.negated(),
-        ExprKind::Arith(op, a, b) => {
-            let a = lower_expr(a, scope)?;
-            let b = lower_expr(b, scope)?;
-            match op {
-                ArithOp::Add => a + b,
-                ArithOp::Sub => a - b,
-                ArithOp::Mul => a * b,
-                ArithOp::Div => Expr::Div(Box::new(a), Box::new(b)),
-                ArithOp::Mod => Expr::Mod(Box::new(a), Box::new(b)),
-            }
-        }
-        ExprKind::Cmp(op, a, b) => lower_expr(a, scope)?.cmp(*op, lower_expr(b, scope)?),
-        ExprKind::And(a, b) => lower_expr(a, scope)?.and(lower_expr(b, scope)?),
-        ExprKind::Or(a, b) => lower_expr(a, scope)?.or(lower_expr(b, scope)?),
-        ExprKind::Imply(a, b) => lower_expr(a, scope)?.negated().or(lower_expr(b, scope)?),
-        ExprKind::Ite(c, t, o) => Expr::ite(
-            lower_expr(c, scope)?,
-            lower_expr(t, scope)?,
-            lower_expr(o, scope)?,
-        ),
-        ExprKind::Qualified(..) | ExprKind::Forall(..) | ExprKind::Exists(..) => {
-            return Err(LangError::lower(
-                "locations and quantifiers can only appear in the `control:` objective",
-                e.span,
-            ))
-        }
     })
 }
 

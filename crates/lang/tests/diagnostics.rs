@@ -5,7 +5,7 @@
 //! rustc-style report that points into the file.
 
 use std::path::PathBuf;
-use tiga_lang::parse_model;
+use tiga_lang::{parse_model, LangErrorKind};
 use tiga_tctl::MAX_EXPR_DEPTH;
 
 fn corpus_dir() -> PathBuf {
@@ -100,6 +100,24 @@ fn specific_diagnostics_name_the_problem() {
             "bad_objective_token.tg",
             "expected an expression, found `]`",
         ),
+        (
+            "bare_array_in_guard.tg",
+            "array `buf` used without an index",
+        ),
+        (
+            "bare_array_set_target.tg",
+            "array `buf` used without an index",
+        ),
+        ("indexed_scalar.tg", "`n` is not an array"),
+        ("indexed_scalar_objective.tg", "`n` is not an array"),
+        (
+            "location_in_guard.tg",
+            "locations and quantifiers can only appear in the `control:` objective",
+        ),
+        (
+            "quantifier_budget_parenthesized.tg",
+            "quantifiers expand into 1049600 instances (the budget is 1048576 per objective)",
+        ),
     ];
     for (file, needle) in expectations {
         let path = corpus_dir().join(file);
@@ -162,6 +180,40 @@ fn objective_diagnostics_point_at_the_offender() {
     let source = std::fs::read_to_string(corpus_dir().join("huge_quantifier_range.tg")).unwrap();
     let err = parse_model(&source).unwrap_err();
     assert_eq!(&source[err.span.start..err.span.end], "Huge");
+}
+
+#[test]
+fn names_resolve_alike_in_clauses_and_objectives() {
+    // (file, stage, the text the span singles out)
+    for (file, kind, at) in [
+        ("bare_array_in_guard.tg", LangErrorKind::Lower, "buf"),
+        ("bare_array_set_target.tg", LangErrorKind::Lower, "buf"),
+        ("indexed_scalar.tg", LangErrorKind::Lower, "n"),
+        ("indexed_scalar_objective.tg", LangErrorKind::Control, "n"),
+        ("location_in_guard.tg", LangErrorKind::Lower, "A.L0"),
+    ] {
+        let source = std::fs::read_to_string(corpus_dir().join(file)).unwrap();
+        let err = parse_model(&source).unwrap_err();
+        assert_eq!(err.kind, kind, "{file}: {err}");
+        assert_eq!(&source[err.span.start..err.span.end], at, "{file}: {err}");
+    }
+}
+
+#[test]
+fn a_budget_caret_covers_the_closing_parenthesis() {
+    let file = "quantifier_budget_parenthesized.tg";
+    let source = std::fs::read_to_string(corpus_dir().join(file)).unwrap();
+    let err = parse_model(&source).unwrap_err();
+    let at = &source[err.span.start..err.span.end];
+    assert_eq!(at, "forall (i: 1024) forall (j: 1025) (x + i + j >= 0)");
+    let report = err.render(&source, file);
+    // The stage is named once, by the kind.
+    assert!(
+        report.starts_with("test-purpose error: quantifiers expand into"),
+        "{report}"
+    );
+    let carets = report.lines().last().unwrap().matches('^').count();
+    assert_eq!(carets, at.len(), "the caret ends under the `)`:\n{report}");
 }
 
 #[test]

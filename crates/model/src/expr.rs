@@ -132,12 +132,6 @@ impl Expr {
         Expr::Const(1)
     }
 
-    /// The boolean constant `false` (encoded as `0`).
-    #[must_use]
-    pub fn ff() -> Expr {
-        Expr::Const(0)
-    }
-
     /// Reference to a scalar variable.
     #[must_use]
     pub fn var(v: VarId) -> Expr {

@@ -83,13 +83,11 @@ impl SolveCache {
              extract_strategy={extract}\n\
              early_termination={early}\n\
              max_rounds={rounds}\n\
-             stop_at_goal={stop}\n\
              max_states={states}\n",
             engine = options.engine.name(),
             extract = options.extract_strategy,
             early = options.early_termination,
             rounds = options.max_rounds,
-            stop = options.explore.stop_at_goal,
             states = options.explore.max_states,
         )
     }

@@ -2,16 +2,14 @@
 
 use std::fmt;
 use tiga_model::ModelError;
-use tiga_tctl::TctlError;
 
 /// Errors raised by the timed-game solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SolverError {
-    /// The model could not be evaluated (guards, invariants, updates).
+    /// The model or the test purpose could not be evaluated (guards,
+    /// invariants, updates, the purpose's predicate).
     Model(ModelError),
-    /// The test purpose could not be evaluated in some state.
-    Purpose(TctlError),
     /// Exploration exceeded the configured state limit.
     StateLimitExceeded {
         /// The configured limit that was hit.
@@ -25,7 +23,6 @@ impl fmt::Display for SolverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolverError::Model(e) => write!(f, "model error: {e}"),
-            SolverError::Purpose(e) => write!(f, "test purpose error: {e}"),
             SolverError::StateLimitExceeded { limit } => {
                 write!(
                     f,
@@ -41,7 +38,6 @@ impl std::error::Error for SolverError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SolverError::Model(e) => Some(e),
-            SolverError::Purpose(e) => Some(e),
             _ => None,
         }
     }
@@ -50,11 +46,5 @@ impl std::error::Error for SolverError {
 impl From<ModelError> for SolverError {
     fn from(e: ModelError) -> Self {
         SolverError::Model(e)
-    }
-}
-
-impl From<TctlError> for SolverError {
-    fn from(e: TctlError) -> Self {
-        SolverError::Purpose(e)
     }
 }

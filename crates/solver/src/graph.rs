@@ -64,11 +64,11 @@ pub struct GameGraph {
 }
 
 /// Options controlling forward exploration.
+///
+/// Successors of goal states are never explored: sound for reachability
+/// objectives, and UPPAAL-TIGA prunes the same way.
 #[derive(Clone, Debug)]
 pub struct ExploreOptions {
-    /// Do not explore successors of goal states (sound for reachability
-    /// objectives and matches UPPAAL-TIGA's pruning).
-    pub stop_at_goal: bool,
     /// Hard bound on the number of discrete states, as a safety valve.
     pub max_states: usize,
 }
@@ -76,7 +76,6 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
-            stop_at_goal: true,
             max_states: 1_000_000,
         }
     }
@@ -169,10 +168,9 @@ impl<'a> GraphBuilder<'a> {
         self.nodes[node].is_goal
     }
 
-    /// Whether a node's zones are expanded: goal nodes are not when
-    /// [`ExploreOptions::stop_at_goal`] is set.
+    /// Whether a node's zones are expanded: goal nodes are not.
     pub(crate) fn expands(&self, node: NodeId) -> bool {
-        !(self.options.stop_at_goal && self.nodes[node].is_goal)
+        !self.nodes[node].is_goal
     }
 
     /// The outgoing edges of a node discovered so far.
@@ -510,23 +508,11 @@ mod tests {
     fn goal_states_are_not_expanded_when_pruning() {
         let sys = ping_system(1);
         let tp = TestPurpose::parse("control: A<> count == 1", &sys).unwrap();
-        let pruned = GameGraph::explore(&sys, &tp.predicate, &ExploreOptions::default()).unwrap();
-        let full = GameGraph::explore(
-            &sys,
-            &tp.predicate,
-            &ExploreOptions {
-                stop_at_goal: false,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        // Without pruning at least as many states/edges are explored.
-        assert!(full.len() >= pruned.len());
-        assert!(full.edge_count() >= pruned.edge_count());
-        for node in pruned.nodes() {
-            if node.is_goal {
-                assert!(node.edges.is_empty(), "goal node should not be expanded");
-            }
+        let graph = GameGraph::explore(&sys, &tp.predicate, &ExploreOptions::default()).unwrap();
+        let goals: Vec<_> = graph.nodes().iter().filter(|n| n.is_goal).collect();
+        assert!(!goals.is_empty());
+        for node in goals {
+            assert!(node.edges.is_empty(), "goal node should not be expanded");
         }
     }
 
@@ -534,15 +520,8 @@ mod tests {
     fn state_limit_is_enforced() {
         let sys = ping_system(3);
         let tp = TestPurpose::parse("control: A<> count == 3", &sys).unwrap();
-        let err = GameGraph::explore(
-            &sys,
-            &tp.predicate,
-            &ExploreOptions {
-                max_states: 2,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap_err();
+        let err =
+            GameGraph::explore(&sys, &tp.predicate, &ExploreOptions { max_states: 2 }).unwrap_err();
         assert!(matches!(err, SolverError::StateLimitExceeded { limit: 2 }));
     }
 

@@ -1,8 +1,8 @@
 //! Resolved test purposes and their evaluation over discrete states.
 
-use crate::error::TctlError;
+use crate::error::LangError;
 use crate::printer::{quoted, write_expr};
-use tiga_model::{AutomatonId, DiscreteState, Expr, LocationId, System};
+use tiga_model::{AutomatonId, DiscreteState, Expr, LocationId, ModelError, System};
 
 /// The path quantifier of a test purpose.
 ///
@@ -76,16 +76,14 @@ impl StatePredicate {
     ///
     /// # Errors
     ///
-    /// Returns [`TctlError::Eval`] if a contained expression cannot be
+    /// Returns [`ModelError::Eval`] if a contained expression cannot be
     /// evaluated (e.g. array index out of bounds).
-    pub fn holds(&self, system: &System, state: &DiscreteState) -> Result<bool, TctlError> {
+    pub fn holds(&self, system: &System, state: &DiscreteState) -> Result<bool, ModelError> {
         match self {
             StatePredicate::True => Ok(true),
             StatePredicate::False => Ok(false),
             StatePredicate::Location(aut, loc) => Ok(state.locations[aut.index()] == *loc),
-            StatePredicate::Expr(e) => e
-                .eval_bool(system.vars(), &state.vars)
-                .map_err(|e| TctlError::Eval(e.to_string())),
+            StatePredicate::Expr(e) => Ok(e.eval_bool(system.vars(), &state.vars)?),
             StatePredicate::And(a, b) => Ok(a.holds(system, state)? && b.holds(system, state)?),
             StatePredicate::Or(a, b) => Ok(a.holds(system, state)? || b.holds(system, state)?),
             StatePredicate::Not(a) => Ok(!a.holds(system, state)?),
@@ -182,8 +180,9 @@ impl TestPurpose {
     ///
     /// # Errors
     ///
-    /// Returns a [`TctlError`] if the input cannot be tokenized, parsed or
-    /// resolved.
+    /// Returns the span-carrying [`LangError`] of the first stage that
+    /// rejects the input: tokenizing, parsing or resolving
+    /// ([`crate::LangErrorKind::Control`]).
     ///
     /// # Examples
     ///
@@ -204,7 +203,7 @@ impl TestPurpose {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn parse(input: &str, system: &System) -> Result<Self, TctlError> {
+    pub fn parse(input: &str, system: &System) -> Result<Self, LangError> {
         let mut parser = crate::Parser::new(input)?;
         let control = parser.control()?;
         parser.finish()?;

@@ -1,5 +1,5 @@
 //! Span-carrying diagnostics shared by the `.tg` pipeline and the
-//! test-purpose parser, and the errors of test-purpose resolution.
+//! test-purpose parser and resolver.
 
 use std::fmt;
 
@@ -107,6 +107,15 @@ impl LangError {
         }
     }
 
+    /// An objective that cannot be resolved against its system, at `span`.
+    pub(crate) fn control(message: impl Into<String>, span: Span) -> Self {
+        LangError {
+            kind: LangErrorKind::Control,
+            message: message.into(),
+            span,
+        }
+    }
+
     /// 1-based `(line, column)` of the span start within `source`.
     ///
     /// Columns count characters, not bytes, so the caret lines up for any
@@ -168,58 +177,6 @@ impl fmt::Display for LangError {
 }
 
 impl std::error::Error for LangError {}
-
-/// Error raised by the test-purpose parser, resolver and evaluator.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TctlError {
-    /// The input could not be tokenized or did not match the grammar.
-    Syntax(LangError),
-    /// A name could not be resolved against the system; the span covers the
-    /// name.
-    Unresolved(String, Span),
-    /// The formula is structurally invalid (e.g. a location used as an
-    /// integer); the span covers the offending subformula.
-    Invalid(String, Span),
-    /// An error occurred while evaluating the predicate.
-    Eval(String),
-}
-
-impl fmt::Display for TctlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TctlError::Syntax(e) => write!(f, "{e}"),
-            TctlError::Unresolved(name, _) => write!(f, "cannot resolve `{name}`"),
-            TctlError::Invalid(msg, _) => write!(f, "invalid test purpose: {msg}"),
-            TctlError::Eval(msg) => write!(f, "evaluation failed: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TctlError {}
-
-impl From<LangError> for TctlError {
-    fn from(e: LangError) -> Self {
-        TctlError::Syntax(e)
-    }
-}
-
-/// Resolution errors become [`LangErrorKind::Control`] diagnostics on the
-/// span of the name at fault.
-impl From<TctlError> for LangError {
-    fn from(e: TctlError) -> Self {
-        let span = match &e {
-            TctlError::Syntax(inner) => return inner.clone(),
-            TctlError::Unresolved(_, span) | TctlError::Invalid(_, span) => *span,
-            TctlError::Eval(_) => Span::at(0),
-        };
-        LangError {
-            kind: LangErrorKind::Control,
-            message: e.to_string(),
-            span,
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -19,8 +19,9 @@
 //! on, so that objectives and model expressions are one language: the
 //! spanned lexer ([`tokenize`]), the diagnostics ([`LangError`], [`Span`]),
 //! the unresolved syntax tree ([`ExprAst`], [`ControlAst`]), the token
-//! cursor with its precedence climber ([`Parser`]) and the expression
-//! printer ([`expr_to_tg`]).  `!` binds tightest and `not` loosely, as in
+//! cursor with its precedence climber ([`Parser`]), the resolver that turns
+//! names into model expressions ([`Resolver`]) and the expression printer
+//! ([`expr_to_tg`]).  `!` binds tightest and `not` loosely, as in
 //! UPPAAL; see [`Parser`] for the grammar.
 //!
 //! # Example
@@ -59,8 +60,10 @@ mod printer;
 mod syntax;
 
 pub use ast::{DisplayPredicate, PathQuantifier, StatePredicate, TestPurpose};
-pub use error::{LangError, LangErrorKind, Span, TctlError};
+pub use error::{LangError, LangErrorKind, Span};
 pub use lexer::{tokenize, Token, TokenKind};
-pub use parser::{is_bare_name, parse_predicate, Parser, KEYWORDS, MAX_ARRAY_SIZE, MAX_EXPR_DEPTH};
+pub use parser::{
+    is_bare_name, parse_predicate, Parser, Resolver, KEYWORDS, MAX_ARRAY_SIZE, MAX_EXPR_DEPTH,
+};
 pub use printer::{expr_to_tg, quoted};
 pub use syntax::{ArithOp, ControlAst, ExprAst, ExprKind, RangeAst, Spanned};

@@ -1,5 +1,5 @@
 //! Recursive-descent parser shared by `.tg` files and test purposes, and the
-//! name resolver for test purposes.
+//! name resolver shared by `.tg` clauses and test purposes.
 //!
 //! [`Parser`] is a cursor over the token stream; the `.tg` declaration parser
 //! drives it too.  Its expression climber reads the one expression language
@@ -30,17 +30,18 @@
 //! stand (`forall`/`exists` only before `(`), so they stay usable as names,
 //! as in `M.not`.
 //!
-//! Resolution turns a parsed predicate into a [`StatePredicate`] against a
-//! [`System`], expanding bounded quantifiers (`forall`/`exists`) into finite
+//! [`Resolver`] turns a parsed expression into a model [`Expr`], and a
+//! parsed objective into a [`StatePredicate`] against a [`System`],
+//! expanding bounded quantifiers (`forall`/`exists`) into finite
 //! conjunctions / disjunctions with the bound variable substituted by
 //! constants.  One objective expands at most [`MAX_ARRAY_SIZE`] quantifier
 //! instances in all, so nested ranges share one budget.
 
 use crate::ast::{PathQuantifier, StatePredicate, TestPurpose};
-use crate::error::{LangError, Span, TctlError};
+use crate::error::{LangError, Span};
 use crate::lexer::{tokenize, Token, TokenKind};
 use crate::syntax::{ArithOp, ControlAst, ExprAst, ExprKind, RangeAst, Spanned};
-use tiga_model::{CmpOp, Expr, System};
+use tiga_model::{CmpOp, Expr, System, VarId, VarTable};
 
 /// Reserved words of the `.tg` language.  The pretty-printer quotes any
 /// model name that collides with one of these (or is not an identifier), so
@@ -591,11 +592,13 @@ impl<'s> Parser<'s> {
             }
             Some(TokenKind::LParen) => {
                 let open = self.bump();
-                let inner = self.nested(open, Self::expr)?;
-                self.expect(&TokenKind::RParen, "`)`")?;
+                let mut inner = self.nested(open, Self::expr)?;
+                let close = self.expect(&TokenKind::RParen, "`)`")?;
                 // Parentheses only group; they leave no AST node, so the
                 // fully parenthesized printer output re-parses to an
-                // identical tree.
+                // identical tree.  The group's span takes them in, so every
+                // node spans its whole source text.
+                inner.span = open.to(close);
                 return Ok(inner);
             }
             Some(TokenKind::Ident(word)) if word == "true" => ExprKind::Num(1),
@@ -620,8 +623,9 @@ impl<'s> Parser<'s> {
             let idx = self.nested(open, Self::expr)?;
             let close = self.expect(&TokenKind::RBracket, "`]`")?;
             let depth = idx.depth;
-            let kind = ExprKind::Index(name.node, Box::new(idx));
-            node(kind, name.span.to(close), &[depth], open)
+            let span = name.span.to(close);
+            let kind = ExprKind::Index(name, Box::new(idx));
+            node(kind, span, &[depth], open)
         } else {
             Ok(leaf(ExprKind::Name(name.node), name.span))
         }
@@ -644,13 +648,215 @@ fn lookup_env(env: &Env<'_>, name: &str) -> Option<i64> {
 /// (the zoo's largest array is the LEP buffer with one slot per node).
 pub const MAX_ARRAY_SIZE: i64 = 1 << 20;
 
+/// Turns the names of an [`ExprAst`] into a model [`Expr`]: the one
+/// resolver under `.tg` clauses (`when`, clock bounds, resets, `set`) and
+/// `control:` objectives.
+///
+/// A name denotes a scalar variable and `a[e]` an array element, wherever
+/// the expression stands: an array used without an index and an indexed
+/// scalar are refused with a caret under the name.  Locations (`Aut.loc`),
+/// process-qualified variables (`Aut.var`) and bounded quantifiers are
+/// objective-only; a clause refuses them.
+pub struct Resolver<'a> {
+    vars: &'a VarTable,
+    site: Site<'a>,
+}
+
+/// Where the resolved expression stands.
+enum Site<'a> {
+    /// A `.tg` clause: errors are
+    /// [`LangErrorKind::Lower`](crate::LangErrorKind::Lower), and the
+    /// caller reports an undeclared name.
+    Clause(&'a dyn Fn(&str, Span) -> LangError),
+    /// A `control:` objective over a built system: errors are
+    /// [`LangErrorKind::Control`](crate::LangErrorKind::Control).
+    Objective(&'a System),
+}
+
+impl<'a> Resolver<'a> {
+    /// A resolver for `.tg` clauses over the variables declared so far;
+    /// `unknown` builds the error for a name `vars` does not declare.
+    #[must_use]
+    pub fn clause(vars: &'a VarTable, unknown: &'a dyn Fn(&str, Span) -> LangError) -> Self {
+        Resolver {
+            vars,
+            site: Site::Clause(unknown),
+        }
+    }
+
+    fn objective(system: &'a System) -> Self {
+        Resolver {
+            vars: system.vars(),
+            site: Site::Objective(system),
+        }
+    }
+
+    fn error(&self, message: impl Into<String>, span: Span) -> LangError {
+        match self.site {
+            Site::Clause(_) => LangError::lower(message, span),
+            Site::Objective(_) => LangError::control(message, span),
+        }
+    }
+
+    /// Resolves an integer (or boolean, non-zero is true) expression.
+    ///
+    /// # Errors
+    ///
+    /// Fails with the span of the first name or form that does not resolve.
+    pub fn expr(&self, e: &ExprAst) -> Result<Expr, LangError> {
+        self.int(e, &Vec::new())
+    }
+
+    /// Resolves the target of an assignment, `name` or `name[index]`: the
+    /// variable and, for an array element, the index expression.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an undeclared name and on a mismatched arity, with the span
+    /// of the name, and on an index that does not resolve.
+    pub fn target(
+        &self,
+        name: &Spanned<String>,
+        index: Option<&ExprAst>,
+    ) -> Result<(VarId, Option<Expr>), LangError> {
+        let var = self.variable(&name.node, name.span, index.is_some())?;
+        Ok((var, index.map(|index| self.expr(index)).transpose()?))
+    }
+
+    /// The variable `name`, checked against the arity its use implies: an
+    /// array must be `indexed` and a scalar must not.
+    fn variable(&self, name: &str, span: Span, indexed: bool) -> Result<VarId, LangError> {
+        let Some(var) = self.vars.lookup(name) else {
+            return Err(match self.site {
+                Site::Clause(unknown) => unknown(name, span),
+                Site::Objective(_) => self.error(format!("cannot resolve `{name}`"), span),
+            });
+        };
+        match (self.vars.decl(var).is_array(), indexed) {
+            (true, false) => Err(self.error(format!("array `{name}` used without an index"), span)),
+            (false, true) => Err(self.error(format!("`{name}` is not an array"), span)),
+            _ => Ok(var),
+        }
+    }
+
+    fn int(&self, e: &ExprAst, env: &Env<'_>) -> Result<Expr, LangError> {
+        let int = |e: &ExprAst| self.int(e, env);
+        Ok(match &e.kind {
+            ExprKind::Num(n) => Expr::constant(*n),
+            ExprKind::Name(name) => match lookup_env(env, name) {
+                Some(v) => Expr::constant(v),
+                None => Expr::var(self.variable(name, e.span, false)?),
+            },
+            ExprKind::Index(name, idx) => {
+                Expr::index(self.variable(&name.node, name.span, true)?, int(idx)?)
+            }
+            ExprKind::Neg(inner) => Expr::Neg(Box::new(int(inner)?)),
+            ExprKind::Not(inner) => int(inner)?.negated(),
+            ExprKind::Arith(op, a, b) => {
+                let (a, b) = (int(a)?, int(b)?);
+                match op {
+                    ArithOp::Add => a + b,
+                    ArithOp::Sub => a - b,
+                    ArithOp::Mul => a * b,
+                    ArithOp::Div => Expr::Div(Box::new(a), Box::new(b)),
+                    ArithOp::Mod => Expr::Mod(Box::new(a), Box::new(b)),
+                }
+            }
+            ExprKind::Cmp(op, a, b) => int(a)?.cmp(*op, int(b)?),
+            ExprKind::And(a, b) => int(a)?.and(int(b)?),
+            ExprKind::Or(a, b) => int(a)?.or(int(b)?),
+            ExprKind::Imply(a, b) => int(a)?.negated().or(int(b)?),
+            ExprKind::Ite(c, t, o) => Expr::ite(int(c)?, int(t)?, int(o)?),
+            ExprKind::Qualified(..) | ExprKind::Forall(..) | ExprKind::Exists(..)
+                if matches!(self.site, Site::Clause(_)) =>
+            {
+                return Err(self.error(
+                    "locations and quantifiers can only appear in the `control:` objective",
+                    e.span,
+                ))
+            }
+            // UPPAAL-style process-qualified variable (`IUT.betterInfo`): the
+            // reproduction's variables are global, so the qualifier is
+            // dropped.
+            ExprKind::Qualified(_, var) if self.vars.lookup(var).is_some() => {
+                Expr::var(self.variable(var, e.span, false)?)
+            }
+            ExprKind::Qualified(aut, loc) => {
+                return Err(self.error(
+                    format!("location `{aut}.{loc}` cannot be used as an integer"),
+                    e.span,
+                ))
+            }
+            ExprKind::Forall(..) | ExprKind::Exists(..) => {
+                return Err(self.error("quantifiers cannot appear inside arithmetic", e.span))
+            }
+        })
+    }
+
+    /// Resolves a whole objective's predicate, after charging its
+    /// quantifier instances against the per-objective budget
+    /// ([`instances`]).
+    fn predicate(&self, e: &ExprAst) -> Result<StatePredicate, LangError> {
+        instances(e, self.vars)?;
+        self.pred(e, &Vec::new())
+    }
+
+    /// `Aut.loc` as a location test, if the objective's system has it.
+    fn location(&self, aut: &str, loc: &str) -> Option<StatePredicate> {
+        let Site::Objective(system) = self.site else {
+            return None;
+        };
+        let a = system.automaton_by_name(aut)?;
+        let l = system.automaton(a).location_by_name(loc)?;
+        Some(StatePredicate::Location(a, l))
+    }
+
+    fn pred(&self, e: &ExprAst, env: &Env<'_>) -> Result<StatePredicate, LangError> {
+        let pred = |e: &ExprAst| self.pred(e, env);
+        match &e.kind {
+            ExprKind::Num(n) => Ok(if *n != 0 {
+                StatePredicate::True
+            } else {
+                StatePredicate::False
+            }),
+            ExprKind::Qualified(aut, loc) => {
+                if let Some(location) = self.location(aut, loc) {
+                    return Ok(location);
+                }
+                // Otherwise a process-qualified variable used as a boolean
+                // (`IUT.betterInfo` in the paper's TP1).
+                if self.vars.lookup(loc).is_some() {
+                    return Ok(StatePredicate::Expr(self.int(e, env)?));
+                }
+                Err(self.error(format!("cannot resolve `{aut}.{loc}`"), e.span))
+            }
+            ExprKind::Not(inner) => Ok(pred(inner)?.negated()),
+            ExprKind::And(a, b) => Ok(pred(a)?.and(pred(b)?)),
+            ExprKind::Or(a, b) => Ok(pred(a)?.or(pred(b)?)),
+            ExprKind::Imply(a, b) => Ok(pred(a)?.negated().or(pred(b)?)),
+            ExprKind::Forall(var, range, body) | ExprKind::Exists(var, range, body) => {
+                let instance = |v: i64| {
+                    let mut env2 = env.clone();
+                    env2.push((var.as_str(), v));
+                    self.pred(body, &env2)
+                };
+                let forall = matches!(e.kind, ExprKind::Forall(..));
+                let (lo, hi) = range_bounds(range, self.vars)?;
+                balanced(lo, hi, forall, &instance)
+            }
+            // Everything else is an integer expression interpreted as a boolean.
+            _ => Ok(StatePredicate::Expr(self.int(e, env)?)),
+        }
+    }
+}
+
 /// The bounds `(lo, hi)` of a quantifier range, refused when it is empty or
 /// has more than [`MAX_ARRAY_SIZE`] values.
-fn range_bounds(range: &Spanned<RangeAst>, system: &System) -> Result<(i64, i64), TctlError> {
+fn range_bounds(range: &Spanned<RangeAst>, vars: &VarTable) -> Result<(i64, i64), LangError> {
     match &range.node {
         RangeAst::Size(n) => {
             if *n <= 0 {
-                return Err(TctlError::Invalid(
+                return Err(LangError::control(
                     format!("empty quantifier range {n}"),
                     range.span,
                 ));
@@ -659,7 +865,7 @@ fn range_bounds(range: &Spanned<RangeAst>, system: &System) -> Result<(i64, i64)
         }
         RangeAst::Interval(lo, hi) => {
             if lo > hi {
-                return Err(TctlError::Invalid(
+                return Err(LangError::control(
                     format!("empty quantifier range {lo}..{hi}"),
                     range.span,
                 ));
@@ -667,8 +873,8 @@ fn range_bounds(range: &Spanned<RangeAst>, system: &System) -> Result<(i64, i64)
             capped_range(*lo, *hi, &format!("{lo}..{hi}"), range.span)
         }
         RangeAst::Named(name) => {
-            if let Some(var) = system.vars().lookup(name) {
-                let decl = system.vars().decl(var);
+            if let Some(var) = vars.lookup(name) {
+                let decl = vars.decl(var);
                 if decl.is_array() {
                     return Ok((0, decl.size() as i64 - 1));
                 }
@@ -676,7 +882,7 @@ fn range_bounds(range: &Spanned<RangeAst>, system: &System) -> Result<(i64, i64)
                 if decl.lower() == decl.upper() {
                     let n = decl.lower();
                     if n <= 0 {
-                        return Err(TctlError::Invalid(
+                        return Err(LangError::control(
                             format!("constant `{name}` does not describe a non-empty range"),
                             range.span,
                         ));
@@ -687,14 +893,14 @@ fn range_bounds(range: &Spanned<RangeAst>, system: &System) -> Result<(i64, i64)
             // `BufferId`-style index types: `<array>Id` refers to the indices
             // of `<array>` if such an array exists (paper notation).
             if let Some(stripped) = name.strip_suffix("Id") {
-                for decl in system.vars().iter() {
+                for decl in vars.iter() {
                     if decl.is_array() && decl.name().eq_ignore_ascii_case(stripped) {
                         return Ok((0, decl.size() as i64 - 1));
                     }
                 }
             }
-            Err(TctlError::Unresolved(
-                format!("quantifier range `{name}`"),
+            Err(LangError::control(
+                format!("cannot resolve quantifier range `{name}`"),
                 range.span,
             ))
         }
@@ -703,10 +909,10 @@ fn range_bounds(range: &Spanned<RangeAst>, system: &System) -> Result<(i64, i64)
 
 /// The non-empty range `lo..=hi` written as `text`, refused when it has
 /// more than [`MAX_ARRAY_SIZE`] values.
-fn capped_range(lo: i64, hi: i64, text: &str, span: Span) -> Result<(i64, i64), TctlError> {
+fn capped_range(lo: i64, hi: i64, text: &str, span: Span) -> Result<(i64, i64), LangError> {
     let count = i128::from(hi) - i128::from(lo) + 1;
     if count > i128::from(MAX_ARRAY_SIZE) {
-        return Err(TctlError::Invalid(
+        return Err(LangError::control(
             format!("quantifier range {text} has {count} values (the maximum is {MAX_ARRAY_SIZE})"),
             span,
         ));
@@ -721,22 +927,22 @@ fn capped_range(lo: i64, hi: i64, text: &str, span: Span) -> Result<(i64, i64), 
 /// ranges whose product is past the budget are refused here, under the
 /// smallest subformula that crosses it, before anything proportional to
 /// the product is allocated.
-fn instances(e: &ExprAst, system: &System) -> Result<i64, TctlError> {
+fn instances(e: &ExprAst, vars: &VarTable) -> Result<i64, LangError> {
     let count = match &e.kind {
         ExprKind::Forall(_, range, body) | ExprKind::Exists(_, range, body) => {
-            let (lo, hi) = range_bounds(range, system)?;
+            let (lo, hi) = range_bounds(range, vars)?;
             // Both factors are at most the budget, so the product fits.
-            (hi - lo + 1) * instances(body, system)?.max(1)
+            (hi - lo + 1) * instances(body, vars)?.max(1)
         }
-        ExprKind::Not(inner) => instances(inner, system)?,
+        ExprKind::Not(inner) => instances(inner, vars)?,
         ExprKind::And(a, b) | ExprKind::Or(a, b) | ExprKind::Imply(a, b) => {
-            instances(a, system)? + instances(b, system)?
+            instances(a, vars)? + instances(b, vars)?
         }
         // Quantifiers cannot appear inside arithmetic.
         _ => 0,
     };
     if count > MAX_ARRAY_SIZE {
-        return Err(TctlError::Invalid(
+        return Err(LangError::control(
             format!(
                 "quantifiers expand into {count} instances (the budget is {MAX_ARRAY_SIZE} per objective)"
             ),
@@ -744,126 +950,6 @@ fn instances(e: &ExprAst, system: &System) -> Result<i64, TctlError> {
         ));
     }
     Ok(count)
-}
-
-fn resolve_int(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<Expr, TctlError> {
-    let int = |e: &ExprAst| resolve_int(e, system, env);
-    Ok(match &e.kind {
-        ExprKind::Num(n) => Expr::constant(*n),
-        ExprKind::Name(name) => {
-            if let Some(v) = lookup_env(env, name) {
-                return Ok(Expr::constant(v));
-            }
-            let var = system
-                .vars()
-                .lookup(name)
-                .ok_or_else(|| TctlError::Unresolved(name.clone(), e.span))?;
-            if system.vars().decl(var).is_array() {
-                return Err(TctlError::Invalid(
-                    format!("array `{name}` used without an index"),
-                    e.span,
-                ));
-            }
-            Expr::var(var)
-        }
-        ExprKind::Index(name, idx) => {
-            let var = system
-                .vars()
-                .lookup(name)
-                .ok_or_else(|| TctlError::Unresolved(name.clone(), e.span))?;
-            Expr::index(var, int(idx)?)
-        }
-        ExprKind::Neg(inner) => Expr::Neg(Box::new(int(inner)?)),
-        ExprKind::Not(inner) => int(inner)?.negated(),
-        ExprKind::Arith(op, a, b) => {
-            let (a, b) = (int(a)?, int(b)?);
-            match op {
-                ArithOp::Add => a + b,
-                ArithOp::Sub => a - b,
-                ArithOp::Mul => a * b,
-                ArithOp::Div => Expr::Div(Box::new(a), Box::new(b)),
-                ArithOp::Mod => Expr::Mod(Box::new(a), Box::new(b)),
-            }
-        }
-        ExprKind::Cmp(op, a, b) => int(a)?.cmp(*op, int(b)?),
-        ExprKind::And(a, b) => int(a)?.and(int(b)?),
-        ExprKind::Or(a, b) => int(a)?.or(int(b)?),
-        ExprKind::Imply(a, b) => int(a)?.negated().or(int(b)?),
-        ExprKind::Ite(c, t, o) => Expr::ite(int(c)?, int(t)?, int(o)?),
-        ExprKind::Qualified(a, l) => {
-            // UPPAAL-style process-qualified variable (`IUT.betterInfo`): the
-            // reproduction uses global variables, so fall back to the bare
-            // name.
-            if let Some(var) = system.vars().lookup(l) {
-                if system.vars().decl(var).is_array() {
-                    return Err(TctlError::Invalid(
-                        format!("array `{a}.{l}` used without an index"),
-                        e.span,
-                    ));
-                }
-                return Ok(Expr::var(var));
-            }
-            return Err(TctlError::Invalid(
-                format!("location `{a}.{l}` cannot be used as an integer"),
-                e.span,
-            ));
-        }
-        ExprKind::Forall(..) | ExprKind::Exists(..) => {
-            return Err(TctlError::Invalid(
-                "quantifiers cannot appear inside arithmetic".to_string(),
-                e.span,
-            ))
-        }
-    })
-}
-
-/// Resolves a whole objective's predicate, after charging its quantifier
-/// instances against the per-objective budget ([`instances`]).
-fn resolve_top(e: &ExprAst, system: &System) -> Result<StatePredicate, TctlError> {
-    instances(e, system)?;
-    resolve_bool(e, system, &Vec::new())
-}
-
-fn resolve_bool(e: &ExprAst, system: &System, env: &Env<'_>) -> Result<StatePredicate, TctlError> {
-    let pred = |e: &ExprAst| resolve_bool(e, system, env);
-    match &e.kind {
-        ExprKind::Num(n) => Ok(if *n != 0 {
-            StatePredicate::True
-        } else {
-            StatePredicate::False
-        }),
-        ExprKind::Qualified(aut, loc) => {
-            if let Some(a) = system.automaton_by_name(aut) {
-                if let Some(l) = system.automaton(a).location_by_name(loc) {
-                    return Ok(StatePredicate::Location(a, l));
-                }
-            }
-            // Fall back to a process-qualified global variable used as a
-            // boolean (`IUT.betterInfo` in the paper's TP1).
-            if let Some(var) = system.vars().lookup(loc) {
-                if !system.vars().decl(var).is_array() {
-                    return Ok(StatePredicate::Expr(Expr::var(var)));
-                }
-            }
-            Err(TctlError::Unresolved(format!("{aut}.{loc}"), e.span))
-        }
-        ExprKind::Not(inner) => Ok(pred(inner)?.negated()),
-        ExprKind::And(a, b) => Ok(pred(a)?.and(pred(b)?)),
-        ExprKind::Or(a, b) => Ok(pred(a)?.or(pred(b)?)),
-        ExprKind::Imply(a, b) => Ok(pred(a)?.negated().or(pred(b)?)),
-        ExprKind::Forall(var, range, body) | ExprKind::Exists(var, range, body) => {
-            let instance = |v: i64| {
-                let mut env2 = env.clone();
-                env2.push((var.as_str(), v));
-                resolve_bool(body, system, &env2)
-            };
-            let forall = matches!(e.kind, ExprKind::Forall(..));
-            let (lo, hi) = range_bounds(range, system)?;
-            balanced(lo, hi, forall, &instance)
-        }
-        // Everything else is an integer expression interpreted as a boolean.
-        _ => Ok(StatePredicate::Expr(resolve_int(e, system, env)?)),
-    }
 }
 
 /// The conjunction (`forall`) or disjunction of `instance(v)` over the
@@ -874,8 +960,8 @@ fn balanced(
     lo: i64,
     hi: i64,
     forall: bool,
-    instance: &dyn Fn(i64) -> Result<StatePredicate, TctlError>,
-) -> Result<StatePredicate, TctlError> {
+    instance: &dyn Fn(i64) -> Result<StatePredicate, LangError>,
+) -> Result<StatePredicate, LangError> {
     if lo > hi {
         return Ok(if forall {
             StatePredicate::True
@@ -902,12 +988,12 @@ impl ControlAst {
     ///
     /// # Errors
     ///
-    /// Returns [`TctlError::Unresolved`] or [`TctlError::Invalid`] with the
-    /// span of the name or subformula at fault.
-    pub fn resolve(&self, system: &System) -> Result<TestPurpose, TctlError> {
+    /// Returns a [`crate::LangErrorKind::Control`] error with the span of the
+    /// name or subformula at fault.
+    pub fn resolve(&self, system: &System) -> Result<TestPurpose, LangError> {
         Ok(TestPurpose {
             quantifier: self.quantifier,
-            predicate: resolve_top(&self.predicate, system)?,
+            predicate: Resolver::objective(system).predicate(&self.predicate)?,
             bound: self.bound,
             source: self.source.clone(),
         })
@@ -919,17 +1005,18 @@ impl ControlAst {
 ///
 /// # Errors
 ///
-/// Returns a [`TctlError`] describing the first problem found.
-pub fn parse_predicate(input: &str, system: &System) -> Result<StatePredicate, TctlError> {
+/// Returns the span-carrying [`LangError`] of the first problem found.
+pub fn parse_predicate(input: &str, system: &System) -> Result<StatePredicate, LangError> {
     let mut p = Parser::new(input)?;
     let predicate = p.expr()?;
     p.finish()?;
-    resolve_top(&predicate, system)
+    Resolver::objective(system).predicate(&predicate)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::LangErrorKind;
     use tiga_model::{AutomatonBuilder, SystemBuilder};
 
     /// A system shaped like the paper's examples: an `IUT` automaton with a
@@ -1124,18 +1211,15 @@ mod tests {
             ),
         ] {
             let text = format!("forall (i: {range}) true");
-            match parse_predicate(&text, &sys) {
-                Err(TctlError::Invalid(message, span)) => {
-                    let at = text.find(&range).unwrap();
-                    assert_eq!(span, Span::new(at, at + range.len()), "{text}");
-                    assert!(
-                        message.contains(&format!("has {values} values")),
-                        "{message}"
-                    );
-                    assert!(message.contains(&MAX_ARRAY_SIZE.to_string()), "{message}");
-                }
-                other => panic!("{text}: expected a spanned refusal, got {other:?}"),
-            }
+            let err = parse_predicate(&text, &sys).unwrap_err();
+            let at = text.find(&range).unwrap();
+            assert_eq!(err.kind, LangErrorKind::Control, "{err}");
+            assert_eq!(err.span, Span::new(at, at + range.len()), "{text}");
+            assert!(
+                err.message.contains(&format!("has {values} values")),
+                "{err}"
+            );
+            assert!(err.message.contains(&MAX_ARRAY_SIZE.to_string()), "{err}");
         }
         // The largest accepted range is the cap itself.
         let text = format!("exists (i: 1..{MAX_ARRAY_SIZE}) true");
@@ -1148,82 +1232,80 @@ mod tests {
         // 1024 × 1024 instances is exactly the budget.
         let at = "forall (i: 1024) forall (j: 1024) true";
         assert_eq!(parse_predicate(at, &sys), Ok(StatePredicate::True));
-        // 1024 × 1025 is one row past it: refused under the outer quantifier.
+        // 1024 × 1025 is one row past it: refused under the outer
+        // quantifier, whose span takes in a parenthesized body's `)`.
         let past = "forall (i: 1024) forall (j: 1025) i >= 0";
-        match parse_predicate(past, &sys) {
-            Err(TctlError::Invalid(message, span)) => {
-                assert_eq!(span, Span::new(0, past.len()), "{message}");
-                assert!(message.contains("1049600 instances"), "{message}");
-                assert!(
-                    message.contains(&format!("budget is {MAX_ARRAY_SIZE} per objective")),
-                    "{message}"
-                );
-            }
-            other => panic!("expected a spanned refusal, got {other:?}"),
+        for text in [past, "forall (i: 1024) forall (j: 1025) (i >= 0)"] {
+            let err = parse_predicate(text, &sys).unwrap_err();
+            assert_eq!(err.kind, LangErrorKind::Control, "{err}");
+            assert_eq!(err.span, Span::new(0, text.len()), "{err}");
+            assert!(err.message.contains("1049600 instances"), "{err}");
+            assert!(
+                err.message
+                    .contains(&format!("budget is {MAX_ARRAY_SIZE} per objective")),
+                "{err}"
+            );
         }
         // Sibling quantifiers draw on the same budget, and a range past the
         // cap on its own still gets the per-range message.
         let siblings = "exists (i: 1048576) i >= 0 or exists (j: 1) j >= 0";
-        match parse_predicate(siblings, &sys) {
-            Err(TctlError::Invalid(message, span)) => {
-                assert_eq!(span, Span::new(0, siblings.len()), "{message}");
-                assert!(message.contains("1048577 instances"), "{message}");
-            }
-            other => panic!("expected a spanned refusal, got {other:?}"),
-        }
+        let err = parse_predicate(siblings, &sys).unwrap_err();
+        assert_eq!(err.span, Span::new(0, siblings.len()), "{err}");
+        assert!(err.message.contains("1048577 instances"), "{err}");
         let wide = "forall (i: 2) forall (j: 1048577) true";
-        assert!(matches!(
-            parse_predicate(wide, &sys),
-            Err(TctlError::Invalid(message, _)) if message.contains("has 1048577 values")
-        ));
+        let err = parse_predicate(wide, &sys).unwrap_err();
+        assert!(err.message.contains("has 1048577 values"), "{err}");
         // Whole objectives are charged the same way.
         let objective = format!("control: A<> {past}");
-        assert!(matches!(
-            TestPurpose::parse(&objective, &sys),
-            Err(TctlError::Invalid(message, _)) if message.contains("per objective")
-        ));
+        let err = TestPurpose::parse(&objective, &sys).unwrap_err();
+        assert!(err.message.contains("per objective"), "{err}");
+    }
+
+    /// The kind of error `TestPurpose::parse(text)` fails with.
+    fn rejected_as(text: &str) -> LangErrorKind {
+        TestPurpose::parse(text, &sample_system()).unwrap_err().kind
     }
 
     #[test]
     fn error_reporting() {
-        let sys = sample_system();
-        assert!(matches!(
-            TestPurpose::parse("A<> IUT.Bright", &sys),
-            Err(TctlError::Syntax(_))
-        ));
-        assert!(matches!(
-            TestPurpose::parse("control: E<> IUT.Bright", &sys),
-            Err(TctlError::Syntax(_))
-        ));
+        use LangErrorKind::{Control, Parse};
+        assert_eq!(rejected_as("A<> IUT.Bright"), Parse);
+        assert_eq!(rejected_as("control: E<> IUT.Bright"), Parse);
         // `<>` and `[]` are single symbols.
-        assert!(matches!(
-            TestPurpose::parse("control: A< > IUT.Bright", &sys),
-            Err(TctlError::Syntax(_))
-        ));
-        assert!(matches!(
-            TestPurpose::parse("control: A<> IUT.Missing", &sys),
-            Err(TctlError::Unresolved(..))
-        ));
-        assert!(matches!(
-            TestPurpose::parse("control: A<> nosuchvar == 1", &sys),
-            Err(TctlError::Unresolved(..))
-        ));
-        assert!(matches!(
-            TestPurpose::parse("control: A<> IUT.Bright extra", &sys),
-            Err(TctlError::Syntax(_))
-        ));
-        assert!(matches!(
-            TestPurpose::parse("control: A<> forall (i: Nope) (inUse[i] == 1)", &sys),
-            Err(TctlError::Unresolved(..))
-        ));
-        assert!(matches!(
-            TestPurpose::parse("control: A<> inUse == 1", &sys),
-            Err(TctlError::Invalid(..))
-        ));
-        assert!(matches!(
-            TestPurpose::parse("control: A<> IUT.Bright + 1 == 2", &sys),
-            Err(TctlError::Invalid(..))
-        ));
+        assert_eq!(rejected_as("control: A< > IUT.Bright"), Parse);
+        assert_eq!(rejected_as("control: A<> IUT.Missing"), Control);
+        assert_eq!(rejected_as("control: A<> nosuchvar == 1"), Control);
+        assert_eq!(rejected_as("control: A<> IUT.Bright extra"), Parse);
+        assert_eq!(
+            rejected_as("control: A<> forall (i: Nope) (inUse[i] == 1)"),
+            Control
+        );
+        assert_eq!(rejected_as("control: A<> inUse == 1"), Control);
+        assert_eq!(rejected_as("control: A<> IUT.Bright + 1 == 2"), Control);
+    }
+
+    #[test]
+    fn arity_is_checked_with_the_span_on_the_name() {
+        let sys = sample_system();
+        for (text, name, message) in [
+            ("inUse == 1", "inUse", "array `inUse` used without an index"),
+            (
+                "betterInfo[0] == 1",
+                "betterInfo",
+                "`betterInfo` is not an array",
+            ),
+            (
+                "IUT.inUse",
+                "IUT.inUse",
+                "array `inUse` used without an index",
+            ),
+        ] {
+            let objective = format!("control: A<> {text}");
+            let err = TestPurpose::parse(&objective, &sys).unwrap_err();
+            assert_eq!(err.kind, LangErrorKind::Control, "{err}");
+            assert_eq!(err.message, message);
+            assert_eq!(&objective[err.span.start..err.span.end], name, "{err}");
+        }
     }
 
     #[test]
@@ -1255,34 +1337,28 @@ mod tests {
     fn rejects_out_of_range_time_bounds_with_spans() {
         let sys = sample_system();
         let text = "control: A<><=-1 IUT.Bright";
-        match TestPurpose::parse(text, &sys) {
-            Err(TctlError::Syntax(e)) => {
-                let at = text.find("-1").unwrap();
-                assert_eq!(e.span, Span::new(at, at + 2));
-                assert!(e.message.contains("time bound"), "{e}");
-                assert!(e.message.contains("`-1`"), "{e}");
-            }
-            other => panic!("expected a spanned parse error, got {other:?}"),
-        }
+        let e = TestPurpose::parse(text, &sys).unwrap_err();
+        let at = text.find("-1").unwrap();
+        assert_eq!(e.kind, LangErrorKind::Parse, "{e}");
+        assert_eq!(e.span, Span::new(at, at + 2));
+        assert!(e.message.contains("time bound"), "{e}");
+        assert!(e.message.contains("`-1`"), "{e}");
         let too_big = i64::from(tiga_model::MAX_CONSTANT) + 1;
         let text = format!("control: A[]<={too_big} IUT.Bright");
-        match TestPurpose::parse(&text, &sys) {
-            Err(TctlError::Syntax(e)) => {
-                assert_eq!(e.span.start, text.find(&too_big.to_string()).unwrap());
-                assert!(e.message.contains(&format!("`{too_big}`")), "{e}");
-            }
-            other => panic!("expected a spanned parse error, got {other:?}"),
-        }
+        let e = TestPurpose::parse(&text, &sys).unwrap_err();
+        assert_eq!(e.kind, LangErrorKind::Parse, "{e}");
+        assert_eq!(e.span.start, text.find(&too_big.to_string()).unwrap());
+        assert!(e.message.contains(&format!("`{too_big}`")), "{e}");
         // A bound that does not even fit in i64 is a lexer-level error.
-        assert!(matches!(
-            TestPurpose::parse("control: A<><=99999999999999999999 IUT.Bright", &sys),
-            Err(TctlError::Syntax(_))
-        ));
+        assert_eq!(
+            rejected_as("control: A<><=99999999999999999999 IUT.Bright"),
+            LangErrorKind::Lex
+        );
         // `<=` with no number at all.
-        assert!(matches!(
-            TestPurpose::parse("control: A<><= IUT.Bright", &sys),
-            Err(TctlError::Syntax(_))
-        ));
+        assert_eq!(
+            rejected_as("control: A<><= IUT.Bright"),
+            LangErrorKind::Parse
+        );
     }
 
     #[test]
@@ -1366,10 +1442,12 @@ mod tests {
             .holds(&sys, &state_with(&sys, "Dim", [0, 0, 0], 0))
             .unwrap());
         // Unknown names still fail.
-        assert!(matches!(
-            parse_predicate("IUT.noSuchThing == 1", &sys),
-            Err(TctlError::Invalid(..)) | Err(TctlError::Unresolved(..))
-        ));
+        assert_eq!(
+            parse_predicate("IUT.noSuchThing == 1", &sys)
+                .unwrap_err()
+                .kind,
+            LangErrorKind::Control
+        );
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub enum ExprKind {
     Name(String),
     /// `Aut.loc`: a location test, or a process-qualified variable.
     Qualified(String, String),
-    /// Array element `name[index]`.
-    Index(String, Box<ExprAst>),
+    /// Array element `name[index]`; the name keeps its own span.
+    Index(Spanned<String>, Box<ExprAst>),
     /// Arithmetic negation `-(e)`.
     Neg(Box<ExprAst>),
     /// Logical negation `!e` or `not e`.
