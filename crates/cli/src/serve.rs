@@ -36,6 +36,7 @@
 //! [`json::MAX_DEPTH`]; objectives refuse quantifier ranges longer than
 //! [`tiga_lang::MAX_ARRAY_SIZE`].
 
+use crate::solve::{resolve_purpose, PurposeError};
 use crate::{parse_num, reject_leftovers, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -506,7 +507,14 @@ fn prepare(
         None => {
             let text = &submission.1;
             let model = tiga_lang::parse_model(text).map_err(|err| err.render(text, &label))?;
-            let purpose = crate::solve::resolve_purpose(&model, request.purpose.as_deref())?;
+            let purpose =
+                resolve_purpose(&model, request.purpose.as_deref()).map_err(|err| match err {
+                    PurposeError::Invalid(e) => format!("bad purpose: {e}"),
+                    PurposeError::Missing => format!(
+                        "`{}` has no `control:` line; add one or send a `purpose`",
+                        model.system.name()
+                    ),
+                })?;
             // The canonical exact-inverse serialization of the lowered system
             // (with its objective) is the content-hash identity of the game:
             // a file and an inline copy of it, or two formattings of the same

@@ -126,7 +126,13 @@ pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
 /// verdict mismatch under `--expect`).
 pub fn run_solve(args: &SolveArgs) -> Result<String, String> {
     let model = load_model(&args.path)?;
-    let purpose = resolve_purpose(&model, args.purpose.as_deref())?;
+    let purpose = resolve_purpose(&model, args.purpose.as_deref()).map_err(|err| match err {
+        PurposeError::Invalid(e) => format!("error: bad --purpose: {e}"),
+        PurposeError::Missing => format!(
+            "error: `{}` has no `control:` line; add one or pass --purpose",
+            model.system.name()
+        ),
+    })?;
     let solution = solve(&model.system, &purpose, &args.options)
         .map_err(|e| format!("error: solver failed: {e}"))?;
     if let Some(path) = &args.emit_strategy {
@@ -202,21 +208,25 @@ fn verdict_name(winning: bool) -> &'static str {
     }
 }
 
+/// Why [`resolve_purpose`] found no objective.  The CLI and `tiga serve`
+/// take the override from different places (the `--purpose` flag, the
+/// request's `purpose` field), so each words the error itself.
+pub(crate) enum PurposeError {
+    /// The override does not parse or resolve against the model.
+    Invalid(tiga_tctl::LangError),
+    /// There is no override and the model has no `control:` line.
+    Missing,
+}
+
 /// Resolves the objective: an explicit `control:` override wins, otherwise
 /// the model file's own `control:` line.  Shared with `tiga serve`.
 pub(crate) fn resolve_purpose(
     model: &tiga_lang::TgModel,
     override_text: Option<&str>,
-) -> Result<TestPurpose, String> {
+) -> Result<TestPurpose, PurposeError> {
     match override_text {
-        Some(text) => TestPurpose::parse(text, &model.system)
-            .map_err(|e| format!("error: bad --purpose: {e}")),
-        None => model.purpose.clone().ok_or_else(|| {
-            format!(
-                "error: `{}` has no `control:` line; add one or pass --purpose",
-                model.system.name()
-            )
-        }),
+        Some(text) => TestPurpose::parse(text, &model.system).map_err(PurposeError::Invalid),
+        None => model.purpose.clone().ok_or(PurposeError::Missing),
     }
 }
 

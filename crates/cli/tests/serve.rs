@@ -168,6 +168,41 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
 }
 
 #[test]
+fn purpose_errors_name_the_request_field_not_the_cli_flag() {
+    let light = json_string(&tg("smart_light.tg"));
+    let plant = json_string(&tg("smart_light.plant.tg"));
+    let requests = vec![
+        format!("{{\"id\":1,\"path\":{light},\"purpose\":\"control: A<> Nobody.Home\"}}"),
+        format!("{{\"id\":2,\"path\":{plant}}}"),
+        format!("{{\"id\":3,\"path\":{light},\"purpose\":\"control: A<> forall (i: 0..99999999999) true\"}}"),
+    ];
+    let lines = session(&requests, 1);
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    for line in &lines {
+        assert!(line.contains("\"status\":\"error\""), "{line}");
+        // A serve client never passed a flag, and the envelope already
+        // says `error`.
+        assert!(!line.contains("--purpose"), "{line}");
+        assert!(!line.contains("\"error\":\"error: "), "{line}");
+    }
+    assert!(
+        lines[0].contains("\"error\":\"bad purpose: "),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains("has no `control:` line; add one or send a `purpose`"),
+        "{}",
+        lines[1]
+    );
+    assert!(
+        lines[2].contains("\"error\":\"bad purpose: "),
+        "{}",
+        lines[2]
+    );
+}
+
+#[test]
 fn deep_and_long_objectives_are_answered_and_the_session_survives() {
     let light = json_string(&tg("smart_light.tg"));
     let purpose = |id: usize, objective: String| {

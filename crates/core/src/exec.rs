@@ -26,8 +26,10 @@ use crate::iut::{DelayOutcome, Iut};
 use crate::monitor::{MonitorOutcome, SpecMonitor};
 use crate::trace::TimedTrace;
 use crate::verdict::{FailReason, InconclusiveReason, Verdict};
-use tiga_model::{ConcreteState, Interpreter, JointEdge, ModelError, System};
-use tiga_solver::{Controller, StrategyDecision};
+use tiga_model::{
+    ConcreteState, DiscreteState, Interpreter, JointEdge, Liveness, ModelError, System,
+};
+use tiga_solver::{objective_liveness, Controller, StrategyDecision};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
 /// Configuration of a test execution.
@@ -82,6 +84,9 @@ pub struct TestExecutor<'a> {
     spec: &'a System,
     controller: &'a dyn Controller,
     purpose: &'a TestPurpose,
+    /// The liveness the controller's states were reduced by; every query
+    /// projects the tracked product state through it.
+    liveness: Liveness,
     config: TestConfig,
 }
 
@@ -129,6 +134,7 @@ impl<'a> TestExecutor<'a> {
             spec,
             controller,
             purpose,
+            liveness: objective_liveness(product, &purpose.predicate),
             config,
         })
     }
@@ -150,6 +156,9 @@ impl<'a> TestExecutor<'a> {
         let mut trace = TimedTrace::new();
         let mut now: i64 = 0;
         let mut steps = 0usize;
+        // The product state the controller is queried with: dead variables
+        // back at their initial values, as in the explored states.
+        let mut projected = DiscreteState::default();
 
         let finish = move |verdict: Verdict, trace: TimedTrace, steps: usize| TestReport {
             verdict,
@@ -228,6 +237,7 @@ impl<'a> TestExecutor<'a> {
             }
 
             let discrete = &product_state.discrete;
+            let query = self.liveness.project(discrete, &mut projected);
             // One fused query answers both the decision and — on a wait —
             // the wake-up hint; the compiled controller serves both from a
             // single state lookup.  Bounded controllers play on the
@@ -236,10 +246,10 @@ impl<'a> TestExecutor<'a> {
             let decision = if self.purpose.bound.is_some() {
                 let mut clocks = product_state.clocks.clone();
                 clocks.push(now);
-                self.controller.decide_with_wakeup(discrete, &clocks, scale)
+                self.controller.decide_with_wakeup(query, &clocks, scale)
             } else {
                 self.controller
-                    .decide_with_wakeup(discrete, &product_state.clocks, scale)
+                    .decide_with_wakeup(query, &product_state.clocks, scale)
             };
             match decision {
                 None => {

@@ -154,7 +154,7 @@ fn delay_window(zone: &Dbm, vals: &[i64], scale: i64) -> Option<Window> {
 ///
 /// Decided by an exact rational interval sweep over the delay witness:
 /// each good zone contributes one candidate delay interval
-/// ([`delay_window`]), each bad zone an *avoid threshold* — the infimum of
+/// (`delay_window`), each bad zone an *avoid threshold* — the infimum of
 /// its delay window caps every admissible `δ` (strictly when the bad window
 /// is closed at its infimum, non-strictly when it is open there, since the
 /// trajectory endpoint itself must avoid `bad`).  The operator holds iff

@@ -1,8 +1,8 @@
 //! Surface syntax tree of a `.tg` file.
 //!
 //! The AST is deliberately *unresolved*: names are plain strings with spans,
-//! and it is the lowering stage ([`crate::lower`]) that resolves them against
-//! the declarations and reports span-carrying errors for unknown or
+//! and it is the lowering stage ([`crate::lower_file`]) that resolves them
+//! against the declarations and reports span-carrying errors for unknown or
 //! duplicated names.  Expressions and the `control:` objective use the
 //! syntax tree of `tiga-tctl`, which parses them.
 

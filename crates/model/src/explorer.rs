@@ -9,13 +9,16 @@
 //! client recomputed before this module existed: the invariant zone and the
 //! urgency flag.  Successor zones are delay-closed within the target
 //! invariant and extrapolated with the system's maximal constants, exactly as
-//! [`System::delay_close`] prescribes.  Successors come back un-interned
-//! ([`Explorer::successor_candidates`]), so callers can compute them on
-//! worker threads and intern the targets afterwards in a fixed order;
-//! [`Explorer::into_parts`] hands the interned states and their index to
-//! the explored graph without copying them.
+//! [`System::delay_close`] prescribes.  Every state is then reduced by the
+//! game's [`Liveness`]: the dead variables of each target take their
+//! initial values again, and its dead clocks are freed.  Successors come
+//! back un-interned ([`Explorer::successor_candidates`]), so callers can
+//! compute them on worker threads and intern the targets afterwards in a
+//! fixed order; [`Explorer::into_parts`] hands the interned states and
+//! their index to the explored graph without copying them.
 
 use crate::error::ModelError;
+use crate::liveness::Liveness;
 use crate::symbolic::{DiscreteState, JointEdge};
 use crate::system::System;
 use std::collections::HashMap;
@@ -47,9 +50,11 @@ pub struct ExploredState {
 pub struct CandidateStep {
     /// The joint (composed) model edge taken.
     pub joint: JointEdge,
-    /// The target discrete state (intern it to obtain a [`StateIndex`]).
+    /// The target discrete state, its dead variables forgotten (intern it
+    /// to obtain a [`StateIndex`]).
     pub discrete: DiscreteState,
-    /// Delay-closed, extrapolated successor zone (never empty).
+    /// Delay-closed, extrapolated successor zone with the target's dead
+    /// clocks freed (never empty).
     pub zone: Dbm,
     /// Whether the step is a controllable (tester) move.
     pub controllable: bool,
@@ -64,17 +69,20 @@ pub struct CandidateStep {
 #[derive(Clone, Debug)]
 pub struct Explorer<'a> {
     system: &'a System,
+    liveness: Liveness,
     max_bounds: Vec<i32>,
     states: Vec<ExploredState>,
     index: HashMap<DiscreteState, StateIndex>,
 }
 
 impl<'a> Explorer<'a> {
-    /// Creates an explorer with no interned states.
+    /// Creates an explorer with no interned states, reducing every state
+    /// by `liveness`, the liveness of `system` under the game's objective.
     #[must_use]
-    pub fn new(system: &'a System) -> Self {
+    pub fn new(system: &'a System, liveness: Liveness) -> Self {
         Explorer {
             system,
+            liveness,
             max_bounds: system.max_bounds(),
             states: Vec::new(),
             index: HashMap::new(),
@@ -104,7 +112,8 @@ impl<'a> Explorer<'a> {
     }
 
     /// Interns a discrete state, computing its invariant and urgency on first
-    /// sight.
+    /// sight.  The state is taken as given: the explorer's own states come
+    /// reduced by its liveness, and so must any other.
     ///
     /// # Errors
     ///
@@ -126,14 +135,17 @@ impl<'a> Explorer<'a> {
     }
 
     /// Interns the initial discrete state and returns it together with the
-    /// delay-closed, extrapolated initial zone — the root of any forward
-    /// exploration.
+    /// delay-closed, extrapolated initial zone, its dead clocks freed — the
+    /// root of any forward exploration.
     ///
     /// # Errors
     ///
     /// Propagates invariant evaluation errors.
     pub fn initial(&mut self) -> Result<(StateIndex, Dbm), ModelError> {
-        let root = self.system.initial_exploration_state()?;
+        // The initial store holds every variable's initial value already.
+        let mut root = self.system.initial_exploration_state()?;
+        self.liveness
+            .free_dead_clocks(&root.discrete.locations, &mut root.zone);
         let idx = self.intern(root.discrete)?;
         Ok((idx, root.zone))
     }
@@ -157,10 +169,14 @@ impl<'a> Explorer<'a> {
         for joint in joint_edges {
             // `System::joint_successor_from` followed by
             // `System::delay_close`, with the target invariant evaluated
-            // once — or not at all when the target is already interned.
-            let Some(target) = self.system.apply_joint_discrete(discrete, &joint)? else {
+            // once — or not at all when the target is already interned —
+            // and the target reduced by liveness.  Dead variables are
+            // forgotten only after the range check, so an out-of-range
+            // write still disables the edge.
+            let Some(mut target) = self.system.apply_joint_discrete(discrete, &joint)? else {
                 continue;
             };
+            self.liveness.forget_dead_vars(&mut target);
             let mut succ = self.system.apply_joint_clocks(zone, discrete, &joint)?;
             if succ.is_empty() {
                 continue;
@@ -176,6 +192,7 @@ impl<'a> Explorer<'a> {
             if !System::close_within(&mut succ, invariant, urgent, &self.max_bounds) {
                 continue;
             }
+            self.liveness.free_dead_clocks(&target.locations, &mut succ);
             let controllable = self.system.is_controllable(&joint);
             steps.push(CandidateStep {
                 joint,
@@ -188,11 +205,17 @@ impl<'a> Explorer<'a> {
     }
 
     /// Consumes the explorer and returns the interned states, indexed by
-    /// [`StateIndex`], together with the map from each discrete state to
-    /// its index.
+    /// [`StateIndex`], the map from each discrete state to its index, and
+    /// the liveness the states were reduced by.
     #[must_use]
-    pub fn into_parts(self) -> (Vec<ExploredState>, HashMap<DiscreteState, StateIndex>) {
-        (self.states, self.index)
+    pub fn into_parts(
+        self,
+    ) -> (
+        Vec<ExploredState>,
+        HashMap<DiscreteState, StateIndex>,
+        Liveness,
+    ) {
+        (self.states, self.index, self.liveness)
     }
 }
 
@@ -255,7 +278,7 @@ mod tests {
     #[test]
     fn interning_is_idempotent_and_caches_invariants() {
         let sys = sample_system();
-        let mut ex = Explorer::new(&sys);
+        let mut ex = Explorer::new(&sys, Liveness::new(&sys, &[], &[]));
         assert!(ex.is_empty());
         let (root, zone) = ex.initial().unwrap();
         assert_eq!(ex.len(), 1);
@@ -265,7 +288,7 @@ mod tests {
         assert_eq!(ex.len(), 1);
         assert!(!ex.state(root).urgent);
         assert_eq!(ex.state(root).discrete, sys.initial_discrete());
-        let (states, index) = ex.into_parts();
+        let (states, index, _) = ex.into_parts();
         assert_eq!(states.len(), 1);
         assert_eq!(index.get(&sys.initial_discrete()), Some(&root));
     }
@@ -273,7 +296,7 @@ mod tests {
     #[test]
     fn successors_are_delay_closed_and_intern_targets() {
         let sys = sample_system();
-        let mut ex = Explorer::new(&sys);
+        let mut ex = Explorer::new(&sys, Liveness::new(&sys, &[], &[]));
         let (root, zone) = ex.initial().unwrap();
         let mut steps = ex.successor_candidates(root, &zone).unwrap();
         assert_eq!(steps.len(), 1);
@@ -294,7 +317,7 @@ mod tests {
     #[test]
     fn pred_federation_inverts_successor_zones() {
         let sys = sample_system();
-        let mut ex = Explorer::new(&sys);
+        let mut ex = Explorer::new(&sys, Liveness::new(&sys, &[], &[]));
         let (root, zone) = ex.initial().unwrap();
         let step = ex.successor_candidates(root, &zone).unwrap().remove(0);
         let target_fed = Federation::from_zone(step.zone.clone());

@@ -315,13 +315,17 @@ impl Expr {
         }
     }
 
-    /// Returns `true` if the expression mentions any variable.
-    #[must_use]
-    pub fn references_vars(&self) -> bool {
+    /// Calls `f` on every variable the expression mentions, array index
+    /// expressions included, in evaluation order (repeats included).
+    pub fn for_each_var(&self, f: &mut impl FnMut(VarId)) {
         match self {
-            Expr::Const(_) => false,
-            Expr::Var(_) | Expr::Index(_, _) => true,
-            Expr::Neg(e) | Expr::Not(e) => e.references_vars(),
+            Expr::Const(_) => {}
+            Expr::Var(v) => f(*v),
+            Expr::Index(v, idx) => {
+                f(*v);
+                idx.for_each_var(f);
+            }
+            Expr::Neg(e) | Expr::Not(e) => e.for_each_var(f),
             Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::Mul(a, b)
@@ -329,9 +333,24 @@ impl Expr {
             | Expr::Mod(a, b)
             | Expr::Cmp(_, a, b)
             | Expr::And(a, b)
-            | Expr::Or(a, b) => a.references_vars() || b.references_vars(),
-            Expr::Ite(c, t, e) => c.references_vars() || t.references_vars() || e.references_vars(),
+            | Expr::Or(a, b) => {
+                a.for_each_var(f);
+                b.for_each_var(f);
+            }
+            Expr::Ite(c, t, e) => {
+                c.for_each_var(f);
+                t.for_each_var(f);
+                e.for_each_var(f);
+            }
         }
+    }
+
+    /// Returns `true` if the expression mentions any variable.
+    #[must_use]
+    pub fn references_vars(&self) -> bool {
+        let mut any = false;
+        self.for_each_var(&mut |_| any = true);
+        any
     }
 }
 

@@ -60,6 +60,7 @@ mod error;
 mod explorer;
 mod expr;
 mod ids;
+mod liveness;
 mod symbolic;
 mod system;
 mod tiots;
@@ -74,6 +75,7 @@ pub use error::{EvalError, ModelError};
 pub use explorer::{CandidateStep, ExploredState, Explorer, StateIndex};
 pub use expr::{CmpOp, Expr};
 pub use ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
+pub use liveness::Liveness;
 pub use symbolic::{DiscreteState, DisplayDiscreteState, JointEdge, SymbolicState};
 pub use system::System;
 pub use tiga_dbm::MAX_CONSTANT;

@@ -14,7 +14,7 @@ use tiga_dbm::{Bound, Dbm};
 
 /// The discrete part of a system state: one location per automaton plus the
 /// flattened store of bounded integer variables.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscreteState {
     /// Current location of each automaton (indexed by automaton).

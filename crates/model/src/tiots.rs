@@ -450,6 +450,29 @@ impl<'a> Interpreter<'a> {
         Ok(None)
     }
 
+    /// Closed view: every joint edge of [`System::enabled_joint_edges`]
+    /// whose clock guards hold now and whose step applies, in that order,
+    /// with the state the step leads to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors.
+    pub fn joint_steps(
+        &self,
+        state: &ConcreteState,
+    ) -> Result<Vec<(JointEdge, ConcreteState)>, ModelError> {
+        let mut out = Vec::new();
+        for je in self.system.enabled_joint_edges(&state.discrete)? {
+            if !self.joint_guards_hold(state, &je)? {
+                continue;
+            }
+            if let Some(next) = self.step(state, self.system.joint_components(&je))? {
+                out.push((je, next));
+            }
+        }
+        Ok(out)
+    }
+
     /// Closed view: the channels, in index order, of the synchronizations
     /// of [`System::enabled_joint_edges`] whose clock guards hold now.
     ///

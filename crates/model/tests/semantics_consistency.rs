@@ -1,11 +1,12 @@
 //! Property-based consistency checks between the concrete (tick-level) and
 //! symbolic (zone-level) semantics of randomly generated small systems:
-//! every concrete run must stay inside the forward-reachable symbolic states.
+//! every concrete run, projected by the system's liveness, must stay inside
+//! the forward-reachable symbolic states.
 
 use proptest::prelude::*;
 use tiga_model::{
-    AutomatonBuilder, ClockConstraint, CmpOp, ConcreteState, EdgeBuilder, Explorer, Interpreter,
-    SymbolicState, System, SystemBuilder,
+    AutomatonBuilder, ClockConstraint, CmpOp, ConcreteState, DiscreteState, EdgeBuilder, Explorer,
+    Interpreter, Liveness, SymbolicState, System, SystemBuilder,
 };
 
 /// Description of one random edge of the generated plant.
@@ -102,17 +103,28 @@ fn build(plant: &RandomPlant) -> System {
     b.build().unwrap()
 }
 
-/// Forward-explores the symbolic state space and checks that a concrete state
-/// is covered by some reachable symbolic state.
+/// Reduces a symbolic state by liveness, as the explorer does: dead
+/// variables back at their initial values, dead clocks freed.
+fn reduce(liveness: &Liveness, state: &mut SymbolicState) {
+    liveness.forget_dead_vars(&mut state.discrete);
+    liveness.free_dead_clocks(&state.discrete.locations, &mut state.zone);
+}
+
+/// Forward-explores the symbolic state space and checks that a concrete state,
+/// projected by liveness, is covered by some reachable symbolic state.
 ///
 /// Every expanded state's successors are computed twice, by
-/// `System::joint_successor` + `System::delay_close` and by the solvers'
-/// `Explorer::successor_candidates`, and the two must agree.
+/// `System::joint_successor` + `System::delay_close` followed by the
+/// liveness reduction, and by the solvers' `Explorer::successor_candidates`,
+/// and the two must agree.
 fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) -> bool {
     let max = system.max_bounds();
-    let mut explorer = Explorer::new(system);
+    let liveness = Liveness::new(system, &[], &[]);
+    let mut explorer = Explorer::new(system, liveness.clone());
     let mut seen: Vec<SymbolicState> = Vec::new();
-    let mut queue = vec![system.initial_exploration_state().unwrap()];
+    let mut root = system.initial_exploration_state().unwrap();
+    reduce(&liveness, &mut root);
+    let mut queue = vec![root];
     while let Some(s) = queue.pop() {
         if seen
             .iter()
@@ -126,6 +138,7 @@ fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) ->
             if let Some(mut succ) = system.joint_successor(&s, &je).unwrap() {
                 system.delay_close(&mut succ, &max).unwrap();
                 if !succ.zone.is_empty() {
+                    reduce(&liveness, &mut succ);
                     successors.push((je, succ));
                 }
             }
@@ -151,11 +164,13 @@ fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) ->
         }
         queue.extend(successors.into_iter().map(|(_, succ)| succ));
     }
+    let mut scratch = DiscreteState::default();
+    let discrete = liveness.project(&state.discrete, &mut scratch);
     let mut point = Vec::with_capacity(state.clocks.len() + 1);
     point.push(0);
     point.extend_from_slice(&state.clocks);
     seen.iter()
-        .any(|s| s.discrete == state.discrete && s.zone.contains_at(&point, scale))
+        .any(|s| s.discrete == *discrete && s.zone.contains_at(&point, scale))
 }
 
 proptest! {

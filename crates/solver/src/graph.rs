@@ -19,7 +19,7 @@ use crate::stats::MemCounters;
 use std::collections::HashMap;
 use tiga_dbm::{Dbm, Federation, ZoneId, ZoneSet, ZoneStore};
 use tiga_model::{
-    CandidateStep, DiscreteState, ExploredState, Explorer, JointEdge, ModelError, System,
+    CandidateStep, DiscreteState, ExploredState, Explorer, JointEdge, Liveness, ModelError, System,
 };
 use tiga_tctl::StatePredicate;
 
@@ -61,6 +61,21 @@ pub struct GameGraph {
     nodes: Vec<GameNode>,
     index: HashMap<DiscreteState, NodeId>,
     initial: NodeId,
+    liveness: Liveness,
+}
+
+/// The liveness of the game whose attractor target is `goal` on `system`:
+/// the objective reads the variables of `goal` and, on the augmented system
+/// of a time-bounded purpose ([`crate::bounded_system`]), the
+/// [`crate::TICK_CLOCK`], which only the deadline reads.  Both engines
+/// explore under it, and the test executor projects concrete states by it
+/// before every controller query.
+#[must_use]
+pub fn objective_liveness(system: &System, goal: &StatePredicate) -> Liveness {
+    let mut vars = Vec::new();
+    goal.for_each_var(&mut |v| vars.push(v));
+    let tick = system.clock_by_name(crate::TICK_CLOCK);
+    Liveness::new(system, &vars, tick.as_slice())
 }
 
 /// Options controlling forward exploration.
@@ -122,7 +137,7 @@ impl<'a> GraphBuilder<'a> {
         goal: &'a StatePredicate,
         options: &'a ExploreOptions,
     ) -> Result<(Self, NodeId, Dbm), SolverError> {
-        let mut explorer = Explorer::new(system);
+        let mut explorer = Explorer::new(system, objective_liveness(system, goal));
         let (root, zone) = explorer.initial()?;
         let mut builder = GraphBuilder {
             system,
@@ -257,7 +272,7 @@ impl<'a> GraphBuilder<'a> {
     /// materializing the passed lists into reach federations, and records
     /// the zone store's counters in `mem`.
     pub(crate) fn finish(self, mem: &mut MemCounters) -> GameGraph {
-        let (states, index) = self.explorer.into_parts();
+        let (states, index, liveness) = self.explorer.into_parts();
         let nodes = states
             .into_iter()
             .zip(self.nodes)
@@ -278,6 +293,7 @@ impl<'a> GraphBuilder<'a> {
             nodes,
             index,
             initial: self.initial,
+            liveness,
         }
     }
 }
@@ -378,7 +394,14 @@ impl GameGraph {
         &self.nodes[id]
     }
 
-    /// Looks up the node of a discrete state, if it was explored.
+    /// The liveness the explored states were reduced by: a concrete state
+    /// goes through [`Liveness::project`] before [`GameGraph::node_of`].
+    #[must_use]
+    pub fn liveness(&self) -> &Liveness {
+        &self.liveness
+    }
+
+    /// Looks up the node of an explored discrete state.
     #[must_use]
     pub fn node_of(&self, discrete: &DiscreteState) -> Option<NodeId> {
         self.index.get(discrete).copied()
@@ -434,10 +457,11 @@ mod tests {
     }
 
     /// One automaton, one clock, internal (uncontrollable) edges only:
-    /// R --x>=2--> T, R --x>=1--> T, R --> U, T --> U.  Expanding R offers
-    /// T the zone x >= 2 and then x >= 1, which drops the first before it
-    /// is expanded.  G has no incoming edge, so the goal is unreachable and
-    /// both engines explore everything.
+    /// R --x>=2--> T, R --x>=1--> T, R --> U, T --x>=0--> U.  Expanding R
+    /// offers T the zone x >= 2 and then x >= 1, which drops the first
+    /// before it is expanded; the guard out of T keeps x live there, while
+    /// x is dead in U, whose zones are freed.  G has no incoming edge, so
+    /// the goal is unreachable and both engines explore everything.
     fn widening_system() -> System {
         let mut b = SystemBuilder::new("widening");
         let x = b.clock("x").unwrap();
@@ -449,7 +473,7 @@ mod tests {
         plant.add_edge(EdgeBuilder::new(r, t).guard_clock(ClockConstraint::new(x, CmpOp::Ge, 2)));
         plant.add_edge(EdgeBuilder::new(r, t).guard_clock(ClockConstraint::new(x, CmpOp::Ge, 1)));
         plant.add_edge(EdgeBuilder::new(r, u));
-        plant.add_edge(EdgeBuilder::new(t, u));
+        plant.add_edge(EdgeBuilder::new(t, u).guard_clock(ClockConstraint::new(x, CmpOp::Ge, 0)));
         b.add_automaton(plant.build().unwrap()).unwrap();
         b.build().unwrap()
     }
@@ -462,9 +486,10 @@ mod tests {
         //   R x>=0 (miss, added);
         //   T x>=2 (miss, added), T x>=1 (miss, added, drops T x>=2);
         //   U x>=0 (hit: the root's zone, added);
-        //   T x>=1 expanded: U x>=1 (hit, covered by U x>=0, subsumed).
+        //   T x>=1 expanded: U x>=1, freed to x>=0 (hit, subsumed).
         // Expanding the dropped T x>=2 as well would add one more offer,
-        // U x>=2 (hit, subsumed): 3 hits and 2 subsumed offers for OTFUR.
+        // U x>=2, freed to x>=0 (hit, subsumed): 3 hits and 2 subsumed
+        // offers for OTFUR.
         // Jacobi does not count subsumed offers.
         for (engine, subsumed) in [
             (crate::SolveEngine::Otfur, 1),

@@ -92,7 +92,7 @@ pub use controller::{
     parse_controller, print_controller, CompiledController, Controller, ControllerFile,
 };
 pub use error::SolverError;
-pub use graph::{ExploreOptions, GameGraph, GameNode, GraphEdge, NodeId};
+pub use graph::{objective_liveness, ExploreOptions, GameGraph, GameNode, GraphEdge, NodeId};
 pub use minimize::{minimize_strategy, minimize_strategy_with_report, MinimizeReport};
 pub use serialize::{
     parse_strategy, print_strategy, StrategyFile, CONTROLLER_FORMAT_HEADER, STRATEGY_FORMAT_HEADER,

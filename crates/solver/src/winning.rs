@@ -161,10 +161,14 @@ pub struct GameSolution {
 
 impl GameSolution {
     /// Whether a concrete state (discrete part + clock ticks) is winning.
+    /// Its dead variables are projected away first, like the explored
+    /// states' (see [`GameGraph::liveness`]).
     ///
     /// States outside the explored graph are reported as not winning.
     #[must_use]
     pub fn is_winning_state(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> bool {
+        let mut scratch = DiscreteState::default();
+        let discrete = self.graph.liveness().project(discrete, &mut scratch);
         let Some(node) = self.graph.node_of(discrete) else {
             return false;
         };

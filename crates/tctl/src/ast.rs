@@ -2,7 +2,7 @@
 
 use crate::error::LangError;
 use crate::printer::{quoted, write_expr};
-use tiga_model::{AutomatonId, DiscreteState, Expr, LocationId, ModelError, System};
+use tiga_model::{AutomatonId, DiscreteState, Expr, LocationId, ModelError, System, VarId};
 
 /// The path quantifier of a test purpose.
 ///
@@ -87,6 +87,19 @@ impl StatePredicate {
             StatePredicate::And(a, b) => Ok(a.holds(system, state)? && b.holds(system, state)?),
             StatePredicate::Or(a, b) => Ok(a.holds(system, state)? || b.holds(system, state)?),
             StatePredicate::Not(a) => Ok(!a.holds(system, state)?),
+        }
+    }
+
+    /// Calls `f` on every variable the predicate reads.
+    pub fn for_each_var(&self, f: &mut impl FnMut(VarId)) {
+        match self {
+            StatePredicate::True | StatePredicate::False | StatePredicate::Location(..) => {}
+            StatePredicate::Expr(e) => e.for_each_var(f),
+            StatePredicate::And(a, b) | StatePredicate::Or(a, b) => {
+                a.for_each_var(f);
+                b.for_each_var(f);
+            }
+            StatePredicate::Not(a) => a.for_each_var(f),
         }
     }
 
