@@ -11,7 +11,9 @@
 //!   and solves winning;
 //! * `tiga test` on the benchmark's four campaigns reports the run, mutant
 //!   and detection counts recorded in `perfbench/expected_campaigns.json`,
-//!   with no false alarm.
+//!   with no false alarm, and prints exactly the reports checked in under
+//!   `crates/cli/tests/campaigns/` — every run's verdict, not just the
+//!   totals.
 
 use std::path::{Path, PathBuf};
 use tiga_bench::model_zoo;
@@ -229,22 +231,31 @@ const CAMPAIGNS: [(&str, Option<&str>); 4] = [
     ("smart_light.bounded.tg", Some("smart_light.plant.tg")),
 ];
 
+/// `tiga test <file> [--spec <spec>]`'s report on a campaign, as printed
+/// from `examples/tg/` (the model path in its header is the bare file
+/// name), and whether no conformant run failed.
+fn campaign_report(file: &str, spec: Option<&str>) -> (String, bool) {
+    let tg = |name: &str| tg_dir().join(name).to_string_lossy().into_owned();
+    let args = tiga_cli::TestArgs {
+        path: tg(file),
+        spec: spec.map(tg),
+        campaign: tiga_testing::CampaignOptions::default(),
+        max_mutants: 0,
+        purpose: None,
+    };
+    let (report, sound) = tiga_cli::run_test(&args).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let report = report.replacen(&format!("({})", args.path), &format!("({file})"), 1);
+    (report, sound)
+}
+
 #[test]
 fn benchmark_campaigns_report_their_recorded_counts() {
     let path =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perfbench/expected_campaigns.json");
     let text = std::fs::read_to_string(&path).expect("perfbench/expected_campaigns.json");
     let expected = tiga_solver::json::parse(&text).expect("valid JSON");
-    let tg = |name: &str| tg_dir().join(name).to_string_lossy().into_owned();
     for (file, spec) in CAMPAIGNS {
-        let args = tiga_cli::TestArgs {
-            path: tg(file),
-            spec: spec.map(tg),
-            campaign: tiga_testing::CampaignOptions::default(),
-            max_mutants: 0,
-            purpose: None,
-        };
-        let (report, sound) = tiga_cli::run_test(&args).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let (report, sound) = campaign_report(file, spec);
         let summary = report
             .lines()
             .find_map(|l| l.strip_prefix("campaign: "))
@@ -274,5 +285,24 @@ fn benchmark_campaigns_report_their_recorded_counts() {
         }
         assert_eq!(count("false alarms"), 0, "{file}: {summary:?}");
         assert!(sound, "{file}: {report}");
+    }
+}
+
+/// The full report of each benchmark campaign — the header, the summary
+/// and every run's verdict — matches the one checked in under
+/// `crates/cli/tests/campaigns/`, which is `tiga test`'s stdout run from
+/// `examples/tg/`.  Regenerate a file after an intended change with
+/// `(cd examples/tg && ../../target/release/tiga test <file> [--spec <spec>])`.
+#[test]
+fn benchmark_campaigns_print_their_golden_reports() {
+    let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/campaigns");
+    for (file, spec) in CAMPAIGNS {
+        let (report, _) = campaign_report(file, spec);
+        let stem = file.strip_suffix(".tg").expect("a .tg file");
+        let golden = goldens.join(format!("{stem}.txt"));
+        let want = std::fs::read_to_string(&golden)
+            .unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+        // The CLI prints the report followed by a newline.
+        assert_eq!(format!("{report}\n"), want, "{file}: the report moved");
     }
 }

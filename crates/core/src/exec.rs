@@ -29,7 +29,7 @@ use crate::verdict::{FailReason, InconclusiveReason, Verdict};
 use tiga_model::{
     ConcreteState, DiscreteState, Interpreter, JointEdge, Liveness, ModelError, System,
 };
-use tiga_solver::{objective_liveness, Controller, StrategyDecision};
+use tiga_solver::{Controller, StrategyDecision};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
 /// Configuration of a test execution.
@@ -86,7 +86,7 @@ pub struct TestExecutor<'a> {
     purpose: &'a TestPurpose,
     /// The liveness the controller's states were reduced by; every query
     /// projects the tracked product state through it.
-    liveness: Liveness,
+    liveness: &'a Liveness,
     config: TestConfig,
 }
 
@@ -112,6 +112,9 @@ impl<'a> TestExecutor<'a> {
     ///   time-bounded purpose the controller must have been synthesized on
     ///   the `#t`-augmented product (one extra trailing clock dimension);
     ///   the executor appends the elapsed time to every query.
+    /// * `liveness` — the reduction the controller's states were explored
+    ///   under, [`tiga_solver::objective_liveness`] of `product` and the
+    ///   purpose's predicate; compute it once and share it between runs.
     ///
     /// # Errors
     ///
@@ -122,6 +125,7 @@ impl<'a> TestExecutor<'a> {
         spec: &'a System,
         controller: &'a dyn Controller,
         purpose: &'a TestPurpose,
+        liveness: &'a Liveness,
         config: TestConfig,
     ) -> Result<Self, ModelError> {
         if config.scale <= 0 {
@@ -134,7 +138,7 @@ impl<'a> TestExecutor<'a> {
             spec,
             controller,
             purpose,
-            liveness: objective_liveness(product, &purpose.predicate),
+            liveness,
             config,
         })
     }
@@ -152,6 +156,9 @@ impl<'a> TestExecutor<'a> {
         let iut_name = iut.name().to_string();
         let interp = Interpreter::new(self.product, scale)?;
         let mut product_state = interp.initial_state()?;
+        // Discrete steps build the product's successor here and swap it in
+        // (see `Interpreter::fire_sync`), so a run steps without allocating.
+        let mut scratch = product_state.clone();
         let mut monitor = SpecMonitor::new(self.spec, scale)?;
         let mut trace = TimedTrace::new();
         let mut now: i64 = 0;
@@ -159,6 +166,9 @@ impl<'a> TestExecutor<'a> {
         // The product state the controller is queried with: dead variables
         // back at their initial values, as in the explored states.
         let mut projected = DiscreteState::default();
+        // The clock valuation a bounded controller is queried with: the
+        // product's clocks plus the elapsed time.
+        let mut bounded_clocks = Vec::new();
 
         let finish = move |verdict: Verdict, trace: TimedTrace, steps: usize| TestReport {
             verdict,
@@ -244,9 +254,10 @@ impl<'a> TestExecutor<'a> {
             // `#t`-augmented product, whose extra trailing clock is the
             // never-reset elapsed time — exactly `now`.
             let decision = if self.purpose.bound.is_some() {
-                let mut clocks = product_state.clocks.clone();
-                clocks.push(now);
-                self.controller.decide_with_wakeup(query, &clocks, scale)
+                bounded_clocks.clone_from(&product_state.clocks);
+                bounded_clocks.push(now);
+                self.controller
+                    .decide_with_wakeup(query, &bounded_clocks, scale)
             } else {
                 self.controller
                     .decide_with_wakeup(query, &product_state.clocks, scale)
@@ -267,19 +278,16 @@ impl<'a> TestExecutor<'a> {
                             let name = self.product.channel(*channel).name().to_string();
                             iut.offer_input(&name);
                             monitor.observe_input(&name)?;
-                            match interp.fire_sync(&product_state, *channel)? {
-                                Some(next) => product_state = next,
-                                None => {
-                                    return Ok(finish(
-                                        Verdict::Inconclusive(InconclusiveReason::OffStrategy {
-                                            state: format!(
-                                                "strategy prescribed {name}? but the product cannot fire it"
-                                            ),
-                                        }),
-                                        trace,
-                                        steps,
-                                    ));
-                                }
+                            if !interp.fire_sync(&mut product_state, *channel, &mut scratch)? {
+                                return Ok(finish(
+                                    Verdict::Inconclusive(InconclusiveReason::OffStrategy {
+                                        state: format!(
+                                            "strategy prescribed {name}? but the product cannot fire it"
+                                        ),
+                                    }),
+                                    trace,
+                                    steps,
+                                ));
                             }
                             trace.push_input(&name);
                         }
@@ -290,18 +298,15 @@ impl<'a> TestExecutor<'a> {
                                 automaton: *automaton,
                                 edge: *edge,
                             };
-                            match interp.fire_edge(&product_state, edge_ref)? {
-                                Some(next) => product_state = next,
-                                None => {
-                                    return Ok(finish(
-                                        Verdict::Inconclusive(InconclusiveReason::OffStrategy {
-                                            state: "strategy prescribed a disabled internal move"
-                                                .to_string(),
-                                        }),
-                                        trace,
-                                        steps,
-                                    ));
-                                }
+                            if !interp.fire_edge(&mut product_state, edge_ref, &mut scratch)? {
+                                return Ok(finish(
+                                    Verdict::Inconclusive(InconclusiveReason::OffStrategy {
+                                        state: "strategy prescribed a disabled internal move"
+                                            .to_string(),
+                                    }),
+                                    trace,
+                                    steps,
+                                ));
                             }
                         }
                     }
@@ -331,7 +336,7 @@ impl<'a> TestExecutor<'a> {
                                 match self.handle_output(
                                     &interp,
                                     &mut monitor,
-                                    &mut product_state,
+                                    (&mut product_state, &mut scratch),
                                     &mut trace,
                                     &channel,
                                     now,
@@ -370,8 +375,7 @@ impl<'a> TestExecutor<'a> {
                                 // Advance product and specification through
                                 // the same deterministic hop — a quiet
                                 // simulated implementation made it too.
-                                if let Some(next) = interp.fire_first_internal(&product_state)? {
-                                    product_state = next;
+                                if interp.fire_first_internal(&mut product_state, &mut scratch)? {
                                     monitor.progress_internal()?;
                                     continue;
                                 }
@@ -409,18 +413,15 @@ impl<'a> TestExecutor<'a> {
                                 trace.push_delay(wait);
                                 return Ok(finish(Verdict::Fail(fail), trace, steps));
                             }
-                            match interp.delayed(&product_state, wait)? {
-                                Some(next) => product_state = next,
-                                None => {
-                                    return Ok(finish(
-                                        Verdict::Inconclusive(InconclusiveReason::OffStrategy {
-                                            state: "product invariant violated while waiting"
-                                                .to_string(),
-                                        }),
-                                        trace,
-                                        steps,
-                                    ));
-                                }
+                            if !interp.delay(&mut product_state, wait)? {
+                                return Ok(finish(
+                                    Verdict::Inconclusive(InconclusiveReason::OffStrategy {
+                                        state: "product invariant violated while waiting"
+                                            .to_string(),
+                                    }),
+                                    trace,
+                                    steps,
+                                ));
                             }
                             trace.push_delay(wait);
                             now += wait;
@@ -433,21 +434,15 @@ impl<'a> TestExecutor<'a> {
                                     trace.push_delay(after);
                                     return Ok(finish(Verdict::Fail(fail), trace, steps));
                                 }
-                                match interp.delayed(&product_state, after)? {
-                                    Some(next) => product_state = next,
-                                    None => {
-                                        return Ok(finish(
-                                            Verdict::Inconclusive(
-                                                InconclusiveReason::OffStrategy {
-                                                    state:
-                                                        "product invariant violated before output"
-                                                            .to_string(),
-                                                },
-                                            ),
-                                            trace,
-                                            steps,
-                                        ));
-                                    }
+                                if !interp.delay(&mut product_state, after)? {
+                                    return Ok(finish(
+                                        Verdict::Inconclusive(InconclusiveReason::OffStrategy {
+                                            state: "product invariant violated before output"
+                                                .to_string(),
+                                        }),
+                                        trace,
+                                        steps,
+                                    ));
                                 }
                                 trace.push_delay(after);
                                 now += after;
@@ -455,7 +450,7 @@ impl<'a> TestExecutor<'a> {
                             match self.handle_output(
                                 &interp,
                                 &mut monitor,
-                                &mut product_state,
+                                (&mut product_state, &mut scratch),
                                 &mut trace,
                                 &channel,
                                 now,
@@ -470,13 +465,14 @@ impl<'a> TestExecutor<'a> {
         }
     }
 
-    /// Processes an observed output: tioco check, product update, trace.
-    /// Returns `Some(reason)` if the output is a conformance violation.
+    /// Processes an observed output: tioco check, product update (through
+    /// the product state's scratch), trace.  Returns `Some(reason)` if the
+    /// output is a conformance violation.
     fn handle_output(
         &self,
         interp: &Interpreter<'_>,
         monitor: &mut SpecMonitor<'_>,
-        product_state: &mut ConcreteState,
+        (product_state, scratch): (&mut ConcreteState, &mut ConcreteState),
         trace: &mut TimedTrace,
         channel: &str,
         now: i64,
@@ -491,15 +487,13 @@ impl<'a> TestExecutor<'a> {
                 at_ticks: now,
             }));
         };
-        match interp.fire_sync(product_state, ch)? {
-            Some(next) => {
-                *product_state = next;
-                Ok(None)
-            }
-            None => Ok(Some(FailReason::EnvironmentRefusedOutput {
+        if interp.fire_sync(product_state, ch, scratch)? {
+            Ok(None)
+        } else {
+            Ok(Some(FailReason::EnvironmentRefusedOutput {
                 channel: channel.to_string(),
                 at_ticks: now,
-            })),
+            }))
         }
     }
 }

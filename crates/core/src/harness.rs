@@ -9,9 +9,10 @@ use crate::exec::{TestConfig, TestExecutor, TestReport};
 use crate::iut::Iut;
 use crate::verdict::Verdict;
 use std::fmt;
-use tiga_model::{ModelError, System};
+use tiga_model::{Liveness, ModelError, System};
 use tiga_solver::{
-    solve, CompiledController, Controller, GameSolution, SolveOptions, SolverError, Strategy,
+    objective_liveness, solve, CompiledController, Controller, GameSolution, SolveOptions,
+    SolverError, Strategy,
 };
 use tiga_tctl::{LangError, TestPurpose};
 
@@ -74,6 +75,9 @@ pub struct TestHarness {
     purpose: TestPurpose,
     solution: GameSolution,
     controller: CompiledController,
+    /// The purpose's liveness on `product`, which the controller's states
+    /// were reduced by; every execution borrows it.
+    liveness: Liveness,
     config: TestConfig,
 }
 
@@ -134,12 +138,14 @@ impl TestHarness {
             });
         }
         let controller = CompiledController::compile(strategy);
+        let liveness = objective_liveness(&product, &parsed.predicate);
         Ok(TestHarness {
             product,
             spec,
             purpose: parsed,
             solution,
             controller,
+            liveness,
             config,
         })
     }
@@ -225,6 +231,7 @@ impl TestHarness {
             &self.spec,
             controller,
             &self.purpose,
+            &self.liveness,
             self.config.clone(),
         )?;
         executor.run(iut)

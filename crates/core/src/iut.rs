@@ -89,6 +89,9 @@ pub struct SimulatedIut {
     scale: i64,
     policy: OutputPolicy,
     state: ConcreteState,
+    /// Where discrete steps build the successor (see
+    /// [`Interpreter::fire_edge`]); its contents are never read.
+    scratch: ConcreteState,
     ignored_inputs: usize,
     /// Closed-network semantics: actions are binary syncs between distinct
     /// automata (the view the game solver explores), not lone half-edges.
@@ -146,6 +149,7 @@ impl SimulatedIut {
             system,
             scale,
             policy,
+            scratch: state.clone(),
             state,
             ignored_inputs: 0,
             closed,
@@ -174,6 +178,14 @@ impl SimulatedIut {
 
     fn interpreter(&self) -> Interpreter<'_> {
         Interpreter::new(&self.system, self.scale).expect("scale validated at construction")
+    }
+
+    /// The interpreter, with the state its steps advance and the scratch
+    /// they build successors in.
+    fn stepper(&mut self) -> (Interpreter<'_>, &mut ConcreteState, &mut ConcreteState) {
+        let interp =
+            Interpreter::new(&self.system, self.scale).expect("scale validated at construction");
+        (interp, &mut self.state, &mut self.scratch)
     }
 
     /// Narrows a `(lo, hi)` firing window by one edge's guard (data guard
@@ -223,61 +235,63 @@ impl SimulatedIut {
     }
 
     /// For every output *action* enabled (now or later, by pure delay) in
-    /// the current state: its earliest and latest firing time in ticks.
+    /// the current state: its earliest and latest firing time in ticks,
+    /// within the invariant `deadline`.
     ///
-    /// Open view: one entry per enabled `ch!` edge.  Closed view: one entry
-    /// per synchronization of [`System::enabled_joint_edges`] on an output
-    /// channel, with the window narrowed by both guards.
-    fn output_windows(&self) -> Vec<(EdgeRef, ChannelId, i64, Option<i64>)> {
-        let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
-        // Each output action: its channel, its emitting edge and, in the
-        // closed view, the receiving edge that fires with it.
-        let mut actions = Vec::new();
+    /// Open view: one entry per enabled `ch!` edge on an output channel
+    /// (an environment's `ch!` on an input channel is not the plant's
+    /// output).  Closed view: one entry per synchronization of
+    /// [`System::enabled_joint_edges`] on an output channel, with the
+    /// window narrowed by both guards.
+    fn output_windows(&self, deadline: Option<i64>) -> Vec<(EdgeRef, ChannelId, i64, Option<i64>)> {
+        let is_output = |ch: ChannelId| self.system.channel(ch).kind() == ChannelKind::Output;
+        let mut windows = Vec::new();
         if self.closed {
             let joint = self.system.enabled_joint_edges(&self.state.discrete);
             for je in joint.unwrap_or_default() {
                 if let JointEdge::Sync {
                     channel,
-                    output,
+                    output: (automaton, edge),
                     input,
                 } = je
                 {
-                    actions.push((channel, output, Some(input)));
+                    if !is_output(channel) {
+                        continue;
+                    }
+                    let window = self
+                        .narrow_window((automaton, edge), 0, deadline)
+                        .and_then(|(lo, hi)| self.narrow_window(input, lo, hi));
+                    if let Some((lo, hi)) = window {
+                        windows.push((EdgeRef { automaton, edge }, channel, lo, hi));
+                    }
                 }
             }
         } else {
             for (ai, aut) in self.system.automata().iter().enumerate() {
-                for ei in aut.edges_from(self.state.discrete.locations[ai]) {
-                    if let Sync::Output(ch) = aut.edge(ei).sync {
-                        actions.push((ch, (AutomatonId::from_index(ai), ei), None));
+                for edge in aut.edges_from(self.state.discrete.locations[ai]) {
+                    let Sync::Output(ch) = aut.edge(edge).sync else {
+                        continue;
+                    };
+                    if !is_output(ch) {
+                        continue;
+                    }
+                    let automaton = AutomatonId::from_index(ai);
+                    if let Some((lo, hi)) = self.narrow_window((automaton, edge), 0, deadline) {
+                        windows.push((EdgeRef { automaton, edge }, ch, lo, hi));
                     }
                 }
-            }
-        }
-        let mut windows = Vec::new();
-        for (ch, (automaton, edge), input) in actions {
-            if self.system.channel(ch).kind() != ChannelKind::Output {
-                continue;
-            }
-            let mut window = self.narrow_window((automaton, edge), 0, deadline);
-            if let Some(input) = input {
-                window = window.and_then(|(lo, hi)| self.narrow_window(input, lo, hi));
-            }
-            if let Some((lo, hi)) = window {
-                windows.push((EdgeRef { automaton, edge }, ch, lo, hi));
             }
         }
         windows
     }
 
     /// Decides, per the policy, when (if ever) the next output would occur and
-    /// through which edge.
-    fn next_output_plan(&self) -> Option<(i64, EdgeRef, ChannelId)> {
-        let windows = self.output_windows();
+    /// through which edge; `deadline` is the invariant's maximal delay.
+    fn next_output_plan(&self, deadline: Option<i64>) -> Option<(i64, EdgeRef, ChannelId)> {
+        let windows = self.output_windows(deadline);
         if windows.is_empty() {
             return None;
         }
-        let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
         match self.policy {
             OutputPolicy::Eager => windows
                 .iter()
@@ -362,45 +376,42 @@ impl Iut for SimulatedIut {
             self.ignored_inputs += 1;
             return;
         };
-        let interp = self.interpreter();
-        let next = if self.closed {
-            interp.fire_sync(&self.state, ch)
+        let closed = self.closed;
+        let (interp, state, scratch) = self.stepper();
+        let taken = if closed {
+            interp.fire_sync(state, ch, scratch)
         } else {
-            interp.after_input(&self.state, ch)
+            interp.after_input(state, ch, scratch)
         };
-        match next {
-            Ok(Some(next)) => self.state = next,
-            _ => self.ignored_inputs += 1,
+        if !matches!(taken, Ok(true)) {
+            self.ignored_inputs += 1;
         }
     }
 
     fn delay(&mut self, max_ticks: i64) -> DelayOutcome {
-        let plan = self.next_output_plan();
-        match plan {
+        let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
+        match self.next_output_plan(deadline) {
             Some((after, edge, ch)) if after <= max_ticks => {
                 self.force_advance(after);
-                let interp = self.interpreter();
-                let next = if self.closed {
+                let closed = self.closed;
+                let (interp, state, scratch) = self.stepper();
+                let fired = if closed {
                     // The planned window already accounts for a matching
                     // `ch?` edge; fire the whole synchronization.
-                    interp.fire_sync(&self.state, ch)
+                    interp.fire_sync(state, ch, scratch)
                 } else {
-                    interp.fire_edge(&self.state, edge)
+                    interp.fire_edge(state, edge, scratch)
                 };
-                match next {
-                    Ok(Some(next)) => {
-                        self.state = next;
-                        DelayOutcome::Output {
-                            after,
-                            channel: self.system.channel(ch).name().to_string(),
-                        }
+                if matches!(fired, Ok(true)) {
+                    DelayOutcome::Output {
+                        after,
+                        channel: self.system.channel(ch).name().to_string(),
                     }
-                    _ => {
-                        // The planned edge turned out to be blocked (e.g. a
-                        // mutant with an inconsistent update): stay silent.
-                        self.force_advance(max_ticks - after);
-                        DelayOutcome::Quiet
-                    }
+                } else {
+                    // The planned edge turned out to be blocked (e.g. a
+                    // mutant with an inconsistent update): stay silent.
+                    self.force_advance(max_ticks - after);
+                    DelayOutcome::Quiet
                 }
             }
             _ => {
@@ -410,11 +421,9 @@ impl Iut for SimulatedIut {
                 // first-in-declaration-order rule the executor applies to
                 // the product, keeping conformant runs in lockstep).
                 if max_ticks == 0 {
-                    let interp = self.interpreter();
-                    if interp.max_delay(&self.state).unwrap_or(None) == Some(0) {
-                        if let Ok(Some(next)) = interp.fire_first_internal(&self.state) {
-                            self.state = next;
-                        }
+                    if deadline == Some(0) {
+                        let (interp, state, scratch) = self.stepper();
+                        let _ = interp.fire_first_internal(state, scratch);
                     }
                     return DelayOutcome::Quiet;
                 }

@@ -60,9 +60,11 @@ pub enum MonitorOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpecMonitor<'a> {
-    system: &'a System,
-    scale: i64,
+    interp: Interpreter<'a>,
     state: ConcreteState,
+    /// Where discrete steps build the successor (see
+    /// [`Interpreter::fire_edge`]); its contents are never read.
+    scratch: ConcreteState,
     elapsed: i64,
 }
 
@@ -95,15 +97,11 @@ impl<'a> SpecMonitor<'a> {
         let interp = Interpreter::new(system, scale)?;
         let state = interp.initial_state()?;
         Ok(SpecMonitor {
-            system,
-            scale,
+            interp,
+            scratch: state.clone(),
             state,
             elapsed: 0,
         })
-    }
-
-    fn interpreter(&self) -> Interpreter<'a> {
-        Interpreter::new(self.system, self.scale).expect("scale validated at construction")
     }
 
     /// Total observed time so far, in ticks.
@@ -125,7 +123,7 @@ impl<'a> SpecMonitor<'a> {
     ///
     /// Propagates expression-evaluation errors.
     pub fn max_allowed_delay(&self) -> Result<Option<i64>, ModelError> {
-        self.interpreter().max_delay(&self.state)
+        self.interp.max_delay(&self.state)
     }
 
     /// The outputs the specification can produce right now (`Out(s After σ)`
@@ -135,11 +133,12 @@ impl<'a> SpecMonitor<'a> {
     ///
     /// Propagates expression-evaluation errors.
     pub fn allowed_outputs(&self) -> Result<Vec<String>, ModelError> {
+        let system = self.interp.system();
         Ok(self
-            .interpreter()
+            .interp
             .enabled_outputs(&self.state)?
             .into_iter()
-            .map(|c| self.system.channel(c).name().to_string())
+            .map(|c| system.channel(c).name().to_string())
             .collect())
     }
 
@@ -156,13 +155,8 @@ impl<'a> SpecMonitor<'a> {
     ///
     /// Propagates expression-evaluation errors.
     pub fn progress_internal(&mut self) -> Result<bool, ModelError> {
-        match self.interpreter().fire_first_internal(&self.state)? {
-            Some(next) => {
-                self.state = next;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.interp
+            .fire_first_internal(&mut self.state, &mut self.scratch)
     }
 
     /// Observes the tester sending an input.
@@ -178,12 +172,12 @@ impl<'a> SpecMonitor<'a> {
     /// model error.
     pub fn observe_input(&mut self, channel: &str) -> Result<MonitorOutcome, ModelError> {
         let ch = self
-            .system
+            .interp
+            .system()
             .channel_by_name(channel)
             .ok_or_else(|| ModelError::UnknownName(channel.to_string()))?;
-        if let Some(next) = self.interpreter().after_input(&self.state, ch)? {
-            self.state = next;
-        }
+        self.interp
+            .after_input(&mut self.state, ch, &mut self.scratch)?;
         Ok(MonitorOutcome::Ok)
     }
 
@@ -193,16 +187,14 @@ impl<'a> SpecMonitor<'a> {
     ///
     /// Propagates expression-evaluation errors.
     pub fn observe_delay(&mut self, delay: i64) -> Result<MonitorOutcome, ModelError> {
-        match self.interpreter().delayed(&self.state, delay)? {
-            Some(next) => {
-                self.state = next;
-                self.elapsed += delay;
-                Ok(MonitorOutcome::Ok)
-            }
-            None => Ok(MonitorOutcome::Violation(FailReason::IllegalDelay {
+        if self.interp.delay(&mut self.state, delay)? {
+            self.elapsed += delay;
+            Ok(MonitorOutcome::Ok)
+        } else {
+            Ok(MonitorOutcome::Violation(FailReason::IllegalDelay {
                 delay_ticks: delay,
                 at_ticks: self.elapsed,
-            })),
+            }))
         }
     }
 
@@ -212,21 +204,22 @@ impl<'a> SpecMonitor<'a> {
     ///
     /// Propagates expression-evaluation errors.
     pub fn observe_output(&mut self, channel: &str) -> Result<MonitorOutcome, ModelError> {
-        let Some(ch) = self.system.channel_by_name(channel) else {
+        let Some(ch) = self.interp.system().channel_by_name(channel) else {
             return Ok(MonitorOutcome::Violation(FailReason::UnexpectedOutput {
                 channel: channel.to_string(),
                 at_ticks: self.elapsed,
             }));
         };
-        match self.interpreter().after_output(&self.state, ch)? {
-            Some(next) => {
-                self.state = next;
-                Ok(MonitorOutcome::Ok)
-            }
-            None => Ok(MonitorOutcome::Violation(FailReason::UnexpectedOutput {
+        if self
+            .interp
+            .after_output(&mut self.state, ch, &mut self.scratch)?
+        {
+            Ok(MonitorOutcome::Ok)
+        } else {
+            Ok(MonitorOutcome::Violation(FailReason::UnexpectedOutput {
                 channel: channel.to_string(),
                 at_ticks: self.elapsed,
-            })),
+            }))
         }
     }
 }

@@ -17,7 +17,7 @@
 
 use tiga_dbm::Dbm;
 use tiga_model::{AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, System, SystemBuilder};
-use tiga_solver::{Decision, Strategy, StrategyRule};
+use tiga_solver::{objective_liveness, Decision, Strategy, StrategyRule};
 use tiga_tctl::TestPurpose;
 use tiga_testing::{
     FailReason, HarnessError, InconclusiveReason, OutputPolicy, SimulatedIut, TestConfig,
@@ -167,8 +167,16 @@ fn bound_exhaustion_is_attributed_to_the_bound() {
     let mut iut = SimulatedIut::new("quiet", product.clone(), 4, OutputPolicy::Lazy);
 
     let bounded = TestPurpose::parse("control: A<><=3 Plant.Done", &product).unwrap();
-    let executor =
-        TestExecutor::new(&product, &product, &strategy, &bounded, small_budgets()).unwrap();
+    let liveness = objective_liveness(&product, &bounded.predicate);
+    let executor = TestExecutor::new(
+        &product,
+        &product,
+        &strategy,
+        &bounded,
+        &liveness,
+        small_budgets(),
+    )
+    .unwrap();
     let report = executor.run(&mut iut).expect("executes");
     assert_eq!(
         report.verdict,
@@ -183,8 +191,16 @@ fn bound_exhaustion_is_attributed_to_the_bound() {
 
     // Bound far beyond max_ticks: the executor budget is the tighter one.
     let distant = TestPurpose::parse("control: A<><=600 Plant.Done", &product).unwrap();
-    let executor =
-        TestExecutor::new(&product, &product, &strategy, &distant, small_budgets()).unwrap();
+    let liveness = objective_liveness(&product, &distant.predicate);
+    let executor = TestExecutor::new(
+        &product,
+        &product,
+        &strategy,
+        &distant,
+        &liveness,
+        small_budgets(),
+    )
+    .unwrap();
     let report = executor.run(&mut iut).expect("executes");
     assert_eq!(
         report.verdict,
@@ -242,8 +258,16 @@ fn safety_violation_at_exactly_the_bound_fails() {
     let spec = permissive_boom_spec();
     let purpose = TestPurpose::parse("control: A[]<=5 not Plant.BadLoc", &product).unwrap();
     let strategy = augmented_wait_only(&product);
-    let executor =
-        TestExecutor::new(&product, &spec, &strategy, &purpose, small_budgets()).unwrap();
+    let liveness = objective_liveness(&product, &purpose.predicate);
+    let executor = TestExecutor::new(
+        &product,
+        &spec,
+        &strategy,
+        &purpose,
+        &liveness,
+        small_budgets(),
+    )
+    .unwrap();
     let mut iut = SimulatedIut::new("deviant", product.clone(), 4, OutputPolicy::Eager);
     let report = executor.run(&mut iut).expect("executes");
     match report.verdict {

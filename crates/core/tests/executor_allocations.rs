@@ -1,0 +1,107 @@
+//! Allocation gate of the test executor: a wait step allocates nothing.
+//!
+//! The executor, the tioco monitor and the simulated implementation step
+//! their states in place, so a conformant run of the smart-light safety
+//! purpose — which waits from start to finish — makes the same number of
+//! heap allocations whether its time budget allows 10 000 ticks or ten
+//! times as many.  Anything a wait step allocates shows up as a difference
+//! of some thousand allocations between the two runs.
+//!
+//! A counting global allocator, for this test binary only, counts the
+//! allocations made on the test's own thread.  The library crates stay
+//! `forbid(unsafe_code)`; the unsafe code is the forwarding shim below.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use tiga_models::smart_light::{product, PURPOSE_NEVER_BRIGHT};
+use tiga_testing::{default_policies, SimulatedIut, TestConfig, TestHarness, Verdict};
+
+/// Forwards every call to the system allocator and counts allocations
+/// (including reallocations) per thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread that is being torn down has no counter left; its
+    // allocations are not the test's.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method passes its caller's arguments unchanged to `System`,
+// so each call meets `System`'s contract exactly when the caller meets
+// `GlobalAlloc`'s.  Counting only touches a const-initialized thread-local
+// cell, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `layout` has a non-zero size.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator (that
+        // is, from `System`) with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `ptr`/`layout` describe a live block
+        // from this allocator and that `new_size` is valid for `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+#[test]
+fn a_conformant_waiting_run_allocates_the_same_at_any_length() {
+    let system = product().expect("the smart-light model parses");
+    for policy in default_policies() {
+        let run = |max_ticks: i64| {
+            let config = TestConfig {
+                max_ticks,
+                ..TestConfig::default()
+            };
+            let harness = TestHarness::synthesize(
+                system.clone(),
+                system.clone(),
+                PURPOSE_NEVER_BRIGHT,
+                config,
+            )
+            .expect("never_bright is enforceable");
+            let scale = harness.config().scale;
+            let mut iut = SimulatedIut::new("conformant", system.clone(), scale, policy);
+            let before = allocations();
+            let report = harness.execute(&mut iut).expect("the run evaluates");
+            let allocs = allocations() - before;
+            assert_eq!(report.verdict, Verdict::Pass, "{policy:?}");
+            (allocs, report.steps)
+        };
+        let (short_allocs, short_steps) = run(10_000);
+        let (long_allocs, long_steps) = run(100_000);
+        assert!(
+            long_steps >= 9 * short_steps,
+            "{policy:?}: {short_steps} and {long_steps} steps"
+        );
+        assert_eq!(
+            short_allocs, long_allocs,
+            "{policy:?}: {short_allocs} allocations in {short_steps} steps, \
+             {long_allocs} in {long_steps}"
+        );
+    }
+}

@@ -12,7 +12,7 @@
 
 use tiga_dbm::Dbm;
 use tiga_model::{AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, System, SystemBuilder};
-use tiga_solver::{Decision, Strategy, StrategyRule};
+use tiga_solver::{objective_liveness, Decision, Strategy, StrategyRule};
 use tiga_tctl::TestPurpose;
 use tiga_testing::{
     FailReason, HarnessError, OutputPolicy, SimulatedIut, TestConfig, TestExecutor, TestHarness,
@@ -143,8 +143,16 @@ fn entering_a_bad_state_fails_with_a_safety_violation() {
             decision: Decision::Wait,
         },
     );
-    let executor =
-        TestExecutor::new(&product, &spec, &strategy, &purpose, small_budgets()).unwrap();
+    let liveness = objective_liveness(&product, &purpose.predicate);
+    let executor = TestExecutor::new(
+        &product,
+        &spec,
+        &strategy,
+        &purpose,
+        &liveness,
+        small_budgets(),
+    )
+    .unwrap();
     let mut iut = SimulatedIut::new("deviant", product.clone(), 4, OutputPolicy::Eager);
     let report = executor.run(&mut iut).expect("executes");
     match report.verdict {

@@ -12,7 +12,7 @@
 
 use tiga_dbm::Dbm;
 use tiga_model::{AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, System, SystemBuilder};
-use tiga_solver::{Decision, Strategy, StrategyRule};
+use tiga_solver::{objective_liveness, Decision, Strategy, StrategyRule};
 use tiga_tctl::TestPurpose;
 use tiga_testing::{
     FailReason, InconclusiveReason, OutputPolicy, SimulatedIut, TestConfig, TestExecutor,
@@ -97,8 +97,16 @@ fn blocked_reachability_run_is_inconclusive_with_spec_timelock() {
     let product = timelocked_system();
     let purpose = TestPurpose::parse("control: A<> Plant.Exit", &product).unwrap();
     let strategy = wait_only_strategy(&product);
-    let executor =
-        TestExecutor::new(&product, &product, &strategy, &purpose, small_budgets()).unwrap();
+    let liveness = objective_liveness(&product, &purpose.predicate);
+    let executor = TestExecutor::new(
+        &product,
+        &product,
+        &strategy,
+        &purpose,
+        &liveness,
+        small_budgets(),
+    )
+    .unwrap();
     let mut iut = SimulatedIut::new("conformant", product.clone(), 4, OutputPolicy::Eager);
     let report = executor.run(&mut iut).expect("executes");
     assert_eq!(
@@ -155,8 +163,16 @@ fn quiet_implementation_still_fails_a_real_deadline() {
 
     let purpose = TestPurpose::parse("control: A<> Plant.Done", &product).unwrap();
     let strategy = wait_only_strategy(&product);
-    let executor =
-        TestExecutor::new(&product, &product, &strategy, &purpose, small_budgets()).unwrap();
+    let liveness = objective_liveness(&product, &purpose.predicate);
+    let executor = TestExecutor::new(
+        &product,
+        &product,
+        &strategy,
+        &purpose,
+        &liveness,
+        small_budgets(),
+    )
+    .unwrap();
     let mut iut = SimulatedIut::new("broken", broken, 4, OutputPolicy::Eager);
     let report = executor.run(&mut iut).expect("executes");
     assert_eq!(

@@ -101,6 +101,31 @@ fn edges(steps: &[(JointEdge, ConcreteState)]) -> Vec<&JointEdge> {
     steps.iter().map(|(je, _)| je).collect()
 }
 
+/// Every joint edge of [`System::enabled_joint_edges`] that
+/// [`Interpreter::fire_joint`] takes from `state`, with the state it leads
+/// to, in that order.
+fn joint_steps(
+    interp: &Interpreter<'_>,
+    state: &ConcreteState,
+) -> Result<Vec<(JointEdge, ConcreteState)>, String> {
+    let system = interp.system();
+    let mut scratch = ConcreteState::default();
+    let mut out = Vec::new();
+    for je in system
+        .enabled_joint_edges(&state.discrete)
+        .map_err(|e| e.to_string())?
+    {
+        let mut next = state.clone();
+        if interp
+            .fire_joint(&mut next, &je, &mut scratch)
+            .map_err(|e| e.to_string())?
+        {
+            out.push((je, next));
+        }
+    }
+    Ok(out)
+}
+
 /// Runs one lockstep pair of runs; returns how many dead positions the twin
 /// carried, summed over the steps.
 fn lockstep(
@@ -137,8 +162,8 @@ fn lockstep(
                 "maximal delay differs at step {step}: {max:?} vs {twin_max:?}"
             ));
         }
-        let steps = interp.joint_steps(&state).map_err(|e| e.to_string())?;
-        let twin_steps = interp.joint_steps(&twin).map_err(|e| e.to_string())?;
+        let steps = joint_steps(&interp, &state)?;
+        let twin_steps = joint_steps(&interp, &twin)?;
         if edges(&steps) != edges(&twin_steps) {
             return Err(format!(
                 "enabled joint edges differ at step {step}:\n  {:?}\n  {:?}",
@@ -149,14 +174,11 @@ fn lockstep(
 
         if steps.is_empty() || rng.gen_bool(0.4) {
             let delay = rng.gen_range(0..=3 * SCALE).min(max.unwrap_or(i64::MAX));
-            let next = interp.delayed(&state, delay).map_err(|e| e.to_string())?;
-            let twin_next = interp.delayed(&twin, delay).map_err(|e| e.to_string())?;
-            match (next, twin_next) {
-                (Some(next), Some(twin_next)) => {
-                    state = next;
-                    twin = twin_next;
-                }
-                (None, None) => break,
+            let allowed = interp.delay(&mut state, delay).map_err(|e| e.to_string())?;
+            let twin_allowed = interp.delay(&mut twin, delay).map_err(|e| e.to_string())?;
+            match (allowed, twin_allowed) {
+                (true, true) => {}
+                (false, false) => break,
                 _ => {
                     return Err(format!(
                         "a delay of {delay} ticks is allowed in one run only"

@@ -14,13 +14,28 @@ use tiga_dbm::{Bound, Dbm};
 
 /// The discrete part of a system state: one location per automaton plus the
 /// flattened store of bounded integer variables.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscreteState {
     /// Current location of each automaton (indexed by automaton).
     pub locations: Vec<LocationId>,
     /// Flattened values of the discrete variables.
     pub vars: Vec<i64>,
+}
+
+impl Clone for DiscreteState {
+    fn clone(&self) -> Self {
+        DiscreteState {
+            locations: self.locations.clone(),
+            vars: self.vars.clone(),
+        }
+    }
+
+    /// Overwrites `self` with `source`, reusing `self`'s buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.locations.clone_from(&source.locations);
+        self.vars.clone_from(&source.vars);
+    }
 }
 
 impl DiscreteState {

@@ -16,6 +16,26 @@
 //!   synchronizations whose data guards hold in the discrete state and whose
 //!   clock guards hold at the current valuation (used by the test-execution
 //!   engine to track the state of the plant∥environment game product).
+//!
+//! # Stepping in place
+//!
+//! The tester advances its states once per tick chunk, so every step works
+//! on a `&mut ConcreteState` and returns whether it was taken:
+//!
+//! * [`Interpreter::delay`] adds the delay to the clocks and checks the
+//!   invariants at the end point; it allocates nothing.
+//! * The discrete steps ([`Interpreter::fire_sync`],
+//!   [`Interpreter::fire_joint`], [`Interpreter::fire_edge`],
+//!   [`Interpreter::after_input`], [`Interpreter::after_output`] and
+//!   [`Interpreter::fire_first_internal`]) build the successor in a
+//!   *scratch* state owned by the caller — overwritten with
+//!   [`Clone::clone_from`], which reuses its buffers — and swap it in only
+//!   when the step applies.  After a swap the scratch holds the
+//!   predecessor; its contents are never read, so one scratch per tracked
+//!   state serves the whole run.
+//!
+//! A step or delay that is refused (`Ok(false)`) or fails with an error
+//! leaves the state exactly as it was.
 
 use crate::automaton::{ClockConstraint, Edge, Sync};
 use crate::decl::ChannelKind;
@@ -25,13 +45,29 @@ use crate::symbolic::{DiscreteState, JointEdge};
 use crate::system::System;
 
 /// A concrete state: the discrete state plus clock values in ticks.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConcreteState {
     /// Locations and variable values.
     pub discrete: DiscreteState,
     /// Clock values in ticks (one per declared clock).
     pub clocks: Vec<i64>,
+}
+
+impl Clone for ConcreteState {
+    fn clone(&self) -> Self {
+        ConcreteState {
+            discrete: self.discrete.clone(),
+            clocks: self.clocks.clone(),
+        }
+    }
+
+    /// Overwrites `self` with `source`, reusing `self`'s buffers (the
+    /// scratch states of the in-place steps rely on this).
+    fn clone_from(&mut self, source: &Self) {
+        self.discrete.clone_from(&source.discrete);
+        self.clocks.clone_from(&source.clocks);
+    }
 }
 
 /// A single-automaton edge reference, used when firing open transitions.
@@ -48,7 +84,10 @@ pub struct EdgeRef {
 /// # Examples
 ///
 /// ```
-/// use tiga_model::{AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, Interpreter, SystemBuilder};
+/// use tiga_model::{
+///     AutomatonBuilder, ClockConstraint, CmpOp, ConcreteState, EdgeBuilder, Interpreter,
+///     SystemBuilder,
+/// };
 ///
 /// # fn main() -> Result<(), tiga_model::ModelError> {
 /// let mut b = SystemBuilder::new("lamp");
@@ -67,12 +106,16 @@ pub struct EdgeRef {
 /// let system = b.build()?;
 ///
 /// let interp = Interpreter::new(&system, 4)?; // 4 ticks per time unit
-/// let s0 = interp.initial_state()?;
-/// let s1 = interp.after_input(&s0, press)?.expect("press accepted");
-/// // Pressing again immediately is refused by the guard x >= 1.
-/// assert!(interp.after_input(&s1, press)?.is_none());
-/// let s2 = interp.delayed(&s1, 4)?.expect("delay allowed");
-/// assert!(interp.after_input(&s2, press)?.is_some());
+/// let mut state = interp.initial_state()?;
+/// let mut scratch = ConcreteState::default();
+/// assert!(interp.after_input(&mut state, press, &mut scratch)?, "press accepted");
+/// // Pressing again immediately is refused by the guard x >= 1, and the
+/// // refused step leaves the state as it was.
+/// let on_now = state.clone();
+/// assert!(!interp.after_input(&mut state, press, &mut scratch)?);
+/// assert_eq!(state, on_now);
+/// assert!(interp.delay(&mut state, 4)?, "delay allowed");
+/// assert!(interp.after_input(&mut state, press, &mut scratch)?);
 /// # Ok(())
 /// # }
 /// ```
@@ -191,34 +234,31 @@ impl<'a> Interpreter<'a> {
         Ok(max)
     }
 
-    /// Returns the state after letting `ticks` time pass, or `None` if an
-    /// invariant is violated on the way.
+    /// Lets `ticks` time pass in place.  Returns `false`, with `state`
+    /// unchanged, if an invariant would be violated on the way.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors; negative delays are a model error.
-    pub fn delayed(
-        &self,
-        state: &ConcreteState,
-        ticks: i64,
-    ) -> Result<Option<ConcreteState>, ModelError> {
+    pub fn delay(&self, state: &mut ConcreteState, ticks: i64) -> Result<bool, ModelError> {
         if ticks < 0 {
             return Err(ModelError::Invalid("negative delay".to_string()));
         }
         if ticks > 0 && self.system.is_urgent(&state.discrete) {
-            return Ok(None);
+            return Ok(false);
         }
-        let mut next = state.clone();
-        for c in &mut next.clocks {
+        for c in &mut state.clocks {
             *c += ticks;
         }
         // Invariants are convex, so holding at the end point implies holding
         // throughout the delay (they hold at the start by assumption).
-        if self.invariants_hold(&next)? {
-            Ok(Some(next))
-        } else {
-            Ok(None)
+        let allowed = self.invariants_hold(state);
+        if !matches!(allowed, Ok(true)) {
+            for c in &mut state.clocks {
+                *c -= ticks;
+            }
         }
+        allowed
     }
 
     fn edge_enabled(
@@ -235,85 +275,89 @@ impl<'a> Interpreter<'a> {
             && self.constraints_hold(state, &edge.guard.clocks)?)
     }
 
-    /// Takes the edges `components` together from `state`: per edge, its
+    /// Takes the edges `components` together from `state`, building the
+    /// successor in `scratch` and swapping it in on success: per edge, its
     /// clock resets (evaluated in the source store), then its discrete
-    /// effect.  `None` if an update leaves its range or the target violates
-    /// an invariant.
+    /// effect.  `false`, with `state` unchanged, if an update leaves its
+    /// range or the target violates an invariant.
     fn step<'e>(
         &self,
-        state: &ConcreteState,
+        state: &mut ConcreteState,
+        scratch: &mut ConcreteState,
         components: impl Iterator<Item = (usize, &'e Edge)>,
-    ) -> Result<Option<ConcreteState>, ModelError> {
-        let mut next = state.clone();
+    ) -> Result<bool, ModelError> {
+        scratch.clone_from(state);
         for (aut_idx, edge) in components {
             for r in &edge.resets {
-                next.clocks[r.clock.index()] =
+                scratch.clocks[r.clock.index()] =
                     self.system.reset_value(r, &state.discrete.vars)? * self.scale;
             }
             if !self
                 .system
-                .apply_edge_discrete(&mut next.discrete, aut_idx, edge)?
+                .apply_edge_discrete(&mut scratch.discrete, aut_idx, edge)?
             {
-                return Ok(None);
+                return Ok(false);
             }
         }
-        if self.invariants_hold(&next)? {
-            Ok(Some(next))
-        } else {
-            Ok(None)
+        if !self.invariants_hold(scratch)? {
+            return Ok(false);
         }
+        std::mem::swap(state, scratch);
+        Ok(true)
     }
 
-    /// Takes one (open-view) edge, without checking its guard.
-    fn step_edge(
+    /// Open view: the first edge, in (automaton, edge) declaration order,
+    /// labelled `sync` and enabled now.
+    fn first_enabled(
         &self,
         state: &ConcreteState,
-        edge: EdgeRef,
-    ) -> Result<Option<ConcreteState>, ModelError> {
-        let aut_idx = edge.automaton.index();
-        let edge = self.system.automata()[aut_idx].edge(edge.edge);
-        self.step(state, std::iter::once((aut_idx, edge)))
-    }
-
-    /// Enumerates the edges of the *open* view enabled for a given sync label
-    /// predicate.
-    fn enabled_matching(
-        &self,
-        state: &ConcreteState,
-        mut pred: impl FnMut(&Sync) -> bool,
-    ) -> Result<Vec<EdgeRef>, ModelError> {
-        let mut out = Vec::new();
+        sync: Sync,
+    ) -> Result<Option<(usize, &'a Edge)>, ModelError> {
         for (ai, aut) in self.system.automata().iter().enumerate() {
             for ei in aut.edges_from(state.discrete.locations[ai]) {
-                if pred(&aut.edge(ei).sync) && self.edge_enabled(state, ai, ei)? {
-                    out.push(EdgeRef {
-                        automaton: AutomatonId::from_index(ai),
-                        edge: ei,
-                    });
+                if aut.edge(ei).sync == sync && self.edge_enabled(state, ai, ei)? {
+                    return Ok(Some((ai, aut.edge(ei))));
                 }
             }
         }
-        Ok(out)
+        Ok(None)
     }
 
-    /// Fires a single (open-view) edge.
+    /// Open view: takes the first enabled edge labelled `sync`, if any.
+    fn fire_first_enabled(
+        &self,
+        state: &mut ConcreteState,
+        sync: Sync,
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
+        match self.first_enabled(state, sync)? {
+            None => Ok(false),
+            Some(component) => self.step(state, scratch, std::iter::once(component)),
+        }
+    }
+
+    /// Fires a single (open-view) edge in place, if it is enabled and its
+    /// step applies.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn fire_edge(
         &self,
-        state: &ConcreteState,
+        state: &mut ConcreteState,
         edge: EdgeRef,
-    ) -> Result<Option<ConcreteState>, ModelError> {
-        if !self.edge_enabled(state, edge.automaton.index(), edge.edge)? {
-            return Ok(None);
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
+        let aut_idx = edge.automaton.index();
+        if !self.edge_enabled(state, aut_idx, edge.edge)? {
+            return Ok(false);
         }
-        self.step_edge(state, edge)
+        let component = (aut_idx, self.system.automata()[aut_idx].edge(edge.edge));
+        self.step(state, scratch, std::iter::once(component))
     }
 
-    /// Open view: the state after the plant receives input `channel?`, or
-    /// `None` if no such edge is enabled (the input is refused).
+    /// Open view: the plant receives input `channel?` in place; `false` if
+    /// no such edge is enabled (the input is refused).
     ///
     /// If several edges are enabled the first declared one is taken.
     ///
@@ -322,35 +366,31 @@ impl<'a> Interpreter<'a> {
     /// Propagates evaluation errors.
     pub fn after_input(
         &self,
-        state: &ConcreteState,
+        state: &mut ConcreteState,
         channel: ChannelId,
-    ) -> Result<Option<ConcreteState>, ModelError> {
-        match self.edges_for_input(state, channel)?.first() {
-            None => Ok(None),
-            Some(&e) => self.step_edge(state, e),
-        }
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
+        self.fire_first_enabled(state, Sync::Input(channel), scratch)
     }
 
-    /// Open view: the state after the plant emits output `channel!`, or `None`
-    /// if the model cannot produce that output now.
+    /// Open view: the plant emits output `channel!` in place; `false` if the
+    /// model cannot produce that output now.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn after_output(
         &self,
-        state: &ConcreteState,
+        state: &mut ConcreteState,
         channel: ChannelId,
-    ) -> Result<Option<ConcreteState>, ModelError> {
-        match self.edges_for_output(state, channel)?.first() {
-            None => Ok(None),
-            Some(&e) => self.step_edge(state, e),
-        }
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
+        self.fire_first_enabled(state, Sync::Output(channel), scratch)
     }
 
-    /// Fires the first enabled internal (`tau`) edge, in (automaton, edge)
-    /// declaration order, or returns `None` when no internal move is
-    /// possible.
+    /// Fires the first enabled internal (`tau`) edge whose step applies, in
+    /// (automaton, edge) declaration order; `false` when no internal move
+    /// is possible.
     ///
     /// This is the deterministic *forced-progression* rule shared by the
     /// test executor, the conformance monitor and the simulated
@@ -363,32 +403,21 @@ impl<'a> Interpreter<'a> {
     /// Propagates evaluation errors.
     pub fn fire_first_internal(
         &self,
-        state: &ConcreteState,
-    ) -> Result<Option<ConcreteState>, ModelError> {
-        for e in self.enabled_matching(state, |s| *s == Sync::Tau)? {
-            if let Some(next) = self.fire_edge(state, e)? {
-                return Ok(Some(next));
+        state: &mut ConcreteState,
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
+        for (ai, aut) in self.system.automata().iter().enumerate() {
+            for ei in aut.edges_from(state.discrete.locations[ai]) {
+                let edge = aut.edge(ei);
+                if edge.sync == Sync::Tau
+                    && self.edge_enabled(state, ai, ei)?
+                    && self.step(state, scratch, std::iter::once((ai, edge)))?
+                {
+                    return Ok(true);
+                }
             }
         }
-        Ok(None)
-    }
-
-    /// Open view: enabled edges receiving `channel?`.
-    fn edges_for_input(
-        &self,
-        state: &ConcreteState,
-        channel: ChannelId,
-    ) -> Result<Vec<EdgeRef>, ModelError> {
-        self.enabled_matching(state, |s| *s == Sync::Input(channel))
-    }
-
-    /// Open view: enabled edges emitting `channel!`.
-    fn edges_for_output(
-        &self,
-        state: &ConcreteState,
-        channel: ChannelId,
-    ) -> Result<Vec<EdgeRef>, ModelError> {
-        self.enabled_matching(state, |s| *s == Sync::Output(channel))
+        Ok(false)
     }
 
     /// Open view: the set of output channels the plant could emit right now.
@@ -401,7 +430,7 @@ impl<'a> Interpreter<'a> {
         for (idx, ch) in self.system.channels().iter().enumerate() {
             if ch.kind() == ChannelKind::Output {
                 let id = ChannelId::from_index(idx);
-                if !self.edges_for_output(state, id)?.is_empty() {
+                if self.first_enabled(state, Sync::Output(id))?.is_some() {
                     out.push(id);
                 }
             }
@@ -421,56 +450,53 @@ impl<'a> Interpreter<'a> {
         Ok(true)
     }
 
-    /// Closed view: fires a binary synchronization on `channel` — the first
-    /// pair of [`System::enabled_joint_edges`] on `channel` whose clock
-    /// guards hold and whose step applies (no update leaves its range, the
-    /// target invariants hold).  Pairs come in emitter-major declaration
-    /// order, so among several receivers the first declared one fires.
+    /// Closed view: takes the joint edge `je` in place, if its clock guards
+    /// hold now and its step applies (no update leaves its range, the
+    /// target invariants hold).
     ///
-    /// Returns `None` if no such pair is enabled.
+    /// `je` must be one of [`System::enabled_joint_edges`] in `state`: its
+    /// data guards are not checked again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors.
+    pub fn fire_joint(
+        &self,
+        state: &mut ConcreteState,
+        je: &JointEdge,
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
+        if !self.joint_guards_hold(state, je)? {
+            return Ok(false);
+        }
+        self.step(state, scratch, self.system.joint_components(je))
+    }
+
+    /// Closed view: fires a binary synchronization on `channel` in place —
+    /// the first pair of [`System::enabled_joint_edges`] on `channel` that
+    /// [`Interpreter::fire_joint`] takes.  Pairs come in emitter-major
+    /// declaration order, so among several receivers the first declared one
+    /// fires.
+    ///
+    /// Returns `false` if no such pair is enabled.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn fire_sync(
         &self,
-        state: &ConcreteState,
+        state: &mut ConcreteState,
         channel: ChannelId,
-    ) -> Result<Option<ConcreteState>, ModelError> {
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
         for je in self.system.enabled_joint_edges(&state.discrete)? {
-            if !matches!(je, JointEdge::Sync { channel: c, .. } if c == channel)
-                || !self.joint_guards_hold(state, &je)?
+            if matches!(je, JointEdge::Sync { channel: c, .. } if c == channel)
+                && self.fire_joint(state, &je, scratch)?
             {
-                continue;
-            }
-            if let Some(next) = self.step(state, self.system.joint_components(&je))? {
-                return Ok(Some(next));
+                return Ok(true);
             }
         }
-        Ok(None)
-    }
-
-    /// Closed view: every joint edge of [`System::enabled_joint_edges`]
-    /// whose clock guards hold now and whose step applies, in that order,
-    /// with the state the step leads to.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn joint_steps(
-        &self,
-        state: &ConcreteState,
-    ) -> Result<Vec<(JointEdge, ConcreteState)>, ModelError> {
-        let mut out = Vec::new();
-        for je in self.system.enabled_joint_edges(&state.discrete)? {
-            if !self.joint_guards_hold(state, &je)? {
-                continue;
-            }
-            if let Some(next) = self.step(state, self.system.joint_components(&je))? {
-                out.push((je, next));
-            }
-        }
-        Ok(out)
+        Ok(false)
     }
 
     /// Closed view: the channels, in index order, of the synchronizations
@@ -522,6 +548,37 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The state after a delay of `ticks`, or `None` if it is refused
+    /// (which must leave the state untouched).
+    fn delayed(
+        interp: &Interpreter<'_>,
+        state: &ConcreteState,
+        ticks: i64,
+    ) -> Option<ConcreteState> {
+        let mut next = state.clone();
+        if interp.delay(&mut next, ticks).unwrap() {
+            Some(next)
+        } else {
+            assert_eq!(&next, state, "a refused delay changed the state");
+            None
+        }
+    }
+
+    /// The state after `step`, or `None` if it is refused (which must leave
+    /// the state untouched).
+    fn stepped(
+        state: &ConcreteState,
+        step: impl FnOnce(&mut ConcreteState, &mut ConcreteState) -> Result<bool, ModelError>,
+    ) -> Option<ConcreteState> {
+        let mut next = state.clone();
+        if step(&mut next, &mut ConcreteState::default()).unwrap() {
+            Some(next)
+        } else {
+            assert_eq!(&next, state, "a refused step changed the state");
+            None
+        }
+    }
+
     #[test]
     fn initial_state_and_delay_bounds() {
         let sys = responder();
@@ -531,11 +588,11 @@ mod tests {
         // Idle has no invariant: unbounded delay.
         assert_eq!(interp.max_delay(&s0).unwrap(), None);
         let req = sys.channel_by_name("req").unwrap();
-        let s1 = interp.after_input(&s0, req).unwrap().unwrap();
+        let s1 = stepped(&s0, |s, t| interp.after_input(s, req, t)).unwrap();
         // Busy invariant x <= 3 at scale 4: at most 12 ticks.
         assert_eq!(interp.max_delay(&s1).unwrap(), Some(12));
-        assert!(interp.delayed(&s1, 12).unwrap().is_some());
-        assert!(interp.delayed(&s1, 13).unwrap().is_none());
+        assert_eq!(delayed(&interp, &s1, 12).unwrap().clocks, vec![12]);
+        assert!(delayed(&interp, &s1, 13).is_none());
     }
 
     #[test]
@@ -545,17 +602,72 @@ mod tests {
         let req = sys.channel_by_name("req").unwrap();
         let resp = sys.channel_by_name("resp").unwrap();
         let s0 = interp.initial_state().unwrap();
-        let s1 = interp.after_input(&s0, req).unwrap().unwrap();
+        let s1 = stepped(&s0, |s, t| interp.after_input(s, req, t)).unwrap();
         // Output not yet enabled (guard x >= 1).
         assert!(interp.enabled_outputs(&s1).unwrap().is_empty());
-        assert!(interp.after_output(&s1, resp).unwrap().is_none());
-        let s2 = interp.delayed(&s1, 4).unwrap().unwrap();
+        assert!(stepped(&s1, |s, t| interp.after_output(s, resp, t)).is_none());
+        let s2 = delayed(&interp, &s1, 4).unwrap();
         assert_eq!(interp.enabled_outputs(&s2).unwrap(), vec![resp]);
-        let s3 = interp.after_output(&s2, resp).unwrap().unwrap();
+        let s3 = stepped(&s2, |s, t| interp.after_output(s, resp, t)).unwrap();
         assert_eq!(s3.discrete.vars, vec![1]);
-        // Input refused while busy.
-        assert!(interp.after_input(&s2, req).unwrap().is_none());
-        assert_eq!(interp.edges_for_input(&s3, req).unwrap().len(), 1);
+        // Input refused while busy, accepted again once idle.
+        assert!(stepped(&s2, |s, t| interp.after_input(s, req, t)).is_none());
+        let s4 = stepped(&s3, |s, t| interp.after_input(s, req, t)).unwrap();
+        assert_eq!(s4.clocks, vec![0]);
+    }
+
+    #[test]
+    fn a_scratch_state_serves_many_steps() {
+        // One scratch, reused across steps of different shapes, never leaks
+        // into the tracked state.
+        let sys = responder();
+        let interp = Interpreter::new(&sys, 4).unwrap();
+        let req = sys.channel_by_name("req").unwrap();
+        let resp = sys.channel_by_name("resp").unwrap();
+        let mut state = interp.initial_state().unwrap();
+        let mut scratch = ConcreteState::default();
+        for round in 1..=3 {
+            assert!(interp.after_input(&mut state, req, &mut scratch).unwrap());
+            assert!(!interp.after_input(&mut state, req, &mut scratch).unwrap());
+            assert!(interp.delay(&mut state, 5).unwrap());
+            assert!(interp.after_output(&mut state, resp, &mut scratch).unwrap());
+            assert_eq!(state.discrete.vars, vec![round]);
+            assert_eq!(state.clocks, vec![5]);
+        }
+    }
+
+    #[test]
+    fn resets_read_the_source_store() {
+        // The sender increments `n` and the receiver resets `y := n`: the
+        // reset reads `n` before the synchronization, not the successor
+        // being built.
+        let mut b = SystemBuilder::new("source");
+        let y = b.clock("y").unwrap();
+        let go = b.output_channel("go").unwrap();
+        let n = b.int_var("n", 0, 5, 1).unwrap();
+        let mut sender = AutomatonBuilder::new("Sender");
+        let s0 = sender.location("S0").unwrap();
+        sender.add_edge(
+            EdgeBuilder::new(s0, s0)
+                .output(go)
+                .set(n, Expr::var(n) + Expr::constant(1)),
+        );
+        b.add_automaton(sender.build().unwrap()).unwrap();
+        let mut receiver = AutomatonBuilder::new("Receiver");
+        let r0 = receiver.location("R0").unwrap();
+        receiver.add_edge(EdgeBuilder::new(r0, r0).input(go).reset_to(y, Expr::var(n)));
+        b.add_automaton(receiver.build().unwrap()).unwrap();
+        let sys = b.build().unwrap();
+
+        let interp = Interpreter::new(&sys, 2).unwrap();
+        let s0 = interp.initial_state().unwrap();
+        let s1 = stepped(&s0, |s, t| interp.fire_sync(s, go, t)).unwrap();
+        assert_eq!(
+            (s1.discrete.vars.clone(), s1.clocks.clone()),
+            (vec![2], vec![2])
+        );
+        let s2 = stepped(&s1, |s, t| interp.fire_sync(s, go, t)).unwrap();
+        assert_eq!((s2.discrete.vars, s2.clocks), (vec![3], vec![4]));
     }
 
     #[test]
@@ -563,8 +675,9 @@ mod tests {
         let sys = responder();
         assert!(Interpreter::new(&sys, 0).is_err());
         let interp = Interpreter::new(&sys, 2).unwrap();
-        let s0 = interp.initial_state().unwrap();
-        assert!(interp.delayed(&s0, -1).is_err());
+        let mut s0 = interp.initial_state().unwrap();
+        assert!(interp.delay(&mut s0, -1).is_err());
+        assert_eq!(s0.clocks, vec![0]);
     }
 
     #[test]
@@ -592,10 +705,10 @@ mod tests {
         let interp = Interpreter::new(&sys, 2).unwrap();
         let s0 = interp.initial_state().unwrap();
         assert_eq!(interp.enabled_syncs(&s0).unwrap(), vec![req]);
-        let s1 = interp.fire_sync(&s0, req).unwrap().unwrap();
+        let s1 = stepped(&s0, |s, t| interp.fire_sync(s, req, t)).unwrap();
         assert_eq!(interp.enabled_syncs(&s1).unwrap(), vec![resp]);
-        assert!(interp.fire_sync(&s1, req).unwrap().is_none());
-        let s2 = interp.fire_sync(&s1, resp).unwrap().unwrap();
+        assert!(stepped(&s1, |s, t| interp.fire_sync(s, req, t)).is_none());
+        let s2 = stepped(&s1, |s, t| interp.fire_sync(s, resp, t)).unwrap();
         assert_eq!(s2.discrete.locations, s0.discrete.locations);
     }
 
@@ -636,11 +749,11 @@ mod tests {
         let interp = Interpreter::new(&sys, 2).unwrap();
         let s0 = interp.initial_state().unwrap();
         assert_eq!(interp.enabled_syncs(&s0).unwrap(), vec![go]);
-        let fired = interp.fire_sync(&s0, go).unwrap().unwrap();
+        let fired = stepped(&s0, |s, t| interp.fire_sync(s, go, t)).unwrap();
         assert_eq!(moved(&fired), vec![0, 3], "Late and Full are skipped");
         // Once x >= 2, the first declared receiver's pair applies.
-        let later = interp.delayed(&s0, 4).unwrap().unwrap();
-        let fired = interp.fire_sync(&later, go).unwrap().unwrap();
+        let later = delayed(&interp, &s0, 4).unwrap();
+        let fired = stepped(&later, |s, t| interp.fire_sync(s, go, t)).unwrap();
         assert_eq!(moved(&fired), vec![0, 1]);
     }
 
@@ -656,8 +769,8 @@ mod tests {
         let interp = Interpreter::new(&sys, 2).unwrap();
         let s0 = interp.initial_state().unwrap();
         assert_eq!(interp.max_delay(&s0).unwrap(), Some(0));
-        assert!(interp.delayed(&s0, 1).unwrap().is_none());
-        assert!(interp.delayed(&s0, 0).unwrap().is_some());
+        assert!(delayed(&interp, &s0, 1).is_none());
+        assert_eq!(delayed(&interp, &s0, 0), Some(s0));
     }
 
     #[test]
@@ -679,6 +792,6 @@ mod tests {
         let sys = b.build().unwrap();
         let interp = Interpreter::new(&sys, 2).unwrap();
         let s0 = interp.initial_state().unwrap();
-        assert!(interp.after_output(&s0, resp).unwrap().is_none());
+        assert!(stepped(&s0, |s, t| interp.after_output(s, resp, t)).is_none());
     }
 }
