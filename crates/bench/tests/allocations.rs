@@ -10,13 +10,19 @@
 //! single-cover hit, on covers that all miss the zone and, once warm, on a
 //! zone it has to split.  `zone_subtract` on disjoint inputs allocates only
 //! its result.  One small zoo solve plus minimization must stay under a
-//! fixed allocation ceiling.
+//! fixed allocation ceiling, and so must each post-solve phase — strategy
+//! extraction, minimization, compilation and printing — of one safety and
+//! one reachability objective.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use tiga_bench::lep_detailed_instance;
 use tiga_dbm::{zone_subtract, Bound, Coverage, Dbm};
 use tiga_models::smart_light;
-use tiga_solver::{minimize_strategy, solve, SolveOptions};
+use tiga_solver::{
+    minimize_strategy, minimize_strategy_with_report, print_controller, solve, CompiledController,
+    SolveOptions,
+};
 use tiga_tctl::TestPurpose;
 
 struct Counting;
@@ -166,12 +172,13 @@ fn single_cover_hit_does_not_allocate() {
 }
 
 /// Allocations of one smart-light `A<> IUT.Bright` solve plus minimization
-/// were 964 when this ceiling was set (debug and release builds alike),
-/// down from 1 039 while the zone store also kept a minimal form of every
-/// zone and the graph copied the explorer's states, and from 2 110 before
-/// the zone kernels stopped allocating.  The ceiling leaves about 10 %
-/// headroom.
-const SMALL_SOLVE_CEILING: u64 = 1_060;
+/// are 907 since the strategy is recorded one state at a time and the
+/// minimizer borrows its input zones (debug and release builds alike).  They
+/// were 964 before that, 1 039 while the zone store also kept a minimal
+/// form of every zone and the graph copied the explorer's states, and
+/// 2 110 before the zone kernels stopped allocating.  The ceiling leaves
+/// about 10 % headroom.
+const SMALL_SOLVE_CEILING: u64 = 1_000;
 
 #[test]
 fn small_zoo_solve_and_minimize_stay_under_the_ceiling() {
@@ -189,4 +196,94 @@ fn small_zoo_solve_and_minimize_stay_under_the_ceiling() {
         n <= SMALL_SOLVE_CEILING,
         "small solve + minimize made {n} allocations (ceiling {SMALL_SOLVE_CEILING})"
     );
+}
+
+/// Allocations of the post-solve phases of one objective.
+#[derive(Debug)]
+struct PostSolve {
+    extract: u64,
+    minimize: u64,
+    compile: u64,
+    print: u64,
+}
+
+/// Counts each post-solve phase of the detailed lep4 objective `index`.
+/// Extraction is the difference between a solve with and one without a
+/// strategy: reachability records its rules during the fixpoint, safety
+/// extracts them afterwards.  Returns the counts and the rule and state
+/// counts of the extracted strategy.
+fn post_solve_allocations(index: usize) -> (PostSolve, usize, usize) {
+    let (system, purpose) = lep_detailed_instance(4, index);
+    let with = SolveOptions::default();
+    let without = SolveOptions {
+        extract_strategy: false,
+        ..SolveOptions::default()
+    };
+    let (bare, _) = allocations(|| solve(&system, &purpose, &without).expect("solves"));
+    let (full, solution) = allocations(|| solve(&system, &purpose, &with).expect("solves"));
+    let strategy = solution
+        .strategy
+        .as_ref()
+        .expect("the objective is winning");
+    let (minimize, (minimized, _)) = allocations(|| minimize_strategy_with_report(strategy));
+    let (compile, controller) = allocations(|| CompiledController::from_minimized(minimized));
+    let (print, text) = allocations(|| print_controller(system.name(), true, Some(&controller)));
+    assert!(text.ends_with("end\n"));
+    let counts = PostSolve {
+        extract: full - bare,
+        minimize,
+        compile,
+        print,
+    };
+    (counts, strategy.rule_count(), strategy.state_count())
+}
+
+/// Ceilings per post-solve phase (extraction / minimization / compilation /
+/// printing), about 5 % above the counts when they were set, debug and
+/// release builds alike: (safety) 58 244 / 17 576 / 26 269 / 2 and
+/// (reachability) 11 340 / 11 924 / 18 817 / 2.  Before extraction stopped
+/// cloning each rule's state and zone, the minimizer each input zone, the
+/// compiler its per-rule minimal forms and the printer growing its output,
+/// they were 126 984 / 33 284 / 137 109 / 19 and 17 839 / 14 821 / 66 753 /
+/// 18; any of those coming back breaks a ceiling.
+const POST_SOLVE_CEILINGS: [(usize, &str, PostSolve); 2] = [
+    (
+        3,
+        "lep4 tp4 (safety)",
+        PostSolve {
+            extract: 61_200,
+            minimize: 18_500,
+            compile: 27_600,
+            print: 2,
+        },
+    ),
+    (
+        1,
+        "lep4 tp2 (reachability)",
+        PostSolve {
+            extract: 11_900,
+            minimize: 12_500,
+            compile: 19_800,
+            print: 2,
+        },
+    ),
+];
+
+#[test]
+fn post_solve_phases_stay_under_their_ceilings() {
+    for (index, name, ceiling) in POST_SOLVE_CEILINGS {
+        let (counts, rules, states) = post_solve_allocations(index);
+        assert!(rules > states, "{name}: {rules} rules over {states} states");
+        for (phase, n, max) in [
+            ("extraction", counts.extract, ceiling.extract),
+            ("minimization", counts.minimize, ceiling.minimize),
+            ("compilation", counts.compile, ceiling.compile),
+            ("printing", counts.print, ceiling.print),
+        ] {
+            assert!(
+                n <= max,
+                "{name}: {phase} made {n} allocations (ceiling {max}; all phases {counts:?})"
+            );
+        }
+    }
 }

@@ -231,6 +231,13 @@ fn lep4_avoid_strategy_minimizes_at_least_two_fold() {
     let (minimized, report) = minimize_strategy_with_report(strategy);
     assert_eq!(report.rules_before, strategy.rule_count());
     assert_eq!(report.rules_after, minimized.rule_count());
+    // Exact counts: an extraction or minimize change that moves them must
+    // say so here, before the 2x gate below runs out of margin.
+    assert_eq!(
+        (report.rules_before, report.rules_after),
+        (258, 124),
+        "lep4 tp4 rule counts (extracted, minimized)"
+    );
     assert!(
         report.rules_after * 2 <= report.rules_before,
         "lep4 tp4 must minimize at least 2x: {} -> {}",

@@ -12,10 +12,22 @@
 //!   strategy (not just the verdict) is part of the solver's determinism
 //!   contract, so a cache populated at one parallelism level answers
 //!   requests made at another bit-identically.
+//!
+//! The printer writes its tokens without `fmt`; on generated strategies it
+//! must match a `write!`-based reference printer kept here byte for byte.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
-use tiga_solver::{parse_strategy, print_strategy, solve, SolveEngine, SolveOptions};
+use tiga_dbm::{Bound, Dbm, MAX_CONSTANT};
+use tiga_model::{AutomatonId, ChannelId, DiscreteState, EdgeId, JointEdge, LocationId};
+use tiga_solver::{
+    parse_strategy, print_controller, print_strategy, solve, CompiledController, Decision,
+    SolveEngine, SolveOptions, Strategy, StrategyRule, CONTROLLER_FORMAT_HEADER,
+    STRATEGY_FORMAT_HEADER,
+};
 
 fn options(engine: SolveEngine, jobs: usize) -> SolveOptions {
     SolveOptions {
@@ -128,4 +140,198 @@ fn checked_in_goldens_are_serializer_fixpoints() {
         count >= 8,
         "expected ≥ 8 golden strategy files, found {count}"
     );
+}
+
+/// The `tiga-strategy v1` printer as `write!` and the `Display` of
+/// [`Bound`] render it: the reference the token-writing printer must match.
+fn reference_print(
+    header: &str,
+    model: &str,
+    winning: bool,
+    strategy: Option<&Strategy>,
+) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{header}");
+    let _ = writeln!(out, "model {model}");
+    let _ = writeln!(
+        out,
+        "verdict {}",
+        if winning { "winning" } else { "losing" }
+    );
+    let Some(strategy) = strategy else {
+        out.push_str("strategy none\nend\n");
+        return out;
+    };
+    let _ = writeln!(out, "dim {}", strategy.dim());
+    let mut states: Vec<(&DiscreteState, &[StrategyRule])> = strategy.iter().collect();
+    states.sort_by(|(a, _), (b, _)| (&a.locations, &a.vars).cmp(&(&b.locations, &b.vars)));
+    for (discrete, rules) in states {
+        out.push_str("state");
+        for loc in &discrete.locations {
+            let _ = write!(out, " {}", loc.index());
+        }
+        out.push_str(" /");
+        for var in &discrete.vars {
+            let _ = write!(out, " {var}");
+        }
+        out.push('\n');
+        for rule in rules {
+            let _ = write!(out, "rule {} ", rule.rank);
+            match &rule.decision {
+                Decision::Wait => out.push_str("wait"),
+                Decision::Take(JointEdge::Internal { automaton, edge }) => {
+                    let _ = write!(out, "take tau {} {}", automaton.index(), edge.index());
+                }
+                Decision::Take(JointEdge::Sync {
+                    channel,
+                    output,
+                    input,
+                }) => {
+                    let _ = write!(
+                        out,
+                        "take sync {} {} {} {} {}",
+                        channel.index(),
+                        output.0.index(),
+                        output.1.index(),
+                        input.0.index(),
+                        input.1.index()
+                    );
+                }
+            }
+            for i in 0..rule.zone.dim() {
+                for j in 0..rule.zone.dim() {
+                    let _ = write!(out, " {}", rule.zone.at(i, j));
+                }
+            }
+            out.push('\n');
+        }
+    }
+    out.push_str("end\n");
+    out
+}
+
+/// A canonical non-empty zone from random constraints with negative and
+/// positive constants.  One-clock zones also draw `±MAX_CONSTANT`: with more
+/// clocks, closure near the encoding ceiling derives bounds that no file
+/// can hold.
+fn random_zone(rng: &mut StdRng, dim: usize) -> Dbm {
+    let mut zone = Dbm::universe(dim);
+    if dim < 2 {
+        return zone;
+    }
+    for _ in 0..rng.gen_range(0..=2 * dim) {
+        let i = rng.gen_range(0..dim);
+        let j = rng.gen_range(0..dim);
+        if i == j {
+            continue;
+        }
+        let m = match rng.gen_range(0..4) {
+            0 if dim == 2 => MAX_CONSTANT,
+            1 if dim == 2 => -MAX_CONSTANT,
+            _ => rng.gen_range(-120..=120),
+        };
+        let mut tighter = zone.clone();
+        if tighter.constrain(i, j, Bound::new(m, rng.gen_bool(0.5))) {
+            zone = tighter;
+        }
+    }
+    zone
+}
+
+fn random_decision(rng: &mut StdRng) -> Decision {
+    let mut id = || rng.gen_range(0..=150_usize);
+    match id() % 3 {
+        0 => Decision::Wait,
+        1 => Decision::Take(JointEdge::Internal {
+            automaton: AutomatonId::from_index(id()),
+            edge: EdgeId::from_index(id()),
+        }),
+        _ => Decision::Take(JointEdge::Sync {
+            channel: ChannelId::from_index(id()),
+            output: (AutomatonId::from_index(id()), EdgeId::from_index(id())),
+            input: (AutomatonId::from_index(id()), EdgeId::from_index(id())),
+        }),
+    }
+}
+
+/// A random strategy: multi-digit location ids, negative variables, ranks
+/// up to `u32::MAX`, both joint-edge variants and extreme bounds.
+fn random_strategy(rng: &mut StdRng) -> Strategy {
+    let dim = rng.gen_range(1..=4);
+    let mut strategy = Strategy::new(dim);
+    for _ in 0..rng.gen_range(0..=6) {
+        let discrete = DiscreteState {
+            locations: (0..rng.gen_range(1..=3))
+                .map(|_| LocationId::from_index(rng.gen_range(0..=1200)))
+                .collect(),
+            vars: (0..rng.gen_range(0..=3))
+                .map(|_| rng.gen_range(-1000..=1000))
+                .collect(),
+        };
+        let rules = (0..rng.gen_range(1..=4))
+            .map(|_| StrategyRule {
+                rank: if rng.gen_bool(0.1) {
+                    u32::MAX
+                } else {
+                    rng.gen_range(0..=40)
+                },
+                zone: random_zone(rng, dim),
+                decision: random_decision(rng),
+            })
+            .collect();
+        strategy.add_rules(discrete, rules);
+    }
+    strategy
+}
+
+#[test]
+fn printer_matches_the_fmt_reference_on_generated_strategies() {
+    let mut rng = StdRng::seed_from_u64(0x000B_17E5);
+    let mut seen = String::new();
+    for case in 0..400 {
+        let strategy = random_strategy(&mut rng);
+        let winning = rng.gen_bool(0.5);
+        let model = if case % 2 == 0 {
+            "lep-4"
+        } else {
+            "smart light ✓"
+        };
+        let text = print_strategy(model, winning, Some(&strategy));
+        seen.push_str(&text);
+        assert_eq!(
+            text,
+            reference_print(STRATEGY_FORMAT_HEADER, model, winning, Some(&strategy)),
+            "case {case}"
+        );
+        let parsed = parse_strategy(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(parsed.strategy.as_ref(), Some(&strategy), "case {case}");
+        // The controller printer shares the body; compiling keeps the rules
+        // of a strategy the minimizer cannot shrink.
+        let controller = CompiledController::from_minimized(strategy.clone());
+        assert_eq!(
+            print_controller(model, winning, Some(&controller)),
+            reference_print(CONTROLLER_FORMAT_HEADER, model, winning, Some(&strategy)),
+            "case {case}"
+        );
+    }
+    // The generated cases cover what the printer must get right.
+    for token in [
+        format!("<={MAX_CONSTANT} "),
+        format!("<=-{MAX_CONSTANT} "),
+        format!("rule {} ", u32::MAX),
+        " -".to_string(),
+        " take tau ".to_string(),
+        " take sync ".to_string(),
+        " wait ".to_string(),
+        " <-".to_string(),
+        " <inf".to_string(),
+    ] {
+        assert!(seen.contains(&token), "no generated case prints `{token}`");
+    }
+    for winning in [true, false] {
+        assert_eq!(
+            print_strategy("m", winning, None),
+            reference_print(STRATEGY_FORMAT_HEADER, "m", winning, None)
+        );
+    }
 }

@@ -5,6 +5,7 @@ use crate::{
     EXIT_USAGE,
 };
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 use tiga_solver::json::Escaped;
 use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
@@ -125,6 +126,29 @@ pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
 /// Returns a rendered diagnostic (parse error with caret, solver error, or
 /// verdict mismatch under `--expect`).
 pub fn run_solve(args: &SolveArgs) -> Result<String, String> {
+    report_solved(args, &mut solve_model(args)?)
+}
+
+/// Everything a solve builds besides its report: the model, the objective,
+/// the solution (graph, winning sets, strategy) and the compiled controller.
+struct Solved {
+    model: tiga_lang::TgModel,
+    purpose: TestPurpose,
+    solution: GameSolution,
+    controller: Option<tiga_solver::CompiledController>,
+}
+
+/// Wall-clock time of the phases after the solve.
+#[derive(Default)]
+struct PostSolveTimes {
+    minimize: Duration,
+    compile: Duration,
+    /// Printing and writing `--emit-strategy` and `--emit-controller`.
+    emit: Duration,
+}
+
+/// Loads the model, resolves the objective and solves the game.
+fn solve_model(args: &SolveArgs) -> Result<Solved, String> {
     let model = load_model(&args.path)?;
     let purpose = resolve_purpose(&model, args.purpose.as_deref()).map_err(|err| match err {
         PurposeError::Invalid(e) => format!("error: bad --purpose: {e}"),
@@ -135,7 +159,25 @@ pub fn run_solve(args: &SolveArgs) -> Result<String, String> {
     })?;
     let solution = solve(&model.system, &purpose, &args.options)
         .map_err(|e| format!("error: solver failed: {e}"))?;
+    Ok(Solved {
+        model,
+        purpose,
+        solution,
+        controller: None,
+    })
+}
+
+/// Emits the requested files and renders the report of a finished solve.
+fn report_solved(args: &SolveArgs, solved: &mut Solved) -> Result<String, String> {
+    let Solved {
+        model,
+        purpose,
+        solution,
+        controller,
+    } = solved;
+    let mut times = PostSolveTimes::default();
     if let Some(path) = &args.emit_strategy {
+        let start = Instant::now();
         let text = tiga_solver::print_strategy(
             model.system.name(),
             solution.winning_from_initial,
@@ -143,18 +185,22 @@ pub fn run_solve(args: &SolveArgs) -> Result<String, String> {
         );
         std::fs::write(path, text)
             .map_err(|e| format!("error: cannot write strategy to `{path}`: {e}"))?;
+        times.emit += start.elapsed();
     }
     // Minimize + compile once, shared by `--emit-controller` and the
     // controller fields of `--stats-json`.
-    let controller = if args.emit_controller.is_some() || args.stats_json {
-        solution
-            .strategy
-            .as_ref()
-            .map(tiga_solver::CompiledController::compile)
-    } else {
-        None
-    };
+    if args.emit_controller.is_some() || args.stats_json {
+        if let Some(strategy) = &solution.strategy {
+            let start = Instant::now();
+            let minimized = tiga_solver::minimize_strategy(strategy);
+            times.minimize = start.elapsed();
+            let start = Instant::now();
+            *controller = Some(tiga_solver::CompiledController::from_minimized(minimized));
+            times.compile = start.elapsed();
+        }
+    }
     if let Some(path) = &args.emit_controller {
+        let start = Instant::now();
         let text = tiga_solver::print_controller(
             model.system.name(),
             solution.winning_from_initial,
@@ -162,9 +208,10 @@ pub fn run_solve(args: &SolveArgs) -> Result<String, String> {
         );
         std::fs::write(path, text)
             .map_err(|e| format!("error: cannot write controller to `{path}`: {e}"))?;
+        times.emit += start.elapsed();
     }
     if args.stats_json {
-        let report = render_stats_json(&model.system, args, &solution, controller.as_ref());
+        let report = render_stats_json(&model.system, args, solution, controller.as_ref(), &times);
         if let Some(expected) = args.expect_winning {
             if solution.winning_from_initial != expected {
                 return Err(format!(
@@ -176,12 +223,12 @@ pub fn run_solve(args: &SolveArgs) -> Result<String, String> {
         }
         return Ok(report);
     }
-    let mut report = render_report(&args.path, &model.system, &purpose, args, &solution);
+    let mut report = render_report(&args.path, &model.system, purpose, args, solution);
     if args.show_strategy {
         if let Some(strategy) = &solution.strategy {
             // A bounded strategy plays on the `#t`-augmented product; render
             // it against that system so the extra clock dimension has a name.
-            let augmented = tiga_solver::bounded_system(&model.system, &purpose)
+            let augmented = tiga_solver::bounded_system(&model.system, purpose)
                 .map_err(|e| format!("error: solver failed: {e}"))?;
             let display_system = augmented.as_ref().unwrap_or(&model.system);
             report.push('\n');
@@ -269,11 +316,14 @@ fn render_report(
 
 /// Renders the full [`tiga_solver::SolverStats`] (plus verdict, engine and
 /// timing) as one flat JSON object, for scripted consumers of `--stats-json`.
+/// `total_us` is exploration plus fixpoint; the phases after the solve
+/// follow it.
 fn render_stats_json(
     system: &tiga_model::System,
     args: &SolveArgs,
     solution: &GameSolution,
     controller: Option<&tiga_solver::CompiledController>,
+    times: &PostSolveTimes,
 ) -> String {
     let stats = solution.stats();
     let timed = &solution.timed;
@@ -284,7 +334,8 @@ fn render_stats_json(
     format!(
         "{{\"model\":\"{}\",\"engine\":\"{}\",\"winning\":{},{},\
          \"strategy_rules\":{},{},\
-         \"exploration_us\":{},\"fixpoint_us\":{},\"total_us\":{}}}",
+         \"exploration_us\":{},\"fixpoint_us\":{},\"total_us\":{},\
+         \"extract_us\":{},\"minimize_us\":{},\"compile_us\":{},\"emit_us\":{}}}",
         Escaped(system.name()),
         args.options.engine.name(),
         solution.winning_from_initial,
@@ -294,6 +345,10 @@ fn render_stats_json(
         timed.exploration_time.as_micros(),
         timed.fixpoint_time.as_micros(),
         timed.total_time().as_micros(),
+        timed.extraction_time.as_micros(),
+        times.minimize.as_micros(),
+        times.compile.as_micros(),
+        times.emit.as_micros(),
     )
 }
 
@@ -325,16 +380,26 @@ pub(crate) fn main(args: &[String]) -> i32 {
             eprintln!("{usage}");
             EXIT_USAGE
         }
-        Ok(parsed) => match run_solve(&parsed) {
-            Ok(report) => {
-                crate::emit(&report);
-                0
+        Ok(parsed) => {
+            let result = solve_model(&parsed).and_then(|mut solved| {
+                let report = report_solved(&parsed, &mut solved);
+                // The process exits right after this: the OS reclaims the
+                // graph, the winning sets and the strategies faster than
+                // their destructors would free them one allocation at a time.
+                std::mem::forget(solved);
+                report
+            });
+            match result {
+                Ok(report) => {
+                    crate::emit(&report);
+                    0
+                }
+                Err(report) => {
+                    eprintln!("{report}");
+                    EXIT_FAILURE
+                }
             }
-            Err(report) => {
-                eprintln!("{report}");
-                EXIT_FAILURE
-            }
-        },
+        }
     }
 }
 
@@ -402,6 +467,21 @@ mod tests {
         ] {
             assert!(report.contains(key), "missing {key} in {report}");
         }
+        // The post-solve phases follow `total_us`; a reachability strategy
+        // is recorded during the fixpoint, so there is no extraction phase.
+        let json = tiga_solver::json::parse(&report).unwrap();
+        let micros = |key: &str| json.field(key).unwrap().usize_field(key).unwrap();
+        // Whole microseconds: the total may round up past the sum.
+        let parts = micros("exploration_us") + micros("fixpoint_us");
+        assert!(
+            (parts..=parts + 1).contains(&micros("total_us")),
+            "{report}"
+        );
+        assert_eq!(micros("extract_us"), 0, "{report}");
+        for key in ["minimize_us", "compile_us", "emit_us"] {
+            let _ = micros(key);
+        }
+        assert!(report.ends_with(&format!("\"emit_us\":{}}}", micros("emit_us"))));
         // The 13 counters read back as the solver's own.
         let model = load_model(path.to_str().unwrap()).unwrap();
         let purpose = model.purpose.expect("the file has a control: line");

@@ -38,9 +38,9 @@ pub struct Dbm {
     data: Vec<Bound>,
 }
 
-/// Largest dimension whose scratch matrices [`Dbm::intersects`] keeps on the
-/// stack.
-const STACK_DIM: usize = 8;
+/// Largest dimension whose scratch matrices [`Dbm::intersects`] and
+/// [`Dbm::minimize`] keep on the stack.
+pub(crate) const STACK_DIM: usize = 8;
 
 impl Clone for Dbm {
     #[inline]
@@ -311,21 +311,31 @@ impl Dbm {
     /// Panics if the dimensions differ.
     #[must_use]
     pub fn hull(&self, other: &Dbm) -> Dbm {
+        let mut out = Dbm {
+            dim: self.dim,
+            data: Vec::with_capacity(self.data.len()),
+        };
+        self.hull_into(other, &mut out);
+        out
+    }
+
+    /// [`Dbm::hull`] written into `out`, reusing its storage: a caller that
+    /// tries many hulls and keeps few allocates only for the kept ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions of `self` and `other` differ.
+    pub fn hull_into(&self, other: &Dbm, out: &mut Dbm) {
         assert_eq!(self.dim, other.dim, "dimension mismatch");
         if self.is_empty() {
-            return other.clone();
-        }
-        if other.is_empty() {
-            return self.clone();
-        }
-        Dbm {
-            dim: self.dim,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| a.max(b))
-                .collect(),
+            out.clone_from(other);
+        } else if other.is_empty() {
+            out.clone_from(self);
+        } else {
+            out.dim = self.dim;
+            out.data.clear();
+            out.data
+                .extend(self.data.iter().zip(&other.data).map(|(&a, &b)| a.max(b)));
         }
     }
 
@@ -837,6 +847,23 @@ mod tests {
         assert!(z.constrain(0, 1, Bound::le(-lo)));
         assert!(z.constrain(1, 0, Bound::le(hi)));
         z
+    }
+
+    #[test]
+    fn hull_into_reuses_the_buffer_and_matches_hull() {
+        let mut a = Dbm::universe(3);
+        a.constrain(1, 0, Bound::le(2));
+        let mut b = Dbm::universe(3);
+        b.constrain(0, 2, Bound::lt(-4));
+        let mut empty = Dbm::universe(3);
+        empty.constrain(1, 0, Bound::lt(0));
+        empty.constrain(0, 1, Bound::le(0));
+        assert!(empty.is_empty());
+        let mut out = Dbm::zero(3);
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &empty), (&empty, &b), (&a, &a)] {
+            x.hull_into(y, &mut out);
+            assert_eq!(out, x.hull(y));
+        }
     }
 
     #[test]

@@ -525,6 +525,17 @@ impl<'a> IntoIterator for &'a Federation {
     }
 }
 
+/// Moves the zones out, in member order: a consumer that keeps them needs no
+/// clone.
+impl IntoIterator for Federation {
+    type Item = Dbm;
+    type IntoIter = std::vec::IntoIter<Dbm>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.zones.into_iter()
+    }
+}
+
 impl fmt::Debug for Federation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -728,6 +739,15 @@ mod tests {
         assert!(z.constrain(0, 1, Bound::lt(-lo)));
         assert!(z.constrain(1, 0, Bound::lt(hi)));
         z
+    }
+
+    #[test]
+    fn owned_iteration_moves_the_zones_in_order() {
+        let fed = Federation::from_zones(2, [interval(0, 1), interval(4, 5)]);
+        let expected: Vec<Dbm> = fed.iter().cloned().collect();
+        let zones: Vec<Dbm> = fed.into_iter().collect();
+        assert_eq!(zones, expected);
+        assert_eq!(zones.len(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! matrices only ([`crate::ZoneStore`]).
 
 use crate::bound::Bound;
-use crate::dbm::Dbm;
+use crate::dbm::{Dbm, STACK_DIM};
 
 /// One kept constraint `x_i − x_j ≺ m` of a minimal form.
 ///
@@ -118,63 +118,76 @@ impl Dbm {
     /// inverts it exactly.
     #[must_use]
     pub fn minimize(&self) -> MinimalZone {
-        let dim = self.dim();
-        if self.is_empty() {
-            return MinimalZone {
-                dim,
-                empty: true,
-                constraints: Vec::new(),
-            };
-        }
-        // 1. Zero-equivalence classes: i ~ j iff the cycle i -> j -> i has
-        //    weight exactly (<=, 0).  Closure makes ~ transitive.
-        let mut class = vec![usize::MAX; dim];
-        let mut class_members: Vec<Vec<usize>> = Vec::new();
-        for i in 0..dim {
-            if class[i] != usize::MAX {
-                continue;
-            }
-            let c = class_members.len();
-            class[i] = c;
-            let mut members = vec![i];
-            for (j, cj) in class.iter_mut().enumerate().skip(i + 1) {
-                if *cj == usize::MAX && self.at(i, j) + self.at(j, i) == Bound::ZERO_LE {
-                    *cj = c;
-                    members.push(j);
-                }
-            }
-            class_members.push(members);
-        }
         let mut constraints = Vec::new();
+        self.push_minimal_constraints(&mut constraints);
+        MinimalZone {
+            dim: self.dim(),
+            empty: self.is_empty(),
+            constraints,
+        }
+    }
+
+    /// Appends the constraints of [`Dbm::minimize`] to `out`, in the same
+    /// order, so a caller that lowers many zones can reuse one buffer.  An
+    /// empty zone appends nothing.
+    pub fn push_minimal_constraints(&self, out: &mut Vec<MinimalConstraint>) {
+        if self.is_empty() {
+            return;
+        }
+        let dim = self.dim();
+        let start = out.len();
+        // Constraints already implied by the universe baseline (row-0
+        // non-negativity bounds) are free: rehydration starts from
+        // `Dbm::universe`, which carries them implicitly.
+        let mut keep = |i: usize, j: usize, bound: Bound| {
+            if !(i == 0 && bound == Bound::ZERO_LE) {
+                out.push(MinimalConstraint {
+                    i: i as u16,
+                    j: j as u16,
+                    bound,
+                });
+            }
+        };
+        // 1. Zero-equivalence classes: i ~ j iff the cycle i -> j -> i has
+        //    weight exactly (<=, 0).  Closure makes ~ transitive, so each
+        //    clock's class is named by its smallest member, the first
+        //    representative it is equivalent to.  Small dimensions keep the
+        //    class map on the stack.
+        let mut on_stack = [0usize; STACK_DIM];
+        let mut on_heap = Vec::new();
+        let rep: &mut [usize] = if dim <= STACK_DIM {
+            &mut on_stack[..dim]
+        } else {
+            on_heap.resize(dim, 0);
+            &mut on_heap
+        };
+        for i in 0..dim {
+            rep[i] = (0..i)
+                .find(|&k| rep[k] == k && self.at(k, i) + self.at(i, k) == Bound::ZERO_LE)
+                .unwrap_or(i);
+        }
+        let rep = &*rep;
         // 2. Within each class, keep the chain cycle x0 -> x1 -> ... -> x0
         //    over the ascending members; every other within-class bound is
         //    the sum of a sub-path of the cycle.
-        for members in &class_members {
-            if members.len() < 2 {
-                continue;
+        for first in (0..dim).filter(|&r| rep[r] == r) {
+            let mut last = first;
+            for member in (first + 1..dim).filter(|&j| rep[j] == first) {
+                keep(last, member, self.at(last, member));
+                last = member;
             }
-            for w in members.windows(2) {
-                constraints.push(MinimalConstraint {
-                    i: w[0] as u16,
-                    j: w[1] as u16,
-                    bound: self.at(w[0], w[1]),
-                });
+            if last != first {
+                keep(last, first, self.at(last, first));
             }
-            let (first, last) = (members[0], members[members.len() - 1]);
-            constraints.push(MinimalConstraint {
-                i: last as u16,
-                j: first as u16,
-                bound: self.at(last, first),
-            });
         }
         // 3. Between class representatives, drop every bound witnessed by an
         //    intermediate representative.  Simultaneous greedy dropping is
         //    sound here: a cycle of mutual witnesses among >= 3 distinct
         //    representatives would be a zero cycle, forcing them into one
         //    class — a contradiction.
-        let reps: Vec<usize> = class_members.iter().map(|m| m[0]).collect();
-        for &i in &reps {
-            for &j in &reps {
+        let reps = || (0..dim).filter(|&r| rep[r] == r);
+        for i in reps() {
+            for j in reps() {
                 if i == j {
                     continue;
                 }
@@ -182,29 +195,15 @@ impl Dbm {
                 if b.is_inf() {
                     continue;
                 }
-                let redundant = reps
-                    .iter()
-                    .any(|&k| k != i && k != j && self.at(i, k) + self.at(k, j) <= b);
+                let redundant =
+                    reps().any(|k| k != i && k != j && self.at(i, k) + self.at(k, j) <= b);
                 if !redundant {
-                    constraints.push(MinimalConstraint {
-                        i: i as u16,
-                        j: j as u16,
-                        bound: b,
-                    });
+                    keep(i, j, b);
                 }
             }
         }
-        // Constraints already implied by the universe baseline (row-0
-        // non-negativity bounds) are free: rehydration starts from
-        // `Dbm::universe`, which carries them implicitly.
-        constraints.retain(|c| !(c.i == 0 && c.bound == Bound::ZERO_LE));
         // Deterministic order (useful for hashing and tests).
-        constraints.sort_unstable_by_key(|c| (c.i, c.j));
-        MinimalZone {
-            dim,
-            empty: false,
-            constraints,
-        }
+        out[start..].sort_unstable_by_key(|c| (c.i, c.j));
     }
 }
 
@@ -293,6 +292,30 @@ mod tests {
         let mut freed = reset.clone();
         freed.free(1);
         assert_eq!(freed.minimize().rehydrate(), freed);
+    }
+
+    #[test]
+    fn class_maps_above_the_stack_dimension_roundtrip() {
+        // dim 11 > STACK_DIM: x1 == x2 == x3 (one class), x4 == 2 (joins the
+        // reference class), the rest boxed or chained.
+        let mut z = Dbm::universe(11);
+        z.constrain(1, 2, Bound::le(0));
+        z.constrain(2, 1, Bound::le(0));
+        z.constrain(2, 3, Bound::le(0));
+        z.constrain(3, 2, Bound::le(0));
+        z.constrain(4, 0, Bound::le(2));
+        z.constrain(0, 4, Bound::le(-2));
+        z.constrain(5, 6, Bound::lt(3));
+        z.constrain(10, 0, Bound::le(7));
+        z.constrain(0, 9, Bound::lt(-1));
+        assert!(!z.is_empty());
+        let m = z.minimize();
+        assert_eq!(m.rehydrate(), z);
+        // Appending to a non-empty buffer keeps what was there and sorts
+        // only the appended part.
+        let mut buffer = vec![m.constraints()[0]];
+        z.push_minimal_constraints(&mut buffer);
+        assert_eq!(&buffer[1..], m.constraints());
     }
 
     #[test]

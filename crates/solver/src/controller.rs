@@ -35,7 +35,7 @@ use crate::minimize::minimize_strategy;
 use crate::serialize::{
     parse_with_header, print_with_header, StrategyFile, CONTROLLER_FORMAT_HEADER,
 };
-use crate::strategy::{Decision, Strategy, StrategyDecision};
+use crate::strategy::{Decision, Strategy, StrategyDecision, StrategyRule};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use tiga_dbm::{DelayWindow, MinimalConstraint, StateHasher};
@@ -347,37 +347,41 @@ impl CompiledController {
     /// semantic requirement).
     #[must_use]
     pub fn from_minimized(strategy: Strategy) -> Self {
+        let dim = strategy.dim();
         let mut states = StateMap::with_capacity_and_hasher(
             strategy.state_count(),
             BuildHasherDefault::default(),
         );
         let mut programs = Vec::with_capacity(strategy.state_count());
+        // Buffers reused across every rule and state; each state keeps an
+        // exact-size copy of its arena and cuts.
+        let mut minimal: Vec<MinimalConstraint> = Vec::new();
+        let mut constants: Vec<i32> = Vec::new();
+        let mut arena: Vec<CompiledConstraint> = Vec::new();
+        let mut waits: Vec<(u32, &StrategyRule)> = Vec::new();
+        let mut takes: Vec<(u32, &StrategyRule)> = Vec::new();
         for (discrete, rules) in strategy.iter() {
-            let dim = strategy.dim();
-            // Stable rank sort preserves the extraction order within a rank,
-            // which `decide`'s first-in-order tie-break depends on.
-            let mut waits: Vec<(u32, &crate::strategy::StrategyRule)> = Vec::new();
-            let mut takes: Vec<(u32, &crate::strategy::StrategyRule)> = Vec::new();
+            // Sorting by (rank, extraction order) keeps the extraction order
+            // within a rank, which `decide`'s first-in-order tie-break
+            // depends on.
+            waits.clear();
+            takes.clear();
             for (order, rule) in rules.iter().enumerate() {
                 match rule.decision {
                     Decision::Wait => waits.push((order as u32, rule)),
                     Decision::Take(_) => takes.push((order as u32, rule)),
                 }
             }
-            waits.sort_by_key(|(order, rule)| (rule.rank, *order));
-            takes.sort_by_key(|(order, rule)| (rule.rank, *order));
-            let mut arena: Vec<CompiledConstraint> = Vec::new();
-            let mut lower = |list: &[(u32, &crate::strategy::StrategyRule)]| -> Vec<CompiledRule> {
+            waits.sort_unstable_by_key(|(order, rule)| (rule.rank, *order));
+            takes.sort_unstable_by_key(|(order, rule)| (rule.rank, *order));
+            arena.clear();
+            let mut lower = |list: &[(u32, &StrategyRule)]| -> Vec<CompiledRule> {
                 list.iter()
                     .map(|(_, rule)| {
                         let lo = arena.len() as u32;
-                        arena.extend(
-                            rule.zone
-                                .minimize()
-                                .constraints()
-                                .iter()
-                                .filter_map(CompiledConstraint::decode),
-                        );
+                        minimal.clear();
+                        rule.zone.push_minimal_constraints(&mut minimal);
+                        arena.extend(minimal.iter().filter_map(CompiledConstraint::decode));
                         CompiledRule {
                             rank: rule.rank,
                             lo,
@@ -395,16 +399,12 @@ impl CompiledController {
                     Decision::Wait => unreachable!("takes only holds Take rules"),
                 })
                 .collect();
-            let waits_rules: Vec<&crate::strategy::StrategyRule> =
-                waits.iter().map(|(_, r)| *r).collect();
-            let takes_rules: Vec<&crate::strategy::StrategyRule> =
-                takes.iter().map(|(_, r)| *r).collect();
-            let pivot = choose_pivot(dim, rules);
-            let cuts = collect_cuts(pivot, rules);
-            let (wait_offsets, wait_items) = to_csr(assign_segments(pivot, &cuts, &waits_rules));
-            let (take_offsets, take_items) = to_csr(assign_segments(pivot, &cuts, &takes_rules));
+            let pivot = choose_pivot(dim, rules, &mut constants);
+            let cuts = collect_cuts(pivot, rules, &mut constants);
+            let (wait_offsets, wait_items) = segment_index(pivot, &cuts, &waits);
+            let (take_offsets, take_items) = segment_index(pivot, &cuts, &takes);
             let program = StateProgram {
-                arena,
+                arena: arena.clone(),
                 waits: lowered_waits,
                 takes: lowered_takes,
                 take_edges,
@@ -547,13 +547,14 @@ impl Controller for CompiledController {
 
 /// Picks the real clock with the most distinct unary bound constants across
 /// the state's rules — the most discriminating axis for the interval index.
-fn choose_pivot(dim: usize, rules: &[crate::strategy::StrategyRule]) -> usize {
+/// `constants` is a scratch buffer.
+fn choose_pivot(dim: usize, rules: &[StrategyRule], constants: &mut Vec<i32>) -> usize {
     if dim <= 1 {
         return 0;
     }
     (1..dim)
         .max_by_key(|&clock| {
-            let mut constants: Vec<i32> = Vec::new();
+            constants.clear();
             for rule in rules {
                 for bound in [rule.zone.at(clock, 0), rule.zone.at(0, clock)] {
                     if let Some(m) = bound.constant() {
@@ -569,71 +570,73 @@ fn choose_pivot(dim: usize, rules: &[crate::strategy::StrategyRule]) -> usize {
 }
 
 /// The sorted distinct segment boundaries: every unary pivot-bound constant
-/// (upper bounds as-is, lower bounds negated into value space).
-fn collect_cuts(pivot: usize, rules: &[crate::strategy::StrategyRule]) -> Vec<i32> {
-    if pivot == 0 {
-        return Vec::new();
-    }
-    let mut cuts: Vec<i32> = Vec::new();
-    for rule in rules {
-        if let Some(m) = rule.zone.at(pivot, 0).constant() {
-            cuts.push(m);
+/// (upper bounds as-is, lower bounds negated into value space).  They are
+/// collected in the scratch buffer `cuts`.
+fn collect_cuts(pivot: usize, rules: &[StrategyRule], cuts: &mut Vec<i32>) -> Vec<i32> {
+    cuts.clear();
+    if pivot != 0 {
+        for rule in rules {
+            if let Some(m) = rule.zone.at(pivot, 0).constant() {
+                cuts.push(m);
+            }
+            if let Some(m) = rule.zone.at(0, pivot).constant() {
+                cuts.push(-m);
+            }
         }
-        if let Some(m) = rule.zone.at(0, pivot).constant() {
-            cuts.push(-m);
-        }
+        cuts.sort_unstable();
+        cuts.dedup();
     }
-    cuts.sort_unstable();
-    cuts.dedup();
-    cuts
+    cuts.clone()
 }
 
-/// For each segment, the rule indices (into the rank-sorted `rules` slice)
-/// whose closed pivot window intersects the closed segment range.  The
+/// The segment index of a rank-sorted rule list in CSR form (offsets +
+/// items): segment `s` lists, in rule order, the indices of the rules whose
+/// closed pivot window intersects the closed segment range.  The
 /// assignment is conservative — candidates still pass the full containment
 /// check — so boundary overlaps are harmless.
-fn assign_segments(
+fn segment_index(
     pivot: usize,
     cuts: &[i32],
-    rules: &[&crate::strategy::StrategyRule],
-) -> Vec<Vec<u32>> {
-    let mut segments: Vec<Vec<u32>> = vec![Vec::new(); cuts.len() + 1];
-    for (index, rule) in rules.iter().enumerate() {
-        let (lo, hi) = if pivot == 0 {
-            (None, None)
-        } else {
-            (
-                rule.zone.at(0, pivot).constant().map(|m| -m),
-                rule.zone.at(pivot, 0).constant(),
-            )
-        };
-        // First segment whose closed range reaches `lo`, last one that
-        // starts at or below `hi`.
-        let first = match lo {
+    rules: &[(u32, &StrategyRule)],
+) -> (Vec<u32>, Vec<u32>) {
+    // First segment whose closed range reaches the rule's lower pivot
+    // bound, last one that starts at or below its upper bound.
+    let span = |rule: &StrategyRule| {
+        if pivot == 0 {
+            return (0, cuts.len());
+        }
+        let first = match rule.zone.at(0, pivot).constant() {
             None => 0,
-            Some(lo) => cuts.partition_point(|&c| c < lo),
+            Some(m) => cuts.partition_point(|&c| c < -m),
         };
-        let last = match hi {
+        let last = match rule.zone.at(pivot, 0).constant() {
             None => cuts.len(),
             Some(hi) => cuts.partition_point(|&c| c <= hi),
         };
-        for segment in &mut segments[first..=last] {
-            segment.push(index as u32);
+        (first, last)
+    };
+    // Segment `s`'s count goes to `offsets[s + 2]`; after the prefix sum,
+    // `offsets[s + 1]` is the segment's start and serves as its fill
+    // cursor, which leaves it at the segment's end — the next one's start.
+    let mut offsets = vec![0u32; cuts.len() + 3];
+    for (_, rule) in rules {
+        let (first, last) = span(rule);
+        for count in &mut offsets[first + 2..=last + 2] {
+            *count += 1;
         }
     }
-    segments
-}
-
-/// Flattens per-segment candidate lists into CSR (offsets + items) form,
-/// so a segment lookup is one slice into a shared allocation.
-fn to_csr(segments: Vec<Vec<u32>>) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(segments.len() + 1);
-    let mut items = Vec::with_capacity(segments.iter().map(Vec::len).sum());
-    offsets.push(0);
-    for segment in segments {
-        items.extend_from_slice(&segment);
-        offsets.push(items.len() as u32);
+    for s in 2..offsets.len() {
+        offsets[s] += offsets[s - 1];
     }
+    let mut items = vec![0u32; offsets[offsets.len() - 1] as usize];
+    for (index, (_, rule)) in rules.iter().enumerate() {
+        let (first, last) = span(rule);
+        for cursor in &mut offsets[first + 1..=last + 1] {
+            items[*cursor as usize] = index as u32;
+            *cursor += 1;
+        }
+    }
+    offsets.pop();
     (offsets, items)
 }
 

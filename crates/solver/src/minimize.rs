@@ -45,6 +45,7 @@
 //! zone to a fixed hull, so the fixpoint loop terminates.
 
 use crate::strategy::{Decision, Strategy, StrategyRule};
+use std::borrow::Cow;
 use tiga_dbm::{Coverage, Dbm};
 
 /// Before/after rule counts of a minimization run, for stats reporting.
@@ -66,30 +67,61 @@ pub fn minimize_strategy(strategy: &Strategy) -> Strategy {
 /// [`minimize_strategy`], also returning the before/after rule counts.
 #[must_use]
 pub fn minimize_strategy_with_report(strategy: &Strategy) -> (Strategy, MinimizeReport) {
-    let mut out = Strategy::new(strategy.dim());
+    let mut out = Strategy::with_capacity(strategy.dim(), strategy.state_count());
     let mut report = MinimizeReport {
         rules_before: strategy.rule_count(),
         rules_after: 0,
     };
-    let mut coverage = Coverage::default();
+    let mut scratch = Scratch {
+        coverage: Coverage::default(),
+        hull: Dbm::universe(strategy.dim()),
+    };
     for (discrete, rules) in strategy.iter() {
-        let minimized = minimize_state(rules, &mut coverage);
+        let minimized = minimize_state(rules, &mut scratch);
         report.rules_after += minimized.len();
-        for rule in minimized {
-            out.add_rule(discrete.clone(), rule);
-        }
+        let minimized = minimized
+            .into_iter()
+            .map(|rule| StrategyRule {
+                rank: rule.rank,
+                zone: rule.zone.into_owned(),
+                decision: rule.decision.clone(),
+            })
+            .collect();
+        out.add_rules(discrete.clone(), minimized);
     }
     (out, report)
 }
 
+/// A rule while its state is minimized: the zone stays borrowed from the
+/// input until a merge grows it, so dropped rules are never copied.
+struct Working<'a> {
+    rank: u32,
+    zone: Cow<'a, Dbm>,
+    decision: &'a Decision,
+}
+
+/// Buffers reused across every state of one minimization run.
+struct Scratch {
+    coverage: Coverage,
+    /// The candidate hull of a merge, kept only when the merge happens.
+    hull: Dbm,
+}
+
 /// Runs the three rewrites over one state's rules until nothing changes.
-fn minimize_state(rules: &[StrategyRule], coverage: &mut Coverage) -> Vec<StrategyRule> {
-    let mut rules: Vec<StrategyRule> = rules.to_vec();
+fn minimize_state<'a>(rules: &'a [StrategyRule], scratch: &mut Scratch) -> Vec<Working<'a>> {
+    let mut rules: Vec<Working<'a>> = rules
+        .iter()
+        .map(|rule| Working {
+            rank: rule.rank,
+            zone: Cow::Borrowed(&rule.zone),
+            decision: &rule.decision,
+        })
+        .collect();
     loop {
         let before = rules.len();
-        drop_subsumed(&mut rules, Class::Wait, coverage);
-        drop_subsumed(&mut rules, Class::Take, coverage);
-        let merged = merge_exact_unions(&mut rules, coverage);
+        drop_subsumed(&mut rules, Class::Wait, &mut scratch.coverage);
+        drop_subsumed(&mut rules, Class::Take, &mut scratch.coverage);
+        let merged = merge_exact_unions(&mut rules, scratch);
         if rules.len() == before && !merged {
             return rules;
         }
@@ -103,7 +135,7 @@ enum Class {
     Take,
 }
 
-fn class_of(rule: &StrategyRule) -> Class {
+fn class_of(rule: &Working<'_>) -> Class {
     match rule.decision {
         Decision::Wait => Class::Wait,
         Decision::Take(_) => Class::Take,
@@ -115,7 +147,7 @@ fn class_of(rule: &StrategyRule) -> Class {
 /// rules, any other wait of rank `<= r` (the rank minimum is
 /// order-insensitive); for `Take` rules, takes that beat it in the
 /// selection order (strictly lower rank, or equal rank and earlier).
-fn drop_subsumed(rules: &mut Vec<StrategyRule>, class: Class, coverage: &mut Coverage) {
+fn drop_subsumed(rules: &mut Vec<Working<'_>>, class: Class, coverage: &mut Coverage) {
     let mut index = 0;
     while index < rules.len() {
         if class_of(&rules[index]) != class {
@@ -134,7 +166,7 @@ fn drop_subsumed(rules: &mut Vec<StrategyRule>, class: Class, coverage: &mut Cov
                         Class::Take => r.rank < rank || (r.rank == rank && other < index),
                     }
             })
-            .map(|(_, r)| &r.zone);
+            .map(|(_, r)| &*r.zone);
         if coverage.covers(&rules[index].zone, covers) {
             rules.remove(index);
         } else {
@@ -146,16 +178,19 @@ fn drop_subsumed(rules: &mut Vec<StrategyRule>, class: Class, coverage: &mut Cov
 /// Greedily merges same-rank same-decision rule pairs whose convex hull
 /// adds no point that is not already answered identically by another rule.
 /// Returns whether any merge happened.
-fn merge_exact_unions(rules: &mut Vec<StrategyRule>, coverage: &mut Coverage) -> bool {
+fn merge_exact_unions(rules: &mut Vec<Working<'_>>, scratch: &mut Scratch) -> bool {
     let mut changed = false;
     let mut a = 0;
     while a < rules.len() {
         let mut b = a + 1;
         while b < rules.len() {
             if rules[a].rank == rules[b].rank && rules[a].decision == rules[b].decision {
-                let hull = rules[a].zone.hull(&rules[b].zone);
-                if mergeable(rules, a, b, &hull, coverage) {
-                    rules[a].zone = hull;
+                rules[a].zone.hull_into(&rules[b].zone, &mut scratch.hull);
+                if mergeable(rules, a, b, &scratch.hull, &mut scratch.coverage) {
+                    match &mut rules[a].zone {
+                        Cow::Owned(zone) => std::mem::swap(zone, &mut scratch.hull),
+                        borrowed => *borrowed = Cow::Owned(scratch.hull.clone()),
+                    }
                     rules.remove(b);
                     changed = true;
                     // Re-scan partners for the grown zone from scratch.
@@ -177,7 +212,7 @@ fn merge_exact_unions(rules: &mut Vec<StrategyRule>, coverage: &mut Coverage) ->
 /// different-edge `Take` of the same rank may overlap the hull (the
 /// first-in-order tie-break among equal ranks would otherwise be disturbed).
 fn mergeable(
-    rules: &[StrategyRule],
+    rules: &[Working<'_>],
     a: usize,
     b: usize,
     hull: &Dbm,
@@ -197,10 +232,10 @@ fn mergeable(
                     Class::Take => r.rank < rank,
                 }
         })
-        .map(|(_, r)| &r.zone);
+        .map(|(_, r)| &*r.zone);
     if !coverage.covers(
         hull,
-        [&rules[a].zone, &rules[b].zone].into_iter().chain(others),
+        [&*rules[a].zone, &*rules[b].zone].into_iter().chain(others),
     ) {
         return false;
     }

@@ -349,7 +349,7 @@ impl Search<'_> {
                         new_win,
                         action_regions,
                     } => {
-                        self.apply_growth(node, new_win, &action_regions);
+                        self.apply_growth(node, new_win, action_regions);
                         // Initial state decided: winning for reachability,
                         // *losing* for safety (the attractor is the losing
                         // set there) — in both cases the verdict is known
@@ -427,7 +427,7 @@ impl Search<'_> {
         &mut self,
         node: NodeId,
         new_win: Federation,
-        action_regions: &[(usize, Federation)],
+        action_regions: Vec<(usize, Federation)>,
     ) {
         self.revision = self.revision.saturating_add(1);
         self.recorder.growth(

@@ -33,7 +33,6 @@
 //! meaningful against the system it was extracted from.
 
 use crate::strategy::{Decision, Strategy, StrategyRule};
-use std::fmt::Write as _;
 use tiga_dbm::{Bound, Dbm};
 use tiga_model::{AutomatonId, ChannelId, DiscreteState, EdgeId, JointEdge, LocationId};
 
@@ -70,6 +69,10 @@ pub fn print_strategy(model: &str, winning: bool, strategy: Option<&Strategy>) -
 
 /// Shared printer behind [`print_strategy`] and the controller format, which
 /// differ only in their header line.
+///
+/// Tokens are written straight into one byte buffer sized up front:
+/// integers through [`push_uint`]/[`push_int`], bounds through
+/// [`push_bound`], no `fmt` machinery.
 #[must_use]
 pub(crate) fn print_with_header(
     header: &str,
@@ -77,70 +80,157 @@ pub(crate) fn print_with_header(
     winning: bool,
     strategy: Option<&Strategy>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str(header);
-    out.push('\n');
-    let _ = writeln!(out, "model {model}");
-    let _ = writeln!(
-        out,
-        "verdict {}",
-        if winning { "winning" } else { "losing" }
-    );
-    match strategy {
-        None => out.push_str("strategy none\n"),
-        Some(strategy) => {
-            let _ = writeln!(out, "dim {}", strategy.dim());
-            let mut states: Vec<(&DiscreteState, &[StrategyRule])> = strategy.iter().collect();
-            states.sort_by(|(a, _), (b, _)| {
-                a.locations
-                    .cmp(&b.locations)
-                    .then_with(|| a.vars.cmp(&b.vars))
-            });
-            for (discrete, rules) in states {
-                out.push_str("state");
-                for loc in &discrete.locations {
-                    let _ = write!(out, " {}", loc.index());
+    let Some(strategy) = strategy else {
+        let mut out = Vec::with_capacity(header.len() + model.len() + 48);
+        push_preamble(&mut out, header, model, winning);
+        out.extend_from_slice(b"strategy none\nend\n");
+        return into_string(out);
+    };
+    let mut states: Vec<(&DiscreteState, &[StrategyRule])> = strategy.iter().collect();
+    // States are distinct, so the unstable sort is deterministic.
+    states.sort_unstable_by(|(a, _), (b, _)| {
+        a.locations
+            .cmp(&b.locations)
+            .then_with(|| a.vars.cmp(&b.vars))
+    });
+    let mut out = Vec::with_capacity(printed_size_hint(header, model, strategy.dim(), &states));
+    push_preamble(&mut out, header, model, winning);
+    out.extend_from_slice(b"dim ");
+    push_uint(&mut out, strategy.dim() as u64);
+    out.push(b'\n');
+    for (discrete, rules) in states {
+        out.extend_from_slice(b"state");
+        for loc in &discrete.locations {
+            out.push(b' ');
+            push_uint(&mut out, loc.index() as u64);
+        }
+        out.extend_from_slice(b" /");
+        for &var in &discrete.vars {
+            out.push(b' ');
+            push_int(&mut out, var);
+        }
+        out.push(b'\n');
+        for rule in rules {
+            out.extend_from_slice(b"rule ");
+            push_uint(&mut out, u64::from(rule.rank));
+            match &rule.decision {
+                Decision::Wait => out.extend_from_slice(b" wait"),
+                Decision::Take(JointEdge::Internal { automaton, edge }) => {
+                    out.extend_from_slice(b" take tau");
+                    push_ids(&mut out, &[automaton.index(), edge.index()]);
                 }
-                out.push_str(" /");
-                for var in &discrete.vars {
-                    let _ = write!(out, " {var}");
-                }
-                out.push('\n');
-                for rule in rules {
-                    let _ = write!(out, "rule {} ", rule.rank);
-                    match &rule.decision {
-                        Decision::Wait => out.push_str("wait"),
-                        Decision::Take(JointEdge::Internal { automaton, edge }) => {
-                            let _ = write!(out, "take tau {} {}", automaton.index(), edge.index());
-                        }
-                        Decision::Take(JointEdge::Sync {
-                            channel,
-                            output,
-                            input,
-                        }) => {
-                            let _ = write!(
-                                out,
-                                "take sync {} {} {} {} {}",
-                                channel.index(),
-                                output.0.index(),
-                                output.1.index(),
-                                input.0.index(),
-                                input.1.index()
-                            );
-                        }
-                    }
-                    for i in 0..rule.zone.dim() {
-                        for j in 0..rule.zone.dim() {
-                            let _ = write!(out, " {}", rule.zone.at(i, j));
-                        }
-                    }
-                    out.push('\n');
+                Decision::Take(JointEdge::Sync {
+                    channel,
+                    output,
+                    input,
+                }) => {
+                    out.extend_from_slice(b" take sync");
+                    push_ids(
+                        &mut out,
+                        &[
+                            channel.index(),
+                            output.0.index(),
+                            output.1.index(),
+                            input.0.index(),
+                            input.1.index(),
+                        ],
+                    );
                 }
             }
+            let dim = rule.zone.dim();
+            for i in 0..dim {
+                for j in 0..dim {
+                    out.push(b' ');
+                    push_bound(&mut out, rule.zone.at(i, j));
+                }
+            }
+            out.push(b'\n');
         }
     }
-    out.push_str("end\n");
-    out
+    out.extend_from_slice(b"end\n");
+    into_string(out)
+}
+
+/// The printed bytes as text: the model name is the only non-ASCII input,
+/// and it is copied from a `&str`.
+fn into_string(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("the printer writes UTF-8")
+}
+
+/// The header, `model` and `verdict` lines.
+fn push_preamble(out: &mut Vec<u8>, header: &str, model: &str, winning: bool) {
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(b"\nmodel ");
+    out.extend_from_slice(model.as_bytes());
+    out.extend_from_slice(if winning {
+        b"\nverdict winning\n"
+    } else {
+        b"\nverdict losing\n"
+    });
+}
+
+/// An upper estimate of the printed length, so the output buffer is
+/// allocated once: a bound token takes at most 7 bytes for the constants
+/// that occur in practice, an id or variable at most 11.
+fn printed_size_hint(
+    header: &str,
+    model: &str,
+    dim: usize,
+    states: &[(&DiscreteState, &[StrategyRule])],
+) -> usize {
+    let per_rule = 48 + dim * dim * 8;
+    header.len()
+        + model.len()
+        + 64
+        + states
+            .iter()
+            .map(|(discrete, rules)| {
+                8 + 12 * (discrete.locations.len() + discrete.vars.len()) + per_rule * rules.len()
+            })
+            .sum::<usize>()
+}
+
+/// Writes ` <id>` for each id.
+fn push_ids(out: &mut Vec<u8>, ids: &[usize]) {
+    for &id in ids {
+        out.push(b' ');
+        push_uint(out, id as u64);
+    }
+}
+
+/// Writes a bound as its [`Bound`] display token: `<inf`, `<m` or `<=m`.
+fn push_bound(out: &mut Vec<u8>, bound: Bound) {
+    match bound.constant() {
+        None => out.extend_from_slice(b"<inf"),
+        Some(m) => {
+            out.extend_from_slice(if bound.is_strict() { b"<" } else { b"<=" });
+            push_int(out, i64::from(m));
+        }
+    }
+}
+
+/// Writes a signed integer in decimal, as `Display` does.
+fn push_int(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    push_uint(out, n.unsigned_abs());
+}
+
+/// Writes an unsigned integer in decimal, as `Display` does.
+fn push_uint(out: &mut Vec<u8>, mut n: u64) {
+    if n < 10 {
+        out.push(b'0' + n as u8);
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    while n > 0 {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Parses a `tiga-strategy v1` file back into a [`StrategyFile`].

@@ -82,10 +82,15 @@ pub struct TimedStats {
     /// Wall-clock time spent in the backward fixpoint: the rest of the
     /// solve.
     pub fixpoint_time: Duration,
+    /// Wall-clock time spent extracting a safety strategy from the
+    /// converged sets, after the fixpoint.  Zero for reachability, whose
+    /// rules are recorded during the fixpoint.  Not part of
+    /// [`TimedStats::total_time`].
+    pub extraction_time: Duration,
 }
 
 impl TimedStats {
-    /// Total solving time.
+    /// Total solving time: exploration plus fixpoint.
     #[must_use]
     pub fn total_time(&self) -> Duration {
         self.exploration_time + self.fixpoint_time

@@ -9,6 +9,7 @@
 //! justified by an eventual action, a rank decrease by pure delay, or an
 //! opponent move forced by an invariant.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use tiga_dbm::Dbm;
@@ -70,6 +71,15 @@ impl Strategy {
         }
     }
 
+    /// An empty strategy with room for `states` discrete states, so a
+    /// builder that knows its state count never rehashes.
+    pub(crate) fn with_capacity(dim: usize, states: usize) -> Self {
+        Strategy {
+            dim,
+            entries: HashMap::with_capacity(states),
+        }
+    }
+
     /// DBM dimension of the rule zones.
     #[must_use]
     pub fn dim(&self) -> usize {
@@ -82,6 +92,23 @@ impl Strategy {
             return;
         }
         self.entries.entry(discrete).or_default().push(rule);
+    }
+
+    /// Appends a discrete state's rules in order: one map probe for the
+    /// whole list, and the list itself becomes the state's entry when the
+    /// state has none yet.  Rules with empty zones are skipped, as in
+    /// [`Strategy::add_rule`].
+    pub fn add_rules(&mut self, discrete: DiscreteState, mut rules: Vec<StrategyRule>) {
+        rules.retain(|rule| !rule.zone.is_empty());
+        if rules.is_empty() {
+            return;
+        }
+        match self.entries.entry(discrete) {
+            Entry::Vacant(entry) => {
+                entry.insert(rules);
+            }
+            Entry::Occupied(mut entry) => entry.get_mut().append(&mut rules),
+        }
     }
 
     /// Number of discrete states with at least one rule.
@@ -470,6 +497,42 @@ mod tests {
         assert!(text.contains("take transition go?"), "{text}");
         assert_eq!(strat.state_count(), 1);
         assert_eq!(strat.rule_count(), 2);
+    }
+
+    #[test]
+    fn add_rules_appends_in_order_and_skips_empty_zones() {
+        let (sys, d, je) = tiny_system();
+        let mut empty = Dbm::universe(2);
+        empty.constrain(1, 0, Bound::lt(0));
+        let rule = |rank: u32, zone: Dbm, decision: Decision| StrategyRule {
+            rank,
+            zone,
+            decision,
+        };
+        let mut batched = Strategy::new(sys.dim());
+        batched.add_rules(
+            d.clone(),
+            vec![
+                rule(2, Dbm::universe(2), Decision::Wait),
+                rule(1, empty.clone(), Decision::Wait),
+            ],
+        );
+        batched.add_rules(
+            d.clone(),
+            vec![rule(1, zone_between(2, 5), Decision::Take(je.clone()))],
+        );
+        batched.add_rules(d.clone(), vec![rule(3, empty.clone(), Decision::Wait)]);
+        let mut other = d.clone();
+        other.locations[0] = tiga_model::LocationId::from_index(1);
+        batched.add_rules(other.clone(), vec![rule(1, empty, Decision::Wait)]);
+        batched.add_rules(other, Vec::new());
+        // The same as adding the non-empty rules one by one.
+        let mut single = Strategy::new(sys.dim());
+        single.add_rule(d.clone(), rule(2, Dbm::universe(2), Decision::Wait));
+        single.add_rule(d, rule(1, zone_between(2, 5), Decision::Take(je)));
+        assert_eq!(batched, single);
+        assert_eq!(batched.state_count(), 1);
+        assert_eq!(batched.rule_count(), 2);
     }
 
     #[test]

@@ -51,9 +51,10 @@ use crate::error::SolverError;
 use crate::graph::{ExploreOptions, GameGraph, GraphEdge, NodeId};
 use crate::stats::{MemCounters, SolverStats, TimedStats};
 use crate::strategy::{Decision, Strategy, StrategyRule};
-use std::time::Instant;
+use std::cmp::Ordering;
+use std::time::{Duration, Instant};
 use tiga_dbm::{Bound, Dbm, Federation};
-use tiga_model::{DiscreteState, System};
+use tiga_model::{DiscreteState, JointEdge, System};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
 /// Which fixpoint engine [`solve`] runs.
@@ -376,6 +377,7 @@ fn solve_with_engine(
     };
 
     let winning_from_initial = initial_is_winning(system, &graph, &winning);
+    let mut extraction_time = Duration::ZERO;
     let strategy = if !options.extract_strategy || !winning_from_initial {
         None
     } else {
@@ -383,7 +385,12 @@ fn solve_with_engine(
             // Reachability: the engines extracted the strategy in-search.
             None => outcome.strategy,
             // Safety: extract the safe controller from the converged sets.
-            Some(losing) => Some(extract_safety_strategy(system, &graph, &winning, losing)?),
+            Some(losing) => {
+                let start = Instant::now();
+                let strategy = extract_safety_strategy(system, &graph, &winning, losing)?;
+                extraction_time = start.elapsed();
+                Some(strategy)
+            }
         }
     };
     let stats = SolverStats {
@@ -411,6 +418,7 @@ fn solve_with_engine(
             stats,
             exploration_time,
             fixpoint_time,
+            extraction_time,
         },
     })
 }
@@ -440,7 +448,7 @@ fn extract_safety_strategy(
     winning: &[Federation],
     losing: &[Federation],
 ) -> Result<Strategy, SolverError> {
-    let mut strategy = Strategy::new(system.dim());
+    let mut strategy = Strategy::with_capacity(system.dim(), graph.len());
     for (id, node) in graph.nodes().iter().enumerate() {
         if node.is_goal || winning[id].is_empty() {
             // `is_goal` marks *bad* states in safety mode; nothing is safe
@@ -452,16 +460,15 @@ fn extract_safety_strategy(
         drift.down();
         // Valuations where an enabled plant move leads into the losing set.
         let mut threat = Federation::empty(system.dim());
-        // Escape regions, keyed canonically for engine-independent order.
-        let mut escapes: Vec<(String, &GraphEdge, Federation)> = Vec::new();
+        // Escape regions, in canonical edge order for engine independence.
+        let mut escapes: Vec<(&JointEdge, Federation)> = Vec::new();
         for edge in &node.edges {
             if edge.controllable {
                 let region = system
                     .joint_pred_federation(&node.discrete, &edge.joint, &winning[edge.target])?
                     .intersection(&winning[id]);
                 if !region.is_empty() {
-                    let key = format!("{:?}|{:?}", edge.joint, graph.node(edge.target).discrete);
-                    escapes.push((key, edge, region));
+                    escapes.push((&edge.joint, region));
                 }
             } else {
                 let pred = system.joint_pred_federation(
@@ -469,47 +476,80 @@ fn extract_safety_strategy(
                     &edge.joint,
                     &losing[edge.target],
                 )?;
-                threat.union_with(&pred);
+                threat.absorb(pred);
             }
         }
-        let danger = drift.union(&threat);
+        let mut danger = drift;
+        danger.absorb(threat);
         let calm = winning[id].difference(&danger);
-        for zone in &calm {
-            strategy.add_rule(
-                node.discrete.clone(),
-                StrategyRule {
-                    rank: 0,
-                    zone: zone.clone(),
-                    decision: Decision::Wait,
-                },
-            );
-        }
         let alert = winning[id].intersection(&danger);
-        for zone in &alert {
-            strategy.add_rule(
-                node.discrete.clone(),
-                StrategyRule {
-                    rank: 1,
-                    zone: zone.clone(),
-                    decision: Decision::Wait,
-                },
-            );
+        escapes.sort_by(|a, b| escape_order(a.0, b.0));
+        let mut rules = Vec::with_capacity(
+            calm.len() + alert.len() + escapes.iter().map(|(_, r)| r.len()).sum::<usize>(),
+        );
+        let mut push = |rank: u32, decision: Decision, zones: Federation| {
+            rules.extend(zones.into_iter().map(|zone| StrategyRule {
+                rank,
+                zone,
+                decision: decision.clone(),
+            }));
+        };
+        push(0, Decision::Wait, calm);
+        push(1, Decision::Wait, alert);
+        for (joint, region) in escapes {
+            push(1, Decision::Take(joint.clone()), region);
         }
-        escapes.sort_by(|a, b| a.0.cmp(&b.0));
-        for (_, edge, region) in &escapes {
-            for zone in region {
-                strategy.add_rule(
-                    node.discrete.clone(),
-                    StrategyRule {
-                        rank: 1,
-                        zone: zone.clone(),
-                        decision: Decision::Take(edge.joint.clone()),
-                    },
-                );
-            }
-        }
+        strategy.add_rules(node.discrete.clone(), rules);
     }
     Ok(strategy)
+}
+
+/// The canonical order of escape edges: the order of their `Debug` texts,
+/// compared without rendering them.  The texts start with the variant name
+/// (`Internal` before `Sync`) and then list the ids in field order, each
+/// closed by `)`, so the first differing id decides, compared as a decimal
+/// string: `EdgeId(10)` sorts before `EdgeId(9)`.  (Safety goldens pin this
+/// order; a numeric order would move take rules.)  A controllable edge's
+/// target follows from its joint edge, so ties never need the target.
+fn escape_order(a: &JointEdge, b: &JointEdge) -> Ordering {
+    let ids = |joint: &JointEdge| match *joint {
+        JointEdge::Internal { automaton, edge } => (0, [automaton.index(), edge.index(), 0, 0, 0]),
+        JointEdge::Sync {
+            channel,
+            output,
+            input,
+        } => (
+            1,
+            [
+                channel.index(),
+                output.0.index(),
+                output.1.index(),
+                input.0.index(),
+                input.1.index(),
+            ],
+        ),
+    };
+    let (variant_a, ids_a) = ids(a);
+    let (variant_b, ids_b) = ids(b);
+    variant_a.cmp(&variant_b).then_with(|| {
+        ids_a
+            .iter()
+            .zip(&ids_b)
+            .map(|(&x, &y)| decimal_order(x, y))
+            .find(|order| order.is_ne())
+            .unwrap_or(Ordering::Equal)
+    })
+}
+
+/// Compares the decimal renderings of two numbers as strings: the leading
+/// digits they share in length decide, and otherwise the shorter rendering
+/// (a prefix of the longer) comes first.
+fn decimal_order(a: usize, b: usize) -> Ordering {
+    let digits = |n: usize| n.checked_ilog10().unwrap_or(0) + 1;
+    let (da, db) = (digits(a), digits(b));
+    let shared = da.min(db);
+    let lead = |n: usize, d: u32| n / 10usize.pow(d - shared);
+    lead(a, da).cmp(&lead(b, db)).then(da.cmp(&db))
 }
 
 fn initial_is_winning(system: &System, graph: &GameGraph, winning: &[Federation]) -> bool {
@@ -634,7 +674,7 @@ impl<'a> Engine<'a> {
                         &win[node_id],
                         &new_win,
                         &node.edges,
-                        &action_regions,
+                        action_regions,
                     );
                     win_total = win_total + new_win.len() - win[node_id].len();
                     win[node_id] = new_win;
@@ -682,12 +722,22 @@ impl RuleRecorder {
 
     /// Records a seeded goal zone as a rank-0 wait region.
     pub(crate) fn goal_wait(&mut self, discrete: &DiscreteState, zone: &Dbm) {
-        self.rule(discrete, 0, zone, Decision::Wait);
+        if let Some(strategy) = &mut self.0 {
+            strategy.add_rule(
+                discrete.clone(),
+                StrategyRule {
+                    rank: 0,
+                    zone: zone.clone(),
+                    decision: Decision::Wait,
+                },
+            );
+        }
     }
 
     /// Records the growth of a state's winning federation from `old` to
     /// `new` at `rank`: the new valuations as wait regions, then the action
-    /// regions (keyed by index into `edges`) as takes.
+    /// regions (keyed by index into `edges`) as takes, whose zones move into
+    /// the strategy.
     pub(crate) fn growth(
         &mut self,
         discrete: &DiscreteState,
@@ -695,34 +745,29 @@ impl RuleRecorder {
         old: &Federation,
         new: &Federation,
         edges: &[GraphEdge],
-        action_regions: &[(usize, Federation)],
+        action_regions: Vec<(usize, Federation)>,
     ) {
-        if self.0.is_none() {
+        let Some(strategy) = &mut self.0 else {
             return;
-        }
-        for zone in &new.difference(old) {
-            self.rule(discrete, rank, zone, Decision::Wait);
-        }
+        };
+        let mut rules: Vec<StrategyRule> = new
+            .difference(old)
+            .into_iter()
+            .map(|zone| StrategyRule {
+                rank,
+                zone,
+                decision: Decision::Wait,
+            })
+            .collect();
         for (edge_idx, region) in action_regions {
-            for zone in region {
-                let take = Decision::Take(edges[*edge_idx].joint.clone());
-                self.rule(discrete, rank, zone, take);
-            }
+            let joint = &edges[edge_idx].joint;
+            rules.extend(region.into_iter().map(|zone| StrategyRule {
+                rank,
+                zone,
+                decision: Decision::Take(joint.clone()),
+            }));
         }
-    }
-
-    fn rule(&mut self, discrete: &DiscreteState, rank: u32, zone: &Dbm, decision: Decision) {
-        if let Some(strategy) = &mut self.0 {
-            let zone = zone.clone();
-            strategy.add_rule(
-                discrete.clone(),
-                StrategyRule {
-                    rank,
-                    zone,
-                    decision,
-                },
-            );
-        }
+        strategy.add_rules(discrete.clone(), rules);
     }
 
     pub(crate) fn into_strategy(self) -> Option<Strategy> {
@@ -1765,5 +1810,78 @@ mod tests {
         assert!(invariant_boundary(&open, false).is_empty());
         // Urgent: everything is a boundary.
         assert!(invariant_boundary(&open, true).contains_scaled(&[0, 4]));
+    }
+
+    #[test]
+    fn decimal_order_compares_renderings_as_strings() {
+        for (a, b, order) in [
+            (10, 9, Ordering::Less),
+            (1, 10, Ordering::Less),
+            (12, 1, Ordering::Greater),
+            (100, 11, Ordering::Less),
+            (0, 0, Ordering::Equal),
+            (120, 120, Ordering::Equal),
+            (0, 1, Ordering::Less),
+        ] {
+            assert_eq!(decimal_order(a, b), order, "{a} vs {b}");
+            assert_eq!(decimal_order(a, b), a.to_string().cmp(&b.to_string()));
+        }
+    }
+
+    /// The structural escape order equals the old sort key — the `Debug`
+    /// texts of the joint edge and its target, joined by `|` — on random
+    /// joint-edge pairs with ids `0..=120`.  The target is a function of
+    /// the joint edge, as it is in a game graph.
+    #[test]
+    fn escape_order_matches_the_debug_text_order() {
+        let mut seed: u64 = 0x5AFE_0DE5;
+        let mut next = |bound: u64| {
+            // SplitMix64.
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut joint = || {
+            let internal = next(2) == 0;
+            let mut id = || next(121) as usize;
+            if internal {
+                JointEdge::Internal {
+                    automaton: tiga_model::AutomatonId::from_index(id()),
+                    edge: tiga_model::EdgeId::from_index(id()),
+                }
+            } else {
+                JointEdge::Sync {
+                    channel: tiga_model::ChannelId::from_index(id()),
+                    output: (
+                        tiga_model::AutomatonId::from_index(id()),
+                        tiga_model::EdgeId::from_index(id()),
+                    ),
+                    input: (
+                        tiga_model::AutomatonId::from_index(id()),
+                        tiga_model::EdgeId::from_index(id()),
+                    ),
+                }
+            }
+        };
+        let old_key = |joint: &JointEdge| {
+            let target = DiscreteState {
+                locations: vec![tiga_model::LocationId::from_index(
+                    format!("{joint:?}").len(),
+                )],
+                vars: vec![-1],
+            };
+            format!("{joint:?}|{target:?}")
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (joint(), joint());
+            assert_eq!(
+                escape_order(&a, &b),
+                old_key(&a).cmp(&old_key(&b)),
+                "{a:?} vs {b:?}"
+            );
+            assert_eq!(escape_order(&a, &a.clone()), Ordering::Equal);
+        }
     }
 }
