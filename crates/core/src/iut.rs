@@ -247,24 +247,30 @@ impl SimulatedIut {
         let is_output = |ch: ChannelId| self.system.channel(ch).kind() == ChannelKind::Output;
         let mut windows = Vec::new();
         if self.closed {
-            let joint = self.system.enabled_joint_edges(&self.state.discrete);
-            for je in joint.unwrap_or_default() {
-                if let JointEdge::Sync {
-                    channel,
-                    output: (automaton, edge),
-                    input,
-                } = je
-                {
-                    if !is_output(channel) {
-                        continue;
+            let walked = self
+                .system
+                .try_for_each_joint_edge(&self.state.discrete, |je| {
+                    let JointEdge::Sync {
+                        channel,
+                        output: (automaton, edge),
+                        input,
+                    } = je
+                    else {
+                        return Ok(false);
+                    };
+                    if is_output(channel) {
+                        let window = self
+                            .narrow_window((automaton, edge), 0, deadline)
+                            .and_then(|(lo, hi)| self.narrow_window(input, lo, hi));
+                        if let Some((lo, hi)) = window {
+                            windows.push((EdgeRef { automaton, edge }, channel, lo, hi));
+                        }
                     }
-                    let window = self
-                        .narrow_window((automaton, edge), 0, deadline)
-                        .and_then(|(lo, hi)| self.narrow_window(input, lo, hi));
-                    if let Some((lo, hi)) = window {
-                        windows.push((EdgeRef { automaton, edge }, channel, lo, hi));
-                    }
-                }
+                    Ok(false)
+                });
+            // A model whose guards cannot be evaluated offers no output.
+            if walked.is_err() {
+                windows.clear();
             }
         } else {
             for (ai, aut) in self.system.automata().iter().enumerate() {

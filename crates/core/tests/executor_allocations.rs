@@ -1,11 +1,15 @@
-//! Allocation gate of the test executor: a wait step allocates nothing.
+//! Allocation gates of the test executor: a wait step allocates nothing,
+//! and a run that takes outputs allocates little.
 //!
 //! The executor, the tioco monitor and the simulated implementation step
 //! their states in place, so a conformant run of the smart-light safety
 //! purpose — which waits from start to finish — makes the same number of
 //! heap allocations whether its time budget allows 10 000 ticks or ten
 //! times as many.  Anything a wait step allocates shows up as a difference
-//! of some thousand allocations between the two runs.
+//! of some thousand allocations between the two runs.  A discrete step
+//! walks the compiled network's joint edges without collecting them, so
+//! the reachability run below, which takes inputs and outputs, stays under
+//! a fixed ceiling.
 //!
 //! A counting global allocator, for this test binary only, counts the
 //! allocations made on the test's own thread.  The library crates stay
@@ -13,8 +17,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tiga_models::smart_light::{product, PURPOSE_NEVER_BRIGHT};
-use tiga_testing::{default_policies, SimulatedIut, TestConfig, TestHarness, Verdict};
+use tiga_models::smart_light::{product, PURPOSE_BRIGHT, PURPOSE_NEVER_BRIGHT};
+use tiga_testing::{
+    default_policies, OutputPolicy, SimulatedIut, TestConfig, TestHarness, Verdict,
+};
 
 /// Forwards every call to the system allocator and counts allocations
 /// (including reallocations) per thread.
@@ -104,4 +110,31 @@ fn a_conformant_waiting_run_allocates_the_same_at_any_length() {
              {long_allocs} in {long_steps}"
         );
     }
+}
+
+#[test]
+fn an_output_taking_run_stays_under_its_allocation_ceiling() {
+    // The run drives the light to `Bright`: two inputs and two outputs.
+    // Synchronizations that collected the enabled joint edges into a
+    // vector made 28 allocations here.
+    const CEILING: u64 = 24;
+    let system = product().expect("the smart-light model parses");
+    let harness = TestHarness::synthesize(
+        system.clone(),
+        system.clone(),
+        PURPOSE_BRIGHT,
+        TestConfig::default(),
+    )
+    .expect("bright is enforceable");
+    let scale = harness.config().scale;
+    let mut iut = SimulatedIut::new("conformant", system, scale, OutputPolicy::Eager);
+    let before = allocations();
+    let report = harness.execute(&mut iut).expect("the run evaluates");
+    let allocs = allocations() - before;
+    assert_eq!(report.verdict, Verdict::Pass);
+    assert!(
+        allocs <= CEILING,
+        "{allocs} allocations in {} steps, ceiling {CEILING}",
+        report.steps
+    );
 }

@@ -684,15 +684,22 @@ impl Coverage {
         let rest = self.rest.get_or_insert_with(|| zone.clone());
         let mut remainder = &mut self.remainder;
         let mut next = &mut self.next;
-        remainder.clear();
-        remainder.push_copy(zone);
+        // Until the first cover that meets the zone, the remainder is the
+        // zone itself, which is known to meet that cover: it is split
+        // without a second intersection test.
+        let mut untouched = true;
         for cover in covers {
             if !zone.intersects(cover) {
                 continue;
             }
             next.clear();
-            for piece in remainder.as_slice() {
-                subtract_into(piece, cover, rest, next);
+            if untouched {
+                split_into(zone, cover, rest, next);
+                untouched = false;
+            } else {
+                for piece in remainder.as_slice() {
+                    subtract_into(piece, cover, rest, next);
+                }
             }
             std::mem::swap(&mut remainder, &mut next);
             if remainder.len == 0 {
@@ -713,6 +720,12 @@ fn subtract_into(a: &Dbm, b: &Dbm, rest: &mut Dbm, out: &mut Pieces) {
         out.push_copy(a);
         return;
     }
+    split_into(a, b, rest, out);
+}
+
+/// Appends the pieces of `a \ b` to `out` for zones known to intersect;
+/// `rest` is scratch storage.
+fn split_into(a: &Dbm, b: &Dbm, rest: &mut Dbm, out: &mut Pieces) {
     rest.clone_from(a);
     split_along(rest, b, |rest, (row, col, neg)| {
         if !out.push_copy(rest).constrain(row, col, neg) {

@@ -12,6 +12,12 @@
 //! * resets use non-negative constants;
 //! * `!=` never appears in clock constraints (non-convex).
 //!
+//! Two knobs, off by default, give up the last guarantees on purpose:
+//! [`GenConfig::index_var_prob`] lets an array update's index read a
+//! variable and [`GenConfig::reset_var_prob`] lets a reset assign one, so
+//! an index can leave its array and a reset can go negative at run time.
+//! They exercise the paths that evaluate those expressions in every state.
+//!
 //! Everything else — urgency, diagonal guards, equality guards, unmatched
 //! synchronizations, dead channels, contradictory guards, unreachable
 //! objectives — is fair game: those corners are exactly where the engines
@@ -78,6 +84,14 @@ pub struct GenConfig {
     /// nothing from the RNG, so the pinned fixed-seed streams (the bench
     /// baseline's fuzz matrix, the campaign gates) stay bit-identical.
     pub bound_prob: f64,
+    /// Probability that an array update's index reads a variable instead
+    /// of being an in-range literal.  Like `bound_prob`, a zero probability
+    /// draws nothing, and it is the default.
+    pub index_var_prob: f64,
+    /// Probability that a clock reset assigns a variable's value instead
+    /// of a constant.  A zero probability draws nothing, and it is the
+    /// default.
+    pub reset_var_prob: f64,
 }
 
 impl Default for GenConfig {
@@ -105,6 +119,8 @@ impl Default for GenConfig {
             or_target_prob: 0.25,
             var_clause_prob: 0.25,
             bound_prob: 0.0,
+            index_var_prob: 0.0,
+            reset_var_prob: 0.0,
         }
     }
 }
@@ -232,10 +248,12 @@ fn gen_edge(
     let mut resets = Vec::new();
     for c in 0..clocks {
         if rng.gen_bool(config.reset_prob) {
-            let value = if rng.gen_bool(config.value_reset_prob) {
-                rng.gen_range(1..=config.max_const)
+            let value = if !vars.is_empty() && draws(rng, config.reset_var_prob) {
+                gen_var_read(rng, vars)
+            } else if rng.gen_bool(config.value_reset_prob) {
+                ExprSpec::Const(rng.gen_range(1..=config.max_const))
             } else {
-                0
+                ExprSpec::Const(0)
             };
             resets.push((c, value));
         }
@@ -244,9 +262,16 @@ fn gen_edge(
     if !vars.is_empty() && rng.gen_bool(config.update_prob) {
         let var = rng.gen_range(0..vars.len());
         let decl = &vars[var];
+        let index = decl.size.map(|s| {
+            if draws(rng, config.index_var_prob) {
+                gen_var_read(rng, vars)
+            } else {
+                ExprSpec::Const(rng.gen_range(0..s) as i64)
+            }
+        });
         updates.push(UpdateSpec {
             var,
-            index: decl.size.map(|s| rng.gen_range(0..s)),
+            index,
             value: gen_int_expr(rng, config, vars),
         });
     }
@@ -297,14 +322,26 @@ fn gen_constraint(rng: &mut StdRng, config: &GenConfig, clocks: usize) -> Constr
     }
 }
 
+/// `rng.gen_bool(p)`, except that a zero probability draws nothing: the
+/// pinned fixed-seed streams were drawn without the knobs that use it.
+fn draws(rng: &mut StdRng, p: f64) -> bool {
+    p > 0.0 && rng.gen_bool(p)
+}
+
+/// A read of a random variable: a scalar, or an array element at an
+/// in-range literal index.
+fn gen_var_read(rng: &mut StdRng, vars: &[VarSpec]) -> ExprSpec {
+    let v = rng.gen_range(0..vars.len());
+    match vars[v].size {
+        None => ExprSpec::Var(v),
+        Some(size) => ExprSpec::Elem(v, rng.gen_range(0..size)),
+    }
+}
+
 /// A scalar/element atom, or a small constant.
 fn gen_atom(rng: &mut StdRng, config: &GenConfig, vars: &[VarSpec]) -> ExprSpec {
     if !vars.is_empty() && rng.gen_bool(0.6) {
-        let v = rng.gen_range(0..vars.len());
-        match vars[v].size {
-            None => ExprSpec::Var(v),
-            Some(size) => ExprSpec::Elem(v, rng.gen_range(0..size)),
-        }
+        gen_var_read(rng, vars)
     } else {
         ExprSpec::Const(rng.gen_range(-config.max_const..=config.max_const))
     }
@@ -389,7 +426,7 @@ fn gen_objective(
     };
     // The zero-probability guard is load-bearing: `gen_bool(0.0)` would
     // still consume a draw and shift every pinned fixed-seed stream.
-    let bound = if config.bound_prob > 0.0 && rng.gen_bool(config.bound_prob) {
+    let bound = if draws(rng, config.bound_prob) {
         // Bounds near the generated constants keep the clip non-vacuous:
         // anything far above `max_const` would subsume every run.
         Some(rng.gen_range(1..=config.max_const.max(1) * 2))

@@ -136,8 +136,10 @@ impl ExprSpec {
 pub struct UpdateSpec {
     /// Target variable index.
     pub var: usize,
-    /// Literal array index, `None` for scalars.
-    pub index: Option<usize>,
+    /// Array index, `None` for scalars: a literal in range
+    /// ([`ExprSpec::Const`]), or an expression over the variables, which
+    /// may leave the array's range at run time.
+    pub index: Option<ExprSpec>,
     /// Assigned value.
     pub value: ExprSpec,
 }
@@ -156,8 +158,10 @@ pub struct EdgeSpec {
     pub guard: Vec<ConstraintSpec>,
     /// Data guard.
     pub when: Option<ExprSpec>,
-    /// Clock resets `(clock, value)`; `value` is a non-negative constant.
-    pub resets: Vec<(usize, i64)>,
+    /// Clock resets `(clock, value)`: a non-negative constant
+    /// ([`ExprSpec::Const`]), or an expression over the variables, which
+    /// may be negative at run time.
+    pub resets: Vec<(usize, ExprSpec)>,
     /// Variable updates.
     pub updates: Vec<UpdateSpec>,
     /// Controllability override for `tau` edges.
@@ -317,14 +321,15 @@ impl SysSpec {
                     check_vars(when, &self.vars)?;
                     eb = eb.when(when.to_expr(&var_ids));
                 }
-                for &(clock, value) in &e.resets {
+                for (clock, value) in &e.resets {
                     let &id = clock_ids
-                        .get(clock)
+                        .get(*clock)
                         .ok_or(SpecError::DanglingReference("reset clock"))?;
-                    eb = if value == 0 {
+                    check_vars(value, &self.vars)?;
+                    eb = if *value == ExprSpec::Const(0) {
                         eb.reset(id)
                     } else {
-                        eb.reset_to(id, Expr::constant(value))
+                        eb.reset_to(id, value.to_expr(&var_ids))
                     };
                 }
                 for u in &e.updates {
@@ -334,10 +339,16 @@ impl SysSpec {
                         .ok_or(SpecError::DanglingReference("update target"))?;
                     check_vars(&u.value, &self.vars)?;
                     let &id = var_ids.get(u.var).expect("checked above");
-                    eb = match (u.index, decl.size) {
+                    eb = match (&u.index, decl.size) {
                         (None, None) => eb.set(id, u.value.to_expr(&var_ids)),
-                        (Some(i), Some(size)) if i < size => {
-                            eb.set_element(id, Expr::constant(i as i64), u.value.to_expr(&var_ids))
+                        (Some(ExprSpec::Const(i)), Some(size))
+                            if usize::try_from(*i).is_ok_and(|i| i < size) =>
+                        {
+                            eb.set_element(id, Expr::constant(*i), u.value.to_expr(&var_ids))
+                        }
+                        (Some(index), Some(_)) if !matches!(index, ExprSpec::Const(_)) => {
+                            check_vars(index, &self.vars)?;
+                            eb.set_element(id, index.to_expr(&var_ids), u.value.to_expr(&var_ids))
                         }
                         _ => return Err(SpecError::DanglingReference("array index")),
                     };
@@ -465,7 +476,7 @@ impl SysSpec {
             for e in &mut aut.edges {
                 e.guard.retain(keep);
                 e.guard.iter_mut().for_each(shift);
-                e.resets.retain(|&(clock, _)| clock != c);
+                e.resets.retain(|(clock, _)| *clock != c);
                 for (clock, _) in &mut e.resets {
                     if *clock > c {
                         *clock -= 1;
@@ -486,12 +497,23 @@ impl SysSpec {
                 if let Some(w) = &mut e.when {
                     w.shift_var_down(v);
                 }
-                e.updates.retain(|u| u.var != v && !u.value.uses_var(v));
+                e.resets.retain(|(_, value)| !value.uses_var(v));
+                for (_, value) in &mut e.resets {
+                    value.shift_var_down(v);
+                }
+                e.updates.retain(|u| {
+                    u.var != v
+                        && !u.value.uses_var(v)
+                        && !u.index.as_ref().is_some_and(|i| i.uses_var(v))
+                });
                 for u in &mut e.updates {
                     if u.var > v {
                         u.var -= 1;
                     }
                     u.value.shift_var_down(v);
+                    if let Some(index) = &mut u.index {
+                        index.shift_var_down(v);
+                    }
                 }
             }
         }
@@ -546,12 +568,21 @@ impl SysSpec {
                 size += edge
                     .resets
                     .iter()
-                    .map(|&(_, value)| 2 + value.unsigned_abs())
+                    .map(|(_, value)| match value {
+                        ExprSpec::Const(n) => 2 + n.unsigned_abs(),
+                        value => 2 + expr_size(value),
+                    })
                     .sum::<u64>();
                 size += edge
                     .updates
                     .iter()
-                    .map(|u| 3 + expr_size(&u.value))
+                    .map(|u| {
+                        let index = match &u.index {
+                            None | Some(ExprSpec::Const(_)) => 0,
+                            Some(index) => expr_size(index),
+                        };
+                        3 + index + expr_size(&u.value)
+                    })
                     .sum::<u64>();
                 size += u64::from(edge.controllable.is_some());
             }
@@ -711,7 +742,7 @@ mod tests {
                                 Box::new(ExprSpec::Var(0)),
                                 Box::new(ExprSpec::Const(3)),
                             )),
-                            resets: vec![(0, 0)],
+                            resets: vec![(0, ExprSpec::Const(0))],
                             updates: vec![UpdateSpec {
                                 var: 0,
                                 index: None,
@@ -728,10 +759,10 @@ mod tests {
                             sync: None,
                             guard: vec![],
                             when: None,
-                            resets: vec![(1, 2)],
+                            resets: vec![(1, ExprSpec::Const(2))],
                             updates: vec![UpdateSpec {
                                 var: 1,
-                                index: Some(1),
+                                index: Some(ExprSpec::Const(1)),
                                 value: ExprSpec::Const(1),
                             }],
                             controllable: Some(true),

@@ -63,27 +63,7 @@ impl ClockConstraint {
         store: &[i64],
     ) -> Result<bool, ModelError> {
         let m64 = self.bound.eval(table, store)?;
-        let limit = i64::from(tiga_dbm::MAX_CONSTANT);
-        if !(-limit..=limit).contains(&m64) {
-            return Err(ModelError::Eval(EvalError::Overflow));
-        }
-        let m = i32::try_from(m64).map_err(|_| ModelError::Eval(EvalError::Overflow))?;
-        let i = self.left.dbm_index();
-        let j = self.minus.map_or(0, ClockId::dbm_index);
-        let ok = match self.op {
-            CmpOp::Le => zone.constrain(i, j, Bound::le(m)),
-            CmpOp::Lt => zone.constrain(i, j, Bound::lt(m)),
-            CmpOp::Ge => zone.constrain(j, i, Bound::le(-m)),
-            CmpOp::Gt => zone.constrain(j, i, Bound::lt(-m)),
-            CmpOp::Eq => zone.constrain(i, j, Bound::le(m)) && zone.constrain(j, i, Bound::le(-m)),
-            CmpOp::Ne => {
-                return Err(ModelError::NonConvexClockConstraint(format!(
-                    "clock {} != {}",
-                    self.left, m
-                )))
-            }
-        };
-        Ok(ok)
+        constrain_clocks(zone, self.left, self.minus, self.op, m64)
     }
 
     /// Checks the constraint against a concrete valuation in ticks
@@ -301,6 +281,14 @@ pub struct Automaton {
     pub(crate) locations: Vec<Location>,
     pub(crate) initial: LocationId,
     pub(crate) edges: Vec<Edge>,
+    /// The edge ids grouped by source location and, within a location, by
+    /// synchronization: its `tau` edges, then its outputs, then its inputs
+    /// sorted by channel, each in declaration order.
+    by_source: Vec<EdgeId>,
+    /// Where each group starts in `by_source`: entries `3l`, `3l + 1` and
+    /// `3l + 2` start location `l`'s `tau` edges, outputs and inputs; one
+    /// extra entry closes the last group.
+    groups: Vec<u32>,
 }
 
 impl Automaton {
@@ -357,14 +345,144 @@ impl Automaton {
             .map(LocationId::from_index)
     }
 
-    /// Identifiers of the edges leaving a location.
+    /// Identifiers of the edges leaving a location: its `tau` edges, then
+    /// its outputs, then its inputs sorted by channel, each group in
+    /// declaration order (so the edges with one label come in declaration
+    /// order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the identifier does not belong to this automaton.
     pub fn edges_from(&self, loc: LocationId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.source == loc)
-            .map(|(i, _)| EdgeId::from_index(i))
+        self.group(3 * loc.index(), 3).iter().copied()
     }
+
+    /// `count` consecutive groups of the edge index, from group `first`.
+    #[inline]
+    fn group(&self, first: usize, count: usize) -> &[EdgeId] {
+        &self.by_source[self.groups[first] as usize..self.groups[first + count] as usize]
+    }
+
+    /// The `tau` edges leaving a location, in declaration order.
+    #[inline]
+    pub(crate) fn tau_edges(&self, loc: LocationId) -> &[EdgeId] {
+        self.group(3 * loc.index(), 1)
+    }
+
+    /// The output edges leaving a location, in declaration order.
+    #[inline]
+    pub(crate) fn output_edges(&self, loc: LocationId) -> &[EdgeId] {
+        self.group(3 * loc.index() + 1, 1)
+    }
+
+    /// The edges leaving a location that receive on `channel`, in
+    /// declaration order.
+    #[inline]
+    pub(crate) fn receivers(&self, loc: LocationId, channel: ChannelId) -> &[EdgeId] {
+        let inputs = self.group(3 * loc.index() + 2, 1);
+        let channel_of = |e: &EdgeId| self.edges[e.index()].sync.channel();
+        let start = inputs.partition_point(|e| channel_of(e) < Some(channel));
+        let end = inputs.partition_point(|e| channel_of(e) <= Some(channel));
+        &inputs[start..end]
+    }
+
+    /// The edges leaving a location labelled `sync`, in declaration order.
+    pub(crate) fn edges_labelled(
+        &self,
+        loc: LocationId,
+        sync: Sync,
+    ) -> impl Iterator<Item = EdgeId> + '_ {
+        let group = match sync {
+            Sync::Tau => self.tau_edges(loc),
+            Sync::Output(_) => self.output_edges(loc),
+            Sync::Input(channel) => self.receivers(loc, channel),
+        };
+        // Only the outputs mix channels.
+        group
+            .iter()
+            .copied()
+            .filter(move |e| self.edges[e.index()].sync == sync)
+    }
+
+    /// Assembles an automaton from validated parts and indexes its edges
+    /// by source location and synchronization for
+    /// [`Automaton::edges_from`].
+    pub(crate) fn new(
+        name: String,
+        locations: Vec<Location>,
+        initial: LocationId,
+        edges: Vec<Edge>,
+    ) -> Self {
+        // A counting sort into the groups (location, then tau < outputs <
+        // inputs), each in declaration order; then the inputs of each
+        // location are sorted by channel, stably.
+        let group_of = |e: &Edge| {
+            3 * e.source.index()
+                + match e.sync {
+                    Sync::Tau => 0,
+                    Sync::Output(_) => 1,
+                    Sync::Input(_) => 2,
+                }
+        };
+        let mut groups = vec![0u32; 3 * locations.len() + 1];
+        for e in &edges {
+            groups[group_of(e) + 1] += 1;
+        }
+        for g in 1..groups.len() {
+            groups[g] += groups[g - 1];
+        }
+        let mut by_source = vec![EdgeId::from_index(0); edges.len()];
+        let mut next = groups.clone();
+        for (i, e) in edges.iter().enumerate() {
+            let slot = &mut next[group_of(e)];
+            by_source[*slot as usize] = EdgeId::from_index(i);
+            *slot += 1;
+        }
+        for l in 0..locations.len() {
+            let inputs = groups[3 * l + 2] as usize..groups[3 * l + 3] as usize;
+            by_source[inputs].sort_by_key(|id| edges[id.index()].sync.channel());
+        }
+        Automaton {
+            name,
+            locations,
+            initial,
+            edges,
+            by_source,
+            groups,
+        }
+    }
+}
+
+/// Conjoins `left - minus op m64` (`left op m64` without `minus`) onto a
+/// DBM: the part of [`ClockConstraint::apply_to`] after the bound is
+/// evaluated, with its range check and its `!=` rejection.
+pub(crate) fn constrain_clocks(
+    zone: &mut Dbm,
+    left: ClockId,
+    minus: Option<ClockId>,
+    op: CmpOp,
+    m64: i64,
+) -> Result<bool, ModelError> {
+    let limit = i64::from(tiga_dbm::MAX_CONSTANT);
+    if !(-limit..=limit).contains(&m64) {
+        return Err(ModelError::Eval(EvalError::Overflow));
+    }
+    let m = i32::try_from(m64).map_err(|_| ModelError::Eval(EvalError::Overflow))?;
+    let i = left.dbm_index();
+    let j = minus.map_or(0, ClockId::dbm_index);
+    let ok = match op {
+        CmpOp::Le => zone.constrain(i, j, Bound::le(m)),
+        CmpOp::Lt => zone.constrain(i, j, Bound::lt(m)),
+        CmpOp::Ge => zone.constrain(j, i, Bound::le(-m)),
+        CmpOp::Gt => zone.constrain(j, i, Bound::lt(-m)),
+        CmpOp::Eq => zone.constrain(i, j, Bound::le(m)) && zone.constrain(j, i, Bound::le(-m)),
+        CmpOp::Ne => {
+            return Err(ModelError::NonConvexClockConstraint(format!(
+                "clock {left} != {m}"
+            )))
+        }
+    };
+    Ok(ok)
 }
 
 /// Helper re-exported for guard construction: `clock op bound`.

@@ -12,7 +12,9 @@ use crate::decl::{Channel, ChannelKind, ClockDecl, VarTable};
 use crate::error::ModelError;
 use crate::expr::Expr;
 use crate::ids::{AutomatonId, ChannelId, ClockId, LocationId, VarId};
+use crate::network::Network;
 use crate::system::System;
+use std::sync::Arc;
 
 /// Builder for a [`System`].
 ///
@@ -194,12 +196,14 @@ impl SystemBuilder {
         if self.automata.is_empty() {
             return Err(ModelError::Invalid("system has no automaton".to_string()));
         }
+        let network = Arc::new(Network::compile(&self.automata, &self.vars));
         Ok(System {
             name: self.name,
             clocks: self.clocks,
             channels: self.channels,
             vars: self.vars,
             automata: self.automata,
+            network,
         })
     }
 
@@ -315,12 +319,12 @@ impl AutomatonBuilder {
                 )));
             }
         }
-        Ok(Automaton {
-            name: self.name,
-            locations: self.locations,
+        Ok(Automaton::new(
+            self.name,
+            self.locations,
             initial,
-            edges: self.edges,
-        })
+            self.edges,
+        ))
     }
 }
 

@@ -7,20 +7,34 @@
 //!
 //! The explorer caches, per interned discrete state, the derived data every
 //! client recomputed before this module existed: the invariant zone and the
-//! urgency flag.  Successor zones are delay-closed within the target
-//! invariant and extrapolated with the system's maximal constants, exactly as
-//! [`System::delay_close`] prescribes.  Every state is then reduced by the
-//! game's [`Liveness`]: the dead variables of each target take their
-//! initial values again, and its dead clocks are freed.  Successors come
-//! back un-interned ([`Explorer::successor_candidates`]), so callers can
-//! compute them on worker threads and intern the targets afterwards in a
-//! fixed order; [`Explorer::into_parts`] hands the interned states and
-//! their index to the explored graph without copying them.
+//! urgency flag.  Successors are computed on the system's compiled network
+//! (see [`System`]'s symbolic semantics): the joint edges come from the
+//! per-location edge index, guards and updates from the pre-decoded atoms,
+//! and successor zones are delay-closed within the target invariant —
+//! conjoined bound by bound with incremental `constrain`s when it is
+//! constant — and extrapolated with the system's maximal constants, exactly
+//! as [`System::delay_close`] prescribes.  Every state is then reduced by
+//! the game's [`Liveness`]: the dead variables of each target take their
+//! initial values again, and its dead clocks are freed.
+//!
+//! [`Explorer::successor_candidates`] builds each target in one scratch
+//! state and looks it up once.  A target that is already interned comes
+//! back as its [`StateIndex`] ([`CandidateTarget::Known`]): it is neither
+//! copied nor hashed again when it is discovered.  A new target comes back
+//! as the state itself ([`CandidateTarget::New`]), so callers can compute
+//! candidates on worker threads and intern the new targets afterwards in a
+//! fixed order.  The lookup reads the index as it stood before the batch,
+//! so which targets are known does not depend on the number of threads.
+//! [`Explorer::into_parts`] hands the interned states and their index to
+//! the explored graph without copying them.  The index stays on the
+//! standard library's keyed SipHash: `tiga serve` explores models sent by
+//! untrusted clients.
 
 use crate::error::ModelError;
 use crate::liveness::Liveness;
 use crate::symbolic::{DiscreteState, JointEdge};
 use crate::system::System;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use tiga_dbm::{Dbm, Federation};
 
@@ -38,21 +52,31 @@ pub struct ExploredState {
     pub urgent: bool,
 }
 
-/// One symbolic successor step whose target has *not* been interned yet,
-/// returned by [`Explorer::successor_candidates`].
+/// The target of a [`CandidateStep`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CandidateTarget {
+    /// The target was already interned when the candidate was computed.
+    Known(StateIndex),
+    /// A target not interned yet, its dead variables forgotten (intern it
+    /// to obtain a [`StateIndex`]).
+    New(DiscreteState),
+}
+
+/// One symbolic successor step, returned by
+/// [`Explorer::successor_candidates`].
 ///
 /// The read-only candidate computation is the expensive part of forward
 /// exploration (guard evaluation, successor zones, delay closure); keeping
 /// it free of interning lets callers run it for many `(state, zone)` pairs
-/// on worker threads and intern the targets afterwards, in a deterministic
-/// merge order.
+/// on worker threads and intern the new targets afterwards, in a
+/// deterministic merge order.
 #[derive(Clone, Debug)]
 pub struct CandidateStep {
     /// The joint (composed) model edge taken.
     pub joint: JointEdge,
-    /// The target discrete state, its dead variables forgotten (intern it
-    /// to obtain a [`StateIndex`]).
-    pub discrete: DiscreteState,
+    /// The target discrete state: its index when it was already interned,
+    /// else the state itself.
+    pub target: CandidateTarget,
     /// Delay-closed, extrapolated successor zone with the target's dead
     /// clocks freed (never empty).
     pub zone: Dbm,
@@ -119,18 +143,19 @@ impl<'a> Explorer<'a> {
     ///
     /// Returns an error if an invariant bound cannot be evaluated.
     pub fn intern(&mut self, discrete: DiscreteState) -> Result<StateIndex, ModelError> {
-        if let Some(&idx) = self.index.get(&discrete) {
-            return Ok(idx);
-        }
-        let invariant = self.system.invariant_zone(&discrete)?;
-        let urgent = self.system.is_urgent(&discrete);
+        let vacant = match self.index.entry(discrete) {
+            Entry::Occupied(known) => return Ok(*known.get()),
+            Entry::Vacant(vacant) => vacant,
+        };
+        let invariant = self.system.invariant_zone(vacant.key())?;
+        let urgent = self.system.is_urgent(vacant.key());
         let idx = self.states.len();
         self.states.push(ExploredState {
-            discrete: discrete.clone(),
+            discrete: vacant.key().clone(),
             invariant,
             urgent,
         });
-        self.index.insert(discrete, idx);
+        vacant.insert(idx);
         Ok(idx)
     }
 
@@ -152,8 +177,12 @@ impl<'a> Explorer<'a> {
 
     /// Enumerates the symbolic successors of `(source, zone)`: one
     /// [`CandidateStep`] per enabled joint edge whose delay-closed successor
-    /// zone is non-empty.  Target states are not interned, so this can run
-    /// on worker threads against a shared `&Explorer`.
+    /// zone is non-empty.  New target states are not interned, so this can
+    /// run on worker threads against a shared `&Explorer`.
+    ///
+    /// Each target is built in one scratch state and looked up once: an
+    /// interned target travels as its [`StateIndex`], and only a new one
+    /// is copied out.
     ///
     /// # Errors
     ///
@@ -164,44 +193,76 @@ impl<'a> Explorer<'a> {
         zone: &Dbm,
     ) -> Result<Vec<CandidateStep>, ModelError> {
         let discrete = &self.states[source].discrete;
-        let joint_edges = self.system.enabled_joint_edges(discrete)?;
-        let mut steps = Vec::with_capacity(joint_edges.len());
-        for joint in joint_edges {
-            // `System::joint_successor_from` followed by
-            // `System::delay_close`, with the target invariant evaluated
-            // once — or not at all when the target is already interned —
-            // and the target reduced by liveness.  Dead variables are
-            // forgotten only after the range check, so an out-of-range
-            // write still disables the edge.
-            let Some(mut target) = self.system.apply_joint_discrete(discrete, &joint)? else {
-                continue;
-            };
-            self.liveness.forget_dead_vars(&mut target);
-            let mut succ = self.system.apply_joint_clocks(zone, discrete, &joint)?;
-            if succ.is_empty() {
-                continue;
-            }
-            let computed;
-            let (invariant, urgent) = match self.index.get(&target) {
-                Some(&idx) => (&self.states[idx].invariant, self.states[idx].urgent),
-                None => {
-                    computed = self.system.invariant_zone(&target)?;
-                    (&computed, self.system.is_urgent(&target))
+        let mut steps = Vec::new();
+        let mut target = discrete.clone();
+        // The joint edges are walked, not collected.  After the first
+        // successor error only the enumeration goes on: an error of a later
+        // data guard still comes first, as when every guard was evaluated
+        // before any successor.
+        let mut failed = None;
+        self.system.try_for_each_joint_edge(discrete, |joint| {
+            if failed.is_none() {
+                match self.candidate(discrete, zone, joint, &mut target) {
+                    Ok(Some(step)) => steps.push(step),
+                    Ok(None) => {}
+                    Err(e) => failed = Some(e),
                 }
-            };
-            if !System::close_within(&mut succ, invariant, urgent, &self.max_bounds) {
-                continue;
             }
-            self.liveness.free_dead_clocks(&target.locations, &mut succ);
-            let controllable = self.system.is_controllable(&joint);
-            steps.push(CandidateStep {
-                joint,
-                discrete: target,
-                zone: succ,
-                controllable,
-            });
+            Ok(false)
+        })?;
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(steps),
         }
-        Ok(steps)
+    }
+
+    /// The candidate step of `joint` from `(discrete, zone)`, if its
+    /// successor zone is non-empty, with the target built in `target`:
+    /// `System::joint_successor_from` followed by `System::delay_close`,
+    /// the target reduced by liveness.  Dead variables are forgotten only
+    /// after the range check, so an out-of-range write still disables the
+    /// edge.
+    fn candidate(
+        &self,
+        discrete: &DiscreteState,
+        zone: &Dbm,
+        joint: JointEdge,
+        target: &mut DiscreteState,
+    ) -> Result<Option<CandidateStep>, ModelError> {
+        target.clone_from(discrete);
+        if !self.system.apply_joint_in_place(target, &joint)? {
+            return Ok(None);
+        }
+        self.liveness.forget_dead_vars(target);
+        let mut succ = zone.clone();
+        if !self
+            .system
+            .apply_joint_clocks(&mut succ, discrete, &joint)?
+        {
+            return Ok(None);
+        }
+        let known = self.index.get(&*target).copied();
+        let (invariant, urgent) = match known {
+            Some(idx) => (Some(&self.states[idx].invariant), self.states[idx].urgent),
+            None => (None, self.system.is_urgent(target)),
+        };
+        if !self
+            .system
+            .close_within(&mut succ, target, invariant, urgent, &self.max_bounds)?
+        {
+            return Ok(None);
+        }
+        self.liveness.free_dead_clocks(&target.locations, &mut succ);
+        let controllable = self.system.is_controllable(&joint);
+        Ok(Some(CandidateStep {
+            joint,
+            target: match known {
+                Some(idx) => CandidateTarget::Known(idx),
+                None => CandidateTarget::New(target.clone()),
+            },
+            zone: succ,
+            controllable,
+        }))
     }
 
     /// Consumes the explorer and returns the interned states, indexed by
@@ -302,7 +363,10 @@ mod tests {
         assert_eq!(steps.len(), 1);
         let step = steps.remove(0);
         assert!(step.controllable, "go? is a tester input");
-        let target = ex.intern(step.discrete).unwrap();
+        let CandidateTarget::New(discrete) = step.target else {
+            panic!("the Work state is not interned yet");
+        };
+        let target = ex.intern(discrete).unwrap();
         assert_ne!(target, root);
         assert_eq!(ex.len(), 2);
         // Delay-closed within the Work invariant x <= 5.

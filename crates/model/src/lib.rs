@@ -23,6 +23,11 @@
 //!   one, whose states carry a [`DiscreteState`] and whose steps share the
 //!   symbolic layer's edge effect and joint-edge pairing.
 //!
+//! Both semantics run on a compiled network that [`SystemBuilder::build`]
+//! lowers each system into once: per-location edge lists split by
+//! synchronization, data guards as flat atom lists, and constant clock
+//! bounds, resets and invariants pre-decoded to DBM constraints.
+//!
 //! # Example
 //!
 //! Building the user automaton of the paper's Smart Light example (Fig. 3):
@@ -61,6 +66,7 @@ mod explorer;
 mod expr;
 mod ids;
 mod liveness;
+mod network;
 mod symbolic;
 mod system;
 mod tiots;
@@ -72,7 +78,7 @@ pub use automaton::{
 pub use builder::{AutomatonBuilder, EdgeBuilder, SystemBuilder};
 pub use decl::{Action, Channel, ChannelKind, ClockDecl, ClockRef, IoDir, VarDecl, VarTable};
 pub use error::{EvalError, ModelError};
-pub use explorer::{CandidateStep, ExploredState, Explorer, StateIndex};
+pub use explorer::{CandidateStep, CandidateTarget, ExploredState, Explorer, StateIndex};
 pub use expr::{CmpOp, Expr};
 pub use ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
 pub use liveness::Liveness;

@@ -3,11 +3,28 @@
 //! The functions here provide everything the timed-game solver needs:
 //! enumeration of joint edges in a discrete state, forward successor zones,
 //! backward (predecessor) zones, invariants and extrapolation bounds.
+//!
+//! They all run on the system's compiled network, built once by
+//! [`crate::SystemBuilder::build`]: per-(automaton, location) edge lists
+//! split into `tau` edges, outputs and per-channel inputs; data guards as
+//! flat lists of atoms; constant clock bounds, resets and invariants
+//! pre-decoded to DBM constraints.  [`System::enabled_joint_edges`] walks
+//! the edge lists in the emitter-major order of a linear scan over every
+//! edge, and [`System::try_for_each_joint_edge`] walks them without
+//! collecting.
+//! Whatever the network could not pre-decode — a bound over variables, an
+//! index outside its array, any other expression — is evaluated by
+//! [`crate::Expr::eval`] in the same order as before, so every error and
+//! the order in which errors surface are unchanged.  The predecessor
+//! operator conjoins a constant source invariant bound by bound, without
+//! building it as a zone.
 
-use crate::automaton::{ClockReset, Edge, Sync};
+use crate::automaton::Sync;
 use crate::decl::{Action, ChannelKind};
 use crate::error::ModelError;
-use crate::ids::{AutomatonId, ChannelId, EdgeId, LocationId};
+use crate::expr::Expr;
+use crate::ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId};
+use crate::network::CompiledEdge;
 use crate::system::System;
 use std::fmt;
 use tiga_dbm::{Bound, Dbm};
@@ -217,10 +234,9 @@ impl System {
     /// Returns an error if an invariant bound cannot be evaluated.
     pub fn invariant_zone(&self, d: &DiscreteState) -> Result<Dbm, ModelError> {
         let mut zone = Dbm::universe(self.dim());
-        for (i, aut) in self.automata.iter().enumerate() {
-            let loc = aut.location(d.locations[i]);
-            for c in &loc.invariant {
-                if !c.apply_to(&mut zone, &self.vars, &d.vars)? {
+        for a in 0..self.automata.len() {
+            for c in self.network.invariant(a, d.locations[a]) {
+                if !self.network.constrain(c, &mut zone, &self.vars, &d.vars)? {
                     break;
                 }
             }
@@ -240,54 +256,106 @@ impl System {
     /// Enumerates the joint edges whose *data* guards are satisfied in the
     /// discrete state (clock guards are handled symbolically by the caller).
     ///
+    /// `tau` edges come first, by automaton and then declaration order;
+    /// then the synchronizations, emitter-major: by emitting automaton and
+    /// output edge, then by receiving automaton and input edge.  This is
+    /// the order of [`System::try_for_each_joint_edge`].
+    ///
     /// # Errors
     ///
     /// Returns an error if a data guard cannot be evaluated.
     pub fn enabled_joint_edges(&self, d: &DiscreteState) -> Result<Vec<JointEdge>, ModelError> {
         let mut result = Vec::new();
-        // Internal (tau) edges.
-        for (ai, aut) in self.automata.iter().enumerate() {
-            for ei in aut.edges_from(d.locations[ai]) {
-                let edge = aut.edge(ei);
-                if edge.sync == Sync::Tau && edge.guard.data_holds(&self.vars, &d.vars)? {
-                    result.push(JointEdge::Internal {
-                        automaton: AutomatonId::from_index(ai),
-                        edge: ei,
-                    });
+        self.try_for_each_joint_edge(d, |je| {
+            result.push(je);
+            Ok(false)
+        })?;
+        Ok(result)
+    }
+
+    /// Calls `visit` on every joint edge of [`System::enabled_joint_edges`],
+    /// in that order and with the same guard evaluations, without
+    /// collecting them.  The walk stops as soon as `visit` returns
+    /// `Ok(true)`; the result says whether it did.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of a data guard or of `visit`.
+    pub fn try_for_each_joint_edge(
+        &self,
+        d: &DiscreteState,
+        mut visit: impl FnMut(JointEdge) -> Result<bool, ModelError>,
+    ) -> Result<bool, ModelError> {
+        let net = &self.network;
+        for (a, aut) in self.automata.iter().enumerate() {
+            for &edge in aut.tau_edges(d.locations[a]) {
+                if net.data_holds(&net.edge(a, edge), &self.vars, &d.vars)?
+                    && visit(JointEdge::Internal {
+                        automaton: AutomatonId::from_index(a),
+                        edge,
+                    })?
+                {
+                    return Ok(true);
                 }
             }
         }
-        // Binary synchronizations: every (output edge, input edge) pair on the
-        // same channel in two distinct automata.
-        for (ai, aut) in self.automata.iter().enumerate() {
-            for ei in aut.edges_from(d.locations[ai]) {
-                let edge = aut.edge(ei);
-                let Sync::Output(ch) = edge.sync else {
-                    continue;
+        self.walk_syncs(d, None, &mut visit)
+    }
+
+    /// Like [`System::try_for_each_joint_edge`], restricted to the binary
+    /// synchronizations on `channel`: only their data guards are
+    /// evaluated.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of a data guard or of `visit`.
+    pub(crate) fn try_for_each_sync_on(
+        &self,
+        d: &DiscreteState,
+        channel: ChannelId,
+        mut visit: impl FnMut(JointEdge) -> Result<bool, ModelError>,
+    ) -> Result<bool, ModelError> {
+        self.walk_syncs(d, Some(channel), &mut visit)
+    }
+
+    /// The synchronization half of the joint-edge walk: every (output
+    /// edge, input edge) pair on the same channel in two distinct automata,
+    /// emitter-major, the emitter's data guard evaluated once per output
+    /// edge and the receiver's once per pair.
+    fn walk_syncs(
+        &self,
+        d: &DiscreteState,
+        only: Option<ChannelId>,
+        visit: &mut impl FnMut(JointEdge) -> Result<bool, ModelError>,
+    ) -> Result<bool, ModelError> {
+        let net = &self.network;
+        let n = self.automata.len();
+        for (a, aut) in self.automata.iter().enumerate() {
+            for &out in aut.output_edges(d.locations[a]) {
+                let Sync::Output(channel) = aut.edge(out).sync else {
+                    unreachable!("output lists hold output edges");
                 };
-                if !edge.guard.data_holds(&self.vars, &d.vars)? {
+                if only.is_some_and(|c| c != channel)
+                    || !net.data_holds(&net.edge(a, out), &self.vars, &d.vars)?
+                {
                     continue;
                 }
-                for (bi, other) in self.automata.iter().enumerate() {
-                    if bi == ai {
-                        continue;
-                    }
-                    for fi in other.edges_from(d.locations[bi]) {
-                        let recv = other.edge(fi);
-                        if recv.sync == Sync::Input(ch)
-                            && recv.guard.data_holds(&self.vars, &d.vars)?
+                for b in (0..n).filter(|&b| b != a) {
+                    for &input in self.automata[b].receivers(d.locations[b], channel) {
+                        if net.data_holds(&net.edge(b, input), &self.vars, &d.vars)?
+                            && visit(JointEdge::Sync {
+                                channel,
+                                output: (AutomatonId::from_index(a), out),
+                                input: (AutomatonId::from_index(b), input),
+                            })?
                         {
-                            result.push(JointEdge::Sync {
-                                channel: ch,
-                                output: (AutomatonId::from_index(ai), ei),
-                                input: (AutomatonId::from_index(bi), fi),
-                            });
+                            return Ok(true);
                         }
                     }
                 }
             }
         }
-        Ok(result)
+        Ok(false)
     }
 
     /// Controllability of a joint edge: synchronizations take the channel's
@@ -303,22 +371,6 @@ impl System {
                 .unwrap_or(false),
             JointEdge::Sync { channel, .. } => self.channel(*channel).is_controllable(),
         }
-    }
-
-    /// The `(automaton index, edge)` pairs a joint edge moves: one for a
-    /// `tau` step, the emitter then the receiver for a synchronization.
-    pub(crate) fn joint_components<'a>(
-        &'a self,
-        je: &JointEdge,
-    ) -> impl Iterator<Item = (usize, &'a Edge)> + Clone {
-        let component = |(automaton, edge): (AutomatonId, EdgeId)| {
-            (automaton.index(), self.automaton(automaton).edge(edge))
-        };
-        let (first, second) = match *je {
-            JointEdge::Internal { automaton, edge } => ((automaton, edge), None),
-            JointEdge::Sync { output, input, .. } => (output, Some(input)),
-        };
-        std::iter::once(component(first)).chain(second.map(component))
     }
 
     /// The conjunction of the clock guards of a joint edge, as a zone.
@@ -340,9 +392,9 @@ impl System {
         d: &DiscreteState,
         je: &JointEdge,
     ) -> Result<bool, ModelError> {
-        for (_, edge) in self.joint_components(je) {
-            for c in &edge.guard.clocks {
-                if !c.apply_to(zone, &self.vars, &d.vars)? {
+        for (_, edge) in self.network.components(je) {
+            for c in edge.guard() {
+                if !self.network.constrain(c, zone, &self.vars, &d.vars)? {
                     return Ok(false);
                 }
             }
@@ -365,12 +417,22 @@ impl System {
         je: &JointEdge,
     ) -> Result<Option<DiscreteState>, ModelError> {
         let mut next = d.clone();
-        for (ai, edge) in self.joint_components(je) {
-            if !self.apply_edge_discrete(&mut next, ai, edge)? {
-                return Ok(None);
+        Ok(self.apply_joint_in_place(&mut next, je)?.then_some(next))
+    }
+
+    /// [`System::apply_joint_discrete`] on `d` itself; `Ok(false)` if an
+    /// update leaves its range, with `d` partly updated.
+    pub(crate) fn apply_joint_in_place(
+        &self,
+        d: &mut DiscreteState,
+        je: &JointEdge,
+    ) -> Result<bool, ModelError> {
+        for (a, edge) in self.network.components(je) {
+            if !self.apply_edge_discrete(d, a, &edge)? {
+                return Ok(false);
             }
         }
-        Ok(Some(next))
+        Ok(true)
     }
 
     /// Applies one edge's discrete effect to `d`: the automaton moves to the
@@ -382,44 +444,26 @@ impl System {
         &self,
         d: &mut DiscreteState,
         automaton: usize,
-        edge: &Edge,
+        edge: &CompiledEdge,
     ) -> Result<bool, ModelError> {
-        d.locations[automaton] = edge.target;
-        for u in &edge.updates {
-            let value = u.value.eval(&self.vars, &d.vars)?;
-            if self.vars.check_range(u.target, value).is_err() {
-                return Ok(false);
-            }
-            let offset = match &u.index {
-                None => self.vars.offset(u.target),
-                Some(idx) => {
-                    let i = idx.eval(&self.vars, &d.vars)?;
-                    let decl = self.vars.decl(u.target);
-                    if i < 0 || i as usize >= decl.size() {
-                        return Err(ModelError::Eval(
-                            crate::error::EvalError::IndexOutOfBounds {
-                                name: decl.name().to_string(),
-                                index: i,
-                                size: decl.size(),
-                            },
-                        ));
-                    }
-                    self.vars.offset(u.target) + i as usize
-                }
-            };
-            d.vars[offset] = value;
-        }
-        Ok(true)
+        d.locations[automaton] = edge.target();
+        self.network.apply_updates(edge, &self.vars, &mut d.vars)
     }
 
-    /// The value a clock reset assigns, evaluated in the source store
-    /// `vars`.  A negative value is an error in both semantics.
-    pub(crate) fn reset_value(&self, r: &ClockReset, vars: &[i64]) -> Result<i64, ModelError> {
-        let v = r.value.eval(&self.vars, vars)?;
+    /// The value `value` a reset of `clock` assigns, evaluated in the
+    /// source store `vars`.  A negative value is an error in both
+    /// semantics.
+    pub(crate) fn reset_value(
+        &self,
+        clock: ClockId,
+        value: &Expr,
+        vars: &[i64],
+    ) -> Result<i64, ModelError> {
+        let v = value.eval(&self.vars, vars)?;
         if v < 0 {
             return Err(ModelError::NegativeClockReset(format!(
                 "clock {} := {v}",
-                self.clock(r.clock).name()
+                self.clock(clock).name()
             )));
         }
         Ok(v)
@@ -443,34 +487,34 @@ impl System {
         target: &DiscreteState,
         je: &JointEdge,
     ) -> Result<Dbm, ModelError> {
-        let mut z = self.apply_joint_clocks(zone, source, je)?;
-        if !z.is_empty() {
+        let mut z = zone.clone();
+        if self.apply_joint_clocks(&mut z, source, je)? {
             let inv = self.invariant_zone(target)?;
             z.intersect(&inv);
         }
         Ok(z)
     }
 
-    /// The guard and reset half of [`System::apply_joint_zone`]: everything
-    /// but the target invariant.  The result is empty exactly when a guard
-    /// disables the edge; resets keep a non-empty zone non-empty.
+    /// The guard and reset half of [`System::apply_joint_zone`], in place:
+    /// everything but the target invariant.  Returns `false`, with `zone`
+    /// empty, exactly when a guard disables the edge; resets keep a
+    /// non-empty zone non-empty.
     pub(crate) fn apply_joint_clocks(
         &self,
-        zone: &Dbm,
+        zone: &mut Dbm,
         source: &DiscreteState,
         je: &JointEdge,
-    ) -> Result<Dbm, ModelError> {
-        let mut z = zone.clone();
-        if !self.constrain_joint_guards(&mut z, source, je)? || z.is_empty() {
-            return Ok(z);
+    ) -> Result<bool, ModelError> {
+        if !self.constrain_joint_guards(zone, source, je)? || zone.is_empty() {
+            return Ok(false);
         }
-        for (_, edge) in self.joint_components(je) {
-            for r in &edge.resets {
-                let v = checked_reset_value(self.reset_value(r, &source.vars)?)?;
-                z.reset(r.clock.dbm_index(), v);
+        for (_, edge) in self.network.components(je) {
+            for r in edge.resets() {
+                let v = checked_reset_value(self.network.reset_value(r, self, &source.vars)?)?;
+                zone.reset(r.clock().dbm_index(), v);
             }
         }
-        Ok(z)
+        Ok(true)
     }
 
     /// Computes the full symbolic successor of `state` under a joint edge
@@ -491,8 +535,7 @@ impl System {
     }
 
     /// Like [`System::joint_successor`], but borrows the source discrete
-    /// state and zone separately so hot callers (the explorer's per-edge
-    /// candidate fan-out) need not assemble a [`SymbolicState`] per edge.
+    /// state and zone separately.
     ///
     /// # Errors
     ///
@@ -521,7 +564,10 @@ impl System {
     ///
     /// `target_zone` should be a subset of the target invariant (the solver
     /// maintains this); the result is intersected with the source invariant
-    /// and the edge guards.
+    /// and the edge guards.  Constant resets, guards and invariants come
+    /// pre-decoded from the compiled network, so the common case evaluates
+    /// no expression and conjoins the source invariant with incremental
+    /// `constrain`s instead of building it as a zone.
     ///
     /// # Errors
     ///
@@ -533,29 +579,52 @@ impl System {
         target_zone: &Dbm,
     ) -> Result<Dbm, ModelError> {
         let mut z = target_zone.clone();
-        let components = self.joint_components(je);
+        let components = self.network.components(je);
         // Constrain the reset clocks to their reset values, then free them.
         for (_, edge) in components.clone() {
-            for r in &edge.resets {
-                let v = checked_reset_value(self.reset_value(r, &source.vars)?)?;
-                let idx = r.clock.dbm_index();
+            for r in edge.resets() {
+                let v = checked_reset_value(self.network.reset_value(r, self, &source.vars)?)?;
+                let idx = r.clock().dbm_index();
                 if !(z.constrain(idx, 0, Bound::le(v)) && z.constrain(0, idx, Bound::le(-v))) {
                     return Ok(z); // empty: the reset can never land in the target zone
                 }
             }
         }
         for (_, edge) in components {
-            for r in &edge.resets {
-                z.free(r.clock.dbm_index());
+            for r in edge.resets() {
+                z.free(r.clock().dbm_index());
             }
         }
         // Guards and the source invariant.
         if !self.constrain_joint_guards(&mut z, source, je)? {
             return Ok(z);
         }
-        let inv = self.invariant_zone(source)?;
-        z.intersect(&inv);
+        self.restrict_to_invariant(&mut z, source, None)?;
         Ok(z)
+    }
+
+    /// Conjoins the invariant of `d` onto `zone`; `false` once it is empty.
+    ///
+    /// When every invariant of `d`'s locations is pre-decoded, each bound
+    /// is one incremental `constrain`.  Otherwise the zone is intersected
+    /// with `invariant`, the invariant zone of `d` if the caller has it
+    /// cached, or [`System::invariant_zone`] evaluated here — which raises
+    /// the invariant's evaluation errors, in its order.
+    pub(crate) fn restrict_to_invariant(
+        &self,
+        zone: &mut Dbm,
+        d: &DiscreteState,
+        invariant: Option<&Dbm>,
+    ) -> Result<bool, ModelError> {
+        if self.network.invariant_is_decoded(&d.locations) {
+            return Ok(self
+                .network
+                .constrain_invariant(zone, &self.automata, &d.locations));
+        }
+        Ok(match invariant {
+            Some(inv) => zone.intersect(inv),
+            None => zone.intersect(&self.invariant_zone(d)?),
+        })
     }
 
     /// Delay-closes a symbolic state within its invariant and applies
@@ -573,31 +642,55 @@ impl System {
         state: &mut SymbolicState,
         max_bounds: &[i32],
     ) -> Result<(), ModelError> {
-        let inv = self.invariant_zone(&state.discrete)?;
         let urgent = self.is_urgent(&state.discrete);
-        Self::close_within(&mut state.zone, &inv, urgent, max_bounds);
+        self.close_within(&mut state.zone, &state.discrete, None, urgent, max_bounds)?;
         Ok(())
     }
 
-    /// The body of [`System::delay_close`], given the state's invariant and
-    /// urgency: restrict `zone` to `invariant`, let time pass within it
-    /// unless `urgent`, and extrapolate.  Returns `false` when the result is
-    /// empty.  The explorer calls it with its cached invariants.
+    /// The body of [`System::delay_close`], given the state's urgency and,
+    /// if the caller has it cached, its invariant zone (see
+    /// [`System::restrict_to_invariant`]): restrict `zone` to the
+    /// invariant, let time pass within it unless `urgent`, and
+    /// extrapolate.  Returns `false` when the result is empty.
     pub(crate) fn close_within(
+        &self,
         zone: &mut Dbm,
-        invariant: &Dbm,
+        d: &DiscreteState,
+        invariant: Option<&Dbm>,
         urgent: bool,
         max_bounds: &[i32],
-    ) -> bool {
-        if !zone.intersect(invariant) {
-            return false;
-        }
-        if !urgent {
-            zone.up();
-            zone.intersect(invariant);
+    ) -> Result<bool, ModelError> {
+        if self.network.invariant_is_decoded(&d.locations) {
+            if !self
+                .network
+                .constrain_invariant(zone, &self.automata, &d.locations)
+            {
+                return Ok(false);
+            }
+            if !urgent {
+                zone.up();
+                self.network
+                    .constrain_invariant(zone, &self.automata, &d.locations);
+            }
+        } else {
+            let computed;
+            let inv = match invariant {
+                Some(inv) => inv,
+                None => {
+                    computed = self.invariant_zone(d)?;
+                    &computed
+                }
+            };
+            if !zone.intersect(inv) {
+                return Ok(false);
+            }
+            if !urgent {
+                zone.up();
+                zone.intersect(inv);
+            }
         }
         zone.extrapolate_max_bounds(max_bounds);
-        !zone.is_empty()
+        Ok(!zone.is_empty())
     }
 
     /// Convenience: the delay-closed, extrapolated initial symbolic state used

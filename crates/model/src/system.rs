@@ -5,6 +5,8 @@ use crate::automaton::Automaton;
 use crate::decl::{Channel, ClockDecl, VarTable};
 use crate::error::ModelError;
 use crate::ids::{AutomatonId, ChannelId, ClockId, LocationId};
+use crate::network::Network;
+use std::sync::Arc;
 
 /// A complete model: global declarations plus a vector of automata composed
 /// in parallel.
@@ -43,6 +45,10 @@ pub struct System {
     pub(crate) channels: Vec<Channel>,
     pub(crate) vars: VarTable,
     pub(crate) automata: Vec<Automaton>,
+    /// The automata compiled for the hot paths (see [`Network`]); derived
+    /// from the fields above when the system is built, and shared by the
+    /// system's clones (a campaign clones each mutant once per run).
+    pub(crate) network: Arc<Network>,
 }
 
 impl System {

@@ -16,6 +16,12 @@
 //!   synchronizations whose data guards hold in the discrete state and whose
 //!   clock guards hold at the current valuation (used by the test-execution
 //!   engine to track the state of the plant∥environment game product).
+//!   The joint edges are walked on the compiled network, never collected:
+//!   [`Interpreter::fire_sync`] visits only the pairs on its channel.
+//!
+//! Both views read the system's compiled network: the per-location edge
+//! lists, the data-guard atoms and the constant clock bounds, resets and
+//! invariants, with the expression evaluator as the fallback for the rest.
 //!
 //! # Stepping in place
 //!
@@ -37,10 +43,11 @@
 //! A step or delay that is refused (`Ok(false)`) or fails with an error
 //! leaves the state exactly as it was.
 
-use crate::automaton::{ClockConstraint, Edge, Sync};
+use crate::automaton::Sync;
 use crate::decl::ChannelKind;
 use crate::error::ModelError;
 use crate::ids::{AutomatonId, ChannelId, EdgeId};
+use crate::network::{CompiledConstraint, CompiledEdge};
 use crate::symbolic::{DiscreteState, JointEdge};
 use crate::system::System;
 
@@ -173,9 +180,14 @@ impl<'a> Interpreter<'a> {
 
     /// Checks every location invariant in the state.
     fn invariants_hold(&self, state: &ConcreteState) -> Result<bool, ModelError> {
-        for (i, aut) in self.system.automata().iter().enumerate() {
-            let loc = aut.location(state.discrete.locations[i]);
-            if !self.constraints_hold(state, &loc.invariant)? {
+        let net = &self.system.network;
+        for (a, aut) in self.system.automata().iter().enumerate() {
+            let l = state.discrete.locations[a];
+            // Most locations have no invariant; the automaton says so
+            // without a lookup in the network.
+            if !aut.location(l).invariant.is_empty()
+                && !self.constraints_hold(state, net.invariant(a, l))?
+            {
                 return Ok(false);
             }
         }
@@ -183,14 +195,19 @@ impl<'a> Interpreter<'a> {
     }
 
     /// `true` if every clock constraint holds at the current valuation.
+    #[inline]
     fn constraints_hold(
         &self,
         state: &ConcreteState,
-        constraints: &[ClockConstraint],
+        constraints: &[CompiledConstraint],
     ) -> Result<bool, ModelError> {
         let (vars, store) = (self.system.vars(), &state.discrete.vars);
         for c in constraints {
-            if !c.holds_concrete(&state.clocks, self.scale, vars, store)? {
+            if !self
+                .system
+                .network
+                .holds_concrete(c, &state.clocks, self.scale, vars, store)?
+            {
                 return Ok(false);
             }
         }
@@ -215,16 +232,20 @@ impl<'a> Interpreter<'a> {
                 Some(m) => m.min(candidate),
             });
         };
-        for (i, aut) in self.system.automata().iter().enumerate() {
-            let loc = aut.location(state.discrete.locations[i]);
-            for c in &loc.invariant {
+        let net = &self.system.network;
+        for (a, aut) in self.system.automata().iter().enumerate() {
+            let l = state.discrete.locations[a];
+            if aut.location(l).invariant.is_empty() {
+                continue;
+            }
+            for c in net.invariant(a, l) {
                 // Diagonal constraints are delay-invariant.
-                if c.minus.is_some() {
+                if c.is_diagonal() {
                     continue;
                 }
-                let m = c.bound.eval(self.system.vars(), &state.discrete.vars)? * self.scale;
-                let v = state.clocks[c.left.index()];
-                match c.op {
+                let m = net.bound(c, self.system.vars(), &state.discrete.vars)? * self.scale;
+                let v = state.clocks[c.left().index()];
+                match c.op() {
                     crate::expr::CmpOp::Le | crate::expr::CmpOp::Eq => tighten(m - v),
                     crate::expr::CmpOp::Lt => tighten(m - v - 1),
                     _ => {}
@@ -261,45 +282,54 @@ impl<'a> Interpreter<'a> {
         allowed
     }
 
-    fn edge_enabled(
-        &self,
-        state: &ConcreteState,
-        aut_idx: usize,
-        edge_id: EdgeId,
-    ) -> Result<bool, ModelError> {
-        let edge = self.system.automata()[aut_idx].edge(edge_id);
-        Ok(edge.source == state.discrete.locations[aut_idx]
-            && edge
-                .guard
-                .data_holds(self.system.vars(), &state.discrete.vars)?
-            && self.constraints_hold(state, &edge.guard.clocks)?)
+    /// Whether `edge` is enabled now: its data guard holds in the store,
+    /// then its clock guard at the valuation.
+    fn guard_holds(&self, state: &ConcreteState, edge: &CompiledEdge) -> Result<bool, ModelError> {
+        let net = &self.system.network;
+        Ok(
+            net.data_holds(edge, self.system.vars(), &state.discrete.vars)?
+                && self.constraints_hold(state, edge.guard())?,
+        )
     }
 
-    /// Takes the edges `components` together from `state`, building the
-    /// successor in `scratch` and swapping it in on success: per edge, its
-    /// clock resets (evaluated in the source store), then its discrete
-    /// effect.  `false`, with `state` unchanged, if an update leaves its
-    /// range or the target violates an invariant.
-    fn step<'e>(
+    /// Builds the successor of taking the edges `components` together from
+    /// `state` in `scratch`: per edge, its clock resets (evaluated in the
+    /// source store), then its discrete effect.  `false` if an update
+    /// leaves its range or the target violates an invariant; the caller
+    /// swaps `scratch` in on `true`.
+    fn build_step<'n>(
         &self,
-        state: &mut ConcreteState,
+        state: &ConcreteState,
         scratch: &mut ConcreteState,
-        components: impl Iterator<Item = (usize, &'e Edge)>,
+        components: impl Iterator<Item = (usize, CompiledEdge<'n>)>,
     ) -> Result<bool, ModelError> {
         scratch.clone_from(state);
         for (aut_idx, edge) in components {
-            for r in &edge.resets {
-                scratch.clocks[r.clock.index()] =
-                    self.system.reset_value(r, &state.discrete.vars)? * self.scale;
+            let net = &self.system.network;
+            for r in edge.resets() {
+                scratch.clocks[r.clock().index()] =
+                    net.reset_value(r, self.system, &state.discrete.vars)? * self.scale;
             }
             if !self
                 .system
-                .apply_edge_discrete(&mut scratch.discrete, aut_idx, edge)?
+                .apply_edge_discrete(&mut scratch.discrete, aut_idx, &edge)?
             {
                 return Ok(false);
             }
         }
-        if !self.invariants_hold(scratch)? {
+        self.invariants_hold(scratch)
+    }
+
+    /// Takes the edges `components` together from `state` in place, through
+    /// [`Interpreter::build_step`]; `false`, with `state` unchanged, if the
+    /// step does not apply.
+    fn step<'n>(
+        &self,
+        state: &mut ConcreteState,
+        scratch: &mut ConcreteState,
+        components: impl Iterator<Item = (usize, CompiledEdge<'n>)>,
+    ) -> Result<bool, ModelError> {
+        if !self.build_step(state, scratch, components)? {
             return Ok(false);
         }
         std::mem::swap(state, scratch);
@@ -312,11 +342,13 @@ impl<'a> Interpreter<'a> {
         &self,
         state: &ConcreteState,
         sync: Sync,
-    ) -> Result<Option<(usize, &'a Edge)>, ModelError> {
-        for (ai, aut) in self.system.automata().iter().enumerate() {
-            for ei in aut.edges_from(state.discrete.locations[ai]) {
-                if aut.edge(ei).sync == sync && self.edge_enabled(state, ai, ei)? {
-                    return Ok(Some((ai, aut.edge(ei))));
+    ) -> Result<Option<(usize, CompiledEdge<'a>)>, ModelError> {
+        let net = &self.system.network;
+        for (a, aut) in self.system.automata().iter().enumerate() {
+            for e in aut.edges_labelled(state.discrete.locations[a], sync) {
+                let edge = net.edge(a, e);
+                if self.guard_holds(state, &edge)? {
+                    return Ok(Some((a, edge)));
                 }
             }
         }
@@ -349,11 +381,12 @@ impl<'a> Interpreter<'a> {
         scratch: &mut ConcreteState,
     ) -> Result<bool, ModelError> {
         let aut_idx = edge.automaton.index();
-        if !self.edge_enabled(state, aut_idx, edge.edge)? {
+        let source = self.system.automata()[aut_idx].edge(edge.edge).source;
+        let compiled = self.system.network.edge(aut_idx, edge.edge);
+        if source != state.discrete.locations[aut_idx] || !self.guard_holds(state, &compiled)? {
             return Ok(false);
         }
-        let component = (aut_idx, self.system.automata()[aut_idx].edge(edge.edge));
-        self.step(state, scratch, std::iter::once(component))
+        self.step(state, scratch, std::iter::once((aut_idx, compiled)))
     }
 
     /// Open view: the plant receives input `channel?` in place; `false` if
@@ -406,12 +439,12 @@ impl<'a> Interpreter<'a> {
         state: &mut ConcreteState,
         scratch: &mut ConcreteState,
     ) -> Result<bool, ModelError> {
-        for (ai, aut) in self.system.automata().iter().enumerate() {
-            for ei in aut.edges_from(state.discrete.locations[ai]) {
-                let edge = aut.edge(ei);
-                if edge.sync == Sync::Tau
-                    && self.edge_enabled(state, ai, ei)?
-                    && self.step(state, scratch, std::iter::once((ai, edge)))?
+        let net = &self.system.network;
+        for (a, aut) in self.system.automata().iter().enumerate() {
+            for &e in aut.tau_edges(state.discrete.locations[a]) {
+                let edge = net.edge(a, e);
+                if self.guard_holds(state, &edge)?
+                    && self.step(state, scratch, std::iter::once((a, edge)))?
                 {
                     return Ok(true);
                 }
@@ -442,12 +475,25 @@ impl<'a> Interpreter<'a> {
     /// current valuation (its data guards were checked by
     /// [`System::enabled_joint_edges`]).
     fn joint_guards_hold(&self, state: &ConcreteState, je: &JointEdge) -> Result<bool, ModelError> {
-        for (_, edge) in self.system.joint_components(je) {
-            if !self.constraints_hold(state, &edge.guard.clocks)? {
+        let net = &self.system.network;
+        for (_, edge) in net.components(je) {
+            if !self.constraints_hold(state, edge.guard())? {
                 return Ok(false);
             }
         }
         Ok(true)
+    }
+
+    /// Closed view: whether `je` applies from `state` — its clock guards
+    /// hold now and its step applies — building the successor in `scratch`.
+    fn joint_applies(
+        &self,
+        state: &ConcreteState,
+        je: &JointEdge,
+        scratch: &mut ConcreteState,
+    ) -> Result<bool, ModelError> {
+        Ok(self.joint_guards_hold(state, je)?
+            && self.build_step(state, scratch, self.system.network.components(je))?)
     }
 
     /// Closed view: takes the joint edge `je` in place, if its clock guards
@@ -466,10 +512,11 @@ impl<'a> Interpreter<'a> {
         je: &JointEdge,
         scratch: &mut ConcreteState,
     ) -> Result<bool, ModelError> {
-        if !self.joint_guards_hold(state, je)? {
+        if !self.joint_applies(state, je, scratch)? {
             return Ok(false);
         }
-        self.step(state, scratch, self.system.joint_components(je))
+        std::mem::swap(state, scratch);
+        Ok(true)
     }
 
     /// Closed view: fires a binary synchronization on `channel` in place —
@@ -477,6 +524,10 @@ impl<'a> Interpreter<'a> {
     /// [`Interpreter::fire_joint`] takes.  Pairs come in emitter-major
     /// declaration order, so among several receivers the first declared one
     /// fires.
+    ///
+    /// Only the pairs on `channel` are visited, each tried as soon as its
+    /// data guards hold: an evaluation error of an edge on another channel,
+    /// or of a pair after the one that fires, does not surface here.
     ///
     /// Returns `false` if no such pair is enabled.
     ///
@@ -489,31 +540,39 @@ impl<'a> Interpreter<'a> {
         channel: ChannelId,
         scratch: &mut ConcreteState,
     ) -> Result<bool, ModelError> {
-        for je in self.system.enabled_joint_edges(&state.discrete)? {
-            if matches!(je, JointEdge::Sync { channel: c, .. } if c == channel)
-                && self.fire_joint(state, &je, scratch)?
-            {
-                return Ok(true);
-            }
+        let current: &ConcreteState = state;
+        let fired = self
+            .system
+            .try_for_each_sync_on(&current.discrete, channel, |je| {
+                self.joint_applies(current, &je, scratch)
+            })?;
+        if fired {
+            std::mem::swap(state, scratch);
         }
-        Ok(false)
+        Ok(fired)
     }
 
     /// Closed view: the channels, in index order, of the synchronizations
     /// of [`System::enabled_joint_edges`] whose clock guards hold now.
+    ///
+    /// The joint edges are walked, not collected: a pair's clock guards are
+    /// checked as soon as its data guards hold, so when both a clock bound
+    /// and a later data guard fail to evaluate, the clock bound's error is
+    /// the one returned.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn enabled_syncs(&self, state: &ConcreteState) -> Result<Vec<ChannelId>, ModelError> {
         let mut out = Vec::new();
-        for je in self.system.enabled_joint_edges(&state.discrete)? {
+        self.system.try_for_each_joint_edge(&state.discrete, |je| {
             if let JointEdge::Sync { channel, .. } = je {
                 if !out.contains(&channel) && self.joint_guards_hold(state, &je)? {
                     out.push(channel);
                 }
             }
-        }
+            Ok(false)
+        })?;
         out.sort_unstable();
         Ok(out)
     }
@@ -522,6 +581,7 @@ impl<'a> Interpreter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::automaton::ClockConstraint;
     use crate::builder::{AutomatonBuilder, EdgeBuilder, SystemBuilder};
     use crate::expr::{CmpOp, Expr};
 
@@ -755,6 +815,46 @@ mod tests {
         let later = delayed(&interp, &s0, 4).unwrap();
         let fired = stepped(&later, |s, t| interp.fire_sync(s, go, t)).unwrap();
         assert_eq!(moved(&fired), vec![0, 1]);
+    }
+
+    #[test]
+    fn fire_sync_evaluates_only_the_guards_on_its_channel() {
+        // A `tau` edge whose data guard indexes `a[n]` out of range, beside
+        // a `go` synchronization.  Every full walk of the joint edges
+        // raises the index error; firing `go` visits only the pairs on
+        // `go`, so it does not.
+        let mut b = SystemBuilder::new("errors");
+        let go = b.output_channel("go").unwrap();
+        let n = b.int_var("n", 0, 5, 5).unwrap();
+        let a = b.int_array("a", 2, 0, 1, 0).unwrap();
+        let mut sender = AutomatonBuilder::new("Sender");
+        let s0 = sender.location("S0").unwrap();
+        sender.add_edge(EdgeBuilder::new(s0, s0).output(go));
+        sender.add_edge(
+            EdgeBuilder::new(s0, s0).when(Expr::index(a, Expr::var(n)).eq(Expr::constant(0))),
+        );
+        b.add_automaton(sender.build().unwrap()).unwrap();
+        let mut receiver = AutomatonBuilder::new("Receiver");
+        let r0 = receiver.location("R0").unwrap();
+        let r1 = receiver.location("R1").unwrap();
+        receiver.add_edge(EdgeBuilder::new(r0, r1).input(go));
+        b.add_automaton(receiver.build().unwrap()).unwrap();
+        let sys = b.build().unwrap();
+
+        let out_of_range = ModelError::Eval(crate::error::EvalError::IndexOutOfBounds {
+            name: "a".to_string(),
+            index: 5,
+            size: 2,
+        });
+        let interp = Interpreter::new(&sys, 2).unwrap();
+        let s0 = interp.initial_state().unwrap();
+        assert_eq!(
+            sys.enabled_joint_edges(&s0.discrete),
+            Err(out_of_range.clone())
+        );
+        assert_eq!(interp.enabled_syncs(&s0), Err(out_of_range));
+        let fired = stepped(&s0, |s, t| interp.fire_sync(s, go, t)).unwrap();
+        assert_eq!(fired.discrete.locations[1], r1);
     }
 
     #[test]

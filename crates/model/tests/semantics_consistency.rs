@@ -11,9 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiga_gen::{generate_spec, GenConfig};
 use tiga_model::{
-    AutomatonBuilder, AutomatonId, ChannelId, ClockConstraint, CmpOp, ConcreteState, DiscreteState,
-    EdgeBuilder, EdgeId, EdgeRef, Explorer, Interpreter, JointEdge, Liveness, ModelError,
-    SymbolicState, Sync, System, SystemBuilder,
+    AutomatonBuilder, AutomatonId, CandidateTarget, ChannelId, ClockConstraint, CmpOp,
+    ConcreteState, DiscreteState, EdgeBuilder, EdgeId, EdgeRef, Explorer, Interpreter, JointEdge,
+    Liveness, ModelError, SymbolicState, Sync, System, SystemBuilder,
 };
 
 /// Description of one random edge of the generated plant.
@@ -156,8 +156,12 @@ fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) ->
             .unwrap()
             .into_iter()
             .map(|c| {
+                let discrete = match c.target {
+                    CandidateTarget::Known(idx) => explorer.state(idx).discrete.clone(),
+                    CandidateTarget::New(discrete) => discrete,
+                };
                 let succ = SymbolicState {
-                    discrete: c.discrete,
+                    discrete,
                     zone: c.zone,
                 };
                 (c.joint, succ)

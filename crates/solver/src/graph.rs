@@ -19,7 +19,8 @@ use crate::stats::MemCounters;
 use std::collections::HashMap;
 use tiga_dbm::{Dbm, Federation, ZoneId, ZoneSet, ZoneStore};
 use tiga_model::{
-    CandidateStep, DiscreteState, ExploredState, Explorer, JointEdge, Liveness, ModelError, System,
+    CandidateStep, CandidateTarget, DiscreteState, ExploredState, Explorer, JointEdge, Liveness,
+    ModelError, System,
 };
 use tiga_tctl::StatePredicate;
 
@@ -228,16 +229,23 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// The discovery step: interns the target of a candidate successor of
-    /// `source`, adopts it with its goal flag, enforces
-    /// [`ExploreOptions::max_states`] and records the edge once per
-    /// `(joint, target)`.  Returns the target and the successor zone.
+    /// `source` unless it came as a known index, adopts it with its goal
+    /// flag, enforces [`ExploreOptions::max_states`] and records the edge
+    /// once per `(joint, target)`.  Returns the target and the successor
+    /// zone.
     pub(crate) fn discover(
         &mut self,
         source: NodeId,
         step: CandidateStep,
     ) -> Result<(NodeId, Dbm), SolverError> {
-        let target = self.explorer.intern(step.discrete)?;
-        self.adopt()?;
+        let target = match step.target {
+            CandidateTarget::Known(target) => target,
+            CandidateTarget::New(discrete) => {
+                let target = self.explorer.intern(discrete)?;
+                self.adopt()?;
+                target
+            }
+        };
         if self.nodes.len() > self.options.max_states {
             return Err(SolverError::StateLimitExceeded {
                 limit: self.options.max_states,
