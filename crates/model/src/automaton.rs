@@ -269,6 +269,38 @@ impl Location {
     }
 }
 
+/// An entry of an automaton's edge index: an edge and the channel it
+/// synchronizes on (0 for a `tau` edge), packed so that walking a group
+/// reads no [`Edge`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub(crate) struct IndexedEdge {
+    edge: u32,
+    channel: u32,
+}
+
+impl IndexedEdge {
+    fn new(edge: usize, sync: Sync) -> Self {
+        let narrow = |n: usize| u32::try_from(n).expect("an automaton has fewer than 2^32 edges");
+        IndexedEdge {
+            edge: narrow(edge),
+            channel: narrow(sync.channel().map_or(0, ChannelId::index)),
+        }
+    }
+
+    /// The edge.
+    #[inline]
+    pub(crate) fn id(self) -> EdgeId {
+        EdgeId::from_index(self.edge as usize)
+    }
+
+    /// The channel of a synchronizing edge.
+    #[inline]
+    pub(crate) fn channel(self) -> ChannelId {
+        ChannelId::from_index(self.channel as usize)
+    }
+}
+
 /// A single timed (I/O game) automaton.
 ///
 /// Controllability of actions is declared on the channels of the enclosing
@@ -281,10 +313,10 @@ pub struct Automaton {
     pub(crate) locations: Vec<Location>,
     pub(crate) initial: LocationId,
     pub(crate) edges: Vec<Edge>,
-    /// The edge ids grouped by source location and, within a location, by
+    /// The edges grouped by source location and, within a location, by
     /// synchronization: its `tau` edges, then its outputs, then its inputs
     /// sorted by channel, each in declaration order.
-    by_source: Vec<EdgeId>,
+    by_source: Vec<IndexedEdge>,
     /// Where each group starts in `by_source`: entries `3l`, `3l + 1` and
     /// `3l + 2` start location `l`'s `tau` edges, outputs and inputs; one
     /// extra entry closes the last group.
@@ -354,35 +386,34 @@ impl Automaton {
     ///
     /// Panics if the identifier does not belong to this automaton.
     pub fn edges_from(&self, loc: LocationId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.group(3 * loc.index(), 3).iter().copied()
+        self.group(3 * loc.index(), 3).iter().map(|e| e.id())
     }
 
     /// `count` consecutive groups of the edge index, from group `first`.
     #[inline]
-    fn group(&self, first: usize, count: usize) -> &[EdgeId] {
+    fn group(&self, first: usize, count: usize) -> &[IndexedEdge] {
         &self.by_source[self.groups[first] as usize..self.groups[first + count] as usize]
     }
 
     /// The `tau` edges leaving a location, in declaration order.
     #[inline]
-    pub(crate) fn tau_edges(&self, loc: LocationId) -> &[EdgeId] {
+    pub(crate) fn tau_edges(&self, loc: LocationId) -> &[IndexedEdge] {
         self.group(3 * loc.index(), 1)
     }
 
     /// The output edges leaving a location, in declaration order.
     #[inline]
-    pub(crate) fn output_edges(&self, loc: LocationId) -> &[EdgeId] {
+    pub(crate) fn output_edges(&self, loc: LocationId) -> &[IndexedEdge] {
         self.group(3 * loc.index() + 1, 1)
     }
 
     /// The edges leaving a location that receive on `channel`, in
     /// declaration order.
     #[inline]
-    pub(crate) fn receivers(&self, loc: LocationId, channel: ChannelId) -> &[EdgeId] {
+    pub(crate) fn receivers(&self, loc: LocationId, channel: ChannelId) -> &[IndexedEdge] {
         let inputs = self.group(3 * loc.index() + 2, 1);
-        let channel_of = |e: &EdgeId| self.edges[e.index()].sync.channel();
-        let start = inputs.partition_point(|e| channel_of(e) < Some(channel));
-        let end = inputs.partition_point(|e| channel_of(e) <= Some(channel));
+        let start = inputs.partition_point(|e| e.channel() < channel);
+        let end = start + inputs[start..].partition_point(|e| e.channel() == channel);
         &inputs[start..end]
     }
 
@@ -392,16 +423,16 @@ impl Automaton {
         loc: LocationId,
         sync: Sync,
     ) -> impl Iterator<Item = EdgeId> + '_ {
-        let group = match sync {
-            Sync::Tau => self.tau_edges(loc),
-            Sync::Output(_) => self.output_edges(loc),
-            Sync::Input(channel) => self.receivers(loc, channel),
+        let (group, outputs_on) = match sync {
+            Sync::Tau => (self.tau_edges(loc), None),
+            Sync::Output(channel) => (self.output_edges(loc), Some(channel)),
+            Sync::Input(channel) => (self.receivers(loc, channel), None),
         };
         // Only the outputs mix channels.
         group
             .iter()
-            .copied()
-            .filter(move |e| self.edges[e.index()].sync == sync)
+            .filter(move |e| outputs_on.is_none_or(|channel| e.channel() == channel))
+            .map(|e| e.id())
     }
 
     /// Assembles an automaton from validated parts and indexes its edges
@@ -431,16 +462,18 @@ impl Automaton {
         for g in 1..groups.len() {
             groups[g] += groups[g - 1];
         }
-        let mut by_source = vec![EdgeId::from_index(0); edges.len()];
-        let mut next = groups.clone();
+        let mut by_source = vec![IndexedEdge::default(); edges.len()];
         for (i, e) in edges.iter().enumerate() {
-            let slot = &mut next[group_of(e)];
-            by_source[*slot as usize] = EdgeId::from_index(i);
+            let slot = &mut groups[group_of(e)];
+            by_source[*slot as usize] = IndexedEdge::new(i, e.sync);
             *slot += 1;
         }
+        // Each group's cursor stopped where the next group starts.
+        groups.rotate_right(1);
+        groups[0] = 0;
         for l in 0..locations.len() {
             let inputs = groups[3 * l + 2] as usize..groups[3 * l + 3] as usize;
-            by_source[inputs].sort_by_key(|id| edges[id.index()].sync.channel());
+            by_source[inputs].sort_by_key(|e| e.channel);
         }
         Automaton {
             name,

@@ -142,14 +142,20 @@ impl SystemBuilder {
         Ok(AutomatonId::from_index(self.automata.len() - 1))
     }
 
-    fn validate_clock(&self, clock: ClockId, ctx: &str) -> Result<(), ModelError> {
+    // The error context is rendered only when a check fails: mutation
+    // campaigns rebuild a system per mutant.
+    fn validate_clock(&self, clock: ClockId, ctx: &dyn Fn() -> String) -> Result<(), ModelError> {
         if clock.index() >= self.clocks.len() {
-            return Err(ModelError::InvalidReference(format!("clock in {ctx}")));
+            return Err(ModelError::InvalidReference(format!("clock in {}", ctx())));
         }
         Ok(())
     }
 
-    fn validate_constraints(&self, cs: &[ClockConstraint], ctx: &str) -> Result<(), ModelError> {
+    fn validate_constraints(
+        &self,
+        cs: &[ClockConstraint],
+        ctx: &dyn Fn() -> String,
+    ) -> Result<(), ModelError> {
         for c in cs {
             self.validate_clock(c.left, ctx)?;
             if let Some(r) = c.minus {
@@ -162,16 +168,19 @@ impl SystemBuilder {
     fn validate_automaton(&self, automaton: &Automaton) -> Result<(), ModelError> {
         let n_locs = automaton.locations().len();
         for loc in automaton.locations() {
-            self.validate_constraints(&loc.invariant, &format!("invariant of {}", loc.name))?;
+            self.validate_constraints(&loc.invariant, &|| format!("invariant of {}", loc.name))?;
         }
         for (idx, edge) in automaton.edges().iter().enumerate() {
-            let ctx = format!("edge #{idx} of {}", automaton.name());
+            let ctx = || format!("edge #{idx} of {}", automaton.name());
             if edge.source.index() >= n_locs || edge.target.index() >= n_locs {
-                return Err(ModelError::InvalidReference(ctx));
+                return Err(ModelError::InvalidReference(ctx()));
             }
             if let Some(ch) = edge.sync.channel() {
                 if ch.index() >= self.channels.len() {
-                    return Err(ModelError::InvalidReference(format!("channel in {ctx}")));
+                    return Err(ModelError::InvalidReference(format!(
+                        "channel in {}",
+                        ctx()
+                    )));
                 }
             }
             self.validate_constraints(&edge.guard.clocks, &ctx)?;
@@ -180,7 +189,10 @@ impl SystemBuilder {
             }
             for u in &edge.updates {
                 if u.target.index() >= self.vars.len() {
-                    return Err(ModelError::InvalidReference(format!("variable in {ctx}")));
+                    return Err(ModelError::InvalidReference(format!(
+                        "variable in {}",
+                        ctx()
+                    )));
                 }
             }
         }

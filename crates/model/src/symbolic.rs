@@ -19,7 +19,6 @@
 //! operator conjoins a constant source invariant bound by bound, without
 //! building it as a zone.
 
-use crate::automaton::Sync;
 use crate::decl::{Action, ChannelKind};
 use crate::error::ModelError;
 use crate::expr::Expr;
@@ -288,7 +287,7 @@ impl System {
     ) -> Result<bool, ModelError> {
         let net = &self.network;
         for (a, aut) in self.automata.iter().enumerate() {
-            for &edge in aut.tau_edges(d.locations[a]) {
+            for edge in aut.tau_edges(d.locations[a]).iter().map(|e| e.id()) {
                 if net.data_holds(&net.edge(a, edge), &self.vars, &d.vars)?
                     && visit(JointEdge::Internal {
                         automaton: AutomatonId::from_index(a),
@@ -331,17 +330,16 @@ impl System {
         let net = &self.network;
         let n = self.automata.len();
         for (a, aut) in self.automata.iter().enumerate() {
-            for &out in aut.output_edges(d.locations[a]) {
-                let Sync::Output(channel) = aut.edge(out).sync else {
-                    unreachable!("output lists hold output edges");
-                };
+            for indexed in aut.output_edges(d.locations[a]) {
+                let (out, channel) = (indexed.id(), indexed.channel());
                 if only.is_some_and(|c| c != channel)
                     || !net.data_holds(&net.edge(a, out), &self.vars, &d.vars)?
                 {
                     continue;
                 }
                 for b in (0..n).filter(|&b| b != a) {
-                    for &input in self.automata[b].receivers(d.locations[b], channel) {
+                    for indexed in self.automata[b].receivers(d.locations[b], channel) {
+                        let input = indexed.id();
                         if net.data_holds(&net.edge(b, input), &self.vars, &d.vars)?
                             && visit(JointEdge::Sync {
                                 channel,

@@ -441,7 +441,11 @@ impl<'a> Interpreter<'a> {
     ) -> Result<bool, ModelError> {
         let net = &self.system.network;
         for (a, aut) in self.system.automata().iter().enumerate() {
-            for &e in aut.tau_edges(state.discrete.locations[a]) {
+            for e in aut
+                .tau_edges(state.discrete.locations[a])
+                .iter()
+                .map(|e| e.id())
+            {
                 let edge = net.edge(a, e);
                 if self.guard_holds(state, &edge)?
                     && self.step(state, scratch, std::iter::once((a, edge)))?
