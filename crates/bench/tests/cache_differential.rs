@@ -1,4 +1,5 @@
-//! Differential pins for the content-hash solve cache behind `tiga serve`.
+//! Differential pins for the content-hash solve cache, whose key `tiga
+//! serve` keeps its answers under.
 //!
 //! The cache's correctness rests on two properties, checked here against
 //! fresh solves rather than against itself:

@@ -6,22 +6,27 @@
 //! `control:` objective override and solver knobs; the response carries the
 //! verdict, the full 13-field `SolverStats` block (as in
 //! `tiga solve --stats-json`), timing, the strategy in the versioned
-//! `tiga-strategy v1` text format, and the minimized/compiled controller
-//! summary (`minimized_rules`/`controller_states`).  A request with
-//! `"controller":true` additionally receives the compiled controller itself
-//! in the `tiga-controller v1` text format; the controller is compiled once
-//! when the game is first solved and stored in the cache entry, so the flag
-//! never changes what is cached, only what is serialized into the response.
+//! `tiga-strategy v1` text format, and the minimized controller summary
+//! (`minimized_rules`/`controller_states`).  A request with
+//! `"controller":true` additionally receives the controller itself in the
+//! `tiga-controller v1` text format; it is printed from the minimized
+//! strategy when the game is solved and kept with the payload, so the flag
+//! never changes what is kept, only what is written into the response.
+//! Nothing in a session decides with a controller, so none is compiled.
 //!
-//! Underneath sits a content-hash [`SolveCache`] keyed on the canonical
-//! serialized system (`print_system` output, including the `control:` line)
-//! plus the semantics-relevant options: repeated or duplicate submissions
-//! are answered from the cache with `"cache":"hit"` and a payload that is
-//! byte-identical to the original solve's.  The cache stores the payload
-//! rendered once, when the game is solved, so a hit writes stored bytes
-//! after a fresh envelope; and the session remembers which game each
-//! submitted source text parsed to, so a repeated submission skips parsing
-//! and `print_system` too.  A `batch` request fans a list
+//! A session keeps only bytes between requests, under one budget
+//! (`KEPT_BYTES`, 16 MiB) that evicts the least recently used first: the
+//! rendered answers, keyed on the canonical serialized system
+//! (`print_system` output, including the `control:` line) plus the
+//! semantics-relevant options ([`SolveCache::key`]), and a memo from each
+//! submitted source text to that canonical text.  A repeated or duplicate
+//! submission is answered with `"cache":"hit"` and a payload byte-identical
+//! to the original solve's: a memo hit builds the key without parsing or
+//! `print_system`, and an answer hit writes kept bytes after a fresh
+//! envelope.  A parsed game lives only for the request that parsed it; a
+//! known submission whose answer was evicted is parsed and solved again, to
+//! the same bytes.  Envelopes count answer hits, misses and evictions and
+//! the live answer count.  A `batch` request fans a list
 //! of models through the work queue (`tiga_parallel::run_keyed`): distinct
 //! games are solved concurrently, duplicates are deduplicated before any
 //! solving happens, and the responses are merged in submission order — the
@@ -38,13 +43,13 @@
 
 use crate::solve::{resolve_purpose, PurposeError};
 use crate::{parse_num, reject_leftovers, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use tiga_solver::json::{self, Escaped, Json};
-use tiga_solver::{solve, CompiledController, SolveCache, SolveEngine, SolveOptions};
+use tiga_solver::{minimize_strategy, solve, CacheStats, SolveCache, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
 const USAGE: &str = "\
@@ -52,9 +57,10 @@ USAGE:
     tiga serve [OPTIONS]
 
 Reads one JSON request per line on stdin, writes one JSON response per line
-on stdout.  Solved games are kept in a content-hash cache for the lifetime
-of the process; duplicate submissions are answered from it (\"cache\":\"hit\")
-with a payload byte-identical to the original solve's.
+on stdout.  The answers of solved games are kept in a content-hash cache of
+at most 16 MiB, least recently used dropped first; duplicate submissions
+are answered from it (\"cache\":\"hit\") with a payload byte-identical to
+the original solve's, and a dropped game is solved again to the same bytes.
 
 REQUESTS:
     {\"id\":1,\"path\":\"model.tg\"}                    solve a .tg file
@@ -64,7 +70,7 @@ REQUESTS:
                                                    merged in order
     optional fields: \"purpose\" (control: line override), \"engine\"
     (otfur|jacobi), \"exhaustive\" (bool), \"strategy\" (bool,
-    default true), \"controller\" (bool, default false: include the compiled
+    default true), \"controller\" (bool, default false: include the
     controller in the `tiga-controller v1` text format in the payload),
     \"max_rounds\", \"max_states\", \"jobs\" (solve requests: intra-solve
     threads; default: the server's --jobs)
@@ -120,33 +126,31 @@ pub fn serve_session<R: BufRead, W: Write>(
     Ok(())
 }
 
-/// The state of one serve session: the solve cache and the submission memo.
-/// [`serve_session`] feeds it the lines of a reader; an embedder can feed it
-/// request lines one at a time.
+/// The state of one serve session: what it keeps between requests, and the
+/// line count.  [`serve_session`] feeds it the lines of a reader; an
+/// embedder can feed it request lines one at a time.
 pub struct ServeSession {
     args: ServeArgs,
     /// Lines seen so far, blank ones included: the default request `id`
     /// and the line number in error responses.
     lines: usize,
-    /// Rendered payloads, keyed on the game and its semantics-relevant
-    /// options.
-    cache: SolveCache<Arc<Rendered>>,
-    /// Submitted source text (with the `purpose` override, if any) → the
-    /// game it parses to, so that an identical re-submission skips parsing,
-    /// lowering and `print_system`.  Path requests still read the file, so
-    /// an edited file is a new submission.
-    games: HashMap<(Option<String>, String), Arc<Game>>,
+    kept: Kept,
 }
 
 impl ServeSession {
-    /// A session with an empty cache.
+    /// A session that keeps nothing yet, under the session byte budget
+    /// (16 MiB).
     #[must_use]
     pub fn new(args: ServeArgs) -> Self {
+        ServeSession::with_budget(args, KEPT_BYTES)
+    }
+
+    /// A session whose memo and answers share `budget` bytes.
+    pub(crate) fn with_budget(args: ServeArgs, budget: usize) -> Self {
         ServeSession {
             args,
             lines: 0,
-            cache: SolveCache::new(),
-            games: HashMap::new(),
+            kept: Kept::new(budget),
         }
     }
 
@@ -204,32 +208,31 @@ fn handle_solve(
     session: &mut ServeSession,
     started: Instant,
 ) -> Response {
-    let source = &request.sources[0];
-    let prepared = match prepare(source, request, line_no, 0, &mut session.games) {
-        Ok(prepared) => prepared,
-        Err(message) => return error_response(&request.id, "solve", line_no, &message),
-    };
-    let cache = &mut session.cache;
-    let (rendered, cached) = match cache.lookup(&prepared.key) {
-        Some(rendered) => (rendered, true),
-        None => match solve_and_render(&prepared) {
-            Ok(rendered) => {
-                cache.store(prepared.key, Arc::clone(&rendered));
-                (rendered, false)
+    let kept = &mut session.kept;
+    let answer = prepare(&request.sources[0], request, line_no, 0, kept).and_then(|prepared| {
+        match kept.lookup(&prepared.key) {
+            Some(rendered) => Ok((rendered, true)),
+            None => {
+                let rendered = solve_and_render(&prepared)?;
+                kept.store(prepared.key, Arc::clone(&rendered));
+                Ok((rendered, false))
             }
-            Err(message) => return error_response(&request.id, "solve", line_no, &message),
-        },
-    };
-    ok_response(
-        &request.id,
-        "solve",
-        None,
-        cached,
-        request.controller,
-        rendered,
-        cache,
-        started,
-    )
+        }
+    });
+    kept.trim();
+    match answer {
+        Ok((rendered, cached)) => ok_response(
+            &request.id,
+            "solve",
+            None,
+            cached,
+            request.controller,
+            rendered,
+            kept,
+            started,
+        ),
+        Err(message) => error_response(&request.id, "solve", line_no, &message),
+    }
 }
 
 fn handle_batch(
@@ -238,22 +241,23 @@ fn handle_batch(
     session: &mut ServeSession,
     started: Instant,
 ) -> Vec<Response> {
+    let kept = &mut session.kept;
     let prepared: Vec<Result<Prepared, String>> = request
         .sources
         .iter()
         .enumerate()
-        .map(|(i, source)| prepare(source, request, line_no, i, &mut session.games))
+        .map(|(i, source)| prepare(source, request, line_no, i, kept))
         .collect();
-    let cache = &mut session.cache;
-    // Plan the shard: every item whose key is not already cached goes to the
+    // Plan the shard: every item whose key is not already kept goes to the
     // work queue; `run_keyed` deduplicates within the batch so each distinct
     // game is solved (and rendered) once, concurrently, while the merge below
     // stays in submission order — deterministic output for any `--jobs`.
+    // Nothing is evicted before the batch ends, so the plan holds.
     let mut planned_to_run = vec![false; prepared.len()];
     let mut work: Vec<(String, usize)> = Vec::new();
     for (i, item) in prepared.iter().enumerate() {
         if let Ok(p) = item {
-            if !cache.contains(&p.key) {
+            if !kept.contains(&p.key) {
                 planned_to_run[i] = true;
                 work.push((p.key.clone(), i));
             }
@@ -286,12 +290,12 @@ fn handle_batch(
                 // The counted lookup happens here, in submission order: the
                 // first occurrence of a key is the miss, every later
                 // duplicate — whether solved speculatively by the queue or
-                // cached in an earlier request — is a hit.
-                let (rendered, cached) = match cache.lookup(&p.key) {
+                // kept from an earlier request — is a hit.
+                let (rendered, cached) = match kept.lookup(&p.key) {
                     Some(rendered) => (rendered, true),
-                    None => match computed.expect("uncached items were planned into the queue") {
+                    None => match computed.expect("unkept items were planned into the queue") {
                         Ok(rendered) => {
-                            cache.store(p.key.clone(), Arc::clone(&rendered));
+                            kept.store(p.key.clone(), Arc::clone(&rendered));
                             (rendered, false)
                         }
                         Err(message) => {
@@ -308,26 +312,204 @@ fn handle_batch(
                     cached,
                     request.controller,
                     rendered,
-                    cache,
+                    kept,
                     started,
                 ));
             }
         }
     }
-    let stats = cache.stats();
+    kept.trim();
     responses.push(Response::Line(format!(
         "{{\"id\":{},\"kind\":\"batch\",\"status\":\"{}\",\"items\":{},\"errors\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\"elapsed_us\":{}}}",
+         {},\"elapsed_us\":{}}}",
         request.id,
         if errors == 0 { "ok" } else { "error" },
         prepared.len(),
         errors,
-        stats.hits,
-        stats.misses,
-        cache.len(),
+        kept.counter_fields(),
         started.elapsed().as_micros(),
     )));
     responses
+}
+
+// ---------------------------------------------------------------------------
+// What a session keeps
+// ---------------------------------------------------------------------------
+
+/// The bytes a session keeps between requests: its submission memo and its
+/// rendered answers together, as [`Kept`] accounts them.
+///
+/// 16 MiB holds the hot set of the checked-in examples five times over:
+/// every objective's payload with and without a strategy is ≈ 1.8 MB, their
+/// controller fields ≈ 1.3 MB (lep4's two are 1.26 MB of it), keys and memo
+/// ≈ 0.1 MB.  The rest holds about 1 800 one-off games the size of a
+/// bounded smart-light purpose (≈ 7 KB each) before the least recently used
+/// is dropped; perfbench's 2 288-request serve stream keeps 10.3 MB and
+/// evicts nothing.
+pub(crate) const KEPT_BYTES: usize = 16 << 20;
+
+/// What [`Kept`] accounts for one memo entry or answer beyond its text: the
+/// hash-map slot, the `Arc` headers and the recency entry.
+const ITEM_OVERHEAD: usize = 128;
+
+/// A submission as it was sent: the `purpose` override, if any, and the
+/// source text.  Path requests still read the file, so an edited file is a
+/// new submission.
+type Submission = (Option<String>, String);
+
+/// What a session keeps between requests, all of it bytes, under one budget:
+///
+/// - the memo: each submission → the canonical text of the game it parsed
+///   to, so that a re-submission builds its key without parsing, lowering
+///   and `print_system`;
+/// - the answers: each game's rendered payload and controller field, keyed
+///   on the canonical text and the semantics-relevant options
+///   ([`SolveCache::key`]).
+///
+/// Every use of an item stamps it with the next tick of one clock.
+/// [`Kept::trim`] drops the items with the oldest stamps until the
+/// accounted bytes fit the budget, so the same requests always evict the
+/// same items, and an evicted game is solved again to the same bytes.
+struct Kept {
+    budget: usize,
+    /// Accounted bytes of the memo and the answers.
+    bytes: usize,
+    clock: u64,
+    /// Every item by its last use, oldest first.
+    recency: BTreeMap<u64, Item>,
+    memo: HashMap<Arc<Submission>, Stamped<Arc<str>>>,
+    answers: HashMap<Arc<str>, Stamped<Arc<Rendered>>>,
+    /// Counted answer lookups.
+    stats: CacheStats,
+    /// Answers dropped to fit the budget.
+    evictions: u64,
+}
+
+/// A kept value with its last use and its accounted bytes.
+struct Stamped<T> {
+    value: T,
+    used: u64,
+    bytes: usize,
+}
+
+/// A kept item, by the key of its map.
+enum Item {
+    Memo(Arc<Submission>),
+    Answer(Arc<str>),
+}
+
+impl Kept {
+    fn new(budget: usize) -> Self {
+        Kept {
+            budget,
+            bytes: 0,
+            clock: 0,
+            recency: BTreeMap::new(),
+            memo: HashMap::new(),
+            answers: HashMap::new(),
+            stats: CacheStats::default(),
+            evictions: 0,
+        }
+    }
+
+    /// Accounts a new item and stamps it with the next tick.
+    fn stamp(&mut self, item: Item, bytes: usize) -> u64 {
+        self.bytes += bytes;
+        self.clock += 1;
+        self.recency.insert(self.clock, item);
+        self.clock
+    }
+
+    /// Moves a used item from its old stamp to the next tick.
+    fn restamp(recency: &mut BTreeMap<u64, Item>, clock: &mut u64, used: &mut u64) {
+        let item = recency.remove(used).expect("every kept item has a stamp");
+        *clock += 1;
+        recency.insert(*clock, item);
+        *used = *clock;
+    }
+
+    /// The canonical text a submission parsed to, if it is remembered.
+    fn canonical(&mut self, submission: &Submission) -> Option<Arc<str>> {
+        let entry = self.memo.get_mut(submission)?;
+        Kept::restamp(&mut self.recency, &mut self.clock, &mut entry.used);
+        Some(Arc::clone(&entry.value))
+    }
+
+    fn remember(&mut self, submission: Submission, canonical: Arc<str>) {
+        let bytes = submission.0.as_ref().map_or(0, String::len)
+            + submission.1.len()
+            + canonical.len()
+            + ITEM_OVERHEAD;
+        let submission = Arc::new(submission);
+        let used = self.stamp(Item::Memo(Arc::clone(&submission)), bytes);
+        self.memo.insert(
+            submission,
+            Stamped {
+                value: canonical,
+                used,
+                bytes,
+            },
+        );
+    }
+
+    /// Whether an answer is kept, without counting or stamping it (used to
+    /// plan batch sharding before the in-order merge does the lookups).
+    fn contains(&self, key: &str) -> bool {
+        self.answers.contains_key(key)
+    }
+
+    /// Looks up an answer, counting a hit or a miss.
+    fn lookup(&mut self, key: &str) -> Option<Arc<Rendered>> {
+        let Some(entry) = self.answers.get_mut(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        Kept::restamp(&mut self.recency, &mut self.clock, &mut entry.used);
+        Some(Arc::clone(&entry.value))
+    }
+
+    fn store(&mut self, key: String, rendered: Arc<Rendered>) {
+        let bytes = key.len() + rendered.bytes() + ITEM_OVERHEAD;
+        let key: Arc<str> = key.into();
+        let used = self.stamp(Item::Answer(Arc::clone(&key)), bytes);
+        self.answers.insert(
+            key,
+            Stamped {
+                value: rendered,
+                used,
+                bytes,
+            },
+        );
+    }
+
+    /// Drops the least recently used items until the rest fit the budget.
+    fn trim(&mut self) {
+        while self.bytes > self.budget {
+            let (_, item) = self
+                .recency
+                .pop_first()
+                .expect("accounted bytes belong to kept items");
+            self.bytes -= match item {
+                Item::Memo(submission) => self.memo.remove(&submission).expect("stamped").bytes,
+                Item::Answer(key) => {
+                    self.evictions += 1;
+                    self.answers.remove(&key).expect("stamped").bytes
+                }
+            };
+        }
+    }
+
+    /// The cumulative counters and the live answer count, as JSON fields.
+    fn counter_fields(&self) -> String {
+        format!(
+            "\"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\"cache_evictions\":{}",
+            self.stats.hits,
+            self.stats.misses,
+            self.answers.len(),
+            self.evictions,
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -351,8 +533,8 @@ struct Request {
     sources: Vec<ModelSource>,
     purpose: Option<String>,
     options: SolveOptions,
-    /// Include the serialized compiled controller in response payloads.
-    /// Not part of the cache key: the controller is compiled and cached
+    /// Include the serialized controller in response payloads.  Not part
+    /// of the cache key: the controller text is rendered and kept
     /// unconditionally, the flag only selects what the response carries.
     controller: bool,
 }
@@ -472,19 +654,27 @@ fn string_array(value: &Json, name: &str) -> Result<Vec<String>, String> {
 // Solving
 // ---------------------------------------------------------------------------
 
-/// A submission resolved down to a solvable game: the lowered system, its
-/// objective and the canonical text the cache key is built from.
+/// A parsed game: the lowered system and its objective.  It lives only for
+/// the request that parsed it.
 struct Game {
-    canonical: String,
     system: tiga_model::System,
     purpose: TestPurpose,
 }
 
-/// A request item: its game plus its cache key.
+/// A request item: its cache key and what its answer is solved from.
 struct Prepared {
     key: String,
-    game: Arc<Game>,
     options: SolveOptions,
+    source: GameSource,
+}
+
+/// Where an item's game comes from, if its answer is not kept.
+enum GameSource {
+    /// This request parsed it, for the memo.
+    Parsed(Game),
+    /// The memo knew the submission; it is parsed again only if it is
+    /// solved.
+    Known(Submission, String),
 }
 
 fn prepare(
@@ -492,7 +682,7 @@ fn prepare(
     request: &Request,
     line_no: usize,
     item: usize,
-    games: &mut HashMap<(Option<String>, String), Arc<Game>>,
+    kept: &mut Kept,
 ) -> Result<Prepared, String> {
     let (text, label) = match source {
         ModelSource::Inline(text) => (text.clone(), format!("request-{line_no}.{item}")),
@@ -502,48 +692,64 @@ fn prepare(
         ),
     };
     let submission = (request.purpose.clone(), text);
-    let game = match games.get(&submission) {
-        Some(game) => Arc::clone(game),
+    let (key, source) = match kept.canonical(&submission) {
+        Some(canonical) => (
+            SolveCache::key(&canonical, &request.options),
+            GameSource::Known(submission, label),
+        ),
         None => {
-            let text = &submission.1;
-            let model = tiga_lang::parse_model(text).map_err(|err| err.render(text, &label))?;
-            let purpose =
-                resolve_purpose(&model, request.purpose.as_deref()).map_err(|err| match err {
-                    PurposeError::Invalid(e) => format!("bad purpose: {e}"),
-                    PurposeError::Missing => format!(
-                        "`{}` has no `control:` line; add one or send a `purpose`",
-                        model.system.name()
-                    ),
-                })?;
+            let game = parse_game(&submission, &label)?;
             // The canonical exact-inverse serialization of the lowered system
             // (with its objective) is the content-hash identity of the game:
             // a file and an inline copy of it, or two formattings of the same
             // model, share a key.
-            let game = Arc::new(Game {
-                canonical: tiga_lang::print_system(&model.system, Some(&purpose)),
-                system: model.system,
-                purpose,
-            });
-            games.insert(submission, Arc::clone(&game));
-            game
+            let canonical: Arc<str> =
+                tiga_lang::print_system(&game.system, Some(&game.purpose)).into();
+            let key = SolveCache::key(&canonical, &request.options);
+            kept.remember(submission, canonical);
+            (key, GameSource::Parsed(game))
         }
     };
     Ok(Prepared {
-        key: SolveCache::key(&game.canonical, &request.options),
-        game,
+        key,
         options: request.options.clone(),
+        source,
     })
 }
 
-/// Solves a game, compiles its strategy and renders the response payload —
-/// the one time the payload is rendered: every hit writes these bytes.
+fn parse_game((purpose, text): &Submission, label: &str) -> Result<Game, String> {
+    let model = tiga_lang::parse_model(text).map_err(|err| err.render(text, label))?;
+    let purpose = resolve_purpose(&model, purpose.as_deref()).map_err(|err| match err {
+        PurposeError::Invalid(e) => format!("bad purpose: {e}"),
+        PurposeError::Missing => format!(
+            "`{}` has no `control:` line; add one or send a `purpose`",
+            model.system.name()
+        ),
+    })?;
+    Ok(Game {
+        system: model.system,
+        purpose,
+    })
+}
+
+/// Solves a game, minimizes its strategy and renders the response payload
+/// and the controller field — the one time they are rendered: every hit
+/// writes these bytes.
 fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
-    let game = &prepared.game;
+    let reparsed;
+    let game = match &prepared.source {
+        GameSource::Parsed(game) => game,
+        GameSource::Known(submission, label) => {
+            reparsed = parse_game(submission, label)?;
+            &reparsed
+        }
+    };
     let solution = solve(&game.system, &game.purpose, &prepared.options)
         .map_err(|e| format!("solver failed: {e}"))?;
-    // Minimize + compile at store time: every later hit answers the
-    // controller fields (and a `"controller":true` download) for free.
-    let controller = solution.strategy.as_ref().map(CompiledController::compile);
+    // The controller fields and the controller text are printed from the
+    // minimized strategy; nothing decides with it here, so it is not
+    // compiled.
+    let minimized = solution.strategy.as_ref().map(minimize_strategy);
     let model = game.system.name();
     let winning = solution.winning_from_initial;
     let strategy_text = tiga_solver::print_strategy(model, winning, solution.strategy.as_ref());
@@ -558,17 +764,24 @@ fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
             .strategy
             .as_ref()
             .map_or("null".to_string(), |s| s.rule_count().to_string()),
-        controller_fields = crate::solve::controller_json_fields(controller.as_ref()),
+        controller_fields = crate::solve::controller_json_fields(minimized.as_ref()),
     );
     payload.reserve(strategy_text.len() + 1);
     let _ = write!(payload, "{}\"", Escaped(&strategy_text));
+    let controller_text = tiga_solver::print_controller_source(model, winning, minimized.as_ref());
+    let mut controller_field = String::with_capacity(controller_text.len() + 16);
+    let _ = write!(
+        controller_field,
+        ",\"controller\":\"{}\"",
+        Escaped(&controller_text)
+    );
+    // Escapes outgrow the reserved room; a kept answer holds only its bytes.
+    payload.shrink_to_fit();
+    controller_field.shrink_to_fit();
     Ok(Arc::new(Rendered {
         fingerprint: SolveCache::fingerprint(&prepared.key),
         payload,
-        model: model.to_string(),
-        winning,
-        controller,
-        controller_field: OnceLock::new(),
+        controller_field,
     }))
 }
 
@@ -576,33 +789,24 @@ fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// A cache entry in the form responses need.  The stable payload is a pure
-/// function of the key (the canonical text names the model, the options the
-/// engine), so it is rendered once, when the game is solved, and every hit
-/// writes the same bytes as the miss that stored it.
+/// A kept answer: plain strings.  The stable payload is a pure function of
+/// the key (the canonical text names the model, the options the engine), so
+/// it is rendered once, when the game is solved, and every hit writes the
+/// same bytes as the miss that stored it.
 struct Rendered {
     /// The key's printable digest.
     fingerprint: String,
     /// The payload object without its closing brace, which follows the
     /// optional controller field.
     payload: String,
-    // What the controller download is rendered from.
-    model: String,
-    winning: bool,
-    controller: Option<CompiledController>,
-    /// `,"controller":"…"`, rendered on the first request that asks for it.
-    controller_field: OnceLock<String>,
+    /// `,"controller":"…"`, written for requests that ask for it.
+    controller_field: String,
 }
 
 impl Rendered {
-    fn controller_field(&self) -> &str {
-        self.controller_field.get_or_init(|| {
-            let text =
-                tiga_solver::print_controller(&self.model, self.winning, self.controller.as_ref());
-            let mut field = String::with_capacity(text.len() + 16);
-            let _ = write!(field, ",\"controller\":\"{}\"", Escaped(&text));
-            field
-        })
+    /// The bytes [`Kept`] accounts for this answer's text.
+    fn bytes(&self) -> usize {
+        self.fingerprint.len() + self.payload.len() + self.controller_field.len()
     }
 }
 
@@ -611,7 +815,7 @@ enum Response {
     /// A line rendered in full: errors and batch summaries.
     Line(String),
     /// An ok response: the volatile envelope up to `"payload":`, then the
-    /// stored payload, written without copying it into the envelope.
+    /// kept payload, written without copying it into the envelope.
     Ok {
         envelope: String,
         rendered: Arc<Rendered>,
@@ -631,7 +835,7 @@ impl Response {
                 output.write_all(envelope.as_bytes())?;
                 output.write_all(rendered.payload.as_bytes())?;
                 if *controller {
-                    output.write_all(rendered.controller_field().as_bytes())?;
+                    output.write_all(rendered.controller_field.as_bytes())?;
                 }
                 output.write_all(b"}}")?;
             }
@@ -641,10 +845,8 @@ impl Response {
 }
 
 /// Builds an ok response: a volatile envelope (cache status, counters,
-/// timing) followed by the stored payload.  The serialized controller is
-/// included only on request; it is rendered from the cached controller, so
-/// the payload stays a pure function of (entry, request flag) — hits remain
-/// byte-identical to their miss.
+/// timing) followed by the kept payload and, on request, the controller
+/// field rendered with it — hits stay byte-identical to their miss.
 #[allow(clippy::too_many_arguments)]
 fn ok_response(
     id: &str,
@@ -653,25 +855,17 @@ fn ok_response(
     cached: bool,
     include_controller: bool,
     rendered: Arc<Rendered>,
-    cache: &SolveCache<Arc<Rendered>>,
+    kept: &Kept,
     started: Instant,
 ) -> Response {
-    if include_controller {
-        // Render before taking the time, so `elapsed_us` covers it.
-        rendered.controller_field();
-    }
-    let stats = cache.stats();
     let index_field = index.map_or(String::new(), |i| format!("\"index\":{i},"));
     let envelope = format!(
         "{{\"id\":{id},\"kind\":\"{kind}\",{index_field}\"status\":\"ok\",\
-         \"cache\":\"{cache_status}\",\"key\":\"{key}\",\
-         \"cache_hits\":{hits},\"cache_misses\":{misses},\"cache_entries\":{entries},\
+         \"cache\":\"{cache_status}\",\"key\":\"{key}\",{counters},\
          \"elapsed_us\":{elapsed},\"payload\":",
         cache_status = if cached { "hit" } else { "miss" },
         key = rendered.fingerprint,
-        hits = stats.hits,
-        misses = stats.misses,
-        entries = cache.len(),
+        counters = kept.counter_fields(),
         elapsed = started.elapsed().as_micros(),
     );
     Response::Ok {
@@ -729,6 +923,128 @@ pub(crate) fn main(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn light_request(bound: usize) -> String {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/tg/smart_light.tg");
+        format!(
+            "{{\"path\":\"{}\",\"purpose\":\"control: A<><={bound} IUT.Bright\",\"controller\":true}}",
+            Escaped(&path.to_string_lossy())
+        )
+    }
+
+    fn answer(session: &mut ServeSession, request: &str) -> String {
+        let mut out = Vec::new();
+        session.respond(request, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// The payload, including the controller field.
+    fn payload(line: &str) -> &str {
+        &line[line.find("\"payload\":").expect("an ok response")..]
+    }
+
+    fn key(line: &str) -> &str {
+        let at = line.find("\"key\":\"").unwrap() + "\"key\":\"".len();
+        &line[at..at + 16]
+    }
+
+    /// Every kept item is accounted for at least its text, and the total is
+    /// within the budget.
+    fn assert_accounted(kept: &Kept) {
+        let memo: usize = kept
+            .memo
+            .iter()
+            .map(|(s, m)| {
+                assert!(m.bytes >= s.1.len() + m.value.len());
+                m.bytes
+            })
+            .sum();
+        let answers: usize = kept
+            .answers
+            .iter()
+            .map(|(key, a)| {
+                let text = key.len() + a.value.payload.len() + a.value.controller_field.len();
+                assert!(a.bytes >= text);
+                a.bytes
+            })
+            .sum();
+        assert_eq!(kept.bytes, memo + answers);
+        assert_eq!(kept.recency.len(), kept.memo.len() + kept.answers.len());
+        assert!(
+            kept.bytes <= kept.budget,
+            "{} > {}",
+            kept.bytes,
+            kept.budget
+        );
+    }
+
+    #[test]
+    fn a_small_budget_evicts_the_least_recently_used_and_solves_the_same_bytes() {
+        let args = ServeArgs { jobs: 1 };
+        // Room for about three of these games, memo entries included.
+        let mut probe = ServeSession::new(args.clone());
+        answer(&mut probe, &light_request(20));
+        let budget = probe.kept.bytes * 7 / 2;
+        let mut session = ServeSession::with_budget(args, budget);
+        let hot = answer(&mut session, &light_request(20));
+        let mut first = Vec::new();
+        for bound in 21..30 {
+            let line = answer(&mut session, &light_request(bound));
+            assert!(line.contains("\"cache\":\"miss\""), "{line}");
+            assert_accounted(&session.kept);
+            first.push(line);
+            // Hit after every new game, the hot game is never the coldest.
+            let again = answer(&mut session, &light_request(20));
+            assert!(again.contains("\"cache\":\"hit\""), "{bound}: {again}");
+            assert_eq!(payload(&again), payload(&hot));
+            assert_accounted(&session.kept);
+        }
+        assert!(session.kept.evictions > 0);
+        // The games still kept are the most recently solved ones.
+        let kept: Vec<bool> = first
+            .iter()
+            .map(|line| {
+                let key = key(line);
+                session
+                    .kept
+                    .answers
+                    .values()
+                    .any(|a| a.value.fingerprint == key)
+            })
+            .collect();
+        assert!(!kept[0] && kept[kept.len() - 1], "{kept:?}");
+        assert!(kept.windows(2).all(|w| w[1] || !w[0]), "{kept:?}");
+        // The coldest game was evicted: solving it again is a miss that
+        // answers the same payload and controller field.
+        let again = answer(&mut session, &light_request(21));
+        assert!(again.contains("\"cache\":\"miss\""), "{again}");
+        assert!(
+            again.contains("\"controller\":\"tiga-controller v1"),
+            "{again}"
+        );
+        assert_eq!(payload(&again), payload(&first[0]));
+        assert!(again.contains(&format!(
+            "\"cache_entries\":{},\"cache_evictions\":{},",
+            session.kept.answers.len(),
+            session.kept.evictions
+        )));
+    }
+
+    #[test]
+    fn a_budget_too_small_for_one_answer_still_answers() {
+        let mut session = ServeSession::with_budget(ServeArgs { jobs: 1 }, 0);
+        let first = answer(&mut session, &light_request(20));
+        let second = answer(&mut session, &light_request(20));
+        assert!(second.contains("\"cache\":\"miss\""), "{second}");
+        assert!(
+            second.contains("\"cache_entries\":0,\"cache_evictions\":2,"),
+            "{second}"
+        );
+        assert_eq!(payload(&first), payload(&second));
+        assert_eq!(session.kept.bytes, 0);
+        assert!(session.kept.recency.is_empty() && session.kept.memo.is_empty());
+    }
 
     #[test]
     fn json_parser_handles_the_protocol_surface() {

@@ -7,7 +7,7 @@ use crate::{
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tiga_solver::json::Escaped;
-use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions};
+use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions, Strategy};
 use tiga_tctl::TestPurpose;
 
 const USAGE: &str = "\
@@ -32,9 +32,9 @@ OPTIONS:
     --emit-strategy <path>           write the verdict and synthesized
                                      strategy to <path> in the versioned
                                      `tiga-strategy v1` text format
-    --emit-controller <path>         minimize the strategy, compile it, and
-                                     write the result to <path> in the
-                                     versioned `tiga-controller v1` format
+    --emit-controller <path>         minimize the strategy and write it to
+                                     <path> in the versioned
+                                     `tiga-controller v1` format
 ";
 
 /// Parsed arguments of `tiga solve`.
@@ -54,8 +54,8 @@ pub struct SolveArgs {
     pub stats_json: bool,
     /// Write the verdict + strategy in the `tiga-strategy v1` format here.
     pub emit_strategy: Option<String>,
-    /// Write the minimized, compiled controller in the `tiga-controller v1`
-    /// format here.
+    /// Write the minimized controller in the `tiga-controller v1` format
+    /// here.
     pub emit_controller: Option<String>,
 }
 
@@ -130,19 +130,19 @@ pub fn run_solve(args: &SolveArgs) -> Result<String, String> {
 }
 
 /// Everything a solve builds besides its report: the model, the objective,
-/// the solution (graph, winning sets, strategy) and the compiled controller.
+/// the solution (graph, winning sets, strategy) and the minimized strategy
+/// the controller is printed from.
 struct Solved {
     model: tiga_lang::TgModel,
     purpose: TestPurpose,
     solution: GameSolution,
-    controller: Option<tiga_solver::CompiledController>,
+    minimized: Option<Strategy>,
 }
 
 /// Wall-clock time of the phases after the solve.
 #[derive(Default)]
 struct PostSolveTimes {
     minimize: Duration,
-    compile: Duration,
     /// Printing and writing `--emit-strategy` and `--emit-controller`.
     emit: Duration,
 }
@@ -163,7 +163,7 @@ fn solve_model(args: &SolveArgs) -> Result<Solved, String> {
         model,
         purpose,
         solution,
-        controller: None,
+        minimized: None,
     })
 }
 
@@ -173,7 +173,7 @@ fn report_solved(args: &SolveArgs, solved: &mut Solved) -> Result<String, String
         model,
         purpose,
         solution,
-        controller,
+        minimized,
     } = solved;
     let mut times = PostSolveTimes::default();
     if let Some(path) = &args.emit_strategy {
@@ -187,31 +187,29 @@ fn report_solved(args: &SolveArgs, solved: &mut Solved) -> Result<String, String
             .map_err(|e| format!("error: cannot write strategy to `{path}`: {e}"))?;
         times.emit += start.elapsed();
     }
-    // Minimize + compile once, shared by `--emit-controller` and the
-    // controller fields of `--stats-json`.
+    // Minimize once, shared by `--emit-controller` and the controller
+    // fields of `--stats-json`.  Both only print and count the minimized
+    // strategy, so nothing compiles it.
     if args.emit_controller.is_some() || args.stats_json {
         if let Some(strategy) = &solution.strategy {
             let start = Instant::now();
-            let minimized = tiga_solver::minimize_strategy(strategy);
+            *minimized = Some(tiga_solver::minimize_strategy(strategy));
             times.minimize = start.elapsed();
-            let start = Instant::now();
-            *controller = Some(tiga_solver::CompiledController::from_minimized(minimized));
-            times.compile = start.elapsed();
         }
     }
     if let Some(path) = &args.emit_controller {
         let start = Instant::now();
-        let text = tiga_solver::print_controller(
+        let text = tiga_solver::print_controller_source(
             model.system.name(),
             solution.winning_from_initial,
-            controller.as_ref(),
+            minimized.as_ref(),
         );
         std::fs::write(path, text)
             .map_err(|e| format!("error: cannot write controller to `{path}`: {e}"))?;
         times.emit += start.elapsed();
     }
     if args.stats_json {
-        let report = render_stats_json(&model.system, args, solution, controller.as_ref(), &times);
+        let report = render_stats_json(&model.system, args, solution, minimized.as_ref(), &times);
         if let Some(expected) = args.expect_winning {
             if solution.winning_from_initial != expected {
                 return Err(format!(
@@ -322,7 +320,7 @@ fn render_stats_json(
     system: &tiga_model::System,
     args: &SolveArgs,
     solution: &GameSolution,
-    controller: Option<&tiga_solver::CompiledController>,
+    minimized: Option<&Strategy>,
     times: &PostSolveTimes,
 ) -> String {
     let stats = solution.stats();
@@ -335,35 +333,33 @@ fn render_stats_json(
         "{{\"model\":\"{}\",\"engine\":\"{}\",\"winning\":{},{},\
          \"strategy_rules\":{},{},\
          \"exploration_us\":{},\"fixpoint_us\":{},\"total_us\":{},\
-         \"extract_us\":{},\"minimize_us\":{},\"compile_us\":{},\"emit_us\":{}}}",
+         \"extract_us\":{},\"minimize_us\":{},\"emit_us\":{}}}",
         Escaped(system.name()),
         args.options.engine.name(),
         solution.winning_from_initial,
         stats.json_fields(),
         strategy_rules,
-        controller_json_fields(controller),
+        controller_json_fields(minimized),
         timed.exploration_time.as_micros(),
         timed.fixpoint_time.as_micros(),
         timed.total_time().as_micros(),
         timed.extraction_time.as_micros(),
         times.minimize.as_micros(),
-        times.compile.as_micros(),
         times.emit.as_micros(),
     )
 }
 
-/// The compiled-controller summary as JSON fields (no braces): the rule
-/// count after minimization and the number of compiled discrete states, or
+/// The controller summary as JSON fields (no braces): the rule count after
+/// minimization and the number of discrete states the controller decides in
+/// (compiling builds one program per state of the minimized strategy), or
 /// `null`s when no strategy was extracted.  Shared with the `tiga serve`
 /// response payloads so both surfaces report the same block.
-pub(crate) fn controller_json_fields(
-    controller: Option<&tiga_solver::CompiledController>,
-) -> String {
-    match controller {
-        Some(c) => format!(
+pub(crate) fn controller_json_fields(minimized: Option<&Strategy>) -> String {
+    match minimized {
+        Some(m) => format!(
             "\"minimized_rules\":{},\"controller_states\":{}",
-            c.rule_count(),
-            c.state_count()
+            m.rule_count(),
+            m.state_count()
         ),
         None => "\"minimized_rules\":null,\"controller_states\":null".to_string(),
     }
@@ -478,9 +474,11 @@ mod tests {
             "{report}"
         );
         assert_eq!(micros("extract_us"), 0, "{report}");
-        for key in ["minimize_us", "compile_us", "emit_us"] {
+        for key in ["minimize_us", "emit_us"] {
             let _ = micros(key);
         }
+        // Nothing is compiled, so there is no compile phase to time.
+        assert!(!report.contains("\"compile_us\""), "{report}");
         assert!(report.ends_with(&format!("\"emit_us\":{}}}", micros("emit_us"))));
         // The 13 counters read back as the solver's own.
         let model = load_model(path.to_str().unwrap()).unwrap();

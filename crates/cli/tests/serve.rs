@@ -663,9 +663,9 @@ fn an_edited_file_is_a_new_submission() {
 fn a_repeated_submission_with_new_options_still_solves() {
     let light = json_string(&tg("smart_light.tg"));
     let no_strategy = format!("{{\"path\":{light},\"strategy\":false}}");
-    // The second request re-submits the same text, so it skips parsing, but
-    // under options not solved yet: a miss whose payload equals a fresh
-    // session's.
+    // The second request re-submits the same text, which the memo knows,
+    // but under options not solved yet: a miss, parsed again, whose payload
+    // equals a fresh session's.
     let lines = session(&[format!("{{\"path\":{light}}}"), no_strategy.clone()], 1);
     let fresh = session(&[no_strategy], 1);
     assert!(lines[1].contains("\"cache\":\"miss\""), "{}", lines[1]);

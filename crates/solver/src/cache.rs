@@ -1,19 +1,20 @@
 //! Content-hash solve cache.
 //!
-//! `tiga serve` keeps one [`SolveCache`] for the lifetime of the process:
-//! repeated or duplicate submissions of the same game are answered from the
-//! cache instead of re-solving.  The key is the *content* of the request —
-//! the canonical serialized system (the exact-inverse `print_system` text,
-//! including the `control:` objective) plus every option that can change the
-//! verdict, stats or strategy.  `jobs` is deliberately excluded: results
-//! are bit-identical for any thread count (pinned by the solver's
-//! differential suites), so a cache hit is exact no matter how many threads
-//! produced the entry.
+//! Repeated or duplicate submissions of the same game are answered from a
+//! cache instead of re-solving.  The key ([`SolveCache::key`]) is the
+//! *content* of the request — the canonical serialized system (the
+//! exact-inverse `print_system` text, including the `control:` objective)
+//! plus every option that can change the verdict, stats or strategy.
+//! `jobs` is deliberately excluded: results are bit-identical for any
+//! thread count (pinned by the solver's differential suites), so a cache hit
+//! is exact no matter how many threads produced the entry.
 //!
-//! What a cache stores is up to its user: [`CacheEntry`] (the default) is the
-//! solve result itself, while `tiga serve` stores the response payload
-//! rendered once from it, so that a hit costs a lookup and a write of stored
-//! bytes.
+//! [`SolveCache`] is the plain form: an unbounded map from keys to what its
+//! user stores, [`CacheEntry`] (the solve result itself) by default, with
+//! hit/miss counters.  `tiga serve` files its answers under the same key and
+//! [`SolveCache::fingerprint`], but in a store of its own that keeps only
+//! rendered bytes and drops the least recently used past a byte budget, so
+//! that a long session's memory stays bounded.
 
 use crate::controller::CompiledController;
 use crate::stats::SolverStats;
@@ -235,8 +236,8 @@ mod tests {
 
     #[test]
     fn any_entry_type_is_counted_the_same_way() {
-        // `tiga serve` stores rendered payloads behind an `Arc`, so a hit
-        // clones a pointer, not the payload.
+        // Entries behind an `Arc` are shared on a hit: it clones a pointer,
+        // not the payload.
         let mut cache: SolveCache<std::sync::Arc<str>> = SolveCache::new();
         let key = SolveCache::key("m", &SolveOptions::default());
         assert!(cache.lookup(&key).is_none());

@@ -650,12 +650,16 @@ pub fn print_controller(
     winning: bool,
     controller: Option<&CompiledController>,
 ) -> String {
-    print_with_header(
-        CONTROLLER_FORMAT_HEADER,
-        model,
-        winning,
-        controller.map(CompiledController::source),
-    )
+    print_controller_source(model, winning, controller.map(CompiledController::source))
+}
+
+/// Prints a minimized strategy in the `tiga-controller v1` format without
+/// compiling it: the bytes [`print_controller`] writes for
+/// `CompiledController::from_minimized(minimized)`, for callers that only
+/// print the controller.
+#[must_use]
+pub fn print_controller_source(model: &str, winning: bool, minimized: Option<&Strategy>) -> String {
+    print_with_header(CONTROLLER_FORMAT_HEADER, model, winning, minimized)
 }
 
 /// A parsed controller file: the verdict plus the recompiled controller.
@@ -813,6 +817,24 @@ mod tests {
         // A strategy header is rejected.
         let wrong = crate::print_strategy("tiny", true, Some(compiled.source()));
         assert!(parse_controller(&wrong).unwrap_err().contains("line 1"));
+    }
+
+    #[test]
+    fn a_minimized_strategy_prints_as_its_compiled_controller() {
+        let (_sys, _d, strat) = sample_strategy();
+        let minimized = minimize_strategy(&strat);
+        let compiled = CompiledController::from_minimized(minimized.clone());
+        assert_eq!(
+            print_controller_source("tiny", true, Some(&minimized)),
+            print_controller("tiny", true, Some(&compiled))
+        );
+        // One program per strategy state.
+        assert_eq!(compiled.state_count(), minimized.state_count());
+        assert_eq!(compiled.rule_count(), minimized.rule_count());
+        assert_eq!(
+            print_controller_source("loser", false, None),
+            print_controller("loser", false, None)
+        );
     }
 
     #[test]

@@ -89,7 +89,8 @@ mod winning;
 
 pub use cache::{CacheEntry, CacheStats, SolveCache};
 pub use controller::{
-    parse_controller, print_controller, CompiledController, Controller, ControllerFile,
+    parse_controller, print_controller, print_controller_source, CompiledController, Controller,
+    ControllerFile,
 };
 pub use error::SolverError;
 pub use graph::{objective_liveness, ExploreOptions, GameGraph, GameNode, GraphEdge, NodeId};
