@@ -15,9 +15,13 @@ pub use baseline::{compare_to_baseline, parse_matrix_json, BaselineDiff, Baselin
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 use tiga_model::System;
 use tiga_models::{coffee_machine, leader_election, smart_light};
-use tiga_solver::{solve, solve_jacobi, GameSolution, SolveEngine, SolveOptions};
+use tiga_solver::{
+    minimize_strategy_with_report, print_controller_source, solve, solve_jacobi, GameSolution,
+    SolveEngine, SolveOptions,
+};
 use tiga_tctl::TestPurpose;
 use tiga_testing::{TestConfig, TestHarness};
 
@@ -303,6 +307,11 @@ pub struct MatrixRow {
     pub engine: String,
     /// The solved game (verdict, statistics and timing inside).
     pub solution: GameSolution,
+    /// Time to minimize the extracted strategy (zero without one).
+    pub minimize_time: Duration,
+    /// Time to print the minimized strategy as a controller file (zero
+    /// without a strategy).
+    pub print_time: Duration,
 }
 
 /// Solves one zoo instance with every engine and returns the rows.
@@ -320,11 +329,27 @@ pub fn engine_matrix_rows(instance: &ZooInstance) -> Vec<MatrixRow> {
                 ..SolveOptions::default()
             };
             let solution = solve(&instance.system, &instance.purpose, &options).expect("solves");
+            let (mut minimize_time, mut print_time) = (Duration::ZERO, Duration::ZERO);
+            if let Some(strategy) = &solution.strategy {
+                let start = Instant::now();
+                let (minimized, _) = minimize_strategy_with_report(strategy);
+                minimize_time = start.elapsed();
+                let start = Instant::now();
+                let text = print_controller_source(
+                    instance.system.name(),
+                    solution.winning_from_initial,
+                    Some(&minimized),
+                );
+                print_time = start.elapsed();
+                debug_assert!(text.ends_with("end\n"));
+            }
             MatrixRow {
                 model: instance.model.clone(),
                 purpose: instance.purpose_name.clone(),
                 engine: engine.name().to_string(),
                 solution,
+                minimize_time,
+                print_time,
             }
         })
         .collect()
@@ -346,10 +371,14 @@ pub fn matrix_rows_to_json(rows: &[MatrixRow]) -> String {
         let timed = &row.solution.timed;
         let _ = write!(
             out,
-            "\"exploration_us\": {}, \"fixpoint_us\": {}, \"total_us\": {}}}",
+            "\"exploration_us\": {}, \"fixpoint_us\": {}, \"total_us\": {}, \
+             \"extract_us\": {}, \"minimize_us\": {}, \"print_us\": {}}}",
             timed.exploration_time.as_micros(),
             timed.fixpoint_time.as_micros(),
             timed.total_time().as_micros(),
+            timed.extraction_time.as_micros(),
+            row.minimize_time.as_micros(),
+            row.print_time.as_micros(),
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

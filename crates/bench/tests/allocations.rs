@@ -172,13 +172,14 @@ fn single_cover_hit_does_not_allocate() {
 }
 
 /// Allocations of one smart-light `A<> IUT.Bright` solve plus minimization
-/// are 907 since the strategy is recorded one state at a time and the
-/// minimizer borrows its input zones (debug and release builds alike).  They
-/// were 964 before that, 1 039 while the zone store also kept a minimal
-/// form of every zone and the graph copied the explorer's states, and
-/// 2 110 before the zone kernels stopped allocating.  The ceiling leaves
-/// about 10 % headroom.
-const SMALL_SOLVE_CEILING: u64 = 1_000;
+/// are 833 since a strategy stores each distinct rule list once and the
+/// minimizer works once per list (debug and release builds alike).  They
+/// were 907 before that, 964 before the strategy was recorded one state at
+/// a time and the minimizer borrowed its input zones, 1 039 while the zone
+/// store also kept a minimal form of every zone and the graph copied the
+/// explorer's states, and 2 110 before the zone kernels stopped allocating.
+/// The ceiling leaves about 10 % headroom.
+const SMALL_SOLVE_CEILING: u64 = 920;
 
 #[test]
 fn small_zoo_solve_and_minimize_stay_under_the_ceiling() {
@@ -240,20 +241,23 @@ fn post_solve_allocations(index: usize) -> (PostSolve, usize, usize) {
 
 /// Ceilings per post-solve phase (extraction / minimization / compilation /
 /// printing), about 5 % above the counts when they were set, debug and
-/// release builds alike: (safety) 58 244 / 17 576 / 26 269 / 2 and
-/// (reachability) 11 340 / 11 924 / 18 817 / 2.  Before extraction stopped
-/// cloning each rule's state and zone, the minimizer each input zone, the
-/// compiler its per-rule minimal forms and the printer growing its output,
-/// they were 126 984 / 33 284 / 137 109 / 19 and 17 839 / 14 821 / 66 753 /
-/// 18; any of those coming back breaks a ceiling.
+/// release builds alike: (safety) 47 876 / 5 241 / 5 440 / 2 and
+/// (reachability) 10 826 / 6 536 / 8 793 / 2, since a strategy stores each
+/// distinct rule list once and minimization, compilation and printing work
+/// once per list.  Before that they were 58 244 / 17 576 / 26 269 / 2 and
+/// 11 340 / 11 924 / 18 817 / 2; before extraction stopped cloning each
+/// rule's state and zone, the minimizer each input zone, the compiler its
+/// per-rule minimal forms and the printer growing its output, they were
+/// 126 984 / 33 284 / 137 109 / 19 and 17 839 / 14 821 / 66 753 / 18; any
+/// of those coming back breaks a ceiling.
 const POST_SOLVE_CEILINGS: [(usize, &str, PostSolve); 2] = [
     (
         3,
         "lep4 tp4 (safety)",
         PostSolve {
-            extract: 61_200,
-            minimize: 18_500,
-            compile: 27_600,
+            extract: 50_300,
+            minimize: 5_500,
+            compile: 5_720,
             print: 2,
         },
     ),
@@ -261,9 +265,9 @@ const POST_SOLVE_CEILINGS: [(usize, &str, PostSolve); 2] = [
         1,
         "lep4 tp2 (reachability)",
         PostSolve {
-            extract: 11_900,
-            minimize: 12_500,
-            compile: 19_800,
+            extract: 11_400,
+            minimize: 6_870,
+            compile: 9_240,
             print: 2,
         },
     ),

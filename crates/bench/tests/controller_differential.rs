@@ -160,6 +160,35 @@ fn minimized_and_compiled_controllers_answer_identically_across_the_zoo() {
     }
 }
 
+/// Every zoo strategy, minimized, is a fixpoint of one more minimization
+/// round: minimizing it again (one round per rule list, which merges
+/// nothing and so ends the loop) returns it unchanged.
+#[test]
+fn an_extra_minimization_round_changes_no_zoo_strategy() {
+    for instance in model_zoo() {
+        let engines: &[SolveEngine] = if instance.model == "lep4" {
+            &[SolveEngine::Otfur]
+        } else {
+            &[SolveEngine::Otfur, SolveEngine::Jacobi]
+        };
+        for &engine in engines {
+            let solution = solve(&instance.system, &instance.purpose, &engine_options(engine))
+                .expect("zoo instances solve");
+            let Some(strategy) = solution.strategy.as_ref() else {
+                continue;
+            };
+            let minimized = minimize_strategy(strategy);
+            assert_eq!(
+                minimize_strategy(&minimized),
+                minimized,
+                "{}/{} ({engine:?})",
+                instance.model,
+                instance.purpose_name
+            );
+        }
+    }
+}
+
 #[test]
 fn executor_runs_are_identical_under_interpreted_and_compiled_control() {
     let config = TestConfig {

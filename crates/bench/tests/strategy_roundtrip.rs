@@ -15,17 +15,21 @@
 //!
 //! The printer writes its tokens without `fmt`; on generated strategies it
 //! must match a `write!`-based reference printer kept here byte for byte.
+//! Generated strategies repeat rule lists across states, which the strategy
+//! stores once: printing, parsing and every query must still answer per
+//! state exactly as the lists that were added.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
-use tiga_dbm::{Bound, Dbm, MAX_CONSTANT};
+use tiga_dbm::{max_constant_for, Bound, Dbm};
 use tiga_model::{AutomatonId, ChannelId, DiscreteState, EdgeId, JointEdge, LocationId};
 use tiga_solver::{
     parse_strategy, print_controller, print_strategy, solve, CompiledController, Decision,
-    SolveEngine, SolveOptions, Strategy, StrategyRule, CONTROLLER_FORMAT_HEADER,
+    SolveEngine, SolveOptions, Strategy, StrategyDecision, StrategyRule, CONTROLLER_FORMAT_HEADER,
     STRATEGY_FORMAT_HEADER,
 };
 
@@ -142,6 +146,45 @@ fn checked_in_goldens_are_serializer_fixpoints() {
     );
 }
 
+#[test]
+fn strategies_at_the_largest_model_constants_roundtrip() {
+    // The coffee machine with every constant and the time bound scaled to
+    // the largest its two clocks and the bound's own clock allow.
+    let big = i64::from(max_constant_for(3));
+    let source = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg/coffee_machine.bounded.tg"),
+    )
+    .expect("the example is readable");
+    let scaled = source
+        .replace("x <= 12 }", &format!("x <= {big} }}"))
+        .replace("x <= 5 }", &format!("x <= {} }}", big - 7))
+        .replace("x < 10;", &format!("x < {};", big - 2))
+        .replace("x >= 10;", &format!("x >= {};", big - 2))
+        .replace("x >= 3;", &format!("x >= {};", big / 2))
+        .replace("z >= 1;", &format!("z >= {};", big / 3));
+    assert_eq!(scaled.matches(&big.to_string()).count(), 1);
+    let mut rules = 0;
+    for control in [
+        format!("control: A[]<={big} not Machine.Refunded"),
+        format!("control: A<><={big} Machine.Served"),
+    ] {
+        let text = scaled.replace("control: A[]<=30 not Machine.Refunded", &control);
+        assert_ne!(text, scaled, "the objective line is replaced");
+        let model = tiga_lang::parse_model(&text).unwrap_or_else(|e| panic!("{control}: {e}"));
+        let purpose = model.purpose.expect("the file has an objective");
+        for engine in SolveEngine::ALL {
+            let solution = solve(&model.system, &purpose, &options(engine, 1)).expect("solves");
+            let strategy = solution.strategy.as_ref();
+            rules += strategy.map_or(0, Strategy::rule_count);
+            let printed = print_strategy("ceiling", solution.winning_from_initial, strategy);
+            let parsed = parse_strategy(&printed)
+                .unwrap_or_else(|e| panic!("{control} ({}): {e}", engine.name()));
+            assert_eq!(parsed.strategy.as_ref(), strategy, "{control}");
+        }
+    }
+    assert!(rules > 0, "no objective produced a strategy");
+}
+
 /// The `tiga-strategy v1` printer as `write!` and the `Display` of
 /// [`Bound`] render it: the reference the token-writing printer must match.
 fn reference_print(
@@ -211,14 +254,14 @@ fn reference_print(
 }
 
 /// A canonical non-empty zone from random constraints with negative and
-/// positive constants.  One-clock zones also draw `±MAX_CONSTANT`: with more
-/// clocks, closure near the encoding ceiling derives bounds that no file
-/// can hold.
+/// positive constants, including the extremes `±max_constant_for(clocks)`
+/// that a model over this many clocks may use.
 fn random_zone(rng: &mut StdRng, dim: usize) -> Dbm {
     let mut zone = Dbm::universe(dim);
     if dim < 2 {
         return zone;
     }
+    let extreme = max_constant_for(dim - 1);
     for _ in 0..rng.gen_range(0..=2 * dim) {
         let i = rng.gen_range(0..dim);
         let j = rng.gen_range(0..dim);
@@ -226,8 +269,8 @@ fn random_zone(rng: &mut StdRng, dim: usize) -> Dbm {
             continue;
         }
         let m = match rng.gen_range(0..4) {
-            0 if dim == 2 => MAX_CONSTANT,
-            1 if dim == 2 => -MAX_CONSTANT,
+            0 => extreme,
+            1 => -extreme,
             _ => rng.gen_range(-120..=120),
         };
         let mut tighter = zone.clone();
@@ -255,11 +298,14 @@ fn random_decision(rng: &mut StdRng) -> Decision {
 }
 
 /// A random strategy: multi-digit location ids, negative variables, ranks
-/// up to `u32::MAX`, both joint-edge variants and extreme bounds.
-fn random_strategy(rng: &mut StdRng) -> Strategy {
+/// up to `u32::MAX`, both joint-edge variants and extreme bounds.  Many
+/// states repeat an earlier state's rule list, as extracted strategies do.
+/// Also returns each state's rules as added, the per-state reference.
+fn random_strategy(rng: &mut StdRng) -> (Strategy, Vec<(DiscreteState, Vec<StrategyRule>)>) {
     let dim = rng.gen_range(1..=4);
     let mut strategy = Strategy::new(dim);
-    for _ in 0..rng.gen_range(0..=6) {
+    let mut reference: Vec<(DiscreteState, Vec<StrategyRule>)> = Vec::new();
+    for _ in 0..rng.gen_range(0..=8) {
         let discrete = DiscreteState {
             locations: (0..rng.gen_range(1..=3))
                 .map(|_| LocationId::from_index(rng.gen_range(0..=1200)))
@@ -268,28 +314,124 @@ fn random_strategy(rng: &mut StdRng) -> Strategy {
                 .map(|_| rng.gen_range(-1000..=1000))
                 .collect(),
         };
-        let rules = (0..rng.gen_range(1..=4))
-            .map(|_| StrategyRule {
-                rank: if rng.gen_bool(0.1) {
-                    u32::MAX
-                } else {
-                    rng.gen_range(0..=40)
-                },
-                zone: random_zone(rng, dim),
-                decision: random_decision(rng),
-            })
-            .collect();
+        let rules: Vec<StrategyRule> = if !reference.is_empty() && rng.gen_bool(0.5) {
+            let (_, earlier) = &reference[rng.gen_range(0..reference.len())];
+            earlier.clone()
+        } else {
+            (0..rng.gen_range(1..=4))
+                .map(|_| StrategyRule {
+                    rank: if rng.gen_bool(0.1) {
+                        u32::MAX
+                    } else {
+                        rng.gen_range(0..=40)
+                    },
+                    zone: random_zone(rng, dim),
+                    decision: random_decision(rng),
+                })
+                .collect()
+        };
+        match reference.iter_mut().find(|(d, _)| *d == discrete) {
+            Some((_, list)) => list.extend(rules.iter().cloned()),
+            None => reference.push((discrete.clone(), rules.clone())),
+        }
         strategy.add_rules(discrete, rules);
     }
-    strategy
+    (strategy, reference)
+}
+
+/// The DBM point of tick-valued clocks (reference clock first).
+fn point(ticks: &[i64]) -> Vec<i64> {
+    std::iter::once(0).chain(ticks.iter().copied()).collect()
+}
+
+/// `rank_of` over one state's rules, straight from its definition.
+fn reference_rank(rules: &[StrategyRule], ticks: &[i64], scale: i64) -> Option<u32> {
+    rules
+        .iter()
+        .filter(|r| r.decision == Decision::Wait && r.zone.contains_at(&point(ticks), scale))
+        .map(|r| r.rank)
+        .min()
+}
+
+/// `decide` over one state's rules: the first lowest-rank containing take
+/// whose rank is at most the wait rank, otherwise wait.
+fn reference_decide<'a>(
+    rules: &'a [StrategyRule],
+    ticks: &[i64],
+    scale: i64,
+) -> Option<StrategyDecision<'a>> {
+    let rank = reference_rank(rules, ticks, scale)?;
+    let mut best: Option<&StrategyRule> = None;
+    for rule in rules {
+        if let Decision::Take(_) = rule.decision {
+            if rule.rank <= rank
+                && rule.zone.contains_at(&point(ticks), scale)
+                && best.is_none_or(|b| rule.rank < b.rank)
+            {
+                best = Some(rule);
+            }
+        }
+    }
+    Some(match best.map(|rule| &rule.decision) {
+        Some(Decision::Take(joint)) => StrategyDecision::Take(joint),
+        _ => StrategyDecision::Wait { rank },
+    })
+}
+
+/// `next_take_delay` over one state's rules: the earliest delay into a take
+/// whose rank is at most the wait rank.
+fn reference_next_take_delay(rules: &[StrategyRule], ticks: &[i64], scale: i64) -> Option<i64> {
+    let rank = reference_rank(rules, ticks, scale)?;
+    rules
+        .iter()
+        .filter(|r| matches!(r.decision, Decision::Take(_)) && r.rank <= rank)
+        .filter_map(|r| r.zone.delay_window_at(&point(ticks), scale)?.pick())
+        .min()
+}
+
+/// Valuations at and around every unary bound of the rules' zones, plus
+/// random ones, in ticks of `scale`.
+fn probe_valuations(
+    rng: &mut StdRng,
+    rules: &[StrategyRule],
+    dim: usize,
+    scale: i64,
+) -> Vec<Vec<i64>> {
+    let mut corners: Vec<i64> = vec![0];
+    for rule in rules {
+        for clock in 1..dim {
+            for bound in [rule.zone.at(clock, 0), rule.zone.at(0, clock)] {
+                if let Some(m) = bound.constant() {
+                    let at = i64::from(m).abs() * scale;
+                    corners.extend([at.saturating_sub(1).max(0), at, at + 1]);
+                }
+            }
+        }
+    }
+    let mut valuations: Vec<Vec<i64>> = corners
+        .iter()
+        .map(|&corner| vec![corner; dim - 1])
+        .collect();
+    for _ in 0..8 {
+        valuations.push(
+            (1..dim)
+                .map(|_| {
+                    corners[rng.gen_range(0..corners.len())] + rng.gen_range(-1..=1_i64).max(0)
+                })
+                .collect(),
+        );
+        valuations.push((1..dim).map(|_| rng.gen_range(0..=600)).collect());
+    }
+    valuations
 }
 
 #[test]
 fn printer_matches_the_fmt_reference_on_generated_strategies() {
     let mut rng = StdRng::seed_from_u64(0x000B_17E5);
     let mut seen = String::new();
+    let mut shared = 0;
     for case in 0..400 {
-        let strategy = random_strategy(&mut rng);
+        let (strategy, reference) = random_strategy(&mut rng);
         let winning = rng.gen_bool(0.5);
         let model = if case % 2 == 0 {
             "lep-4"
@@ -313,11 +455,39 @@ fn printer_matches_the_fmt_reference_on_generated_strategies() {
             reference_print(CONTROLLER_FORMAT_HEADER, model, winning, Some(&strategy)),
             "case {case}"
         );
+        // Shared rule lists answer every query as the per-state lists do.
+        assert_eq!(strategy.state_count(), reference.len(), "case {case}");
+        let distinct: HashSet<&[StrategyRule]> = reference
+            .iter()
+            .map(|(_, rules)| rules.as_slice())
+            .collect();
+        shared += reference.len() - distinct.len();
+        for (discrete, rules) in &reference {
+            assert_eq!(strategy.rules_for(discrete), Some(rules.as_slice()));
+            for ticks in probe_valuations(&mut rng, rules, strategy.dim(), 2) {
+                let label = format!("case {case}, ticks {ticks:?}");
+                assert_eq!(
+                    strategy.decide(discrete, &ticks, 2),
+                    reference_decide(rules, &ticks, 2),
+                    "{label}"
+                );
+                assert_eq!(
+                    strategy.rank_of(discrete, &ticks, 2),
+                    reference_rank(rules, &ticks, 2),
+                    "{label}"
+                );
+                assert_eq!(
+                    strategy.next_take_delay(discrete, &ticks, 2),
+                    reference_next_take_delay(rules, &ticks, 2),
+                    "{label}"
+                );
+            }
+        }
     }
-    // The generated cases cover what the printer must get right.
-    for token in [
-        format!("<={MAX_CONSTANT} "),
-        format!("<=-{MAX_CONSTANT} "),
+    assert!(shared > 200, "only {shared} states repeat a rule list");
+    // The generated cases cover what the printer must get right, extreme
+    // constants at every dimension included.
+    let mut tokens = vec![
         format!("rule {} ", u32::MAX),
         " -".to_string(),
         " take tau ".to_string(),
@@ -325,7 +495,13 @@ fn printer_matches_the_fmt_reference_on_generated_strategies() {
         " wait ".to_string(),
         " <-".to_string(),
         " <inf".to_string(),
-    ] {
+    ];
+    for clocks in 1..=3 {
+        let extreme = max_constant_for(clocks);
+        tokens.push(format!("<={extreme} "));
+        tokens.push(format!("<=-{extreme} "));
+    }
+    for token in tokens {
         assert!(seen.contains(&token), "no generated case prints `{token}`");
     }
     for winning in [true, false] {

@@ -38,6 +38,28 @@ pub struct Bound(i32);
 /// this.
 pub const MAX_CONSTANT: i32 = (i32::MAX / 4) - 1;
 
+/// Largest constant a model over `clocks` clocks may use, so that no zone
+/// built from its constraints ever leaves the encoding.
+///
+/// A finite entry of a canonical zone is a shortest path through at most
+/// `clocks` constraints, and [`crate::Dbm::constrain`] adds three entries
+/// before it compares, so every sum closure computes stays within
+/// `3 · clocks · limit <= MAX_CONSTANT`.  Beyond that, a sum can pass
+/// [`MAX_CONSTANT`]: it then reads as `∞` or as a constant no strategy file
+/// can hold, and which of several paths saturates first depends on the
+/// order the constraints arrived in.
+///
+/// ```
+/// use tiga_dbm::{max_constant_for, MAX_CONSTANT};
+/// assert_eq!(max_constant_for(1), MAX_CONSTANT / 3);
+/// assert_eq!(max_constant_for(0), max_constant_for(1));
+/// ```
+#[must_use]
+pub fn max_constant_for(clocks: usize) -> i32 {
+    let clocks = i32::try_from(clocks.max(1)).unwrap_or(i32::MAX);
+    MAX_CONSTANT / clocks.saturating_mul(3)
+}
+
 // Kept even so that `is_strict` reports `<` for the infinite bound.
 const INF_RAW: i32 = (i32::MAX / 2) & !1;
 

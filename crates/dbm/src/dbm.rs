@@ -13,6 +13,7 @@
 
 use crate::bound::Bound;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A clock zone represented as a canonical difference bound matrix.
 ///
@@ -31,7 +32,7 @@ use std::fmt;
 /// assert!(z.contains_scaled(&[0, 4, 2])); // x = 2, y = 1
 /// assert!(!z.contains_scaled(&[0, 12, 2])); // x = 6 violates x <= 5
 /// ```
-#[derive(PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dbm {
     dim: usize,
@@ -57,6 +58,22 @@ impl Clone for Dbm {
     fn clone_from(&mut self, source: &Self) {
         self.dim = source.dim;
         self.data.clone_from(&source.data);
+    }
+}
+
+impl Hash for Dbm {
+    /// Writes the dimension, then the bound matrix as one little-endian
+    /// byte run (one `write` per 64 bounds rather than one per bound).
+    /// Equal zones write equal bytes, so hashing agrees with `Eq`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.dim);
+        let mut bytes = [0u8; 4 * STACK_DIM * STACK_DIM];
+        for bounds in self.data.chunks(STACK_DIM * STACK_DIM) {
+            for (out, bound) in bytes.chunks_exact_mut(4).zip(bounds) {
+                out.copy_from_slice(&bound.raw().to_le_bytes());
+            }
+            state.write(&bytes[..4 * bounds.len()]);
+        }
     }
 }
 

@@ -47,7 +47,7 @@ mod hash;
 mod minimal;
 mod store;
 
-pub use bound::{Bound, MAX_CONSTANT};
+pub use bound::{max_constant_for, Bound, MAX_CONSTANT};
 pub use dbm::{Dbm, DelayWindow, DisplayZone, Relation};
 pub use federation::{zone_subtract, Coverage, Federation, REDUCE_THRESHOLD};
 pub use hash::StateHasher;

@@ -12,7 +12,9 @@
 //! * **compiled ≡ interpreted**: the compiled controller answers every
 //!   query identically to the strategy it was compiled from;
 //! * **roundtrip**: `parse_controller(print_controller(c)) ≡ c`, and the
-//!   printer is a fixpoint.
+//!   printer is a fixpoint;
+//! * **fixpoint**: one more round of the rewrites changes no minimized
+//!   strategy.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,6 +132,25 @@ fn minimization_preserves_every_decision() {
         shrunk_total.0 <= shrunk_total.1,
         "minimization must never grow strategies"
     );
+}
+
+/// Minimizing a minimized strategy runs one more round of the rewrites per
+/// rule list and stops there, because that round merges nothing; the
+/// result must equal its input.  This is the argument for ending the loop
+/// after the first round without a merge: such a round leaves the next one
+/// nothing to drop or merge.
+#[test]
+fn an_extra_minimization_round_changes_nothing() {
+    for (seed, want) in [(0x9000, 12), (0xA000, 10)] {
+        for (index, strategy) in solved_strategies(seed, want).iter().enumerate() {
+            let minimized = minimize_strategy(strategy);
+            assert_eq!(
+                minimize_strategy(&minimized),
+                minimized,
+                "strategy {index} of seed base {seed:#x}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -8,8 +8,8 @@
 use crate::ast::{AutomatonAst, ChannelKindAst, ConstraintAst, EdgeAst, FileAst, Spanned};
 use std::collections::HashMap;
 use tiga_model::{
-    AutomatonBuilder, ChannelId, ClockConstraint, ClockId, EdgeBuilder, LocationId, ModelError,
-    System, SystemBuilder,
+    AutomatonBuilder, ChannelId, ClockConstraint, ClockId, EdgeBuilder, Expr, LocationId,
+    ModelError, System, SystemBuilder,
 };
 use tiga_tctl::{LangError, Resolver, Span, TestPurpose, MAX_ARRAY_SIZE};
 
@@ -30,6 +30,8 @@ pub struct TgModel {
 struct Scope {
     clocks: HashMap<String, ClockId>,
     channels: HashMap<String, ChannelId>,
+    /// The largest clock constant the file may use (see [`constant_limit`]).
+    max_constant: i64,
 }
 
 impl Scope {
@@ -38,6 +40,24 @@ impl Scope {
             .get(&name.node)
             .copied()
             .ok_or_else(|| LangError::lower(format!("unknown clock `{}`", name.node), name.span))
+    }
+
+    /// Refuses a constant clock bound or reset value beyond
+    /// [`Scope::max_constant`]; bounds that read variables are checked when
+    /// they are evaluated.
+    fn check_constant(&self, value: &Expr, span: Span) -> Result<(), LangError> {
+        match value.as_constant() {
+            Some(m) if m.unsigned_abs() > self.max_constant.unsigned_abs() => {
+                Err(LangError::lower(
+                    format!(
+                        "clock constant {m} is too large: this model allows at most {}",
+                        self.max_constant
+                    ),
+                    span,
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 
     fn channel(&self, name: &Spanned<String>) -> Result<ChannelId, LangError> {
@@ -79,7 +99,19 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
     let mut scope = Scope {
         clocks: HashMap::new(),
         channels: HashMap::new(),
+        max_constant: constant_limit(file),
     };
+    if let Some(t) = file.control.as_ref().and_then(|c| c.bound.as_ref()) {
+        if t.node > scope.max_constant {
+            return Err(LangError::lower(
+                format!(
+                    "time bound {} is too large: this model allows at most {}",
+                    t.node, scope.max_constant
+                ),
+                t.span,
+            ));
+        }
+    }
 
     for clock in &file.clocks {
         let id = builder
@@ -152,6 +184,17 @@ pub fn lower_file(file: &FileAst) -> Result<TgModel, LangError> {
         Some(control) => Some(control.resolve(&system)?),
     };
     Ok(TgModel { system, purpose })
+}
+
+/// The largest clock constant (and time bound) of a file: the encoding's
+/// limit for its clocks, counting the clock a time bound adds
+/// ([`tiga_model::max_constant_for`]).  Beyond it, the zones of a solve can
+/// saturate, and their strategy files would not parse back.
+fn constant_limit(file: &FileAst) -> i64 {
+    let bounded = file.control.as_ref().is_some_and(|c| c.bound.is_some());
+    i64::from(tiga_model::max_constant_for(
+        file.clocks.len() + usize::from(bounded),
+    ))
 }
 
 fn lower_automaton(
@@ -236,7 +279,11 @@ fn lower_edge(
         let clock = scope.clock(&reset.clock)?;
         b = match &reset.value {
             None => b.reset(clock),
-            Some(value) => b.reset_to(clock, resolver.expr(value)?),
+            Some(value) => {
+                let value_expr = resolver.expr(value)?;
+                scope.check_constant(&value_expr, value.span)?;
+                b.reset_to(clock, value_expr)
+            }
         };
     }
     for update in &edge.updates {
@@ -260,6 +307,7 @@ fn lower_constraint(
 ) -> Result<ClockConstraint, LangError> {
     let left = scope.clock(&c.left)?;
     let bound = resolver.expr(&c.bound)?;
+    scope.check_constant(&bound, c.bound.span)?;
     Ok(match &c.minus {
         None => ClockConstraint::new(left, c.op, bound),
         Some(minus) => ClockConstraint::diff(left, scope.clock(minus)?, c.op, bound),

@@ -154,6 +154,28 @@ fn spans_single_out_the_right_source_text() {
 }
 
 #[test]
+fn clock_constants_beyond_the_ceiling_point_at_the_literal() {
+    for (file, literal) in [
+        ("clock_constant_beyond_ceiling.tg", "89478486"),
+        ("time_bound_beyond_ceiling.tg", "89478486"),
+        ("reset_beyond_ceiling.tg", "178956971"),
+    ] {
+        let source = std::fs::read_to_string(corpus_dir().join(file)).unwrap();
+        let err = parse_model(&source).unwrap_err();
+        assert_eq!(
+            &source[err.span.start..err.span.end],
+            literal,
+            "{file}: {err}"
+        );
+        assert!(err.message.contains("too large"), "{file}: {err}");
+        // One less is the largest constant the model may use.
+        let smaller = (literal.parse::<i64>().unwrap() - 1).to_string();
+        let fits = source.replace(literal, &smaller);
+        assert!(parse_model(&fits).is_ok(), "{file} with {smaller}");
+    }
+}
+
+#[test]
 fn objective_diagnostics_point_at_the_offender() {
     let source =
         std::fs::read_to_string(corpus_dir().join("unresolved_objective_name.tg")).unwrap();

@@ -84,5 +84,5 @@ pub use ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
 pub use liveness::Liveness;
 pub use symbolic::{DiscreteState, DisplayDiscreteState, JointEdge, SymbolicState};
 pub use system::System;
-pub use tiga_dbm::MAX_CONSTANT;
+pub use tiga_dbm::{max_constant_for, MAX_CONSTANT};
 pub use tiots::{ConcreteState, EdgeRef, Interpreter};

@@ -25,7 +25,10 @@
 //!   one binary search, so `decide`/`rank_of` only visit rules whose pivot
 //!   window can contain the value;
 //! * queries never allocate: the reference clock is handled positionally
-//!   instead of materializing the `dbm_point` vector.
+//!   instead of materializing the `dbm_point` vector;
+//! * states that share a rule list (one [`Strategy`] block) share one
+//!   compiled program: the state map points each state at its block's
+//!   program, so compilation runs once per distinct list.
 //!
 //! Every answer is pinned identical to the interpreted strategy by the
 //! differential suites (`crates/bench/tests/controller_differential.rs`,
@@ -344,7 +347,7 @@ impl CompiledController {
 
     /// Compiles a strategy that is already minimized (or that the caller
     /// wants compiled as-is — minimization is an optimization, never a
-    /// semantic requirement).
+    /// semantic requirement).  One program is built per distinct rule list.
     #[must_use]
     pub fn from_minimized(strategy: Strategy) -> Self {
         let dim = strategy.dim();
@@ -352,71 +355,77 @@ impl CompiledController {
             strategy.state_count(),
             BuildHasherDefault::default(),
         );
-        let mut programs = Vec::with_capacity(strategy.state_count());
-        // Buffers reused across every rule and state; each state keeps an
+        let mut programs = Vec::new();
+        // Source block -> its program: states that share a rule list share
+        // one compiled program.
+        let mut compiled: Vec<Option<u32>> = vec![None; strategy.block_slots()];
+        // Buffers reused across every rule and block; each program keeps an
         // exact-size copy of its arena and cuts.
         let mut minimal: Vec<MinimalConstraint> = Vec::new();
         let mut constants: Vec<i32> = Vec::new();
         let mut arena: Vec<CompiledConstraint> = Vec::new();
         let mut waits: Vec<(u32, &StrategyRule)> = Vec::new();
         let mut takes: Vec<(u32, &StrategyRule)> = Vec::new();
-        for (discrete, rules) in strategy.iter() {
-            // Sorting by (rank, extraction order) keeps the extraction order
-            // within a rank, which `decide`'s first-in-order tie-break
-            // depends on.
-            waits.clear();
-            takes.clear();
-            for (order, rule) in rules.iter().enumerate() {
-                match rule.decision {
-                    Decision::Wait => waits.push((order as u32, rule)),
-                    Decision::Take(_) => takes.push((order as u32, rule)),
+        for (discrete, block) in strategy.state_blocks() {
+            let program = *compiled[block as usize].get_or_insert_with(|| {
+                let rules = strategy.block(block);
+                // Sorting by (rank, extraction order) keeps the extraction
+                // order within a rank, which `decide`'s first-in-order
+                // tie-break depends on.
+                waits.clear();
+                takes.clear();
+                for (order, rule) in rules.iter().enumerate() {
+                    match rule.decision {
+                        Decision::Wait => waits.push((order as u32, rule)),
+                        Decision::Take(_) => takes.push((order as u32, rule)),
+                    }
                 }
-            }
-            waits.sort_unstable_by_key(|(order, rule)| (rule.rank, *order));
-            takes.sort_unstable_by_key(|(order, rule)| (rule.rank, *order));
-            arena.clear();
-            let mut lower = |list: &[(u32, &StrategyRule)]| -> Vec<CompiledRule> {
-                list.iter()
-                    .map(|(_, rule)| {
-                        let lo = arena.len() as u32;
-                        minimal.clear();
-                        rule.zone.push_minimal_constraints(&mut minimal);
-                        arena.extend(minimal.iter().filter_map(CompiledConstraint::decode));
-                        CompiledRule {
-                            rank: rule.rank,
-                            lo,
-                            hi: arena.len() as u32,
-                        }
+                waits.sort_unstable_by_key(|(order, rule)| (rule.rank, *order));
+                takes.sort_unstable_by_key(|(order, rule)| (rule.rank, *order));
+                arena.clear();
+                let mut lower = |list: &[(u32, &StrategyRule)]| -> Vec<CompiledRule> {
+                    list.iter()
+                        .map(|(_, rule)| {
+                            let lo = arena.len() as u32;
+                            minimal.clear();
+                            rule.zone.push_minimal_constraints(&mut minimal);
+                            arena.extend(minimal.iter().filter_map(CompiledConstraint::decode));
+                            CompiledRule {
+                                rank: rule.rank,
+                                lo,
+                                hi: arena.len() as u32,
+                            }
+                        })
+                        .collect()
+                };
+                let lowered_waits = lower(&waits);
+                let lowered_takes = lower(&takes);
+                let take_edges: Vec<JointEdge> = takes
+                    .iter()
+                    .map(|(_, rule)| match &rule.decision {
+                        Decision::Take(je) => je.clone(),
+                        Decision::Wait => unreachable!("takes only holds Take rules"),
                     })
-                    .collect()
-            };
-            let lowered_waits = lower(&waits);
-            let lowered_takes = lower(&takes);
-            let take_edges: Vec<JointEdge> = takes
-                .iter()
-                .map(|(_, rule)| match &rule.decision {
-                    Decision::Take(je) => je.clone(),
-                    Decision::Wait => unreachable!("takes only holds Take rules"),
-                })
-                .collect();
-            let pivot = choose_pivot(dim, rules, &mut constants);
-            let cuts = collect_cuts(pivot, rules, &mut constants);
-            let (wait_offsets, wait_items) = segment_index(pivot, &cuts, &waits);
-            let (take_offsets, take_items) = segment_index(pivot, &cuts, &takes);
-            let program = StateProgram {
-                arena: arena.clone(),
-                waits: lowered_waits,
-                takes: lowered_takes,
-                take_edges,
-                pivot,
-                cuts,
-                wait_offsets,
-                wait_items,
-                take_offsets,
-                take_items,
-            };
-            states.insert(discrete.clone(), programs.len() as u32);
-            programs.push(program);
+                    .collect();
+                let pivot = choose_pivot(dim, rules, &mut constants);
+                let cuts = collect_cuts(pivot, rules, &mut constants);
+                let (wait_offsets, wait_items) = segment_index(pivot, &cuts, &waits);
+                let (take_offsets, take_items) = segment_index(pivot, &cuts, &takes);
+                programs.push(StateProgram {
+                    arena: arena.clone(),
+                    waits: lowered_waits,
+                    takes: lowered_takes,
+                    take_edges,
+                    pivot,
+                    cuts,
+                    wait_offsets,
+                    wait_items,
+                    take_offsets,
+                    take_items,
+                });
+                (programs.len() - 1) as u32
+            });
+            states.insert(discrete.clone(), program);
         }
         CompiledController {
             source: strategy,
@@ -431,10 +440,11 @@ impl CompiledController {
         &self.source
     }
 
-    /// Number of compiled discrete states.
+    /// Number of compiled discrete states (states that share a rule list
+    /// share one program, so there may be fewer programs).
     #[must_use]
     pub fn state_count(&self) -> usize {
-        self.programs.len()
+        self.states.len()
     }
 
     /// Number of rules in the minimized source strategy.

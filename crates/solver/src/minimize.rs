@@ -42,7 +42,13 @@
 //! Every rewrite is checked against the rule set *as currently retained* and
 //! preserves the three query functions exactly, so any sequence of rewrites
 //! composes soundly; each one strictly shrinks the rule count or grows a
-//! zone to a fixed hull, so the fixpoint loop terminates.
+//! zone to a fixed hull, so the fixpoint loop terminates.  The loop ends
+//! after the first round that merges nothing: such a round leaves the next
+//! one nothing to do (see `minimize_state`).
+//!
+//! The rewrites only read a state's own rule list, so they run once per
+//! distinct list (a [`Strategy`] block): every state that shares a list
+//! points at the one minimized block of the output.
 
 use crate::strategy::{Decision, Strategy, StrategyRule};
 use std::borrow::Cow;
@@ -65,6 +71,10 @@ pub fn minimize_strategy(strategy: &Strategy) -> Strategy {
 }
 
 /// [`minimize_strategy`], also returning the before/after rule counts.
+///
+/// Each distinct rule list (block) of the input is minimized once; every
+/// state that shares it then points at the one minimized block, so no rule
+/// is copied per state.
 #[must_use]
 pub fn minimize_strategy_with_report(strategy: &Strategy) -> (Strategy, MinimizeReport) {
     let mut out = Strategy::with_capacity(strategy.dim(), strategy.state_count());
@@ -76,18 +86,22 @@ pub fn minimize_strategy_with_report(strategy: &Strategy) -> (Strategy, Minimize
         coverage: Coverage::default(),
         hull: Dbm::universe(strategy.dim()),
     };
-    for (discrete, rules) in strategy.iter() {
-        let minimized = minimize_state(rules, &mut scratch);
-        report.rules_after += minimized.len();
-        let minimized = minimized
-            .into_iter()
-            .map(|rule| StrategyRule {
-                rank: rule.rank,
-                zone: rule.zone.into_owned(),
-                decision: rule.decision.clone(),
-            })
-            .collect();
-        out.add_rules(discrete.clone(), minimized);
+    // Input block -> minimized block of `out`.
+    let mut minimized: Vec<Option<u32>> = vec![None; strategy.block_slots()];
+    for (discrete, block) in strategy.state_blocks() {
+        let target = *minimized[block as usize].get_or_insert_with(|| {
+            let rules = minimize_state(strategy.block(block), &mut scratch)
+                .into_iter()
+                .map(|rule| StrategyRule {
+                    rank: rule.rank,
+                    zone: rule.zone.into_owned(),
+                    decision: rule.decision.clone(),
+                })
+                .collect();
+            out.intern_block(rules)
+        });
+        report.rules_after += out.block(target).len();
+        out.insert_state(discrete.clone(), target);
     }
     (out, report)
 }
@@ -107,7 +121,17 @@ struct Scratch {
     hull: Dbm,
 }
 
-/// Runs the three rewrites over one state's rules until nothing changes.
+/// Runs the three rewrites over one state's rules until a round merges
+/// nothing.
+///
+/// A round without a merge leaves the next round nothing to do.  After a
+/// drop pass, no retained rule is covered: each was checked against the
+/// rules retained at its turn, later drops only shrink that cover set, and
+/// coverage is monotone in the cover set.  Wait drops and take drops never
+/// touch each other's class, so the take pass cannot uncover a wait.  With
+/// no merge, the next round would start from the very rules these drop
+/// passes left, drop none of them, and then meet the same rule set that
+/// this round's merge pass already found nothing to merge in.
 fn minimize_state<'a>(rules: &'a [StrategyRule], scratch: &mut Scratch) -> Vec<Working<'a>> {
     let mut rules: Vec<Working<'a>> = rules
         .iter()
@@ -118,11 +142,9 @@ fn minimize_state<'a>(rules: &'a [StrategyRule], scratch: &mut Scratch) -> Vec<W
         })
         .collect();
     loop {
-        let before = rules.len();
         drop_subsumed(&mut rules, Class::Wait, &mut scratch.coverage);
         drop_subsumed(&mut rules, Class::Take, &mut scratch.coverage);
-        let merged = merge_exact_unions(&mut rules, scratch);
-        if rules.len() == before && !merged {
+        if !merge_exact_unions(&mut rules, scratch) {
             return rules;
         }
     }

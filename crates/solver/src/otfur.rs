@@ -220,8 +220,7 @@ impl Search<'_> {
             if !seed.is_empty() {
                 let before = self.win[node].len();
                 self.mem.dbm_clones += 1;
-                self.recorder
-                    .goal_wait(&self.graph.state(node).discrete, &seed);
+                self.recorder.goal_wait(node, &seed);
                 self.win[node].add_zone(seed);
                 self.win_total = self.win_total + self.win[node].len() - before;
                 self.wake_dependents(node);
@@ -431,7 +430,7 @@ impl Search<'_> {
     ) {
         self.revision = self.revision.saturating_add(1);
         self.recorder.growth(
-            &self.graph.state(node).discrete,
+            node,
             self.revision,
             &self.win[node],
             &new_win,
@@ -465,7 +464,7 @@ impl Search<'_> {
         let graph = graph.finish(&mut mem);
         let outcome = EngineOutcome {
             winning: win,
-            strategy: recorder.into_strategy(),
+            strategy: recorder.into_strategy(&graph),
             iterations: pops,
             subsumed_zones,
             pruned_evaluations,

@@ -31,6 +31,14 @@
 //! which the solver already guarantees is identical for any thread count.
 //! Ids are raw indices (`LocationId::index` etc.); a strategy file is only
 //! meaningful against the system it was extracted from.
+//!
+//! The format is per state, but a [`Strategy`] stores each distinct rule
+//! list once: the printer renders a list's `rule` lines the first time a
+//! state that uses it is printed and copies those bytes for every later
+//! one, and the parser interns each state's list as it closes, so a file's
+//! repeated lists are stored once again.  Zone constants stay inside the
+//! encoding because `.tg` models are limited to
+//! [`tiga_dbm::max_constant_for`] their clock count.
 
 use crate::strategy::{Decision, Strategy, StrategyRule};
 use tiga_dbm::{Bound, Dbm};
@@ -72,7 +80,9 @@ pub fn print_strategy(model: &str, winning: bool, strategy: Option<&Strategy>) -
 ///
 /// Tokens are written straight into one byte buffer sized up front:
 /// integers through [`push_uint`]/[`push_int`], bounds through
-/// [`push_bound`], no `fmt` machinery.
+/// [`push_bound`], no `fmt` machinery.  A block's rule lines are rendered
+/// the first time a state that uses it is printed; every later state with
+/// the same block copies those bytes.
 #[must_use]
 pub(crate) fn print_with_header(
     header: &str,
@@ -86,19 +96,34 @@ pub(crate) fn print_with_header(
         out.extend_from_slice(b"strategy none\nend\n");
         return into_string(out);
     };
-    let mut states: Vec<(&DiscreteState, &[StrategyRule])> = strategy.iter().collect();
+    // One scratch vector: a slot per block, then the states to print.
+    let blocks = strategy.block_slots();
+    let packing = Packing::of(strategy);
+    let mut slots: Vec<Slot<'_>> = Vec::with_capacity(blocks + strategy.state_count());
+    slots.resize_with(blocks, || Slot::Block(None));
+    slots.extend(strategy.state_blocks().map(|(discrete, block)| {
+        let key = packing.as_ref().map_or(0, |p| p.key(discrete));
+        Slot::State(discrete, block, key)
+    }));
+    let (printed, states) = slots.split_at_mut(blocks);
     // States are distinct, so the unstable sort is deterministic.
-    states.sort_unstable_by(|(a, _), (b, _)| {
-        a.locations
-            .cmp(&b.locations)
-            .then_with(|| a.vars.cmp(&b.vars))
-    });
-    let mut out = Vec::with_capacity(printed_size_hint(header, model, strategy.dim(), &states));
+    if packing.is_some() {
+        states.sort_unstable_by_key(|slot| slot.key());
+    } else {
+        states.sort_unstable_by(|a, b| {
+            let (a, b) = (a.state().0, b.state().0);
+            a.locations
+                .cmp(&b.locations)
+                .then_with(|| a.vars.cmp(&b.vars))
+        });
+    }
+    let mut out = Vec::with_capacity(printed_size_hint(header, model, strategy, states));
     push_preamble(&mut out, header, model, winning);
     out.extend_from_slice(b"dim ");
     push_uint(&mut out, strategy.dim() as u64);
     out.push(b'\n');
-    for (discrete, rules) in states {
+    for slot in states.iter() {
+        let (discrete, block) = slot.state();
         out.extend_from_slice(b"state");
         for loc in &discrete.locations {
             out.push(b' ');
@@ -110,45 +135,139 @@ pub(crate) fn print_with_header(
             push_int(&mut out, var);
         }
         out.push(b'\n');
-        for rule in rules {
-            out.extend_from_slice(b"rule ");
-            push_uint(&mut out, u64::from(rule.rank));
-            match &rule.decision {
-                Decision::Wait => out.extend_from_slice(b" wait"),
-                Decision::Take(JointEdge::Internal { automaton, edge }) => {
-                    out.extend_from_slice(b" take tau");
-                    push_ids(&mut out, &[automaton.index(), edge.index()]);
-                }
-                Decision::Take(JointEdge::Sync {
-                    channel,
-                    output,
-                    input,
-                }) => {
-                    out.extend_from_slice(b" take sync");
-                    push_ids(
-                        &mut out,
-                        &[
-                            channel.index(),
-                            output.0.index(),
-                            output.1.index(),
-                            input.0.index(),
-                            input.1.index(),
-                        ],
-                    );
-                }
+        let Slot::Block(lines) = &mut printed[block as usize] else {
+            unreachable!("the first slots are the blocks'")
+        };
+        match lines {
+            Some((start, end)) => out.extend_from_within(*start..*end),
+            None => {
+                let start = out.len();
+                push_rules(&mut out, strategy.block(block));
+                *lines = Some((start, out.len()));
             }
-            let dim = rule.zone.dim();
-            for i in 0..dim {
-                for j in 0..dim {
-                    out.push(b' ');
-                    push_bound(&mut out, rule.zone.at(i, j));
-                }
-            }
-            out.push(b'\n');
         }
     }
     out.extend_from_slice(b"end\n");
     into_string(out)
+}
+
+/// An entry of the printer's scratch vector.
+enum Slot<'a> {
+    /// Where a block's rule lines were first written, once they were.
+    Block(Option<(usize, usize)>),
+    /// A state to print, its block and its [`Packing`] key.
+    State(&'a DiscreteState, u32, u128),
+}
+
+impl<'a> Slot<'a> {
+    fn state(&self) -> (&'a DiscreteState, u32) {
+        match *self {
+            Slot::State(discrete, block, _) => (discrete, block),
+            Slot::Block(_) => unreachable!("the last slots are the states'"),
+        }
+    }
+
+    fn key(&self) -> u128 {
+        match *self {
+            Slot::State(_, _, key) => key,
+            Slot::Block(_) => unreachable!("the last slots are the states'"),
+        }
+    }
+}
+
+/// The print order of states — locations, then variables — packed into one
+/// integer per state, so the sort compares integers instead of two vectors.
+/// It exists when every state has the same number of locations and of
+/// variables and all of them fit in 128 bits at fixed widths: then the
+/// fields, most significant first, order the keys exactly as the vectors.
+struct Packing {
+    location_bits: u32,
+    var_bits: u32,
+    var_min: i64,
+}
+
+impl Packing {
+    fn of(strategy: &Strategy) -> Option<Packing> {
+        let mut shape = None;
+        let (mut location_max, mut var_min, mut var_max) = (0, i64::MAX, i64::MIN);
+        for (discrete, _) in strategy.state_blocks() {
+            let lengths = (discrete.locations.len(), discrete.vars.len());
+            if *shape.get_or_insert(lengths) != lengths {
+                return None;
+            }
+            for location in &discrete.locations {
+                location_max = location_max.max(location.index());
+            }
+            for &var in &discrete.vars {
+                var_min = var_min.min(var);
+                var_max = var_max.max(var);
+            }
+        }
+        let (locations, vars) = shape?;
+        let bits = |span: u128| u128::BITS - span.leading_zeros();
+        let location_bits = bits(location_max as u128);
+        let var_bits = if vars == 0 {
+            0
+        } else {
+            bits((i128::from(var_max) - i128::from(var_min)) as u128)
+        };
+        let total =
+            locations as u128 * u128::from(location_bits) + vars as u128 * u128::from(var_bits);
+        (total <= 128).then_some(Packing {
+            location_bits,
+            var_bits,
+            var_min,
+        })
+    }
+
+    fn key(&self, discrete: &DiscreteState) -> u128 {
+        let key = discrete.locations.iter().fold(0u128, |key, location| {
+            key << self.location_bits | location.index() as u128
+        });
+        discrete.vars.iter().fold(key, |key, &var| {
+            key << self.var_bits | (i128::from(var) - i128::from(self.var_min)) as u128
+        })
+    }
+}
+
+/// Writes one `rule` line per rule.
+fn push_rules(out: &mut Vec<u8>, rules: &[StrategyRule]) {
+    for rule in rules {
+        out.extend_from_slice(b"rule ");
+        push_uint(out, u64::from(rule.rank));
+        match &rule.decision {
+            Decision::Wait => out.extend_from_slice(b" wait"),
+            Decision::Take(JointEdge::Internal { automaton, edge }) => {
+                out.extend_from_slice(b" take tau");
+                push_ids(out, &[automaton.index(), edge.index()]);
+            }
+            Decision::Take(JointEdge::Sync {
+                channel,
+                output,
+                input,
+            }) => {
+                out.extend_from_slice(b" take sync");
+                push_ids(
+                    out,
+                    &[
+                        channel.index(),
+                        output.0.index(),
+                        output.1.index(),
+                        input.0.index(),
+                        input.1.index(),
+                    ],
+                );
+            }
+        }
+        let dim = rule.zone.dim();
+        for i in 0..dim {
+            for j in 0..dim {
+                out.push(b' ');
+                push_bound(out, rule.zone.at(i, j));
+            }
+        }
+        out.push(b'\n');
+    }
 }
 
 /// The printed bytes as text: the model name is the only non-ASCII input,
@@ -172,20 +291,17 @@ fn push_preamble(out: &mut Vec<u8>, header: &str, model: &str, winning: bool) {
 /// An upper estimate of the printed length, so the output buffer is
 /// allocated once: a bound token takes at most 7 bytes for the constants
 /// that occur in practice, an id or variable at most 11.
-fn printed_size_hint(
-    header: &str,
-    model: &str,
-    dim: usize,
-    states: &[(&DiscreteState, &[StrategyRule])],
-) -> usize {
-    let per_rule = 48 + dim * dim * 8;
+fn printed_size_hint(header: &str, model: &str, strategy: &Strategy, states: &[Slot<'_>]) -> usize {
+    let per_rule = 48 + strategy.dim() * strategy.dim() * 8;
     header.len()
         + model.len()
         + 64
         + states
             .iter()
-            .map(|(discrete, rules)| {
-                8 + 12 * (discrete.locations.len() + discrete.vars.len()) + per_rule * rules.len()
+            .map(|slot| {
+                let (discrete, block) = slot.state();
+                8 + 12 * (discrete.locations.len() + discrete.vars.len())
+                    + per_rule * strategy.block(block).len()
             })
             .sum::<usize>()
 }
@@ -293,11 +409,17 @@ pub(crate) fn parse_with_header(expected: &str, text: &str) -> Result<StrategyFi
         .filter(|d| *d >= 1)
         .ok_or_else(|| format!("line {}: expected `dim <n>` or `strategy none`", n + 1))?;
     let mut strategy = Strategy::new(dim);
+    // The state being read and its rules so far; each state's list is
+    // interned when the next `state` line or `end` closes it.
     let mut current: Option<DiscreteState> = None;
+    let mut rules: Vec<StrategyRule> = Vec::new();
     while let Some((n, line)) = lines.next() {
         let line_no = n + 1;
         let line = line.trim_end();
         if line == "end" {
+            if let Some(discrete) = current.take() {
+                strategy.add_rules_from(discrete, &rules);
+            }
             finish(lines)?;
             return Ok(StrategyFile {
                 model,
@@ -306,13 +428,16 @@ pub(crate) fn parse_with_header(expected: &str, text: &str) -> Result<StrategyFi
             });
         }
         if let Some(rest) = line.strip_prefix("state ") {
-            current = Some(parse_state(line_no, rest)?);
+            let next = parse_state(line_no, rest)?;
+            if let Some(discrete) = current.replace(next) {
+                strategy.add_rules_from(discrete, &rules);
+            }
+            rules.clear();
         } else if let Some(rest) = line.strip_prefix("rule ") {
-            let discrete = current
-                .clone()
-                .ok_or_else(|| format!("line {line_no}: `rule` before any `state`"))?;
-            let rule = parse_rule(line_no, rest, dim)?;
-            strategy.add_rule(discrete, rule);
+            if current.is_none() {
+                return Err(format!("line {line_no}: `rule` before any `state`"));
+            }
+            rules.push(parse_rule(line_no, rest, dim)?);
         } else {
             return Err(format!(
                 "line {line_no}: expected `state`, `rule` or `end`, got `{line}`"

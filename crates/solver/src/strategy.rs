@@ -8,15 +8,31 @@
 //! strictly-lower-rank part of the winning set, and every prescribed wait is
 //! justified by an eventual action, a rank decrease by pure delay, or an
 //! opponent move forced by an invariant.
+//!
+//! # What a strategy stores
+//!
+//! Many discrete states carry the very same rule list: lep4.tp4's 2 387
+//! strategy states have 73 distinct lists, lep5 tp4's 35 154 have 111.  A
+//! [`Strategy`] therefore keeps each distinct list once, as a *block*, and
+//! maps every state to a block index (the compact-storage idea of Larsen,
+//! Larsson, Pettersson and Yi, RTSS 1997).  Producers intern a state's
+//! finished list; minimization, controller compilation and printing work
+//! once per block and relabel the states.  Blocks are indexed by a randomly
+//! keyed `SipHash` of their contents, because strategies are built from the
+//! models untrusted `tiga serve` clients send.  Block numbering is never
+//! observable: equality, iteration, `rule_count` and every printed byte are
+//! per state.
 
-use std::collections::hash_map::Entry;
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
-use tiga_dbm::Dbm;
+use std::hash::{BuildHasher, BuildHasherDefault};
+use tiga_dbm::{Dbm, StateHasher};
 use tiga_model::{DiscreteState, JointEdge, System};
 
 /// What the tester should do in a region of a discrete state.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Immediately take this controllable joint edge (send the input).
     Take(JointEdge),
@@ -26,7 +42,7 @@ pub enum Decision {
 
 /// One rule of a state-based strategy: inside `zone`, the given decision is
 /// sound and leads toward the goal.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StrategyRule {
     /// Fixpoint round at which this region was justified (lower is closer to
     /// the goal).
@@ -49,16 +65,115 @@ pub enum StrategyDecision<'a> {
     },
 }
 
+/// One distinct rule list and the bookkeeping of the block index.
+#[derive(Clone, Debug)]
+struct Block {
+    rules: Vec<StrategyRule>,
+    /// The keyed hash of `rules` under which the block is indexed.
+    hash: u64,
+    /// How many states point at this block; a block no state uses is a free
+    /// slot (empty `rules`, out of the index) that the next new list reuses.
+    users: u32,
+    /// The previously indexed block with the same hash, if any.
+    next_same_hash: Option<u32>,
+}
+
+/// The distinct rule lists of a strategy, indexed by their contents.
+#[derive(Clone, Default)]
+struct Blocks {
+    slots: Vec<Block>,
+    /// Block hash -> the latest block with that hash; earlier ones follow
+    /// through [`Block::next_same_hash`] (collisions resolved by equality).
+    index: HashMap<u64, u32, BuildHasherDefault<StateHasher>>,
+    /// The randomly keyed `SipHash` behind the block hashes.
+    hasher: RandomState,
+    /// Slots of blocks no state uses any more.
+    free: Vec<u32>,
+}
+
+impl Blocks {
+    /// Returns the block holding `rules`, copying a borrowed list only when
+    /// no block holds it yet; a new block takes a free slot when there is
+    /// one.
+    fn intern(&mut self, rules: Cow<'_, [StrategyRule]>) -> u32 {
+        let hash = self.hasher.hash_one(&*rules);
+        let head = self.index.get(&hash).copied();
+        let mut candidate = head;
+        while let Some(c) = candidate {
+            let block = &self.slots[c as usize];
+            if block.rules == *rules {
+                return c;
+            }
+            candidate = block.next_same_hash;
+        }
+        let block = Block {
+            rules: rules.into_owned(),
+            hash,
+            users: 0,
+            next_same_hash: head,
+        };
+        let id = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = block;
+                slot
+            }
+            None => {
+                self.slots.push(block);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(hash, id);
+        id
+    }
+
+    /// Takes the rules out of a block whose last user leaves it, unlinks
+    /// the block from the index and frees its slot.
+    fn release(&mut self, id: u32) -> Vec<StrategyRule> {
+        let block = &mut self.slots[id as usize];
+        let (hash, next) = (block.hash, block.next_same_hash.take());
+        block.users = 0;
+        let rules = std::mem::take(&mut block.rules);
+        let head = self
+            .index
+            .get_mut(&hash)
+            .expect("an indexed block's hash is in the index");
+        if *head == id {
+            match next {
+                Some(next) => *head = next,
+                None => {
+                    self.index.remove(&hash);
+                }
+            }
+        } else {
+            let mut at = *head;
+            while self.slots[at as usize].next_same_hash != Some(id) {
+                at = self.slots[at as usize]
+                    .next_same_hash
+                    .expect("an indexed block is on its hash's chain");
+            }
+            self.slots[at as usize].next_same_hash = next;
+        }
+        self.free.push(id);
+        rules
+    }
+}
+
 /// A state-based winning strategy (the paper's Definition 6, restricted to
 /// the winning states).
 ///
+/// Each distinct rule list is stored once as a block that every state with
+/// that list shares (a state then holds only the block's index).
+///
 /// Equality is structural — same dimension, same states, same rules in the
-/// same order — which is what the serialization roundtrip
-/// (`parse_strategy(print_strategy(s)) == s`) pins.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// same order per state — which is what the serialization roundtrip
+/// (`parse_strategy(print_strategy(s)) == s`) pins; how the lists are
+/// shared does not enter it.
+#[derive(Clone, Default)]
 pub struct Strategy {
     dim: usize,
-    entries: HashMap<DiscreteState, Vec<StrategyRule>>,
+    /// Discrete state -> index into `blocks`.
+    states: HashMap<DiscreteState, u32>,
+    blocks: Blocks,
 }
 
 impl Strategy {
@@ -67,7 +182,7 @@ impl Strategy {
     pub fn new(dim: usize) -> Self {
         Strategy {
             dim,
-            entries: HashMap::new(),
+            ..Strategy::default()
         }
     }
 
@@ -76,7 +191,8 @@ impl Strategy {
     pub(crate) fn with_capacity(dim: usize, states: usize) -> Self {
         Strategy {
             dim,
-            entries: HashMap::with_capacity(states),
+            states: HashMap::with_capacity(states),
+            ..Strategy::default()
         }
     }
 
@@ -86,52 +202,117 @@ impl Strategy {
         self.dim
     }
 
-    /// Adds a rule for a discrete state.
+    /// Adds a rule for a discrete state.  A block that other states share
+    /// is copied before the rule is appended, so their rules never change.
     pub fn add_rule(&mut self, discrete: DiscreteState, rule: StrategyRule) {
         if rule.zone.is_empty() {
             return;
         }
-        self.entries.entry(discrete).or_default().push(rule);
+        self.append(discrete, Cow::Owned(vec![rule]));
     }
 
-    /// Appends a discrete state's rules in order: one map probe for the
-    /// whole list, and the list itself becomes the state's entry when the
-    /// state has none yet.  Rules with empty zones are skipped, as in
-    /// [`Strategy::add_rule`].
+    /// Appends a discrete state's rules in order: a state without rules yet
+    /// gets the list interned as its block.  Rules with empty zones are
+    /// skipped, as in [`Strategy::add_rule`].
     pub fn add_rules(&mut self, discrete: DiscreteState, mut rules: Vec<StrategyRule>) {
         rules.retain(|rule| !rule.zone.is_empty());
-        if rules.is_empty() {
-            return;
+        if !rules.is_empty() {
+            self.append(discrete, Cow::Owned(rules));
         }
-        match self.entries.entry(discrete) {
-            Entry::Vacant(entry) => {
-                entry.insert(rules);
+    }
+
+    /// [`Strategy::add_rules`] from a borrowed list, which is copied only
+    /// when no block holds it yet: producers build each state's list in one
+    /// reused buffer.
+    pub(crate) fn add_rules_from(&mut self, discrete: DiscreteState, rules: &[StrategyRule]) {
+        if rules.iter().any(|rule| rule.zone.is_empty()) {
+            self.add_rules(discrete, rules.to_vec());
+        } else if !rules.is_empty() {
+            self.append(discrete, Cow::Borrowed(rules));
+        }
+    }
+
+    /// Appends a non-empty list without empty zones to a state's rules.
+    fn append(&mut self, discrete: DiscreteState, rules: Cow<'_, [StrategyRule]>) {
+        let blocks = &mut self.blocks;
+        let block = match self.states.entry(discrete) {
+            Entry::Vacant(entry) => *entry.insert(blocks.intern(rules)),
+            Entry::Occupied(mut entry) => {
+                let old = *entry.get();
+                let mut joined = if blocks.slots[old as usize].users == 1 {
+                    blocks.release(old)
+                } else {
+                    blocks.slots[old as usize].users -= 1;
+                    blocks.slots[old as usize].rules.clone()
+                };
+                joined.extend_from_slice(&rules);
+                let block = blocks.intern(Cow::Owned(joined));
+                entry.insert(block);
+                block
             }
-            Entry::Occupied(mut entry) => entry.get_mut().append(&mut rules),
-        }
+        };
+        blocks.slots[block as usize].users += 1;
+    }
+
+    /// Interns a finished rule list (non-empty, no empty zones) and returns
+    /// its block; the list becomes a state's rules through
+    /// [`Strategy::insert_state`].
+    pub(crate) fn intern_block(&mut self, rules: Vec<StrategyRule>) -> u32 {
+        debug_assert!(!rules.is_empty() && rules.iter().all(|r| !r.zone.is_empty()));
+        self.blocks.intern(Cow::Owned(rules))
+    }
+
+    /// Points a state that has no rules yet at an interned block.
+    pub(crate) fn insert_state(&mut self, discrete: DiscreteState, block: u32) {
+        let previous = self.states.insert(discrete, block);
+        debug_assert!(previous.is_none(), "the state already had rules");
+        self.blocks.slots[block as usize].users += 1;
+    }
+
+    /// Every state with its block index.  Indices are below
+    /// [`Strategy::block_slots`], so consumers memoize per block in a
+    /// vector of that length.
+    pub(crate) fn state_blocks(&self) -> impl Iterator<Item = (&DiscreteState, u32)> {
+        self.states
+            .iter()
+            .map(|(discrete, &block)| (discrete, block))
+    }
+
+    /// The rules of a block.
+    pub(crate) fn block(&self, block: u32) -> &[StrategyRule] {
+        &self.blocks.slots[block as usize].rules
+    }
+
+    /// One past the largest block index.
+    pub(crate) fn block_slots(&self) -> usize {
+        self.blocks.slots.len()
     }
 
     /// Number of discrete states with at least one rule.
     #[must_use]
     pub fn state_count(&self) -> usize {
-        self.entries.len()
+        self.states.len()
     }
 
-    /// Total number of rules.
+    /// Total number of rules, summed over the states (a list that several
+    /// states share counts once per state).
     #[must_use]
     pub fn rule_count(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.state_blocks()
+            .map(|(_, block)| self.block(block).len())
+            .sum()
     }
 
     /// The rules attached to a discrete state, if any.
     #[must_use]
     pub fn rules_for(&self, discrete: &DiscreteState) -> Option<&[StrategyRule]> {
-        self.entries.get(discrete).map(Vec::as_slice)
+        self.states.get(discrete).map(|&block| self.block(block))
     }
 
     /// Iterates over all (state, rules) entries.
     pub fn iter(&self) -> impl Iterator<Item = (&DiscreteState, &[StrategyRule])> {
-        self.entries.iter().map(|(d, r)| (d, r.as_slice()))
+        self.state_blocks()
+            .map(|(discrete, block)| (discrete, self.block(block)))
     }
 
     /// The rank of a concrete valuation: the smallest rank of a *wait/region*
@@ -140,7 +321,7 @@ impl Strategy {
     /// Returns `None` if the valuation is not covered (not a winning state).
     #[must_use]
     pub fn rank_of(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> Option<u32> {
-        let rules = self.entries.get(discrete)?;
+        let rules = self.rules_for(discrete)?;
         let vals = dbm_point(ticks);
         rules
             .iter()
@@ -161,7 +342,7 @@ impl Strategy {
         ticks: &[i64],
         scale: i64,
     ) -> Option<StrategyDecision<'_>> {
-        let rules = self.entries.get(discrete)?;
+        let rules = self.rules_for(discrete)?;
         let vals = dbm_point(ticks);
         // Single pass: track the wait rank (min over containing Wait rules)
         // and the best containing Take rule (min rank, first-in-order wins
@@ -218,7 +399,7 @@ impl Strategy {
         ticks: &[i64],
         scale: i64,
     ) -> Option<i64> {
-        let rules = self.entries.get(discrete)?;
+        let rules = self.rules_for(discrete)?;
         let rank = self.rank_of(discrete, ticks, scale)?;
         let vals = dbm_point(ticks);
         let mut best: Option<i64> = None;
@@ -247,6 +428,33 @@ impl Strategy {
     }
 }
 
+impl PartialEq for Strategy {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.states.len() == other.states.len()
+            && self
+                .iter()
+                .all(|(discrete, rules)| other.rules_for(discrete) == Some(rules))
+    }
+}
+
+impl Eq for Strategy {}
+
+impl fmt::Debug for Strategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entries<'a>(&'a Strategy);
+        impl fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Strategy")
+            .field("dim", &self.dim)
+            .field("entries", &Entries(self))
+            .finish()
+    }
+}
+
 /// Converts tick-valued clocks to the DBM point layout (reference clock 0
 /// prepended).
 fn dbm_point(ticks: &[i64]) -> Vec<i64> {
@@ -266,11 +474,11 @@ impl fmt::Display for DisplayStrategy<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let names = self.system.clock_names();
         // Sort states for a stable, readable listing.
-        let mut states: Vec<&DiscreteState> = self.strategy.entries.keys().collect();
-        states.sort_by_key(|d| format!("{}", d.display(self.system)));
-        for discrete in states {
+        let mut states: Vec<(&DiscreteState, &[StrategyRule])> = self.strategy.iter().collect();
+        states.sort_by_key(|(d, _)| format!("{}", d.display(self.system)));
+        for (discrete, rules) in states {
             writeln!(f, "State: ( {} )", discrete.display(self.system))?;
-            let mut rules = self.strategy.entries[discrete].clone();
+            let mut rules = rules.to_vec();
             rules.sort_by_key(|r| (r.rank, matches!(r.decision, Decision::Wait)));
             for rule in &rules {
                 match &rule.decision {
@@ -533,6 +741,101 @@ mod tests {
         assert_eq!(batched, single);
         assert_eq!(batched.state_count(), 1);
         assert_eq!(batched.rule_count(), 2);
+    }
+
+    fn state(location: usize) -> DiscreteState {
+        DiscreteState {
+            locations: vec![tiga_model::LocationId::from_index(location)],
+            vars: Vec::new(),
+        }
+    }
+
+    fn wait(rank: u32, lo: i32, hi: i32) -> StrategyRule {
+        StrategyRule {
+            rank,
+            zone: zone_between(lo, hi),
+            decision: Decision::Wait,
+        }
+    }
+
+    #[test]
+    fn equal_lists_share_one_block() {
+        let mut strat = Strategy::new(2);
+        let list = vec![wait(1, 0, 3), wait(2, 3, 5)];
+        for location in 0..4 {
+            strat.add_rules(state(location), list.clone());
+        }
+        strat.add_rules_from(state(4), &list);
+        strat.add_rules(state(5), vec![wait(1, 0, 3)]);
+        let blocks: std::collections::HashSet<u32> =
+            strat.state_blocks().map(|(_, block)| block).collect();
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(strat.block_slots(), 2);
+        assert_eq!(strat.state_count(), 6);
+        assert_eq!(strat.rule_count(), 5 * 2 + 1);
+        for location in 0..5 {
+            assert_eq!(strat.rules_for(&state(location)), Some(list.as_slice()));
+        }
+    }
+
+    #[test]
+    fn add_rule_on_a_shared_block_leaves_the_other_states_alone() {
+        let mut strat = Strategy::new(2);
+        let list = vec![wait(1, 0, 3)];
+        for location in 0..3 {
+            strat.add_rules(state(location), list.clone());
+        }
+        strat.add_rule(state(1), wait(2, 3, 5));
+        assert_eq!(strat.rules_for(&state(0)), Some(list.as_slice()));
+        assert_eq!(strat.rules_for(&state(2)), Some(list.as_slice()));
+        assert_eq!(
+            strat.rules_for(&state(1)),
+            Some([wait(1, 0, 3), wait(2, 3, 5)].as_slice())
+        );
+        // Growing a state's own block in place, and growing it into a list
+        // another state already has, both keep every other state's rules.
+        strat.add_rule(state(1), wait(3, 5, 7));
+        strat.add_rules(state(3), vec![wait(1, 0, 3), wait(2, 3, 5)]);
+        strat.add_rule(state(3), wait(3, 5, 7));
+        assert_eq!(strat.rules_for(&state(3)), strat.rules_for(&state(1)));
+        strat.add_rule(state(0), wait(4, 7, 9));
+        assert_eq!(strat.rules_for(&state(2)), Some(list.as_slice()));
+        assert_eq!(strat.rules_for(&state(0)).map(<[_]>::len), Some(2));
+        assert_eq!(strat.rule_count(), 2 + 3 + 1 + 3);
+        // Blocks no state uses any more are reused, not accumulated.
+        let live: std::collections::HashSet<u32> =
+            strat.state_blocks().map(|(_, block)| block).collect();
+        assert_eq!(live.len(), 3);
+        assert_eq!(strat.block_slots(), 3);
+    }
+
+    #[test]
+    fn equality_does_not_depend_on_insertion_order_or_sharing() {
+        let lists = [
+            vec![wait(1, 0, 3)],
+            vec![wait(1, 0, 3), wait(2, 3, 5)],
+            vec![wait(1, 0, 3)],
+        ];
+        let mut forward = Strategy::new(2);
+        for (location, list) in lists.iter().enumerate() {
+            forward.add_rules(state(location), list.clone());
+        }
+        let mut backward = Strategy::new(2);
+        for (location, list) in lists.iter().enumerate().rev() {
+            for rule in list {
+                backward.add_rule(state(location), rule.clone());
+            }
+        }
+        assert_eq!(forward, backward);
+        assert_eq!(format!("{forward:?}").len(), format!("{backward:?}").len());
+        backward.add_rule(state(2), wait(2, 3, 5));
+        assert_ne!(forward, backward);
+        // Same lists, but on different states.
+        let mut moved = Strategy::new(2);
+        moved.add_rules(state(0), lists[1].clone());
+        moved.add_rules(state(1), lists[0].clone());
+        moved.add_rules(state(2), lists[2].clone());
+        assert_ne!(forward, moved);
     }
 
     #[test]

@@ -449,6 +449,9 @@ fn extract_safety_strategy(
     losing: &[Federation],
 ) -> Result<Strategy, SolverError> {
     let mut strategy = Strategy::with_capacity(system.dim(), graph.len());
+    // One state's rules, rebuilt in place per state; the strategy copies
+    // them only when no earlier state has the same list.
+    let mut rules: Vec<StrategyRule> = Vec::new();
     for (id, node) in graph.nodes().iter().enumerate() {
         if node.is_goal || winning[id].is_empty() {
             // `is_goal` marks *bad* states in safety mode; nothing is safe
@@ -484,9 +487,7 @@ fn extract_safety_strategy(
         let calm = winning[id].difference(&danger);
         let alert = winning[id].intersection(&danger);
         escapes.sort_by(|a, b| escape_order(a.0, b.0));
-        let mut rules = Vec::with_capacity(
-            calm.len() + alert.len() + escapes.iter().map(|(_, r)| r.len()).sum::<usize>(),
-        );
+        rules.clear();
         let mut push = |rank: u32, decision: Decision, zones: Federation| {
             rules.extend(zones.into_iter().map(|zone| StrategyRule {
                 rank,
@@ -499,7 +500,7 @@ fn extract_safety_strategy(
         for (joint, region) in escapes {
             push(1, Decision::Take(joint.clone()), region);
         }
-        strategy.add_rules(node.discrete.clone(), rules);
+        strategy.add_rules_from(node.discrete.clone(), &rules);
     }
     Ok(strategy)
 }
@@ -611,7 +612,8 @@ impl<'a> Engine<'a> {
             .graph
             .nodes()
             .iter()
-            .map(|node| {
+            .enumerate()
+            .map(|(id, node)| {
                 if !node.is_goal {
                     return Federation::empty(self.system.dim());
                 }
@@ -619,7 +621,7 @@ impl<'a> Engine<'a> {
                 if let Some(clip) = self.clip {
                     seed.intersect(clip);
                 }
-                recorder.goal_wait(&node.discrete, &seed);
+                recorder.goal_wait(id, &seed);
                 Federation::from_zone(seed)
             })
             .collect();
@@ -669,7 +671,7 @@ impl<'a> Engine<'a> {
                 if !win[node_id].includes(&new_win) {
                     changed = true;
                     recorder.growth(
-                        &node.discrete,
+                        node_id,
                         round,
                         &win[node_id],
                         &new_win,
@@ -687,7 +689,7 @@ impl<'a> Engine<'a> {
         }
         Ok(EngineOutcome {
             winning: win,
-            strategy: recorder.into_strategy(),
+            strategy: recorder.into_strategy(self.graph),
             iterations: round as usize,
             subsumed_zones: 0,
             pruned_evaluations: 0,
@@ -707,58 +709,65 @@ impl<'a> Engine<'a> {
 /// every region recorded at rank `r` leads into regions recorded at ranks
 /// `< r`, which is what the executor's progress argument needs.
 ///
-/// Only reachability games with extraction requested record anything;
-/// safety strategies are extracted from the converged sets by
-/// [`extract_safety_strategy`].
-pub(crate) struct RuleRecorder(Option<Strategy>);
+/// Rules are collected per node id and each node's finished list is
+/// interned once, in [`RuleRecorder::into_strategy`].  Only reachability
+/// games with extraction requested record anything; safety strategies are
+/// extracted from the converged sets by [`extract_safety_strategy`].
+pub(crate) struct RuleRecorder {
+    dim: usize,
+    /// Rules per node id; `None` when nothing is recorded.
+    rules: Option<Vec<Vec<StrategyRule>>>,
+}
 
 impl RuleRecorder {
     pub(crate) fn new(dim: usize, options: &SolveOptions, mode: GameMode) -> Self {
-        RuleRecorder(
-            (options.extract_strategy && mode == GameMode::Reachability)
-                .then(|| Strategy::new(dim)),
-        )
-    }
-
-    /// Records a seeded goal zone as a rank-0 wait region.
-    pub(crate) fn goal_wait(&mut self, discrete: &DiscreteState, zone: &Dbm) {
-        if let Some(strategy) = &mut self.0 {
-            strategy.add_rule(
-                discrete.clone(),
-                StrategyRule {
-                    rank: 0,
-                    zone: zone.clone(),
-                    decision: Decision::Wait,
-                },
-            );
+        RuleRecorder {
+            dim,
+            rules: (options.extract_strategy && mode == GameMode::Reachability).then(Vec::new),
         }
     }
 
-    /// Records the growth of a state's winning federation from `old` to
+    /// The rule list of `node`, if rules are recorded.
+    fn list(&mut self, node: NodeId) -> Option<&mut Vec<StrategyRule>> {
+        let lists = self.rules.as_mut()?;
+        if lists.len() <= node {
+            lists.resize_with(node + 1, Vec::new);
+        }
+        Some(&mut lists[node])
+    }
+
+    /// Records a seeded goal zone as a rank-0 wait region.
+    pub(crate) fn goal_wait(&mut self, node: NodeId, zone: &Dbm) {
+        if let Some(rules) = self.list(node) {
+            rules.push(StrategyRule {
+                rank: 0,
+                zone: zone.clone(),
+                decision: Decision::Wait,
+            });
+        }
+    }
+
+    /// Records the growth of a node's winning federation from `old` to
     /// `new` at `rank`: the new valuations as wait regions, then the action
     /// regions (keyed by index into `edges`) as takes, whose zones move into
     /// the strategy.
     pub(crate) fn growth(
         &mut self,
-        discrete: &DiscreteState,
+        node: NodeId,
         rank: u32,
         old: &Federation,
         new: &Federation,
         edges: &[GraphEdge],
         action_regions: Vec<(usize, Federation)>,
     ) {
-        let Some(strategy) = &mut self.0 else {
+        let Some(rules) = self.list(node) else {
             return;
         };
-        let mut rules: Vec<StrategyRule> = new
-            .difference(old)
-            .into_iter()
-            .map(|zone| StrategyRule {
-                rank,
-                zone,
-                decision: Decision::Wait,
-            })
-            .collect();
+        rules.extend(new.difference(old).into_iter().map(|zone| StrategyRule {
+            rank,
+            zone,
+            decision: Decision::Wait,
+        }));
         for (edge_idx, region) in action_regions {
             let joint = &edges[edge_idx].joint;
             rules.extend(region.into_iter().map(|zone| StrategyRule {
@@ -767,11 +776,18 @@ impl RuleRecorder {
                 decision: Decision::Take(joint.clone()),
             }));
         }
-        strategy.add_rules(discrete.clone(), rules);
     }
 
-    pub(crate) fn into_strategy(self) -> Option<Strategy> {
-        self.0
+    /// The recorded strategy over `graph`'s discrete states: each node's
+    /// list becomes its state's block.
+    pub(crate) fn into_strategy(self, graph: &GameGraph) -> Option<Strategy> {
+        let lists = self.rules?;
+        let states = lists.iter().filter(|rules| !rules.is_empty()).count();
+        let mut strategy = Strategy::with_capacity(self.dim, states);
+        for (node, rules) in lists.into_iter().enumerate() {
+            strategy.add_rules(graph.node(node).discrete.clone(), rules);
+        }
+        Some(strategy)
     }
 }
 

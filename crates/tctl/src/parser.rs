@@ -361,7 +361,7 @@ impl<'s> Parser<'s> {
                     t.span,
                 ));
             }
-            Some(t.node)
+            Some(t)
         } else {
             None
         };
@@ -994,7 +994,7 @@ impl ControlAst {
         Ok(TestPurpose {
             quantifier: self.quantifier,
             predicate: Resolver::objective(system).predicate(&self.predicate)?,
-            bound: self.bound,
+            bound: self.bound.as_ref().map(|t| t.node),
             source: self.source.clone(),
         })
     }

@@ -104,9 +104,9 @@ pub enum RangeAst {
 pub struct ControlAst {
     /// Reachability (`A<>`) or safety (`A[]`).
     pub quantifier: PathQuantifier,
-    /// The `<=T` time bound, already checked against
+    /// The `<=T` time bound and its span, already checked against
     /// `0..=tiga_model::MAX_CONSTANT`.
-    pub bound: Option<i64>,
+    pub bound: Option<Spanned<i64>>,
     /// The state predicate.
     pub predicate: ExprAst,
     /// The source text of the objective, from `control` to the end of the
