@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
-use tiga_dbm::{max_constant_for, Bound, Dbm};
+use tiga_dbm::{max_constant_for, Bound, Dbm, MAX_CONSTANT};
 use tiga_model::{AutomatonId, ChannelId, DiscreteState, EdgeId, JointEdge, LocationId};
 use tiga_solver::{
     parse_strategy, print_controller, print_strategy, solve, CompiledController, Decision,
@@ -255,7 +255,9 @@ fn reference_print(
 
 /// A canonical non-empty zone from random constraints with negative and
 /// positive constants, including the extremes `±max_constant_for(clocks)`
-/// that a model over this many clocks may use.
+/// that a model over this many clocks may use.  One-clock zones also draw
+/// `±MAX_CONSTANT`, the encoding's own limit, which no closure sum exceeds
+/// with a single clock.
 fn random_zone(rng: &mut StdRng, dim: usize) -> Dbm {
     let mut zone = Dbm::universe(dim);
     if dim < 2 {
@@ -268,9 +270,11 @@ fn random_zone(rng: &mut StdRng, dim: usize) -> Dbm {
         if i == j {
             continue;
         }
-        let m = match rng.gen_range(0..4) {
+        let m = match rng.gen_range(0..6) {
             0 => extreme,
             1 => -extreme,
+            2 if dim == 2 => MAX_CONSTANT,
+            3 if dim == 2 => -MAX_CONSTANT,
             _ => rng.gen_range(-120..=120),
         };
         let mut tighter = zone.clone();
@@ -488,6 +492,8 @@ fn printer_matches_the_fmt_reference_on_generated_strategies() {
     // The generated cases cover what the printer must get right, extreme
     // constants at every dimension included.
     let mut tokens = vec![
+        format!("<={MAX_CONSTANT} "),
+        format!("<=-{MAX_CONSTANT} "),
         format!("rule {} ", u32::MAX),
         " -".to_string(),
         " take tau ".to_string(),

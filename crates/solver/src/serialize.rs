@@ -36,9 +36,9 @@
 //! list once: the printer renders a list's `rule` lines the first time a
 //! state that uses it is printed and copies those bytes for every later
 //! one, and the parser interns each state's list as it closes, so a file's
-//! repeated lists are stored once again.  Zone constants stay inside the
-//! encoding because `.tg` models are limited to
-//! [`tiga_dbm::max_constant_for`] their clock count.
+//! repeated lists are stored once again.  Zone constants of a solve stay
+//! inside the encoding because the solver refuses systems whose constants
+//! pass [`tiga_dbm::max_constant_for`] their clock count.
 
 use crate::strategy::{Decision, Strategy, StrategyRule};
 use tiga_dbm::{Bound, Dbm};
@@ -98,25 +98,21 @@ pub(crate) fn print_with_header(
     };
     // One scratch vector: a slot per block, then the states to print.
     let blocks = strategy.block_slots();
-    let packing = Packing::of(strategy);
     let mut slots: Vec<Slot<'_>> = Vec::with_capacity(blocks + strategy.state_count());
     slots.resize_with(blocks, || Slot::Block(None));
-    slots.extend(strategy.state_blocks().map(|(discrete, block)| {
-        let key = packing.as_ref().map_or(0, |p| p.key(discrete));
-        Slot::State(discrete, block, key)
-    }));
+    slots.extend(
+        strategy
+            .state_blocks()
+            .map(|(discrete, block)| Slot::State(discrete, block)),
+    );
     let (printed, states) = slots.split_at_mut(blocks);
     // States are distinct, so the unstable sort is deterministic.
-    if packing.is_some() {
-        states.sort_unstable_by_key(|slot| slot.key());
-    } else {
-        states.sort_unstable_by(|a, b| {
-            let (a, b) = (a.state().0, b.state().0);
-            a.locations
-                .cmp(&b.locations)
-                .then_with(|| a.vars.cmp(&b.vars))
-        });
-    }
+    states.sort_unstable_by(|a, b| {
+        let (a, b) = (a.state().0, b.state().0);
+        a.locations
+            .cmp(&b.locations)
+            .then_with(|| a.vars.cmp(&b.vars))
+    });
     let mut out = Vec::with_capacity(printed_size_hint(header, model, strategy, states));
     push_preamble(&mut out, header, model, winning);
     out.extend_from_slice(b"dim ");
@@ -155,78 +151,16 @@ pub(crate) fn print_with_header(
 enum Slot<'a> {
     /// Where a block's rule lines were first written, once they were.
     Block(Option<(usize, usize)>),
-    /// A state to print, its block and its [`Packing`] key.
-    State(&'a DiscreteState, u32, u128),
+    /// A state to print and its block.
+    State(&'a DiscreteState, u32),
 }
 
 impl<'a> Slot<'a> {
     fn state(&self) -> (&'a DiscreteState, u32) {
         match *self {
-            Slot::State(discrete, block, _) => (discrete, block),
+            Slot::State(discrete, block) => (discrete, block),
             Slot::Block(_) => unreachable!("the last slots are the states'"),
         }
-    }
-
-    fn key(&self) -> u128 {
-        match *self {
-            Slot::State(_, _, key) => key,
-            Slot::Block(_) => unreachable!("the last slots are the states'"),
-        }
-    }
-}
-
-/// The print order of states — locations, then variables — packed into one
-/// integer per state, so the sort compares integers instead of two vectors.
-/// It exists when every state has the same number of locations and of
-/// variables and all of them fit in 128 bits at fixed widths: then the
-/// fields, most significant first, order the keys exactly as the vectors.
-struct Packing {
-    location_bits: u32,
-    var_bits: u32,
-    var_min: i64,
-}
-
-impl Packing {
-    fn of(strategy: &Strategy) -> Option<Packing> {
-        let mut shape = None;
-        let (mut location_max, mut var_min, mut var_max) = (0, i64::MAX, i64::MIN);
-        for (discrete, _) in strategy.state_blocks() {
-            let lengths = (discrete.locations.len(), discrete.vars.len());
-            if *shape.get_or_insert(lengths) != lengths {
-                return None;
-            }
-            for location in &discrete.locations {
-                location_max = location_max.max(location.index());
-            }
-            for &var in &discrete.vars {
-                var_min = var_min.min(var);
-                var_max = var_max.max(var);
-            }
-        }
-        let (locations, vars) = shape?;
-        let bits = |span: u128| u128::BITS - span.leading_zeros();
-        let location_bits = bits(location_max as u128);
-        let var_bits = if vars == 0 {
-            0
-        } else {
-            bits((i128::from(var_max) - i128::from(var_min)) as u128)
-        };
-        let total =
-            locations as u128 * u128::from(location_bits) + vars as u128 * u128::from(var_bits);
-        (total <= 128).then_some(Packing {
-            location_bits,
-            var_bits,
-            var_min,
-        })
-    }
-
-    fn key(&self, discrete: &DiscreteState) -> u128 {
-        let key = discrete.locations.iter().fold(0u128, |key, location| {
-            key << self.location_bits | location.index() as u128
-        });
-        discrete.vars.iter().fold(key, |key, &var| {
-            key << self.var_bits | (i128::from(var) - i128::from(self.var_min)) as u128
-        })
     }
 }
 

@@ -65,96 +65,41 @@ pub enum StrategyDecision<'a> {
     },
 }
 
-/// One distinct rule list and the bookkeeping of the block index.
-#[derive(Clone, Debug)]
-struct Block {
-    rules: Vec<StrategyRule>,
-    /// The keyed hash of `rules` under which the block is indexed.
-    hash: u64,
-    /// How many states point at this block; a block no state uses is a free
-    /// slot (empty `rules`, out of the index) that the next new list reuses.
-    users: u32,
-    /// The previously indexed block with the same hash, if any.
-    next_same_hash: Option<u32>,
-}
-
 /// The distinct rule lists of a strategy, indexed by their contents.
+///
+/// Blocks are only ever appended: a state whose list grows points at the
+/// longer list, and the block it leaves stays stored even if no state uses
+/// it any more.  Consumers visit blocks through the states, so such a block
+/// costs memory only.
 #[derive(Clone, Default)]
 struct Blocks {
-    slots: Vec<Block>,
-    /// Block hash -> the latest block with that hash; earlier ones follow
-    /// through [`Block::next_same_hash`] (collisions resolved by equality).
+    lists: Vec<Vec<StrategyRule>>,
+    /// The randomly keyed `SipHash` of a list -> its block.  A list whose
+    /// hash is taken by a different list is indexed under the next free
+    /// value; nothing is ever removed, so lookups probe the same sequence.
     index: HashMap<u64, u32, BuildHasherDefault<StateHasher>>,
-    /// The randomly keyed `SipHash` behind the block hashes.
     hasher: RandomState,
-    /// Slots of blocks no state uses any more.
-    free: Vec<u32>,
 }
 
 impl Blocks {
     /// Returns the block holding `rules`, copying a borrowed list only when
-    /// no block holds it yet; a new block takes a free slot when there is
-    /// one.
+    /// no block holds it yet.
     fn intern(&mut self, rules: Cow<'_, [StrategyRule]>) -> u32 {
-        let hash = self.hasher.hash_one(&*rules);
-        let head = self.index.get(&hash).copied();
-        let mut candidate = head;
-        while let Some(c) = candidate {
-            let block = &self.slots[c as usize];
-            if block.rules == *rules {
-                return c;
-            }
-            candidate = block.next_same_hash;
-        }
-        let block = Block {
-            rules: rules.into_owned(),
-            hash,
-            users: 0,
-            next_same_hash: head,
-        };
-        let id = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = block;
-                slot
-            }
-            None => {
-                self.slots.push(block);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.index.insert(hash, id);
-        id
-    }
-
-    /// Takes the rules out of a block whose last user leaves it, unlinks
-    /// the block from the index and frees its slot.
-    fn release(&mut self, id: u32) -> Vec<StrategyRule> {
-        let block = &mut self.slots[id as usize];
-        let (hash, next) = (block.hash, block.next_same_hash.take());
-        block.users = 0;
-        let rules = std::mem::take(&mut block.rules);
-        let head = self
-            .index
-            .get_mut(&hash)
-            .expect("an indexed block's hash is in the index");
-        if *head == id {
-            match next {
-                Some(next) => *head = next,
-                None => {
-                    self.index.remove(&hash);
+        let mut key = self.hasher.hash_one(&*rules);
+        loop {
+            match self.index.entry(key) {
+                Entry::Occupied(entry) if self.lists[*entry.get() as usize] == *rules => {
+                    return *entry.get();
+                }
+                Entry::Occupied(_) => key = key.wrapping_add(1),
+                Entry::Vacant(entry) => {
+                    let block = self.lists.len() as u32;
+                    self.lists.push(rules.into_owned());
+                    entry.insert(block);
+                    return block;
                 }
             }
-        } else {
-            let mut at = *head;
-            while self.slots[at as usize].next_same_hash != Some(id) {
-                at = self.slots[at as usize]
-                    .next_same_hash
-                    .expect("an indexed block is on its hash's chain");
-            }
-            self.slots[at as usize].next_same_hash = next;
         }
-        self.free.push(id);
-        rules
     }
 }
 
@@ -202,8 +147,10 @@ impl Strategy {
         self.dim
     }
 
-    /// Adds a rule for a discrete state.  A block that other states share
-    /// is copied before the rule is appended, so their rules never change.
+    /// Adds a rule for a discrete state.  The state moves to the block of
+    /// its longer list, so the states that shared its old block keep their
+    /// rules; the old block stays stored.  Build a state's list first and
+    /// add it with [`Strategy::add_rules`] to store only the finished list.
     pub fn add_rule(&mut self, discrete: DiscreteState, rule: StrategyRule) {
         if rule.zone.is_empty() {
             return;
@@ -235,23 +182,16 @@ impl Strategy {
     /// Appends a non-empty list without empty zones to a state's rules.
     fn append(&mut self, discrete: DiscreteState, rules: Cow<'_, [StrategyRule]>) {
         let blocks = &mut self.blocks;
-        let block = match self.states.entry(discrete) {
-            Entry::Vacant(entry) => *entry.insert(blocks.intern(rules)),
-            Entry::Occupied(mut entry) => {
-                let old = *entry.get();
-                let mut joined = if blocks.slots[old as usize].users == 1 {
-                    blocks.release(old)
-                } else {
-                    blocks.slots[old as usize].users -= 1;
-                    blocks.slots[old as usize].rules.clone()
-                };
-                joined.extend_from_slice(&rules);
-                let block = blocks.intern(Cow::Owned(joined));
-                entry.insert(block);
-                block
+        match self.states.entry(discrete) {
+            Entry::Vacant(entry) => {
+                entry.insert(blocks.intern(rules));
             }
-        };
-        blocks.slots[block as usize].users += 1;
+            Entry::Occupied(mut entry) => {
+                let mut joined = blocks.lists[*entry.get() as usize].clone();
+                joined.extend_from_slice(&rules);
+                entry.insert(blocks.intern(Cow::Owned(joined)));
+            }
+        }
     }
 
     /// Interns a finished rule list (non-empty, no empty zones) and returns
@@ -266,7 +206,6 @@ impl Strategy {
     pub(crate) fn insert_state(&mut self, discrete: DiscreteState, block: u32) {
         let previous = self.states.insert(discrete, block);
         debug_assert!(previous.is_none(), "the state already had rules");
-        self.blocks.slots[block as usize].users += 1;
     }
 
     /// Every state with its block index.  Indices are below
@@ -280,12 +219,12 @@ impl Strategy {
 
     /// The rules of a block.
     pub(crate) fn block(&self, block: u32) -> &[StrategyRule] {
-        &self.blocks.slots[block as usize].rules
+        &self.blocks.lists[block as usize]
     }
 
     /// One past the largest block index.
     pub(crate) fn block_slots(&self) -> usize {
-        self.blocks.slots.len()
+        self.blocks.lists.len()
     }
 
     /// Number of discrete states with at least one rule.
@@ -802,11 +741,17 @@ mod tests {
         assert_eq!(strat.rules_for(&state(2)), Some(list.as_slice()));
         assert_eq!(strat.rules_for(&state(0)).map(<[_]>::len), Some(2));
         assert_eq!(strat.rule_count(), 2 + 3 + 1 + 3);
-        // Blocks no state uses any more are reused, not accumulated.
+        // States that grew into the same list share its block.
+        let block = |location| {
+            strat
+                .state_blocks()
+                .find(|(discrete, _)| **discrete == state(location))
+                .map(|(_, block)| block)
+        };
+        assert_eq!(block(1), block(3));
         let live: std::collections::HashSet<u32> =
             strat.state_blocks().map(|(_, block)| block).collect();
         assert_eq!(live.len(), 3);
-        assert_eq!(strat.block_slots(), 3);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::strategy::{Decision, Strategy, StrategyRule};
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 use tiga_dbm::{Bound, Dbm, Federation};
-use tiga_model::{DiscreteState, JointEdge, System};
+use tiga_model::{DiscreteState, JointEdge, ModelError, System};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
 /// Which fixpoint engine [`solve`] runs.
@@ -286,6 +286,24 @@ fn bounded_parts(system: &System, bound: i64) -> Result<(System, Dbm), SolverErr
     Ok((aug, clip))
 }
 
+/// Refuses a system (after any time bound added its clock) whose clock
+/// constants exceed [`tiga_model::max_constant_for`] its clock count: the
+/// extrapolation constants of [`System::max_bounds`] cover guards,
+/// invariants, constant resets and the bound.  Within that limit no zone of
+/// the solve saturates at the encoding ceiling, so every strategy it prints
+/// parses back.  Every front end passes here: `.tg` files, `--purpose`,
+/// `tiga serve` requests and systems built in Rust.
+fn check_constant_ceiling(system: &System) -> Result<(), SolverError> {
+    let clocks = system.dim() - 1;
+    let limit = tiga_model::max_constant_for(clocks);
+    match system.max_bounds().into_iter().max() {
+        Some(m) if m > limit => Err(SolverError::Model(ModelError::Invalid(format!(
+            "clock constant {m} is too large: a model over {clocks} clocks allows at most {limit}"
+        )))),
+        _ => Ok(()),
+    }
+}
+
 /// The single parameterized entry point behind every public solver function:
 /// derives the game mode from the purpose, runs the selected engine, and
 /// assembles the solution (safety complementation, timing, statistics,
@@ -322,6 +340,7 @@ fn solve_with_engine(
         Some((aug, clip)) => (aug, Some(clip)),
         None => (system, None),
     };
+    check_constant_ceiling(system)?;
     let (graph, outcome, exploration_time, fixpoint_time) = match engine {
         SolveEngine::Otfur => {
             // Exploration and propagation are interleaved: the search times
@@ -1898,6 +1917,61 @@ mod tests {
                 "{a:?} vs {b:?}"
             );
             assert_eq!(escape_order(&a, &a.clone()), Ordering::Equal);
+        }
+    }
+
+    #[test]
+    fn constants_beyond_the_ceiling_of_the_solved_clocks_are_refused() {
+        type Solver = fn(&System, &TestPurpose) -> Result<GameSolution, SolverError>;
+        let solvers: [Solver; 2] = [
+            |sys, tp| solve_jacobi(sys, tp, &SolveOptions::default()),
+            |sys, tp| solve(sys, tp, &otfur_options(false)),
+        ];
+        // A time bound counts the clock it adds: one clock plus `#t` allow
+        // `max_constant_for(2)`, although one clock alone allows more.
+        let sys = forced_output_system();
+        let two = tiga_model::max_constant_for(2);
+        assert!(two < tiga_model::max_constant_for(1));
+        for solver in solvers {
+            for (bound, refused) in [(two, false), (two + 1, true)] {
+                let tp =
+                    TestPurpose::parse(&format!("control: A<><={bound} Plant.Done"), &sys).unwrap();
+                match solver(&sys, &tp) {
+                    Err(e) => assert!(refused && e.to_string().contains("too large"), "{e}"),
+                    Ok(_) => assert!(!refused, "T = {bound} was solved"),
+                }
+            }
+        }
+        // A guard of a system built in Rust, with no time bound.
+        let one = tiga_model::max_constant_for(1);
+        for (constant, refused) in [(one, false), (one + 1, true)] {
+            let mut b = SystemBuilder::new("guarded");
+            let x = b.clock("x").unwrap();
+            let go = b.input_channel("go").unwrap();
+            let mut plant = AutomatonBuilder::new("Plant");
+            let idle = plant.location("Idle").unwrap();
+            let done = plant.location("Done").unwrap();
+            plant.add_edge(
+                EdgeBuilder::new(idle, done)
+                    .input(go)
+                    .guard_clock(ClockConstraint::new(x, CmpOp::Le, i64::from(constant))),
+            );
+            b.add_automaton(plant.build().unwrap()).unwrap();
+            let mut user = AutomatonBuilder::new("User");
+            let u = user.location("U").unwrap();
+            user.add_edge(EdgeBuilder::new(u, u).output(go));
+            b.add_automaton(user.build().unwrap()).unwrap();
+            let sys = b.build().unwrap();
+            let tp = TestPurpose::parse("control: A<> Plant.Done", &sys).unwrap();
+            for solver in solvers {
+                match solver(&sys, &tp) {
+                    Err(e) => assert!(refused && e.to_string().contains("too large"), "{e}"),
+                    Ok(solution) => {
+                        assert!(!refused, "x <= {constant} was solved");
+                        assert!(solution.winning_from_initial);
+                    }
+                }
+            }
         }
     }
 }
