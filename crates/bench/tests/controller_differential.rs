@@ -28,7 +28,8 @@ use tiga_solver::{
     SolveEngine, SolveOptions, Strategy,
 };
 use tiga_testing::{
-    generate_mutants, MutationConfig, OutputPolicy, SimulatedIut, TestConfig, TestHarness,
+    derive_run_seed, generate_mutants, MutationConfig, OutputPolicy, SimulatedIut, TestConfig,
+    TestHarness,
 };
 
 const SCALE: i64 = 4;
@@ -124,6 +125,32 @@ fn assert_same_answers(
         composed,
         "{what}: decide_with_wakeup diverged at {ticks:?}"
     );
+    // At a wait, the candidate's quiet horizon `D` is a promise about the
+    // original along the delay ray: the same `Wait` at every `d < D`, and a
+    // wake-up hint that never points inside the horizon.
+    let decision = original.decide(discrete, ticks, SCALE);
+    if !matches!(decision, Some(tiga_solver::StrategyDecision::Wait { .. })) {
+        return;
+    }
+    let horizon = candidate.quiet_horizon(discrete, ticks, SCALE);
+    assert!(horizon >= 0, "{what}: negative quiet horizon at {ticks:?}");
+    let far = horizon.min(1 << 20);
+    for d in [1, 2, SCALE, far / 2, far - 1]
+        .into_iter()
+        .filter(|&d| 0 < d && d < far)
+    {
+        let delayed: Vec<i64> = ticks.iter().map(|t| t + d).collect();
+        assert_eq!(
+            original.decide(discrete, &delayed, SCALE),
+            decision,
+            "{what}: the wait at {ticks:?} does not hold {d} ticks into its horizon {horizon}"
+        );
+        let wakeup = original.next_take_delay(discrete, &delayed, SCALE);
+        assert!(
+            wakeup.is_none_or(|w| w >= horizon - d),
+            "{what}: a hint of {wakeup:?} at {ticks:?} + {d} falls inside the horizon {horizon}"
+        );
+    }
 }
 
 fn assert_strategy_compiles_equivalently(strategy: &Strategy, what: &str, rng: &mut StdRng) {
@@ -245,6 +272,74 @@ fn executor_runs_are_identical_under_interpreted_and_compiled_control() {
                     compiled, interpreted,
                     "compiled and interpreted runs differ on {name} ({purpose}, {policy:?})"
                 );
+            }
+        }
+    }
+}
+
+/// The quiet-horizon jump is exact at the default budget: a run driven by
+/// the compiled controller, which crosses quiet waits in one step, reports
+/// exactly what the interpreted strategy, which promises no horizon and so
+/// polls every chunk, reports — verdict, timed trace and step count — for
+/// the benchmark's four campaign files and every zoo purpose, under four
+/// output policies, on the conformant plant and a seeded pick of mutants.
+#[test]
+fn quiet_jumps_report_exactly_what_polling_reports_at_the_default_budget() {
+    const MUTANTS_PER_CASE: usize = 6;
+    let tg = |name: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/tg")
+            .join(name);
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        tiga_lang::parse_model(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let mut cases: Vec<(String, tiga_model::System, tiga_model::System, String)> = Vec::new();
+    for (file, spec) in [
+        ("smart_light.never_bright.tg", None),
+        ("coffee_machine.no_refund.tg", None),
+        ("lep3.tg", None),
+        ("smart_light.bounded.tg", Some("smart_light.plant.tg")),
+    ] {
+        let model = tg(file);
+        let purpose = tiga_lang::control_line(model.purpose.as_ref().expect("a control line"));
+        let spec = spec.map_or_else(|| model.system.clone(), |s| tg(s).system);
+        cases.push((file.to_string(), model.system, spec, purpose));
+    }
+    for instance in model_zoo() {
+        let purpose = tiga_lang::control_line_for(&instance.purpose, &instance.system);
+        let what = format!("{}/{}", instance.model, instance.purpose_name);
+        cases.push((what, instance.system.clone(), instance.system, purpose));
+    }
+    let mut rng = StdRng::seed_from_u64(0x0051_E4CE);
+    for (case, product, spec, purpose) in cases {
+        let harness = TestHarness::synthesize(
+            product.clone(),
+            spec.clone(),
+            &purpose,
+            TestConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
+        let mut mutants = generate_mutants(&spec, &MutationConfig::default()).expect("mutants");
+        let mut implementations = vec![("conformant".to_string(), product)];
+        for _ in 0..MUTANTS_PER_CASE.min(mutants.len()) {
+            let mutant = mutants.swap_remove(rng.gen_range(0..mutants.len()));
+            implementations.push((mutant.name, mutant.system));
+        }
+        for (index, (name, system)) in implementations.into_iter().enumerate() {
+            let jitter = derive_run_seed(rng.gen_range(0..u64::MAX), index);
+            for policy in [
+                OutputPolicy::Eager,
+                OutputPolicy::Lazy,
+                OutputPolicy::Offset(3),
+                OutputPolicy::Jittery { seed: jitter },
+            ] {
+                let mut a = SimulatedIut::new(&name, system.clone(), SCALE, policy);
+                let jumping = harness.execute(&mut a).expect("executes");
+                let mut b = SimulatedIut::new(&name, system.clone(), SCALE, policy);
+                let polling = harness
+                    .execute_controlled(&mut b, harness.strategy())
+                    .expect("executes");
+                assert_eq!(jumping, polling, "{case}: {name} under {policy:?}");
             }
         }
     }

@@ -11,6 +11,22 @@
 //! exhausts its step or time budget while maintaining `φ` passes — the safe
 //! controller is allowed to be non-terminating.
 //!
+//! Waiting is polled in chunks of [`TestConfig::default_wait`] ticks, and
+//! every chunk is one executor step.  A chunk that nothing shortens — no
+//! wake-up hint, invariant or budget under a full chunk — is often the
+//! first of many identical ones (a safety run can idle through thousands),
+//! so the executor crosses the whole quiet stretch in one exact step.  It
+//! takes the least of five *quiet horizons*: the controller's
+//! ([`Controller::quiet_horizon`]: the same `Wait`, with no wake-up inside
+//! it), the implementation's ([`Iut::quiet_horizon`]: no output inside
+//! it), the specification's and the product's invariant deadlines, and the
+//! remaining tick and step budgets.  Every whole chunk inside that horizon
+//! is one that polling would spend idle, so the executor delays the
+//! implementation, the monitor, the product and the trace once by all of
+//! them and counts each as the step it would have been: verdicts, timed
+//! traces and step counts are exactly those of polling.  Both trait
+//! methods default to `0` ("no promise"), which keeps the polling.
+//!
 //! Time-bounded purposes (`control: A<><=T φ` / `control: A[]<=T φ`) tighten
 //! the run's time budget to `T` model time units: a bounded reachability run
 //! that has not reached `φ` by the deadline ends
@@ -253,15 +269,14 @@ impl<'a> TestExecutor<'a> {
             // single state lookup.  Bounded controllers play on the
             // `#t`-augmented product, whose extra trailing clock is the
             // never-reset elapsed time — exactly `now`.
-            let decision = if self.purpose.bound.is_some() {
+            let clocks = if self.purpose.bound.is_some() {
                 bounded_clocks.clone_from(&product_state.clocks);
                 bounded_clocks.push(now);
-                self.controller
-                    .decide_with_wakeup(query, &bounded_clocks, scale)
+                &bounded_clocks
             } else {
-                self.controller
-                    .decide_with_wakeup(query, &product_state.clocks, scale)
+                &product_state.clocks
             };
+            let decision = self.controller.decide_with_wakeup(query, clocks, scale);
             match decision {
                 None => {
                     return Ok(finish(
@@ -314,7 +329,8 @@ impl<'a> TestExecutor<'a> {
                 Some((StrategyDecision::Wait { .. }, take_hint)) => {
                     let inv_bound = interp.max_delay(&product_state)?;
                     let remaining = budget_ticks - now;
-                    let mut wait = self.config.default_wait.max(1);
+                    let chunk = self.config.default_wait.max(1);
+                    let mut wait = chunk;
                     // A zero hint would mean an immediately applicable action,
                     // which `decide` already ruled out (it can only come from
                     // a higher-rank rule); ignore it as a wake-up hint.
@@ -357,12 +373,7 @@ impl<'a> TestExecutor<'a> {
                                 // A lone half-edge with no receiver is not an
                                 // output the implementation could have
                                 // produced.
-                                let output_due =
-                                    interp.enabled_syncs(&product_state)?.into_iter().any(|ch| {
-                                        self.product.channel(ch).kind()
-                                            == tiga_model::ChannelKind::Output
-                                    });
-                                if output_due {
+                                if interp.output_sync_enabled(&product_state)? {
                                     return Ok(finish(
                                         Verdict::Fail(FailReason::MissedDeadline { at_ticks: now }),
                                         trace,
@@ -405,6 +416,36 @@ impl<'a> TestExecutor<'a> {
                                 ));
                             }
                         }
+                    }
+
+                    if wait == chunk {
+                        // A full chunk may be the first of many quiet ones:
+                        // cross every whole chunk inside the quiet horizon
+                        // at once, counting each as the step it would be.
+                        // Cheap bounds first; each party is asked only while
+                        // two chunks or more are still possible.
+                        let step_budget =
+                            i64::try_from(self.config.max_steps - steps + 1).unwrap_or(i64::MAX);
+                        let two_chunks = chunk.saturating_mul(2);
+                        let mut horizon = remaining
+                            .min(inv_bound.unwrap_or(i64::MAX))
+                            .min(chunk.saturating_mul(step_budget));
+                        if horizon >= two_chunks {
+                            // An evaluation error promises nothing: polling
+                            // meets it where it would have.
+                            let spec_bound = monitor.max_allowed_delay().unwrap_or(Some(0));
+                            horizon = horizon.min(spec_bound.unwrap_or(i64::MAX));
+                        }
+                        if horizon >= two_chunks {
+                            horizon = horizon.min(iut.quiet_horizon());
+                        }
+                        if horizon >= two_chunks {
+                            let promise = self.controller.quiet_horizon(query, clocks, scale);
+                            horizon = horizon.min(promise);
+                        }
+                        let chunks = (horizon / chunk).max(1);
+                        wait = chunks * chunk;
+                        steps += (chunks - 1) as usize;
                     }
 
                     match iut.delay(wait) {

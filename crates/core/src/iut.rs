@@ -51,6 +51,19 @@ pub trait Iut {
     /// produced in that window, if any.
     fn delay(&mut self, max_ticks: i64) -> DelayOutcome;
 
+    /// A delay the implementation is certain to stay quiet through: from
+    /// the current state, any sequence of positive [`delay`](Iut::delay)s
+    /// totalling at most this many ticks reports `Quiet` every time and
+    /// ends where one delay of the total would.  The test executor crosses
+    /// such a stretch in one step.
+    ///
+    /// The provided implementation promises nothing (`0`), so an
+    /// implementation without its own horizon is polled at every wait
+    /// chunk.
+    fn quiet_horizon(&self) -> i64 {
+        0
+    }
+
     /// A short name used in reports.
     fn name(&self) -> &str {
         "iut"
@@ -234,20 +247,24 @@ impl SimulatedIut {
         Some((lo, hi))
     }
 
-    /// For every output *action* enabled (now or later, by pure delay) in
-    /// the current state: its earliest and latest firing time in ticks,
-    /// within the invariant `deadline`.
+    /// Calls `visit` on every output *action* enabled (now or later, by pure
+    /// delay) in the current state, with its earliest and latest firing
+    /// time in ticks, within the invariant `deadline`.  `false` if the walk
+    /// failed part-way; what it visited then is not an answer.
     ///
-    /// Open view: one entry per enabled `ch!` edge on an output channel
+    /// Open view: one window per enabled `ch!` edge on an output channel
     /// (an environment's `ch!` on an input channel is not the plant's
-    /// output).  Closed view: one entry per synchronization of
-    /// [`System::enabled_joint_edges`] on an output channel, with the
-    /// window narrowed by both guards.
-    fn output_windows(&self, deadline: Option<i64>) -> Vec<(EdgeRef, ChannelId, i64, Option<i64>)> {
+    /// output).  Closed view: one window per synchronization of
+    /// [`System::enabled_joint_edges`] on an output channel, narrowed by
+    /// both guards.
+    fn for_each_output_window(
+        &self,
+        deadline: Option<i64>,
+        mut visit: impl FnMut(EdgeRef, ChannelId, i64, Option<i64>),
+    ) -> bool {
         let is_output = |ch: ChannelId| self.system.channel(ch).kind() == ChannelKind::Output;
-        let mut windows = Vec::new();
         if self.closed {
-            let walked = self
+            return self
                 .system
                 .try_for_each_joint_edge(&self.state.discrete, |je| {
                     let JointEdge::Sync {
@@ -263,100 +280,98 @@ impl SimulatedIut {
                             .narrow_window((automaton, edge), 0, deadline)
                             .and_then(|(lo, hi)| self.narrow_window(input, lo, hi));
                         if let Some((lo, hi)) = window {
-                            windows.push((EdgeRef { automaton, edge }, channel, lo, hi));
+                            visit(EdgeRef { automaton, edge }, channel, lo, hi);
                         }
                     }
                     Ok(false)
-                });
-            // A model whose guards cannot be evaluated offers no output.
-            if walked.is_err() {
-                windows.clear();
-            }
-        } else {
-            for (ai, aut) in self.system.automata().iter().enumerate() {
-                for edge in aut.edges_from(self.state.discrete.locations[ai]) {
-                    let Sync::Output(ch) = aut.edge(edge).sync else {
-                        continue;
-                    };
-                    if !is_output(ch) {
-                        continue;
-                    }
-                    let automaton = AutomatonId::from_index(ai);
-                    if let Some((lo, hi)) = self.narrow_window((automaton, edge), 0, deadline) {
-                        windows.push((EdgeRef { automaton, edge }, ch, lo, hi));
-                    }
+                })
+                .is_ok();
+        }
+        for (ai, aut) in self.system.automata().iter().enumerate() {
+            for edge in aut.edges_from(self.state.discrete.locations[ai]) {
+                let Sync::Output(ch) = aut.edge(edge).sync else {
+                    continue;
+                };
+                if !is_output(ch) {
+                    continue;
+                }
+                let automaton = AutomatonId::from_index(ai);
+                if let Some((lo, hi)) = self.narrow_window((automaton, edge), 0, deadline) {
+                    visit(EdgeRef { automaton, edge }, ch, lo, hi);
                 }
             }
         }
-        windows
+        true
     }
 
-    /// Decides, per the policy, when (if ever) the next output would occur and
-    /// through which edge; `deadline` is the invariant's maximal delay.
+    /// Decides, per the policy, when (if ever) the next output would occur
+    /// and through which edge, in one pass over the output windows;
+    /// `deadline` is the invariant's maximal delay.
+    ///
+    /// Every policy fires inside a window.  On ties the first window in
+    /// walk order wins, except that `Lazy`'s fallback takes the last of its
+    /// latest windows.
     fn next_output_plan(&self, deadline: Option<i64>) -> Option<(i64, EdgeRef, ChannelId)> {
-        let windows = self.output_windows(deadline);
-        if windows.is_empty() {
+        let mut plan: Option<(i64, EdgeRef, ChannelId)> = None;
+        // `Lazy`: the first window open at the deadline, and otherwise the
+        // latest possible firing time.
+        let mut at_deadline = None;
+        let mut jitter = None;
+        let complete = self.for_each_output_window(deadline, |edge, ch, lo, hi| {
+            let at = match self.policy {
+                OutputPolicy::Eager => lo,
+                OutputPolicy::Lazy => {
+                    // Without an invariant forcing an output, a lazy
+                    // implementation stays quiescent.
+                    let Some(deadline) = deadline else { return };
+                    if at_deadline.is_none() && lo <= deadline && hi.is_none_or(|h| h >= deadline) {
+                        at_deadline = Some((deadline, edge, ch));
+                    }
+                    if let Some(h) = hi {
+                        let t = h.max(lo);
+                        if plan.is_none_or(|(latest, _, _)| t >= latest) {
+                            plan = Some((t, edge, ch));
+                        }
+                    }
+                    return;
+                }
+                OutputPolicy::Offset(k) => {
+                    let t = lo + k.max(0);
+                    hi.map_or(t, |h| t.min(h))
+                }
+                OutputPolicy::Jittery { seed } => {
+                    let h = *jitter.get_or_insert_with(|| self.state_hash(seed));
+                    let span = match hi {
+                        Some(hi) => (hi - lo).max(0),
+                        None => 4 * self.scale,
+                    };
+                    let offset = if span == 0 {
+                        0
+                    } else {
+                        (h % (span as u64 + 1)) as i64
+                    };
+                    lo + offset
+                }
+            };
+            if plan.is_none_or(|(best, _, _)| at < best) {
+                plan = Some((at, edge, ch));
+            }
+        });
+        // A model whose guards cannot be evaluated offers no output.
+        if !complete {
             return None;
         }
-        match self.policy {
-            OutputPolicy::Eager => windows
-                .iter()
-                .min_by_key(|(_, _, lo, _)| *lo)
-                .map(|(e, ch, lo, _)| (*lo, *e, *ch)),
-            OutputPolicy::Lazy => {
-                let Some(deadline) = deadline else {
-                    // No invariant forces an output: a lazy implementation
-                    // stays quiescent.
-                    return None;
-                };
-                // Prefer an edge enabled exactly at the deadline.
-                windows
-                    .iter()
-                    .filter(|(_, _, lo, hi)| *lo <= deadline && hi.is_none_or(|h| h >= deadline))
-                    .map(|(e, ch, _, _)| (deadline, *e, *ch))
-                    .next()
-                    .or_else(|| {
-                        // Otherwise the latest possible firing time.
-                        windows
-                            .iter()
-                            .filter_map(|(e, ch, lo, hi)| hi.map(|h| (h.max(*lo), *e, *ch)))
-                            .max_by_key(|(t, _, _)| *t)
-                    })
-            }
-            OutputPolicy::Offset(k) => windows
-                .iter()
-                .map(|(e, ch, lo, hi)| {
-                    let mut t = lo + k.max(0);
-                    if let Some(h) = hi {
-                        t = t.min(*h);
-                    }
-                    (t, *e, *ch)
-                })
-                .min_by_key(|(t, _, _)| *t),
-            OutputPolicy::Jittery { seed } => {
-                let mut hasher = DefaultHasher::new();
-                seed.hash(&mut hasher);
-                self.state.discrete.locations.hash(&mut hasher);
-                self.state.discrete.vars.hash(&mut hasher);
-                self.state.clocks.hash(&mut hasher);
-                let h = hasher.finish();
-                windows
-                    .iter()
-                    .map(|(e, ch, lo, hi)| {
-                        let span = match hi {
-                            Some(hi) => (hi - lo).max(0),
-                            None => 4 * self.scale,
-                        };
-                        let offset = if span == 0 {
-                            0
-                        } else {
-                            (h % (span as u64 + 1)) as i64
-                        };
-                        (lo + offset, *e, *ch)
-                    })
-                    .min_by_key(|(t, _, _)| *t)
-            }
-        }
+        at_deadline.or(plan)
+    }
+
+    /// The seed of the `Jittery` policy's pick in the current state.
+    fn state_hash(&self, seed: u64) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        seed.hash(&mut hasher);
+        self.state.discrete.locations.hash(&mut hasher);
+        self.state.discrete.vars.hash(&mut hasher);
+        self.state.clocks.hash(&mut hasher);
+        hasher.finish()
     }
 
     /// Advances the internal clocks without checking invariants (a silent
@@ -437,6 +452,23 @@ impl Iut for SimulatedIut {
                 DelayOutcome::Quiet
             }
         }
+    }
+
+    /// One tick short of the earliest output window (every policy fires
+    /// inside a window), capped by the invariant deadline: windows are
+    /// clipped at the deadline, and past it a window may open at any chunk
+    /// boundary.  Unbounded under `Lazy` with no deadline; `0` if the
+    /// windows cannot be evaluated.
+    fn quiet_horizon(&self) -> i64 {
+        let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
+        if self.policy == OutputPolicy::Lazy && deadline.is_none() {
+            return i64::MAX;
+        }
+        let mut earliest = i64::MAX;
+        if !self.for_each_output_window(deadline, |_, _, lo, _| earliest = earliest.min(lo)) {
+            return 0;
+        }
+        (earliest - 1).max(0).min(deadline.unwrap_or(i64::MAX))
     }
 
     fn name(&self) -> &str {

@@ -580,6 +580,25 @@ impl<'a> Interpreter<'a> {
         out.sort_unstable();
         Ok(out)
     }
+
+    /// Closed view: whether a synchronization on an output channel is
+    /// enabled now — whether [`Interpreter::enabled_syncs`] lists an output
+    /// channel — walking the joint edges only up to the first one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors met before that synchronization.
+    pub fn output_sync_enabled(&self, state: &ConcreteState) -> Result<bool, ModelError> {
+        self.system.try_for_each_joint_edge(&state.discrete, |je| {
+            Ok(match je {
+                JointEdge::Sync { channel, .. } => {
+                    self.system.channel(channel).kind() == ChannelKind::Output
+                        && self.joint_guards_hold(state, &je)?
+                }
+                JointEdge::Internal { .. } => false,
+            })
+        })
+    }
 }
 
 #[cfg(test)]
@@ -769,8 +788,10 @@ mod tests {
         let interp = Interpreter::new(&sys, 2).unwrap();
         let s0 = interp.initial_state().unwrap();
         assert_eq!(interp.enabled_syncs(&s0).unwrap(), vec![req]);
+        assert!(!interp.output_sync_enabled(&s0).unwrap());
         let s1 = stepped(&s0, |s, t| interp.fire_sync(s, req, t)).unwrap();
         assert_eq!(interp.enabled_syncs(&s1).unwrap(), vec![resp]);
+        assert!(interp.output_sync_enabled(&s1).unwrap());
         assert!(stepped(&s1, |s, t| interp.fire_sync(s, req, t)).is_none());
         let s2 = stepped(&s1, |s, t| interp.fire_sync(s, resp, t)).unwrap();
         assert_eq!(s2.discrete.locations, s0.discrete.locations);

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiga_gen::{generate_spec, GenConfig};
 use tiga_model::{
-    AutomatonBuilder, AutomatonId, CandidateTarget, ChannelId, ClockConstraint, CmpOp,
+    AutomatonBuilder, AutomatonId, CandidateTarget, ChannelId, ChannelKind, ClockConstraint, CmpOp,
     ConcreteState, DiscreteState, EdgeBuilder, EdgeId, EdgeRef, Explorer, Interpreter, JointEdge,
     Liveness, ModelError, SymbolicState, Sync, System, SystemBuilder,
 };
@@ -211,6 +211,12 @@ proptest! {
             interp.delay(&mut state, delay).unwrap();
             // Fire one of the enabled synchronizations, if any.
             let syncs = interp.enabled_syncs(&state).unwrap();
+            prop_assert_eq!(
+                interp.output_sync_enabled(&state).unwrap(),
+                syncs
+                    .iter()
+                    .any(|&ch| system.channel(ch).kind() == ChannelKind::Output)
+            );
             if !syncs.is_empty() {
                 let channel = syncs[pick % syncs.len()];
                 interp.fire_sync(&mut state, channel, &mut scratch).unwrap();

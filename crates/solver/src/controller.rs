@@ -3,10 +3,12 @@
 //! Online test execution asks three questions per step — *what should I do*
 //! ([`Controller::decide`]), *how far from the goal am I*
 //! ([`Controller::rank_of`]) and *when should I wake up*
-//! ([`Controller::next_take_delay`]).  The interpreted [`Strategy`] answers
-//! them by scanning every rule of the discrete state and testing full
-//! `dim²` bound matrices; under heavy traffic (10⁶+ step campaigns, many
-//! concurrent simulated IUTs) that scan *is* the hot path.
+//! ([`Controller::next_take_delay`]) — and, before a long wait, a fourth:
+//! *how long will that answer hold* ([`Controller::quiet_horizon`]).  The
+//! interpreted [`Strategy`] answers the first three by scanning every rule
+//! of the discrete state and testing full `dim²` bound matrices, and makes
+//! no promise for the fourth; under heavy traffic (10⁶+ step campaigns,
+//! many concurrent simulated IUTs) that scan *is* the hot path.
 //!
 //! [`CompiledController`] lowers a [minimized](crate::minimize) strategy
 //! into a static per-discrete-state decision structure:
@@ -101,6 +103,19 @@ pub trait Controller {
             StrategyDecision::Take(_) => None,
         };
         Some((decision, wakeup))
+    }
+
+    /// How long a quiet wait may run before this controller's answer can
+    /// change: a delay `D` such that, for every `d` in `[0, D)`,
+    /// [`decide_with_wakeup`](Controller::decide_with_wakeup) at the
+    /// valuation delayed by `d` answers `Wait` with a wake-up hint that is
+    /// `None` or at least `D − d`.  Asked only where that query answers
+    /// `Wait`; the test executor crosses the quiet stretch in one step.
+    ///
+    /// The provided implementation promises nothing (`0`), so a controller
+    /// without its own horizon is queried at every wait chunk.
+    fn quiet_horizon(&self, _discrete: &DiscreteState, _ticks: &[i64], _scale: i64) -> i64 {
+        0
     }
 }
 
@@ -291,6 +306,20 @@ impl StateProgram {
             return None;
         }
         Some(window)
+    }
+
+    /// The first delay at which the rule's containment of `v + d` differs
+    /// from its containment of `v` (entering or leaving its zone), or
+    /// `None` if it never does.  Read off [`StateProgram::delay_window`]:
+    /// integer delays inside a window with a strict end stop one tick short
+    /// of it.
+    fn containment_change(&self, rule: CompiledRule, ticks: &[i64], scale: i64) -> Option<i64> {
+        let window = self.delay_window(rule, ticks, scale)?;
+        let enter = window.min + i64::from(window.min_strict);
+        if enter > 0 {
+            return Some(enter);
+        }
+        window.max.map(|max| max + i64::from(!window.max_strict))
     }
 
     /// The `waits` candidates of one segment, in rank order.
@@ -552,6 +581,23 @@ impl Controller for CompiledController {
             }
         }
         Some((StrategyDecision::Wait { rank }, best))
+    }
+
+    fn quiet_horizon(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> i64 {
+        // Until some rule's containment changes, the wait rank and the
+        // (uncontained) take rules stay put, so the answer is the same
+        // `Wait`; every take rule's earliest entry is a change, so the hint
+        // (that entry minus the delay) never falls inside the horizon.
+        let Some(program) = self.program(discrete) else {
+            return 0;
+        };
+        program
+            .waits
+            .iter()
+            .chain(&program.takes)
+            .filter_map(|&rule| program.containment_change(rule, ticks, scale))
+            .min()
+            .unwrap_or(i64::MAX)
     }
 }
 
