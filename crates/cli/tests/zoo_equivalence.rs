@@ -13,7 +13,8 @@
 //!   and detection counts recorded in `perfbench/expected_campaigns.json`,
 //!   with no false alarm, and prints exactly the reports checked in under
 //!   `crates/cli/tests/campaigns/` — every run's verdict, not just the
-//!   totals.
+//!   totals; so do six more campaigns, four of them with mutants drawn
+//!   from a plant-only `--spec`.
 
 use std::path::{Path, PathBuf};
 use tiga_bench::model_zoo;
@@ -288,18 +289,47 @@ fn benchmark_campaigns_report_their_recorded_counts() {
     }
 }
 
-/// The full report of each benchmark campaign — the header, the summary
-/// and every run's verdict — matches the one checked in under
-/// `crates/cli/tests/campaigns/`, which is `tiga test`'s stdout run from
-/// `examples/tg/`.  Regenerate a file after an intended change with
-/// `(cd examples/tg && ../../target/release/tiga test <file> [--spec <spec>])`.
+/// Campaigns pinned by a golden report beside the benchmark's four, each
+/// with its golden's file name.  The `.plant-spec` ones draw their mutants
+/// from a plant-only system.
+const GOLDEN_CAMPAIGNS: [(&str, Option<&str>, &str); 6] = [
+    ("lep3.tg", Some("lep3.plant.tg"), "lep3.plant-spec.txt"),
+    ("lep4.tg", Some("lep4.plant.tg"), "lep4.plant-spec.txt"),
+    (
+        "coffee_machine.no_refund.tg",
+        Some("coffee_machine.plant.tg"),
+        "coffee_machine.no_refund.plant-spec.txt",
+    ),
+    (
+        "smart_light.never_bright.tg",
+        Some("smart_light.plant.tg"),
+        "smart_light.never_bright.plant-spec.txt",
+    ),
+    ("lep4.tg", None, "lep4.txt"),
+    (
+        "coffee_machine.bounded.tg",
+        None,
+        "coffee_machine.bounded.txt",
+    ),
+];
+
+/// The full report of each benchmark campaign, and of the campaigns in
+/// [`GOLDEN_CAMPAIGNS`] — the header, the summary and every run's verdict —
+/// matches the one checked in under `crates/cli/tests/campaigns/`, which
+/// is `tiga test`'s stdout run from `examples/tg/` with `--threads 1`.
+/// Regenerate a file after an intended change with
+/// `(cd examples/tg && ../../target/release/tiga test <file> [--spec <spec>] --threads 1)`.
 #[test]
 fn benchmark_campaigns_print_their_golden_reports() {
     let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/campaigns");
-    for (file, spec) in CAMPAIGNS {
-        let (report, _) = campaign_report(file, spec);
+    let benchmark = CAMPAIGNS.map(|(file, spec)| {
         let stem = file.strip_suffix(".tg").expect("a .tg file");
-        let golden = goldens.join(format!("{stem}.txt"));
+        (file, spec, format!("{stem}.txt"))
+    });
+    let others = GOLDEN_CAMPAIGNS.map(|(file, spec, golden)| (file, spec, golden.to_string()));
+    for (file, spec, golden) in benchmark.into_iter().chain(others) {
+        let (report, _) = campaign_report(file, spec);
+        let golden = goldens.join(golden);
         let want = std::fs::read_to_string(&golden)
             .unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
         // The CLI prints the report followed by a newline.

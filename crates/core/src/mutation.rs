@@ -6,10 +6,17 @@
 //! fault-detection capability, listed as future work item 3 of the paper —
 //! we derive faulty implementations from the plant model by syntactic
 //! mutation and run them through [`crate::TestHarness::execute`].
+//!
+//! A fault lives in one automaton, so a mutant rebuilds only that
+//! automaton and swaps it into the plant with
+//! [`System::with_automaton`]: the declarations and every other automaton
+//! are shared with the plant, not re-declared, and only the network is
+//! compiled anew.  [`rebuild_system`] rebuilds a whole system through the
+//! builders; a mutant equals the system it rebuilds from the same edit.
 
 use tiga_model::{
-    Automaton, AutomatonBuilder, ChannelKind, CmpOp, Edge, Expr, Location, LocationId, ModelError,
-    Sync, System, SystemBuilder,
+    Automaton, AutomatonBuilder, AutomatonId, ChannelKind, CmpOp, Edge, Expr, Location, LocationId,
+    ModelError, Sync, System, SystemBuilder,
 };
 
 /// A mutated plant model together with a description of the injected fault.
@@ -107,6 +114,8 @@ where
     builder.build()
 }
 
+/// Rebuilds one automaton through the builders, transforming its locations
+/// and edges as [`rebuild_system`] does.
 fn rebuild_automaton<FL, FE>(
     automaton: &Automaton,
     edit_location: &mut FL,
@@ -134,6 +143,22 @@ where
         }
     }
     b.build()
+}
+
+/// The mutant of `plant` whose automaton `aut` is rebuilt through the
+/// edits; the other automata are shared with the plant.
+fn mutate<FL, FE>(
+    plant: &System,
+    aut: AutomatonId,
+    mut edit_location: FL,
+    mut edit_edge: FE,
+) -> Result<System, ModelError>
+where
+    FL: FnMut(&str, LocationId, &Location) -> Location,
+    FE: FnMut(&str, usize, &Edge) -> Option<Edge>,
+{
+    let mutated = rebuild_automaton(plant.automaton(aut), &mut edit_location, &mut edit_edge)?;
+    plant.with_automaton(aut, mutated)
 }
 
 fn identity_location(_aut: &str, _id: LocationId, loc: &Location) -> Location {
@@ -170,7 +195,7 @@ pub fn generate_mutants(
         .collect();
 
     for (aut_idx, automaton) in plant.automata().iter().enumerate() {
-        let _ = aut_idx;
+        let aut = AutomatonId::from_index(aut_idx);
         for (edge_idx, edge) in automaton.edges().iter().enumerate() {
             let is_output_edge = matches!(edge.sync, Sync::Output(_));
 
@@ -186,8 +211,8 @@ pub fn generate_mutants(
                         if !matches!(constraint.op, CmpOp::Ge | CmpOp::Gt | CmpOp::Eq) {
                             continue;
                         }
-                        let mutated = rebuild_system(plant, identity_location, |aut, idx, e| {
-                            if aut == automaton.name() && idx == edge_idx {
+                        let mutated = mutate(plant, aut, identity_location, |_, idx, e| {
+                            if idx == edge_idx {
                                 let mut e = e.clone();
                                 e.guard.clocks[ci].bound =
                                     shift_expr(&e.guard.clocks[ci].bound, delta);
@@ -215,8 +240,8 @@ pub fn generate_mutants(
                         if *other == ch {
                             continue;
                         }
-                        let mutated = rebuild_system(plant, identity_location, |aut, idx, e| {
-                            if aut == automaton.name() && idx == edge_idx {
+                        let mutated = mutate(plant, aut, identity_location, |_, idx, e| {
+                            if idx == edge_idx {
                                 let mut e = e.clone();
                                 e.sync = Sync::Output(*other);
                                 Some(e)
@@ -238,8 +263,8 @@ pub fn generate_mutants(
 
             // 3. Remove the output edge entirely.
             if config.remove_outputs && is_output_edge {
-                let mutated = rebuild_system(plant, identity_location, |aut, idx, e| {
-                    if aut == automaton.name() && idx == edge_idx {
+                let mutated = mutate(plant, aut, identity_location, |_, idx, e| {
+                    if idx == edge_idx {
                         None
                     } else {
                         Some(e.clone())
@@ -257,8 +282,8 @@ pub fn generate_mutants(
 
             // 4. Drop clock resets.
             if config.drop_resets && !edge.resets.is_empty() {
-                let mutated = rebuild_system(plant, identity_location, |aut, idx, e| {
-                    if aut == automaton.name() && idx == edge_idx {
+                let mutated = mutate(plant, aut, identity_location, |_, idx, e| {
+                    if idx == edge_idx {
                         let mut e = e.clone();
                         e.resets.clear();
                         Some(e)
@@ -284,10 +309,11 @@ pub fn generate_mutants(
                     continue;
                 }
                 let widening = config.invariant_widening;
-                let mutated = rebuild_system(
+                let mutated = mutate(
                     plant,
-                    |aut, id, l| {
-                        if aut == automaton.name() && id.index() == loc_idx {
+                    aut,
+                    |_, id, l| {
+                        if id.index() == loc_idx {
                             let mut l = l.clone();
                             for c in &mut l.invariant {
                                 if matches!(c.op, CmpOp::Le | CmpOp::Lt) {

@@ -13,6 +13,12 @@
 //! the reachability run below, which takes inputs and outputs, stays under
 //! a fixed ceiling.
 //!
+//! Models are immutable and shared, so a campaign pays for none of
+//! them per run: cloning a system or an automaton allocates nothing,
+//! building the never-bright campaign's 201 simulated implementations
+//! allocates only their run states, and a mutant rebuilds only the
+//! automaton it changes.
+//!
 //! A counting global allocator, for this test binary only, counts the
 //! allocations made on the test's own thread.  The library crates stay
 //! `forbid(unsafe_code)`; the unsafe code is the forwarding shim below.
@@ -21,8 +27,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tiga_models::smart_light::{product, PURPOSE_BRIGHT, PURPOSE_NEVER_BRIGHT};
 use tiga_testing::{
-    default_policies, DelayOutcome, Iut, OutputPolicy, SimulatedIut, TestConfig, TestHarness,
-    Verdict,
+    default_policies, generate_mutants, DelayOutcome, Iut, MutationConfig, OutputPolicy,
+    SimulatedIut, TestConfig, TestHarness, Verdict,
 };
 
 /// A simulated implementation without its quiet horizon: the executor polls
@@ -164,4 +170,64 @@ fn an_output_taking_run_stays_under_its_allocation_ceiling() {
         "{allocs} allocations in {} steps, ceiling {CEILING}",
         report.steps
     );
+}
+
+#[test]
+fn cloning_a_system_or_an_automaton_allocates_nothing() {
+    let system = product().expect("the smart-light model parses");
+    let before = allocations();
+    let copy = system.clone();
+    let automaton = system.automata()[0].clone();
+    let allocs = allocations() - before;
+    assert_eq!(allocs, 0, "cloning a system and an automaton");
+    assert_eq!(copy, system);
+    assert_eq!(&automaton, &system.automata()[0]);
+}
+
+#[test]
+fn building_a_campaigns_implementations_allocates_only_their_run_states() {
+    // The never-bright campaign: the product and its 66 mutants, each under
+    // the three default policies.  A model clone once allocated a deep copy
+    // of the system for each of the 201 implementations.
+    let system = product().expect("the smart-light model parses");
+    let mutants = generate_mutants(&system, &MutationConfig::default()).expect("mutants");
+    assert_eq!(mutants.len(), 66);
+    let systems: Vec<_> = std::iter::once(&system)
+        .chain(mutants.iter().map(|m| &m.system))
+        .collect();
+    let scale = TestConfig::default().scale;
+    // What one implementation allocates for itself: its name and its run
+    // states, from a system it is handed by value.
+    let before = allocations();
+    let iut = SimulatedIut::new("conformant", system.clone(), scale, OutputPolicy::Eager);
+    let run_state = allocations() - before;
+    drop(iut);
+    let policies = default_policies();
+    let mut iuts = Vec::with_capacity(policies.len() * systems.len());
+    let before = allocations();
+    for &policy in &policies {
+        for sys in &systems {
+            iuts.push(SimulatedIut::new("iut", (*sys).clone(), scale, policy));
+        }
+    }
+    let allocs = allocations() - before;
+    assert_eq!(iuts.len(), 201);
+    assert_eq!(
+        allocs,
+        201 * run_state,
+        "201 implementations, {run_state} allocations each for the run state"
+    );
+}
+
+#[test]
+fn generating_smart_lights_mutants_stays_under_its_allocation_ceiling() {
+    // Rebuilding the whole system for each of the 66 mutants made 6 667
+    // allocations; rebuilding only the mutated automaton makes 4 633.
+    const CEILING: u64 = 5_000;
+    let system = product().expect("the smart-light model parses");
+    let before = allocations();
+    let mutants = generate_mutants(&system, &MutationConfig::default()).expect("mutants");
+    let allocs = allocations() - before;
+    assert_eq!(mutants.len(), 66);
+    assert!(allocs <= CEILING, "{allocs} allocations, ceiling {CEILING}");
 }

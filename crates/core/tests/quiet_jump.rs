@@ -12,7 +12,10 @@
 //! * each of the controller's wake-up, the specification's deadline, the
 //!   product's invariant and the implementation's own deadline ends a jump
 //!   where polling would stop, so the jumping run reports exactly what the
-//!   polling one does.
+//!   polling one does;
+//! * a controller's or an implementation's horizon that ends on a chunk
+//!   boundary, or one tick short of one, is crossed with an exact query
+//!   count, so a horizon one tick off either way shows.
 
 use std::cell::Cell;
 use tiga_model::{
@@ -128,9 +131,9 @@ fn an_implementation_without_a_quiet_promise_is_polled_every_step() {
     assert_eq!(queries, report.steps - 1);
 }
 
-/// `Plant: Idle --go?{x >= 100}--> Done`, closed by a `User` that offers
+/// `Plant: Idle --go?{x >= at}--> Done`, closed by a `User` that offers
 /// `go!` when `with_user`.
-fn late_input(with_user: bool) -> System {
+fn late_input(with_user: bool, at: i64) -> System {
     let mut b = SystemBuilder::new("late-input");
     let x = b.clock("x").unwrap();
     let go = b.input_channel("go").unwrap();
@@ -140,7 +143,7 @@ fn late_input(with_user: bool) -> System {
     plant.add_edge(
         EdgeBuilder::new(idle, done)
             .input(go)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, 100)),
+            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, at)),
     );
     b.add_automaton(plant.build().unwrap()).unwrap();
     if with_user {
@@ -153,11 +156,11 @@ fn late_input(with_user: bool) -> System {
 }
 
 /// `Plant: Start --kick?--> Busy --resp!--> Idle`, and `Busy --poke?-->
-/// Done` once `x >= 60`, with `inv x <= 50` on `Busy` when `deadline`.
-/// The `resp!` edge exists when `responds`.  With `with_user`, a `User`
-/// must kick in `(2, 3]` — at 9 ticks, so the deadline falls between two
-/// 32-tick chunks — and then pokes and listens.
-fn responder(deadline: bool, responds: bool, with_user: bool) -> System {
+/// Done` once `x >= poke_at`, with `inv x <= 50` on `Busy` when
+/// `deadline`.  The `resp!` edge exists when `responds`.  With `with_user`,
+/// a `User` must kick in `(2, 3]` — at 9 ticks, so the deadline falls
+/// between two 32-tick chunks — and then pokes and listens.
+fn responder(deadline: bool, responds: bool, with_user: bool, poke_at: i64) -> System {
     let mut b = SystemBuilder::new("responder");
     let x = b.clock("x").unwrap();
     let kick = b.input_channel("kick").unwrap();
@@ -175,7 +178,7 @@ fn responder(deadline: bool, responds: bool, with_user: bool) -> System {
     plant.add_edge(
         EdgeBuilder::new(busy, done)
             .input(poke)
-            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, 60)),
+            .guard_clock(ClockConstraint::new(x, CmpOp::Ge, poke_at)),
     );
     if responds {
         plant.add_edge(EdgeBuilder::new(busy, idle).output(resp));
@@ -202,7 +205,8 @@ fn responder(deadline: bool, responds: bool, with_user: bool) -> System {
 /// `User` that listens.  When
 /// `strict`, `Busy` has `inv x <= 10` and `resp!` waits for `y >= 20`:
 /// the output window opens only after the invariant deadline has passed.
-fn late_answer(strict: bool) -> System {
+/// `guard`, if any, adds `y op bound` to the guard of `resp!`.
+fn late_answer(strict: bool, guard: Option<(CmpOp, i64)>) -> System {
     let mut b = SystemBuilder::new("late-answer");
     let x = b.clock("x").unwrap();
     let y = b.clock("y").unwrap();
@@ -215,6 +219,9 @@ fn late_answer(strict: bool) -> System {
     if strict {
         plant.set_invariant(busy, vec![ClockConstraint::new(x, CmpOp::Le, 10)]);
         answer = answer.guard_clock(ClockConstraint::new(y, CmpOp::Ge, 20));
+    }
+    if let Some((op, bound)) = guard {
+        answer = answer.guard_clock(ClockConstraint::new(y, op, bound));
     }
     plant.add_edge(answer);
     b.add_automaton(plant.build().unwrap()).unwrap();
@@ -232,10 +239,10 @@ fn every_quiet_horizon_ends_a_jump_where_polling_stops() {
         // horizon ends the jump, and the input goes out at 400 ticks.
         (
             "controller",
-            late_input(true),
-            late_input(false),
+            late_input(true, 100),
+            late_input(false, 100),
             "control: A<> Plant.Done",
-            late_input(false),
+            late_input(false, 100),
             Verdict::Pass,
         ),
         // The strategy waits in `Busy` for `poke?` at 240 ticks, but a
@@ -245,10 +252,10 @@ fn every_quiet_horizon_ends_a_jump_where_polling_stops() {
         // the sixth, which crosses 200 ticks, is the illegal one.
         (
             "specification",
-            responder(false, false, true),
-            responder(true, true, false),
+            responder(false, false, true, 60),
+            responder(true, true, false, 60),
             "control: A<> Plant.Done",
-            responder(false, false, false),
+            responder(false, false, false, 60),
             Verdict::Fail(FailReason::IllegalDelay {
                 delay_ticks: 32,
                 at_ticks: 169,
@@ -260,10 +267,10 @@ fn every_quiet_horizon_ends_a_jump_where_polling_stops() {
         // output due at 200 ticks.
         (
             "product",
-            responder(true, true, true),
-            responder(false, true, false),
+            responder(true, true, true, 60),
+            responder(false, true, false, 60),
             "control: A<> Plant.Idle",
-            responder(false, false, false),
+            responder(false, false, false, 60),
             Verdict::Fail(FailReason::MissedDeadline { at_ticks: 200 }),
         ),
         // Only the implementation has the deadline, at 40 ticks, and its
@@ -273,10 +280,10 @@ fn every_quiet_horizon_ends_a_jump_where_polling_stops() {
         // horizon stops at its deadline, so the executor polls from there.
         (
             "implementation",
-            late_answer(false),
-            late_answer(false),
+            late_answer(false, None),
+            late_answer(false, None),
             "control: A[] not Plant.Never",
-            late_answer(true),
+            late_answer(true, None),
             Verdict::Pass,
         ),
     ];
@@ -298,5 +305,73 @@ fn every_quiet_horizon_ends_a_jump_where_polling_stops() {
             "{bound}: {queries} queries in {} steps",
             report.steps
         );
+    }
+}
+
+#[test]
+fn a_horizon_on_a_chunk_boundary_is_crossed_exactly() {
+    // Each horizon ends on a 32-tick chunk boundary, or one tick short of
+    // one, so a horizon one tick too short costs one more query, and one
+    // tick too long jumps one chunk too far or saves a query.
+    let cases = [
+        // The controller's horizon: `go?` is enabled at x = 104, 416 =
+        // 13 * 32 ticks, so thirteen chunks go in one jump.
+        (
+            "controller, 13 chunks",
+            late_input(true, 104),
+            late_input(false, 104),
+            "control: A<> Plant.Done",
+            late_input(false, 104),
+            Verdict::Pass,
+            3,
+        ),
+        // After the kick at 9 ticks, `poke?` is enabled at x = 58: 223 =
+        // 7 * 32 - 1 ticks later, so the jump stops a chunk short and the
+        // controller's wake-up sends the input at 232 ticks.
+        (
+            "controller, 7 chunks less a tick",
+            responder(false, false, true, 58),
+            responder(false, false, false, 58),
+            "control: A<> Plant.Done",
+            responder(false, false, false, 58),
+            Verdict::Pass,
+            6,
+        ),
+        // The implementation's horizon: an eager `resp!` at y > 32, 129
+        // ticks, is one tick past four chunks.
+        (
+            "implementation, 4 chunks",
+            late_answer(false, None),
+            late_answer(false, None),
+            "control: A[] not Plant.Never",
+            late_answer(false, Some((CmpOp::Gt, 32))),
+            Verdict::Pass,
+            6,
+        ),
+        // An eager `resp!` at y >= 24, 96 ticks: three chunks less a tick
+        // of quiet, so the jump stops a chunk short of the output.
+        (
+            "implementation, 3 chunks less a tick",
+            late_answer(false, None),
+            late_answer(false, None),
+            "control: A[] not Plant.Never",
+            late_answer(false, Some((CmpOp::Ge, 24))),
+            Verdict::Pass,
+            5,
+        ),
+    ];
+    for (bound, product, spec, purpose, iut, verdict, want) in cases {
+        let harness = TestHarness::synthesize(product, spec, purpose, TestConfig::default())
+            .unwrap_or_else(|e| panic!("{bound}: {e}"));
+        let scale = harness.config().scale;
+        let mut jumping = SimulatedIut::new("iut", iut.clone(), scale, OutputPolicy::Eager);
+        let (report, queries) = counted_run(&harness, &mut jumping);
+        let mut polling = SimulatedIut::new("iut", iut, scale, OutputPolicy::Eager);
+        let reference = harness
+            .execute_controlled(&mut polling, harness.strategy())
+            .expect("the run evaluates");
+        assert_eq!(report, reference, "{bound}");
+        assert_eq!(report.verdict, verdict, "{bound}");
+        assert_eq!(queries, want, "{bound}: queries in {} steps", report.steps);
     }
 }

@@ -1,9 +1,14 @@
 //! Timed (I/O game) automata: locations, edges, guards, invariants.
+//!
+//! An [`Automaton`] is an immutable, shared value: it is never changed
+//! after [`crate::AutomatonBuilder::build`], and a clone shares its
+//! locations, edges and edge index instead of copying them.
 
 use crate::decl::{ClockRef, VarTable};
 use crate::error::{EvalError, ModelError};
 use crate::expr::{CmpOp, Expr};
 use crate::ids::{ChannelId, ClockId, EdgeId, LocationId, VarId};
+use std::sync::Arc;
 use tiga_dbm::{Bound, Dbm};
 
 /// A single clock constraint `c  op  bound` or `c - c'  op  bound`, where the
@@ -306,13 +311,23 @@ impl IndexedEdge {
 /// Controllability of actions is declared on the channels of the enclosing
 /// [`crate::System`]; an automaton on its own is just a timed automaton with
 /// synchronization labels.
+///
+/// Cloning an automaton is a reference-count bump: its parts are never
+/// changed after it is built, so every clone shares them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Automaton {
-    pub(crate) name: String,
-    pub(crate) locations: Vec<Location>,
-    pub(crate) initial: LocationId,
-    pub(crate) edges: Vec<Edge>,
+    inner: Arc<AutomatonInner>,
+}
+
+/// The parts of an [`Automaton`], shared by its clones.
+#[derive(Debug, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+struct AutomatonInner {
+    name: String,
+    locations: Vec<Location>,
+    initial: LocationId,
+    edges: Vec<Edge>,
     /// The edges grouped by source location and, within a location, by
     /// synchronization: its `tau` edges, then its outputs, then its inputs
     /// sorted by channel, each in declaration order.
@@ -327,25 +342,25 @@ impl Automaton {
     /// Automaton name (unique within the system).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.inner.name
     }
 
     /// The declared locations.
     #[must_use]
     pub fn locations(&self) -> &[Location] {
-        &self.locations
+        &self.inner.locations
     }
 
     /// The initial location.
     #[must_use]
     pub fn initial(&self) -> LocationId {
-        self.initial
+        self.inner.initial
     }
 
     /// The declared edges.
     #[must_use]
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        &self.inner.edges
     }
 
     /// A location by identifier.
@@ -355,7 +370,7 @@ impl Automaton {
     /// Panics if the identifier does not belong to this automaton.
     #[must_use]
     pub fn location(&self, id: LocationId) -> &Location {
-        &self.locations[id.index()]
+        &self.inner.locations[id.index()]
     }
 
     /// An edge by identifier.
@@ -365,13 +380,14 @@ impl Automaton {
     /// Panics if the identifier does not belong to this automaton.
     #[must_use]
     pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id.index()]
+        &self.inner.edges[id.index()]
     }
 
     /// Looks up a location by name.
     #[must_use]
     pub fn location_by_name(&self, name: &str) -> Option<LocationId> {
-        self.locations
+        self.inner
+            .locations
             .iter()
             .position(|l| l.name == name)
             .map(LocationId::from_index)
@@ -392,7 +408,8 @@ impl Automaton {
     /// `count` consecutive groups of the edge index, from group `first`.
     #[inline]
     fn group(&self, first: usize, count: usize) -> &[IndexedEdge] {
-        &self.by_source[self.groups[first] as usize..self.groups[first + count] as usize]
+        let inner = &*self.inner;
+        &inner.by_source[inner.groups[first] as usize..inner.groups[first + count] as usize]
     }
 
     /// The `tau` edges leaving a location, in declaration order.
@@ -476,12 +493,14 @@ impl Automaton {
             by_source[inputs].sort_by_key(|e| e.channel);
         }
         Automaton {
-            name,
-            locations,
-            initial,
-            edges,
-            by_source,
-            groups,
+            inner: Arc::new(AutomatonInner {
+                name,
+                locations,
+                initial,
+                edges,
+                by_source,
+                groups,
+            }),
         }
     }
 }

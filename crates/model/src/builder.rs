@@ -12,9 +12,7 @@ use crate::decl::{Channel, ChannelKind, ClockDecl, VarTable};
 use crate::error::ModelError;
 use crate::expr::Expr;
 use crate::ids::{AutomatonId, ChannelId, ClockId, LocationId, VarId};
-use crate::network::Network;
 use crate::system::System;
-use std::sync::Arc;
 
 /// Builder for a [`System`].
 ///
@@ -134,69 +132,15 @@ impl SystemBuilder {
     /// name, or [`ModelError::InvalidReference`] if the automaton refers to
     /// clocks, channels or variables not declared on this builder.
     pub fn add_automaton(&mut self, automaton: Automaton) -> Result<AutomatonId, ModelError> {
-        if self.automata.iter().any(|a| a.name() == automaton.name()) {
-            return Err(ModelError::DuplicateName(automaton.name().to_string()));
-        }
-        self.validate_automaton(&automaton)?;
+        check_automaton(
+            &automaton,
+            &self.automata,
+            &self.clocks,
+            &self.channels,
+            &self.vars,
+        )?;
         self.automata.push(automaton);
         Ok(AutomatonId::from_index(self.automata.len() - 1))
-    }
-
-    // The error context is rendered only when a check fails: mutation
-    // campaigns rebuild a system per mutant.
-    fn validate_clock(&self, clock: ClockId, ctx: &dyn Fn() -> String) -> Result<(), ModelError> {
-        if clock.index() >= self.clocks.len() {
-            return Err(ModelError::InvalidReference(format!("clock in {}", ctx())));
-        }
-        Ok(())
-    }
-
-    fn validate_constraints(
-        &self,
-        cs: &[ClockConstraint],
-        ctx: &dyn Fn() -> String,
-    ) -> Result<(), ModelError> {
-        for c in cs {
-            self.validate_clock(c.left, ctx)?;
-            if let Some(r) = c.minus {
-                self.validate_clock(r, ctx)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_automaton(&self, automaton: &Automaton) -> Result<(), ModelError> {
-        let n_locs = automaton.locations().len();
-        for loc in automaton.locations() {
-            self.validate_constraints(&loc.invariant, &|| format!("invariant of {}", loc.name))?;
-        }
-        for (idx, edge) in automaton.edges().iter().enumerate() {
-            let ctx = || format!("edge #{idx} of {}", automaton.name());
-            if edge.source.index() >= n_locs || edge.target.index() >= n_locs {
-                return Err(ModelError::InvalidReference(ctx()));
-            }
-            if let Some(ch) = edge.sync.channel() {
-                if ch.index() >= self.channels.len() {
-                    return Err(ModelError::InvalidReference(format!(
-                        "channel in {}",
-                        ctx()
-                    )));
-                }
-            }
-            self.validate_constraints(&edge.guard.clocks, &ctx)?;
-            for r in &edge.resets {
-                self.validate_clock(r.clock, &ctx)?;
-            }
-            for u in &edge.updates {
-                if u.target.index() >= self.vars.len() {
-                    return Err(ModelError::InvalidReference(format!(
-                        "variable in {}",
-                        ctx()
-                    )));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Finalizes the system.
@@ -208,15 +152,13 @@ impl SystemBuilder {
         if self.automata.is_empty() {
             return Err(ModelError::Invalid("system has no automaton".to_string()));
         }
-        let network = Arc::new(Network::compile(&self.automata, &self.vars));
-        Ok(System {
-            name: self.name,
-            clocks: self.clocks,
-            channels: self.channels,
-            vars: self.vars,
-            automata: self.automata,
-            network,
-        })
+        Ok(System::new(
+            self.name,
+            self.clocks,
+            self.channels,
+            self.vars,
+            self.automata,
+        ))
     }
 
     /// Read access to the variable table while still building (useful for
@@ -225,6 +167,75 @@ impl SystemBuilder {
     pub fn vars(&self) -> &VarTable {
         &self.vars
     }
+}
+
+/// Checks that `automaton` may join a system with these declarations next
+/// to the automata `others`: its name is not taken, and every clock,
+/// channel, variable and location it refers to is declared.
+///
+/// # Errors
+///
+/// Returns [`ModelError::DuplicateName`] if one of `others` has the same
+/// name, and [`ModelError::InvalidReference`] for an undeclared reference.
+pub(crate) fn check_automaton<'a>(
+    automaton: &Automaton,
+    others: impl IntoIterator<Item = &'a Automaton>,
+    clocks: &[ClockDecl],
+    channels: &[Channel],
+    vars: &VarTable,
+) -> Result<(), ModelError> {
+    if others.into_iter().any(|a| a.name() == automaton.name()) {
+        return Err(ModelError::DuplicateName(automaton.name().to_string()));
+    }
+    // The error context is rendered only when a check fails: mutation
+    // campaigns check an automaton per mutant.
+    let check_clock = |clock: ClockId, ctx: &dyn Fn() -> String| -> Result<(), ModelError> {
+        if clock.index() >= clocks.len() {
+            return Err(ModelError::InvalidReference(format!("clock in {}", ctx())));
+        }
+        Ok(())
+    };
+    let check_constraints =
+        |cs: &[ClockConstraint], ctx: &dyn Fn() -> String| -> Result<(), ModelError> {
+            for c in cs {
+                check_clock(c.left, ctx)?;
+                if let Some(r) = c.minus {
+                    check_clock(r, ctx)?;
+                }
+            }
+            Ok(())
+        };
+    let n_locs = automaton.locations().len();
+    for loc in automaton.locations() {
+        check_constraints(&loc.invariant, &|| format!("invariant of {}", loc.name))?;
+    }
+    for (idx, edge) in automaton.edges().iter().enumerate() {
+        let ctx = || format!("edge #{idx} of {}", automaton.name());
+        if edge.source.index() >= n_locs || edge.target.index() >= n_locs {
+            return Err(ModelError::InvalidReference(ctx()));
+        }
+        if let Some(ch) = edge.sync.channel() {
+            if ch.index() >= channels.len() {
+                return Err(ModelError::InvalidReference(format!(
+                    "channel in {}",
+                    ctx()
+                )));
+            }
+        }
+        check_constraints(&edge.guard.clocks, &ctx)?;
+        for r in &edge.resets {
+            check_clock(r.clock, &ctx)?;
+        }
+        for u in &edge.updates {
+            if u.target.index() >= vars.len() {
+                return Err(ModelError::InvalidReference(format!(
+                    "variable in {}",
+                    ctx()
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Builder for a single [`Automaton`].

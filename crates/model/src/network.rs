@@ -285,7 +285,7 @@ struct LocationSlot {
 
 /// A [`System`]'s automata, compiled once by
 /// [`crate::SystemBuilder::build`].  See the module documentation.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct Network {
     /// Per automaton, the slot of its first location.
@@ -714,7 +714,7 @@ impl Network {
     ) -> Result<i64, ModelError> {
         match r.value {
             Value::Expr(k) => system.reset_value(r.clock(), &self.exprs[k as usize], vars),
-            value => Ok(self.eval(value, &system.vars, vars)?),
+            value => Ok(self.eval(value, system.vars(), vars)?),
         }
     }
 
@@ -803,13 +803,13 @@ mod tests {
     }
 
     fn edge(sys: &System, e: usize) -> CompiledEdge<'_> {
-        sys.network.edge(0, EdgeId::from_index(e))
+        sys.network().edge(0, EdgeId::from_index(e))
     }
 
     #[test]
     fn a_constant_out_of_range_index_keeps_the_evaluator_and_its_error() {
         let sys = indexing_system();
-        let net = &sys.network;
+        let net = sys.network();
         let store = sys.vars().initial_store();
         let guard = sys.automata()[0].edges()[0].guard.data.as_ref().unwrap();
         let expected = guard.eval(sys.vars(), &store).unwrap_err();
@@ -846,7 +846,7 @@ mod tests {
     #[test]
     fn in_range_reads_compile_to_atoms_and_slots() {
         let sys = indexing_system();
-        let net = &sys.network;
+        let net = sys.network();
         assert_eq!(
             edge(&sys, 2).conjuncts,
             [
@@ -909,7 +909,7 @@ mod tests {
                 locations: locations.to_vec(),
                 vars: Vec::new(),
             };
-            assert!(sys.network.invariant_is_decoded(&d.locations));
+            assert!(sys.network().invariant_is_decoded(&d.locations));
             let invariant = sys.invariant_zone(&d).unwrap();
             for (lo, hi, diag) in (0..6)
                 .flat_map(|lo| (lo..8).flat_map(move |hi| (-3..4).map(move |diag| (lo, hi, diag))))
@@ -919,9 +919,11 @@ mod tests {
                 zone.constrain(2, 0, Bound::lt(hi));
                 zone.constrain(1, 2, Bound::le(diag));
                 let mut constrained = zone.clone();
-                let kept =
-                    sys.network
-                        .constrain_invariant(&mut constrained, sys.automata(), &d.locations);
+                let kept = sys.network().constrain_invariant(
+                    &mut constrained,
+                    sys.automata(),
+                    &d.locations,
+                );
                 let mut intersected = zone;
                 assert_eq!(kept, intersected.intersect(&invariant));
                 assert_eq!(kept, !constrained.is_empty());

@@ -206,8 +206,8 @@ impl System {
     #[must_use]
     pub fn initial_discrete(&self) -> DiscreteState {
         DiscreteState {
-            locations: self.automata.iter().map(|a| a.initial()).collect(),
-            vars: self.vars.initial_store(),
+            locations: self.automata().iter().map(|a| a.initial()).collect(),
+            vars: self.vars().initial_store(),
         }
     }
 
@@ -233,9 +233,12 @@ impl System {
     /// Returns an error if an invariant bound cannot be evaluated.
     pub fn invariant_zone(&self, d: &DiscreteState) -> Result<Dbm, ModelError> {
         let mut zone = Dbm::universe(self.dim());
-        for a in 0..self.automata.len() {
-            for c in self.network.invariant(a, d.locations[a]) {
-                if !self.network.constrain(c, &mut zone, &self.vars, &d.vars)? {
+        for a in 0..self.automata().len() {
+            for c in self.network().invariant(a, d.locations[a]) {
+                if !self
+                    .network()
+                    .constrain(c, &mut zone, self.vars(), &d.vars)?
+                {
                     break;
                 }
             }
@@ -246,7 +249,7 @@ impl System {
     /// Returns `true` if any current location is urgent (time may not elapse).
     #[must_use]
     pub fn is_urgent(&self, d: &DiscreteState) -> bool {
-        self.automata
+        self.automata()
             .iter()
             .enumerate()
             .any(|(i, aut)| aut.location(d.locations[i]).urgent)
@@ -285,10 +288,10 @@ impl System {
         d: &DiscreteState,
         mut visit: impl FnMut(JointEdge) -> Result<bool, ModelError>,
     ) -> Result<bool, ModelError> {
-        let net = &self.network;
-        for (a, aut) in self.automata.iter().enumerate() {
+        let net = self.network();
+        for (a, aut) in self.automata().iter().enumerate() {
             for edge in aut.tau_edges(d.locations[a]).iter().map(|e| e.id()) {
-                if net.data_holds(&net.edge(a, edge), &self.vars, &d.vars)?
+                if net.data_holds(&net.edge(a, edge), self.vars(), &d.vars)?
                     && visit(JointEdge::Internal {
                         automaton: AutomatonId::from_index(a),
                         edge,
@@ -327,20 +330,20 @@ impl System {
         only: Option<ChannelId>,
         visit: &mut impl FnMut(JointEdge) -> Result<bool, ModelError>,
     ) -> Result<bool, ModelError> {
-        let net = &self.network;
-        let n = self.automata.len();
-        for (a, aut) in self.automata.iter().enumerate() {
+        let net = self.network();
+        let n = self.automata().len();
+        for (a, aut) in self.automata().iter().enumerate() {
             for indexed in aut.output_edges(d.locations[a]) {
                 let (out, channel) = (indexed.id(), indexed.channel());
                 if only.is_some_and(|c| c != channel)
-                    || !net.data_holds(&net.edge(a, out), &self.vars, &d.vars)?
+                    || !net.data_holds(&net.edge(a, out), self.vars(), &d.vars)?
                 {
                     continue;
                 }
                 for b in (0..n).filter(|&b| b != a) {
-                    for indexed in self.automata[b].receivers(d.locations[b], channel) {
+                    for indexed in self.automata()[b].receivers(d.locations[b], channel) {
                         let input = indexed.id();
-                        if net.data_holds(&net.edge(b, input), &self.vars, &d.vars)?
+                        if net.data_holds(&net.edge(b, input), self.vars(), &d.vars)?
                             && visit(JointEdge::Sync {
                                 channel,
                                 output: (AutomatonId::from_index(a), out),
@@ -390,9 +393,9 @@ impl System {
         d: &DiscreteState,
         je: &JointEdge,
     ) -> Result<bool, ModelError> {
-        for (_, edge) in self.network.components(je) {
+        for (_, edge) in self.network().components(je) {
             for c in edge.guard() {
-                if !self.network.constrain(c, zone, &self.vars, &d.vars)? {
+                if !self.network().constrain(c, zone, self.vars(), &d.vars)? {
                     return Ok(false);
                 }
             }
@@ -425,7 +428,7 @@ impl System {
         d: &mut DiscreteState,
         je: &JointEdge,
     ) -> Result<bool, ModelError> {
-        for (a, edge) in self.network.components(je) {
+        for (a, edge) in self.network().components(je) {
             if !self.apply_edge_discrete(d, a, &edge)? {
                 return Ok(false);
             }
@@ -445,7 +448,7 @@ impl System {
         edge: &CompiledEdge,
     ) -> Result<bool, ModelError> {
         d.locations[automaton] = edge.target();
-        self.network.apply_updates(edge, &self.vars, &mut d.vars)
+        self.network().apply_updates(edge, self.vars(), &mut d.vars)
     }
 
     /// The value `value` a reset of `clock` assigns, evaluated in the
@@ -457,7 +460,7 @@ impl System {
         value: &Expr,
         vars: &[i64],
     ) -> Result<i64, ModelError> {
-        let v = value.eval(&self.vars, vars)?;
+        let v = value.eval(self.vars(), vars)?;
         if v < 0 {
             return Err(ModelError::NegativeClockReset(format!(
                 "clock {} := {v}",
@@ -506,9 +509,9 @@ impl System {
         if !self.constrain_joint_guards(zone, source, je)? || zone.is_empty() {
             return Ok(false);
         }
-        for (_, edge) in self.network.components(je) {
+        for (_, edge) in self.network().components(je) {
             for r in edge.resets() {
-                let v = checked_reset_value(self.network.reset_value(r, self, &source.vars)?)?;
+                let v = checked_reset_value(self.network().reset_value(r, self, &source.vars)?)?;
                 zone.reset(r.clock().dbm_index(), v);
             }
         }
@@ -577,11 +580,11 @@ impl System {
         target_zone: &Dbm,
     ) -> Result<Dbm, ModelError> {
         let mut z = target_zone.clone();
-        let components = self.network.components(je);
+        let components = self.network().components(je);
         // Constrain the reset clocks to their reset values, then free them.
         for (_, edge) in components.clone() {
             for r in edge.resets() {
-                let v = checked_reset_value(self.network.reset_value(r, self, &source.vars)?)?;
+                let v = checked_reset_value(self.network().reset_value(r, self, &source.vars)?)?;
                 let idx = r.clock().dbm_index();
                 if !(z.constrain(idx, 0, Bound::le(v)) && z.constrain(0, idx, Bound::le(-v))) {
                     return Ok(z); // empty: the reset can never land in the target zone
@@ -614,10 +617,10 @@ impl System {
         d: &DiscreteState,
         invariant: Option<&Dbm>,
     ) -> Result<bool, ModelError> {
-        if self.network.invariant_is_decoded(&d.locations) {
+        if self.network().invariant_is_decoded(&d.locations) {
             return Ok(self
-                .network
-                .constrain_invariant(zone, &self.automata, &d.locations));
+                .network()
+                .constrain_invariant(zone, self.automata(), &d.locations));
         }
         Ok(match invariant {
             Some(inv) => zone.intersect(inv),
@@ -658,17 +661,17 @@ impl System {
         urgent: bool,
         max_bounds: &[i32],
     ) -> Result<bool, ModelError> {
-        if self.network.invariant_is_decoded(&d.locations) {
+        if self.network().invariant_is_decoded(&d.locations) {
             if !self
-                .network
-                .constrain_invariant(zone, &self.automata, &d.locations)
+                .network()
+                .constrain_invariant(zone, self.automata(), &d.locations)
             {
                 return Ok(false);
             }
             if !urgent {
                 zone.up();
-                self.network
-                    .constrain_invariant(zone, &self.automata, &d.locations);
+                self.network()
+                    .constrain_invariant(zone, self.automata(), &d.locations);
             }
         } else {
             let computed;

@@ -1,7 +1,15 @@
 //! A system: a network of timed (I/O game) automata sharing clocks, discrete
 //! variables and synchronization channels.
+//!
+//! A [`System`] is an immutable, shared value: it is never changed after
+//! [`crate::SystemBuilder::build`], and a clone shares its declarations,
+//! automata and compiled network instead of copying them.  A variant is a
+//! new system: [`System::with_automaton`] swaps one automaton and shares
+//! the others, and [`System::with_extra_clock`] adds a clock and shares
+//! every automaton.
 
 use crate::automaton::Automaton;
+use crate::builder::check_automaton;
 use crate::decl::{Channel, ClockDecl, VarTable};
 use crate::error::ModelError;
 use crate::ids::{AutomatonId, ChannelId, ClockId, LocationId};
@@ -12,7 +20,8 @@ use std::sync::Arc;
 /// in parallel.
 ///
 /// Systems are constructed through [`crate::SystemBuilder`]; the struct itself
-/// is immutable, so analyses can borrow it freely.
+/// is immutable, so analyses can borrow it freely, and cloning it is a
+/// reference-count bump.
 ///
 /// # Examples
 ///
@@ -40,46 +49,79 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct System {
-    pub(crate) name: String,
-    pub(crate) clocks: Vec<ClockDecl>,
-    pub(crate) channels: Vec<Channel>,
-    pub(crate) vars: VarTable,
-    pub(crate) automata: Vec<Automaton>,
+    inner: Arc<SystemInner>,
+}
+
+/// The parts of a [`System`], shared by its clones.
+#[derive(Debug, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+struct SystemInner {
+    name: String,
+    clocks: Vec<ClockDecl>,
+    channels: Vec<Channel>,
+    vars: VarTable,
+    automata: Vec<Automaton>,
     /// The automata compiled for the hot paths (see [`Network`]); derived
-    /// from the fields above when the system is built, and shared by the
-    /// system's clones (a campaign clones each mutant once per run).
-    pub(crate) network: Arc<Network>,
+    /// from the fields above when the system is built.
+    network: Network,
 }
 
 impl System {
+    /// Assembles a system from validated parts and compiles its network.
+    pub(crate) fn new(
+        name: String,
+        clocks: Vec<ClockDecl>,
+        channels: Vec<Channel>,
+        vars: VarTable,
+        automata: Vec<Automaton>,
+    ) -> Self {
+        let network = Network::compile(&automata, &vars);
+        System {
+            inner: Arc::new(SystemInner {
+                name,
+                clocks,
+                channels,
+                vars,
+                automata,
+                network,
+            }),
+        }
+    }
+
     /// System name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.inner.name
     }
 
     /// Declared clocks, in declaration order.
     #[must_use]
     pub fn clocks(&self) -> &[ClockDecl] {
-        &self.clocks
+        &self.inner.clocks
     }
 
     /// Declared channels, in declaration order.
     #[must_use]
     pub fn channels(&self) -> &[Channel] {
-        &self.channels
+        &self.inner.channels
     }
 
     /// The discrete-variable table.
     #[must_use]
     pub fn vars(&self) -> &VarTable {
-        &self.vars
+        &self.inner.vars
     }
 
     /// The automata composed in parallel.
     #[must_use]
     pub fn automata(&self) -> &[Automaton] {
-        &self.automata
+        &self.inner.automata
+    }
+
+    /// The automata compiled for the hot paths.
+    #[inline]
+    pub(crate) fn network(&self) -> &Network {
+        &self.inner.network
     }
 
     /// An automaton by identifier.
@@ -89,7 +131,7 @@ impl System {
     /// Panics if the identifier does not belong to this system.
     #[must_use]
     pub fn automaton(&self, id: AutomatonId) -> &Automaton {
-        &self.automata[id.index()]
+        &self.automata()[id.index()]
     }
 
     /// A channel by identifier.
@@ -99,7 +141,7 @@ impl System {
     /// Panics if the identifier does not belong to this system.
     #[must_use]
     pub fn channel(&self, id: ChannelId) -> &Channel {
-        &self.channels[id.index()]
+        &self.channels()[id.index()]
     }
 
     /// A clock declaration by identifier.
@@ -109,26 +151,26 @@ impl System {
     /// Panics if the identifier does not belong to this system.
     #[must_use]
     pub fn clock(&self, id: ClockId) -> &ClockDecl {
-        &self.clocks[id.index()]
+        &self.clocks()[id.index()]
     }
 
     /// DBM dimension: number of clocks plus one for the reference clock.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.clocks.len() + 1
+        self.clocks().len() + 1
     }
 
     /// Clock names in DBM order (excluding the reference clock), handy for
     /// zone pretty-printing.
     #[must_use]
     pub fn clock_names(&self) -> Vec<String> {
-        self.clocks.iter().map(|c| c.name().to_string()).collect()
+        self.clocks().iter().map(|c| c.name().to_string()).collect()
     }
 
     /// Looks up an automaton by name.
     #[must_use]
     pub fn automaton_by_name(&self, name: &str) -> Option<AutomatonId> {
-        self.automata
+        self.automata()
             .iter()
             .position(|a| a.name() == name)
             .map(AutomatonId::from_index)
@@ -137,7 +179,7 @@ impl System {
     /// Looks up a channel by name.
     #[must_use]
     pub fn channel_by_name(&self, name: &str) -> Option<ChannelId> {
-        self.channels
+        self.channels()
             .iter()
             .position(|c| c.name() == name)
             .map(ChannelId::from_index)
@@ -146,7 +188,7 @@ impl System {
     /// Looks up a clock by name.
     #[must_use]
     pub fn clock_by_name(&self, name: &str) -> Option<ClockId> {
-        self.clocks
+        self.clocks()
             .iter()
             .position(|c| c.name() == name)
             .map(ClockId::from_index)
@@ -175,10 +217,10 @@ impl System {
                 *slot = value;
             }
         };
-        for aut in &self.automata {
+        for aut in self.automata() {
             for loc in aut.locations() {
                 for c in &loc.invariant {
-                    let m = c.max_constant(&self.vars);
+                    let m = c.max_constant(self.vars());
                     bump(c.left, m);
                     if let Some(r) = c.minus {
                         bump(r, m);
@@ -187,7 +229,7 @@ impl System {
             }
             for edge in aut.edges() {
                 for c in &edge.guard.clocks {
-                    let m = c.max_constant(&self.vars);
+                    let m = c.max_constant(self.vars());
                     bump(c.left, m);
                     if let Some(r) = c.minus {
                         bump(r, m);
@@ -200,7 +242,7 @@ impl System {
                 }
             }
         }
-        for (i, c) in self.clocks.iter().enumerate() {
+        for (i, c) in self.clocks().iter().enumerate() {
             let slot = &mut max[i + 1];
             let floor = i64::from(c.max_constant_floor());
             if floor > *slot {
@@ -235,7 +277,7 @@ impl System {
         name: &str,
         max_constant: i32,
     ) -> Result<(System, ClockId), ModelError> {
-        if self.clocks.iter().any(|c| c.name() == name) {
+        if self.clocks().iter().any(|c| c.name() == name) {
             return Err(ModelError::DuplicateName(name.to_string()));
         }
         if !(0..=tiga_dbm::MAX_CONSTANT).contains(&max_constant) {
@@ -244,24 +286,77 @@ impl System {
                 tiga_dbm::MAX_CONSTANT
             )));
         }
-        let mut sys = self.clone();
-        let id = ClockId::from_index(sys.clocks.len());
-        sys.clocks
-            .push(ClockDecl::with_max_constant(name, max_constant));
+        let mut clocks = self.clocks().to_vec();
+        let id = ClockId::from_index(clocks.len());
+        clocks.push(ClockDecl::with_max_constant(name, max_constant));
+        let sys = System::new(
+            self.name().to_string(),
+            clocks,
+            self.channels().to_vec(),
+            self.vars().clone(),
+            self.automata().to_vec(),
+        );
         Ok((sys, id))
+    }
+
+    /// Returns a copy of the system in which automaton `id` is replaced by
+    /// `automaton`; the declarations and every other automaton are shared,
+    /// and the network is compiled anew.
+    ///
+    /// This is how a mutation campaign derives a mutant from its plant:
+    /// only the mutated automaton is rebuilt.
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`crate::SystemBuilder::add_automaton`], from
+    /// the same checks: [`ModelError::DuplicateName`] if another automaton
+    /// has the same name, and [`ModelError::InvalidReference`] if the
+    /// automaton refers to clocks, channels, variables or locations this
+    /// system or the automaton does not declare, or if `id` is not one of
+    /// the system's automata.
+    pub fn with_automaton(
+        &self,
+        id: AutomatonId,
+        automaton: Automaton,
+    ) -> Result<System, ModelError> {
+        let mut automata = self.automata().to_vec();
+        if id.index() >= automata.len() {
+            return Err(ModelError::InvalidReference(format!(
+                "automaton #{} of {}",
+                id.index(),
+                self.name()
+            )));
+        }
+        let others = self.automata().iter().enumerate();
+        let others = others.filter(|&(i, _)| i != id.index()).map(|(_, a)| a);
+        check_automaton(
+            &automaton,
+            others,
+            self.clocks(),
+            self.channels(),
+            self.vars(),
+        )?;
+        automata[id.index()] = automaton;
+        Ok(System::new(
+            self.name().to_string(),
+            self.clocks().to_vec(),
+            self.channels().to_vec(),
+            self.vars().clone(),
+            automata,
+        ))
     }
 
     /// Total number of locations across all automata (a rough size measure
     /// reported by solver statistics).
     #[must_use]
     pub fn location_count(&self) -> usize {
-        self.automata.iter().map(|a| a.locations().len()).sum()
+        self.automata().iter().map(|a| a.locations().len()).sum()
     }
 
     /// Total number of edges across all automata.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.automata.iter().map(|a| a.edges().len()).sum()
+        self.automata().iter().map(|a| a.edges().len()).sum()
     }
 }
 
@@ -361,6 +456,106 @@ mod tests {
         assert!(matches!(
             sys.with_extra_clock("#u", i32::MAX),
             Err(ModelError::Invalid(_))
+        ));
+    }
+
+    /// `tiny_system`'s declarations, without its automata.
+    fn tiny_declarations() -> SystemBuilder {
+        let mut b = SystemBuilder::new("tiny");
+        b.clock("x").unwrap();
+        b.clock("y").unwrap();
+        b.input_channel("go").unwrap();
+        b.output_channel("done").unwrap();
+        b.int_var("n", 0, 3, 0).unwrap();
+        b
+    }
+
+    /// `tiny_system` without its `Proc` automaton.
+    fn tiny_builder_without_proc() -> SystemBuilder {
+        let mut b = tiny_declarations();
+        b.add_automaton(tiny_system().automata()[1].clone())
+            .unwrap();
+        b
+    }
+
+    #[test]
+    fn with_automaton_swaps_one_automaton_and_shares_the_rest() {
+        let sys = tiny_system();
+        let proc_id = sys.automaton_by_name("Proc").unwrap();
+        let mut a = AutomatonBuilder::new("Proc");
+        let idle = a.location("Idle").unwrap();
+        a.add_edge(EdgeBuilder::new(idle, idle).output(sys.channel_by_name("done").unwrap()));
+        let small = a.build().unwrap();
+        let swapped = sys.with_automaton(proc_id, small.clone()).unwrap();
+        assert_eq!(swapped.automaton(proc_id), &small);
+        assert_eq!(swapped.automata()[1], sys.automata()[1]);
+        // The same system from the builder, network included.
+        let mut b = tiny_declarations();
+        b.add_automaton(small).unwrap();
+        b.add_automaton(sys.automata()[1].clone()).unwrap();
+        assert_eq!(swapped, b.build().unwrap());
+        // Swapping the old automaton back in restores the system.
+        let restored = swapped.with_automaton(proc_id, sys.automaton(proc_id).clone());
+        assert_eq!(restored.unwrap(), sys);
+    }
+
+    #[test]
+    fn with_automaton_refuses_what_add_automaton_refuses() {
+        let sys = tiny_system();
+        let proc_id = sys.automaton_by_name("Proc").unwrap();
+        let (idle, work) = (LocationId::from_index(0), LocationId::from_index(1));
+        let edge = |e: EdgeBuilder| {
+            let mut a = AutomatonBuilder::new("Proc");
+            a.location("Idle").unwrap();
+            a.location("Work").unwrap();
+            a.add_edge(e);
+            a.build().unwrap()
+        };
+        let undeclared_clock = ClockId::from_index(2);
+        let mut bad_invariant = AutomatonBuilder::new("Proc");
+        let l = bad_invariant.location("Idle").unwrap();
+        bad_invariant.add_invariant(l, ClockConstraint::new(undeclared_clock, CmpOp::Le, 3));
+        let mut duplicate = AutomatonBuilder::new("Env");
+        duplicate.location("E0").unwrap();
+        let bad = [
+            bad_invariant.build().unwrap(),
+            edge(
+                EdgeBuilder::new(idle, work).guard_clock(ClockConstraint::diff(
+                    ClockId::from_index(0),
+                    undeclared_clock,
+                    CmpOp::Ge,
+                    1,
+                )),
+            ),
+            edge(EdgeBuilder::new(idle, work).reset(undeclared_clock)),
+            edge(EdgeBuilder::new(idle, work).input(ChannelId::from_index(2))),
+            edge(EdgeBuilder::new(idle, work).set(crate::ids::VarId::from_index(1), 0)),
+            // An edge past the last location: `AutomatonBuilder::build`
+            // refuses it, so it is assembled directly.
+            Automaton::new(
+                "Proc".to_string(),
+                vec![crate::automaton::Location::new("Idle")],
+                idle,
+                vec![EdgeBuilder::new(idle, work).build()],
+            ),
+            duplicate.build().unwrap(),
+        ];
+        for automaton in bad {
+            let from_builder = tiny_builder_without_proc()
+                .add_automaton(automaton.clone())
+                .expect_err("the builder refuses it");
+            let from_swap = sys
+                .with_automaton(proc_id, automaton)
+                .expect_err("the swap refuses it");
+            assert_eq!(from_swap, from_builder);
+        }
+        // Keeping its own name is no clash, and an id past the last
+        // automaton is refused.
+        let same = sys.with_automaton(proc_id, sys.automaton(proc_id).clone());
+        assert_eq!(same.unwrap(), sys);
+        assert!(matches!(
+            sys.with_automaton(AutomatonId::from_index(2), sys.automata()[0].clone()),
+            Err(ModelError::InvalidReference(_))
         ));
     }
 

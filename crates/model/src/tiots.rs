@@ -180,7 +180,7 @@ impl<'a> Interpreter<'a> {
 
     /// Checks every location invariant in the state.
     fn invariants_hold(&self, state: &ConcreteState) -> Result<bool, ModelError> {
-        let net = &self.system.network;
+        let net = self.system.network();
         for (a, aut) in self.system.automata().iter().enumerate() {
             let l = state.discrete.locations[a];
             // Most locations have no invariant; the automaton says so
@@ -205,7 +205,7 @@ impl<'a> Interpreter<'a> {
         for c in constraints {
             if !self
                 .system
-                .network
+                .network()
                 .holds_concrete(c, &state.clocks, self.scale, vars, store)?
             {
                 return Ok(false);
@@ -232,7 +232,7 @@ impl<'a> Interpreter<'a> {
                 Some(m) => m.min(candidate),
             });
         };
-        let net = &self.system.network;
+        let net = self.system.network();
         for (a, aut) in self.system.automata().iter().enumerate() {
             let l = state.discrete.locations[a];
             if aut.location(l).invariant.is_empty() {
@@ -285,7 +285,7 @@ impl<'a> Interpreter<'a> {
     /// Whether `edge` is enabled now: its data guard holds in the store,
     /// then its clock guard at the valuation.
     fn guard_holds(&self, state: &ConcreteState, edge: &CompiledEdge) -> Result<bool, ModelError> {
-        let net = &self.system.network;
+        let net = self.system.network();
         Ok(
             net.data_holds(edge, self.system.vars(), &state.discrete.vars)?
                 && self.constraints_hold(state, edge.guard())?,
@@ -305,7 +305,7 @@ impl<'a> Interpreter<'a> {
     ) -> Result<bool, ModelError> {
         scratch.clone_from(state);
         for (aut_idx, edge) in components {
-            let net = &self.system.network;
+            let net = self.system.network();
             for r in edge.resets() {
                 scratch.clocks[r.clock().index()] =
                     net.reset_value(r, self.system, &state.discrete.vars)? * self.scale;
@@ -343,7 +343,7 @@ impl<'a> Interpreter<'a> {
         state: &ConcreteState,
         sync: Sync,
     ) -> Result<Option<(usize, CompiledEdge<'a>)>, ModelError> {
-        let net = &self.system.network;
+        let net = self.system.network();
         for (a, aut) in self.system.automata().iter().enumerate() {
             for e in aut.edges_labelled(state.discrete.locations[a], sync) {
                 let edge = net.edge(a, e);
@@ -382,7 +382,7 @@ impl<'a> Interpreter<'a> {
     ) -> Result<bool, ModelError> {
         let aut_idx = edge.automaton.index();
         let source = self.system.automata()[aut_idx].edge(edge.edge).source;
-        let compiled = self.system.network.edge(aut_idx, edge.edge);
+        let compiled = self.system.network().edge(aut_idx, edge.edge);
         if source != state.discrete.locations[aut_idx] || !self.guard_holds(state, &compiled)? {
             return Ok(false);
         }
@@ -439,7 +439,7 @@ impl<'a> Interpreter<'a> {
         state: &mut ConcreteState,
         scratch: &mut ConcreteState,
     ) -> Result<bool, ModelError> {
-        let net = &self.system.network;
+        let net = self.system.network();
         for (a, aut) in self.system.automata().iter().enumerate() {
             for e in aut
                 .tau_edges(state.discrete.locations[a])
@@ -479,7 +479,7 @@ impl<'a> Interpreter<'a> {
     /// current valuation (its data guards were checked by
     /// [`System::enabled_joint_edges`]).
     fn joint_guards_hold(&self, state: &ConcreteState, je: &JointEdge) -> Result<bool, ModelError> {
-        let net = &self.system.network;
+        let net = self.system.network();
         for (_, edge) in net.components(je) {
             if !self.constraints_hold(state, edge.guard())? {
                 return Ok(false);
@@ -497,7 +497,7 @@ impl<'a> Interpreter<'a> {
         scratch: &mut ConcreteState,
     ) -> Result<bool, ModelError> {
         Ok(self.joint_guards_hold(state, je)?
-            && self.build_step(state, scratch, self.system.network.components(je))?)
+            && self.build_step(state, scratch, self.system.network().components(je))?)
     }
 
     /// Closed view: takes the joint edge `je` in place, if its clock guards

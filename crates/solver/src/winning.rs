@@ -54,7 +54,7 @@ use crate::strategy::{Decision, Strategy, StrategyRule};
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 use tiga_dbm::{Bound, Dbm, Federation};
-use tiga_model::{DiscreteState, JointEdge, ModelError, System};
+use tiga_model::{ClockConstraint, CmpOp, DiscreteState, JointEdge, ModelError, System};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
 /// Which fixpoint engine [`solve`] runs.
@@ -289,15 +289,28 @@ fn bounded_parts(system: &System, bound: i64) -> Result<(System, Dbm), SolverErr
 /// Refuses a system (after any time bound added its clock) whose clock
 /// constants exceed [`tiga_model::max_constant_for`] its clock count: the
 /// extrapolation constants of [`System::max_bounds`] cover guards,
-/// invariants, constant resets and the bound.  Within that limit no zone of
-/// the solve saturates at the encoding ceiling, so every strategy it prints
-/// parses back.  Every front end passes here: `.tg` files, `--purpose`,
+/// invariants, constant resets and the bound.  A reset to an expression
+/// over variables counts too, with the conservative bound
+/// [`ClockConstraint::max_constant`] gives a guard `x <= e` (extrapolation
+/// leaves such resets out).  Within that limit no zone of the solve
+/// saturates at the encoding ceiling, so every strategy it prints parses
+/// back.  Every front end passes here: `.tg` files, `--purpose`,
 /// `tiga serve` requests and systems built in Rust.
 fn check_constant_ceiling(system: &System) -> Result<(), SolverError> {
     let clocks = system.dim() - 1;
     let limit = tiga_model::max_constant_for(clocks);
-    match system.max_bounds().into_iter().max() {
-        Some(m) if m > limit => Err(SolverError::Model(ModelError::Invalid(format!(
+    let resets = system
+        .automata()
+        .iter()
+        .flat_map(|a| a.edges())
+        .flat_map(|e| &e.resets)
+        .filter(|r| r.value.as_constant().is_none())
+        .map(|r| {
+            ClockConstraint::new(r.clock, CmpOp::Le, r.value.clone()).max_constant(system.vars())
+        });
+    let bounds = system.max_bounds().into_iter().map(i64::from);
+    match bounds.chain(resets).max() {
+        Some(m) if m > i64::from(limit) => Err(SolverError::Model(ModelError::Invalid(format!(
             "clock constant {m} is too large: a model over {clocks} clocks allows at most {limit}"
         )))),
         _ => Ok(()),
@@ -958,7 +971,7 @@ pub(crate) fn invariant_boundary(invariant: &Dbm, urgent: bool) -> Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiga_model::{AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, SystemBuilder};
+    use tiga_model::{AutomatonBuilder, EdgeBuilder, Expr, SystemBuilder};
     use tiga_tctl::TestPurpose;
 
     /// A plant that, once kicked, must reply within [1, 3] (invariant x <= 3).
@@ -1968,6 +1981,48 @@ mod tests {
                     Err(e) => assert!(refused && e.to_string().contains("too large"), "{e}"),
                     Ok(solution) => {
                         assert!(!refused, "x <= {constant} was solved");
+                        assert!(solution.winning_from_initial);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reset_to_a_wide_variable_is_refused() {
+        // `x := n` may set `x` to any value of `n`; it counts with the bound
+        // a guard `x <= n` gets, twice the widest variable range.
+        let one = i64::from(tiga_model::max_constant_for(1));
+        for (upper, refused) in [(one / 2, false), (one / 2 + 1, true)] {
+            let mut b = SystemBuilder::new("wide-reset");
+            let x = b.clock("x").unwrap();
+            let go = b.input_channel("go").unwrap();
+            let n = b.int_var("n", 0, upper, 0).unwrap();
+            let mut plant = AutomatonBuilder::new("Plant");
+            let idle = plant.location("Idle").unwrap();
+            let done = plant.location("Done").unwrap();
+            plant.add_edge(
+                EdgeBuilder::new(idle, done)
+                    .input(go)
+                    .reset_to(x, Expr::var(n)),
+            );
+            b.add_automaton(plant.build().unwrap()).unwrap();
+            let mut user = AutomatonBuilder::new("User");
+            let u = user.location("U").unwrap();
+            user.add_edge(EdgeBuilder::new(u, u).output(go));
+            b.add_automaton(user.build().unwrap()).unwrap();
+            let sys = b.build().unwrap();
+            // Extrapolation does not count the reset.
+            assert!(i64::from(sys.max_bounds()[x.dbm_index()]) < one);
+            let tp = TestPurpose::parse("control: A<> Plant.Done", &sys).unwrap();
+            for solution in [
+                solve_jacobi(&sys, &tp, &SolveOptions::default()),
+                solve(&sys, &tp, &otfur_options(false)),
+            ] {
+                match solution {
+                    Err(e) => assert!(refused && e.to_string().contains("too large"), "{e}"),
+                    Ok(solution) => {
+                        assert!(!refused, "n <= {upper} was solved");
                         assert!(solution.winning_from_initial);
                     }
                 }
