@@ -1,4 +1,4 @@
-//! Roundtrip and determinism pins for the `tiga-strategy v1` serializer.
+//! Roundtrip and determinism pins for the `tiga-strategy v2` serializer.
 //!
 //! Three invariants, over the whole model zoo (reachability *and* safety
 //! purposes), fuzz-generated games, and the checked-in goldens:
@@ -6,8 +6,8 @@
 //! * `parse(print(s)) ≡ s` exactly — the text format is a lossless encoding
 //!   of the synthesized strategy (zones compared cell-by-cell);
 //! * the printer is a fixpoint: `print(parse(text)) == text` byte-for-byte,
-//!   which is what lets CI regenerate `examples/strategies/` and `diff -ru`
-//!   against the checked-in files;
+//!   which is what lets CI regenerate `examples/strategies/` and
+//!   `examples/controllers/` and `diff -ru` against the checked-in files;
 //! * the serialized strategy is byte-identical for `--jobs ∈ {1, 4}` — the
 //!   strategy (not just the verdict) is part of the solver's determinism
 //!   contract, so a cache populated at one parallelism level answers
@@ -16,8 +16,8 @@
 //! The printer writes its tokens without `fmt`; on generated strategies it
 //! must match a `write!`-based reference printer kept here byte for byte.
 //! Generated strategies repeat rule lists across states, which the strategy
-//! stores once: printing, parsing and every query must still answer per
-//! state exactly as the lists that were added.
+//! stores and the text prints once: printing, parsing and every query must
+//! still answer per state exactly as the lists that were added.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,9 +28,9 @@ use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
 use tiga_dbm::{max_constant_for, Bound, Dbm, MAX_CONSTANT};
 use tiga_model::{AutomatonId, ChannelId, DiscreteState, EdgeId, JointEdge, LocationId};
 use tiga_solver::{
-    parse_strategy, print_controller, print_strategy, solve, CompiledController, Decision,
-    SolveEngine, SolveOptions, Strategy, StrategyDecision, StrategyRule, CONTROLLER_FORMAT_HEADER,
-    STRATEGY_FORMAT_HEADER,
+    parse_controller, parse_strategy, print_controller, print_strategy, solve, CompiledController,
+    Decision, SolveEngine, SolveOptions, Strategy, StrategyDecision, StrategyRule,
+    CONTROLLER_FORMAT_HEADER, STRATEGY_FORMAT_HEADER,
 };
 
 fn options(engine: SolveEngine, jobs: usize) -> SolveOptions {
@@ -118,32 +118,133 @@ fn fuzz_generated_strategies_roundtrip_and_are_jobs_invariant() {
     );
 }
 
-fn strategies_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/strategies")
+fn examples_dir(kind: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples")
+        .join(kind)
 }
 
-#[test]
-fn checked_in_goldens_are_serializer_fixpoints() {
+/// Reads every `*.<extension>` golden under `examples/<kind>/`, checks that
+/// `reprint(text)` gives its bytes back and that no rule list is printed
+/// twice, and returns how many goldens there were.
+fn check_goldens(kind: &str, extension: &str, reprint: impl Fn(&str) -> String) -> usize {
     let mut count = 0;
-    for entry in std::fs::read_dir(strategies_dir()).expect("examples/strategies exists") {
+    let dir = examples_dir(kind);
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
         let path = entry.expect("entry").path();
-        if path.extension().is_none_or(|e| e != "strategy") {
+        if path.extension().is_none_or(|e| e != extension) {
             continue;
         }
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(&path).expect("golden is readable");
-        let parsed = parse_strategy(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let reprinted = print_strategy(&parsed.model, parsed.winning, parsed.strategy.as_ref());
         assert_eq!(
-            reprinted, text,
+            reprint(&text),
+            text,
             "{name}: the checked-in golden must be an exact serializer fixpoint"
         );
+        let mut lists: HashSet<String> = HashSet::new();
+        for list in text.split("\nstate ").skip(1) {
+            let rules: String = list
+                .lines()
+                .skip(1)
+                .take_while(|line| line.starts_with("rule "))
+                .collect::<Vec<_>>()
+                .join("\n");
+            assert!(
+                rules.is_empty() || lists.insert(rules),
+                "{name}: a rule list is printed twice"
+            );
+        }
         count += 1;
     }
+    count
+}
+
+#[test]
+fn checked_in_goldens_are_serializer_fixpoints() {
+    let count = check_goldens("strategies", "strategy", |text| {
+        let parsed = parse_strategy(text).unwrap_or_else(|e| panic!("{e}"));
+        print_strategy(&parsed.model, parsed.winning, parsed.strategy.as_ref())
+    });
     assert!(
         count >= 8,
         "expected ≥ 8 golden strategy files, found {count}"
     );
+}
+
+#[test]
+fn checked_in_controller_goldens_are_serializer_fixpoints() {
+    let count = check_goldens("controllers", "controller", |text| {
+        let parsed = parse_controller(text).unwrap_or_else(|e| panic!("{e}"));
+        print_controller(&parsed.model, parsed.winning, parsed.controller.as_ref())
+    });
+    assert!(
+        count >= 8,
+        "expected ≥ 8 golden controller files, found {count}"
+    );
+}
+
+/// `text` with its line `at` (1-based) replaced by `with`.
+fn edit_line(text: &str, at: usize, with: &str) -> String {
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[at - 1] = with;
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn broken_references_and_v1_headers_are_refused_with_their_line() {
+    let strategy = std::fs::read_to_string(examples_dir("strategies").join("lep3.strategy"))
+        .expect("golden is readable");
+    let controller = std::fs::read_to_string(examples_dir("controllers").join("lep3.controller"))
+        .expect("golden is readable");
+    for (text, parse) in [
+        (
+            &strategy,
+            (|t| parse_strategy(t).map(drop)) as fn(&str) -> Result<(), String>,
+        ),
+        (&controller, |t| parse_controller(t).map(drop)),
+    ] {
+        // The first reference, and the rule line just above its state.
+        let lines: Vec<&str> = text.lines().collect();
+        let at = 1 + lines
+            .iter()
+            .position(|l| l.starts_with("same "))
+            .expect("a `same` line");
+        let rule = lines[at - 3];
+        assert!(rule.starts_with("rule "), "{rule}");
+        // Every state before the referencing one printed its own list.
+        let printed = lines[..at]
+            .iter()
+            .filter(|l| l.starts_with("state "))
+            .count()
+            - 1;
+        let dangling = format!("same {printed}");
+        let header = lines[0].replace(" v2", " v1");
+        let cases = [
+            (
+                edit_line(text, at, &dangling),
+                format!(
+                    "line {at}: `{dangling}` names no earlier rule list ({printed} printed so far)"
+                ),
+            ),
+            (
+                edit_line(text, at, &format!("{}\n{rule}", lines[at - 1])),
+                format!("line {}: `rule` after the state's `same`", at + 1),
+            ),
+            (
+                edit_line(text, at, &format!("{0}\n{0}", lines[at - 1])),
+                format!("line {}: a second `same` for one state", at + 1),
+            ),
+            (
+                edit_line(text, 1, &header),
+                format!("line 1: expected header `{}`, got `{header}`", lines[0]),
+            ),
+        ];
+        for (bad, message) in cases {
+            let error = parse(&bad).unwrap_err();
+            assert_eq!(error, message);
+        }
+    }
 }
 
 #[test]
@@ -185,8 +286,10 @@ fn strategies_at_the_largest_model_constants_roundtrip() {
     assert!(rules > 0, "no objective produced a strategy");
 }
 
-/// The `tiga-strategy v1` printer as `write!` and the `Display` of
+/// The `tiga-strategy v2` printer as `write!` and the `Display` of
 /// [`Bound`] render it: the reference the token-writing printer must match.
+/// It numbers the lists by comparing their contents, not through the
+/// strategy's own sharing.
 fn reference_print(
     header: &str,
     model: &str,
@@ -208,6 +311,7 @@ fn reference_print(
     let _ = writeln!(out, "dim {}", strategy.dim());
     let mut states: Vec<(&DiscreteState, &[StrategyRule])> = strategy.iter().collect();
     states.sort_by(|(a, _), (b, _)| (&a.locations, &a.vars).cmp(&(&b.locations, &b.vars)));
+    let mut printed: Vec<&[StrategyRule]> = Vec::new();
     for (discrete, rules) in states {
         out.push_str("state");
         for loc in &discrete.locations {
@@ -218,6 +322,11 @@ fn reference_print(
             let _ = write!(out, " {var}");
         }
         out.push('\n');
+        if let Some(number) = printed.iter().position(|list| *list == rules) {
+            let _ = writeln!(out, "same {number}");
+            continue;
+        }
+        printed.push(rules);
         for rule in rules {
             let _ = write!(out, "rule {} ", rule.rank);
             match &rule.decision {
@@ -501,6 +610,8 @@ fn printer_matches_the_fmt_reference_on_generated_strategies() {
         " wait ".to_string(),
         " <-".to_string(),
         " <inf".to_string(),
+        "\nsame 0\n".to_string(),
+        "\nsame 3\n".to_string(),
     ];
     for clocks in 1..=3 {
         let extreme = max_constant_for(clocks);

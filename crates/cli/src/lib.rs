@@ -18,7 +18,7 @@
 //!   `Pred_t` reference), sharded over worker threads with `--jobs`, with
 //!   shrunk `.tg` reproducers on failure;
 //! * `tiga serve` — strategy synthesis as a service: jsonl requests on
-//!   stdin, jsonl responses (verdict, stats, `tiga-strategy v1` text) on
+//!   stdin, jsonl responses (verdict, stats, `tiga-strategy v2` text) on
 //!   stdout, deduplicated through a content-hash solve cache; `batch`
 //!   requests are sharded over the deterministic work queue.
 //!

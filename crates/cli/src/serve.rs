@@ -6,10 +6,11 @@
 //! `control:` objective override and solver knobs; the response carries the
 //! verdict, the full 13-field `SolverStats` block (as in
 //! `tiga solve --stats-json`), timing, the strategy in the versioned
-//! `tiga-strategy v1` text format, and the minimized controller summary
+//! `tiga-strategy v2` text format (each distinct rule list printed once,
+//! later states referring back to it), and the minimized controller summary
 //! (`minimized_rules`/`controller_states`).  A request with
 //! `"controller":true` additionally receives the controller itself in the
-//! `tiga-controller v1` text format; it is printed from the minimized
+//! `tiga-controller v2` text format; it is printed from the minimized
 //! strategy when the game is solved and kept with the payload, so the flag
 //! never changes what is kept, only what is written into the response.
 //! Nothing in a session decides with a controller, so none is compiled.
@@ -71,7 +72,8 @@ REQUESTS:
     optional fields: \"purpose\" (control: line override), \"engine\"
     (otfur|jacobi), \"exhaustive\" (bool), \"strategy\" (bool,
     default true), \"controller\" (bool, default false: include the
-    controller in the `tiga-controller v1` text format in the payload),
+    controller in the `tiga-controller v2` text format in the payload;
+    both formats print each distinct rule list once),
     \"max_rounds\", \"max_states\", \"jobs\" (solve requests: intra-solve
     threads; default: the server's --jobs)
 
@@ -339,13 +341,13 @@ fn handle_batch(
 /// The bytes a session keeps between requests: its submission memo and its
 /// rendered answers together, as [`Kept`] accounts them.
 ///
-/// 16 MiB holds the hot set of the checked-in examples five times over:
-/// every objective's payload with and without a strategy is ≈ 1.8 MB, their
-/// controller fields ≈ 1.3 MB (lep4's two are 1.26 MB of it), keys and memo
-/// ≈ 0.1 MB.  The rest holds about 1 800 one-off games the size of a
-/// bounded smart-light purpose (≈ 7 KB each) before the least recently used
-/// is dropped; perfbench's 2 288-request serve stream keeps 10.3 MB and
-/// evicts nothing.
+/// 16 MiB holds the hot set of the checked-in examples (≈ 1.2 MB) thirteen
+/// times over: every objective's payload with and without a strategy is
+/// ≈ 0.64 MB, their controller fields ≈ 0.41 MB (lep4's two are 0.39 MB of
+/// it), keys and memo ≈ 0.1 MB.  The rest holds about 2 200 one-off games
+/// the size of a bounded smart-light purpose (≈ 7 KB each) before the least
+/// recently used is dropped; perfbench's 2 288-request serve stream keeps
+/// 8.3 MB and evicts nothing.
 pub(crate) const KEPT_BYTES: usize = 16 << 20;
 
 /// What [`Kept`] accounts for one memo entry or answer beyond its text: the
@@ -1020,7 +1022,7 @@ mod tests {
         let again = answer(&mut session, &light_request(21));
         assert!(again.contains("\"cache\":\"miss\""), "{again}");
         assert!(
-            again.contains("\"controller\":\"tiga-controller v1"),
+            again.contains("\"controller\":\"tiga-controller v2"),
             "{again}"
         );
         assert_eq!(payload(&again), payload(&first[0]));

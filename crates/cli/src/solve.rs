@@ -31,10 +31,11 @@ OPTIONS:
                                      JSON object instead of the text report
     --emit-strategy <path>           write the verdict and synthesized
                                      strategy to <path> in the versioned
-                                     `tiga-strategy v1` text format
+                                     `tiga-strategy v2` text format (each
+                                     distinct rule list printed once)
     --emit-controller <path>         minimize the strategy and write it to
                                      <path> in the versioned
-                                     `tiga-controller v1` format
+                                     `tiga-controller v2` format
 ";
 
 /// Parsed arguments of `tiga solve`.
@@ -52,9 +53,9 @@ pub struct SolveArgs {
     pub show_strategy: bool,
     /// Emit the statistics as a JSON object instead of the text report.
     pub stats_json: bool,
-    /// Write the verdict + strategy in the `tiga-strategy v1` format here.
+    /// Write the verdict + strategy in the `tiga-strategy v2` format here.
     pub emit_strategy: Option<String>,
-    /// Write the minimized controller in the `tiga-controller v1` format
+    /// Write the minimized controller in the `tiga-controller v2` format
     /// here.
     pub emit_controller: Option<String>,
 }

@@ -77,7 +77,7 @@ fn duplicate_submissions_hit_the_cache_with_byte_identical_payloads() {
             "hit payload must be byte-identical to the miss"
         );
         assert!(
-            payload(&lines[0]).contains("\"strategy\":\"tiga-strategy v1\\u000a"),
+            payload(&lines[0]).contains("\"strategy\":\"tiga-strategy v2\\u000a"),
             "payload embeds the versioned strategy text"
         );
         payloads_by_jobs.push(payload(&lines[0]).to_string());
@@ -481,7 +481,7 @@ fn controller_fields_and_downloads_ride_the_same_cache_entry() {
         lines[1]
     );
     assert!(
-        payload(&lines[1]).contains("\"controller\":\"tiga-controller v1\\u000a"),
+        payload(&lines[1]).contains("\"controller\":\"tiga-controller v2\\u000a"),
         "the flag adds the versioned controller text: {}",
         lines[1]
     );

@@ -2,6 +2,7 @@
 
 use crate::error::ModelError;
 use crate::ids::{ChannelId, ClockId, VarId};
+use std::sync::Arc;
 
 /// Declaration of a bounded integer variable or array.
 ///
@@ -11,7 +12,7 @@ use crate::ids::{ChannelId, ClockId, VarId};
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarDecl {
-    name: String,
+    name: Arc<str>,
     size: usize,
     lower: i64,
     upper: i64,
@@ -65,12 +66,13 @@ impl VarDecl {
 
 /// The table of discrete variables declared by a system.
 ///
-/// The table owns the declarations and assigns offsets into the flattened
-/// variable store used by [`crate::DiscreteState`].
+/// The table holds the declarations and assigns offsets into the flattened
+/// variable store used by [`crate::DiscreteState`].  A clone shares the
+/// declarations, so the systems derived from one another share one table.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarTable {
-    decls: Vec<VarDecl>,
+    decls: Arc<[VarDecl]>,
     total: usize,
 }
 
@@ -96,7 +98,7 @@ impl VarTable {
         upper: i64,
         initial: i64,
     ) -> Result<VarId, ModelError> {
-        if self.decls.iter().any(|d| d.name == name) {
+        if self.decls.iter().any(|d| &*d.name == name) {
             return Err(ModelError::DuplicateName(name.to_string()));
         }
         if size == 0 {
@@ -113,14 +115,15 @@ impl VarTable {
             )));
         }
         let id = VarId(self.decls.len());
-        self.decls.push(VarDecl {
-            name: name.to_string(),
+        let decl = VarDecl {
+            name: name.into(),
             size,
             lower,
             upper,
             initial,
             offset: self.total,
-        });
+        };
+        self.decls = self.decls.iter().cloned().chain([decl]).collect();
         self.total += size;
         Ok(id)
     }
@@ -128,7 +131,7 @@ impl VarTable {
     /// Looks a variable up by name.
     #[must_use]
     pub fn lookup(&self, name: &str) -> Option<VarId> {
-        self.decls.iter().position(|d| d.name == name).map(VarId)
+        self.decls.iter().position(|d| &*d.name == name).map(VarId)
     }
 
     /// The declaration behind an identifier.
@@ -178,7 +181,7 @@ impl VarTable {
     #[must_use]
     pub fn initial_store(&self) -> Vec<i64> {
         let mut store = vec![0; self.total];
-        for d in &self.decls {
+        for d in self.decls.iter() {
             for slot in store.iter_mut().skip(d.offset).take(d.size) {
                 *slot = d.initial;
             }
@@ -195,7 +198,7 @@ impl VarTable {
         let d = self.decl(id);
         if value < d.lower || value > d.upper {
             Err(ModelError::VariableOutOfRange {
-                name: d.name.clone(),
+                name: d.name.to_string(),
                 value,
             })
         } else {

@@ -52,13 +52,16 @@ pub struct System {
     inner: Arc<SystemInner>,
 }
 
-/// The parts of a [`System`], shared by its clones.
+/// The parts of a [`System`], shared by its clones.  The name and the
+/// declarations are shared on their own as well, by the variants
+/// [`System::with_automaton`] and [`System::with_extra_clock`] derive; each
+/// sits where a `Vec` would, so reading them takes no extra step.
 #[derive(Debug, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct SystemInner {
-    name: String,
-    clocks: Vec<ClockDecl>,
-    channels: Vec<Channel>,
+    name: Arc<str>,
+    clocks: Arc<[ClockDecl]>,
+    channels: Arc<[Channel]>,
     vars: VarTable,
     automata: Vec<Automaton>,
     /// The automata compiled for the hot paths (see [`Network`]); derived
@@ -69,18 +72,18 @@ struct SystemInner {
 impl System {
     /// Assembles a system from validated parts and compiles its network.
     pub(crate) fn new(
-        name: String,
-        clocks: Vec<ClockDecl>,
-        channels: Vec<Channel>,
+        name: impl Into<Arc<str>>,
+        clocks: impl Into<Arc<[ClockDecl]>>,
+        channels: impl Into<Arc<[Channel]>>,
         vars: VarTable,
         automata: Vec<Automaton>,
     ) -> Self {
         let network = Network::compile(&automata, &vars);
         System {
             inner: Arc::new(SystemInner {
-                name,
-                clocks,
-                channels,
+                name: name.into(),
+                clocks: clocks.into(),
+                channels: channels.into(),
                 vars,
                 automata,
                 network,
@@ -286,22 +289,23 @@ impl System {
                 tiga_dbm::MAX_CONSTANT
             )));
         }
-        let mut clocks = self.clocks().to_vec();
-        let id = ClockId::from_index(clocks.len());
-        clocks.push(ClockDecl::with_max_constant(name, max_constant));
+        let id = ClockId::from_index(self.clocks().len());
+        let clock = ClockDecl::with_max_constant(name, max_constant);
+        let clocks: Arc<[ClockDecl]> = self.clocks().iter().cloned().chain([clock]).collect();
+        let inner = &self.inner;
         let sys = System::new(
-            self.name().to_string(),
+            Arc::clone(&inner.name),
             clocks,
-            self.channels().to_vec(),
-            self.vars().clone(),
+            Arc::clone(&inner.channels),
+            inner.vars.clone(),
             self.automata().to_vec(),
         );
         Ok((sys, id))
     }
 
     /// Returns a copy of the system in which automaton `id` is replaced by
-    /// `automaton`; the declarations and every other automaton are shared,
-    /// and the network is compiled anew.
+    /// `automaton`; the name, the declarations and every other automaton
+    /// are shared, and the network is compiled anew.
     ///
     /// This is how a mutation campaign derives a mutant from its plant:
     /// only the mutated automaton is rebuilt.
@@ -337,11 +341,12 @@ impl System {
             self.vars(),
         )?;
         automata[id.index()] = automaton;
+        let inner = &self.inner;
         Ok(System::new(
-            self.name().to_string(),
-            self.clocks().to_vec(),
-            self.channels().to_vec(),
-            self.vars().clone(),
+            Arc::clone(&inner.name),
+            Arc::clone(&inner.clocks),
+            Arc::clone(&inner.channels),
+            inner.vars.clone(),
             automata,
         ))
     }
@@ -444,6 +449,11 @@ mod tests {
         assert_eq!(bounds[aug.clock_by_name("x").unwrap().dbm_index()], 5);
         // Behaviour-level structure is untouched.
         assert_eq!(aug.edge_count(), sys.edge_count());
+        assert!(std::ptr::eq(aug.channels(), sys.channels()));
+        assert!(std::ptr::eq(
+            aug.vars().iter().as_slice(),
+            sys.vars().iter().as_slice()
+        ));
 
         assert!(matches!(
             aug.with_extra_clock("#t", 1),
@@ -489,6 +499,14 @@ mod tests {
         let swapped = sys.with_automaton(proc_id, small.clone()).unwrap();
         assert_eq!(swapped.automaton(proc_id), &small);
         assert_eq!(swapped.automata()[1], sys.automata()[1]);
+        // The name and the declarations are the plant's, not copies.
+        assert!(std::ptr::eq(swapped.name(), sys.name()));
+        assert!(std::ptr::eq(swapped.clocks(), sys.clocks()));
+        assert!(std::ptr::eq(swapped.channels(), sys.channels()));
+        assert!(std::ptr::eq(
+            swapped.vars().iter().as_slice(),
+            sys.vars().iter().as_slice()
+        ));
         // The same system from the builder, network included.
         let mut b = tiny_declarations();
         b.add_automaton(small).unwrap();

@@ -696,7 +696,7 @@ fn segment_index(
     (offsets, items)
 }
 
-/// Prints a compiled controller in the versioned `tiga-controller v1`
+/// Prints a compiled controller in the versioned `tiga-controller v2`
 /// format: the same body shape as [`crate::print_strategy`] (the minimized
 /// source strategy, states sorted, canonical zones), under the controller
 /// header.  Byte-stable and exact-inverse with [`parse_controller`].
@@ -709,7 +709,7 @@ pub fn print_controller(
     print_controller_source(model, winning, controller.map(CompiledController::source))
 }
 
-/// Prints a minimized strategy in the `tiga-controller v1` format without
+/// Prints a minimized strategy in the `tiga-controller v2` format without
 /// compiling it: the bytes [`print_controller`] writes for
 /// `CompiledController::from_minimized(minimized)`, for callers that only
 /// print the controller.
@@ -729,7 +729,7 @@ pub struct ControllerFile {
     pub controller: Option<CompiledController>,
 }
 
-/// Parses a `tiga-controller v1` file and recompiles the decision
+/// Parses a `tiga-controller v2` file and recompiles the decision
 /// structure.  `parse_controller(print_controller(c)) ≡ c`, and the printer
 /// is a fixpoint.
 ///
@@ -857,7 +857,7 @@ mod tests {
         let (_sys, _d, strat) = sample_strategy();
         let compiled = CompiledController::compile(&strat);
         let text = print_controller("tiny", true, Some(&compiled));
-        assert!(text.starts_with("tiga-controller v1\n"), "{text}");
+        assert!(text.starts_with("tiga-controller v2\n"), "{text}");
         let file = parse_controller(&text).unwrap();
         assert_eq!(file.model, "tiny");
         assert!(file.winning);

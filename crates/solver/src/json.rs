@@ -454,7 +454,7 @@ mod tests {
             "",
             "plain",
             "\"quoted\" \\ back",
-            "tiga-strategy v1\nrule 0 wait\t<=3\r\n",
+            "tiga-strategy v2\nrule 0 wait\t<=3\r\n",
             "\u{0}\u{1f}\u{7f} é 😀 \"",
             "ends with an escape\n",
             "\\",

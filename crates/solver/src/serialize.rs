@@ -9,10 +9,10 @@
 //! spirit as `tiga_lang::print_system` and `crates/bench/src/baseline.rs`:
 //! a versioned line-oriented text format.
 //!
-//! # Format (`tiga-strategy v1`)
+//! # Format (`tiga-strategy v2`)
 //!
 //! ```text
-//! tiga-strategy v1
+//! tiga-strategy v2
 //! model <system name, verbatim to end of line>
 //! verdict winning|losing
 //! strategy none                      # when no strategy was extracted
@@ -21,6 +21,7 @@
 //! rule <rank> wait <n·n bounds>
 //! rule <rank> take tau <aut> <edge> <n·n bounds>
 //! rule <rank> take sync <chan> <out-aut> <out-edge> <in-aut> <in-edge> <n·n bounds>
+//! same <k>                           # instead of rules: rule list number k
 //! end
 //! ```
 //!
@@ -32,25 +33,29 @@
 //! Ids are raw indices (`LocationId::index` etc.); a strategy file is only
 //! meaningful against the system it was extracted from.
 //!
-//! The format is per state, but a [`Strategy`] stores each distinct rule
-//! list once: the printer renders a list's `rule` lines the first time a
-//! state that uses it is printed and copies those bytes for every later
-//! one, and the parser interns each state's list as it closes, so a file's
-//! repeated lists are stored once again.  Zone constants of a solve stay
-//! inside the encoding because the solver refuses systems whose constants
-//! pass [`tiga_dbm::max_constant_for`] their clock count.
+//! Many states carry the same rule list, and a [`Strategy`] stores each
+//! distinct list once.  The text does too: the distinct lists are numbered
+//! 0, 1, 2, … in the order their first state is printed, that state prints
+//! the list's `rule` lines, and every later state with an equal list prints
+//! `same <k>` instead.  The parser attaches such a state to the list it
+//! read, without hashing the list again, and refuses a reference to a list
+//! not yet printed, rules after a reference and a state printed twice.
+//! Version 1, which repeated every list under each of its states, is not
+//! read any more.  Zone constants of a solve stay inside the encoding
+//! because the solver refuses systems whose constants pass
+//! [`tiga_dbm::max_constant_for`] their clock count.
 
 use crate::strategy::{Decision, Strategy, StrategyRule};
 use tiga_dbm::{Bound, Dbm};
 use tiga_model::{AutomatonId, ChannelId, DiscreteState, EdgeId, JointEdge, LocationId};
 
 /// The header line every serialized strategy starts with.
-pub const STRATEGY_FORMAT_HEADER: &str = "tiga-strategy v1";
+pub const STRATEGY_FORMAT_HEADER: &str = "tiga-strategy v2";
 
 /// The header line every serialized compiled controller starts with (the
 /// body is the controller's minimized source strategy in the same shape;
 /// see `crate::controller::print_controller`).
-pub const CONTROLLER_FORMAT_HEADER: &str = "tiga-controller v1";
+pub const CONTROLLER_FORMAT_HEADER: &str = "tiga-controller v2";
 
 /// A parsed strategy file: the verdict plus the strategy it justifies (absent
 /// for losing games or `--no-strategy` solves).
@@ -80,9 +85,9 @@ pub fn print_strategy(model: &str, winning: bool, strategy: Option<&Strategy>) -
 ///
 /// Tokens are written straight into one byte buffer sized up front:
 /// integers through [`push_uint`]/[`push_int`], bounds through
-/// [`push_bound`], no `fmt` machinery.  A block's rule lines are rendered
-/// the first time a state that uses it is printed; every later state with
-/// the same block copies those bytes.
+/// [`push_bound`], no `fmt` machinery.  Blocks are distinct lists, so a
+/// block's number is its list's: the first state of a block prints its
+/// rule lines, every later one a `same` line.
 #[must_use]
 pub(crate) fn print_with_header(
     header: &str,
@@ -105,7 +110,7 @@ pub(crate) fn print_with_header(
             .state_blocks()
             .map(|(discrete, block)| Slot::State(discrete, block)),
     );
-    let (printed, states) = slots.split_at_mut(blocks);
+    let (numbers, states) = slots.split_at_mut(blocks);
     // States are distinct, so the unstable sort is deterministic.
     states.sort_unstable_by(|a, b| {
         let (a, b) = (a.state().0, b.state().0);
@@ -113,11 +118,22 @@ pub(crate) fn print_with_header(
             .cmp(&b.locations)
             .then_with(|| a.vars.cmp(&b.vars))
     });
-    let mut out = Vec::with_capacity(printed_size_hint(header, model, strategy, states));
+    let mut lists = 0;
+    for slot in states.iter() {
+        let Slot::Block(number) = &mut numbers[slot.state().1 as usize] else {
+            unreachable!("the first slots are the blocks'")
+        };
+        if number.is_none() {
+            *number = Some(lists);
+            lists += 1;
+        }
+    }
+    let mut out = Vec::with_capacity(printed_size_hint(header, model, strategy, numbers, states));
     push_preamble(&mut out, header, model, winning);
     out.extend_from_slice(b"dim ");
     push_uint(&mut out, strategy.dim() as u64);
     out.push(b'\n');
+    let mut printed = 0;
     for slot in states.iter() {
         let (discrete, block) = slot.state();
         out.extend_from_slice(b"state");
@@ -131,16 +147,14 @@ pub(crate) fn print_with_header(
             push_int(&mut out, var);
         }
         out.push(b'\n');
-        let Slot::Block(lines) = &mut printed[block as usize] else {
-            unreachable!("the first slots are the blocks'")
-        };
-        match lines {
-            Some((start, end)) => out.extend_from_within(*start..*end),
-            None => {
-                let start = out.len();
-                push_rules(&mut out, strategy.block(block));
-                *lines = Some((start, out.len()));
-            }
+        let number = numbers[block as usize].number();
+        if number == printed {
+            push_rules(&mut out, strategy.block(block));
+            printed += 1;
+        } else {
+            out.extend_from_slice(b"same ");
+            push_uint(&mut out, number);
+            out.push(b'\n');
         }
     }
     out.extend_from_slice(b"end\n");
@@ -149,8 +163,8 @@ pub(crate) fn print_with_header(
 
 /// An entry of the printer's scratch vector.
 enum Slot<'a> {
-    /// Where a block's rule lines were first written, once they were.
-    Block(Option<(usize, usize)>),
+    /// The number of a block's list, once a state that uses it is placed.
+    Block(Option<u64>),
     /// A state to print and its block.
     State(&'a DiscreteState, u32),
 }
@@ -160,6 +174,13 @@ impl<'a> Slot<'a> {
         match *self {
             Slot::State(discrete, block) => (discrete, block),
             Slot::Block(_) => unreachable!("the last slots are the states'"),
+        }
+    }
+
+    fn number(&self) -> u64 {
+        match *self {
+            Slot::Block(Some(number)) => number,
+            _ => unreachable!("every printed state's block is numbered"),
         }
     }
 }
@@ -224,20 +245,28 @@ fn push_preamble(out: &mut Vec<u8>, header: &str, model: &str, winning: bool) {
 
 /// An upper estimate of the printed length, so the output buffer is
 /// allocated once: a bound token takes at most 7 bytes for the constants
-/// that occur in practice, an id or variable at most 11.
-fn printed_size_hint(header: &str, model: &str, strategy: &Strategy, states: &[Slot<'_>]) -> usize {
+/// that occur in practice, an id or variable at most 11, and each numbered
+/// list's rules are counted once.
+fn printed_size_hint(
+    header: &str,
+    model: &str,
+    strategy: &Strategy,
+    numbers: &[Slot<'_>],
+    states: &[Slot<'_>],
+) -> usize {
     let per_rule = 48 + strategy.dim() * strategy.dim() * 8;
-    header.len()
-        + model.len()
-        + 64
-        + states
-            .iter()
-            .map(|slot| {
-                let (discrete, block) = slot.state();
-                8 + 12 * (discrete.locations.len() + discrete.vars.len())
-                    + per_rule * strategy.block(block).len()
-            })
-            .sum::<usize>()
+    let rules: usize = (0..numbers.len() as u32)
+        .filter(|&block| matches!(numbers[block as usize], Slot::Block(Some(_))))
+        .map(|block| per_rule * strategy.block(block).len())
+        .sum();
+    let state_lines: usize = states
+        .iter()
+        .map(|slot| {
+            let discrete = slot.state().0;
+            32 + 12 * (discrete.locations.len() + discrete.vars.len())
+        })
+        .sum();
+    header.len() + model.len() + 64 + rules + state_lines
 }
 
 /// Writes ` <id>` for each id.
@@ -283,7 +312,7 @@ fn push_uint(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&digits[start..]);
 }
 
-/// Parses a `tiga-strategy v1` file back into a [`StrategyFile`].
+/// Parses a `tiga-strategy v2` file back into a [`StrategyFile`].
 ///
 /// The parse is exact: zones are checked to be canonical (re-closing the
 /// printed bounds must reproduce them), so `parse(print(s)) ≡ s` and any
@@ -343,17 +372,19 @@ pub(crate) fn parse_with_header(expected: &str, text: &str) -> Result<StrategyFi
         .filter(|d| *d >= 1)
         .ok_or_else(|| format!("line {}: expected `dim <n>` or `strategy none`", n + 1))?;
     let mut strategy = Strategy::new(dim);
-    // The state being read and its rules so far; each state's list is
-    // interned when the next `state` line or `end` closes it.
+    // The block of each list read so far, by its number in the file.
+    let mut lists: Vec<u32> = Vec::new();
+    // The state being read and its rules so far; a state's list is interned
+    // when the next `state` line or `end` closes it.  `referenced` marks a
+    // state already attached by its `same` line.
     let mut current: Option<DiscreteState> = None;
     let mut rules: Vec<StrategyRule> = Vec::new();
+    let mut referenced = false;
     while let Some((n, line)) = lines.next() {
         let line_no = n + 1;
         let line = line.trim_end();
         if line == "end" {
-            if let Some(discrete) = current.take() {
-                strategy.add_rules_from(discrete, &rules);
-            }
+            close(&mut strategy, &mut lists, current.take(), &mut rules);
             finish(lines)?;
             return Ok(StrategyFile {
                 model,
@@ -362,23 +393,66 @@ pub(crate) fn parse_with_header(expected: &str, text: &str) -> Result<StrategyFi
             });
         }
         if let Some(rest) = line.strip_prefix("state ") {
+            close(&mut strategy, &mut lists, current.take(), &mut rules);
             let next = parse_state(line_no, rest)?;
-            if let Some(discrete) = current.replace(next) {
-                strategy.add_rules_from(discrete, &rules);
+            if strategy.rules_for(&next).is_some() {
+                return Err(format!("line {line_no}: the state is printed twice"));
             }
-            rules.clear();
+            current = Some(next);
+            referenced = false;
         } else if let Some(rest) = line.strip_prefix("rule ") {
+            if referenced {
+                return Err(format!("line {line_no}: `rule` after the state's `same`"));
+            }
             if current.is_none() {
                 return Err(format!("line {line_no}: `rule` before any `state`"));
             }
             rules.push(parse_rule(line_no, rest, dim)?);
+        } else if let Some(rest) = line.strip_prefix("same ") {
+            if referenced {
+                return Err(format!("line {line_no}: a second `same` for one state"));
+            }
+            if !rules.is_empty() {
+                return Err(format!("line {line_no}: `same` after the state's rules"));
+            }
+            let discrete = current
+                .take()
+                .ok_or_else(|| format!("line {line_no}: `same` before any `state`"))?;
+            let block = rest
+                .parse::<usize>()
+                .ok()
+                .and_then(|number| lists.get(number))
+                .ok_or_else(|| {
+                    format!(
+                        "line {line_no}: `same {rest}` names no earlier rule list \
+                         ({} printed so far)",
+                        lists.len()
+                    )
+                })?;
+            strategy.insert_state(discrete, *block);
+            referenced = true;
         } else {
             return Err(format!(
-                "line {line_no}: expected `state`, `rule` or `end`, got `{line}`"
+                "line {line_no}: expected `state`, `rule`, `same` or `end`, got `{line}`"
             ));
         }
     }
     Err("missing `end` line".to_string())
+}
+
+/// Attaches a state read with its rules to their list, which becomes the
+/// next numbered one.  A state without rules or a reference adds nothing.
+fn close(
+    strategy: &mut Strategy,
+    lists: &mut Vec<u32>,
+    current: Option<DiscreteState>,
+    rules: &mut Vec<StrategyRule>,
+) {
+    if let Some(discrete) = current.filter(|_| !rules.is_empty()) {
+        let block = strategy.intern_block(std::mem::take(rules));
+        lists.push(block);
+        strategy.insert_state(discrete, block);
+    }
 }
 
 /// After `end`, only blank lines may follow.
@@ -677,30 +751,105 @@ mod tests {
         let strat = sample_strategy();
         let good = print_strategy("t", true, Some(&strat));
         // Corrupt the header.
-        let bad = good.replacen("v1", "v9", 1);
+        let bad = good.replacen("v2", "v9", 1);
         assert!(parse_strategy(&bad).unwrap_err().contains("line 1"));
         // Drop the `end` line.
         let bad = good.replace("end\n", "");
         assert!(parse_strategy(&bad).unwrap_err().contains("end"));
         // A rule before any state.
-        let bad = "tiga-strategy v1\nmodel t\nverdict winning\ndim 2\nrule 1 wait <=0 <=0 <inf <=0\nend\n";
+        let bad = "tiga-strategy v2\nmodel t\nverdict winning\ndim 2\nrule 1 wait <=0 <=0 <inf <=0\nend\n";
         assert!(parse_strategy(bad)
             .unwrap_err()
             .contains("before any `state`"));
         // Wrong bound count.
-        let bad = "tiga-strategy v1\nmodel t\nverdict winning\ndim 2\nstate 0 0 /\nrule 1 wait <=0\nend\n";
+        let bad = "tiga-strategy v2\nmodel t\nverdict winning\ndim 2\nstate 0 0 /\nrule 1 wait <=0\nend\n";
         assert!(parse_strategy(bad).unwrap_err().contains("4 bounds"));
         // Non-canonical zone: closure tightens the stored `(0,1)` bound.
-        let bad = "tiga-strategy v1\nmodel t\nverdict winning\ndim 2\nstate 0 0 /\n\
+        let bad = "tiga-strategy v2\nmodel t\nverdict winning\ndim 2\nstate 0 0 /\n\
                    rule 1 wait <=0 <inf <=5 <=0\nend\n";
         assert!(parse_strategy(bad).unwrap_err().contains("not canonical"));
         // An empty zone.
-        let bad = "tiga-strategy v1\nmodel t\nverdict winning\ndim 2\nstate 0 0 /\n\
+        let bad = "tiga-strategy v2\nmodel t\nverdict winning\ndim 2\nstate 0 0 /\n\
                    rule 1 wait <=0 <-1 <=0 <=0\nend\n";
         assert!(parse_strategy(bad).is_err());
         // Truncations never panic (baseline.rs discipline).
         for cut in 0..good.len() {
             let _ = parse_strategy(&good[..cut]);
+        }
+    }
+
+    /// A strategy whose three states share two lists: the first and third
+    /// state print `same` lines.
+    fn shared_strategy() -> Strategy {
+        let list = |lo, hi| {
+            vec![StrategyRule {
+                rank: 1,
+                zone: zone_between(lo, hi),
+                decision: Decision::Wait,
+            }]
+        };
+        let state = |location| DiscreteState {
+            locations: vec![LocationId::from_index(location)],
+            vars: vec![-1],
+        };
+        let mut strat = Strategy::new(2);
+        strat.add_rules(state(3), list(0, 3));
+        strat.add_rules(state(1), list(0, 3));
+        strat.add_rules(state(2), list(1, 4));
+        strat.add_rules(state(0), list(1, 4));
+        strat
+    }
+
+    #[test]
+    fn each_list_is_printed_once_and_referenced_after() {
+        let strat = shared_strategy();
+        let text = print_strategy("t", true, Some(&strat));
+        assert_eq!(
+            text,
+            "tiga-strategy v2\nmodel t\nverdict winning\ndim 2\n\
+             state 0 / -1\nrule 1 wait <=0 <=-1 <4 <=0\n\
+             state 1 / -1\nrule 1 wait <=0 <=0 <3 <=0\n\
+             state 2 / -1\nsame 0\n\
+             state 3 / -1\nsame 1\nend\n"
+        );
+        let file = parse_strategy(&text).unwrap();
+        assert_eq!(file.strategy.as_ref(), Some(&strat));
+        assert_eq!(print_strategy("t", true, file.strategy.as_ref()), text);
+    }
+
+    #[test]
+    fn malformed_references_are_rejected_with_line_numbers() {
+        // `strategy_roundtrip.rs` refuses a reference to the next list,
+        // rules after a reference, two references and v1 headers.
+        let good = print_strategy("t", true, Some(&shared_strategy()));
+        let cases = [
+            (
+                good.replace("same 0", "same 9"),
+                "line 10: `same 9` names no earlier rule list (2 printed so far)",
+            ),
+            (
+                good.replace("same 0", "same x"),
+                "line 10: `same x` names no earlier rule list",
+            ),
+            (
+                good.replacen("<3 <=0\n", "<3 <=0\nsame 0\n", 1),
+                "line 9: `same` after the state's rules",
+            ),
+            (
+                good.replace("dim 2\n", "dim 2\nsame 0\n"),
+                "line 5: `same` before any `state`",
+            ),
+            (
+                good.replace("state 2 /", "state 1 /"),
+                "line 9: the state is printed twice",
+            ),
+        ];
+        for (bad, message) in cases {
+            let error = parse_strategy(&bad).unwrap_err();
+            assert!(
+                error.starts_with(message),
+                "{error} (expected {message})\n{bad}"
+            );
         }
     }
 

@@ -20,8 +20,8 @@
 //! once per block and relabel the states.  Blocks are indexed by a randomly
 //! keyed `SipHash` of their contents, because strategies are built from the
 //! models untrusted `tiga serve` clients send.  Block numbering is never
-//! observable: equality, iteration, `rule_count` and every printed byte are
-//! per state.
+//! observable: equality, iteration and `rule_count` are per state, and the
+//! text format numbers the lists in its own sorted state order.
 
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, RandomState};
