@@ -68,8 +68,9 @@ fn bench_monitor(c: &mut Criterion) {
 
 /// Decision throughput on the lep4 avoid-purpose strategy (the Table 1
 /// safety workload): the executor's per-step query —
-/// [`Controller::decide_with_wakeup`], i.e. `decide` plus the wake-up hint
-/// on a wait — over every strategy state at a spread of clock valuations.
+/// [`Controller::decide_with_wakeup`], i.e. `decide` plus, on a wait, the
+/// delay at which the answer changes — over every strategy state at a
+/// spread of clock valuations.
 ///
 /// `interpreted` drives the extracted [`tiga_solver::Strategy`] (the
 /// pre-compilation decide path: full-matrix rule scans per query);

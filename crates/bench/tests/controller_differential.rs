@@ -8,8 +8,10 @@
 //! * **query equivalence** — for every zoo instance with a winning
 //!   strategy, under both extraction engines, the minimized strategy and
 //!   the compiled controller answer `decide` / `rank_of` /
-//!   `next_take_delay` exactly like the original, on solver-derived corner
-//!   points and on random on-/off-grid valuations;
+//!   `next_take_delay` / `decide_with_wakeup` exactly like the original, on
+//!   solver-derived corner points and on random on-/off-grid valuations,
+//!   and the wake-up is exactly the first delay at which `decide` stops
+//!   answering `Wait`;
 //! * **execution equivalence** — running the synthesized test harness with
 //!   the compiled controller (the default path) produces reports — verdict
 //!   *and* full timed trace — identical to runs driven by the interpreted
@@ -108,47 +110,48 @@ fn assert_same_answers(
         original.next_take_delay(discrete, ticks, SCALE),
         "{what}: next_take_delay diverged at {ticks:?}"
     );
-    // The fused per-step query must be exactly the two-call composition —
-    // for the candidate (which may override it) and for the original
-    // (which uses the provided default).
-    let composed = original.decide(discrete, ticks, SCALE).map(|decision| {
-        let wakeup = match decision {
-            tiga_solver::StrategyDecision::Wait { .. } => {
-                original.next_take_delay(discrete, ticks, SCALE)
-            }
-            tiga_solver::StrategyDecision::Take(_) => None,
-        };
-        (decision, wakeup)
-    });
+    // The fused per-step query: the same decision and the same wake-up
+    // `W`, and `W` is exactly where `decide` stops answering `Wait` along
+    // the delay ray.
+    let fused = original.decide_with_wakeup(discrete, ticks, SCALE);
     assert_eq!(
         candidate.decide_with_wakeup(discrete, ticks, SCALE),
-        composed,
+        fused,
         "{what}: decide_with_wakeup diverged at {ticks:?}"
     );
-    // At a wait, the candidate's quiet horizon `D` is a promise about the
-    // original along the delay ray: the same `Wait` at every `d < D`, and a
-    // wake-up hint that never points inside the horizon.
-    let decision = original.decide(discrete, ticks, SCALE);
-    if !matches!(decision, Some(tiga_solver::StrategyDecision::Wait { .. })) {
+    let Some((decision, wakeup)) = fused else {
+        return;
+    };
+    assert_eq!(
+        Some(&decision),
+        original.decide(discrete, ticks, SCALE).as_ref(),
+        "{what}: decide_with_wakeup decided differently at {ticks:?}"
+    );
+    if !matches!(decision, tiga_solver::StrategyDecision::Wait { .. }) {
+        assert_eq!(wakeup, None, "{what}: a take with a wake-up at {ticks:?}");
         return;
     }
-    let horizon = candidate.quiet_horizon(discrete, ticks, SCALE);
-    assert!(horizon >= 0, "{what}: negative quiet horizon at {ticks:?}");
-    let far = horizon.min(1 << 20);
-    for d in [1, 2, SCALE, far / 2, far - 1]
-        .into_iter()
-        .filter(|&d| 0 < d && d < far)
-    {
+    let waits_after = |d: i64| {
         let delayed: Vec<i64> = ticks.iter().map(|t| t + d).collect();
-        assert_eq!(
+        matches!(
             original.decide(discrete, &delayed, SCALE),
-            decision,
-            "{what}: the wait at {ticks:?} does not hold {d} ticks into its horizon {horizon}"
-        );
-        let wakeup = original.next_take_delay(discrete, &delayed, SCALE);
+            Some(tiga_solver::StrategyDecision::Wait { .. })
+        )
+    };
+    // Every tick before the wake-up waits; with no wake-up, every tick of
+    // the next 256 time units does.
+    let end = wakeup.unwrap_or(256 * SCALE);
+    assert!(end > 0, "{what}: a wake-up of {end} at {ticks:?}");
+    for d in 0..end {
         assert!(
-            wakeup.is_none_or(|w| w >= horizon - d),
-            "{what}: a hint of {wakeup:?} at {ticks:?} + {d} falls inside the horizon {horizon}"
+            waits_after(d),
+            "{what}: no wait {d} ticks after {ticks:?}, before its wake-up {wakeup:?}"
+        );
+    }
+    if let Some(w) = wakeup {
+        assert!(
+            !waits_after(w),
+            "{what}: still a wait at the wake-up {w} after {ticks:?}"
         );
     }
 }
@@ -277,14 +280,13 @@ fn executor_runs_are_identical_under_interpreted_and_compiled_control() {
     }
 }
 
-/// The quiet-horizon jump is exact at the default budget: a run driven by
-/// the compiled controller, which crosses quiet waits in one step, reports
-/// exactly what the interpreted strategy, which promises no horizon and so
-/// polls every chunk, reports — verdict, timed trace and step count — for
-/// the benchmark's four campaign files and every zoo purpose, under four
-/// output policies, on the conformant plant and a seeded pick of mutants.
+/// At the default budget, a run driven by the compiled controller reports
+/// exactly what a run driven by the interpreted strategy reports — verdict,
+/// timed trace and step count — for the benchmark's four campaign files and
+/// every zoo purpose, under four output policies, on the conformant plant
+/// and a seeded pick of mutants.
 #[test]
-fn quiet_jumps_report_exactly_what_polling_reports_at_the_default_budget() {
+fn compiled_and_interpreted_runs_agree_at_the_default_budget() {
     const MUTANTS_PER_CASE: usize = 6;
     let tg = |name: &str| {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -334,12 +336,12 @@ fn quiet_jumps_report_exactly_what_polling_reports_at_the_default_budget() {
                 OutputPolicy::Jittery { seed: jitter },
             ] {
                 let mut a = SimulatedIut::new(&name, system.clone(), SCALE, policy);
-                let jumping = harness.execute(&mut a).expect("executes");
+                let compiled = harness.execute(&mut a).expect("executes");
                 let mut b = SimulatedIut::new(&name, system.clone(), SCALE, policy);
-                let polling = harness
+                let interpreted = harness
                     .execute_controlled(&mut b, harness.strategy())
                     .expect("executes");
-                assert_eq!(jumping, polling, "{case}: {name} under {policy:?}");
+                assert_eq!(compiled, interpreted, "{case}: {name} under {policy:?}");
             }
         }
     }

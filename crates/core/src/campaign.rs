@@ -308,9 +308,12 @@ pub fn run_mutation_campaign_with(
     merge_job_summaries(results)
 }
 
+/// The longest wait, in ticks, a [`RandomTester`] draws between stimuli.
+const RANDOM_MAX_WAIT: i64 = 32;
+
 /// A baseline tester that sends random inputs at random times while
 /// monitoring tioco, used to compare fault-detection capability against
-/// strategy-based testing.
+/// strategy-based testing.  Each wait is drawn from `1..=32` ticks.
 #[derive(Clone, Debug)]
 pub struct RandomTester<'a> {
     spec: &'a System,
@@ -357,7 +360,7 @@ impl<'a> RandomTester<'a> {
                 monitor.observe_input(channel)?;
                 trace.push_input(channel);
             } else {
-                let wait = rng.gen_range(1..=self.config.default_wait.max(1));
+                let wait = rng.gen_range(1..=RANDOM_MAX_WAIT);
                 match iut.delay(wait) {
                     DelayOutcome::Quiet => {
                         if let MonitorOutcome::Violation(fail) = monitor.observe_delay(wait)? {

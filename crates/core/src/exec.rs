@@ -11,21 +11,13 @@
 //! exhausts its step or time budget while maintaining `φ` passes — the safe
 //! controller is allowed to be non-terminating.
 //!
-//! Waiting is polled in chunks of [`TestConfig::default_wait`] ticks, and
-//! every chunk is one executor step.  A chunk that nothing shortens — no
-//! wake-up hint, invariant or budget under a full chunk — is often the
-//! first of many identical ones (a safety run can idle through thousands),
-//! so the executor crosses the whole quiet stretch in one exact step.  It
-//! takes the least of five *quiet horizons*: the controller's
-//! ([`Controller::quiet_horizon`]: the same `Wait`, with no wake-up inside
-//! it), the implementation's ([`Iut::quiet_horizon`]: no output inside
-//! it), the specification's and the product's invariant deadlines, and the
-//! remaining tick and step budgets.  Every whole chunk inside that horizon
-//! is one that polling would spend idle, so the executor delays the
-//! implementation, the monitor, the product and the trace once by all of
-//! them and counts each as the step it would have been: verdicts, timed
-//! traces and step counts are exactly those of polling.  Both trait
-//! methods default to `0` ("no promise"), which keeps the polling.
+//! As in the paper's `TestExec`, a wait is one delay per decision: the
+//! executor asks the controller for its decision together with the first
+//! delay after which that answer is no longer `Wait`
+//! ([`Controller::decide_with_wakeup`]), and lets the implementation run
+//! for the least of that wake-up, the product's invariant deadline and the
+//! remaining time budget.  The implementation may cut the wait short with
+//! an output, which the executor then checks and follows.
 //!
 //! Time-bounded purposes (`control: A<><=T φ` / `control: A[]<=T φ`) tighten
 //! the run's time budget to `T` model time units: a bounded reachability run
@@ -57,9 +49,6 @@ pub struct TestConfig {
     pub max_steps: usize,
     /// Maximum total virtual time, in ticks.
     pub max_ticks: i64,
-    /// Wait chunk (in ticks) used when neither the strategy nor an invariant
-    /// bounds the wait.
-    pub default_wait: i64,
 }
 
 impl Default for TestConfig {
@@ -68,7 +57,6 @@ impl Default for TestConfig {
             scale: 4,
             max_steps: 10_000,
             max_ticks: 100_000,
-            default_wait: 32,
         }
     }
 }
@@ -82,7 +70,9 @@ pub struct TestReport {
     pub trace: TimedTrace,
     /// Ticks per time unit used during the run.
     pub scale: i64,
-    /// Number of executor steps taken.
+    /// Number of executor steps taken: one per decision (an input sent, or
+    /// one wait with the output or silent internal move that may end it),
+    /// the step that ends the run included.
     pub steps: usize,
     /// Name of the implementation under test.
     pub iut_name: String,
@@ -265,8 +255,8 @@ impl<'a> TestExecutor<'a> {
             let discrete = &product_state.discrete;
             let query = self.liveness.project(discrete, &mut projected);
             // One fused query answers both the decision and — on a wait —
-            // the wake-up hint; the compiled controller serves both from a
-            // single state lookup.  Bounded controllers play on the
+            // its wake-up, the delay at which the answer changes.  Bounded
+            // controllers play on the
             // `#t`-augmented product, whose extra trailing clock is the
             // never-reset elapsed time — exactly `now`.
             let clocks = if self.purpose.bound.is_some() {
@@ -326,23 +316,19 @@ impl<'a> TestExecutor<'a> {
                         }
                     }
                 }
-                Some((StrategyDecision::Wait { .. }, take_hint)) => {
-                    let inv_bound = interp.max_delay(&product_state)?;
-                    let remaining = budget_ticks - now;
-                    let chunk = self.config.default_wait.max(1);
-                    let mut wait = chunk;
-                    // A zero hint would mean an immediately applicable action,
-                    // which `decide` already ruled out (it can only come from
-                    // a higher-rank rule); ignore it as a wake-up hint.
-                    if let Some(h) = take_hint {
-                        if h > 0 {
-                            wait = wait.min(h);
-                        }
+                Some((StrategyDecision::Wait { .. }, wakeup)) => {
+                    // One wait per decision: until the controller's answer
+                    // changes, the product's invariant forces an output, or
+                    // the budget runs out, whichever comes first.  The
+                    // implementation may answer earlier with an output.
+                    let mut wait = budget_ticks - now;
+                    if let Some(w) = wakeup {
+                        wait = wait.min(w);
                     }
-                    if let Some(b) = inv_bound {
+                    if let Some(b) = interp.max_delay(&product_state)? {
                         wait = wait.min(b);
                     }
-                    wait = wait.min(remaining).max(0);
+                    let wait = wait.max(0);
 
                     if wait == 0 {
                         // The product invariant forbids further delay: an
@@ -416,36 +402,6 @@ impl<'a> TestExecutor<'a> {
                                 ));
                             }
                         }
-                    }
-
-                    if wait == chunk {
-                        // A full chunk may be the first of many quiet ones:
-                        // cross every whole chunk inside the quiet horizon
-                        // at once, counting each as the step it would be.
-                        // Cheap bounds first; each party is asked only while
-                        // two chunks or more are still possible.
-                        let step_budget =
-                            i64::try_from(self.config.max_steps - steps + 1).unwrap_or(i64::MAX);
-                        let two_chunks = chunk.saturating_mul(2);
-                        let mut horizon = remaining
-                            .min(inv_bound.unwrap_or(i64::MAX))
-                            .min(chunk.saturating_mul(step_budget));
-                        if horizon >= two_chunks {
-                            // An evaluation error promises nothing: polling
-                            // meets it where it would have.
-                            let spec_bound = monitor.max_allowed_delay().unwrap_or(Some(0));
-                            horizon = horizon.min(spec_bound.unwrap_or(i64::MAX));
-                        }
-                        if horizon >= two_chunks {
-                            horizon = horizon.min(iut.quiet_horizon());
-                        }
-                        if horizon >= two_chunks {
-                            let promise = self.controller.quiet_horizon(query, clocks, scale);
-                            horizon = horizon.min(promise);
-                        }
-                        let chunks = (horizon / chunk).max(1);
-                        wait = chunks * chunk;
-                        steps += (chunks - 1) as usize;
                     }
 
                     match iut.delay(wait) {

@@ -49,20 +49,13 @@ pub trait Iut {
 
     /// Lets up to `max_ticks` of time pass and reports the first output
     /// produced in that window, if any.
-    fn delay(&mut self, max_ticks: i64) -> DelayOutcome;
-
-    /// A delay the implementation is certain to stay quiet through: from
-    /// the current state, any sequence of positive [`delay`](Iut::delay)s
-    /// totalling at most this many ticks reports `Quiet` every time and
-    /// ends where one delay of the total would.  The test executor crosses
-    /// such a stretch in one step.
     ///
-    /// The provided implementation promises nothing (`0`), so an
-    /// implementation without its own horizon is polled at every wait
-    /// chunk.
-    fn quiet_horizon(&self) -> i64 {
-        0
-    }
+    /// Outputs do not depend on how a wait is split: between two discrete
+    /// steps, delays of `a` and then `b` ticks report the same outputs at
+    /// the same ticks, and leave the same state, as one delay of `a + b`.
+    /// A physical implementation has this property by nature; the test
+    /// executor relies on it when it waits once per decision.
+    fn delay(&mut self, max_ticks: i64) -> DelayOutcome;
 
     /// A short name used in reports.
     fn name(&self) -> &str {
@@ -86,15 +79,37 @@ pub enum OutputPolicy {
     /// (clamped to the deadline).
     Offset(i64),
     /// Pick a reproducible pseudo-random instant inside the allowed window,
-    /// derived from the seed and the current state.
+    /// derived from the seed and the state in which the implementation
+    /// entered its current discrete state.
     Jittery {
         /// Seed making the behaviour deterministic.
         seed: u64,
     },
 }
 
+/// The next output of a [`SimulatedIut`] in its current discrete state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Plan {
+    /// Not planned yet: no time has passed since the last discrete step.
+    Unplanned,
+    /// No output until the next discrete step.
+    Quiet,
+    /// `channel` through `edge`, `after` ticks from now.
+    Output {
+        after: i64,
+        edge: EdgeRef,
+        channel: ChannelId,
+    },
+}
+
 /// A simulated implementation: a plant model interpreted at tick granularity
 /// with a deterministic output-scheduling policy.
+///
+/// The policy picks each output once per discrete state, from the clocks at
+/// entry to that state, and the pick is counted down across
+/// [`delay`](Iut::delay)s; every discrete step (an input taken, an output
+/// fired, an internal move, a reset) plans anew.  So a wait split into
+/// parts gives the same outputs at the same ticks as one wait.
 #[derive(Clone, Debug)]
 pub struct SimulatedIut {
     name: String,
@@ -105,6 +120,7 @@ pub struct SimulatedIut {
     /// Where discrete steps build the successor (see
     /// [`Interpreter::fire_edge`]); its contents are never read.
     scratch: ConcreteState,
+    plan: Plan,
     ignored_inputs: usize,
     /// Closed-network semantics: actions are binary syncs between distinct
     /// automata (the view the game solver explores), not lone half-edges.
@@ -164,6 +180,7 @@ impl SimulatedIut {
             policy,
             scratch: state.clone(),
             state,
+            plan: Plan::Unplanned,
             ignored_inputs: 0,
             closed,
         }
@@ -389,6 +406,7 @@ impl Iut for SimulatedIut {
             .interpreter()
             .initial_state()
             .expect("valid initial state");
+        self.plan = Plan::Unplanned;
         self.ignored_inputs = 0;
     }
 
@@ -404,33 +422,52 @@ impl Iut for SimulatedIut {
         } else {
             interp.after_input(state, ch, scratch)
         };
-        if !matches!(taken, Ok(true)) {
+        if matches!(taken, Ok(true)) {
+            self.plan = Plan::Unplanned;
+        } else {
             self.ignored_inputs += 1;
         }
     }
 
     fn delay(&mut self, max_ticks: i64) -> DelayOutcome {
-        let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
-        match self.next_output_plan(deadline) {
-            Some((after, edge, ch)) if after <= max_ticks => {
+        if self.plan == Plan::Unplanned {
+            let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
+            self.plan = match self.next_output_plan(deadline) {
+                Some((after, edge, channel)) => Plan::Output {
+                    after,
+                    edge,
+                    channel,
+                },
+                None => Plan::Quiet,
+            };
+        }
+        match self.plan {
+            Plan::Output {
+                after,
+                edge,
+                channel,
+            } if after <= max_ticks => {
                 self.force_advance(after);
                 let closed = self.closed;
                 let (interp, state, scratch) = self.stepper();
                 let fired = if closed {
                     // The planned window already accounts for a matching
                     // `ch?` edge; fire the whole synchronization.
-                    interp.fire_sync(state, ch, scratch)
+                    interp.fire_sync(state, channel, scratch)
                 } else {
                     interp.fire_edge(state, edge, scratch)
                 };
                 if matches!(fired, Ok(true)) {
+                    self.plan = Plan::Unplanned;
                     DelayOutcome::Output {
                         after,
-                        channel: self.system.channel(ch).name().to_string(),
+                        channel: self.system.channel(channel).name().to_string(),
                     }
                 } else {
                     // The planned edge turned out to be blocked (e.g. a
-                    // mutant with an inconsistent update): stay silent.
+                    // mutant with an inconsistent update): stay silent
+                    // until the next discrete step.
+                    self.plan = Plan::Quiet;
                     self.force_advance(max_ticks - after);
                     DelayOutcome::Quiet
                 }
@@ -442,33 +479,21 @@ impl Iut for SimulatedIut {
                 // first-in-declaration-order rule the executor applies to
                 // the product, keeping conformant runs in lockstep).
                 if max_ticks == 0 {
-                    if deadline == Some(0) {
-                        let (interp, state, scratch) = self.stepper();
-                        let _ = interp.fire_first_internal(state, scratch);
+                    let (interp, state, scratch) = self.stepper();
+                    if interp.max_delay(state).unwrap_or(None) == Some(0)
+                        && matches!(interp.fire_first_internal(state, scratch), Ok(true))
+                    {
+                        self.plan = Plan::Unplanned;
                     }
                     return DelayOutcome::Quiet;
+                }
+                if let Plan::Output { after, .. } = &mut self.plan {
+                    *after -= max_ticks;
                 }
                 self.force_advance(max_ticks);
                 DelayOutcome::Quiet
             }
         }
-    }
-
-    /// One tick short of the earliest output window (every policy fires
-    /// inside a window), capped by the invariant deadline: windows are
-    /// clipped at the deadline, and past it a window may open at any chunk
-    /// boundary.  Unbounded under `Lazy` with no deadline; `0` if the
-    /// windows cannot be evaluated.
-    fn quiet_horizon(&self) -> i64 {
-        let deadline = self.interpreter().max_delay(&self.state).unwrap_or(None);
-        if self.policy == OutputPolicy::Lazy && deadline.is_none() {
-            return i64::MAX;
-        }
-        let mut earliest = i64::MAX;
-        if !self.for_each_output_window(deadline, |_, _, lo, _| earliest = earliest.min(lo)) {
-            return 0;
-        }
-        (earliest - 1).max(0).min(deadline.unwrap_or(i64::MAX))
     }
 
     fn name(&self) -> &str {

@@ -5,10 +5,7 @@
 //! their states in place, so a conformant run of the smart-light safety
 //! purpose — which waits from start to finish — makes the same number of
 //! heap allocations whether its time budget allows 10 000 ticks or ten
-//! times as many.  The implementation is polled every chunk (a wrapper
-//! hides its quiet horizon, so the executor cannot jump), and anything a
-//! wait step allocates shows up as a difference of some thousand
-//! allocations between the two runs.  A discrete step
+//! times as many: a wait costs nothing for its length.  A discrete step
 //! walks the compiled network's joint edges without collecting them, so
 //! the reachability run below, which takes inputs and outputs, stays under
 //! a fixed ceiling.
@@ -27,27 +24,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tiga_models::smart_light::{product, PURPOSE_BRIGHT, PURPOSE_NEVER_BRIGHT};
 use tiga_testing::{
-    default_policies, generate_mutants, DelayOutcome, Iut, MutationConfig, OutputPolicy,
-    SimulatedIut, TestConfig, TestHarness, Verdict,
+    default_policies, generate_mutants, MutationConfig, OutputPolicy, SimulatedIut, TestConfig,
+    TestHarness, Verdict,
 };
-
-/// A simulated implementation without its quiet horizon: the executor polls
-/// it at every wait chunk.
-struct Polled(SimulatedIut);
-
-impl Iut for Polled {
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-
-    fn offer_input(&mut self, channel: &str) {
-        self.0.offer_input(channel);
-    }
-
-    fn delay(&mut self, max_ticks: i64) -> DelayOutcome {
-        self.0.delay(max_ticks)
-    }
-}
 
 /// Forwards every call to the system allocator and counts allocations
 /// (including reallocations) per thread.
@@ -118,28 +97,19 @@ fn a_conformant_waiting_run_allocates_the_same_at_any_length() {
             )
             .expect("never_bright is enforceable");
             let scale = harness.config().scale;
-            let mut iut = Polled(SimulatedIut::new(
-                "conformant",
-                system.clone(),
-                scale,
-                policy,
-            ));
+            let mut iut = SimulatedIut::new("conformant", system.clone(), scale, policy);
             let before = allocations();
             let report = harness.execute(&mut iut).expect("the run evaluates");
             let allocs = allocations() - before;
             assert_eq!(report.verdict, Verdict::Pass, "{policy:?}");
-            (allocs, report.steps)
+            // The run waits out its whole time budget.
+            assert_eq!(report.trace.total_ticks(), max_ticks, "{policy:?}");
+            allocs
         };
-        let (short_allocs, short_steps) = run(10_000);
-        let (long_allocs, long_steps) = run(100_000);
-        assert!(
-            long_steps >= 9 * short_steps,
-            "{policy:?}: {short_steps} and {long_steps} steps"
-        );
+        let (short_allocs, long_allocs) = (run(10_000), run(100_000));
         assert_eq!(
             short_allocs, long_allocs,
-            "{policy:?}: {short_allocs} allocations in {short_steps} steps, \
-             {long_allocs} in {long_steps}"
+            "{policy:?}: {short_allocs} allocations in 10 000 ticks, {long_allocs} in 100 000"
         );
     }
 }

@@ -1,22 +1,20 @@
-//! Deterministic gates on the executor's quiet-horizon jump.
+//! Timed traces of waits that end at each of their bounds.
 //!
-//! A counting wrapper around the compiled controller forwards every
-//! [`Controller`] method and counts the queries a run makes:
+//! The executor waits once per decision, until the least of the
+//! controller's wake-up, the product's invariant deadline and the remaining
+//! budget, unless the implementation answers first.  Each case below keeps
+//! a model and a budget that once exercised the executor's 32-tick polling
+//! and pins the verdict and the timed trace a run reports, under the
+//! compiled controller and under the interpreted strategy alike:
 //!
-//! * the conformant smart-light never-bright run waits from start to
-//!   finish, so it crosses its whole time budget in one jump: it still
-//!   reports one step per 32-tick chunk, but asks the controller only a
-//!   handful of times instead of once per step;
-//! * a [`ScriptedIut`] makes no quiet promise, so the executor polls it
-//!   and queries the controller once per step, as before the jump;
-//! * each of the controller's wake-up, the specification's deadline, the
-//!   product's invariant and the implementation's own deadline ends a jump
-//!   where polling would stop, so the jumping run reports exactly what the
-//!   polling one does;
-//! * a controller's or an implementation's horizon that ends on a chunk
-//!   boundary, or one tick short of one, is crossed with an exact query
-//!   count, so a horizon one tick off either way shows.
-
+//! * the conformant smart-light never-bright run, and a silent scripted
+//!   implementation, wait out their whole time budget in one wait, asking
+//!   the controller once;
+//! * each of the controller's wake-up, the specification's and the
+//!   product's deadlines and the implementation's own deadline bounds a
+//!   wait;
+//! * waits that end on a multiple of 32 ticks, or one tick away from one,
+//!   end exactly where their bound says.
 use std::cell::Cell;
 use tiga_model::{
     AutomatonBuilder, ClockConstraint, CmpOp, DiscreteState, EdgeBuilder, System, SystemBuilder,
@@ -74,11 +72,6 @@ impl Controller for Counting<'_> {
         self.count();
         self.inner.decide_with_wakeup(discrete, ticks, scale)
     }
-
-    fn quiet_horizon(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> i64 {
-        self.count();
-        self.inner.quiet_horizon(discrete, ticks, scale)
-    }
 }
 
 fn never_bright(config: TestConfig) -> TestHarness {
@@ -112,23 +105,20 @@ fn a_conformant_waiting_run_jumps_over_its_budget_in_a_few_queries() {
         let mut iut = SimulatedIut::new("conformant", system, scale, OutputPolicy::Eager);
         let (report, queries) = counted_run(&harness, &mut iut);
         assert_eq!(report.verdict, Verdict::Pass);
-        // 100 000 ticks of 32-tick chunks, plus the step that finds the
-        // budget spent: the count polling reports.
-        assert_eq!(report.steps, 3_126);
-        assert!(queries <= 10, "{queries} queries in {} steps", report.steps);
+        // 100 000 ticks of silence.
+        assert_eq!(report.trace.display(scale).to_string(), "25000");
+        assert_eq!(queries, 1, "{queries} queries in {} steps", report.steps);
     }
 }
 
 #[test]
-fn an_implementation_without_a_quiet_promise_is_polled_every_step() {
+fn a_silent_scripted_implementation_waits_out_the_budget_at_once() {
     let harness = never_bright(TestConfig::default());
     let mut iut = ScriptedIut::new("silent", Vec::new());
     let (report, queries) = counted_run(&harness, &mut iut);
     assert_eq!(report.verdict, Verdict::Pass);
-    // Every step queries once, except the last, which finds the budget
-    // spent before it asks.
-    assert!(report.steps > 3_000, "{} steps", report.steps);
-    assert_eq!(queries, report.steps - 1);
+    assert_eq!(report.trace.display(4).to_string(), "25000");
+    assert_eq!(queries, 1, "{queries} queries in {} steps", report.steps);
 }
 
 /// `Plant: Idle --go?{x >= at}--> Done`, closed by a `User` that offers
@@ -158,8 +148,8 @@ fn late_input(with_user: bool, at: i64) -> System {
 /// `Plant: Start --kick?--> Busy --resp!--> Idle`, and `Busy --poke?-->
 /// Done` once `x >= poke_at`, with `inv x <= 50` on `Busy` when
 /// `deadline`.  The `resp!` edge exists when `responds`.  With `with_user`,
-/// a `User` must kick in `(2, 3]` — at 9 ticks, so the deadline falls
-/// between two 32-tick chunks — and then pokes and listens.
+/// a `User` must kick in `(2, 3]` — at 9 ticks — and then pokes and
+/// listens.
 fn responder(deadline: bool, responds: bool, with_user: bool, poke_at: i64) -> System {
     let mut b = SystemBuilder::new("responder");
     let x = b.clock("x").unwrap();
@@ -232,76 +222,26 @@ fn late_answer(strict: bool, guard: Option<(CmpOp, i64)>) -> System {
     b.build().unwrap()
 }
 
-#[test]
-fn every_quiet_horizon_ends_a_jump_where_polling_stops() {
-    let cases = [
-        // The strategy waits for `go?`'s window at x = 100: the controller's
-        // horizon ends the jump, and the input goes out at 400 ticks.
-        (
-            "controller",
-            late_input(true, 100),
-            late_input(false, 100),
-            "control: A<> Plant.Done",
-            late_input(false, 100),
-            Verdict::Pass,
-        ),
-        // The strategy waits in `Busy` for `poke?` at 240 ticks, but a
-        // silent implementation overstays the specification's deadline,
-        // which the product (whose plant never answers) does not have: the
-        // monitor's horizon ends the jump five chunks after the kick, and
-        // the sixth, which crosses 200 ticks, is the illegal one.
-        (
-            "specification",
-            responder(false, false, true, 60),
-            responder(true, true, false, 60),
-            "control: A<> Plant.Done",
-            responder(false, false, false, 60),
-            Verdict::Fail(FailReason::IllegalDelay {
-                delay_ticks: 32,
-                at_ticks: 169,
-            }),
-        ),
-        // Only the product has the deadline: its invariant ends the jump
-        // five chunks after the kick (the controller's zone would allow a
-        // sixth, up to 201 ticks), and the silent implementation misses the
-        // output due at 200 ticks.
-        (
-            "product",
-            responder(true, true, true, 60),
-            responder(false, true, false, 60),
-            "control: A<> Plant.Idle",
-            responder(false, false, false, 60),
-            Verdict::Fail(FailReason::MissedDeadline { at_ticks: 200 }),
-        ),
-        // Only the implementation has the deadline, at 40 ticks, and its
-        // answer waits for another clock to reach 80: the window is clipped
-        // away until the deadline has passed, and polling then finds it
-        // open at the next chunk boundary, 96 ticks.  The implementation's
-        // horizon stops at its deadline, so the executor polls from there.
-        (
-            "implementation",
-            late_answer(false, None),
-            late_answer(false, None),
-            "control: A[] not Plant.Never",
-            late_answer(true, None),
-            Verdict::Pass,
-        ),
-    ];
-    for (bound, product, spec, purpose, iut, verdict) in cases {
+/// Runs each case under the compiled controller and under the interpreted
+/// strategy, and checks both reports against the case's verdict and trace
+/// (delays in model time units).
+fn check_cases(cases: Vec<(&str, System, System, &str, System, Verdict, &str)>) {
+    for (bound, product, spec, purpose, iut, verdict, trace) in cases {
         let harness = TestHarness::synthesize(product, spec, purpose, TestConfig::default())
             .unwrap_or_else(|e| panic!("{bound}: {e}"));
         let scale = harness.config().scale;
-        let mut jumping = SimulatedIut::new("iut", iut.clone(), scale, OutputPolicy::Eager);
-        let (report, queries) = counted_run(&harness, &mut jumping);
-        let mut polling = SimulatedIut::new("iut", iut, scale, OutputPolicy::Eager);
+        let mut compiled = SimulatedIut::new("iut", iut.clone(), scale, OutputPolicy::Eager);
+        let (report, queries) = counted_run(&harness, &mut compiled);
+        let mut interpreted = SimulatedIut::new("iut", iut, scale, OutputPolicy::Eager);
         let reference = harness
-            .execute_controlled(&mut polling, harness.strategy())
+            .execute_controlled(&mut interpreted, harness.strategy())
             .expect("the run evaluates");
         assert_eq!(report, reference, "{bound}");
         assert_eq!(report.verdict, verdict, "{bound}");
-        // One jump of two queries, and a few single steps around it.
+        assert_eq!(report.trace.display(scale).to_string(), trace, "{bound}");
+        // One query per decision: a handful of waits and inputs.
         assert!(
-            queries <= 6,
+            queries <= 4,
             "{bound}: {queries} queries in {} steps",
             report.steps
         );
@@ -309,69 +249,110 @@ fn every_quiet_horizon_ends_a_jump_where_polling_stops() {
 }
 
 #[test]
-fn a_horizon_on_a_chunk_boundary_is_crossed_exactly() {
-    // Each horizon ends on a 32-tick chunk boundary, or one tick short of
-    // one, so a horizon one tick too short costs one more query, and one
-    // tick too long jumps one chunk too far or saves a query.
-    let cases = [
-        // The controller's horizon: `go?` is enabled at x = 104, 416 =
-        // 13 * 32 ticks, so thirteen chunks go in one jump.
+fn each_bound_ends_a_wait_with_its_pinned_trace() {
+    check_cases(vec![
+        // The strategy waits for `go?`'s window at x = 100: the controller's
+        // wake-up ends the wait, and the input goes out at 400 ticks.
         (
-            "controller, 13 chunks",
+            "controller",
+            late_input(true, 100),
+            late_input(false, 100),
+            "control: A<> Plant.Done",
+            late_input(false, 100),
+            Verdict::Pass,
+            "100 · go?",
+        ),
+        // The strategy waits in `Busy` for `poke?` at 240 ticks, but a
+        // silent implementation overstays the specification's deadline at
+        // 200 ticks, which the product (whose plant never answers) does not
+        // have: the wait after the kick at 9 ticks runs to the wake-up, and
+        // the monitor finds the whole of it illegal.
+        (
+            "specification",
+            responder(false, false, true, 60),
+            responder(true, true, false, 60),
+            "control: A<> Plant.Done",
+            responder(false, false, false, 60),
+            Verdict::Fail(FailReason::IllegalDelay {
+                delay_ticks: 231,
+                at_ticks: 9,
+            }),
+            "2.25 · kick? · 57.75",
+        ),
+        // Only the product has the deadline: its invariant ends the wait at
+        // 200 ticks (the controller's zone would allow 201), and the silent
+        // implementation misses the output due then.
+        (
+            "product",
+            responder(true, true, true, 60),
+            responder(false, true, false, 60),
+            "control: A<> Plant.Idle",
+            responder(false, false, false, 60),
+            Verdict::Fail(FailReason::MissedDeadline { at_ticks: 200 }),
+            "2.25 · kick? · 47.75",
+        ),
+        // Only the implementation has the deadline, at 40 ticks, and its
+        // answer waits for another clock to reach 80: the implementation
+        // plans its output on entry to `Busy`, where the window is clipped
+        // away by the deadline, so it never answers and the run waits out
+        // its budget.
+        (
+            "implementation",
+            late_answer(false, None),
+            late_answer(false, None),
+            "control: A[] not Plant.Never",
+            late_answer(true, None),
+            Verdict::Pass,
+            "25000",
+        ),
+    ]);
+}
+
+#[test]
+fn waits_ending_near_a_multiple_of_32_ticks_keep_their_traces() {
+    check_cases(vec![
+        // The controller's wake-up: `go?` is enabled at x = 104, 416 =
+        // 13 * 32 ticks.
+        (
+            "controller, 13 * 32 ticks",
             late_input(true, 104),
             late_input(false, 104),
             "control: A<> Plant.Done",
             late_input(false, 104),
             Verdict::Pass,
-            3,
+            "104 · go?",
         ),
         // After the kick at 9 ticks, `poke?` is enabled at x = 58: 223 =
-        // 7 * 32 - 1 ticks later, so the jump stops a chunk short and the
-        // controller's wake-up sends the input at 232 ticks.
+        // 7 * 32 - 1 ticks later, and the input goes out at 232 ticks.
         (
-            "controller, 7 chunks less a tick",
+            "controller, 7 * 32 - 1 ticks",
             responder(false, false, true, 58),
             responder(false, false, false, 58),
             "control: A<> Plant.Done",
             responder(false, false, false, 58),
             Verdict::Pass,
-            6,
+            "2.25 · kick? · 55.75 · poke?",
         ),
-        // The implementation's horizon: an eager `resp!` at y > 32, 129
-        // ticks, is one tick past four chunks.
+        // The implementation's answer: an eager `resp!` at y > 32, 129 =
+        // 4 * 32 + 1 ticks.
         (
-            "implementation, 4 chunks",
+            "implementation, 4 * 32 + 1 ticks",
             late_answer(false, None),
             late_answer(false, None),
             "control: A[] not Plant.Never",
             late_answer(false, Some((CmpOp::Gt, 32))),
             Verdict::Pass,
-            6,
+            "32.25 · resp! · 24967.75",
         ),
-        // An eager `resp!` at y >= 24, 96 ticks: three chunks less a tick
-        // of quiet, so the jump stops a chunk short of the output.
+        // An eager `resp!` at y >= 24, 96 = 3 * 32 ticks.
         (
-            "implementation, 3 chunks less a tick",
+            "implementation, 3 * 32 ticks",
             late_answer(false, None),
             late_answer(false, None),
             "control: A[] not Plant.Never",
             late_answer(false, Some((CmpOp::Ge, 24))),
             Verdict::Pass,
-            5,
+            "24 · resp! · 24976",
         ),
-    ];
-    for (bound, product, spec, purpose, iut, verdict, want) in cases {
-        let harness = TestHarness::synthesize(product, spec, purpose, TestConfig::default())
-            .unwrap_or_else(|e| panic!("{bound}: {e}"));
-        let scale = harness.config().scale;
-        let mut jumping = SimulatedIut::new("iut", iut.clone(), scale, OutputPolicy::Eager);
-        let (report, queries) = counted_run(&harness, &mut jumping);
-        let mut polling = SimulatedIut::new("iut", iut, scale, OutputPolicy::Eager);
-        let reference = harness
-            .execute_controlled(&mut polling, harness.strategy())
-            .expect("the run evaluates");
-        assert_eq!(report, reference, "{bound}");
-        assert_eq!(report.verdict, verdict, "{bound}");
-        assert_eq!(queries, want, "{bound}: queries in {} steps", report.steps);
-    }
+    ]);
 }

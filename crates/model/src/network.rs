@@ -27,10 +27,11 @@
 //!   at a constant, in-range index) and declared range, and the value as a
 //!   constant, a slot, or a slot plus a constant (`n := n + 1`).
 //!
-//! Every system a `tiga serve` session parses stays in its parse cache, so
-//! the network is kept small: indices are `u32`, the expressions that are
-//! not compiled live once in a side table, and the arenas are sized
-//! exactly.  A system's clones share its network.
+//! A mutation campaign holds all its mutants at once, and each carries a
+//! network of its own (`System::with_automaton` compiles one for the
+//! changed system), so the network is kept small: indices are `u32`, the
+//! expressions that are not compiled live once in a side table, and the
+//! arenas are sized exactly.  A system's clones share its network.
 
 use crate::automaton::{constrain_clocks, Assignment, Automaton, ClockConstraint};
 use crate::decl::VarTable;

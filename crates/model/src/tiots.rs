@@ -25,8 +25,9 @@
 //!
 //! # Stepping in place
 //!
-//! The tester advances its states once per tick chunk, so every step works
-//! on a `&mut ConcreteState` and returns whether it was taken:
+//! The tester advances its states once per wait and once per discrete
+//! step, so every step works on a `&mut ConcreteState` and returns whether
+//! it was taken:
 //!
 //! * [`Interpreter::delay`] adds the delay to the clocks and checks the
 //!   invariants at the end point; it allocates nothing.

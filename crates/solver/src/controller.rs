@@ -2,12 +2,10 @@
 //!
 //! Online test execution asks three questions per step — *what should I do*
 //! ([`Controller::decide`]), *how far from the goal am I*
-//! ([`Controller::rank_of`]) and *when should I wake up*
-//! ([`Controller::next_take_delay`]) — and, before a long wait, a fourth:
-//! *how long will that answer hold* ([`Controller::quiet_horizon`]).  The
-//! interpreted [`Strategy`] answers the first three by scanning every rule
-//! of the discrete state and testing full `dim²` bound matrices, and makes
-//! no promise for the fourth; under heavy traffic (10⁶+ step campaigns,
+//! ([`Controller::rank_of`]) and *until when does a wait hold*
+//! ([`Controller::decide_with_wakeup`]).  The interpreted [`Strategy`]
+//! answers them by scanning every rule of the discrete state and testing
+//! full `dim²` bound matrices; under heavy traffic (10⁶+ step campaigns,
 //! many concurrent simulated IUTs) that scan *is* the hot path.
 //!
 //! [`CompiledController`] lowers a [minimized](crate::minimize) strategy
@@ -40,7 +38,7 @@ use crate::minimize::minimize_strategy;
 use crate::serialize::{
     parse_with_header, print_with_header, StrategyFile, CONTROLLER_FORMAT_HEADER,
 };
-use crate::strategy::{Decision, Strategy, StrategyDecision, StrategyRule};
+use crate::strategy::{dbm_point, Decision, Strategy, StrategyDecision, StrategyRule};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use tiga_dbm::{DelayWindow, MinimalConstraint, StateHasher};
@@ -83,40 +81,23 @@ pub trait Controller {
     fn next_take_delay(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> Option<i64>;
 
     /// One executor step's decision workload in a single query: the
-    /// decision, plus — when the decision is to wait — the
-    /// [`next_take_delay`](Controller::next_take_delay) wake-up hint.
+    /// decision, plus — when the decision is to wait — its *wake-up*: the
+    /// first delay `W > 0`, in ticks, after which
+    /// [`decide`](Controller::decide) no longer answers `Wait` (a take is
+    /// due, or the valuation leaves the strategy), or `None` if the answer
+    /// stays `Wait` along the whole delay ray.  `decide` answers `Wait` at
+    /// every delay in `[0, W)`, so the executor waits once, by `W` at most.
     ///
-    /// Semantically this is exactly `decide` followed by `next_take_delay`
-    /// on a `Wait` (the provided implementation *is* that composition, and
-    /// the equivalence is pinned by the differential suites); a compiled
-    /// controller overrides it to answer both from one state lookup and one
-    /// wait-rank walk.
+    /// The wake-up is a property of `decide` alone, so every representation
+    /// of one strategy returns the same one; [`Strategy`] and
+    /// [`CompiledController`] both compute it with one walk over their
+    /// rules' containment changes.
     fn decide_with_wakeup(
         &self,
         discrete: &DiscreteState,
         ticks: &[i64],
         scale: i64,
-    ) -> Option<(StrategyDecision<'_>, Option<i64>)> {
-        let decision = self.decide(discrete, ticks, scale)?;
-        let wakeup = match decision {
-            StrategyDecision::Wait { .. } => self.next_take_delay(discrete, ticks, scale),
-            StrategyDecision::Take(_) => None,
-        };
-        Some((decision, wakeup))
-    }
-
-    /// How long a quiet wait may run before this controller's answer can
-    /// change: a delay `D` such that, for every `d` in `[0, D)`,
-    /// [`decide_with_wakeup`](Controller::decide_with_wakeup) at the
-    /// valuation delayed by `d` answers `Wait` with a wake-up hint that is
-    /// `None` or at least `D − d`.  Asked only where that query answers
-    /// `Wait`; the test executor crosses the quiet stretch in one step.
-    ///
-    /// The provided implementation promises nothing (`0`), so a controller
-    /// without its own horizon is queried at every wait chunk.
-    fn quiet_horizon(&self, _discrete: &DiscreteState, _ticks: &[i64], _scale: i64) -> i64 {
-        0
-    }
+    ) -> Option<(StrategyDecision<'_>, Option<i64>)>;
 }
 
 impl Controller for Strategy {
@@ -139,6 +120,72 @@ impl Controller for Strategy {
 
     fn next_take_delay(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> Option<i64> {
         Strategy::next_take_delay(self, discrete, ticks, scale)
+    }
+
+    fn decide_with_wakeup(
+        &self,
+        discrete: &DiscreteState,
+        ticks: &[i64],
+        scale: i64,
+    ) -> Option<(StrategyDecision<'_>, Option<i64>)> {
+        let decision = Strategy::decide(self, discrete, ticks, scale)?;
+        if !matches!(decision, StrategyDecision::Wait { .. }) {
+            return Some((decision, None));
+        }
+        let rules = self.rules_for(discrete)?;
+        let vals = dbm_point(ticks);
+        let wakeup = wakeup(|| {
+            rules.iter().map(|rule| {
+                let take = matches!(rule.decision, Decision::Take(_));
+                (rule.rank, take, rule.zone.delay_window_at(&vals, scale))
+            })
+        });
+        Some((decision, wakeup))
+    }
+}
+
+/// The wake-up of a `Wait` answer (see [`Controller::decide_with_wakeup`]),
+/// from the queried state's rules as `(rank, takes, window)`: each rule's
+/// rank, whether it is a take rule, and its [`DelayWindow`] from the queried
+/// valuation (`None` if no delay enters its zone).
+///
+/// A rule contains the valuation delayed by `d` exactly when its window
+/// admits `d`, so `decide`'s answer can only change where a window starts
+/// or stops admitting.  The walk visits those points in increasing order
+/// and re-decides at each from the windows alone: the answer is `Wait`
+/// while some wait rule contains the point and no take rule of at most the
+/// least such rank does.  `rules` is called once per visited point.
+fn wakeup<I>(rules: impl Fn() -> I) -> Option<i64>
+where
+    I: Iterator<Item = (u32, bool, Option<DelayWindow>)>,
+{
+    let mut at = 0;
+    loop {
+        let mut next: Option<i64> = None;
+        let (mut wait_rank, mut take_rank) = (None, None);
+        for (rank, take, window) in rules() {
+            let Some(window) = window else { continue };
+            if window.admits(at) {
+                let least = if take { &mut take_rank } else { &mut wait_rank };
+                if least.is_none_or(|r| rank < r) {
+                    *least = Some(rank);
+                }
+            }
+            // Integer delays inside a window with a strict end stop one
+            // tick short of it.
+            let enter = window.min + i64::from(window.min_strict);
+            let leave = window.max.map(|max| max + i64::from(!window.max_strict));
+            for change in [Some(enter), leave].into_iter().flatten() {
+                if change > at && next.is_none_or(|n| change < n) {
+                    next = Some(change);
+                }
+            }
+        }
+        let waits = wait_rank.is_some_and(|w| take_rank.is_none_or(|t| t > w));
+        if at > 0 && !waits {
+            return Some(at);
+        }
+        at = next?;
     }
 }
 
@@ -308,20 +355,6 @@ impl StateProgram {
         Some(window)
     }
 
-    /// The first delay at which the rule's containment of `v + d` differs
-    /// from its containment of `v` (entering or leaving its zone), or
-    /// `None` if it never does.  Read off [`StateProgram::delay_window`]:
-    /// integer delays inside a window with a strict end stop one tick short
-    /// of it.
-    fn containment_change(&self, rule: CompiledRule, ticks: &[i64], scale: i64) -> Option<i64> {
-        let window = self.delay_window(rule, ticks, scale)?;
-        let enter = window.min + i64::from(window.min_strict);
-        if enter > 0 {
-            return Some(enter);
-        }
-        window.max.map(|max| max + i64::from(!window.max_strict))
-    }
-
     /// The `waits` candidates of one segment, in rank order.
     #[inline]
     fn wait_candidates(&self, segment: usize) -> &[u32] {
@@ -334,6 +367,23 @@ impl StateProgram {
     fn take_candidates(&self, segment: usize) -> &[u32] {
         &self.take_items
             [self.take_offsets[segment] as usize..self.take_offsets[segment + 1] as usize]
+    }
+
+    /// The decision at a valuation: the first containing take rule in rank
+    /// order whose rank is at most the wait rank, and otherwise `Wait`.
+    fn decide(&self, ticks: &[i64], scale: i64) -> Option<StrategyDecision<'_>> {
+        let segment = self.segment_of(ticks, scale);
+        let rank = self.wait_rank(segment, ticks, scale)?;
+        for &t in self.take_candidates(segment) {
+            let rule = self.takes[t as usize];
+            if rule.rank > rank {
+                break;
+            }
+            if self.contains(rule, ticks, scale) {
+                return Some(StrategyDecision::Take(&self.take_edges[t as usize]));
+            }
+        }
+        Some(StrategyDecision::Wait { rank })
     }
 
     /// Minimum rank over containing wait rules: first hit in the rank walk.
@@ -500,19 +550,7 @@ impl Controller for CompiledController {
         ticks: &[i64],
         scale: i64,
     ) -> Option<StrategyDecision<'_>> {
-        let program = self.program(discrete)?;
-        let segment = program.segment_of(ticks, scale);
-        let rank = program.wait_rank(segment, ticks, scale)?;
-        for &t in program.take_candidates(segment) {
-            let rule = program.takes[t as usize];
-            if rule.rank > rank {
-                break;
-            }
-            if program.contains(rule, ticks, scale) {
-                return Some(StrategyDecision::Take(&program.take_edges[t as usize]));
-            }
-        }
-        Some(StrategyDecision::Wait { rank })
+        self.program(discrete)?.decide(ticks, scale)
     }
 
     fn rank_of(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> Option<u32> {
@@ -549,55 +587,20 @@ impl Controller for CompiledController {
         ticks: &[i64],
         scale: i64,
     ) -> Option<(StrategyDecision<'_>, Option<i64>)> {
-        // One state lookup and one wait-rank walk answer both halves of the
-        // step: `decide`'s take walk first, then — on a wait — the wake-up
-        // scan over the same rank-gated take program `next_take_delay` uses.
         let program = self.program(discrete)?;
-        let segment = program.segment_of(ticks, scale);
-        let rank = program.wait_rank(segment, ticks, scale)?;
-        for &t in program.take_candidates(segment) {
-            let rule = program.takes[t as usize];
-            if rule.rank > rank {
-                break;
-            }
-            if program.contains(rule, ticks, scale) {
-                return Some((
-                    StrategyDecision::Take(&program.take_edges[t as usize]),
-                    None,
-                ));
-            }
+        let decision = program.decide(ticks, scale)?;
+        if !matches!(decision, StrategyDecision::Wait { .. }) {
+            return Some((decision, None));
         }
-        let mut best: Option<i64> = None;
-        for &rule in &program.takes {
-            if rule.rank > rank {
-                break;
-            }
-            if let Some(window) = program.delay_window(rule, ticks, scale) {
-                if let Some(delay) = window.pick() {
-                    if best.is_none_or(|b| delay < b) {
-                        best = Some(delay);
-                    }
-                }
-            }
-        }
-        Some((StrategyDecision::Wait { rank }, best))
-    }
-
-    fn quiet_horizon(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> i64 {
-        // Until some rule's containment changes, the wait rank and the
-        // (uncontained) take rules stay put, so the answer is the same
-        // `Wait`; every take rule's earliest entry is a change, so the hint
-        // (that entry minus the delay) never falls inside the horizon.
-        let Some(program) = self.program(discrete) else {
-            return 0;
-        };
-        program
-            .waits
-            .iter()
-            .chain(&program.takes)
-            .filter_map(|&rule| program.containment_change(rule, ticks, scale))
-            .min()
-            .unwrap_or(i64::MAX)
+        // Delays cross segments, so the wake-up walks the whole program.
+        let wakeup = wakeup(|| {
+            let waits = program.waits.iter().map(|rule| (rule, false));
+            let takes = program.takes.iter().map(|rule| (rule, true));
+            waits
+                .chain(takes)
+                .map(|(&rule, take)| (rule.rank, take, program.delay_window(rule, ticks, scale)))
+        });
+        Some((decision, wakeup))
     }
 }
 

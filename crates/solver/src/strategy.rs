@@ -396,7 +396,7 @@ impl fmt::Debug for Strategy {
 
 /// Converts tick-valued clocks to the DBM point layout (reference clock 0
 /// prepended).
-fn dbm_point(ticks: &[i64]) -> Vec<i64> {
+pub(crate) fn dbm_point(ticks: &[i64]) -> Vec<i64> {
     let mut vals = Vec::with_capacity(ticks.len() + 1);
     vals.push(0);
     vals.extend_from_slice(ticks);
