@@ -4,7 +4,8 @@
 //!
 //! Sweeps `SolveOptions::jobs` over {1, 2, 4, 8} for every LEP-N scaling
 //! instance (detailed configuration, reach TP2 and avoid TP4, `n` up to
-//! `TIGA_LEP_MAX_N`) under both the Jacobi and the on-the-fly engine.  The
+//! `TIGA_LEP_MAX_N`) under both solvers, `solve` (on-the-fly) and the
+//! `solve_jacobi` reference.  The
 //! parallel phases — successor-candidate computation during forward
 //! exploration and the per-round π-updates of the fixpoint — are computed
 //! against immutable snapshots and merged in canonical state order, so every
@@ -16,8 +17,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tiga_bench::lep_scaling_instances;
-use tiga_solver::{solve, SolveEngine, SolveOptions};
+use tiga_bench::{lep_scaling_instances, SOLVERS};
+use tiga_solver::SolveOptions;
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -25,30 +26,21 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     let instances = lep_scaling_instances();
     let mut group = c.benchmark_group("parallel_scaling");
     group.sample_size(10);
-    for engine in [SolveEngine::Jacobi, SolveEngine::Otfur] {
+    for (engine, solve) in SOLVERS {
         for instance in &instances {
             let reference = solve(
                 &instance.system,
                 &instance.purpose,
-                &SolveOptions {
-                    engine,
-                    ..SolveOptions::default()
-                },
+                &SolveOptions::default(),
             )
             .expect("solvable");
             for jobs in JOB_COUNTS {
                 let options = SolveOptions {
-                    engine,
                     jobs,
                     ..SolveOptions::default()
                 };
                 let id = BenchmarkId::new(
-                    format!(
-                        "{}/{}/{}",
-                        engine.name(),
-                        instance.model,
-                        instance.purpose_name
-                    ),
+                    format!("{engine}/{}/{}", instance.model, instance.purpose_name),
                     jobs,
                 );
                 group.bench_with_input(id, &jobs, |b, _| {

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tiga_bench::lep_instance;
 use tiga_models::smart_light;
-use tiga_solver::{solve, solve_jacobi, SolveEngine, SolveOptions};
+use tiga_solver::{solve, solve_jacobi, SolveOptions};
 use tiga_tctl::TestPurpose;
 
 fn options(extract_strategy: bool) -> SolveOptions {
@@ -24,7 +24,6 @@ fn options(extract_strategy: bool) -> SolveOptions {
 
 fn otfur_options(early_termination: bool) -> SolveOptions {
     SolveOptions {
-        engine: SolveEngine::Otfur,
         early_termination,
         ..SolveOptions::default()
     }

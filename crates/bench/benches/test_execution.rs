@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tiga_bench::{lep_instance, smart_light_harness};
 use tiga_models::{coffee_machine, smart_light};
-use tiga_solver::{solve, CompiledController, Controller, SolveEngine, SolveOptions};
+use tiga_solver::{solve, CompiledController, Controller, SolveOptions};
 use tiga_testing::{OutputPolicy, SimulatedIut, SpecMonitor, TestConfig, TestHarness};
 
 fn bench_algorithm_31(c: &mut Criterion) {
@@ -79,11 +79,7 @@ fn bench_monitor(c: &mut Criterion) {
 /// `tests/controller_differential.rs`) at ≥5× the throughput.
 fn bench_decision_throughput(c: &mut Criterion) {
     let (system, purpose) = lep_instance(4, 3);
-    let options = SolveOptions {
-        engine: SolveEngine::Otfur,
-        ..SolveOptions::default()
-    };
-    let solution = solve(&system, &purpose, &options).expect("lep4 tp4 solves");
+    let solution = solve(&system, &purpose, &SolveOptions::default()).expect("lep4 tp4 solves");
     let strategy = solution.strategy.as_ref().expect("tp4 is enforceable");
     let compiled = CompiledController::compile(strategy);
     let scale = 4;

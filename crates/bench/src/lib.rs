@@ -20,7 +20,7 @@ use tiga_model::System;
 use tiga_models::{coffee_machine, leader_election, smart_light};
 use tiga_solver::{
     minimize_strategy_with_report, print_controller_source, solve, solve_jacobi, GameSolution,
-    SolveEngine, SolveOptions,
+    SolveOptions, SolverError,
 };
 use tiga_tctl::TestPurpose;
 use tiga_testing::{TestConfig, TestHarness};
@@ -252,7 +252,6 @@ pub const FUZZ_MATRIX_COUNT: usize = 4;
 pub fn fuzz_matrix_instances() -> Vec<ZooInstance> {
     let config = tiga_gen::GenConfig::default();
     let budget = SolveOptions {
-        engine: SolveEngine::Jacobi,
         explore: tiga_solver::ExploreOptions { max_states: 4_000 },
         ..SolveOptions::default()
     };
@@ -268,7 +267,7 @@ pub fn fuzz_matrix_instances() -> Vec<ZooInstance> {
         let Ok((system, purpose)) = spec.build() else {
             continue;
         };
-        let Ok(solution) = solve(&system, &purpose, &budget) else {
+        let Ok(solution) = solve_jacobi(&system, &purpose, &budget) else {
             continue;
         };
         if solution.stats().discrete_states < 4 {
@@ -314,21 +313,30 @@ pub struct MatrixRow {
     pub print_time: Duration,
 }
 
-/// Solves one zoo instance with every engine and returns the rows.
+/// The signature [`solve`] and [`solve_jacobi`] share.
+pub type Solver = fn(&System, &TestPurpose, &SolveOptions) -> Result<GameSolution, SolverError>;
+
+/// Both solvers under their row labels: [`solve`] (OTFUR, the solver every
+/// front end runs) and the [`solve_jacobi`] reference it is checked
+/// against.
+pub const SOLVERS: [(&str, Solver); 2] = [("otfur", solve), ("jacobi", solve_jacobi)];
+
+/// Solves one zoo instance with both [`SOLVERS`] and returns the rows.
 ///
 /// # Panics
 ///
 /// Panics if solving fails (all zoo instances are solvable by construction).
 #[must_use]
 pub fn engine_matrix_rows(instance: &ZooInstance) -> Vec<MatrixRow> {
-    SolveEngine::ALL
+    SOLVERS
         .into_iter()
-        .map(|engine| {
-            let options = SolveOptions {
-                engine,
-                ..SolveOptions::default()
-            };
-            let solution = solve(&instance.system, &instance.purpose, &options).expect("solves");
+        .map(|(engine, solver)| {
+            let solution = solver(
+                &instance.system,
+                &instance.purpose,
+                &SolveOptions::default(),
+            )
+            .expect("solves");
             let (mut minimize_time, mut print_time) = (Duration::ZERO, Duration::ZERO);
             if let Some(strategy) = &solution.strategy {
                 let start = Instant::now();
@@ -346,7 +354,7 @@ pub fn engine_matrix_rows(instance: &ZooInstance) -> Vec<MatrixRow> {
             MatrixRow {
                 model: instance.model.clone(),
                 purpose: instance.purpose_name.clone(),
-                engine: engine.name().to_string(),
+                engine: engine.to_string(),
                 solution,
                 minimize_time,
                 print_time,

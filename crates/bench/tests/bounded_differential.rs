@@ -4,7 +4,7 @@
 //!
 //! * for a bound far beyond every clock ceiling, the bounded verdict must
 //!   equal the unbounded verdict on every zoo instance (the `#t` clip is
-//!   vacuous), across both engines;
+//!   vacuous), for both solvers;
 //! * verdicts are monotone in the bound: `Win(T1) ⊆ Win(T2)` for
 //!   `T1 <= T2` on reachability, and dually `Win(T2) ⊆ Win(T1)` on
 //!   safety — pinned on a ladder of bounds over the zoo;
@@ -12,21 +12,14 @@
 //!   Smart Light `A<> IUT.Bright` instance from winning to losing at
 //!   exactly `T = 5` (the bound the zoo's checked-in instance uses).
 
-use tiga_bench::model_zoo;
-use tiga_solver::{solve, solve_jacobi, SolveEngine, SolveOptions};
+use tiga_bench::{model_zoo, SOLVERS};
+use tiga_solver::{solve, solve_jacobi, SolveOptions};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
 /// A bound that no run can exhaust on the zoo models: larger than any
 /// clock ceiling a zoo product mentions, so clipping `#t <= HUGE` never
 /// removes a reachable valuation.
 const HUGE_BOUND: i64 = 10_000;
-
-fn engines() -> [SolveOptions; 2] {
-    SolveEngine::ALL.map(|engine| SolveOptions {
-        engine,
-        ..SolveOptions::default()
-    })
-}
 
 #[test]
 fn a_vacuously_large_bound_matches_the_unbounded_verdict_across_the_zoo() {
@@ -41,14 +34,15 @@ fn a_vacuously_large_bound_matches_the_unbounded_verdict_across_the_zoo() {
             continue;
         }
         let bounded = instance.purpose.clone().with_bound(HUGE_BOUND);
-        for options in engines() {
+        for (engine, solve) in SOLVERS {
+            let options = SolveOptions::default();
             let unbounded =
                 solve(&instance.system, &instance.purpose, &options).expect("unbounded solves");
             let clipped = solve(&instance.system, &bounded, &options).expect("bounded solves");
             assert_eq!(
                 unbounded.winning_from_initial, clipped.winning_from_initial,
-                "{}/{} [{:?}]: a vacuous bound of {HUGE_BOUND} changed the verdict",
-                instance.model, instance.purpose_name, options.engine,
+                "{}/{} [{engine}]: a vacuous bound of {HUGE_BOUND} changed the verdict",
+                instance.model, instance.purpose_name,
             );
             assert_eq!(clipped.bound, Some(HUGE_BOUND));
             assert_eq!(unbounded.bound, None);
@@ -98,14 +92,14 @@ fn shrinking_the_bound_flips_smart_light_bright_to_losing() {
     let unbounded =
         solve(&bright.system, &bright.purpose, &SolveOptions::default()).expect("unbounded solves");
     assert!(unbounded.winning_from_initial);
-    for options in engines() {
+    for (engine, solve) in SOLVERS {
+        let options = SolveOptions::default();
         // ...and so is the zoo's checked-in bound of 5 (the threshold)...
         let at_threshold = bright.purpose.clone().with_bound(5);
         let won = solve(&bright.system, &at_threshold, &options).expect("solves");
         assert!(
             won.winning_from_initial,
-            "[{:?}] A<><=5 IUT.Bright must stay winning",
-            options.engine
+            "[{engine}] A<><=5 IUT.Bright must stay winning"
         );
         // ...but one time unit tighter the controller can no longer force
         // Bright in time, on every engine.
@@ -113,8 +107,7 @@ fn shrinking_the_bound_flips_smart_light_bright_to_losing() {
         let lost = solve(&bright.system, &too_tight, &options).expect("solves");
         assert!(
             !lost.winning_from_initial,
-            "[{:?}] A<><=4 IUT.Bright must be losing",
-            options.engine
+            "[{engine}] A<><=4 IUT.Bright must be losing"
         );
     }
 }

@@ -10,13 +10,13 @@
 //!   answer a `--jobs 4` request from an entry computed at `--jobs 1`;
 //! * the key contains exactly the semantics-relevant inputs: the canonical
 //!   serialized system (with its `control:` objective) and the options that
-//!   change the answer (engine, strategy extraction, early termination,
+//!   change the answer (strategy extraction, early termination,
 //!   round/state budgets) — and *not* `jobs`, which the determinism
 //!   contract proves irrelevant.
 
 use tiga_bench::model_zoo;
 use tiga_lang::print_system;
-use tiga_solver::{print_strategy, solve, CacheEntry, SolveCache, SolveEngine, SolveOptions};
+use tiga_solver::{print_strategy, solve, CacheEntry, ExploreOptions, SolveCache, SolveOptions};
 
 fn entry_for(instance: &tiga_bench::ZooInstance, opts: &SolveOptions) -> CacheEntry {
     let solution = solve(&instance.system, &instance.purpose, opts).expect("solves");
@@ -119,7 +119,7 @@ fn cache_keys_cover_semantics_and_ignore_parallelism() {
     );
     let variations = [
         SolveOptions {
-            engine: SolveEngine::Jacobi,
+            explore: ExploreOptions { max_states: 42 },
             ..SolveOptions::default()
         },
         SolveOptions {

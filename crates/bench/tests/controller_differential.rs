@@ -23,11 +23,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tiga_bench::{lep_instance, model_zoo};
+use tiga_bench::{lep_instance, model_zoo, SOLVERS};
 use tiga_models::{coffee_machine, smart_light};
 use tiga_solver::{
     minimize_strategy, minimize_strategy_with_report, solve, CompiledController, Controller,
-    SolveEngine, SolveOptions, Strategy,
+    SolveOptions, Strategy,
 };
 use tiga_testing::{
     derive_run_seed, generate_mutants, MutationConfig, OutputPolicy, SimulatedIut, TestConfig,
@@ -35,13 +35,6 @@ use tiga_testing::{
 };
 
 const SCALE: i64 = 4;
-
-fn engine_options(engine: SolveEngine) -> SolveOptions {
-    SolveOptions {
-        engine,
-        ..SolveOptions::default()
-    }
-}
 
 /// Query points for one discrete state: the corners of every rule zone
 /// (each clock pinned to its unary lower/upper bound constant, the
@@ -178,13 +171,17 @@ fn minimized_and_compiled_controllers_answer_identically_across_the_zoo() {
     // The small zoo models under both extraction engines; the detailed
     // lep4 workload is covered (OTFUR-extracted) by the compression pin.
     for instance in model_zoo().iter().filter(|i| i.model != "lep4") {
-        for engine in [SolveEngine::Otfur, SolveEngine::Jacobi] {
-            let solution = solve(&instance.system, &instance.purpose, &engine_options(engine))
-                .expect("zoo instances solve");
+        for (engine, solve) in SOLVERS {
+            let solution = solve(
+                &instance.system,
+                &instance.purpose,
+                &SolveOptions::default(),
+            )
+            .expect("zoo instances solve");
             let Some(strategy) = solution.strategy.as_ref() else {
                 continue;
             };
-            let what = format!("{}/{} ({engine:?})", instance.model, instance.purpose_name);
+            let what = format!("{}/{} ({engine})", instance.model, instance.purpose_name);
             assert_strategy_compiles_equivalently(strategy, &what, &mut rng);
         }
     }
@@ -196,14 +193,18 @@ fn minimized_and_compiled_controllers_answer_identically_across_the_zoo() {
 #[test]
 fn an_extra_minimization_round_changes_no_zoo_strategy() {
     for instance in model_zoo() {
-        let engines: &[SolveEngine] = if instance.model == "lep4" {
-            &[SolveEngine::Otfur]
+        let solvers = if instance.model == "lep4" {
+            &SOLVERS[..1]
         } else {
-            &[SolveEngine::Otfur, SolveEngine::Jacobi]
+            &SOLVERS[..]
         };
-        for &engine in engines {
-            let solution = solve(&instance.system, &instance.purpose, &engine_options(engine))
-                .expect("zoo instances solve");
+        for &(engine, solve) in solvers {
+            let solution = solve(
+                &instance.system,
+                &instance.purpose,
+                &SolveOptions::default(),
+            )
+            .expect("zoo instances solve");
             let Some(strategy) = solution.strategy.as_ref() else {
                 continue;
             };
@@ -211,7 +212,7 @@ fn an_extra_minimization_round_changes_no_zoo_strategy() {
             assert_eq!(
                 minimize_strategy(&minimized),
                 minimized,
-                "{}/{} ({engine:?})",
+                "{}/{} ({engine})",
                 instance.model,
                 instance.purpose_name
             );
@@ -351,8 +352,7 @@ fn compiled_and_interpreted_runs_agree_at_the_default_budget() {
 fn lep4_avoid_strategy_minimizes_at_least_two_fold() {
     let mut rng = StdRng::seed_from_u64(0x001E_9404);
     let (system, purpose) = lep_instance(4, 3);
-    let solution =
-        solve(&system, &purpose, &engine_options(SolveEngine::Otfur)).expect("lep4 tp4 solves");
+    let solution = solve(&system, &purpose, &SolveOptions::default()).expect("lep4 tp4 solves");
     let strategy = solution.strategy.as_ref().expect("tp4 is enforceable");
     let (minimized, report) = minimize_strategy_with_report(strategy);
     assert_eq!(report.rules_before, strategy.rule_count());

@@ -8,13 +8,12 @@
 
 use tiga_bench::{engine_matrix_rows, model_zoo};
 use tiga_models::smart_light;
-use tiga_solver::{solve, solve_jacobi, SolveEngine, SolveOptions};
+use tiga_solver::{solve, solve_jacobi, SolveOptions};
 use tiga_tctl::TestPurpose;
 use tiga_testing::{generate_mutants, MutationConfig};
 
 fn otfur_options(early_termination: bool) -> SolveOptions {
     SolveOptions {
-        engine: SolveEngine::Otfur,
         early_termination,
         ..SolveOptions::default()
     }

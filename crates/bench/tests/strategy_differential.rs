@@ -11,17 +11,10 @@
 //! verdict on any plant is a strategy-extraction bug in one of the engines.
 
 use tiga_models::{coffee_machine, smart_light};
-use tiga_solver::{SolveEngine, SolveOptions};
+use tiga_solver::{solve_jacobi, CompiledController, SolveOptions};
 use tiga_testing::{
     generate_mutants, MutationConfig, OutputPolicy, SimulatedIut, TestConfig, TestHarness, Verdict,
 };
-
-fn engine_options(engine: SolveEngine) -> SolveOptions {
-    SolveOptions {
-        engine,
-        ..SolveOptions::default()
-    }
-}
 
 /// Budgets small enough that non-terminating safety controllers finish in
 /// milliseconds while still driving many interaction rounds.
@@ -33,25 +26,23 @@ fn config() -> TestConfig {
     }
 }
 
-/// Synthesizes the same purpose with the on-the-fly and the Jacobi engine
-/// and executes both strategies against the same implementations.
+/// Synthesizes the same purpose with `solve` (the harness's solver) and
+/// with `solve_jacobi`, and executes both strategies against the same
+/// implementations through the one harness.
 fn assert_strategies_agree(product: &tiga_model::System, spec: &tiga_model::System, purpose: &str) {
-    let otfur = TestHarness::synthesize_with(
-        product.clone(),
-        spec.clone(),
-        purpose,
-        config(),
-        &engine_options(SolveEngine::Otfur),
-    )
-    .unwrap_or_else(|e| panic!("otfur synthesis failed for {purpose}: {e}"));
-    let jacobi = TestHarness::synthesize_with(
-        product.clone(),
-        spec.clone(),
-        purpose,
-        config(),
-        &engine_options(SolveEngine::Jacobi),
-    )
-    .unwrap_or_else(|e| panic!("jacobi synthesis failed for {purpose}: {e}"));
+    let harness = TestHarness::synthesize(product.clone(), spec.clone(), purpose, config())
+        .unwrap_or_else(|e| panic!("otfur synthesis failed for {purpose}: {e}"));
+    let jacobi = solve_jacobi(product, harness.purpose(), &SolveOptions::default())
+        .unwrap_or_else(|e| panic!("jacobi failed to solve {purpose}: {e}"));
+    assert!(jacobi.winning_from_initial, "jacobi: {purpose} is winning");
+    let jacobi = CompiledController::compile(jacobi.strategy.as_ref().expect("jacobi strategy"));
+    let otfur = |iut: &mut SimulatedIut| harness.execute(iut).expect("executes").verdict;
+    let jacobi = |iut: &mut SimulatedIut| {
+        harness
+            .execute_controlled(iut, &jacobi)
+            .expect("executes")
+            .verdict
+    };
 
     let policies = [OutputPolicy::Eager, OutputPolicy::Lazy];
 
@@ -59,8 +50,7 @@ fn assert_strategies_agree(product: &tiga_model::System, spec: &tiga_model::Syst
     for policy in policies {
         let mut a = SimulatedIut::new("conformant", product.clone(), 4, policy);
         let mut b = SimulatedIut::new("conformant", product.clone(), 4, policy);
-        let va = otfur.execute(&mut a).expect("executes").verdict;
-        let vb = jacobi.execute(&mut b).expect("executes").verdict;
+        let (va, vb) = (otfur(&mut a), jacobi(&mut b));
         assert_eq!(
             va, vb,
             "strategies diverge on the conformant plant ({purpose}, {policy:?})"
@@ -80,8 +70,7 @@ fn assert_strategies_agree(product: &tiga_model::System, spec: &tiga_model::Syst
         for policy in policies {
             let mut a = SimulatedIut::new(&mutant.name, mutant.system.clone(), 4, policy);
             let mut b = SimulatedIut::new(&mutant.name, mutant.system.clone(), 4, policy);
-            let va = otfur.execute(&mut a).expect("executes").verdict;
-            let vb = jacobi.execute(&mut b).expect("executes").verdict;
+            let (va, vb) = (otfur(&mut a), jacobi(&mut b));
             assert_eq!(
                 va, vb,
                 "strategies diverge on mutant {} ({purpose}, {policy:?})",

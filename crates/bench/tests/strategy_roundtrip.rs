@@ -24,25 +24,24 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
+use tiga_bench::{fuzz_matrix_instances, model_zoo, Solver, ZooInstance, SOLVERS};
 use tiga_dbm::{max_constant_for, Bound, Dbm, MAX_CONSTANT};
 use tiga_model::{AutomatonId, ChannelId, DiscreteState, EdgeId, JointEdge, LocationId};
 use tiga_solver::{
     parse_controller, parse_strategy, print_controller, print_strategy, solve, CompiledController,
-    Decision, SolveEngine, SolveOptions, Strategy, StrategyDecision, StrategyRule,
-    CONTROLLER_FORMAT_HEADER, STRATEGY_FORMAT_HEADER,
+    Decision, SolveOptions, Strategy, StrategyDecision, StrategyRule, CONTROLLER_FORMAT_HEADER,
+    STRATEGY_FORMAT_HEADER,
 };
 
-fn options(engine: SolveEngine, jobs: usize) -> SolveOptions {
+fn options(jobs: usize) -> SolveOptions {
     SolveOptions {
-        engine,
         jobs,
         ..SolveOptions::default()
     }
 }
 
 /// Solves `instance` and returns the serialized strategy file.
-fn serialized(instance: &ZooInstance, opts: &SolveOptions) -> String {
+fn serialized(instance: &ZooInstance, solve: Solver, opts: &SolveOptions) -> String {
     let solution = solve(&instance.system, &instance.purpose, opts).unwrap_or_else(|e| {
         panic!(
             "{}/{} fails to solve: {e}",
@@ -56,15 +55,10 @@ fn serialized(instance: &ZooInstance, opts: &SolveOptions) -> String {
     )
 }
 
-/// The full determinism × roundtrip sweep for one instance and engine.
-fn check_instance(instance: &ZooInstance, engine: SolveEngine) {
-    let label = format!(
-        "{}/{} ({})",
-        instance.model,
-        instance.purpose_name,
-        engine.name()
-    );
-    let baseline = serialized(instance, &options(engine, 1));
+/// The full determinism × roundtrip sweep for one instance and solver.
+fn check_instance(instance: &ZooInstance, (engine, solve): (&str, Solver)) {
+    let label = format!("{}/{} ({engine})", instance.model, instance.purpose_name);
+    let baseline = serialized(instance, solve, &options(1));
 
     // Exact roundtrip and printer fixpoint.
     let parsed = parse_strategy(&baseline).unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -73,7 +67,7 @@ fn check_instance(instance: &ZooInstance, engine: SolveEngine) {
     assert_eq!(reprinted, baseline, "{label}: printer must be a fixpoint");
 
     // Serialization is invariant under parallelism.
-    let text = serialized(instance, &options(engine, 4));
+    let text = serialized(instance, solve, &options(4));
     assert_eq!(
         text, baseline,
         "{label}: jobs=4 must serialize bit-identically"
@@ -85,14 +79,14 @@ fn zoo_strategies_roundtrip_and_are_jobs_invariant() {
     for instance in model_zoo() {
         // The detailed lep4 instances are the zoo's non-toy workload; their
         // eager-engine sweep is minutes of work, so they run otfur only —
-        // the engine that actually feeds `tiga serve` and the goldens.
-        let engines: &[SolveEngine] = if instance.model == "lep4" {
-            &[SolveEngine::Otfur]
+        // the solver that actually feeds `tiga serve` and the goldens.
+        let solvers = if instance.model == "lep4" {
+            &SOLVERS[..1]
         } else {
-            &[SolveEngine::Otfur, SolveEngine::Jacobi]
+            &SOLVERS[..]
         };
-        for &engine in engines {
-            check_instance(&instance, engine);
+        for &solver in solvers {
+            check_instance(&instance, solver);
         }
     }
 }
@@ -103,7 +97,7 @@ fn fuzz_generated_strategies_roundtrip_and_are_jobs_invariant() {
     assert!(!instances.is_empty());
     let mut winning = 0;
     for instance in &instances {
-        check_instance(instance, SolveEngine::Otfur);
+        check_instance(instance, SOLVERS[0]);
         let solution = solve(
             &instance.system,
             &instance.purpose,
@@ -273,13 +267,13 @@ fn strategies_at_the_largest_model_constants_roundtrip() {
         assert_ne!(text, scaled, "the objective line is replaced");
         let model = tiga_lang::parse_model(&text).unwrap_or_else(|e| panic!("{control}: {e}"));
         let purpose = model.purpose.expect("the file has an objective");
-        for engine in SolveEngine::ALL {
-            let solution = solve(&model.system, &purpose, &options(engine, 1)).expect("solves");
+        for (engine, solve) in SOLVERS {
+            let solution = solve(&model.system, &purpose, &options(1)).expect("solves");
             let strategy = solution.strategy.as_ref();
             rules += strategy.map_or(0, Strategy::rule_count);
             let printed = print_strategy("ceiling", solution.winning_from_initial, strategy);
-            let parsed = parse_strategy(&printed)
-                .unwrap_or_else(|e| panic!("{control} ({}): {e}", engine.name()));
+            let parsed =
+                parse_strategy(&printed).unwrap_or_else(|e| panic!("{control} ({engine}): {e}"));
             assert_eq!(parsed.strategy.as_ref(), strategy, "{control}");
         }
     }

@@ -5,18 +5,18 @@
 //! library functions:
 //!
 //! * `tiga solve <file.tg>` — parse, lower and solve the model's `control:`
-//!   objective; engine and termination flags map onto
-//!   [`tiga_solver::SolveOptions`];
+//!   objective with [`tiga_solver::solve`]; termination, budget and thread
+//!   flags map onto [`tiga_solver::SolveOptions`];
 //! * `tiga test <file.tg>` — synthesize the winning strategy and run a
 //!   mutation campaign against simulated implementations, mapping flags onto
 //!   [`tiga_testing::CampaignOptions`];
 //! * `tiga zoo` — list the built-in benchmark model zoo (its models are
 //!   the `.tg` files under `examples/tg/`);
 //! * `tiga fuzz` — differential fuzzing: seeded random timed games through
-//!   the [`tiga_gen`] oracles (engine agreement on reachability *and*
-//!   safety objectives, printer/parser roundtrip, zone-algebra reference,
-//!   `Pred_t` reference), sharded over worker threads with `--jobs`, with
-//!   shrunk `.tg` reproducers on failure;
+//!   the [`tiga_gen`] oracles (`solve` against the `solve_jacobi` reference
+//!   on reachability *and* safety objectives, printer/parser roundtrip,
+//!   zone-algebra reference, `Pred_t` reference), sharded over worker
+//!   threads with `--jobs`, with shrunk `.tg` reproducers on failure;
 //! * `tiga serve` — strategy synthesis as a service: jsonl requests on
 //!   stdin, jsonl responses (verdict, stats, `tiga-strategy v2` text) on
 //!   stdout, deduplicated through a content-hash solve cache; `batch`
@@ -50,9 +50,8 @@ const USAGE: &str = "\
 tiga — game-theoretic testing of real-time systems (DATE 2008)
 
 USAGE:
-    tiga solve <file.tg> [--engine otfur|jacobi] [--exhaustive]
-               [--no-strategy] [--max-rounds N] [--purpose '<control: ...>']
-               [--show-strategy]
+    tiga solve <file.tg> [--exhaustive] [--no-strategy] [--max-rounds N]
+               [--purpose '<control: ...>'] [--show-strategy]
     tiga test  <file.tg> [--spec <plant.tg>] [--threads N] [--seed N]
                [--repetitions N] [--max-mutants N] [--purpose '<control: ...>']
     tiga zoo
@@ -165,19 +164,19 @@ mod tests {
 
     #[test]
     fn take_value_and_flag() {
-        let mut args: Vec<String> = ["--engine", "jacobi", "x.tg", "--exhaustive"]
+        let mut args: Vec<String> = ["--max-rounds", "7", "x.tg", "--exhaustive"]
             .iter()
             .map(ToString::to_string)
             .collect();
         assert_eq!(
-            take_value(&mut args, "--engine").unwrap().as_deref(),
-            Some("jacobi")
+            take_value(&mut args, "--max-rounds").unwrap().as_deref(),
+            Some("7")
         );
         assert!(take_flag(&mut args, "--exhaustive"));
         assert!(!take_flag(&mut args, "--exhaustive"));
         assert_eq!(args, vec!["x.tg".to_string()]);
-        let mut args = vec!["--engine".to_string()];
-        assert!(take_value(&mut args, "--engine").is_err());
+        let mut args = vec!["--max-rounds".to_string()];
+        assert!(take_value(&mut args, "--max-rounds").is_err());
     }
 
     #[test]

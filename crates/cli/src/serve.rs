@@ -50,7 +50,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Instant;
 use tiga_solver::json::{self, Escaped, Json};
-use tiga_solver::{minimize_strategy, solve, CacheStats, SolveCache, SolveEngine, SolveOptions};
+use tiga_solver::{minimize_strategy, solve, CacheStats, SolveCache, SolveOptions};
 use tiga_tctl::TestPurpose;
 
 const USAGE: &str = "\
@@ -69,13 +69,13 @@ REQUESTS:
     {\"id\":3,\"kind\":\"batch\",\"paths\":[...]}        fan a list through the
                                                    work queue, responses
                                                    merged in order
-    optional fields: \"purpose\" (control: line override), \"engine\"
-    (otfur|jacobi), \"exhaustive\" (bool), \"strategy\" (bool,
-    default true), \"controller\" (bool, default false: include the
-    controller in the `tiga-controller v2` text format in the payload;
-    both formats print each distinct rule list once),
+    optional fields: \"purpose\" (control: line override),
+    \"exhaustive\" (bool), \"strategy\" (bool, default true),
+    \"controller\" (bool, default false: include the controller in the
+    `tiga-controller v2` text format in the payload; both formats print
+    each distinct rule list once),
     \"max_rounds\", \"max_states\", \"jobs\" (solve requests: intra-solve
-    threads; default: the server's --jobs)
+    threads, at most the machine's cores; default: the server's --jobs)
 
 OPTIONS:
     --jobs N    worker threads: shards batch requests over the queue and is
@@ -577,7 +577,6 @@ impl Request {
                 "models" => inlines = Some(string_array(value, "models")?),
                 "paths" => paths = Some(string_array(value, "paths")?),
                 "purpose" => purpose = Some(value.str_field("purpose")?.to_string()),
-                "engine" => options.engine = SolveEngine::from_name(value.str_field("engine")?)?,
                 "exhaustive" => options.early_termination = !value.bool_field("exhaustive")?,
                 "strategy" => options.extract_strategy = value.bool_field("strategy")?,
                 "controller" => controller = value.bool_field("controller")?,
@@ -756,10 +755,9 @@ fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
     let winning = solution.winning_from_initial;
     let strategy_text = tiga_solver::print_strategy(model, winning, solution.strategy.as_ref());
     let mut payload = format!(
-        "{{\"model\":\"{model}\",\"engine\":\"{engine}\",\"verdict\":\"{verdict}\",\
+        "{{\"model\":\"{model}\",\"verdict\":\"{verdict}\",\
          {stats_fields},\"strategy_rules\":{strategy_rules},{controller_fields},\"strategy\":\"",
         model = Escaped(model),
-        engine = prepared.options.engine.name(),
         verdict = if winning { "winning" } else { "losing" },
         stats_fields = solution.stats().json_fields(),
         strategy_rules = solution
@@ -792,9 +790,9 @@ fn solve_and_render(prepared: &Prepared) -> Result<Arc<Rendered>, String> {
 // ---------------------------------------------------------------------------
 
 /// A kept answer: plain strings.  The stable payload is a pure function of
-/// the key (the canonical text names the model, the options the engine), so
-/// it is rendered once, when the game is solved, and every hit writes the
-/// same bytes as the miss that stored it.
+/// the key (the canonical text names the model and objective, the options
+/// the budgets), so it is rendered once, when the game is solved, and every
+/// hit writes the same bytes as the miss that stored it.
 struct Rendered {
     /// The key's printable digest.
     fingerprint: String,
@@ -1109,14 +1107,21 @@ mod tests {
             parse(r#"{"path":"a.tg","wat":1}"#).is_err(),
             "unknown fields"
         );
-        assert!(parse(r#"{"path":"a.tg","engine":"magic"}"#).is_err());
+        // `solve` runs OTFUR only: `engine` is an unknown field, whatever
+        // it names.
+        for engine in ["otfur", "jacobi", "magic"] {
+            let line = format!(r#"{{"path":"a.tg","engine":"{engine}"}}"#);
+            assert_eq!(
+                parse(&line).err().as_deref(),
+                Some("unknown request field `engine`")
+            );
+        }
         assert!(
             parse(r#"{"paths":["a.tg"]}"#).is_err(),
             "batch arrays need kind=batch"
         );
-        let ok = parse(r#"{"id":"x","path":"a.tg","engine":"jacobi","exhaustive":true}"#).unwrap();
+        let ok = parse(r#"{"id":"x","path":"a.tg","exhaustive":true}"#).unwrap();
         assert_eq!(ok.id, "\"x\"");
-        assert_eq!(ok.options.engine, SolveEngine::Jacobi);
         assert!(!ok.options.early_termination);
         assert!(!ok.controller, "controller defaults to false");
         let ok = parse(r#"{"path":"a.tg","controller":true}"#).unwrap();

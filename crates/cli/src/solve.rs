@@ -7,7 +7,7 @@ use crate::{
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tiga_solver::json::Escaped;
-use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions, Strategy};
+use tiga_solver::{solve, GameSolution, SolveOptions, Strategy};
 use tiga_tctl::TestPurpose;
 
 const USAGE: &str = "\
@@ -15,7 +15,6 @@ USAGE:
     tiga solve <file.tg> [OPTIONS]
 
 OPTIONS:
-    --engine otfur|jacobi            fixpoint engine (default: otfur)
     --exhaustive                     disable early termination (propagate the
                                      full winning sets even once the initial
                                      state is decided)
@@ -43,7 +42,7 @@ OPTIONS:
 pub struct SolveArgs {
     /// Path to the `.tg` model.
     pub path: String,
-    /// Solver options assembled from the flags (including the engine).
+    /// Solver options assembled from the flags.
     pub options: SolveOptions,
     /// Objective override (otherwise the file's `control:` line is used).
     pub purpose: Option<String>,
@@ -67,14 +66,7 @@ pub struct SolveArgs {
 /// Returns a usage message on unknown or malformed flags.
 pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
     let mut args = args.to_vec();
-    let engine = match take_value(&mut args, "--engine")? {
-        None => SolveEngine::default(),
-        Some(name) => SolveEngine::from_name(&name).map_err(|e| format!("error: {e}"))?,
-    };
-    let mut options = SolveOptions {
-        engine,
-        ..SolveOptions::default()
-    };
+    let mut options = SolveOptions::default();
     if take_flag(&mut args, "--exhaustive") {
         options.early_termination = false;
     }
@@ -210,7 +202,7 @@ fn report_solved(args: &SolveArgs, solved: &mut Solved) -> Result<String, String
         times.emit += start.elapsed();
     }
     if args.stats_json {
-        let report = render_stats_json(&model.system, args, solution, minimized.as_ref(), &times);
+        let report = render_stats_json(&model.system, solution, minimized.as_ref(), &times);
         if let Some(expected) = args.expect_winning {
             if solution.winning_from_initial != expected {
                 return Err(format!(
@@ -222,7 +214,7 @@ fn report_solved(args: &SolveArgs, solved: &mut Solved) -> Result<String, String
         }
         return Ok(report);
     }
-    let mut report = render_report(&args.path, &model.system, purpose, args, solution);
+    let mut report = render_report(&args.path, &model.system, purpose, solution);
     if args.show_strategy {
         if let Some(strategy) = &solution.strategy {
             // A bounded strategy plays on the `#t`-augmented product; render
@@ -280,7 +272,6 @@ fn render_report(
     path: &str,
     system: &tiga_model::System,
     purpose: &TestPurpose,
-    args: &SolveArgs,
     solution: &GameSolution,
 ) -> String {
     let stats = solution.stats();
@@ -292,11 +283,9 @@ fn render_report(
     let mut report = format!(
         "model: {} ({path})\n\
          purpose: {}\n\
-         engine: {}\n\
          verdict: {}\n",
         system.name(),
         tiga_lang::control_line(purpose),
-        args.options.engine.name(),
         verdict_name(solution.winning_from_initial),
     );
     for (name, value) in stats.counters() {
@@ -313,13 +302,12 @@ fn render_report(
     report
 }
 
-/// Renders the full [`tiga_solver::SolverStats`] (plus verdict, engine and
+/// Renders the full [`tiga_solver::SolverStats`] (plus verdict and
 /// timing) as one flat JSON object, for scripted consumers of `--stats-json`.
 /// `total_us` is exploration plus fixpoint; the phases after the solve
 /// follow it.
 fn render_stats_json(
     system: &tiga_model::System,
-    args: &SolveArgs,
     solution: &GameSolution,
     minimized: Option<&Strategy>,
     times: &PostSolveTimes,
@@ -331,12 +319,11 @@ fn render_stats_json(
         .as_ref()
         .map_or("null".to_string(), |s| s.rule_count().to_string());
     format!(
-        "{{\"model\":\"{}\",\"engine\":\"{}\",\"winning\":{},{},\
+        "{{\"model\":\"{}\",\"winning\":{},{},\
          \"strategy_rules\":{},{},\
          \"exploration_us\":{},\"fixpoint_us\":{},\"total_us\":{},\
          \"extract_us\":{},\"minimize_us\":{},\"emit_us\":{}}}",
         Escaped(system.name()),
-        args.options.engine.name(),
         solution.winning_from_initial,
         stats.json_fields(),
         strategy_rules,
@@ -409,11 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_engine_and_flags() {
+    fn parses_flags_and_refuses_engine() {
         let args = parse_args(&strings(&[
             "model.tg",
-            "--engine",
-            "jacobi",
             "--exhaustive",
             "--max-rounds",
             "42",
@@ -422,11 +407,17 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(args.path, "model.tg");
-        assert_eq!(args.options.engine, SolveEngine::Jacobi);
         assert!(!args.options.early_termination);
         assert_eq!(args.options.max_rounds, 42);
         assert_eq!(args.expect_winning, Some(true));
         assert_eq!(args.options.jobs, 1, "jobs defaults to sequential");
+        // `solve` runs OTFUR only: `--engine` is an unknown flag.
+        let err = parse_args(&strings(&["x.tg", "--engine", "jacobi"])).unwrap_err();
+        assert_eq!(
+            err,
+            format!("error: unexpected argument `--engine`\n\n{USAGE}")
+        );
+        assert_eq!(main(&strings(&["x.tg", "--engine", "jacobi"])), EXIT_USAGE);
     }
 
     #[test]
@@ -455,7 +446,6 @@ mod tests {
         assert!(report.starts_with('{') && report.ends_with('}'), "{report}");
         for key in [
             "\"model\":\"smart-light\"",
-            "\"engine\":\"otfur\"",
             "\"winning\":",
             "\"strategy_rules\":",
             "\"minimized_rules\":",
@@ -616,17 +606,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_flags() {
-        assert!(parse_args(&strings(&["m.tg", "--engine", "magic"])).is_err());
-        // The engine set is otfur and jacobi; the error lists both.
-        let err = parse_args(&strings(&["m.tg", "--engine", "worklist"])).unwrap_err();
-        assert_eq!(
-            err,
-            "error: unknown engine `worklist` (expected otfur, jacobi)"
-        );
-        assert_eq!(
-            main(&strings(&["m.tg", "--engine", "worklist"])),
-            EXIT_USAGE
-        );
+        // No engine name is accepted, the former default included.
+        for engine in ["otfur", "jacobi", "worklist"] {
+            assert_eq!(main(&strings(&["m.tg", "--engine", engine])), EXIT_USAGE);
+        }
         assert!(parse_args(&strings(&[])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--wat"])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--expect", "maybe"])).is_err());

@@ -273,28 +273,32 @@ fn nested_quantifiers_past_the_budget_are_refused_and_the_session_survives() {
 
 #[test]
 fn unknown_engines_are_error_lines_and_the_session_survives() {
+    // `solve` runs OTFUR only: a request naming an engine, even the one
+    // every request runs, is refused as an unknown field.
     let requests = vec![
         format!(
-            "{{\"id\":1,\"path\":{},\"engine\":\"worklist\"}}",
+            "{{\"id\":1,\"path\":{},\"engine\":\"jacobi\"}}",
             json_string(&tg("smart_light.tg"))
         ),
         format!(
-            "{{\"id\":2,\"path\":{},\"engine\":\"jacobi\"}}",
+            "{{\"id\":2,\"path\":{},\"engine\":\"otfur\"}}",
+            json_string(&tg("smart_light.tg"))
+        ),
+        format!(
+            "{{\"id\":3,\"path\":{}}}",
             json_string(&tg("smart_light.tg"))
         ),
     ];
     let lines = session(&requests, 1);
-    assert_eq!(lines.len(), 2, "{lines:?}");
-    assert!(lines[0].contains("\"id\":1,"), "{}", lines[0]);
-    assert!(lines[0].contains("\"status\":\"error\""), "{}", lines[0]);
-    // The same message `tiga solve --engine` prints.
-    assert!(
-        lines[0].contains("unknown engine `worklist` (expected otfur, jacobi)"),
-        "{}",
-        lines[0]
-    );
-    assert!(lines[1].contains("\"id\":2,"), "{}", lines[1]);
-    assert!(lines[1].contains("\"status\":\"ok\""), "{}", lines[1]);
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    for (i, line) in lines[..2].iter().enumerate() {
+        assert!(line.contains(&format!("\"id\":{},", i + 1)), "{line}");
+        assert!(line.contains("\"status\":\"error\""), "{line}");
+        assert!(line.contains("unknown request field `engine`"), "{line}");
+    }
+    assert!(lines[2].contains("\"id\":3,"), "{}", lines[2]);
+    assert!(lines[2].contains("\"status\":\"ok\""), "{}", lines[2]);
+    assert!(!payload(&lines[2]).contains("\"engine\""), "{}", lines[2]);
 }
 
 #[test]
@@ -414,7 +418,7 @@ fn solver_options_reach_the_solve_and_the_key() {
         ),
         // Different semantics-relevant options → different cache entry.
         format!(
-            "{{\"id\":2,\"path\":{},\"engine\":\"jacobi\",\"exhaustive\":true}}",
+            "{{\"id\":2,\"path\":{},\"exhaustive\":true}}",
             json_string(&tg("smart_light.tg"))
         ),
         // jobs is NOT part of the key: same game, different parallelism.
@@ -431,7 +435,11 @@ fn solver_options_reach_the_solve_and_the_key() {
     let lines = session(&requests, 1);
     assert!(lines[0].contains("\"cache\":\"miss\""), "{}", lines[0]);
     assert!(lines[1].contains("\"cache\":\"miss\""), "{}", lines[1]);
-    assert!(lines[1].contains("\"engine\":\"jacobi\""), "{}", lines[1]);
+    assert!(
+        lines[1].contains("\"early_terminated\":false"),
+        "{}",
+        lines[1]
+    );
     assert!(
         lines[2].contains("\"cache\":\"hit\""),
         "jobs must not change the cache key: {}",

@@ -99,10 +99,11 @@ impl TestHarness {
     /// Returns [`HarnessError::NotEnforceable`] if no winning strategy exists,
     /// or the underlying parsing/solving errors.
     ///
-    /// The game is solved with [`SolveOptions::default`], i.e. the on-the-fly
-    /// (OTFUR) engine: exploration stops as soon as the initial state is
-    /// decided and the strategy is extracted during the search.  Use
-    /// [`TestHarness::synthesize_with`] to select a different engine.
+    /// The game is solved by [`tiga_solver::solve`] with
+    /// [`SolveOptions::default`]: the on-the-fly (OTFUR) engine stops
+    /// exploring as soon as the initial state is decided and extracts the
+    /// strategy during the search.  Use [`TestHarness::synthesize_with`] to
+    /// set budgets or early termination.
     pub fn synthesize(
         product: System,
         spec: System,
@@ -112,8 +113,8 @@ impl TestHarness {
         Self::synthesize_with(product, spec, purpose, config, &SolveOptions::default())
     }
 
-    /// Like [`TestHarness::synthesize`], with explicit solver options (engine
-    /// selection, exploration limits, early-termination control).
+    /// Like [`TestHarness::synthesize`], with explicit solver options
+    /// (exploration limits, early-termination control).
     ///
     /// # Errors
     ///

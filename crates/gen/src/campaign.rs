@@ -145,7 +145,7 @@ pub fn derive_case_seeds(master: u64, count: usize) -> Vec<u64> {
 pub fn reproducer_tg(spec: &SysSpec, case_seed: u64, oracle: &'static str) -> String {
     let (system, purpose) = spec.build().expect("reproducer spec builds");
     format!(
-        "// tiga fuzz reproducer\n// oracle: {oracle}\n// case seed: {case_seed:#x}\n// re-run: tiga solve <this file> --engine jacobi   (vs. otfur)\n{}",
+        "// tiga fuzz reproducer\n// oracle: {oracle}\n// case seed: {case_seed:#x}\n// re-run: tiga solve <this file>; tiga solve <this file> --exhaustive\n{}",
         print_system(&system, Some(&purpose))
     )
 }

@@ -1,11 +1,11 @@
 //! The five differential oracles of the fuzzing harness.
 //!
-//! 1. **Engine agreement** — both solver engines must return the same
-//!    verdict on a generated game — reachability (`A<>`) *and* safety
-//!    (`A[]`) — and (for small graphs) semantically identical winning
-//!    federations: the exhaustive on-the-fly engine must match the Jacobi
-//!    oracle's `jacobi ∩ reach` per discrete state (its documented
-//!    confinement).
+//! 1. **Engine agreement** — `solve` (on-the-fly) and the `solve_jacobi`
+//!    reference must return the same verdict on a generated game —
+//!    reachability (`A<>`) *and* safety (`A[]`) — and (for small graphs)
+//!    semantically identical winning federations: the exhaustive
+//!    on-the-fly engine must match the Jacobi oracle's `jacobi ∩ reach`
+//!    per discrete state (its documented confinement).
 //! 2. **Roundtrip** — `parse(print(sys)) ≡ sys` and the objective survives,
 //!    on *generated* systems rather than the hand-written zoo.
 //! 3. **Zone algebra** — `Federation` `up`/`down`/`free`/`reset`/
@@ -28,7 +28,7 @@ use rand::Rng;
 use tiga_dbm::{zone_subtract, Bound, Dbm, Federation};
 use tiga_lang::{parse_model, print_system};
 use tiga_model::System;
-use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions, SolverError};
+use tiga_solver::{solve, solve_jacobi, GameSolution, SolveOptions, SolverError};
 use tiga_tctl::TestPurpose;
 use tiga_testing::{
     default_policies, generate_mutants, HarnessError, MutationConfig, OutputPolicy, SimulatedIut,
@@ -69,9 +69,8 @@ impl Default for EngineCheckOptions {
     }
 }
 
-fn solve_options(engine: SolveEngine, early: bool, max_states: usize) -> SolveOptions {
+fn solve_options(early: bool, max_states: usize) -> SolveOptions {
     let mut options = SolveOptions {
-        engine,
         early_termination: early,
         ..SolveOptions::default()
     };
@@ -86,11 +85,7 @@ pub fn check_engine_agreement(
     purpose: &TestPurpose,
     options: &EngineCheckOptions,
 ) -> EngineCheck {
-    let jacobi = match solve(
-        system,
-        purpose,
-        &solve_options(SolveEngine::Jacobi, true, options.max_states),
-    ) {
+    let jacobi = match solve_jacobi(system, purpose, &solve_options(true, options.max_states)) {
         Ok(solution) => solution,
         Err(SolverError::StateLimitExceeded { .. }) => {
             return EngineCheck::Skipped("state limit exceeded".into());
@@ -99,11 +94,7 @@ pub fn check_engine_agreement(
     };
     let mut runs: Vec<(&'static str, GameSolution)> = Vec::new();
     for (name, early) in [("otfur", true), ("otfur-exhaustive", false)] {
-        match solve(
-            system,
-            purpose,
-            &solve_options(SolveEngine::Otfur, early, options.max_states),
-        ) {
+        match solve(system, purpose, &solve_options(early, options.max_states)) {
             Ok(solution) => runs.push((name, solution)),
             Err(e) => {
                 return EngineCheck::Diverged(format!(
@@ -153,8 +144,8 @@ pub fn check_bound_monotonicity(
     looser.bound = Some(bound.saturating_mul(2).saturating_add(1));
     looser.source = String::new();
 
-    let jacobi = solve_options(SolveEngine::Jacobi, true, options.max_states);
-    let verdict_of = |p: &TestPurpose, label: &str| match solve(system, p, &jacobi) {
+    let budget = solve_options(true, options.max_states);
+    let verdict_of = |p: &TestPurpose, label: &str| match solve_jacobi(system, p, &budget) {
         Ok(solution) => Some(Ok(solution.winning_from_initial)),
         Err(SolverError::StateLimitExceeded { .. }) => None,
         Err(e) => Some(Err(format!("{label} solve failed: {e}"))),

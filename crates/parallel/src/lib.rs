@@ -40,14 +40,18 @@ pub fn mix64(z: u64) -> u64 {
 }
 
 /// Resolves a requested thread count: `0` means "all available parallelism",
-/// and the result never exceeds the number of jobs.
+/// and the result never exceeds the available parallelism nor the number
+/// of jobs.  Results of [`run_indexed`] and [`run_keyed`] do not depend on
+/// the thread count, so a request for more threads than the machine has
+/// (say, one untrusted `"jobs":100000` serve request) only loses the
+/// threads it could not use.
 #[must_use]
 pub fn effective_threads(requested: usize, jobs: usize) -> usize {
     let hardware = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let wanted = if requested == 0 { hardware } else { requested };
-    wanted.clamp(1, jobs.max(1))
+    wanted.min(hardware).clamp(1, jobs.max(1))
 }
 
 /// Runs `f` over every `(index, item)` pair on `threads` workers and returns
@@ -223,9 +227,19 @@ mod tests {
 
     #[test]
     fn effective_threads_clamps() {
-        assert_eq!(effective_threads(4, 2), 2);
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(effective_threads(4, 2), hardware.min(2));
         assert_eq!(effective_threads(1, 100), 1);
-        assert!(effective_threads(0, 100) >= 1);
+        assert_eq!(effective_threads(0, 100), hardware.min(100));
         assert_eq!(effective_threads(8, 0), 1);
+    }
+
+    #[test]
+    fn effective_threads_never_exceed_the_machine() {
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Only the arithmetic is checked: nothing here starts a thread.
+        assert_eq!(effective_threads(100_000, 5_000), hardware.min(5_000));
+        assert_eq!(effective_threads(usize::MAX, usize::MAX), hardware);
+        assert_eq!(effective_threads(100_000, 1), 1);
     }
 }

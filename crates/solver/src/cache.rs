@@ -74,18 +74,18 @@ impl SolveCache {
     /// (`tiga_lang::print_system` with the objective's `control:` line), so
     /// that textually different but semantically identical submissions —
     /// reordered flags, an inline model vs. the same file on disk — collide
-    /// onto one entry.  Only semantics-relevant options participate; `jobs`
-    /// changes no result and is excluded by design.
+    /// onto one entry.  Only semantics-relevant options participate:
+    /// strategy extraction, early termination and the two budgets.  `jobs`
+    /// changes no result and is excluded by design.  Every key names a
+    /// [`crate::solve`] run; the Jacobi reference is never cached.
     #[must_use]
     pub fn key(canonical_system: &str, options: &SolveOptions) -> String {
         format!(
             "{canonical_system}\x1e\
-             engine={engine}\n\
              extract_strategy={extract}\n\
              early_termination={early}\n\
              max_rounds={rounds}\n\
              max_states={states}\n",
-            engine = options.engine.name(),
             extract = options.extract_strategy,
             early = options.early_termination,
             rounds = options.max_rounds,
@@ -166,7 +166,6 @@ impl<E> SolveCache<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::winning::SolveEngine;
 
     fn entry(winning: bool) -> CacheEntry {
         CacheEntry {
@@ -204,10 +203,7 @@ mod tests {
         let mut same = base.clone();
         same.jobs = 8;
         assert_eq!(SolveCache::key("m", &same), key);
-        // Engine, termination mode, strategy extraction and budgets do.
-        let mut other = base.clone();
-        other.engine = SolveEngine::Jacobi;
-        assert_ne!(SolveCache::key("m", &other), key);
+        // Termination mode, strategy extraction and budgets do.
         let mut other = base.clone();
         other.early_termination = false;
         assert_ne!(SolveCache::key("m", &other), key);
@@ -222,6 +218,13 @@ mod tests {
         assert_ne!(SolveCache::key("m", &other), key);
         // And the system text itself, of course.
         assert_ne!(SolveCache::key("m2", &SolveOptions::default()), key);
+        // The options part names exactly those four: no key can name a
+        // solver other than `solve`.
+        assert_eq!(
+            key,
+            "m\x1eextract_strategy=true\nearly_termination=true\n\
+             max_rounds=10000\nmax_states=1000000\n"
+        );
     }
 
     #[test]

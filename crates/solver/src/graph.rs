@@ -499,17 +499,9 @@ mod tests {
         // U x>=2, freed to x>=0 (hit, subsumed): 3 hits and 2 subsumed
         // offers for OTFUR.
         // Jacobi does not count subsumed offers.
-        for (engine, subsumed) in [
-            (crate::SolveEngine::Otfur, 1),
-            (crate::SolveEngine::Jacobi, 0),
-        ] {
-            let options = crate::SolveOptions {
-                engine,
-                ..crate::SolveOptions::default()
-            };
-            let solution = crate::solve(&sys, &tp, &options).unwrap();
+        for ((name, solver), subsumed) in crate::winning::SOLVERS.into_iter().zip([1, 0]) {
+            let solution = solver(&sys, &tp, &crate::SolveOptions::default()).unwrap();
             let stats = solution.stats();
-            let name = engine.name();
             assert!(!solution.winning_from_initial, "{name}");
             assert_eq!(stats.discrete_states, 3, "{name}");
             assert_eq!(stats.graph_edges, 4, "{name}");

@@ -12,18 +12,19 @@
 //! players' roles swapped (see [`crate::solve`] and the `winning` module
 //! docs); the extracted controller is safe and possibly non-terminating.
 //!
-//! Two engines are provided behind the [`solve`] entry point, selected by
-//! [`SolveOptions::engine`]:
+//! [`solve`] is the solver behind every front end (`tiga solve`,
+//! `tiga serve`, `tiga test`); one reference solver stands beside it:
 //!
-//! * [`SolveEngine::Otfur`] (default) — on-the-fly solving: forward zone
-//!   exploration and backward winning-federation propagation interleave in
-//!   one waiting/passed-list search with zone subsumption, losing-subtree
+//! * [`solve`] — on-the-fly solving (OTFUR): forward zone exploration and
+//!   backward winning-federation propagation interleave in one
+//!   waiting/passed-list search with zone subsumption, losing-subtree
 //!   pruning and early termination once the initial state is decided; the
 //!   [`Strategy`] is extracted during the search;
-//! * [`SolveEngine::Jacobi`] — eager exploration of the full game graph
+//! * [`solve_jacobi`] — eager exploration of the full game graph
 //!   ([`GameGraph`]) followed by a round-based fixpoint with rank-annotated
-//!   strategy extraction (the differential-testing oracle, also reachable
-//!   directly via [`solve_jacobi`]).
+//!   strategy extraction: the differential-testing oracle [`solve`] is
+//!   checked against (engine-agreement tests, the fuzz oracle, the
+//!   benchmark matrix), not an option of any front end.
 //!
 //! Both engines share the controllable-predecessor update (safe
 //! time-predecessors, uncontrollable escapes and invariant-forced moves),
@@ -35,7 +36,7 @@
 //!
 //! ```
 //! use tiga_model::{AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, SystemBuilder};
-//! use tiga_solver::{solve_jacobi, SolveOptions};
+//! use tiga_solver::{solve, SolveOptions};
 //! use tiga_tctl::TestPurpose;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,7 +65,7 @@
 //! let system = b.build()?;
 //!
 //! let purpose = TestPurpose::parse("control: A<> Plant.Done", &system)?;
-//! let solution = solve_jacobi(&system, &purpose, &SolveOptions::default())?;
+//! let solution = solve(&system, &purpose, &SolveOptions::default())?;
 //! assert!(solution.winning_from_initial);
 //! let strategy = solution.strategy.expect("a winning strategy is synthesized");
 //! println!("{}", strategy.display(&system)); // Fig. 5 style listing
@@ -100,6 +101,4 @@ pub use serialize::{
 };
 pub use stats::{SolverStats, TimedStats};
 pub use strategy::{Decision, DisplayStrategy, Strategy, StrategyDecision, StrategyRule};
-pub use winning::{
-    bounded_system, solve, solve_jacobi, GameSolution, SolveEngine, SolveOptions, TICK_CLOCK,
-};
+pub use winning::{bounded_system, solve, solve_jacobi, GameSolution, SolveOptions, TICK_CLOCK};

@@ -38,14 +38,15 @@
 //! escape into the safe set where delay — or an enabled plant move — could
 //! reach `L` (see [`extract_safety_strategy`]).
 //!
-//! Two engines compute these fixpoints (see [`SolveEngine`]): the default
-//! on-the-fly engine ([`crate::otfur`]) that interleaves exploration with
-//! propagation, and a Jacobi (round-based) solver that also extracts a
-//! rank-annotated [`Strategy`] and serves as the differential-testing
-//! oracle.  This module owns the shared machinery:
+//! Two engines compute these fixpoints: [`solve`] runs the on-the-fly
+//! engine ([`crate::otfur`]) that interleaves exploration with propagation,
+//! and [`solve_jacobi`] runs a Jacobi (round-based) solver that also
+//! extracts a rank-annotated [`Strategy`] and serves as the
+//! differential-testing oracle.  This module owns the shared machinery:
 //! the [`pi_update`] single-state transformer, the [`RuleRecorder`] both
-//! engines write reachability strategies through, option/selector types,
-//! and the parameterized entry point that assembles every [`GameSolution`].
+//! engines write reachability strategies through, the options, and the
+//! entry point both functions share, which assembles every
+//! [`GameSolution`].
 
 use crate::error::SolverError;
 use crate::graph::{ExploreOptions, GameGraph, GraphEdge, NodeId};
@@ -57,56 +58,9 @@ use tiga_dbm::{Bound, Dbm, Federation};
 use tiga_model::{ClockConstraint, CmpOp, DiscreteState, JointEdge, ModelError, System};
 use tiga_tctl::{PathQuantifier, TestPurpose};
 
-/// Which fixpoint engine [`solve`] runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SolveEngine {
-    /// On-the-fly (OTFUR-style): interleaves forward exploration with
-    /// backward winning-federation propagation, subsumes re-reached zones,
-    /// prunes provably-losing subtrees and stops as soon as the initial
-    /// state is decided.  Extracts a strategy during the search.
-    #[default]
-    Otfur,
-    /// Eager exploration followed by a round-based (Jacobi) fixpoint with
-    /// rank-annotated strategy extraction.  The differential-testing oracle.
-    Jacobi,
-}
-
-impl SolveEngine {
-    /// Every engine, in the order user-facing messages list them.
-    pub const ALL: [SolveEngine; 2] = [SolveEngine::Otfur, SolveEngine::Jacobi];
-
-    /// Stable lowercase name, used by the CLI, `tiga serve` and benchmark
-    /// reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveEngine::Otfur => "otfur",
-            SolveEngine::Jacobi => "jacobi",
-        }
-    }
-
-    /// The engine called `name` (the inverse of [`SolveEngine::name`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the unknown engine and listing the accepted
-    /// names, shared by `tiga solve --engine` and `tiga serve`.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        SolveEngine::ALL
-            .into_iter()
-            .find(|engine| engine.name() == name)
-            .ok_or_else(|| {
-                let names: Vec<&str> = SolveEngine::ALL.iter().map(|e| e.name()).collect();
-                format!("unknown engine `{name}` (expected {})", names.join(", "))
-            })
-    }
-}
-
 /// Options controlling the game solver.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
-    /// Which engine [`solve`] dispatches to.
-    pub engine: SolveEngine,
     /// Forward-exploration options.
     pub explore: ExploreOptions,
     /// Whether to extract a state-based strategy.
@@ -120,16 +74,16 @@ pub struct SolveOptions {
     pub max_rounds: usize,
     /// Worker threads for the intra-solve parallel phases (Jacobi round
     /// updates, on-the-fly batch evaluations).  `0` means all available
-    /// cores, matching `tiga fuzz --jobs`; the default `1` is sequential.
-    /// Results are bit-identical for any value: state updates are computed
-    /// against an immutable snapshot and merged in canonical state order.
+    /// cores, matching `tiga fuzz --jobs`; the default `1` is sequential;
+    /// larger values run on at most every core.  Results are bit-identical
+    /// for any value: state updates are computed against an immutable
+    /// snapshot and merged in canonical state order.
     pub jobs: usize,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            engine: SolveEngine::default(),
             explore: ExploreOptions::default(),
             extract_strategy: true,
             early_termination: true,
@@ -187,8 +141,8 @@ impl GameSolution {
 }
 
 /// Solves a timed game — reachability (`control: A<> φ`) or safety
-/// (`control: A[] φ`) — with the engine selected by
-/// [`SolveOptions::engine`] (on-the-fly by default).
+/// (`control: A[] φ`) — with the on-the-fly (OTFUR) engine, the solver
+/// behind every front end.
 ///
 /// # Errors
 ///
@@ -198,14 +152,13 @@ pub fn solve(
     purpose: &TestPurpose,
     options: &SolveOptions,
 ) -> Result<GameSolution, SolverError> {
-    solve_with_engine(system, purpose, options, options.engine)
+    solve_with(system, purpose, options, Algorithm::Otfur)
 }
 
 /// Solves a timed game (reachability or safety) with the eager Jacobi
-/// engine and optionally extracts a winning strategy.
-///
-/// Forces [`SolveEngine::Jacobi`] regardless of [`SolveOptions::engine`];
-/// use [`solve`] to honor the selector.
+/// engine and optionally extracts a winning strategy: the reference
+/// [`solve`] is checked against (differential tests, the fuzz oracle and
+/// the benchmark matrix).
 ///
 /// # Errors
 ///
@@ -215,8 +168,18 @@ pub fn solve_jacobi(
     purpose: &TestPurpose,
     options: &SolveOptions,
 ) -> Result<GameSolution, SolverError> {
-    solve_with_engine(system, purpose, options, SolveEngine::Jacobi)
+    solve_with(system, purpose, options, Algorithm::Jacobi)
 }
+
+/// The signature [`solve`] and [`solve_jacobi`] share.
+#[cfg(test)]
+pub(crate) type Solver =
+    fn(&System, &TestPurpose, &SolveOptions) -> Result<GameSolution, SolverError>;
+
+/// Both solvers under the row labels of the benchmark matrix, for the tests
+/// that run each.
+#[cfg(test)]
+pub(crate) const SOLVERS: [(&str, Solver); 2] = [("otfur", solve), ("jacobi", solve_jacobi)];
 
 /// What an engine hands back to the shared assembly code.
 pub(crate) struct EngineOutcome {
@@ -317,15 +280,28 @@ fn check_constant_ceiling(system: &System) -> Result<(), SolverError> {
     }
 }
 
-/// The single parameterized entry point behind every public solver function:
-/// derives the game mode from the purpose, runs the selected engine, and
-/// assembles the solution (safety complementation, timing, statistics,
-/// `winning_from_initial`, strategy gating) uniformly.
-fn solve_with_engine(
+/// The fixpoint algorithm of [`solve`] and of [`solve_jacobi`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Algorithm {
+    /// On-the-fly (OTFUR-style): interleaves forward exploration with
+    /// backward winning-federation propagation, subsumes re-reached zones,
+    /// prunes provably-losing subtrees and stops as soon as the initial
+    /// state is decided.  Extracts a strategy during the search.
+    Otfur,
+    /// Eager exploration followed by a round-based (Jacobi) fixpoint with
+    /// rank-annotated strategy extraction.
+    Jacobi,
+}
+
+/// The entry point behind both public solver functions: derives the game
+/// mode from the purpose, runs the algorithm, and assembles the solution
+/// (safety complementation, timing, statistics, `winning_from_initial`,
+/// strategy gating) uniformly.
+fn solve_with(
     system: &System,
     purpose: &TestPurpose,
     options: &SolveOptions,
-    engine: SolveEngine,
+    algorithm: Algorithm,
 ) -> Result<GameSolution, SolverError> {
     let mode = match purpose.quantifier {
         PathQuantifier::Reachability => GameMode::Reachability,
@@ -354,8 +330,8 @@ fn solve_with_engine(
         None => (system, None),
     };
     check_constant_ceiling(system)?;
-    let (graph, outcome, exploration_time, fixpoint_time) = match engine {
-        SolveEngine::Otfur => {
+    let (graph, outcome, exploration_time, fixpoint_time) = match algorithm {
+        Algorithm::Otfur => {
             // Exploration and propagation are interleaved: the search times
             // its expansion phases, and the rest of it is the fixpoint.
             let start = Instant::now();
@@ -369,7 +345,7 @@ fn solve_with_engine(
                 total.saturating_sub(exploration_time),
             )
         }
-        SolveEngine::Jacobi => {
+        Algorithm::Jacobi => {
             let explore_start = Instant::now();
             let (graph, mem) =
                 GameGraph::explore_jobs_mem(system, &target, &options.explore, options.jobs)?;
@@ -394,7 +370,7 @@ fn solve_with_engine(
                 .iter()
                 .enumerate()
                 .map(|(id, node)| {
-                    let mut safe = if engine == SolveEngine::Otfur {
+                    let mut safe = if algorithm == Algorithm::Otfur {
                         node.reach.clone()
                     } else {
                         Federation::from_zone(node.invariant.clone())
@@ -1323,7 +1299,6 @@ mod tests {
 
     fn otfur_options(early_termination: bool) -> SolveOptions {
         SolveOptions {
-            engine: SolveEngine::Otfur,
             early_termination,
             ..SolveOptions::default()
         }
@@ -1440,12 +1415,35 @@ mod tests {
 
     #[test]
     fn default_options_select_otfur() {
-        assert_eq!(SolveOptions::default().engine, SolveEngine::Otfur);
-        let sys = forced_output_system();
-        let tp = TestPurpose::parse("control: A<> Plant.Done", &sys).unwrap();
+        // `solve` is the OTFUR row of the benchmark baseline, counter for
+        // counter; the Jacobi row of the same game differs.
+        let sys = tiga_models::coffee_machine::product().unwrap();
+        let tp = TestPurpose::parse(tiga_models::coffee_machine::PURPOSE_COFFEE, &sys).unwrap();
+        let baseline =
+            crate::json::parse(include_str!("../../../BENCH_solver.baseline.json")).unwrap();
+        let crate::json::Json::Arr(rows) = &baseline else {
+            panic!("the baseline is an array of rows");
+        };
+        let row = |engine: &str| {
+            let row = rows
+                .iter()
+                .find(|row| {
+                    [
+                        ("model", "coffee_machine"),
+                        ("purpose", "coffee"),
+                        ("engine", engine),
+                    ]
+                    .iter()
+                    .all(|(key, value)| row.field(key).and_then(|v| v.str_field(key)) == Ok(value))
+                })
+                .expect("the baseline has the row");
+            SolverStats::from_json(row).unwrap()
+        };
         let solution = solve(&sys, &tp, &SolveOptions::default()).unwrap();
         assert!(solution.winning_from_initial);
         assert!(solution.strategy.is_some());
+        assert_eq!(solution.stats(), &row("otfur"));
+        assert_ne!(solution.stats(), &row("jacobi"));
     }
 
     #[test]
@@ -1765,29 +1763,27 @@ mod tests {
                         "otfur differs in {line}"
                     );
                 }
-                for engine in SolveEngine::ALL {
-                    let base = solve(
+                for (name, solver) in SOLVERS {
+                    let base = solver(
                         &sys,
                         &tp,
                         &SolveOptions {
-                            engine,
                             early_termination: false,
                             ..SolveOptions::default()
                         },
                     )
                     .unwrap();
-                    let run = solve(
+                    let run = solver(
                         &sys,
                         &tp,
                         &SolveOptions {
-                            engine,
                             early_termination: false,
                             jobs: 4,
                             ..SolveOptions::default()
                         },
                     )
                     .unwrap();
-                    let label = format!("{line} {} jobs=4", engine.name());
+                    let label = format!("{line} {name} jobs=4");
                     assert_eq!(
                         base.winning_from_initial, run.winning_from_initial,
                         "{label}"

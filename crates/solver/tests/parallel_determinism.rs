@@ -1,8 +1,10 @@
 //! Thread-count equivalence suite: the repo's signature invariant, extended
 //! to the intra-solve parallel phases.
 //!
-//! For every engine × benchmark-zoo/fuzz instance, solving with
-//! `jobs ∈ {1, 2, 4, 8}` must produce **bit-identical** results:
+//! For both solvers (`solve` and the `solve_jacobi` reference) × every
+//! benchmark-zoo/fuzz instance, solving with `jobs ∈ {1, 2, 4, 8}` (run on
+//! at most as many threads as the machine has cores) must produce
+//! **bit-identical** results:
 //!
 //! * the verdict (`winning_from_initial`),
 //! * the full per-node winning federations (structural equality, so even
@@ -18,8 +20,8 @@
 //! Mirrors `crates/core/tests/parallel_determinism.rs`, which pins the same
 //! contract for the campaign/fuzz work queue.
 
-use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
-use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions, StrategyRule};
+use tiga_bench::{fuzz_matrix_instances, model_zoo, Solver, ZooInstance, SOLVERS};
+use tiga_solver::{GameSolution, SolveOptions, StrategyRule};
 
 const PARALLEL_JOBS: [usize; 3] = [2, 4, 8];
 
@@ -39,18 +41,12 @@ fn strategy_decisions(solution: &GameSolution) -> Option<Vec<Vec<StrategyRule>>>
     )
 }
 
-fn assert_jobs_equivalent(instance: &ZooInstance, engine: SolveEngine) {
+fn assert_jobs_equivalent(instance: &ZooInstance, (engine, solve): (&str, Solver)) {
     let options = |jobs| SolveOptions {
-        engine,
         jobs,
         ..SolveOptions::default()
     };
-    let context = format!(
-        "{}/{} [{}]",
-        instance.model,
-        instance.purpose_name,
-        engine.name()
-    );
+    let context = format!("{}/{} [{engine}]", instance.model, instance.purpose_name);
     let sequential =
         solve(&instance.system, &instance.purpose, &options(1)).expect("sequential solve");
     for jobs in PARALLEL_JOBS {
@@ -77,23 +73,23 @@ fn assert_jobs_equivalent(instance: &ZooInstance, engine: SolveEngine) {
     }
 }
 
-fn sweep(engine: SolveEngine) {
+fn sweep(solver: (&str, Solver)) {
     for instance in model_zoo() {
-        assert_jobs_equivalent(&instance, engine);
+        assert_jobs_equivalent(&instance, solver);
     }
     for instance in fuzz_matrix_instances() {
-        assert_jobs_equivalent(&instance, engine);
+        assert_jobs_equivalent(&instance, solver);
     }
 }
 
 #[test]
 fn otfur_is_bit_identical_for_any_thread_count() {
-    sweep(SolveEngine::Otfur);
+    sweep(SOLVERS[0]);
 }
 
 #[test]
 fn jacobi_is_bit_identical_for_any_thread_count() {
-    sweep(SolveEngine::Jacobi);
+    sweep(SOLVERS[1]);
 }
 
 #[test]
@@ -106,9 +102,8 @@ fn exhaustive_mode_is_bit_identical_too() {
         .iter()
         .find(|i| i.model == "lep4" && i.purpose_name == "tp2")
         .expect("zoo has lep4/tp2");
-    for engine in SolveEngine::ALL {
+    for (engine, solve) in SOLVERS {
         let options = |jobs| SolveOptions {
-            engine,
             jobs,
             early_termination: false,
             ..SolveOptions::default()
@@ -120,14 +115,11 @@ fn exhaustive_mode_is_bit_identical_too() {
             assert_eq!(
                 parallel.stats(),
                 sequential.stats(),
-                "[{}] jobs={jobs}",
-                engine.name()
+                "[{engine}] jobs={jobs}"
             );
             assert_eq!(
-                parallel.winning,
-                sequential.winning,
-                "[{}] jobs={jobs}",
-                engine.name()
+                parallel.winning, sequential.winning,
+                "[{engine}] jobs={jobs}"
             );
         }
     }

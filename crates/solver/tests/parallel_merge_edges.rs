@@ -12,8 +12,9 @@
 //!   game whose root is decided only in the final round, pinning that merge
 //!   order cannot mask (or double-report) convergence.
 
+use tiga_bench::SOLVERS;
 use tiga_model::{AutomatonBuilder, EdgeBuilder, System, SystemBuilder};
-use tiga_solver::{solve, SolveEngine, SolveOptions};
+use tiga_solver::SolveOptions;
 use tiga_tctl::TestPurpose;
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -43,20 +44,17 @@ fn chain_system(levels: usize) -> System {
 
 fn assert_all_jobs_agree(system: &System, purpose_text: &str, expect_winning: bool) {
     let purpose = TestPurpose::parse(purpose_text, system).unwrap();
-    for engine in SolveEngine::ALL {
+    for (engine, solve) in SOLVERS {
         let mut reference = None;
         for jobs in JOB_COUNTS {
             let options = SolveOptions {
-                engine,
                 jobs,
                 ..SolveOptions::default()
             };
             let solution = solve(system, &purpose, &options).expect("solves");
             assert_eq!(
-                solution.winning_from_initial,
-                expect_winning,
-                "[{}] jobs={jobs}: unexpected verdict for `{purpose_text}`",
-                engine.name()
+                solution.winning_from_initial, expect_winning,
+                "[{engine}] jobs={jobs}: unexpected verdict for `{purpose_text}`"
             );
             match &reference {
                 None => reference = Some(solution),
@@ -64,14 +62,11 @@ fn assert_all_jobs_agree(system: &System, purpose_text: &str, expect_winning: bo
                     assert_eq!(
                         solution.stats(),
                         first.stats(),
-                        "[{}] jobs={jobs}: stats drifted",
-                        engine.name()
+                        "[{engine}] jobs={jobs}: stats drifted"
                     );
                     assert_eq!(
-                        solution.winning,
-                        first.winning,
-                        "[{}] jobs={jobs}: winning federations drifted",
-                        engine.name()
+                        solution.winning, first.winning,
+                        "[{engine}] jobs={jobs}: winning federations drifted"
                     );
                 }
             }
@@ -95,24 +90,18 @@ fn single_discrete_state_game() {
     // items than worker threads (most slots stay empty).
     let system = chain_system(1);
     let purpose = TestPurpose::parse("control: A<> P.L0", &system).unwrap();
-    for engine in SolveEngine::ALL {
+    for (engine, solve) in SOLVERS {
         for jobs in JOB_COUNTS {
             let options = SolveOptions {
-                engine,
                 jobs,
                 ..SolveOptions::default()
             };
             let solution = solve(&system, &purpose, &options).expect("solves");
-            assert!(
-                solution.winning_from_initial,
-                "[{}] jobs={jobs}",
-                engine.name()
-            );
+            assert!(solution.winning_from_initial, "[{engine}] jobs={jobs}");
             assert_eq!(
                 solution.stats().discrete_states,
                 1,
-                "[{}] jobs={jobs}: expected a single-state game",
-                engine.name()
+                "[{engine}] jobs={jobs}: expected a single-state game"
             );
         }
     }
@@ -132,11 +121,10 @@ fn winning_set_changes_in_the_last_sharded_iteration() {
     // The same game without early termination: the final round must report
     // "no change" identically at every thread count for the loop to stop.
     let purpose = TestPurpose::parse("control: A<> P.L5", &system).unwrap();
-    for engine in SolveEngine::ALL {
+    for (engine, solve) in SOLVERS {
         let mut reference = None;
         for jobs in JOB_COUNTS {
             let options = SolveOptions {
-                engine,
                 jobs,
                 early_termination: false,
                 ..SolveOptions::default()
@@ -149,8 +137,7 @@ fn winning_set_changes_in_the_last_sharded_iteration() {
                     assert_eq!(
                         solution.stats(),
                         first.stats(),
-                        "[{}] jobs={jobs}: exhaustive stats drifted",
-                        engine.name()
+                        "[{engine}] jobs={jobs}: exhaustive stats drifted"
                     );
                     assert_eq!(solution.winning, first.winning);
                 }
