@@ -70,33 +70,6 @@ fn lep_instance_for(
     (system, purpose)
 }
 
-/// The LEP-N scaling family: detailed instances for every `n` from 4 up to
-/// [`lep_max_nodes`], each with the TP2 reach purpose and the TP4 avoid
-/// purpose.  This is the sweep the thread-scaling bench measures; it is
-/// intentionally *not* part of [`model_zoo`], whose contents are pinned by
-/// checked-in `.tg` files and the bench baseline and must therefore not
-/// depend on `TIGA_LEP_MAX_N`.
-///
-/// # Panics
-///
-/// Panics if a model cannot be built.
-#[must_use]
-pub fn lep_scaling_instances() -> Vec<ZooInstance> {
-    let mut out = Vec::new();
-    for n in 4..=lep_max_nodes() {
-        for idx in [1, 3] {
-            let (system, purpose) = lep_detailed_instance(n, idx);
-            out.push(ZooInstance {
-                model: format!("lep{n}"),
-                purpose_name: format!("tp{}", idx + 1),
-                system,
-                purpose,
-            });
-        }
-    }
-    out
-}
-
 /// Solves one LEP instance and returns the solution (used by the Table 1
 /// bench and the smoke tests).
 ///
@@ -212,7 +185,7 @@ pub fn model_zoo() -> Vec<ZooInstance> {
     // the thousands rather than the hundreds) is always in the zoo — one
     // reach purpose and one avoid purpose — so the baseline gate pins a
     // non-toy workload.  The larger N are available through
-    // [`lep_scaling_instances`].
+    // [`lep_detailed_instance`].
     for idx in [1, 3] {
         let (system, purpose) = lep_detailed_instance(4, idx);
         zoo.push(ZooInstance {

@@ -149,6 +149,21 @@ pub(crate) fn emit(text: &str) {
     let _ = writeln!(std::io::stdout(), "{text}");
 }
 
+/// Takes the one `<file.tg>` argument once all known flags were consumed.
+/// A leftover that starts with `--` is an unknown flag and is reported by
+/// its own name, so neither it nor its value is taken for the path.
+fn take_path(mut args: Vec<String>, usage: &str) -> Result<String, String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("error: unexpected argument `{flag}`\n\n{usage}"));
+    }
+    if args.is_empty() {
+        return Err(format!("error: missing <file.tg>\n\n{usage}"));
+    }
+    let path = args.remove(0);
+    reject_leftovers(&args, usage)?;
+    Ok(path)
+}
+
 /// Rejects leftover arguments after all known flags were consumed.
 fn reject_leftovers(args: &[String], usage: &str) -> Result<(), String> {
     if let Some(stray) = args.first() {

@@ -74,20 +74,18 @@ REQUESTS:
     \"controller\" (bool, default false: include the controller in the
     `tiga-controller v2` text format in the payload; both formats print
     each distinct rule list once),
-    \"max_rounds\", \"max_states\", \"jobs\" (solve requests: intra-solve
-    threads, at most the machine's cores; default: the server's --jobs)
+    \"max_rounds\", \"max_states\"
 
 OPTIONS:
-    --jobs N    worker threads: shards batch requests over the queue and is
-                the default intra-solve parallelism for single requests
-                (0 = all cores; default 1).  Responses are bit-identical
-                for any value.
+    --jobs N    worker threads that batch requests are sharded over
+                (0 = all cores; default 1).  Each solve runs on one
+                thread, and responses are bit-identical for any value.
 ";
 
 /// Parsed arguments of `tiga serve`.
 #[derive(Clone, Debug)]
 pub struct ServeArgs {
-    /// Worker threads for batch sharding / default intra-solve parallelism.
+    /// Worker threads that batch requests are sharded over.
     pub jobs: usize,
 }
 
@@ -190,7 +188,7 @@ fn handle_line(line: &str, line_no: usize, session: &mut ServeSession) -> Vec<Re
             ))]
         }
     };
-    match Request::from_json(&json, line_no, session.args.jobs) {
+    match Request::from_json(&json, line_no) {
         Err(message) => vec![error_response(
             &format!("{line_no}"),
             "request",
@@ -542,7 +540,7 @@ struct Request {
 }
 
 impl Request {
-    fn from_json(json: &Json, line_no: usize, default_jobs: usize) -> Result<Request, String> {
+    fn from_json(json: &Json, line_no: usize) -> Result<Request, String> {
         let Json::Obj(fields) = json else {
             return Err("request must be a JSON object".to_string());
         };
@@ -554,10 +552,7 @@ impl Request {
         let mut paths: Option<Vec<String>> = None;
         let mut purpose: Option<String> = None;
         let mut controller = false;
-        let mut options = SolveOptions {
-            jobs: default_jobs,
-            ..SolveOptions::default()
-        };
+        let mut options = SolveOptions::default();
         for (name, value) in fields {
             match name.as_str() {
                 "id" => {
@@ -582,7 +577,6 @@ impl Request {
                 "controller" => controller = value.bool_field("controller")?,
                 "max_rounds" => options.max_rounds = value.usize_field("max_rounds")?,
                 "max_states" => options.explore.max_states = value.usize_field("max_states")?,
-                "jobs" => options.jobs = value.usize_field("jobs")?,
                 other => return Err(format!("unknown request field `{other}`")),
             }
         }
@@ -606,9 +600,6 @@ impl Request {
                 if inline.is_some() || path.is_some() {
                     return Err("a batch request takes `models` or `paths` arrays".to_string());
                 }
-                // Batch items run concurrently across the queue; intra-solve
-                // parallelism would oversubscribe it.
-                options.jobs = 1;
                 let sources: Vec<ModelSource> = match (inlines, paths) {
                     (Some(_), Some(_)) => {
                         return Err("pass `models` or `paths`, not both".to_string())
@@ -1096,8 +1087,7 @@ mod tests {
 
     #[test]
     fn requests_reject_malformed_shapes() {
-        let args_jobs = 1;
-        let parse = |text: &str| Request::from_json(&json::parse(text).unwrap(), 1, args_jobs);
+        let parse = |text: &str| Request::from_json(&json::parse(text).unwrap(), 1);
         assert!(parse(r#"{"path":"a.tg","model":"x"}"#).is_err());
         assert!(parse(r#"{}"#).is_err());
         assert!(parse(r#"{"kind":"batch","paths":[]}"#).is_err());
@@ -1107,14 +1097,26 @@ mod tests {
             parse(r#"{"path":"a.tg","wat":1}"#).is_err(),
             "unknown fields"
         );
-        // `solve` runs OTFUR only: `engine` is an unknown field, whatever
-        // it names.
-        for engine in ["otfur", "jacobi", "magic"] {
-            let line = format!(r#"{{"path":"a.tg","engine":"{engine}"}}"#);
-            assert_eq!(
-                parse(&line).err().as_deref(),
-                Some("unknown request field `engine`")
-            );
+        // `solve` runs OTFUR only, on one thread: `engine` and `jobs` are
+        // unknown fields, whatever they hold.
+        for (field, value) in [
+            ("engine", r#""otfur""#),
+            ("engine", r#""jacobi""#),
+            ("engine", r#""magic""#),
+            ("jobs", "1"),
+            ("jobs", "4"),
+            ("jobs", "-3"),
+        ] {
+            for line in [
+                format!(r#"{{"path":"a.tg","{field}":{value}}}"#),
+                format!(r#"{{"kind":"batch","paths":["a.tg"],"{field}":{value}}}"#),
+            ] {
+                assert_eq!(
+                    parse(&line).err(),
+                    Some(format!("unknown request field `{field}`")),
+                    "{line}"
+                );
+            }
         }
         assert!(
             parse(r#"{"paths":["a.tg"]}"#).is_err(),

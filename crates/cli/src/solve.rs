@@ -1,8 +1,7 @@
 //! `tiga solve` — solve the timed game of a `.tg` model.
 
 use crate::{
-    load_model, parse_num, reject_leftovers, take_flag, take_value, wants_help, EXIT_FAILURE,
-    EXIT_USAGE,
+    load_model, parse_num, take_flag, take_path, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE,
 };
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -20,9 +19,8 @@ OPTIONS:
                                      state is decided)
     --no-strategy                    skip strategy extraction
     --max-rounds N                   fixpoint round / reevaluation budget
-    --jobs N                         worker threads for the intra-solve
-                                     parallel phases; 0 = all cores, default 1
-                                     (results are identical for any N)
+    --jobs N                         accepted and ignored: a solve runs on
+                                     one thread
     --purpose '<control: ...>'       override the file's control: line
     --expect winning|losing          exit non-zero unless the verdict matches
     --show-strategy                  print the synthesized strategy listing
@@ -77,7 +75,7 @@ pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
         options.max_rounds = parse_num(&rounds, "--max-rounds")?;
     }
     if let Some(jobs) = take_value(&mut args, "--jobs")? {
-        options.jobs = parse_num(&jobs, "--jobs")?;
+        parse_num::<usize>(&jobs, "--jobs")?;
     }
     let purpose = take_value(&mut args, "--purpose")?;
     let expect_winning = match take_value(&mut args, "--expect")?.as_deref() {
@@ -94,12 +92,7 @@ pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
     let stats_json = take_flag(&mut args, "--stats-json");
     let emit_strategy = take_value(&mut args, "--emit-strategy")?;
     let emit_controller = take_value(&mut args, "--emit-controller")?;
-    let path = if args.is_empty() {
-        return Err(format!("error: missing <file.tg>\n\n{USAGE}"));
-    } else {
-        args.remove(0)
-    };
-    reject_leftovers(&args, USAGE)?;
+    let path = take_path(args, USAGE)?;
     Ok(SolveArgs {
         path,
         options,
@@ -410,7 +403,6 @@ mod tests {
         assert!(!args.options.early_termination);
         assert_eq!(args.options.max_rounds, 42);
         assert_eq!(args.expect_winning, Some(true));
-        assert_eq!(args.options.jobs, 1, "jobs defaults to sequential");
         // `solve` runs OTFUR only: `--engine` is an unknown flag.
         let err = parse_args(&strings(&["x.tg", "--engine", "jacobi"])).unwrap_err();
         assert_eq!(
@@ -421,12 +413,50 @@ mod tests {
     }
 
     #[test]
+    fn names_an_unknown_flag_before_the_path_by_its_own_name() {
+        for args in [&["--bogus", "x.tg"][..], &["--engine", "jacobi", "x.tg"]] {
+            let err = parse_args(&strings(args)).unwrap_err();
+            let flag = args[0];
+            assert_eq!(
+                err,
+                format!("error: unexpected argument `{flag}`\n\n{USAGE}")
+            );
+            assert_eq!(main(&strings(args)), EXIT_USAGE);
+        }
+    }
+
+    #[test]
     fn parses_jobs() {
-        let args = parse_args(&strings(&["model.tg", "--jobs", "0"])).unwrap();
-        assert_eq!(args.options.jobs, 0, "0 = all cores, as in `tiga fuzz`");
-        let args = parse_args(&strings(&["model.tg", "--jobs", "4"])).unwrap();
-        assert_eq!(args.options.jobs, 4);
+        // Accepted and validated, then ignored: a solve runs on one thread.
+        for jobs in ["0", "1", "4"] {
+            let args = parse_args(&strings(&["model.tg", "--jobs", jobs])).unwrap();
+            assert_eq!(args.options.jobs, SolveOptions::default().jobs);
+        }
         assert!(parse_args(&strings(&["model.tg", "--jobs", "many"])).is_err());
+    }
+
+    #[test]
+    fn jobs_changes_no_counter_of_a_solve() {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg/lep4.tp4.tg");
+        let path = path.to_str().unwrap();
+        // Every field of the `--stats-json` report but the timings.
+        let counters = |extra: &[&str]| {
+            let mut args = vec![path, "--stats-json"];
+            args.extend_from_slice(extra);
+            let report = run_solve(&parse_args(&strings(&args)).unwrap()).unwrap();
+            let tiga_solver::json::Json::Obj(fields) = tiga_solver::json::parse(&report).unwrap()
+            else {
+                panic!("not an object: {report}")
+            };
+            fields
+                .into_iter()
+                .filter(|(key, _)| !key.ends_with("_us"))
+                .collect::<Vec<_>>()
+        };
+        let plain = counters(&[]);
+        assert!(plain.len() > 10, "{plain:?}");
+        assert_eq!(counters(&["--jobs", "4"]), plain);
     }
 
     #[test]

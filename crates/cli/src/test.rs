@@ -1,8 +1,6 @@
 //! `tiga test` — synthesize a strategy and run a mutation campaign.
 
-use crate::{
-    load_model, parse_num, reject_leftovers, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE,
-};
+use crate::{load_model, parse_num, take_path, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE};
 use tiga_testing::{
     default_policies, generate_mutants, run_mutation_campaign_with, CampaignOptions,
     MutationConfig, TestConfig, TestHarness,
@@ -66,12 +64,7 @@ pub fn parse_args(args: &[String]) -> Result<TestArgs, String> {
     };
     let spec = take_value(&mut args, "--spec")?;
     let purpose = take_value(&mut args, "--purpose")?;
-    let path = if args.is_empty() {
-        return Err(format!("error: missing <file.tg>\n\n{USAGE}"));
-    } else {
-        args.remove(0)
-    };
-    reject_leftovers(&args, USAGE)?;
+    let path = take_path(args, USAGE)?;
     Ok(TestArgs {
         path,
         spec,

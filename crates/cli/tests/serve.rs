@@ -421,7 +421,8 @@ fn solver_options_reach_the_solve_and_the_key() {
             "{{\"id\":2,\"path\":{},\"exhaustive\":true}}",
             json_string(&tg("smart_light.tg"))
         ),
-        // jobs is NOT part of the key: same game, different parallelism.
+        // A solve runs on one thread: `jobs` is an unknown field, and the
+        // session goes on.
         format!(
             "{{\"id\":3,\"path\":{},\"jobs\":4}}",
             json_string(&tg("smart_light.tg"))
@@ -429,6 +430,11 @@ fn solver_options_reach_the_solve_and_the_key() {
         // no_strategy variant: payload carries a verdict-only strategy file.
         format!(
             "{{\"id\":4,\"path\":{},\"strategy\":false}}",
+            json_string(&tg("smart_light.tg"))
+        ),
+        // The first request again: same key, same payload.
+        format!(
+            "{{\"id\":5,\"path\":{}}}",
             json_string(&tg("smart_light.tg"))
         ),
     ];
@@ -440,12 +446,14 @@ fn solver_options_reach_the_solve_and_the_key() {
         "{}",
         lines[1]
     );
+    assert!(lines[2].contains("\"status\":\"error\""), "{}", lines[2]);
     assert!(
-        lines[2].contains("\"cache\":\"hit\""),
-        "jobs must not change the cache key: {}",
+        lines[2].contains("unknown request field `jobs`"),
+        "{}",
         lines[2]
     );
-    assert_eq!(payload(&lines[0]), payload(&lines[2]));
+    assert!(lines[4].contains("\"cache\":\"hit\""), "{}", lines[4]);
+    assert_eq!(payload(&lines[0]), payload(&lines[4]));
     assert!(lines[3].contains("\"cache\":\"miss\""), "{}", lines[3]);
     assert!(lines[3].contains("\"strategy_rules\":null"), "{}", lines[3]);
     assert!(
@@ -523,33 +531,31 @@ fn numeric_request_fields_reject_negatives_and_overflow() {
     let light = json_string(&tg("smart_light.tg"));
     let requests = vec![
         format!("{{\"id\":1,\"path\":{light},\"max_rounds\":-1}}"),
-        format!("{{\"id\":2,\"path\":{light},\"jobs\":-3}}"),
-        format!("{{\"id\":3,\"path\":{light},\"max_states\":-2}}"),
+        format!("{{\"id\":2,\"path\":{light},\"max_states\":-2}}"),
         // Beyond i64: rejected by the JSON reader itself, with a byte offset.
-        format!("{{\"id\":4,\"path\":{light},\"max_rounds\":99999999999999999999}}"),
+        format!("{{\"id\":3,\"path\":{light},\"max_rounds\":99999999999999999999}}"),
         // The session survives all of it and solves the next request.
-        format!("{{\"id\":5,\"path\":{light}}}"),
+        format!("{{\"id\":4,\"path\":{light}}}"),
     ];
     let lines = session(&requests, 1);
-    assert_eq!(lines.len(), 5, "{lines:?}");
+    assert_eq!(lines.len(), 4, "{lines:?}");
     for (line, needle) in [
         (
             &lines[0],
             "`max_rounds` must be a non-negative number, got -1",
         ),
-        (&lines[1], "`jobs` must be a non-negative number, got -3"),
         (
-            &lines[2],
+            &lines[1],
             "`max_states` must be a non-negative number, got -2",
         ),
     ] {
         assert!(line.contains("\"status\":\"error\""), "{line}");
         assert!(line.contains(needle), "expected {needle:?} in {line}");
     }
-    assert!(lines[3].contains("\"status\":\"error\""), "{}", lines[3]);
-    assert!(lines[3].contains("\"byte\":"), "{}", lines[3]);
-    assert!(lines[3].contains("bad number"), "{}", lines[3]);
-    assert!(lines[4].contains("\"status\":\"ok\""), "{}", lines[4]);
+    assert!(lines[2].contains("\"status\":\"error\""), "{}", lines[2]);
+    assert!(lines[2].contains("\"byte\":"), "{}", lines[2]);
+    assert!(lines[2].contains("bad number"), "{}", lines[2]);
+    assert!(lines[3].contains("\"status\":\"ok\""), "{}", lines[3]);
 }
 
 #[test]

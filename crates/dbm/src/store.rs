@@ -11,9 +11,9 @@
 //! coverage checks and the subsumption memo read that form, so nothing else
 //! is kept beside it.
 //!
-//! The store is deliberately *not* shared across threads: engines intern
-//! only in their sequential phases (offer/merge), so determinism across
-//! `--jobs N` is preserved by construction.
+//! The store belongs to one solve and is never shared across threads:
+//! a solve runs on its caller's thread, and interns only in the offer and
+//! merge steps of its loop.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};

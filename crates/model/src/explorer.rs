@@ -22,9 +22,8 @@
 //! back as its [`StateIndex`] ([`CandidateTarget::Known`]): it is neither
 //! copied nor hashed again when it is discovered.  A new target comes back
 //! as the state itself ([`CandidateTarget::New`]), so callers can compute
-//! candidates on worker threads and intern the new targets afterwards in a
-//! fixed order.  The lookup reads the index as it stood before the batch,
-//! so which targets are known does not depend on the number of threads.
+//! the candidates of a whole batch and intern the new targets afterwards in
+//! a fixed order.  The lookup reads the index as it stood before the batch.
 //! [`Explorer::into_parts`] hands the interned states and their index to
 //! the explored graph without copying them.  The index stays on the
 //! standard library's keyed SipHash: `tiga serve` explores models sent by
@@ -68,8 +67,7 @@ pub enum CandidateTarget {
 /// The read-only candidate computation is the expensive part of forward
 /// exploration (guard evaluation, successor zones, delay closure); keeping
 /// it free of interning lets callers run it for many `(state, zone)` pairs
-/// on worker threads and intern the new targets afterwards, in a
-/// deterministic merge order.
+/// and intern the new targets afterwards, in a deterministic merge order.
 #[derive(Clone, Debug)]
 pub struct CandidateStep {
     /// The joint (composed) model edge taken.
@@ -177,8 +175,8 @@ impl<'a> Explorer<'a> {
 
     /// Enumerates the symbolic successors of `(source, zone)`: one
     /// [`CandidateStep`] per enabled joint edge whose delay-closed successor
-    /// zone is non-empty.  New target states are not interned, so this can
-    /// run on worker threads against a shared `&Explorer`.
+    /// zone is non-empty.  New target states are not interned, so this runs
+    /// against a shared `&Explorer`.
     ///
     /// Each target is built in one scratch state and looked up once: an
     /// interned target travels as its [`StateIndex`], and only a new one

@@ -1,10 +1,8 @@
 //! # tiga-parallel — a minimal deterministic sharded work queue
 //!
-//! Shared by the campaign engine (`tiga fuzz --jobs`), the test-campaign
-//! runner in `tiga-testing`, and the solver's intra-solve parallelism
-//! (`tiga solve --jobs`).  The crate sits below every other workspace member
-//! so the solver can use the queue without a dependency cycle through
-//! `tiga-testing`.
+//! Shared by the job-level fan-outs: the campaign engine (`tiga fuzz
+//! --jobs`), the test-campaign runner in `tiga-testing` and `tiga serve`
+//! batches.  A solve never uses it: the solver runs on the calling thread.
 //!
 //! Jobs are claimed dynamically from a shared atomic cursor (work-stealing
 //! style self-scheduling: a fast worker keeps taking jobs a slow worker has
@@ -20,7 +18,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The SplitMix64 increment: each output of a SplitMix64 generator advances
 /// its state by this odd constant (2^64 / φ).
@@ -43,13 +41,23 @@ pub fn mix64(z: u64) -> u64 {
 /// and the result never exceeds the available parallelism nor the number
 /// of jobs.  Results of [`run_indexed`] and [`run_keyed`] do not depend on
 /// the thread count, so a request for more threads than the machine has
-/// (say, one untrusted `"jobs":100000` serve request) only loses the
+/// (say, `tiga serve --jobs 100000`) only loses the
 /// threads it could not use.
+///
+/// A request for one thread is answered without asking the machine;
+/// otherwise the available parallelism is read once per process (on Linux
+/// each read parses the cgroup CPU limits).
 #[must_use]
 pub fn effective_threads(requested: usize, jobs: usize) -> usize {
-    let hardware = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    if requested == 1 {
+        return 1;
+    }
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    let hardware = *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     let wanted = if requested == 0 { hardware } else { requested };
     wanted.min(hardware).clamp(1, jobs.max(1))
 }
@@ -232,6 +240,13 @@ mod tests {
         assert_eq!(effective_threads(1, 100), 1);
         assert_eq!(effective_threads(0, 100), hardware.min(100));
         assert_eq!(effective_threads(8, 0), 1);
+    }
+
+    #[test]
+    fn one_requested_thread_is_one_thread_for_any_job_count() {
+        for jobs in (0..=64).chain([100_000, usize::MAX]) {
+            assert_eq!(effective_threads(1, jobs), 1, "jobs = {jobs}");
+        }
     }
 
     #[test]

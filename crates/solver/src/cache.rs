@@ -5,9 +5,8 @@
 //! *content* of the request — the canonical serialized system (the
 //! exact-inverse `print_system` text, including the `control:` objective)
 //! plus every option that can change the verdict, stats or strategy.
-//! `jobs` is deliberately excluded: results are bit-identical for any
-//! thread count (pinned by the solver's differential suites), so a cache hit
-//! is exact no matter how many threads produced the entry.
+//! [`SolveOptions::jobs`] is excluded: the solver ignores it, so a cache
+//! hit is exact whatever value the entry was solved with.
 //!
 //! [`SolveCache`] is the plain form: an unbounded map from keys to what its
 //! user stores, [`CacheEntry`] (the solve result itself) by default, with
@@ -75,8 +74,8 @@ impl SolveCache {
     /// that textually different but semantically identical submissions —
     /// reordered flags, an inline model vs. the same file on disk — collide
     /// onto one entry.  Only semantics-relevant options participate:
-    /// strategy extraction, early termination and the two budgets.  `jobs`
-    /// changes no result and is excluded by design.  Every key names a
+    /// strategy extraction, early termination and the two budgets.  The
+    /// ignored `jobs` field is excluded.  Every key names a
     /// [`crate::solve`] run; the Jacobi reference is never cached.
     #[must_use]
     pub fn key(canonical_system: &str, options: &SolveOptions) -> String {
@@ -199,7 +198,7 @@ mod tests {
     fn key_separates_semantics_relevant_options_only() {
         let base = SolveOptions::default();
         let key = SolveCache::key("m", &base);
-        // jobs does not change results — same key.
+        // The solver ignores jobs — same key.
         let mut same = base.clone();
         same.jobs = 8;
         assert_eq!(SolveCache::key("m", &same), key);

@@ -114,10 +114,9 @@ struct BuilderNode {
 /// list, the goal flag and the edge list.  Exploration advances through two
 /// steps: [`GraphBuilder::discover`] records one candidate successor as a
 /// node and an edge, and [`GraphBuilder::offer`] adds its zone to the
-/// node's passed list.  Candidates are computed in parallel
-/// ([`GraphBuilder::candidates`]) but discovered and offered one by one in
-/// batch order, so the explored graph is bit-identical for any thread
-/// count.
+/// node's passed list.  The candidates of a whole batch are computed first
+/// ([`GraphBuilder::candidates`]), then discovered and offered one by one in
+/// batch order.
 pub(crate) struct GraphBuilder<'a> {
     system: &'a System,
     goal: &'a StatePredicate,
@@ -205,27 +204,29 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// The candidate successors of the pending `(node, zone)` pairs that
-    /// are still to be expanded, in `pending` order, computed read-only on
-    /// `jobs` worker threads.
+    /// are still to be expanded, in `pending` order.
     ///
     /// A pair is expanded only if its node [expands](GraphBuilder::expands)
     /// and its zone is still a member of the node's passed list.  A zone
     /// that a later, larger offer dropped is skipped: the zone that dropped
     /// it is pending too, and the successor, guard and extrapolation
     /// operators are monotone, so it finds every edge and target the
-    /// dropped zone would.  The filter runs here, before the fan-out, so
-    /// the expanded pairs are the same for any `jobs`.
+    /// dropped zone would.  Every pair is filtered and expanded before the
+    /// caller discovers any candidate, so an offer made while discovering
+    /// cannot drop a zone of the same list.
     pub(crate) fn candidates(
         &self,
-        mut pending: Vec<(NodeId, ZoneId)>,
-        jobs: usize,
+        pending: Vec<(NodeId, ZoneId)>,
     ) -> Vec<Result<(NodeId, Vec<CandidateStep>), ModelError>> {
-        pending.retain(|&(node, zone)| self.expands(node) && self.nodes[node].reach.contains(zone));
-        tiga_parallel::run_indexed(pending, jobs, |_, (node, zone)| {
-            self.explorer
-                .successor_candidates(node, self.store.zone(zone))
-                .map(|steps| (node, steps))
-        })
+        pending
+            .into_iter()
+            .filter(|&(node, zone)| self.expands(node) && self.nodes[node].reach.contains(zone))
+            .map(|(node, zone)| {
+                self.explorer
+                    .successor_candidates(node, self.store.zone(zone))
+                    .map(|steps| (node, steps))
+            })
+            .collect()
     }
 
     /// The discovery step: interns the target of a candidate successor of
@@ -320,27 +321,23 @@ impl GameGraph {
         goal: &StatePredicate,
         options: &ExploreOptions,
     ) -> Result<Self, SolverError> {
-        Ok(Self::explore_jobs_mem(system, goal, options, 1)?.0)
+        Ok(Self::explore_mem(system, goal, options)?.0)
     }
 
-    /// [`GameGraph::explore`], with the successor computation of each
-    /// frontier batch sharded over `jobs` worker threads (`0` = all cores),
-    /// also reporting the memory counters of the exploration.
+    /// [`GameGraph::explore`], also reporting the memory counters of the
+    /// exploration.
     ///
     /// The frontier is drained in batches: the successors of every
     /// `(node, zone)` pair whose zone is still in the node's passed list
-    /// are computed in parallel, then discovered and offered sequentially
-    /// in batch order, so the explored graph is bit-identical for any
-    /// thread count.
+    /// are computed first, then discovered and offered in batch order.
     ///
     /// # Errors
     ///
     /// Same as [`GameGraph::explore`].
-    pub(crate) fn explore_jobs_mem(
+    pub(crate) fn explore_mem(
         system: &System,
         goal: &StatePredicate,
         options: &ExploreOptions,
-        jobs: usize,
     ) -> Result<(Self, MemCounters), SolverError> {
         let (mut builder, root, root_zone) = GraphBuilder::new(system, goal, options)?;
         // Work list of (node, zone) pairs still to expand, drained batchwise.
@@ -351,7 +348,7 @@ impl GameGraph {
             ..MemCounters::default()
         };
         while !queue.is_empty() {
-            for result in builder.candidates(std::mem::take(&mut queue), jobs) {
+            for result in builder.candidates(std::mem::take(&mut queue)) {
                 let (node, steps) = result?;
                 for step in steps {
                     let (target, zone) = builder.discover(node, step)?;

@@ -109,8 +109,7 @@ struct Search<'a> {
     /// seed as it is reached.  `None` for unbounded purposes.
     clip: Option<&'a Dbm>,
     /// The explored part of the game: states, passed lists, goal flags and
-    /// edges.  Mutated only in the sequential phases, so results stay
-    /// bit-identical for any `jobs`.
+    /// edges.  Mutated only in the expand and merge phases of a batch.
     graph: GraphBuilder<'a>,
     nodes: Vec<NodeData>,
     win: Vec<Federation>,
@@ -248,31 +247,27 @@ impl Search<'_> {
         }
     }
 
-    /// The main waiting-list loop, drained in deterministic batches so the
-    /// evaluations inside one batch can run on any number of worker threads
-    /// ([`SolveOptions::jobs`]) without affecting the result.
+    /// The main waiting-list loop, drained in batches.
     ///
     /// Each batch runs three phases:
     ///
-    /// 1. **expand** (sequential, canonical node order): every batch
-    ///    member's pending reach zones are expanded, looping until *all*
-    ///    batch frontiers are empty — a member expanded early may be offered
-    ///    a new zone by a later member, and the reach-confinement soundness
-    ///    argument requires every reach zone of an evaluated state to be
-    ///    expanded first;
-    /// 2. **evaluate** (parallel): the `π` update of every batch member is
-    ///    computed against the immutable post-expansion snapshot of the
-    ///    winning federations ([`Search::evaluate_one`] is read-only);
-    /// 3. **merge** (sequential, canonical node order): growths are applied
-    ///    one by one — revision bump, strategy recording, dependent wake-ups
-    ///    and the early-termination check all happen in batch order.
+    /// 1. **expand** (canonical node order): every batch member's pending
+    ///    reach zones are expanded, looping until *all* batch frontiers are
+    ///    empty — a member expanded early may be offered a new zone by a
+    ///    later member, and the reach-confinement soundness argument
+    ///    requires every reach zone of an evaluated state to be expanded
+    ///    first;
+    /// 2. **evaluate**: the `π` update of every batch member is computed
+    ///    against the post-expansion snapshot of the winning federations
+    ///    ([`Search::evaluate_one`] is read-only), before any of them is
+    ///    applied;
+    /// 3. **merge** (canonical node order): growths are applied one by one
+    ///    — revision bump, strategy recording, dependent wake-ups and the
+    ///    early-termination check all happen in batch order.
     ///
-    /// The same three phases run for every thread count (a single worker
-    /// just computes phase 2 in index order), so `SolverStats`, winning
-    /// federations and extracted strategies are bit-identical for any
-    /// `--jobs N`.  A member evaluated against a snapshot that a batch peer
-    /// outgrows during the merge is re-queued through the peer's `depend`
-    /// set, exactly like any other stale evaluation.
+    /// A member evaluated against a snapshot that a batch peer outgrows
+    /// during the merge is re-queued through the peer's `depend` set,
+    /// exactly like any other stale evaluation.
     fn run(&mut self, root: NodeId) -> Result<(), SolverError> {
         let origin = vec![0i64; self.system.dim()];
         while !self.queue.is_empty() {
@@ -314,9 +309,9 @@ impl Search<'_> {
                     break;
                 }
                 // Candidates of the zones still to expand are computed
-                // read-only in parallel; discovery and zone offers merge one
-                // by one in batch order.
-                for result in self.graph.candidates(pending, self.options.jobs) {
+                // read-only first; discovery and zone offers merge one by
+                // one in batch order.
+                for result in self.graph.candidates(pending) {
                     let (node, steps) = result?;
                     for step in steps {
                         let (target, zone) = self.graph.discover(node, step)?;
@@ -334,11 +329,8 @@ impl Search<'_> {
                 }
             }
             self.exploration_time += expansion_start.elapsed();
-            // Phase 2: parallel snapshot evaluation (read-only on `self`).
-            let outcomes =
-                tiga_parallel::run_indexed(batch.clone(), self.options.jobs, |_, node| {
-                    self.evaluate_one(node)
-                });
+            // Phase 2: snapshot evaluation (read-only on `self`).
+            let outcomes: Vec<_> = batch.iter().map(|&node| self.evaluate_one(node)).collect();
             // Phase 3: in-order merge.
             for (&node, outcome) in batch.iter().zip(outcomes) {
                 match outcome? {
@@ -369,9 +361,9 @@ impl Search<'_> {
     }
 
     /// Backward step, read-only half: computes the `π` update of `node`
-    /// against the current snapshot of the winning federations.  Runs on the
-    /// worker threads of the batch evaluation — it must not (and cannot:
-    /// `&self`) touch any search state.
+    /// against the current snapshot of the winning federations.  It must
+    /// not (and cannot: `&self`) touch any search state, because every
+    /// member of a batch is evaluated before the first growth is merged.
     fn evaluate_one(&self, node: NodeId) -> Result<EvalOutcome, SolverError> {
         if self.graph.is_goal(node) {
             return Ok(EvalOutcome::Unchanged);
@@ -417,11 +409,10 @@ impl Search<'_> {
 
     /// Backward step, merge half: applies a growth computed by
     /// [`Search::evaluate_one`].  Called in canonical batch order, which
-    /// keeps the revision counter — and hence the strategy ranks — identical
-    /// for any thread count.  Ranks stay well-founded under batching: the
-    /// action regions were computed against the pre-merge snapshot, so every
-    /// region recorded at the new revision leads into regions recorded at
-    /// strictly earlier revisions.
+    /// fixes the revision counter and hence the strategy ranks.  Ranks stay
+    /// well-founded under batching: the action regions were computed
+    /// against the pre-merge snapshot, so every region recorded at the new
+    /// revision leads into regions recorded at strictly earlier revisions.
     fn apply_growth(
         &mut self,
         node: NodeId,

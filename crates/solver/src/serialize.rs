@@ -3,7 +3,7 @@
 //! `tiga serve` answers from a content-hash cache and CI pins golden
 //! strategies byte-for-byte, so strategies need a serialization format that
 //! is *stable* (the same strategy always prints to the same bytes,
-//! regardless of hash-map iteration order or `--jobs`) and
+//! regardless of hash-map iteration order) and
 //! *exact* (`parse(print(s)) ≡ s` on rules, ranks, zones and decisions).
 //! crates.io is unreachable, so the format is hand-rolled in the same
 //! spirit as `tiga_lang::print_system` and `crates/bench/src/baseline.rs`:
@@ -29,7 +29,7 @@
 //! `<inf` (unconstrained), `<=m` or `<m` — exactly the [`tiga_dbm::Bound`]
 //! display forms, so every canonical DBM round-trips bit-exactly.  States
 //! are sorted by (locations, variables); rules keep their extraction order,
-//! which the solver already guarantees is identical for any thread count.
+//! which is deterministic.
 //! Ids are raw indices (`LocationId::index` etc.); a strategy file is only
 //! meaningful against the system it was extracted from.
 //!

@@ -40,7 +40,7 @@ pub struct SolverStats {
     /// (the store keeps its own copy) and goal seeds.
     pub dbm_clones: usize,
     /// Largest number of zones simultaneously held by the reach and winning
-    /// federations (identical for any thread count).
+    /// federations.
     pub peak_live_zones: usize,
 }
 

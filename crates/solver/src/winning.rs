@@ -72,12 +72,9 @@ pub struct SolveOptions {
     /// Safety valve on the number of fixpoint rounds (eager engines) or a
     /// per-state reevaluation budget (on-the-fly engine).
     pub max_rounds: usize,
-    /// Worker threads for the intra-solve parallel phases (Jacobi round
-    /// updates, on-the-fly batch evaluations).  `0` means all available
-    /// cores, matching `tiga fuzz --jobs`; the default `1` is sequential;
-    /// larger values run on at most every core.  Results are bit-identical
-    /// for any value: state updates are computed against an immutable
-    /// snapshot and merged in canonical state order.
+    /// Ignored: every solve runs on the calling thread, whatever the value.
+    /// The field is kept only so that existing callers that set it still
+    /// build; it will be removed.
     pub jobs: usize,
 }
 
@@ -347,8 +344,7 @@ fn solve_with(
         }
         Algorithm::Jacobi => {
             let explore_start = Instant::now();
-            let (graph, mem) =
-                GameGraph::explore_jobs_mem(system, &target, &options.explore, options.jobs)?;
+            let (graph, mem) = GameGraph::explore_mem(system, &target, &options.explore)?;
             let exploration_time = explore_start.elapsed();
             let fixpoint_start = Instant::now();
             let outcome = Engine::new(system, &graph, mode, clip).run_jacobi(options, mem)?;
@@ -633,12 +629,10 @@ impl<'a> Engine<'a> {
                 Federation::from_zone(seed)
             })
             .collect();
-        // Non-goal nodes, the shard units of one Jacobi round.  Every round
-        // recomputes each of them from the previous round's snapshot, so the
-        // per-node updates are independent and can run on any number of
-        // worker threads; merging the results in canonical (node-id) order
-        // below makes the outcome bit-identical for any `options.jobs`.
-        let shard: Vec<NodeId> = (0..self.graph.len())
+        // Non-goal nodes, the updates of one Jacobi round.  Every round
+        // recomputes each of them from the previous round's snapshot and
+        // merges the results in canonical (node-id) order.
+        let non_goal: Vec<NodeId> = (0..self.graph.len())
             .filter(|&id| !self.graph.node(id).is_goal)
             .collect();
         let reach_total = self.graph.reach_zone_count();
@@ -651,27 +645,29 @@ impl<'a> Engine<'a> {
                 break;
             }
             let mut changed = false;
-            // The parallel updates read `win` as the immutable round
-            // snapshot; the merge below only writes a node *after* its own
-            // pre-round value has been consumed, so no cross-node clone of
-            // the snapshot is needed.
-            let updates = tiga_parallel::run_indexed(shard.clone(), options.jobs, |_, node_id| {
-                let node = self.graph.node(node_id);
-                pi_update(
-                    self.system,
-                    node_id,
-                    &node.discrete,
-                    &node.invariant,
-                    node.is_goal,
-                    node.urgent,
-                    &node.edges,
-                    &self.boundary[node_id],
-                    &win,
-                    self.mode.swap_roles(),
-                    |id| &self.graph.node(id).invariant,
-                )
-            });
-            for (&node_id, update) in shard.iter().zip(updates) {
+            // Every update of the round reads `win` as the round snapshot
+            // before the merge below writes any node, so no clone of the
+            // snapshot is needed.
+            let updates: Vec<_> = non_goal
+                .iter()
+                .map(|&node_id| {
+                    let node = self.graph.node(node_id);
+                    pi_update(
+                        self.system,
+                        node_id,
+                        &node.discrete,
+                        &node.invariant,
+                        node.is_goal,
+                        node.urgent,
+                        &node.edges,
+                        &self.boundary[node_id],
+                        &win,
+                        self.mode.swap_roles(),
+                        |id| &self.graph.node(id).invariant,
+                    )
+                })
+                .collect();
+            for (&node_id, update) in non_goal.iter().zip(updates) {
                 let node = self.graph.node(node_id);
                 let Some((new_win, action_regions)) = update? else {
                     continue;
@@ -1737,8 +1733,8 @@ mod tests {
     #[test]
     fn bounded_winning_sets_agree_across_engines_and_jobs() {
         // The same semantic contract as the unbounded suites, on bounded
-        // purposes: exhaustive otfur ≡ jacobi ∩ reach — and every thread
-        // count is bit-identical to the sequential run of the same engine.
+        // purposes: exhaustive otfur ≡ jacobi ∩ reach — and a second solve,
+        // whose zone store hashes with fresh keys, gives the same answer.
         for sys in [forced_output_system(), forced_violation_system()] {
             for line in [
                 "control: A<><=3 Plant.Done",
@@ -1763,27 +1759,14 @@ mod tests {
                         "otfur differs in {line}"
                     );
                 }
+                let exhaustive = SolveOptions {
+                    early_termination: false,
+                    ..SolveOptions::default()
+                };
                 for (name, solver) in SOLVERS {
-                    let base = solver(
-                        &sys,
-                        &tp,
-                        &SolveOptions {
-                            early_termination: false,
-                            ..SolveOptions::default()
-                        },
-                    )
-                    .unwrap();
-                    let run = solver(
-                        &sys,
-                        &tp,
-                        &SolveOptions {
-                            early_termination: false,
-                            jobs: 4,
-                            ..SolveOptions::default()
-                        },
-                    )
-                    .unwrap();
-                    let label = format!("{line} {name} jobs=4");
+                    let base = solver(&sys, &tp, &exhaustive).unwrap();
+                    let run = solver(&sys, &tp, &exhaustive).unwrap();
+                    let label = format!("{line} {name}: second solve");
                     assert_eq!(
                         base.winning_from_initial, run.winning_from_initial,
                         "{label}"

@@ -1,23 +1,27 @@
-//! Edge cases of the deterministic parallel merge.
+//! Edge cases of the solvers' snapshot-then-merge fixpoint rounds.
 //!
-//! The sharded phases must behave exactly like the sequential solver when
-//! the shard layout is degenerate:
+//! Each round evaluates its π-updates against the previous iterate and then
+//! merges them in order.  Both solvers must converge exactly when the
+//! rounds are degenerate:
 //!
 //! * **empty delta batches** — a losing game whose π-update produces no
 //!   growth in any round (the merge loop sees only empty updates and must
 //!   still converge, not spin),
-//! * **single-discrete-state games** — more worker threads than work items,
-//!   so most per-thread slots stay empty,
-//! * **a winning set that changes in the last sharded iteration** — a chain
-//!   game whose root is decided only in the final round, pinning that merge
-//!   order cannot mask (or double-report) convergence.
+//! * **single-discrete-state games** — the goal holds initially and
+//!   exploration stops at the root,
+//! * **a winning set that changes in the last iteration** — a chain game
+//!   whose root is decided only in the final round that carries a delta,
+//!   pinning that merge order cannot mask (or double-report) convergence,
+//!   with and without early termination.
+//!
+//! Each solve pins its verdict, discrete-state count and iteration count,
+//! and a second solve of the same game must repeat its counters and
+//! winning federations.
 
 use tiga_bench::SOLVERS;
 use tiga_model::{AutomatonBuilder, EdgeBuilder, System, SystemBuilder};
 use tiga_solver::SolveOptions;
 use tiga_tctl::TestPurpose;
-
-const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// P's `step?` edges are closed by a chaotic environment automaton offering
 /// `step!` forever, mirroring the closed products of the model zoo.
@@ -42,70 +46,51 @@ fn chain_system(levels: usize) -> System {
     b.build().unwrap()
 }
 
-fn assert_all_jobs_agree(system: &System, purpose_text: &str, expect_winning: bool) {
+/// Solves `purpose_text` twice on each solver and checks the verdict, the
+/// discrete-state count and the iteration count (`[otfur, jacobi]`).
+fn assert_converges(
+    system: &System,
+    purpose_text: &str,
+    early_termination: bool,
+    expect_winning: bool,
+    discrete_states: usize,
+    iterations: [usize; 2],
+) {
     let purpose = TestPurpose::parse(purpose_text, system).unwrap();
-    for (engine, solve) in SOLVERS {
-        let mut reference = None;
-        for jobs in JOB_COUNTS {
-            let options = SolveOptions {
-                jobs,
-                ..SolveOptions::default()
-            };
-            let solution = solve(system, &purpose, &options).expect("solves");
-            assert_eq!(
-                solution.winning_from_initial, expect_winning,
-                "[{engine}] jobs={jobs}: unexpected verdict for `{purpose_text}`"
-            );
-            match &reference {
-                None => reference = Some(solution),
-                Some(first) => {
-                    assert_eq!(
-                        solution.stats(),
-                        first.stats(),
-                        "[{engine}] jobs={jobs}: stats drifted"
-                    );
-                    assert_eq!(
-                        solution.winning, first.winning,
-                        "[{engine}] jobs={jobs}: winning federations drifted"
-                    );
-                }
-            }
-        }
+    let options = SolveOptions {
+        early_termination,
+        ..SolveOptions::default()
+    };
+    for ((engine, solve), iterations) in SOLVERS.into_iter().zip(iterations) {
+        let label = format!("[{engine}] `{purpose_text}` early={early_termination}");
+        let solution = solve(system, &purpose, &options).expect("solves");
+        let stats = solution.stats();
+        assert_eq!(solution.winning_from_initial, expect_winning, "{label}");
+        assert_eq!(stats.discrete_states, discrete_states, "{label}");
+        assert_eq!(stats.iterations, iterations, "{label}");
+        let again = solve(system, &purpose, &options).expect("solves");
+        assert_eq!(again.stats(), stats, "{label}: stats drifted");
+        assert_eq!(
+            again.winning, solution.winning,
+            "{label}: winning federations drifted"
+        );
     }
 }
 
 #[test]
 fn losing_game_yields_empty_delta_batches() {
     // Dead has no incoming edge, so every π-update batch is empty from
-    // round one and the solver must converge to LOSING at every thread
-    // count instead of spinning.
+    // round one and the solver must converge to LOSING instead of spinning.
     let system = chain_system(1);
-    assert_all_jobs_agree(&system, "control: A<> P.Dead", false);
+    assert_converges(&system, "control: A<> P.Dead", true, false, 1, [1, 1]);
 }
 
 #[test]
 fn single_discrete_state_game() {
-    // The goal holds in the initial state: exploration stops at the goal,
-    // the graph has exactly one discrete state, and the shard has fewer
-    // items than worker threads (most slots stay empty).
+    // The goal holds in the initial state: exploration stops at the goal
+    // and the graph has exactly one discrete state.
     let system = chain_system(1);
-    let purpose = TestPurpose::parse("control: A<> P.L0", &system).unwrap();
-    for (engine, solve) in SOLVERS {
-        for jobs in JOB_COUNTS {
-            let options = SolveOptions {
-                jobs,
-                ..SolveOptions::default()
-            };
-            let solution = solve(&system, &purpose, &options).expect("solves");
-            assert!(solution.winning_from_initial, "[{engine}] jobs={jobs}");
-            assert_eq!(
-                solution.stats().discrete_states,
-                1,
-                "[{engine}] jobs={jobs}: expected a single-state game"
-            );
-        }
-    }
-    assert_all_jobs_agree(&system, "control: A<> P.L0", true);
+    assert_converges(&system, "control: A<> P.L0", true, true, 1, [1, 1]);
 }
 
 #[test]
@@ -114,34 +99,11 @@ fn winning_set_changes_in_the_last_sharded_iteration() {
     // fixpoint round, so the root's federation changes in the very last
     // iteration that still carries a delta.  If the merge dropped or
     // reordered late deltas, either the verdict would flip or the iteration
-    // count would drift between thread counts.
+    // count would drift.  Jacobi's sixth round is the one that changes
+    // nothing.
     let system = chain_system(6);
-    assert_all_jobs_agree(&system, "control: A<> P.L5", true);
-
-    // The same game without early termination: the final round must report
-    // "no change" identically at every thread count for the loop to stop.
-    let purpose = TestPurpose::parse("control: A<> P.L5", &system).unwrap();
-    for (engine, solve) in SOLVERS {
-        let mut reference = None;
-        for jobs in JOB_COUNTS {
-            let options = SolveOptions {
-                jobs,
-                early_termination: false,
-                ..SolveOptions::default()
-            };
-            let solution = solve(&system, &purpose, &options).expect("solves");
-            assert!(solution.winning_from_initial);
-            match &reference {
-                None => reference = Some(solution),
-                Some(first) => {
-                    assert_eq!(
-                        solution.stats(),
-                        first.stats(),
-                        "[{engine}] jobs={jobs}: exhaustive stats drifted"
-                    );
-                    assert_eq!(solution.winning, first.winning);
-                }
-            }
-        }
-    }
+    assert_converges(&system, "control: A<> P.L5", true, true, 6, [11, 6]);
+    // Without early termination the final round must report "no change"
+    // for the loop to stop.
+    assert_converges(&system, "control: A<> P.L5", false, true, 6, [11, 6]);
 }
