@@ -74,9 +74,11 @@ fn bench_monitor(c: &mut Criterion) {
 ///
 /// `interpreted` drives the extracted [`tiga_solver::Strategy`] (the
 /// pre-compilation decide path: full-matrix rule scans per query);
-/// `compiled` drives the minimized, compiled controller.  The compiled
-/// path answers the same queries identically (pinned by
-/// `tests/controller_differential.rs`) at ≥5× the throughput.
+/// `compiled` drives the minimized, compiled controller, which walks each
+/// state's rank-sorted rule lists (at most 6 rules on this workload) over
+/// their minimal constraints.  The compiled path answers the same queries
+/// identically (pinned by `tests/controller_differential.rs`) at ≥5× the
+/// throughput.
 fn bench_decision_throughput(c: &mut Criterion) {
     let (system, purpose) = lep_instance(4, 3);
     let solution = solve(&system, &purpose, &SolveOptions::default()).expect("lep4 tp4 solves");

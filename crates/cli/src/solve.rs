@@ -18,7 +18,8 @@ OPTIONS:
                                      full winning sets even once the initial
                                      state is decided)
     --no-strategy                    skip strategy extraction
-    --max-rounds N                   fixpoint round / reevaluation budget
+    --max-rounds N                   fixpoint round / reevaluation budget;
+                                     running out of it fails the solve
     --jobs N                         accepted and ignored: a solve runs on
                                      one thread
     --purpose '<control: ...>'       override the file's control: line

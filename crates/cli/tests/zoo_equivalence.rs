@@ -20,6 +20,7 @@ use std::path::{Path, PathBuf};
 use tiga_bench::model_zoo;
 use tiga_lang::{parse_model, print_system};
 use tiga_solver::{solve, SolveOptions};
+use tiga_testing::CampaignOptions;
 
 fn tg_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg")
@@ -232,15 +233,16 @@ const CAMPAIGNS: [(&str, Option<&str>); 4] = [
     ("smart_light.bounded.tg", Some("smart_light.plant.tg")),
 ];
 
-/// `tiga test <file> [--spec <spec>]`'s report on a campaign, as printed
-/// from `examples/tg/` (the model path in its header is the bare file
-/// name), and whether no conformant run failed.
-fn campaign_report(file: &str, spec: Option<&str>) -> (String, bool) {
+/// `tiga test <file> [--spec <spec>]`'s report on a campaign under the
+/// given campaign options, as printed from `examples/tg/` (the model path
+/// in its header is the bare file name), and whether no conformant run
+/// failed.
+fn campaign_report(file: &str, spec: Option<&str>, campaign: CampaignOptions) -> (String, bool) {
     let tg = |name: &str| tg_dir().join(name).to_string_lossy().into_owned();
     let args = tiga_cli::TestArgs {
         path: tg(file),
         spec: spec.map(tg),
-        campaign: tiga_testing::CampaignOptions::default(),
+        campaign,
         max_mutants: 0,
         purpose: None,
     };
@@ -256,7 +258,7 @@ fn benchmark_campaigns_report_their_recorded_counts() {
     let text = std::fs::read_to_string(&path).expect("perfbench/expected_campaigns.json");
     let expected = tiga_solver::json::parse(&text).expect("valid JSON");
     for (file, spec) in CAMPAIGNS {
-        let (report, sound) = campaign_report(file, spec);
+        let (report, sound) = campaign_report(file, spec, CampaignOptions::default());
         let summary = report
             .lines()
             .find_map(|l| l.strip_prefix("campaign: "))
@@ -313,22 +315,55 @@ const GOLDEN_CAMPAIGNS: [(&str, Option<&str>, &str); 6] = [
     ),
 ];
 
+/// The two safety campaigns, pinned also under another master seed, two
+/// repetitions and two worker threads ([`seed7`]) by their `.seed7.txt`
+/// goldens, so reseeded jittery implementations and parallel workers keep
+/// their verdicts too.
+const SEED7_CAMPAIGNS: [(&str, &str); 2] = [
+    (
+        "smart_light.never_bright.tg",
+        "smart_light.never_bright.seed7.txt",
+    ),
+    (
+        "coffee_machine.no_refund.tg",
+        "coffee_machine.no_refund.seed7.txt",
+    ),
+];
+
+/// `tiga test --seed 7 --repetitions 2 --threads 2`.
+fn seed7() -> CampaignOptions {
+    CampaignOptions::default()
+        .master_seed(7)
+        .repetitions(2)
+        .threads(2)
+}
+
 /// The full report of each benchmark campaign, and of the campaigns in
-/// [`GOLDEN_CAMPAIGNS`] — the header, the summary and every run's verdict —
-/// matches the one checked in under `crates/cli/tests/campaigns/`, which
-/// is `tiga test`'s stdout run from `examples/tg/` with `--threads 1`.
-/// Regenerate a file after an intended change with
-/// `(cd examples/tg && ../../target/release/tiga test <file> [--spec <spec>] --threads 1)`.
+/// [`GOLDEN_CAMPAIGNS`] and [`SEED7_CAMPAIGNS`] — the header, the summary
+/// and every run's verdict — matches the one checked in under
+/// `crates/cli/tests/campaigns/`, which is `tiga test`'s stdout run from
+/// `examples/tg/`.  Regenerate a file after an intended change with
+/// `(cd examples/tg && ../../target/release/tiga test <file> [--spec <spec>] --threads 1)`,
+/// or for a `.seed7.txt` golden
+/// `(cd examples/tg && ../../target/release/tiga test <name>.tg --seed 7 --repetitions 2 --threads 2)`.
 #[test]
 fn benchmark_campaigns_print_their_golden_reports() {
     let goldens = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/campaigns");
     let benchmark = CAMPAIGNS.map(|(file, spec)| {
         let stem = file.strip_suffix(".tg").expect("a .tg file");
-        (file, spec, format!("{stem}.txt"))
+        (
+            file,
+            spec,
+            format!("{stem}.txt"),
+            CampaignOptions::default(),
+        )
     });
-    let others = GOLDEN_CAMPAIGNS.map(|(file, spec, golden)| (file, spec, golden.to_string()));
-    for (file, spec, golden) in benchmark.into_iter().chain(others) {
-        let (report, _) = campaign_report(file, spec);
+    let others = GOLDEN_CAMPAIGNS
+        .map(|(file, spec, golden)| (file, spec, golden.to_string(), CampaignOptions::default()));
+    let reseeded = SEED7_CAMPAIGNS.map(|(file, golden)| (file, None, golden.to_string(), seed7()));
+    let all = benchmark.into_iter().chain(others).chain(reseeded);
+    for (file, spec, golden, campaign) in all {
+        let (report, _) = campaign_report(file, spec, campaign);
         let golden = goldens.join(golden);
         let want = std::fs::read_to_string(&golden)
             .unwrap_or_else(|e| panic!("{}: {e}", golden.display()));

@@ -126,22 +126,6 @@ impl<'a> SpecMonitor<'a> {
         self.interp.max_delay(&self.state)
     }
 
-    /// The outputs the specification can produce right now (`Out(s After σ)`
-    /// restricted to actions).
-    ///
-    /// # Errors
-    ///
-    /// Propagates expression-evaluation errors.
-    pub fn allowed_outputs(&self) -> Result<Vec<String>, ModelError> {
-        let system = self.interp.system();
-        Ok(self
-            .interp
-            .enabled_outputs(&self.state)?
-            .into_iter()
-            .map(|c| system.channel(c).name().to_string())
-            .collect())
-    }
-
     /// Advances the specification through one forced internal (`tau`) move,
     /// if any is enabled — the deterministic first-in-declaration-order rule
     /// of [`Interpreter::fire_first_internal`].
@@ -307,16 +291,5 @@ mod tests {
         let before = m.state().clone();
         m.observe_input("req").unwrap();
         assert_eq!(m.state(), &before);
-    }
-
-    #[test]
-    fn allowed_outputs_reflect_guards() {
-        let s = spec();
-        let mut m = SpecMonitor::new(&s, 4).unwrap();
-        assert!(m.allowed_outputs().unwrap().is_empty());
-        m.observe_input("req").unwrap();
-        assert!(m.allowed_outputs().unwrap().is_empty());
-        m.observe_delay(4).unwrap();
-        assert_eq!(m.allowed_outputs().unwrap(), vec!["resp".to_string()]);
     }
 }

@@ -28,7 +28,6 @@ use std::fmt;
 /// assert!(lt3.is_strict());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bound(i32);
 
 /// Largest finite constant supported by the encoding.
@@ -164,16 +163,6 @@ impl Bound {
             "the complement of an infinite bound is empty"
         );
         Bound(1 - self.0)
-    }
-
-    /// Checks whether a concrete difference `d = x - y` (scaled by 2 so that
-    /// half-integer valuations are exact) satisfies this bound.
-    ///
-    /// `d2` is `2·(x − y)`.
-    #[inline]
-    #[must_use]
-    pub fn admits_scaled(self, d2: i64) -> bool {
-        self.admits_at(d2, 2)
     }
 
     /// Checks whether a concrete difference `d = x - y`, given as `d · scale`,
@@ -317,11 +306,12 @@ mod tests {
 
     #[test]
     fn admits_scaled_respects_strictness() {
-        // x - y <= 3, difference 3 admitted; < 3 rejects 3.
-        assert!(Bound::le(3).admits_scaled(6));
-        assert!(!Bound::lt(3).admits_scaled(6));
-        assert!(Bound::lt(3).admits_scaled(5)); // 2.5 < 3
-        assert!(Bound::INF.admits_scaled(1_000_000));
+        // x - y <= 3, difference 3 admitted; < 3 rejects 3 (scale 2, so
+        // half-integer differences are exact).
+        assert!(Bound::le(3).admits_at(6, 2));
+        assert!(!Bound::lt(3).admits_at(6, 2));
+        assert!(Bound::lt(3).admits_at(5, 2)); // 2.5 < 3
+        assert!(Bound::INF.admits_at(1_000_000, 2));
     }
 
     #[test]

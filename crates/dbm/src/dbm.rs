@@ -33,7 +33,6 @@ use std::hash::{Hash, Hasher};
 /// assert!(!z.contains_scaled(&[0, 12, 2])); // x = 6 violates x <= 5
 /// ```
 #[derive(PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dbm {
     dim: usize,
     data: Vec<Bound>,
@@ -430,27 +429,6 @@ impl Dbm {
         self.set(k, k, Bound::ZERO_LE);
     }
 
-    /// Copies the value of clock `src` into clock `dst` (`dst := src`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either clock is `0` or out of range.
-    pub fn copy_clock(&mut self, dst: usize, src: usize) {
-        assert!(dst > 0 && dst < self.dim && src > 0 && src < self.dim);
-        if self.is_empty() || dst == src {
-            return;
-        }
-        for i in 0..self.dim {
-            if i != dst {
-                self.set(dst, i, self.at(src, i));
-                self.set(i, dst, self.at(i, src));
-            }
-        }
-        self.set(dst, src, Bound::ZERO_LE);
-        self.set(src, dst, Bound::ZERO_LE);
-        self.set(dst, dst, Bound::ZERO_LE);
-    }
-
     /// Compares this zone with another of the same dimension.
     ///
     /// # Panics
@@ -755,19 +733,6 @@ impl DelayWindow {
         }
     }
 
-    /// Picks the latest admissible grid point, or `None` if the window is
-    /// unbounded above or narrower than the grid.
-    #[must_use]
-    pub fn pick_latest(&self) -> Option<i64> {
-        let max = self.max?;
-        let candidate = if self.max_strict { max - 1 } else { max };
-        if candidate > self.min || (candidate == self.min && !self.min_strict) {
-            Some(candidate)
-        } else {
-            None
-        }
-    }
-
     /// Checks whether a specific scaled delay lies inside the window.
     #[must_use]
     pub fn admits(&self, delay: i64) -> bool {
@@ -984,16 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_clock_equates_clocks() {
-        let mut z = Dbm::universe(3);
-        z.constrain(1, 0, Bound::le(5));
-        z.constrain(0, 1, Bound::le(-5)); // x == 5
-        z.copy_clock(2, 1);
-        assert!(z.contains_scaled(&[0, 10, 10]));
-        assert!(!z.contains_scaled(&[0, 10, 8]));
-    }
-
-    #[test]
     fn relation_detects_subset_superset() {
         let small = zone_x_between(2, 3);
         let big = zone_x_between(1, 5);
@@ -1047,8 +1002,7 @@ mod tests {
         assert_eq!(w.max, Some(8));
         assert!(!w.min_strict && !w.max_strict);
         assert_eq!(w.pick(), Some(4));
-        assert_eq!(w.pick_latest(), Some(8));
-        assert!(w.admits(6));
+        assert!(w.admits(6) && w.admits(8));
         assert!(!w.admits(9));
         // From x = 6 the zone is already behind: no delay works.
         assert!(z.delay_window_at(&[0, 12], 2).is_none());
@@ -1081,14 +1035,13 @@ mod tests {
         assert_eq!(w.max, Some(12));
         assert!(w.max_strict);
         assert_eq!(w.pick(), Some(9));
-        assert_eq!(w.pick_latest(), Some(11));
+        assert!(w.admits(11) && !w.admits(12));
         // Unbounded-above window.
         let mut open = Dbm::universe(2);
         open.constrain(0, 1, Bound::le(-1));
         let w = open.delay_window_at(&[0, 0], 4).expect("reachable");
         assert_eq!(w.max, None);
         assert_eq!(w.pick(), Some(4));
-        assert_eq!(w.pick_latest(), None);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use std::fmt;
 /// assert!(fed.contains_scaled(&[0, 7]));   // x = 3.5
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Federation {
     dim: usize,
     zones: Vec<Dbm>,
@@ -307,39 +306,6 @@ impl Federation {
             z.reset(k, v);
         }
         self.reduce_if_above(REDUCE_THRESHOLD);
-    }
-
-    /// Applies an arbitrary zone transformation to every member zone,
-    /// dropping transformed zones that become empty.
-    ///
-    /// Unlike the in-place transformers (`up`, `down`, `free`, `reset`),
-    /// `transform` needs **no** trailing [`Federation::reduce_if_above`]
-    /// sweep: it rebuilds the result through [`Federation::add_zone`], which
-    /// already discards every pairwise-subsumed zone on insertion — exactly
-    /// the invariant [`Federation::reduce`] restores.  The in-place
-    /// transformers mutate member zones without re-insertion (that is what
-    /// makes them cheap), so only they can accumulate subsumed members and
-    /// only they pay for the sweep.  `transform`'s output is therefore
-    /// *always* pairwise-reduced, even below [`REDUCE_THRESHOLD`]; pinned by
-    /// `transform_output_is_pairwise_reduced`.
-    pub fn transform<F: FnMut(&Dbm) -> Dbm>(&self, mut f: F) -> Federation {
-        let mut out = Federation::empty(self.dim);
-        for z in &self.zones {
-            out.add_zone(f(z));
-        }
-        debug_assert!(out.is_pairwise_reduced());
-        out
-    }
-
-    /// Returns `true` if no member zone is subsumed by another member zone
-    /// (the invariant [`Federation::reduce`] restores).  Test/debug helper.
-    #[must_use]
-    pub fn is_pairwise_reduced(&self) -> bool {
-        self.zones.iter().enumerate().all(|(i, z)| {
-            self.zones.iter().enumerate().all(|(j, w)| {
-                i == j || !matches!(z.relation(w), Relation::Subset | Relation::Equal)
-            })
-        })
     }
 
     /// Runs [`Federation::reduce`] only when the federation holds more than
@@ -992,55 +958,6 @@ mod tests {
         let whole = Federation::from_zone(interval(0, 10));
         assert!(split.set_equals(&whole));
         assert_ne!(split, whole); // structural inequality is fine
-    }
-
-    #[test]
-    fn transform_output_is_pairwise_reduced() {
-        // Pins the documented contract: `transform` rebuilds through
-        // `add_zone`, so its output never holds pairwise-subsumed members —
-        // regardless of REDUCE_THRESHOLD — while the in-place transformers
-        // only sweep past the threshold.  A reset collapses all disjoint
-        // intervals onto one point, the canonical worst case.
-        let mut fed = Federation::empty(2);
-        for i in 0..2 * (REDUCE_THRESHOLD as i32) {
-            fed.add_zone(interval(3 * i, 3 * i + 1));
-        }
-        assert!(fed.len() > REDUCE_THRESHOLD);
-        let reset = fed.transform(|z| {
-            let mut z = z.clone();
-            z.reset(1, 0);
-            z
-        });
-        assert_eq!(reset.len(), 1, "collapsed zones must be deduplicated");
-        assert!(reset.is_pairwise_reduced());
-        assert!(reset.contains_scaled(&[0, 0]));
-        // Identity transform below the threshold: still reduced, nothing lost.
-        let small = Federation::from_zones(2, [interval(0, 10), interval(2, 3)]);
-        let copy = small.transform(Clone::clone);
-        assert!(copy.is_pairwise_reduced());
-        assert_eq!(copy.len(), 1, "subsumed input zones do not reappear");
-        assert!(copy.set_equals(&small));
-        // Contrast: the in-place `down` may keep subsumed members below the
-        // threshold (that is what `reduce_if_above` is for) — but `transform`
-        // with the same operation must not.
-        let down = small.transform(|z| {
-            let mut z = z.clone();
-            z.down();
-            z
-        });
-        assert!(down.is_pairwise_reduced());
-    }
-
-    #[test]
-    fn transform_applies_operation() {
-        let fed = Federation::from_zone(interval(1, 2));
-        let reset = fed.transform(|z| {
-            let mut z = z.clone();
-            z.reset(1, 0);
-            z
-        });
-        assert!(reset.contains_scaled(&[0, 0]));
-        assert!(!reset.contains_scaled(&[0, 2]));
     }
 
     #[test]

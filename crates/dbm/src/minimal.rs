@@ -85,12 +85,6 @@ impl MinimalZone {
         &self.constraints
     }
 
-    /// Heap bytes of this form's constraint list.
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        self.constraints.len() * std::mem::size_of::<MinimalConstraint>()
-    }
-
     /// Rebuilds the canonical DBM.
     ///
     /// For non-empty zones the result is bit-identical to the matrix
@@ -316,16 +310,5 @@ mod tests {
         let mut buffer = vec![m.constraints()[0]];
         z.push_minimal_constraints(&mut buffer);
         assert_eq!(&buffer[1..], m.constraints());
-    }
-
-    #[test]
-    fn byte_size_reflects_kept_constraints() {
-        let z = interval(1, 5);
-        let m = z.minimize();
-        assert_eq!(
-            m.byte_size(),
-            m.len() * std::mem::size_of::<MinimalConstraint>()
-        );
-        assert!(m.byte_size() < z.dim() * z.dim() * std::mem::size_of::<Bound>() + 1);
     }
 }

@@ -15,7 +15,6 @@ use tiga_dbm::{Bound, Dbm};
 /// bound is an integer expression over the discrete variables (most often a
 /// constant such as `Tidle = 20` in the Smart Light model).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockConstraint {
     /// Left-hand clock.
     pub left: ClockId,
@@ -112,7 +111,6 @@ impl ClockConstraint {
 
 /// A clock reset `clock := value` performed on an edge.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockReset {
     /// Clock being reset.
     pub clock: ClockId,
@@ -143,7 +141,6 @@ impl ClockReset {
 /// An assignment `var := value` or `array[index] := value` performed on an
 /// edge.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Assignment {
     /// Variable (or array) being assigned.
     pub target: VarId,
@@ -177,7 +174,6 @@ impl Assignment {
 
 /// Synchronization label of an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Sync {
     /// Internal step, not synchronizing with any other automaton.
     Tau,
@@ -201,7 +197,6 @@ impl Sync {
 /// The guard of an edge: a conjunction of clock constraints and a data guard
 /// over the discrete variables.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Guard {
     /// Conjunction of clock constraints (empty means `true`).
     pub clocks: Vec<ClockConstraint>,
@@ -231,7 +226,6 @@ impl Guard {
 
 /// An edge (transition) of an automaton.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// Source location.
     pub source: LocationId,
@@ -252,7 +246,6 @@ pub struct Edge {
 
 /// A location of an automaton.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Location {
     /// Location name (unique within the automaton).
     pub name: String,
@@ -278,7 +271,6 @@ impl Location {
 /// synchronizes on (0 for a `tau` edge), packed so that walking a group
 /// reads no [`Edge`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct IndexedEdge {
     edge: u32,
     channel: u32,
@@ -315,14 +307,12 @@ impl IndexedEdge {
 /// Cloning an automaton is a reference-count bump: its parts are never
 /// changed after it is built, so every clone shares them.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Automaton {
     inner: Arc<AutomatonInner>,
 }
 
 /// The parts of an [`Automaton`], shared by its clones.
 #[derive(Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct AutomatonInner {
     name: String,
     locations: Vec<Location>,

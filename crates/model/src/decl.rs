@@ -10,7 +10,6 @@ use std::sync::Arc;
 /// scalar.  Every element shares the same `[lower, upper]` range and initial
 /// value.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarDecl {
     name: Arc<str>,
     size: usize,
@@ -70,7 +69,6 @@ impl VarDecl {
 /// variable store used by [`crate::DiscreteState`].  A clone shares the
 /// declarations, so the systems derived from one another share one table.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarTable {
     decls: Arc<[VarDecl]>,
     total: usize,
@@ -166,12 +164,6 @@ impl VarTable {
         self.decls.is_empty()
     }
 
-    /// Total number of flattened store slots.
-    #[must_use]
-    pub fn store_size(&self) -> usize {
-        self.total
-    }
-
     /// Iterates over the declarations in declaration order.
     pub fn iter(&self) -> std::slice::Iter<'_, VarDecl> {
         self.decls.iter()
@@ -231,7 +223,6 @@ impl<'a> IntoIterator for &'a VarTable {
 
 /// Declaration of a clock.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockDecl {
     name: String,
     /// Minimum extrapolation constant: [`crate::System::max_bounds`] never
@@ -277,7 +268,6 @@ impl ClockDecl {
 /// In the TIOGA setting of the paper, inputs are exactly the controllable
 /// actions and outputs exactly the uncontrollable ones (Definition 3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ChannelKind {
     /// Controllable: offered by the tester/environment (`touch?` on the plant).
     Input,
@@ -290,7 +280,6 @@ pub enum ChannelKind {
 
 /// Declaration of a synchronization channel.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Channel {
     name: String,
     kind: ChannelKind,
@@ -326,7 +315,6 @@ impl Channel {
 
 /// Direction of an observable action from the plant's point of view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IoDir {
     /// The action enters the plant (tester stimulus).
     Input,
@@ -336,7 +324,6 @@ pub enum IoDir {
 
 /// An observable action: a channel together with its direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Action {
     /// Channel carrying the action.
     pub channel: ChannelId,
@@ -373,7 +360,6 @@ impl Action {
 /// Reference to a clock used in constraints: either a real clock or the
 /// implicit zero-valued reference clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ClockRef {
     /// The constant-zero reference clock.
     Zero,
@@ -410,7 +396,6 @@ mod tests {
         assert_eq!(t.lookup("a"), Some(a));
         assert_eq!(t.lookup("arr"), Some(arr));
         assert_eq!(t.lookup("missing"), None);
-        assert_eq!(t.store_size(), 5);
         assert_eq!(t.offset(arr), 1);
         assert_eq!(t.initial_store(), vec![3, 0, 0, 0, 0]);
         assert!(t.decl(arr).is_array());

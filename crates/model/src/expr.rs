@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Comparison operators usable in data guards and clock constraints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CmpOp {
     /// `==`
     Eq,
@@ -86,7 +85,6 @@ impl fmt::Display for CmpOp {
 /// assert_eq!(e.eval(&vars, &[]).unwrap(), 1);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Expr {
     /// Integer literal.
     Const(i64),

@@ -59,7 +59,6 @@ fn constant(e: &Expr) -> Option<i64> {
 
 /// A range of indices into one of the network's flat arenas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Span {
     start: u32,
     end: u32,
@@ -80,7 +79,6 @@ impl Span {
 
 /// A store read or a constant: the operands of an atom.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Operand {
     Const(i64),
     /// The flattened store slot of a variable or array element.
@@ -118,7 +116,6 @@ impl Operand {
 
 /// One conjunct of a data guard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Conjunct {
     /// `left op right` over operands that cannot fail.
     Atom(CmpOp, Operand, Operand),
@@ -128,7 +125,6 @@ enum Conjunct {
 
 /// The bound of a compiled clock constraint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum ClockBound {
     /// A constant in the DBM range, under a convex operator, pre-decoded:
     /// the constraint conjoins `x_i - x_j ≺ upper` and then
@@ -144,7 +140,6 @@ enum ClockBound {
 /// A clock constraint `x_i - x_j op bound` of a guard or an invariant,
 /// over DBM indices (`j` is 0 unless the constraint is diagonal).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct CompiledConstraint {
     i: u32,
     j: u32,
@@ -184,7 +179,6 @@ impl CompiledConstraint {
 
 /// The value of a reset, or of an update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Value {
     Operand(Operand),
     /// `slot + c`, overflow-checked like [`Expr::Add`].
@@ -195,7 +189,6 @@ enum Value {
 
 /// A clock reset of an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct CompiledReset {
     clock: u32,
     /// A non-negative constant, or an expression checked when evaluated.
@@ -211,7 +204,6 @@ impl CompiledReset {
 
 /// Where an update writes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Place {
     Slot(u32),
     /// An array element whose index, `Network::exprs[k]`, is evaluated.
@@ -220,7 +212,6 @@ enum Place {
 
 /// A variable update of an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct CompiledUpdate {
     target: u32,
     place: Place,
@@ -234,7 +225,6 @@ struct CompiledUpdate {
 /// updates start in their arenas.  Each ends where the next edge's starts;
 /// one extra entry closes the last edge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct EdgeStarts {
     target: u32,
     data: u32,
@@ -276,7 +266,6 @@ impl<'n> CompiledEdge<'n> {
 
 /// The invariant of one location.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct LocationSlot {
     /// Invariant constraints, into `Network::constraints`.
     invariant: Span,
@@ -287,7 +276,6 @@ struct LocationSlot {
 /// A [`System`]'s automata, compiled once by
 /// [`crate::SystemBuilder::build`].  See the module documentation.
 #[derive(Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct Network {
     /// Per automaton, the slot of its first location.
     first_location: Box<[u32]>,

@@ -31,7 +31,6 @@ use tiga_dbm::{Bound, Dbm};
 /// The discrete part of a system state: one location per automaton plus the
 /// flattened store of bounded integer variables.
 #[derive(Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscreteState {
     /// Current location of each automaton (indexed by automaton).
     pub locations: Vec<LocationId>,
@@ -113,7 +112,6 @@ impl fmt::Display for DisplayDiscreteState<'_> {
 
 /// A symbolic state: a discrete state together with a clock zone.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SymbolicState {
     /// Discrete part (locations and variables).
     pub discrete: DiscreteState,
@@ -124,7 +122,6 @@ pub struct SymbolicState {
 /// A transition of the composed system: either a single automaton stepping on
 /// an internal edge, or two automata synchronizing on a channel.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum JointEdge {
     /// One automaton takes a `tau` edge.
     Internal {

@@ -47,7 +47,6 @@ use std::sync::Arc;
 /// # }
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct System {
     inner: Arc<SystemInner>,
 }
@@ -57,7 +56,6 @@ pub struct System {
 /// [`System::with_automaton`] and [`System::with_extra_clock`] derive; each
 /// sits where a `Vec` would, so reading them takes no extra step.
 #[derive(Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct SystemInner {
     name: Arc<str>,
     clocks: Arc<[ClockDecl]>,

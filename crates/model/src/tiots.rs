@@ -54,7 +54,6 @@ use crate::system::System;
 
 /// A concrete state: the discrete state plus clock values in ticks.
 #[derive(Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConcreteState {
     /// Locations and variable values.
     pub discrete: DiscreteState,
@@ -458,24 +457,6 @@ impl<'a> Interpreter<'a> {
         Ok(false)
     }
 
-    /// Open view: the set of output channels the plant could emit right now.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn enabled_outputs(&self, state: &ConcreteState) -> Result<Vec<ChannelId>, ModelError> {
-        let mut out = Vec::new();
-        for (idx, ch) in self.system.channels().iter().enumerate() {
-            if ch.kind() == ChannelKind::Output {
-                let id = ChannelId::from_index(idx);
-                if self.first_enabled(state, Sync::Output(id))?.is_some() {
-                    out.push(id);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// `true` if the clock guards of every edge `je` moves hold at the
     /// current valuation (its data guards were checked by
     /// [`System::enabled_joint_edges`]).
@@ -688,10 +669,8 @@ mod tests {
         let s0 = interp.initial_state().unwrap();
         let s1 = stepped(&s0, |s, t| interp.after_input(s, req, t)).unwrap();
         // Output not yet enabled (guard x >= 1).
-        assert!(interp.enabled_outputs(&s1).unwrap().is_empty());
         assert!(stepped(&s1, |s, t| interp.after_output(s, resp, t)).is_none());
         let s2 = delayed(&interp, &s1, 4).unwrap();
-        assert_eq!(interp.enabled_outputs(&s2).unwrap(), vec![resp]);
         let s3 = stepped(&s2, |s, t| interp.after_output(s, resp, t)).unwrap();
         assert_eq!(s3.discrete.vars, vec![1]);
         // Input refused while busy, accepted again once idle.

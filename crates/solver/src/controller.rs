@@ -1,15 +1,15 @@
 //! The `Controller` abstraction and compiled microsecond controllers.
 //!
-//! Online test execution asks three questions per step — *what should I do*
-//! ([`Controller::decide`]), *how far from the goal am I*
-//! ([`Controller::rank_of`]) and *until when does a wait hold*
-//! ([`Controller::decide_with_wakeup`]).  The interpreted [`Strategy`]
-//! answers them by scanning every rule of the discrete state and testing
-//! full `dim²` bound matrices; under heavy traffic (10⁶+ step campaigns,
-//! many concurrent simulated IUTs) that scan *is* the hot path.
+//! Online test execution asks one question per step: *what should I do,
+//! and until when does a wait hold* ([`Controller::decide_with_wakeup`]).
+//! The interpreted [`Strategy`] answers it by scanning every rule of the
+//! discrete state and testing full `dim²` bound matrices.
 //!
 //! [`CompiledController`] lowers a [minimized](crate::minimize) strategy
-//! into a static per-discrete-state decision structure:
+//! into a static per-discrete-state decision structure sized for that
+//! query's real traffic: the rule lists are short (the largest checked-in
+//! controller, `lep4.tp4`, holds 6 rules per list), so each query walks its
+//! state's rules directly.
 //!
 //! * discrete states are interned into a hash map of dense indices, so the
 //!   per-step lookup is one hash instead of a `HashMap<DiscreteState, Vec>`
@@ -20,15 +20,15 @@
 //! * zones are reduced to their minimal constraint systems
 //!   ([`tiga_dbm::MinimalZone`]-style), so point containment checks only
 //!   the generating constraints instead of the full matrix;
-//! * a per-state interval index over the most discriminating ("pivot")
-//!   clock maps the queried valuation to a segment of candidate rules via
-//!   one binary search, so `decide`/`rank_of` only visit rules whose pivot
-//!   window can contain the value;
 //! * queries never allocate: the reference clock is handled positionally
 //!   instead of materializing the `dbm_point` vector;
 //! * states that share a rule list (one [`Strategy`] block) share one
 //!   compiled program: the state map points each state at its block's
 //!   program, so compilation runs once per distinct list.
+//!
+//! [`Controller::rank_of`] and [`Controller::next_take_delay`], which no
+//! front end asks per step, are answered by the source strategy the
+//! controller was compiled from.
 //!
 //! Every answer is pinned identical to the interpreted strategy by the
 //! differential suites (`crates/bench/tests/controller_differential.rs`,
@@ -263,32 +263,9 @@ struct StateProgram {
     takes: Vec<CompiledRule>,
     /// The joint edges of `takes`, parallel by index.
     take_edges: Vec<JointEdge>,
-    /// The pivot clock the interval index discriminates on (DBM index).
-    pivot: usize,
-    /// Sorted distinct unary pivot-bound constants: the segment boundaries.
-    cuts: Vec<i32>,
-    /// Per-segment candidate lists in CSR layout: segment `s` of `waits` is
-    /// `wait_items[wait_offsets[s]..wait_offsets[s+1]]` (there are
-    /// `cuts.len() + 1` segments), candidates in rank order.
-    wait_offsets: Vec<u32>,
-    wait_items: Vec<u32>,
-    /// Same for `takes`.
-    take_offsets: Vec<u32>,
-    take_items: Vec<u32>,
 }
 
 impl StateProgram {
-    /// The segment index for a scaled pivot value: segment `s` covers
-    /// `[cuts[s−1], cuts[s]]` (closed on both ends — boundary values are
-    /// listed as candidates of both adjacent segments).
-    fn segment_of(&self, ticks: &[i64], scale: i64) -> usize {
-        if self.cuts.is_empty() {
-            return 0;
-        }
-        let v = clock_value(ticks, self.pivot);
-        self.cuts.partition_point(|&c| i64::from(c) * scale < v)
-    }
-
     /// Whether the rule's zone contains the valuation (reference clock
     /// handled positionally — no `dbm_point` allocation).  Checking the
     /// minimal generating constraints is equivalent to the full canonical
@@ -355,43 +332,26 @@ impl StateProgram {
         Some(window)
     }
 
-    /// The `waits` candidates of one segment, in rank order.
-    #[inline]
-    fn wait_candidates(&self, segment: usize) -> &[u32] {
-        &self.wait_items
-            [self.wait_offsets[segment] as usize..self.wait_offsets[segment + 1] as usize]
-    }
-
-    /// The `takes` candidates of one segment, in rank order.
-    #[inline]
-    fn take_candidates(&self, segment: usize) -> &[u32] {
-        &self.take_items
-            [self.take_offsets[segment] as usize..self.take_offsets[segment + 1] as usize]
-    }
-
     /// The decision at a valuation: the first containing take rule in rank
     /// order whose rank is at most the wait rank, and otherwise `Wait`.
     fn decide(&self, ticks: &[i64], scale: i64) -> Option<StrategyDecision<'_>> {
-        let segment = self.segment_of(ticks, scale);
-        let rank = self.wait_rank(segment, ticks, scale)?;
-        for &t in self.take_candidates(segment) {
-            let rule = self.takes[t as usize];
+        let rank = self.wait_rank(ticks, scale)?;
+        for (&rule, edge) in self.takes.iter().zip(&self.take_edges) {
             if rule.rank > rank {
                 break;
             }
             if self.contains(rule, ticks, scale) {
-                return Some(StrategyDecision::Take(&self.take_edges[t as usize]));
+                return Some(StrategyDecision::Take(edge));
             }
         }
         Some(StrategyDecision::Wait { rank })
     }
 
     /// Minimum rank over containing wait rules: first hit in the rank walk.
-    fn wait_rank(&self, segment: usize, ticks: &[i64], scale: i64) -> Option<u32> {
-        self.wait_candidates(segment)
+    fn wait_rank(&self, ticks: &[i64], scale: i64) -> Option<u32> {
+        self.waits
             .iter()
-            .map(|&w| self.waits[w as usize])
-            .find(|&rule| self.contains(rule, ticks, scale))
+            .find(|&&rule| self.contains(rule, ticks, scale))
             .map(|rule| rule.rank)
     }
 }
@@ -429,7 +389,6 @@ impl CompiledController {
     /// semantic requirement).  One program is built per distinct rule list.
     #[must_use]
     pub fn from_minimized(strategy: Strategy) -> Self {
-        let dim = strategy.dim();
         let mut states = StateMap::with_capacity_and_hasher(
             strategy.state_count(),
             BuildHasherDefault::default(),
@@ -439,9 +398,8 @@ impl CompiledController {
         // one compiled program.
         let mut compiled: Vec<Option<u32>> = vec![None; strategy.block_slots()];
         // Buffers reused across every rule and block; each program keeps an
-        // exact-size copy of its arena and cuts.
+        // exact-size copy of its arena.
         let mut minimal: Vec<MinimalConstraint> = Vec::new();
-        let mut constants: Vec<i32> = Vec::new();
         let mut arena: Vec<CompiledConstraint> = Vec::new();
         let mut waits: Vec<(u32, &StrategyRule)> = Vec::new();
         let mut takes: Vec<(u32, &StrategyRule)> = Vec::new();
@@ -486,21 +444,11 @@ impl CompiledController {
                         Decision::Wait => unreachable!("takes only holds Take rules"),
                     })
                     .collect();
-                let pivot = choose_pivot(dim, rules, &mut constants);
-                let cuts = collect_cuts(pivot, rules, &mut constants);
-                let (wait_offsets, wait_items) = segment_index(pivot, &cuts, &waits);
-                let (take_offsets, take_items) = segment_index(pivot, &cuts, &takes);
                 programs.push(StateProgram {
                     arena: arena.clone(),
                     waits: lowered_waits,
                     takes: lowered_takes,
                     take_edges,
-                    pivot,
-                    cuts,
-                    wait_offsets,
-                    wait_items,
-                    take_offsets,
-                    take_items,
                 });
                 (programs.len() - 1) as u32
             });
@@ -554,31 +502,11 @@ impl Controller for CompiledController {
     }
 
     fn rank_of(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> Option<u32> {
-        let program = self.program(discrete)?;
-        let segment = program.segment_of(ticks, scale);
-        program.wait_rank(segment, ticks, scale)
+        self.source.rank_of(discrete, ticks, scale)
     }
 
     fn next_take_delay(&self, discrete: &DiscreteState, ticks: &[i64], scale: i64) -> Option<i64> {
-        let program = self.program(discrete)?;
-        let segment = program.segment_of(ticks, scale);
-        let rank = program.wait_rank(segment, ticks, scale)?;
-        // Delays cross segments, so this walks the full rank-sorted take
-        // program (early exit at the rank gate) rather than one segment.
-        let mut best: Option<i64> = None;
-        for &rule in &program.takes {
-            if rule.rank > rank {
-                break;
-            }
-            if let Some(window) = program.delay_window(rule, ticks, scale) {
-                if let Some(delay) = window.pick() {
-                    if best.is_none_or(|b| delay < b) {
-                        best = Some(delay);
-                    }
-                }
-            }
-        }
-        best
+        self.source.next_take_delay(discrete, ticks, scale)
     }
 
     fn decide_with_wakeup(
@@ -592,7 +520,6 @@ impl Controller for CompiledController {
         if !matches!(decision, StrategyDecision::Wait { .. }) {
             return Some((decision, None));
         }
-        // Delays cross segments, so the wake-up walks the whole program.
         let wakeup = wakeup(|| {
             let waits = program.waits.iter().map(|rule| (rule, false));
             let takes = program.takes.iter().map(|rule| (rule, true));
@@ -602,101 +529,6 @@ impl Controller for CompiledController {
         });
         Some((decision, wakeup))
     }
-}
-
-/// Picks the real clock with the most distinct unary bound constants across
-/// the state's rules — the most discriminating axis for the interval index.
-/// `constants` is a scratch buffer.
-fn choose_pivot(dim: usize, rules: &[StrategyRule], constants: &mut Vec<i32>) -> usize {
-    if dim <= 1 {
-        return 0;
-    }
-    (1..dim)
-        .max_by_key(|&clock| {
-            constants.clear();
-            for rule in rules {
-                for bound in [rule.zone.at(clock, 0), rule.zone.at(0, clock)] {
-                    if let Some(m) = bound.constant() {
-                        constants.push(m);
-                    }
-                }
-            }
-            constants.sort_unstable();
-            constants.dedup();
-            constants.len()
-        })
-        .unwrap_or(0)
-}
-
-/// The sorted distinct segment boundaries: every unary pivot-bound constant
-/// (upper bounds as-is, lower bounds negated into value space).  They are
-/// collected in the scratch buffer `cuts`.
-fn collect_cuts(pivot: usize, rules: &[StrategyRule], cuts: &mut Vec<i32>) -> Vec<i32> {
-    cuts.clear();
-    if pivot != 0 {
-        for rule in rules {
-            if let Some(m) = rule.zone.at(pivot, 0).constant() {
-                cuts.push(m);
-            }
-            if let Some(m) = rule.zone.at(0, pivot).constant() {
-                cuts.push(-m);
-            }
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-    }
-    cuts.clone()
-}
-
-/// The segment index of a rank-sorted rule list in CSR form (offsets +
-/// items): segment `s` lists, in rule order, the indices of the rules whose
-/// closed pivot window intersects the closed segment range.  The
-/// assignment is conservative — candidates still pass the full containment
-/// check — so boundary overlaps are harmless.
-fn segment_index(
-    pivot: usize,
-    cuts: &[i32],
-    rules: &[(u32, &StrategyRule)],
-) -> (Vec<u32>, Vec<u32>) {
-    // First segment whose closed range reaches the rule's lower pivot
-    // bound, last one that starts at or below its upper bound.
-    let span = |rule: &StrategyRule| {
-        if pivot == 0 {
-            return (0, cuts.len());
-        }
-        let first = match rule.zone.at(0, pivot).constant() {
-            None => 0,
-            Some(m) => cuts.partition_point(|&c| c < -m),
-        };
-        let last = match rule.zone.at(pivot, 0).constant() {
-            None => cuts.len(),
-            Some(hi) => cuts.partition_point(|&c| c <= hi),
-        };
-        (first, last)
-    };
-    // Segment `s`'s count goes to `offsets[s + 2]`; after the prefix sum,
-    // `offsets[s + 1]` is the segment's start and serves as its fill
-    // cursor, which leaves it at the segment's end — the next one's start.
-    let mut offsets = vec![0u32; cuts.len() + 3];
-    for (_, rule) in rules {
-        let (first, last) = span(rule);
-        for count in &mut offsets[first + 2..=last + 2] {
-            *count += 1;
-        }
-    }
-    for s in 2..offsets.len() {
-        offsets[s] += offsets[s - 1];
-    }
-    let mut items = vec![0u32; offsets[offsets.len() - 1] as usize];
-    for (index, (_, rule)) in rules.iter().enumerate() {
-        let (first, last) = span(rule);
-        for cursor in &mut offsets[first + 1..=last + 1] {
-            items[*cursor as usize] = index as u32;
-            *cursor += 1;
-        }
-    }
-    offsets.pop();
-    (offsets, items)
 }
 
 /// Prints a compiled controller in the versioned `tiga-controller v2`
@@ -843,6 +675,11 @@ mod tests {
                 Strategy::next_take_delay(&strat, &d, &[ticks], 4),
                 "next_take_delay at ticks {ticks}"
             );
+            assert_eq!(
+                Controller::decide_with_wakeup(&compiled, &d, &[ticks], 4),
+                Controller::decide_with_wakeup(&strat, &d, &[ticks], 4),
+                "decide_with_wakeup at ticks {ticks}"
+            );
         }
         // Uncovered discrete states answer None everywhere.
         let mut other = d.clone();
@@ -851,6 +688,10 @@ mod tests {
         assert_eq!(Controller::rank_of(&compiled, &other, &[0], 4), None);
         assert_eq!(
             Controller::next_take_delay(&compiled, &other, &[0], 4),
+            None
+        );
+        assert_eq!(
+            Controller::decide_with_wakeup(&compiled, &other, &[0], 4),
             None
         );
     }

@@ -15,6 +15,13 @@ pub enum SolverError {
         /// The configured limit that was hit.
         limit: usize,
     },
+    /// The fixpoint was not reached within the configured round budget
+    /// ([`SolveOptions::max_rounds`](crate::SolveOptions::max_rounds)):
+    /// the federations are partial, so no verdict can be given.
+    RoundLimitExceeded {
+        /// The configured budget that ran out.
+        limit: usize,
+    },
     /// The requested objective is not supported by this solver entry point.
     Unsupported(String),
 }
@@ -27,6 +34,12 @@ impl fmt::Display for SolverError {
                 write!(
                     f,
                     "symbolic exploration exceeded the limit of {limit} discrete states"
+                )
+            }
+            SolverError::RoundLimitExceeded { limit } => {
+                write!(
+                    f,
+                    "the fixpoint was not reached within the round budget of {limit} (max rounds)"
                 )
             }
             SolverError::Unsupported(what) => write!(f, "unsupported objective: {what}"),

@@ -286,7 +286,9 @@ impl Search<'_> {
                     .max_rounds
                     .saturating_mul(self.nodes.len().max(1))
             {
-                break;
+                return Err(SolverError::RoundLimitExceeded {
+                    limit: self.options.max_rounds,
+                });
             }
             // Phase 1: expansion, to a cross-batch fixpoint — a member
             // expanded early may be offered a new zone by a later member

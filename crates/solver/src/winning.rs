@@ -70,7 +70,8 @@ pub struct SolveOptions {
     /// winning federations then coincide with the eager engines').
     pub early_termination: bool,
     /// Safety valve on the number of fixpoint rounds (eager engines) or a
-    /// per-state reevaluation budget (on-the-fly engine).
+    /// per-state reevaluation budget (on-the-fly engine).  A solve that
+    /// exhausts it fails with [`SolverError::RoundLimitExceeded`].
     pub max_rounds: usize,
     /// Ignored: every solve runs on the calling thread, whatever the value.
     /// The field is kept only so that existing callers that set it still
@@ -143,7 +144,9 @@ impl GameSolution {
 ///
 /// # Errors
 ///
-/// Propagates exploration and evaluation errors.
+/// Propagates exploration and evaluation errors, and returns
+/// [`SolverError::RoundLimitExceeded`] when `options.max_rounds` runs out
+/// before the fixpoint.
 pub fn solve(
     system: &System,
     purpose: &TestPurpose,
@@ -159,7 +162,9 @@ pub fn solve(
 ///
 /// # Errors
 ///
-/// Propagates exploration and evaluation errors.
+/// Propagates exploration and evaluation errors, and returns
+/// [`SolverError::RoundLimitExceeded`] when `options.max_rounds` runs out
+/// before the fixpoint.
 pub fn solve_jacobi(
     system: &System,
     purpose: &TestPurpose,
@@ -642,7 +647,9 @@ impl<'a> Engine<'a> {
         loop {
             round += 1;
             if round as usize > options.max_rounds {
-                break;
+                return Err(SolverError::RoundLimitExceeded {
+                    limit: options.max_rounds,
+                });
             }
             let mut changed = false;
             // Every update of the round reads `win` as the round snapshot

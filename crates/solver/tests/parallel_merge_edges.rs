@@ -17,10 +17,13 @@
 //! Each solve pins its verdict, discrete-state count and iteration count,
 //! and a second solve of the same game must repeat its counters and
 //! winning federations.
+//!
+//! A round budget (`max_rounds`) that runs out before the fixpoint must
+//! fail the solve instead of reporting a verdict from partial federations.
 
 use tiga_bench::SOLVERS;
-use tiga_model::{AutomatonBuilder, EdgeBuilder, System, SystemBuilder};
-use tiga_solver::SolveOptions;
+use tiga_model::{AutomatonBuilder, ClockConstraint, CmpOp, EdgeBuilder, System, SystemBuilder};
+use tiga_solver::{SolveOptions, SolverError};
 use tiga_tctl::TestPurpose;
 
 /// P's `step?` edges are closed by a chaotic environment automaton offering
@@ -106,4 +109,54 @@ fn winning_set_changes_in_the_last_sharded_iteration() {
     // Without early termination the final round must report "no change"
     // for the loop to stop.
     assert_converges(&system, "control: A<> P.L5", false, true, 6, [11, 6]);
+}
+
+/// `S0 -a!-> S1 -b!-> S2 -c!-> Bad`, each step forced within one time unit
+/// by `inv x <= 1`: every play reaches `Bad`, so `A[] not P.Bad` is losing,
+/// but only after the attractor has grown back over three rounds.
+fn forced_output_chain() -> System {
+    let mut b = SystemBuilder::new("forced");
+    let x = b.clock("x").unwrap();
+    let outputs = ["a", "b", "c"].map(|name| b.output_channel(name).unwrap());
+    let mut p = AutomatonBuilder::new("P");
+    let steps: Vec<_> = ["S0", "S1", "S2"]
+        .iter()
+        .map(|name| p.location(name).unwrap())
+        .collect();
+    let bad = p.location("Bad").unwrap();
+    for &step in &steps {
+        p.set_invariant(step, vec![ClockConstraint::new(x, CmpOp::Le, 1)]);
+    }
+    let targets = [steps[1], steps[2], bad];
+    for ((&from, to), channel) in steps.iter().zip(targets).zip(outputs) {
+        p.add_edge(EdgeBuilder::new(from, to).output(channel).reset(x));
+    }
+    b.add_automaton(p.build().unwrap()).unwrap();
+    let mut env = AutomatonBuilder::new("Env");
+    let only = env.location("E").unwrap();
+    for channel in outputs {
+        env.add_edge(EdgeBuilder::new(only, only).input(channel));
+    }
+    b.add_automaton(env.build().unwrap()).unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn an_exhausted_round_budget_is_an_error_not_a_verdict() {
+    let system = forced_output_chain();
+    let purpose = TestPurpose::parse("control: A[] not P.Bad", &system).unwrap();
+    for (engine, solve) in SOLVERS {
+        let solution = solve(&system, &purpose, &SolveOptions::default()).expect("solves");
+        assert!(!solution.winning_from_initial, "[{engine}] forced into Bad");
+        let tight = SolveOptions {
+            max_rounds: 1,
+            ..SolveOptions::default()
+        };
+        let err = solve(&system, &purpose, &tight).expect_err("the budget runs out");
+        assert_eq!(
+            err,
+            SolverError::RoundLimitExceeded { limit: 1 },
+            "[{engine}]"
+        );
+    }
 }
