@@ -1,12 +1,14 @@
 //! Micro-benchmarks of the DBM/federation substrate (ablation E8 in
 //! DESIGN.md): the cost of the zone operations that dominate timed-game
-//! solving, across dimensions.
+//! solving, across dimensions, and of the packed discrete-state store the
+//! explorer interns states in.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tiga_bench::bench_rng;
 use tiga_dbm::{Bound, Coverage, Dbm, ZoneStore};
 use tiga_gen::{random_federation, random_zone};
+use tiga_model::{DiscreteState, StateStore};
 
 fn bench_zone_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("dbm");
@@ -197,11 +199,73 @@ fn bench_interning_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// The packed state store on the discrete states of the detailed lep4
+/// avoid objective (lep4.tp4): interning a stored state (the successor
+/// lookup of a known target), interning a new one, packing and finding a
+/// state (`GameGraph::node_of`), and unpacking one.
+fn bench_state_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("state_store");
+    let (system, purpose) = tiga_bench::lep_detailed_instance(4, 3);
+    let solution = tiga_solver::solve(&system, &purpose, &tiga_solver::SolveOptions::default())
+        .expect("lep4.tp4 solves");
+    let graph = &solution.graph;
+    let states: Vec<DiscreteState> = (0..graph.len())
+        .map(|id| {
+            let mut d = DiscreteState::default();
+            graph.discrete(id, &mut d);
+            d
+        })
+        .collect();
+    let mut warm = StateStore::new(&system);
+    for d in &states {
+        warm.intern(d).expect("explored states pack");
+    }
+    group.bench_function("intern_hit", |b| {
+        let mut idx = 0;
+        b.iter(|| {
+            idx += 1;
+            black_box(warm.intern(&states[idx % states.len()]).unwrap());
+        });
+    });
+    group.bench_function("intern_miss", |b| {
+        let mut store = StateStore::new(&system);
+        let mut idx = 0;
+        b.iter(|| {
+            if idx % states.len() == 0 {
+                store = StateStore::new(&system);
+            }
+            black_box(store.intern(&states[idx % states.len()]).unwrap());
+            idx += 1;
+        });
+    });
+    group.bench_function("find", |b| {
+        let mut packed = vec![0; warm.layout().words()];
+        let mut idx = 0;
+        b.iter(|| {
+            idx += 1;
+            let d = &states[idx % states.len()];
+            warm.layout().pack(d, &mut packed).unwrap();
+            black_box(warm.find(&packed));
+        });
+    });
+    group.bench_function("decode", |b| {
+        let mut out = DiscreteState::default();
+        let mut idx = 0;
+        b.iter(|| {
+            idx += 1;
+            warm.decode(idx % states.len(), &mut out);
+            black_box(&out);
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_zone_ops,
     bench_kernels,
     bench_federation_ops,
-    bench_interning_ops
+    bench_interning_ops,
+    bench_state_store
 );
 criterion_main!(benches);

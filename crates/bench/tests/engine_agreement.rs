@@ -7,6 +7,7 @@
 //! federations on every discrete state the oracle explored.
 
 use tiga_bench::{engine_matrix_rows, model_zoo};
+use tiga_model::DiscreteState;
 use tiga_models::smart_light;
 use tiga_solver::{solve, solve_jacobi, SolveOptions};
 use tiga_tctl::TestPurpose;
@@ -59,10 +60,12 @@ fn exhaustive_otfur_matches_jacobi_federations_on_zoo() {
             instance.model,
             instance.purpose_name
         );
+        let mut discrete = DiscreteState::default();
         for (id, node) in jacobi.graph.nodes().iter().enumerate() {
+            jacobi.graph.discrete(id, &mut discrete);
             let other = otfur
                 .graph
-                .node_of(&node.discrete)
+                .node_of(&discrete)
                 .expect("state explored by both");
             // The on-the-fly engine confines winning sets to the explored
             // reach zones; within them it must match the oracle exactly.
@@ -72,7 +75,7 @@ fn exhaustive_otfur_matches_jacobi_federations_on_zoo() {
                 "winning sets differ on {}/{} in {}",
                 instance.model,
                 instance.purpose_name,
-                node.discrete.display(&instance.system)
+                discrete.display(&instance.system)
             );
         }
     }

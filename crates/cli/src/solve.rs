@@ -299,7 +299,9 @@ fn render_report(
 /// Renders the full [`tiga_solver::SolverStats`] (plus verdict and
 /// timing) as one flat JSON object, for scripted consumers of `--stats-json`.
 /// `total_us` is exploration plus fixpoint; the phases after the solve
-/// follow it.
+/// follow it.  The object ends with the process's peak resident set so far
+/// (`peak_rss_kib`) and that peak per discrete state (`bytes_per_state`),
+/// both `null` where the peak cannot be read.
 fn render_stats_json(
     system: &tiga_model::System,
     solution: &GameSolution,
@@ -312,11 +314,15 @@ fn render_stats_json(
         .strategy
         .as_ref()
         .map_or("null".to_string(), |s| s.rule_count().to_string());
+    let peak = peak_rss_kib();
+    let null_or = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
+    let per_state = peak.map(|kib| kib * 1024 / stats.discrete_states.max(1) as u64);
     format!(
         "{{\"model\":\"{}\",\"winning\":{},{},\
          \"strategy_rules\":{},{},\
          \"exploration_us\":{},\"fixpoint_us\":{},\"total_us\":{},\
-         \"extract_us\":{},\"minimize_us\":{},\"emit_us\":{}}}",
+         \"extract_us\":{},\"minimize_us\":{},\"emit_us\":{},\
+         \"peak_rss_kib\":{},\"bytes_per_state\":{}}}",
         Escaped(system.name()),
         solution.winning_from_initial,
         stats.json_fields(),
@@ -328,7 +334,17 @@ fn render_stats_json(
         timed.extraction_time.as_micros(),
         times.minimize.as_micros(),
         times.emit.as_micros(),
+        null_or(peak),
+        null_or(per_state),
     )
+}
+
+/// The peak resident set of this process so far, in KiB: `VmHWM` in
+/// `/proc/self/status`, or `None` where that file cannot be read.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// The controller summary as JSON fields (no braces): the rule count after
@@ -441,7 +457,8 @@ mod tests {
         let path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/tg/lep4.tp4.tg");
         let path = path.to_str().unwrap();
-        // Every field of the `--stats-json` report but the timings.
+        // Every field of the `--stats-json` report but the timings and the
+        // process's peak resident set.
         let counters = |extra: &[&str]| {
             let mut args = vec![path, "--stats-json"];
             args.extend_from_slice(extra);
@@ -452,7 +469,9 @@ mod tests {
             };
             fields
                 .into_iter()
-                .filter(|(key, _)| !key.ends_with("_us"))
+                .filter(|(key, _)| {
+                    !key.ends_with("_us") && key != "peak_rss_kib" && key != "bytes_per_state"
+                })
                 .collect::<Vec<_>>()
         };
         let plain = counters(&[]);
@@ -501,7 +520,21 @@ mod tests {
         }
         // Nothing is compiled, so there is no compile phase to time.
         assert!(!report.contains("\"compile_us\""), "{report}");
-        assert!(report.ends_with(&format!("\"emit_us\":{}}}", micros("emit_us"))));
+        // The phases end with `emit_us`; the process's peak resident set and
+        // that peak per discrete state close the object.
+        let count = |key: &str| json.field(key).unwrap().usize_field(key).unwrap();
+        let (peak, per_state) = (count("peak_rss_kib"), count("bytes_per_state"));
+        assert!(peak > 0, "{report}");
+        assert_eq!(
+            per_state,
+            peak * 1024 / count("discrete_states"),
+            "{report}"
+        );
+        let tail = format!(
+            "\"emit_us\":{},\"peak_rss_kib\":{peak},\"bytes_per_state\":{per_state}}}",
+            micros("emit_us")
+        );
+        assert!(report.ends_with(&tail), "{report}");
         // The 13 counters read back as the solver's own.
         let model = load_model(path.to_str().unwrap()).unwrap();
         let purpose = model.purpose.expect("the file has a control: line");

@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use tiga_dbm::{zone_subtract, Bound, Dbm, Federation};
 use tiga_lang::{parse_model, print_system};
-use tiga_model::System;
+use tiga_model::{DiscreteState, System};
 use tiga_solver::{solve, solve_jacobi, GameSolution, SolveOptions, SolverError};
 use tiga_tctl::TestPurpose;
 use tiga_testing::{
@@ -203,18 +203,20 @@ fn deep_compare(
             jacobi.graph.len()
         ));
     }
+    let mut discrete = DiscreteState::default();
     for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-        let Some(other) = exhaustive.graph.node_of(&node.discrete) else {
+        jacobi.graph.discrete(id, &mut discrete);
+        let Some(other) = exhaustive.graph.node_of(&discrete) else {
             return Some(format!(
                 "exhaustive otfur graph is missing state {}",
-                node.discrete.display(system)
+                discrete.display(system)
             ));
         };
         let expected = jacobi.winning[id].intersection(&node.reach);
         if !expected.set_equals(&exhaustive.winning[other]) {
             return Some(format!(
                 "exhaustive otfur winning set differs from jacobi ∩ reach in {}",
-                node.discrete.display(system)
+                discrete.display(system)
             ));
         }
     }

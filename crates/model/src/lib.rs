@@ -17,6 +17,8 @@
 //! * fluent builders ([`SystemBuilder`], [`AutomatonBuilder`], [`EdgeBuilder`]),
 //! * symbolic (zone-based) semantics used by the timed-game solver
 //!   ([`DiscreteState`], [`SymbolicState`], [`JointEdge`]),
+//! * a packed store of discrete states ([`StateStore`]), in which the
+//!   [`Explorer`] interns every state it reaches once,
 //! * concrete tick-based semantics — the underlying TIOTS — used by the
 //!   test executor, the conformance monitor and simulated implementations
 //!   ([`Interpreter`], [`ConcreteState`]): a thin layer over the symbolic
@@ -67,6 +69,7 @@ mod expr;
 mod ids;
 mod liveness;
 mod network;
+mod store;
 mod symbolic;
 mod system;
 mod tiots;
@@ -78,10 +81,11 @@ pub use automaton::{
 pub use builder::{AutomatonBuilder, EdgeBuilder, SystemBuilder};
 pub use decl::{Action, Channel, ChannelKind, ClockDecl, ClockRef, IoDir, VarDecl, VarTable};
 pub use error::{EvalError, ModelError};
-pub use explorer::{CandidateStep, CandidateTarget, ExploredState, Explorer, StateIndex};
+pub use explorer::{CandidateStep, ExploredParts, Explorer, Invariant, InvariantId};
 pub use expr::{CmpOp, Expr};
 pub use ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
 pub use liveness::Liveness;
+pub use store::{StateIndex, StateLayout, StateStore};
 pub use symbolic::{DiscreteState, DisplayDiscreteState, JointEdge, SymbolicState};
 pub use system::System;
 pub use tiga_dbm::{max_constant_for, MAX_CONSTANT};

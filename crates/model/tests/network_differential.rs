@@ -19,9 +19,9 @@ use std::collections::VecDeque;
 use tiga_dbm::{Bound, Dbm};
 use tiga_gen::{generate_spec, GenConfig};
 use tiga_model::{
-    AutomatonBuilder, AutomatonId, CandidateTarget, ClockConstraint, ClockReset, CmpOp,
-    DiscreteState, Edge, EdgeBuilder, EdgeId, EvalError, Explorer, Expr, JointEdge, Liveness,
-    ModelError, Sync, System, SystemBuilder,
+    AutomatonBuilder, AutomatonId, ClockConstraint, ClockReset, CmpOp, DiscreteState, Edge,
+    EdgeBuilder, EdgeId, EvalError, Explorer, Expr, JointEdge, Liveness, ModelError, Sync, System,
+    SystemBuilder,
 };
 
 const SYSTEMS: u64 = 600;
@@ -283,7 +283,8 @@ fn check_system(sys: &System, tally: &mut Tally) -> Result<(), String> {
         seen.push((idx, zone.clone()));
         expansions += 1;
         tally.states += 1;
-        let d = explorer.state(idx).discrete.clone();
+        let mut d = DiscreteState::default();
+        explorer.store().decode(idx, &mut d);
 
         let joint = sys.enabled_joint_edges(&d);
         let reference = reference_joint_edges(sys, &d);
@@ -297,10 +298,8 @@ fn check_system(sys: &System, tally: &mut Tally) -> Result<(), String> {
             steps
                 .into_iter()
                 .map(|step| {
-                    let target = match step.target {
-                        CandidateTarget::Known(t) => explorer.state(t).discrete.clone(),
-                        CandidateTarget::New(target) => target,
-                    };
+                    let mut target = DiscreteState::default();
+                    explorer.store().decode(step.target, &mut target);
                     (step.joint, target, step.zone, step.controllable)
                 })
                 .collect::<Vec<_>>()
@@ -339,7 +338,7 @@ fn check_system(sys: &System, tally: &mut Tally) -> Result<(), String> {
                 }
                 tally.preds += 1;
             }
-            let t = explorer.intern(target).map_err(|e| e.to_string())?;
+            let t = explorer.intern(&target).map_err(|e| e.to_string())?;
             queue.push_back((t, target_zone));
         }
     }

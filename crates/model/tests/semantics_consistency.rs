@@ -11,9 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiga_gen::{generate_spec, GenConfig};
 use tiga_model::{
-    AutomatonBuilder, AutomatonId, CandidateTarget, ChannelId, ChannelKind, ClockConstraint, CmpOp,
-    ConcreteState, DiscreteState, EdgeBuilder, EdgeId, EdgeRef, Explorer, Interpreter, JointEdge,
-    Liveness, ModelError, SymbolicState, Sync, System, SystemBuilder,
+    AutomatonBuilder, AutomatonId, ChannelId, ChannelKind, ClockConstraint, CmpOp, ConcreteState,
+    DiscreteState, EdgeBuilder, EdgeId, EdgeRef, Explorer, Interpreter, JointEdge, Liveness,
+    ModelError, SymbolicState, Sync, System, SystemBuilder,
 };
 
 /// Description of one random edge of the generated plant.
@@ -150,16 +150,15 @@ fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) ->
                 }
             }
         }
-        let source = explorer.intern(s.discrete.clone()).unwrap();
-        let candidates: Vec<_> = explorer
-            .successor_candidates(source, &s.zone)
-            .unwrap()
+        let source = explorer.intern(&s.discrete).unwrap();
+        let steps = explorer.successor_candidates(source, &s.zone).unwrap();
+        let candidates: Vec<_> = steps
             .into_iter()
             .map(|c| {
-                let discrete = match c.target {
-                    CandidateTarget::Known(idx) => explorer.state(idx).discrete.clone(),
-                    CandidateTarget::New(discrete) => discrete,
-                };
+                // The explorer interned the target; its packed copy unpacks
+                // to the state itself.
+                let mut discrete = DiscreteState::default();
+                explorer.store().decode(c.target, &mut discrete);
                 let succ = SymbolicState {
                     discrete,
                     zone: c.zone,
@@ -168,11 +167,6 @@ fn symbolically_reachable(system: &System, state: &ConcreteState, scale: i64) ->
             })
             .collect();
         assert_eq!(candidates, successors, "explorer successors differ");
-        for (_, succ) in &successors {
-            // Intern the targets, so later expansions also take the
-            // explorer's cached-invariant path.
-            explorer.intern(succ.discrete.clone()).unwrap();
-        }
         queue.extend(successors.into_iter().map(|(_, succ)| succ));
     }
     let mut scratch = DiscreteState::default();

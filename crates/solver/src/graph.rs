@@ -1,9 +1,14 @@
 //! Forward exploration of the symbolic game graph.
 //!
 //! The graph has one node per reachable *discrete* state (location vector +
-//! variable valuation); each node records its invariant zone, the union of
+//! variable valuation); each node records its invariant, the union of
 //! zones with which it was reached (for statistics and on-the-fly pruning),
 //! whether it satisfies the goal predicate, and its outgoing joint edges.
+//! The discrete states themselves live once, packed, in the explorer's
+//! [`StateStore`]: a node is its [`tiga_model::StateIndex`],
+//! [`GameGraph::discrete`] unpacks it, and [`GameGraph::node_of`] packs a
+//! query and looks it up through the store's keyed SipHash.  Nodes with one
+//! invariant key share one [`Invariant`].
 //!
 //! Both engines build the graph through one [`GraphBuilder`]:
 //! [`GameGraph::explore`] drains a work list with it before the Jacobi
@@ -16,15 +21,15 @@
 
 use crate::error::SolverError;
 use crate::stats::MemCounters;
-use std::collections::HashMap;
 use tiga_dbm::{Dbm, Federation, ZoneId, ZoneSet, ZoneStore};
 use tiga_model::{
-    CandidateStep, CandidateTarget, DiscreteState, ExploredState, Explorer, JointEdge, Liveness,
-    ModelError, System,
+    CandidateStep, DiscreteState, Explorer, Invariant, InvariantId, JointEdge, Liveness,
+    ModelError, StateStore, System,
 };
 use tiga_tctl::StatePredicate;
 
-/// Index of a node in a [`GameGraph`].
+/// Index of a node in a [`GameGraph`]: the [`tiga_model::StateIndex`] of
+/// its discrete state.
 pub type NodeId = usize;
 
 /// An edge of the explored game graph.
@@ -41,10 +46,8 @@ pub struct GraphEdge {
 /// A node of the explored game graph.
 #[derive(Clone, Debug)]
 pub struct GameNode {
-    /// The discrete state this node represents.
-    pub discrete: DiscreteState,
-    /// The invariant zone of the discrete state.
-    pub invariant: Dbm,
+    /// The node's invariant, an index into [`GameGraph::invariants`].
+    pub invariant: InvariantId,
     /// Union of the (delay-closed, extrapolated) zones with which the node
     /// was reached during forward exploration.
     pub reach: Federation,
@@ -52,15 +55,14 @@ pub struct GameNode {
     pub edges: Vec<GraphEdge>,
     /// Whether the goal predicate holds in this discrete state.
     pub is_goal: bool,
-    /// Whether the discrete state is urgent (no delay allowed).
-    pub urgent: bool,
 }
 
 /// The forward-explored symbolic game graph.
 #[derive(Clone, Debug)]
 pub struct GameGraph {
     nodes: Vec<GameNode>,
-    index: HashMap<DiscreteState, NodeId>,
+    states: StateStore,
+    invariants: Vec<Invariant>,
     initial: NodeId,
     liveness: Liveness,
 }
@@ -115,8 +117,8 @@ struct BuilderNode {
 /// steps: [`GraphBuilder::discover`] records one candidate successor as a
 /// node and an edge, and [`GraphBuilder::offer`] adds its zone to the
 /// node's passed list.  The candidates of a whole batch are computed first
-/// ([`GraphBuilder::candidates`]), then discovered and offered one by one in
-/// batch order.
+/// ([`GraphBuilder::candidates`], which interns their targets), then
+/// discovered and offered one by one in batch order.
 pub(crate) struct GraphBuilder<'a> {
     system: &'a System,
     goal: &'a StatePredicate,
@@ -127,6 +129,8 @@ pub(crate) struct GraphBuilder<'a> {
     initial: NodeId,
     /// Current total zone count across all passed lists.
     reach_total: usize,
+    /// Scratch state the goal predicate is evaluated on.
+    scratch: DiscreteState,
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -148,17 +152,21 @@ impl<'a> GraphBuilder<'a> {
             nodes: Vec::new(),
             initial: root,
             reach_total: 0,
+            scratch: DiscreteState::default(),
         };
-        builder.adopt()?;
+        builder.adopt(root)?;
         Ok((builder, root, zone))
     }
 
-    /// Creates the node data of every state the explorer interned since the
-    /// last call, evaluating the goal predicate once per state.
-    fn adopt(&mut self) -> Result<(), SolverError> {
-        while self.nodes.len() < self.explorer.len() {
-            let state = self.explorer.state(self.nodes.len());
-            let is_goal = self.goal.holds(self.system, &state.discrete)?;
+    /// Creates the node data of every interned state up to `node`,
+    /// evaluating the goal predicate once per state.  Targets are discovered
+    /// in interning order, so a discovery adopts at most its own target.
+    fn adopt(&mut self, node: NodeId) -> Result<(), SolverError> {
+        while self.nodes.len() <= node {
+            self.explorer
+                .store()
+                .decode(self.nodes.len(), &mut self.scratch);
+            let is_goal = self.goal.holds(self.system, &self.scratch)?;
             self.nodes.push(BuilderNode {
                 reach: ZoneSet::default(),
                 edges: Vec::new(),
@@ -173,9 +181,24 @@ impl<'a> GraphBuilder<'a> {
         self.nodes.len()
     }
 
-    /// The interned state of a node.
-    pub(crate) fn state(&self, node: NodeId) -> &ExploredState {
-        self.explorer.state(node)
+    /// The invariant of a node.
+    pub(crate) fn invariant(&self, node: NodeId) -> &Invariant {
+        self.explorer.invariant(node)
+    }
+
+    /// The invariant id of a node.
+    pub(crate) fn invariant_id(&self, node: NodeId) -> InvariantId {
+        self.explorer.invariant_id(node)
+    }
+
+    /// The invariants found so far, indexed by [`InvariantId`].
+    pub(crate) fn invariants(&self) -> &[Invariant] {
+        self.explorer.invariants()
+    }
+
+    /// Unpacks the discrete state of a node into `out`.
+    pub(crate) fn discrete(&self, node: NodeId, out: &mut DiscreteState) {
+        self.explorer.store().decode(node, out);
     }
 
     /// Whether the goal predicate holds at a node.
@@ -204,7 +227,8 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// The candidate successors of the pending `(node, zone)` pairs that
-    /// are still to be expanded, in `pending` order.
+    /// are still to be expanded, in `pending` order.  Their targets are
+    /// interned as they are found; [`GraphBuilder::discover`] adopts them.
     ///
     /// A pair is expanded only if its node [expands](GraphBuilder::expands)
     /// and its zone is still a member of the node's passed list.  A zone
@@ -215,39 +239,35 @@ impl<'a> GraphBuilder<'a> {
     /// caller discovers any candidate, so an offer made while discovering
     /// cannot drop a zone of the same list.
     pub(crate) fn candidates(
-        &self,
+        &mut self,
         pending: Vec<(NodeId, ZoneId)>,
     ) -> Vec<Result<(NodeId, Vec<CandidateStep>), ModelError>> {
-        pending
-            .into_iter()
-            .filter(|&(node, zone)| self.expands(node) && self.nodes[node].reach.contains(zone))
-            .map(|(node, zone)| {
-                self.explorer
-                    .successor_candidates(node, self.store.zone(zone))
-                    .map(|steps| (node, steps))
-            })
-            .collect()
+        let mut results = Vec::with_capacity(pending.len());
+        for (node, zone) in pending {
+            if self.expands(node) && self.nodes[node].reach.contains(zone) {
+                let steps = self
+                    .explorer
+                    .successor_candidates(node, self.store.zone(zone));
+                results.push(steps.map(|steps| (node, steps)));
+            }
+        }
+        results
     }
 
-    /// The discovery step: interns the target of a candidate successor of
-    /// `source` unless it came as a known index, adopts it with its goal
-    /// flag, enforces [`ExploreOptions::max_states`] and records the edge
-    /// once per `(joint, target)`.  Returns the target and the successor
-    /// zone.
+    /// The discovery step: adopts the target of a candidate successor of
+    /// `source` with its goal flag if it is new, enforces
+    /// [`ExploreOptions::max_states`] and records the edge once per
+    /// `(joint, target)`.  Returns the target and the successor zone.
     pub(crate) fn discover(
         &mut self,
         source: NodeId,
         step: CandidateStep,
     ) -> Result<(NodeId, Dbm), SolverError> {
-        let target = match step.target {
-            CandidateTarget::Known(target) => target,
-            CandidateTarget::New(discrete) => {
-                let target = self.explorer.intern(discrete)?;
-                self.adopt()?;
-                target
-            }
-        };
-        if self.nodes.len() > self.options.max_states {
+        let target = step.target;
+        self.adopt(target)?;
+        // The first target past the limit is the one whose discovery made
+        // the state count exceed it.
+        if self.options.max_states <= target {
             return Err(SolverError::StateLimitExceeded {
                 limit: self.options.max_states,
             });
@@ -277,21 +297,20 @@ impl<'a> GraphBuilder<'a> {
         inserted
     }
 
-    /// Moves the explored states and their index into a [`GameGraph`],
+    /// Moves the explored states and their invariants into a [`GameGraph`],
     /// materializing the passed lists into reach federations, and records
     /// the zone store's counters in `mem`.
     pub(crate) fn finish(self, mem: &mut MemCounters) -> GameGraph {
-        let (states, index, liveness) = self.explorer.into_parts();
-        let nodes = states
+        let (states, invariant_of, invariants, liveness) = self.explorer.into_parts();
+        debug_assert_eq!(states.len(), self.nodes.len(), "every state is discovered");
+        let nodes = invariant_of
             .into_iter()
             .zip(self.nodes)
-            .map(|(state, node)| GameNode {
-                discrete: state.discrete,
-                invariant: state.invariant,
+            .map(|(invariant, node)| GameNode {
+                invariant,
                 reach: node.reach.to_federation(&self.store),
                 edges: node.edges,
                 is_goal: node.is_goal,
-                urgent: state.urgent,
             })
             .collect();
         mem.interned_zones = self.store.len();
@@ -300,7 +319,8 @@ impl<'a> GraphBuilder<'a> {
         mem.dbm_clones += self.store.len();
         GameGraph {
             nodes,
-            index,
+            states,
+            invariants,
             initial: self.initial,
             liveness,
         }
@@ -406,10 +426,40 @@ impl GameGraph {
         &self.liveness
     }
 
-    /// Looks up the node of an explored discrete state.
+    /// Looks up the node of an explored discrete state: `None` also for a
+    /// state that does not pack (a value outside its declared range).
     #[must_use]
     pub fn node_of(&self, discrete: &DiscreteState) -> Option<NodeId> {
-        self.index.get(discrete).copied()
+        let mut packed = vec![0; self.states.layout().words()];
+        self.states.layout().pack(discrete, &mut packed).ok()?;
+        self.states.find(&packed)
+    }
+
+    /// Unpacks the discrete state of a node into `out`, reusing its
+    /// buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the identifier is out of range.
+    pub fn discrete(&self, id: NodeId, out: &mut DiscreteState) {
+        self.states.decode(id, out);
+    }
+
+    /// The invariants of the nodes, indexed by [`GameNode::invariant`]: one
+    /// per distinct invariant key.
+    #[must_use]
+    pub fn invariants(&self) -> &[Invariant] {
+        &self.invariants
+    }
+
+    /// The invariant of a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the identifier is out of range.
+    #[must_use]
+    pub fn invariant(&self, id: NodeId) -> &Invariant {
+        &self.invariants[self.nodes[id].invariant]
     }
 
     /// Total number of stored edges.
@@ -521,7 +571,9 @@ mod tests {
         let goals: Vec<_> = graph.nodes().iter().filter(|n| n.is_goal).collect();
         assert!(!goals.is_empty());
         assert!(graph.edge_count() >= graph.len() - 1);
-        assert_eq!(graph.node(graph.initial()).discrete, sys.initial_discrete());
+        let mut initial = DiscreteState::default();
+        graph.discrete(graph.initial(), &mut initial);
+        assert_eq!(initial, sys.initial_discrete());
         assert!(graph.node_of(&sys.initial_discrete()).is_some());
         assert!(graph.reach_zone_count() >= graph.len());
     }
@@ -549,7 +601,7 @@ mod tests {
 
     #[test]
     fn every_node_is_indexed_under_its_discrete_state() {
-        // The index moves over from the explorer; it must still map each
+        // The store moves over from the explorer; it must still map each
         // node's discrete state to that node, for the eager graph and for
         // the partial graph of an on-the-fly solve.
         let sys = ping_system(3);
@@ -559,9 +611,11 @@ mod tests {
         let solved = crate::solve(&lep3, &tp4, &crate::SolveOptions::default()).unwrap();
         for graph in [&explored, &solved.graph] {
             assert!(graph.len() > 1);
-            assert_eq!(graph.index.len(), graph.len());
-            for (id, node) in graph.nodes().iter().enumerate() {
-                assert_eq!(graph.node_of(&node.discrete), Some(id));
+            assert_eq!(graph.states.len(), graph.len());
+            let mut discrete = DiscreteState::default();
+            for id in 0..graph.len() {
+                graph.discrete(id, &mut discrete);
+                assert_eq!(graph.node_of(&discrete), Some(id));
             }
         }
     }

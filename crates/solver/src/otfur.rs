@@ -67,7 +67,7 @@ use crate::winning::{
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use tiga_dbm::{Dbm, Federation, ZoneId};
-use tiga_model::System;
+use tiga_model::{DiscreteState, System};
 use tiga_tctl::StatePredicate;
 
 /// Per-state bookkeeping of the search, indexed like the builder's nodes.
@@ -78,8 +78,6 @@ struct NodeData {
     frontier: Vec<ZoneId>,
     /// States to re-evaluate when this state's winning federation grows.
     depend: Vec<NodeId>,
-    /// Invariant upper boundary (for the forced-move term).
-    boundary: Federation,
 }
 
 /// What the read-only snapshot evaluation of one batch member found.
@@ -112,6 +110,9 @@ struct Search<'a> {
     /// edges.  Mutated only in the expand and merge phases of a batch.
     graph: GraphBuilder<'a>,
     nodes: Vec<NodeData>,
+    /// Invariant upper boundary (for the forced-move term), per invariant
+    /// id of the builder.
+    boundaries: Vec<Federation>,
     win: Vec<Federation>,
     recorder: RuleRecorder,
     queue: VecDeque<NodeId>,
@@ -128,6 +129,8 @@ struct Search<'a> {
     win_total: usize,
     /// Time spent in the expansion phase of [`Search::run`].
     exploration_time: Duration,
+    /// The discrete state an evaluation unpacks its node into.
+    scratch: DiscreteState,
 }
 
 /// Runs the on-the-fly search and returns the partial game graph together
@@ -153,6 +156,7 @@ pub(crate) fn run(
         clip,
         graph,
         nodes: Vec::new(),
+        boundaries: Vec::new(),
         win: Vec::new(),
         recorder: RuleRecorder::new(system.dim(), options, mode),
         queue: VecDeque::new(),
@@ -165,6 +169,7 @@ pub(crate) fn run(
         mem: MemCounters::default(),
         win_total: 0,
         exploration_time: Duration::ZERO,
+        scratch: DiscreteState::default(),
     };
     // The root zone is pending: it is offered and expanded like any other.
     search.sync_nodes();
@@ -176,18 +181,21 @@ pub(crate) fn run(
 
 impl Search<'_> {
     /// Grows the per-node vectors to cover every node the builder has
-    /// discovered.  Goal states start with an empty winning federation:
-    /// their wins are the *reached* goal zones, added by
-    /// [`Search::offer_zone`] as they arrive (the reach-confinement
-    /// invariant).
+    /// discovered, and the boundaries to cover every invariant.  Goal
+    /// states start with an empty winning federation: their wins are the
+    /// *reached* goal zones, added by [`Search::offer_zone`] as they arrive
+    /// (the reach-confinement invariant).
     fn sync_nodes(&mut self) {
+        let invariants = self.graph.invariants();
+        self.boundaries.extend(
+            invariants[self.boundaries.len()..]
+                .iter()
+                .map(|inv| invariant_boundary(&inv.zone, inv.urgent)),
+        );
         while self.nodes.len() < self.graph.len() {
-            let state = self.graph.state(self.nodes.len());
-            let boundary = invariant_boundary(&state.invariant, state.urgent);
             self.nodes.push(NodeData {
                 frontier: Vec::new(),
                 depend: Vec::new(),
-                boundary,
             });
             self.win.push(Federation::empty(self.system.dim()));
             self.in_queue.push(false);
@@ -332,7 +340,12 @@ impl Search<'_> {
             }
             self.exploration_time += expansion_start.elapsed();
             // Phase 2: snapshot evaluation (read-only on `self`).
-            let outcomes: Vec<_> = batch.iter().map(|&node| self.evaluate_one(node)).collect();
+            let mut scratch = std::mem::take(&mut self.scratch);
+            let outcomes: Vec<_> = batch
+                .iter()
+                .map(|&node| self.evaluate_one(node, &mut scratch))
+                .collect();
+            self.scratch = scratch;
             // Phase 3: in-order merge.
             for (&node, outcome) in batch.iter().zip(outcomes) {
                 match outcome? {
@@ -366,7 +379,12 @@ impl Search<'_> {
     /// against the current snapshot of the winning federations.  It must
     /// not (and cannot: `&self`) touch any search state, because every
     /// member of a batch is evaluated before the first growth is merged.
-    fn evaluate_one(&self, node: NodeId) -> Result<EvalOutcome, SolverError> {
+    /// `discrete` is scratch for the node's unpacked state.
+    fn evaluate_one(
+        &self,
+        node: NodeId,
+        discrete: &mut DiscreteState,
+    ) -> Result<EvalOutcome, SolverError> {
         if self.graph.is_goal(node) {
             return Ok(EvalOutcome::Unchanged);
         }
@@ -377,19 +395,20 @@ impl Search<'_> {
         if self.win[node].is_empty() && edges.iter().all(|e| self.win[e.target].is_empty()) {
             return Ok(EvalOutcome::Pruned);
         }
-        let state = self.graph.state(node);
+        self.graph.discrete(node, discrete);
+        let invariant = self.graph.invariant(node);
         let Some((unconfined, action_regions)) = pi_update(
             self.system,
             node,
-            &state.discrete,
-            &state.invariant,
+            discrete,
+            &invariant.zone,
             self.graph.is_goal(node),
-            state.urgent,
+            invariant.urgent,
             edges,
-            &self.nodes[node].boundary,
+            &self.boundaries[self.graph.invariant_id(node)],
             &self.win,
             self.mode.swap_roles(),
-            |id| &self.graph.state(id).invariant,
+            |id| &self.graph.invariant(id).zone,
         )?
         else {
             return Ok(EvalOutcome::Unchanged);

@@ -374,7 +374,7 @@ fn solve_with(
                     let mut safe = if algorithm == Algorithm::Otfur {
                         node.reach.clone()
                     } else {
-                        Federation::from_zone(node.invariant.clone())
+                        Federation::from_zone(graph.invariants()[node.invariant].zone.clone())
                     };
                     safe.subtract(&losing[id]);
                     safe.reduce_exact();
@@ -461,12 +461,14 @@ fn extract_safety_strategy(
     // One state's rules, rebuilt in place per state; the strategy copies
     // them only when no earlier state has the same list.
     let mut rules: Vec<StrategyRule> = Vec::new();
+    let mut discrete = DiscreteState::default();
     for (id, node) in graph.nodes().iter().enumerate() {
         if node.is_goal || winning[id].is_empty() {
             // `is_goal` marks *bad* states in safety mode; nothing is safe
             // there.
             continue;
         }
+        graph.discrete(id, &mut discrete);
         // Valuations from which pure delay can reach the losing set.
         let mut drift = losing[id].clone();
         drift.down();
@@ -477,17 +479,14 @@ fn extract_safety_strategy(
         for edge in &node.edges {
             if edge.controllable {
                 let region = system
-                    .joint_pred_federation(&node.discrete, &edge.joint, &winning[edge.target])?
+                    .joint_pred_federation(&discrete, &edge.joint, &winning[edge.target])?
                     .intersection(&winning[id]);
                 if !region.is_empty() {
                     escapes.push((&edge.joint, region));
                 }
             } else {
-                let pred = system.joint_pred_federation(
-                    &node.discrete,
-                    &edge.joint,
-                    &losing[edge.target],
-                )?;
+                let pred =
+                    system.joint_pred_federation(&discrete, &edge.joint, &losing[edge.target])?;
                 threat.absorb(pred);
             }
         }
@@ -509,7 +508,7 @@ fn extract_safety_strategy(
         for (joint, region) in escapes {
             push(1, Decision::Take(joint.clone()), region);
         }
-        strategy.add_rules_from(node.discrete.clone(), &rules);
+        strategy.add_rules_from(discrete.clone(), &rules);
     }
     Ok(strategy)
 }
@@ -577,8 +576,8 @@ struct Engine<'a> {
     /// Bounded purposes: the `#t <= T` zone intersected into every attractor
     /// seed.  `None` for unbounded purposes.
     clip: Option<&'a Dbm>,
-    /// Invariant-boundary federation per node (states where time cannot
-    /// progress further).
+    /// Invariant-boundary federation (states where time cannot progress
+    /// further) per invariant of the graph.
     boundary: Vec<Federation>,
 }
 
@@ -590,9 +589,9 @@ impl<'a> Engine<'a> {
         clip: Option<&'a Dbm>,
     ) -> Self {
         let boundary = graph
-            .nodes()
+            .invariants()
             .iter()
-            .map(|n| invariant_boundary(&n.invariant, n.urgent))
+            .map(|inv| invariant_boundary(&inv.zone, inv.urgent))
             .collect();
         Engine {
             system,
@@ -626,7 +625,7 @@ impl<'a> Engine<'a> {
                 if !node.is_goal {
                     return Federation::empty(self.system.dim());
                 }
-                let mut seed = node.invariant.clone();
+                let mut seed = self.graph.invariants()[node.invariant].zone.clone();
                 if let Some(clip) = self.clip {
                     seed.intersect(clip);
                 }
@@ -644,6 +643,7 @@ impl<'a> Engine<'a> {
         let mut win_total: usize = win.iter().map(Federation::len).sum();
         mem.peak_live_zones = mem.peak_live_zones.max(reach_total + win_total);
         let mut round: u32 = 0;
+        let mut discrete = DiscreteState::default();
         loop {
             round += 1;
             if round as usize > options.max_rounds {
@@ -659,18 +659,20 @@ impl<'a> Engine<'a> {
                 .iter()
                 .map(|&node_id| {
                     let node = self.graph.node(node_id);
+                    let invariant = &self.graph.invariants()[node.invariant];
+                    self.graph.discrete(node_id, &mut discrete);
                     pi_update(
                         self.system,
                         node_id,
-                        &node.discrete,
-                        &node.invariant,
+                        &discrete,
+                        &invariant.zone,
                         node.is_goal,
-                        node.urgent,
+                        invariant.urgent,
                         &node.edges,
-                        &self.boundary[node_id],
+                        &self.boundary[node.invariant],
                         &win,
                         self.mode.swap_roles(),
-                        |id| &self.graph.node(id).invariant,
+                        |id| &self.graph.invariant(id).zone,
                     )
                 })
                 .collect();
@@ -790,13 +792,17 @@ impl RuleRecorder {
     }
 
     /// The recorded strategy over `graph`'s discrete states: each node's
-    /// list becomes its state's block.
+    /// non-empty list becomes its state's block.
     pub(crate) fn into_strategy(self, graph: &GameGraph) -> Option<Strategy> {
         let lists = self.rules?;
         let states = lists.iter().filter(|rules| !rules.is_empty()).count();
         let mut strategy = Strategy::with_capacity(self.dim, states);
+        let mut discrete = DiscreteState::default();
         for (node, rules) in lists.into_iter().enumerate() {
-            strategy.add_rules(graph.node(node).discrete.clone(), rules);
+            if !rules.is_empty() {
+                graph.discrete(node, &mut discrete);
+                strategy.add_rules(discrete.clone(), rules);
+            }
         }
         Some(strategy)
     }
@@ -1274,13 +1280,15 @@ mod tests {
         assert!(!jacobi.is_winning_state(&d0, &[12, 4], 2));
         assert!(!otfur.is_winning_state(&d0, &[12, 4], 2));
         // Full confinement agreement: exhaustive on-the-fly == jacobi ∩ reach.
+        let mut discrete = DiscreteState::default();
         for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-            let other = otfur.graph.node_of(&node.discrete).unwrap();
+            jacobi.graph.discrete(id, &mut discrete);
+            let other = otfur.graph.node_of(&discrete).unwrap();
             let expected = jacobi.winning[id].intersection(&node.reach);
             assert!(
                 expected.set_equals(&otfur.winning[other]),
                 "winning sets differ for {}",
-                node.discrete.display(&sys)
+                discrete.display(&sys)
             );
         }
     }
@@ -1347,14 +1355,16 @@ mod tests {
                 let otfur = solve(&sys, &tp, &otfur_options(false)).unwrap();
                 assert!(!otfur.stats().early_terminated);
                 assert_eq!(jacobi.graph.len(), otfur.graph.len());
+                let mut discrete = DiscreteState::default();
                 for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let other = otfur.graph.node_of(&node.discrete).unwrap();
+                    jacobi.graph.discrete(id, &mut discrete);
+                    let other = otfur.graph.node_of(&discrete).unwrap();
                     let expected = jacobi.winning[id].intersection(&node.reach);
                     assert!(
                         expected.set_equals(&otfur.winning[other]),
                         "winning sets differ in {} for {}",
                         sys.name(),
-                        node.discrete.display(&sys)
+                        discrete.display(&sys)
                     );
                 }
             }
@@ -1613,13 +1623,15 @@ mod tests {
                     "{} / A[] not {loc}",
                     sys.name()
                 );
+                let mut discrete = DiscreteState::default();
                 for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let o = otfur.graph.node_of(&node.discrete).unwrap();
+                    jacobi.graph.discrete(id, &mut discrete);
+                    let o = otfur.graph.node_of(&discrete).unwrap();
                     let expected = jacobi.winning[id].intersection(&node.reach);
                     assert!(
                         expected.set_equals(&otfur.winning[o]),
                         "otfur differs in {} of {} / A[] not {loc}",
-                        node.discrete.display(&sys),
+                        discrete.display(&sys),
                         sys.name()
                     );
                 }
@@ -1758,8 +1770,10 @@ mod tests {
                     jacobi.winning_from_initial, otfur.winning_from_initial,
                     "{line}"
                 );
+                let mut discrete = DiscreteState::default();
                 for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let o = otfur.graph.node_of(&node.discrete).unwrap();
+                    jacobi.graph.discrete(id, &mut discrete);
+                    let o = otfur.graph.node_of(&discrete).unwrap();
                     let expected = jacobi.winning[id].intersection(&node.reach);
                     assert!(
                         expected.set_equals(&otfur.winning[o]),
